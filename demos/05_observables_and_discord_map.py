@@ -13,10 +13,13 @@ Run:  python demos/05_observables_and_discord_map.py
 
 import math
 
+import numpy as np
+
 from gausslind import (
     CosmoParams,
     decoherence_threshold,
     discord_cosmo,
+    offset_singular_p,
     power_spectrum_correction,
 )
 
@@ -38,13 +41,13 @@ for p in (1.0, 3.0, 5.0, 7.0):
 print("\ndiscord map D(p, kGamma/k*) at x = e^-20, theta = -pi/4:")
 log_k = (-8.0, -4.0, 0.0, 4.0)
 print(" " * 9 + "".join(f"  lg k={lk:+4.0f}" for lk in log_k))
-# integer p >= 2 hits gamma-order poles and p in {2,4,5,8} is outright
-# logarithmic, so the grid sits strictly between those values
-for p in (1.0, 3.1, 5.0001, 5.9, 6.5, 8.5):
-    row = []
-    for lk in log_k:
-        params = CosmoParams(kGamma_over_kstar=10.0 ** lk, p=p, ellH=ellH)
-        row.append(discord_cosmo(x_late, -math.pi / 4.0, params, "approx").discord)
+# integer p >= 2 hits gamma-order poles (and p in {2,4,5,8} is outright
+# logarithmic), so such p is evaluated 1e-4 above the integer; one call
+# covers a whole row of couplings
+for p in (1.0, 3.1, 5.0, 5.9, 6.5, 8.5):
+    params = CosmoParams(kGamma_over_kstar=0.0, p=offset_singular_p(p), ellH=ellH)
+    row = discord_cosmo(x_late, -math.pi / 4.0, params, "approx",
+                        kGamma_over_kstar=10.0 ** np.array(log_k)).discord
     print(f"p = {p:4.1f} " + "".join(f"{d:10.3f}" for d in row))
 
 print("\nBelow p = 6 the discord stays large even deep in the decohered")

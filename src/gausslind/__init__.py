@@ -75,6 +75,7 @@ from .cosmology import (
     asymptotic_coefficients,
     approx_open_covariance,
     sigma0_sq_approx,
+    offset_singular_p,
     power_spectrum_correction,
     decoherence_threshold,
     discord_cosmo,

@@ -3,6 +3,9 @@
     gausslind run <config.json> [--out DIR] [--threads N]
     gausslind selfcheck
 
+(--threads is accepted for compatibility and has no effect: a
+discord_map evaluates each p row in one call, in a single thread.)
+
 A scenario is one JSON document selecting a mode and its parameters; the
 output is one UTF-8 CSV file with '#'-prefixed header comments carrying
 the tool version and a hash of the configuration, so that identical
@@ -17,7 +20,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +27,14 @@ import numpy as np
 from . import __version__
 from .closed import wigner_ellipse
 from .cosmology import (
+    APPROX_X_MAX,
     CosmoParams,
     de_sitter_squeezing,
     discord_cosmo,
+    offset_singular_p,
     power_spectrum_correction,
 )
-from .errors import ConfigError, GausslindError
+from .errors import ConfigError, DomainError, GausslindError
 from .symplectic import particle_statistics, SqueezingState
 from . import selfcheck as _selfcheck
 
@@ -180,36 +184,62 @@ def run_evolve_open(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> No
                rows, cfg_hash)
 
 
+DISCORD_METHODS = ("approx", "exact", "transport")
+
+
+def _finite(value, what: str) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return v
+
+
+def _pair(cfg: dict, key: str, default) -> list:
+    v = cfg.get(key, default)
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"config key {key!r} must be a pair, got {v!r}")
+    return [_finite(e, key) for e in v]
+
+
 def run_discord_map(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> None:
-    p_lo, p_hi = (float(v) for v in cfg.get("p_range", (0.1, 9.9)))
-    k_lo, k_hi = (float(v) for v in cfg.get("log10_kGamma_range", (-10.0, 6.0)))
-    n_p, n_k = (int(v) for v in cfg.get("map_points", (40, 40)))
-    x = float(cfg.get("x", math.exp(-20.0)))
-    theta = float(cfg.get("theta", -math.pi / 4.0))
-    ellH = float(cfg.get("cosmo", {}).get("ellH", 1e-3))
+    p_lo, p_hi = _pair(cfg, "p_range", (0.1, 9.9))
+    k_lo, k_hi = _pair(cfg, "log10_kGamma_range", (-10.0, 6.0))
+    n_p, n_k = _pair(cfg, "map_points", (40, 40))
+    if min(n_p, n_k) < 1 or not (n_p.is_integer() and n_k.is_integer()):
+        raise ConfigError(f"map_points must be positive integers, got {[n_p, n_k]}")
+    x = _finite(cfg.get("x", math.exp(-20.0)), "x")
+    theta = _finite(cfg.get("theta", -math.pi / 4.0), "theta")
+    cosmo = cfg.get("cosmo", {})
+    if not isinstance(cosmo, dict):
+        raise ConfigError("config key 'cosmo' must be an object")
+    ellH = _finite(cosmo.get("ellH", 1e-3), "cosmo.ellH")
     method = cfg.get("method", "approx")
-    p_vals = np.linspace(p_lo, p_hi, n_p)
-    k_vals = np.linspace(k_lo, k_hi, n_k)
-    singular = (2.0, 4.0, 5.0, 8.0)
+    if method not in DISCORD_METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {DISCORD_METHODS}")
+    p_vals = np.linspace(p_lo, p_hi, int(n_p))
+    k_vals = np.linspace(k_lo, k_hi, int(n_k))
+    with np.errstate(over="ignore"):
+        couplings = 10.0 ** k_vals
+    if not np.all(np.isfinite(couplings)):
+        raise ConfigError("log10_kGamma_range overflows a double")
+    try:
+        row_params = [CosmoParams(kGamma_over_kstar=0.0, p=offset_singular_p(p), ellH=ellH)
+                       for p in p_vals.tolist()]
+    except DomainError as exc:
+        raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
+    x_max = APPROX_X_MAX if method == "approx" else row_params[0].x_coupling_on
+    if not 0.0 < x < x_max:
+        raise ConfigError(f"x must be in (0, {x_max}) for method {method!r}, got {x}")
 
-    def cell(idx):
-        i, j = divmod(idx, len(k_vals))
-        p = float(p_vals[i])
-        for s in singular:  # logarithmic powers: offset per the contract
-            if abs(p - s) < 1e-4:
-                p = s + 1e-4
-        params = CosmoParams(kGamma_over_kstar=10.0 ** float(k_vals[j]), p=p,
-                             ellH=ellH)
-        res = discord_cosmo(x, theta, params, method=method)
-        pur = math.exp(-2.0 * res.log_sigma_zero)
-        return (float(p_vals[i]), float(k_vals[j]), res.discord, pur)
-
-    indices = range(len(p_vals) * len(k_vals))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(cell, indices))
-    else:
-        rows = [cell(i) for i in indices]
+    rows = []
+    for p, params in zip(p_vals.tolist(), row_params):
+        res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings)
+        # math.exp: np.exp can differ from it in the last bit
+        purity = [math.exp(-2.0 * v) for v in res.log_sigma_zero.tolist()]
+        rows += zip([p] * len(k_vals), k_vals.tolist(), res.discord.tolist(), purity)
     _write_csv(out_dir / cfg.get("output_path", "discord_map.csv"),
                ["p", "log10_kGamma_kstar", "discord", "purity"],
                rows, cfg_hash)
@@ -280,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config", help="path to the scenario JSON file")
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid sweeps")
+                       help="accepted for compatibility; has no effect")
     sub.add_parser("selfcheck", help="run the built-in validation suite")
     args = parser.parse_args(argv)
 

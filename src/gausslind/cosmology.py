@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ __all__ = [
     "asymptotic_coefficients",
     "approx_open_covariance",
     "sigma0_sq_approx",
+    "offset_singular_p",
     "power_spectrum_correction",
     "decoherence_threshold",
     "discord_cosmo",
@@ -58,6 +59,10 @@ __all__ = [
 
 _SINGULAR_P = (2.0, 4.0, 5.0, 8.0)
 _P_TOL = 1e-6
+#: distance from an integer within which offset_singular_p moves p
+_P_OFFSET = 1e-4
+#: the super-Hubble asymptotics hold for x below this
+APPROX_X_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -337,13 +342,27 @@ class AsymptoticCoefficients:
     lim_im_3mp: float
 
 
+def offset_singular_p(p: float) -> float:
+    """p moved off the singular values of the coefficient table.
+
+    Every integer n >= 2 is a pole of the table's gamma orders 2-p, 3-p
+    and 4-p (and n in {2, 4, 5, 8} also zeroes its denominators), so p
+    within 1e-4 of such an n is replaced by n + 1e-4; the table is smooth
+    across the pole at that distance.
+    """
+    n = round(p)
+    if n >= 2 and abs(p - n) < _P_OFFSET:
+        return n + _P_OFFSET
+    return p
+
+
 def asymptotic_coefficients(params: CosmoParams) -> AsymptoticCoefficients:
     """Coefficient table for the super-Hubble expansion.
 
     Rejects p within 1e-6 of {2, 4, 5, 8} (vanishing denominators turn
-    those powers logarithmic).  Non-excluded integer p can still hit
-    poles of individual gamma orders; callers probing such p offset it by
-    >= 1e-4.
+    those powers logarithmic).  Other integer p >= 2 can still hit poles
+    of individual gamma orders; `offset_singular_p` moves p off all of
+    them.
     """
     params.require_regular_p()
     p, ellH, xs = params.p, params.ellH, params.x_star
@@ -377,32 +396,37 @@ def asymptotic_coefficients(params: CosmoParams) -> AsymptoticCoefficients:
     )
 
 
-def _approx_terms(params: CosmoParams, coeffs: AsymptoticCoefficients | None = None):
-    """Leading super-Hubble terms of each component as (coefficient,
-    x-exponent) pairs: g_NM(x) = sum_i c_i x^(e_i)."""
-    t = coeffs if coeffs is not None else asymptotic_coefficients(params)
-    kap2 = params.kGamma_over_k ** 2
-    p = params.p
-    return {
-        "g11": ((1.0 - 2.0 * kap2 * t.b11, -2.0), (-2.0 * kap2 * t.a11, 6.0 - p)),
-        "g12": ((1.0 - 2.0 * kap2 * t.b12, -3.0), (-2.0 * kap2 * t.a12, 5.0 - p)),
-        "g22": ((1.0 - 2.0 * kap2 * t.b22, -4.0), (-2.0 * kap2 * t.a22, 4.0 - p)),
-    }
+def _require_super_hubble(x: float) -> None:
+    if not 0.0 < x < APPROX_X_MAX:
+        raise DomainError(
+            f"super-Hubble approximation needs 0 < x < {APPROX_X_MAX}, got {x}")
+
+
+def _approx_terms(t: AsymptoticCoefficients, kap2):
+    """Leading super-Hubble terms of g11, g12, g22 as (coeffs, exps):
+    component c is g_c(x) = sum_i coeffs[i, c] x^exps[i, c] over the two
+    terms i.  kap2 = (kGamma/k)^2 is a scalar or an array of couplings
+    sharing the table t; its shape trails that of coeffs."""
+    p = t.p
+    coeffs = np.array([
+        [1.0 - 2.0 * kap2 * t.b11, 1.0 - 2.0 * kap2 * t.b12, 1.0 - 2.0 * kap2 * t.b22],
+        [-2.0 * kap2 * t.a11, -2.0 * kap2 * t.a12, -2.0 * kap2 * t.a22],
+    ])
+    exps = np.array([[-2.0, -3.0, -4.0], [6.0 - p, 5.0 - p, 4.0 - p]])
+    return coeffs, exps
 
 
 def approx_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
     """Leading super-Hubble form of the dressed covariance (x < 0.1)."""
-    if x >= 0.1:
-        raise DomainError(f"super-Hubble approximation needs x < 0.1, got {x}")
-    terms = _approx_terms(params)
-    vals = {
-        name: sum(c * x ** e for c, e in pairs) for name, pairs in terms.items()
-    }
-    return CovarianceBlock(g11=vals["g11"], g12=vals["g12"], g22=vals["g22"])
+    _require_super_hubble(x)
+    coeffs, exps = _approx_terms(asymptotic_coefficients(params), params.kGamma_over_k ** 2)
+    g11, g12, g22 = (coeffs * x ** exps).sum(axis=0).tolist()
+    return CovarianceBlock(g11=g11, g12=g12, g22=g22)
 
 
-def sigma0_sq_coefficients(params: CosmoParams) -> tuple[float, float, float, float, float]:
-    """Super-Hubble coefficients of sigma^2(0) from the coefficient table.
+def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
+    """Super-Hubble coefficients of sigma^2(0) from the coefficient table
+    t at coupling kap2 = (kGamma/k)^2, a scalar or an array.
 
     Returns (s0_2, s0_4, sx_2, sx_4, sxx_4): the quadratic/quartic
     coupling pieces of the constant term and of the x^(2-p) term, plus
@@ -410,8 +434,6 @@ def sigma0_sq_coefficients(params: CosmoParams) -> tuple[float, float, float, fl
     the squared non-analytic corrections and is what dominates the
     determinant growth once p > 8 (for p < 8 it is subleading).
     """
-    t = asymptotic_coefficients(params)
-    kap2 = params.kGamma_over_k ** 2
     s0_2 = kap2 * (-2.0 * t.c11 + 4.0 * t.e12 - 2.0 * t.e22 - 2.0 * t.f11 - 2.0 * t.g22)
     s0_4 = kap2 * kap2 * (
         -4.0 * t.c12 ** 2 + 4.0 * t.d11 * t.d22 - 8.0 * t.b12 * t.e12
@@ -437,8 +459,7 @@ def sigma0_sq_approx(x: float, params: CosmoParams, route: str = "coefficients")
                                    - (ellH)^{p-4} / (p-4) ]
     with a*/a = x/x_star (leading both in ellH and in x).
     """
-    if x >= 0.1:
-        raise DomainError(f"super-Hubble form needs x < 0.1, got {x}")
+    _require_super_hubble(x)
     p = params.p
     if route == "leading":
         params.require_regular_p((2.0, 4.0))
@@ -450,7 +471,8 @@ def sigma0_sq_approx(x: float, params: CosmoParams, route: str = "coefficients")
         )
     if route != "coefficients":
         raise ValueError(f"unknown route {route!r}")
-    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(params)
+    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(
+        asymptotic_coefficients(params), params.kGamma_over_k ** 2)
     return 1.0 + s0_2 + s0_4 + (sx_2 + sx_4) * x ** (2.0 - p) \
         + sxx_4 * x ** (10.0 - 2.0 * p)
 
@@ -528,49 +550,57 @@ def decoherence_threshold(params: CosmoParams, a_over_astar: float) -> float:
 # discord
 # ---------------------------------------------------------------------------
 
-def _signed_log_terms(pairs, ln_x: float) -> tuple[float, float]:
-    """(ln|sum|, sign) of sum_i c_i x^{e_i} given ln x."""
-    logs, signs = [], []
-    for c, e in pairs:
-        if c == 0.0:
-            continue
-        logs.append(math.log(abs(c)) + e * ln_x)
-        signs.append(math.copysign(1.0, c))
-    if not logs:
-        return -math.inf, 1.0
-    ln, sgn = logsumexp(logs, b=signs, return_sign=True)
-    return float(ln), float(sgn)
+def _signed_log_sum(coeffs, exps, ln_x: float):
+    """(ln|sum|, sign) of sum_i c_i x^{e_i} along axis 0, given ln x."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(coeffs)) + exps * ln_x
+    return logsumexp(logs, axis=0, b=np.sign(coeffs), return_sign=True)
 
 
-def _log_sigmas_approx(x: float, theta: float, params: CosmoParams) -> tuple[float, float]:
-    """(ln sigma(theta), ln sigma(0)) from the super-Hubble asymptotics,
-    assembled entirely in the log domain so that x as small as e^-700
-    stays representable."""
-    coeffs = asymptotic_coefficients(params)
+def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2):
+    """(ln sigma(theta), ln sigma(0)) from the super-Hubble asymptotics
+    for the array of couplings kap2 sharing the table t, assembled
+    entirely in the log domain so that x as small as e^-700 stays
+    representable."""
+    _require_super_hubble(x)
     ln_x = math.log(x)
-    terms = _approx_terms(params, coeffs)
-    ln11, s11 = _signed_log_terms(terms["g11"], ln_x)
-    ln12, s12 = _signed_log_terms(terms["g12"], ln_x)
-    ln22, s22 = _signed_log_terms(terms["g22"], ln_x)
+    p = t.p
 
     # sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p}
-    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(params)
-    ln_s0sq, sgn0 = _signed_log_terms(
-        ((1.0, 0.0), (s0_2 + s0_4, 0.0), (sx_2 + sx_4, 2.0 - params.p),
-         (sxx_4, 10.0 - 2.0 * params.p)), ln_x
-    )
-    if sgn0 <= 0.0 or ln_s0sq < 0.0:
-        ln_s0sq = 0.0  # clamp to the pure-state floor sigma(0) = 1
-
-    # (g11 - g22)^2 + 4 g12^2, as logs
-    ln_diff, _ = logsumexp([ln11, ln22], b=[s11, -s22], return_sign=True)
-    ln_m2 = float(np.logaddexp(2.0 * float(ln_diff), math.log(4.0) + 2.0 * ln12))
+    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(t, kap2)
+    ln_s0sq, sgn0 = _signed_log_sum(
+        np.stack(np.broadcast_arrays(1.0, s0_2 + s0_4, sx_2 + sx_4, sxx_4)),
+        np.array([[0.0], [0.0], [2.0 - p], [10.0 - 2.0 * p]]), ln_x)
+    # clamp to the pure-state floor sigma(0) = 1
+    ln_s0sq = np.where((sgn0 <= 0.0) | (ln_s0sq < 0.0), 0.0, ln_s0sq)
     s2t = math.sin(2.0 * theta) ** 2
     if s2t == 0.0:
         return 0.5 * ln_s0sq, 0.5 * ln_s0sq
-    ln_cross = ln_m2 + math.log(0.25 * s2t)
-    ln_stsq = float(np.logaddexp(ln_s0sq, ln_cross))
+
+    coeffs, exps = _approx_terms(t, kap2)
+    (ln11, ln12, ln22), (s11, _, s22) = _signed_log_sum(coeffs, exps[..., None], ln_x)
+    # (g11 - g22)^2 + 4 g12^2, as logs
+    ln_diff, _ = logsumexp(np.stack((ln11, ln22)), axis=0,
+                           b=np.stack((s11, -s22)), return_sign=True)
+    ln_m2 = np.logaddexp(2.0 * ln_diff, math.log(4.0) + 2.0 * ln12)
+    ln_stsq = np.logaddexp(ln_s0sq, ln_m2 + math.log(0.25 * s2t))
     return 0.5 * ln_stsq, 0.5 * ln_s0sq
+
+
+def _log_sigmas_from_block(block: CovarianceBlock, det: float,
+                           theta: float) -> tuple[float, float]:
+    """(ln sigma(theta), ln sigma(0)) of a dressed block with determinant
+    det: sigma(0)^2 = max(det, 1) and
+    sigma(theta)^2 = sigma(0)^2 + (1/4) m^2 sin^2(2 theta),
+    m^2 = (g11 - g22)^2 + 4 g12^2."""
+    s0sq = max(det, 1.0)
+    m2 = (block.g11 - block.g22) ** 2 + 4.0 * block.g12 ** 2
+    stsq = s0sq + 0.25 * m2 * math.sin(2.0 * theta) ** 2
+    return 0.5 * math.log(stsq), 0.5 * math.log(s0sq)
+
+
+def _exp_or_inf(ln):
+    return np.where(ln < 709.0, np.exp(np.minimum(ln, 709.0)), np.inf)
 
 
 def discord_cosmo(
@@ -578,6 +608,7 @@ def discord_cosmo(
     theta: float,
     params: CosmoParams,
     method: str = "approx",
+    kGamma_over_kstar=None,
 ) -> DiscordResult:
     """Quantum discord of the dressed de Sitter state across partition theta.
 
@@ -586,30 +617,46 @@ def discord_cosmo(
                        small that the closed form loses all precision
                        (x >= ~1e-3).
     method="approx":   super-Hubble asymptotics in the log domain; valid
-                       for x < 0.1, arbitrarily small.
+                       for 0 < x < 0.1, arbitrarily small.
     method="transport": integrate the covariance down to x (slowest,
                        reference).
+
+    kGamma_over_kstar, when given, replaces the coupling of params: a
+    scalar, or a 1-D array for a whole row of couplings at one p.  With
+    an array every field of the result but the regime is an array over
+    the couplings; the approx route then builds one coefficient table for
+    the row and evaluates it as array code.  A scalar gives floats.
     """
+    if kGamma_over_kstar is None:
+        kGamma_over_kstar = params.kGamma_over_kstar
+    couplings = np.atleast_1d(np.asarray(kGamma_over_kstar, dtype=float))
+    if couplings.ndim != 1:
+        raise DomainError("couplings must be a scalar or a 1-D array")
+    if not np.all(couplings >= 0.0):
+        raise DomainError("coupling kGamma_over_kstar must be >= 0")
+    if not math.isfinite(theta):
+        raise DomainError(f"partition angle must be finite, got {theta}")
     if method == "approx":
-        ln_st, ln_s0 = _log_sigmas_approx(x, theta, params)
-    elif method == "exact":
-        block = exact_open_covariance(x, params)
-        s0sq = max(exact_open_det(x, params), 1.0)
-        m2 = (block.g11 - block.g22) ** 2 + 4.0 * block.g12 ** 2
-        stsq = s0sq + 0.25 * m2 * math.sin(2.0 * theta) ** 2
-        ln_st, ln_s0 = 0.5 * math.log(stsq), 0.5 * math.log(s0sq)
-    elif method == "transport":
-        traj = evolve_open_de_sitter(params, x_end=x)
-        block = traj.block(len(traj) - 1)
-        s0sq = max(traj.det[-1], 1.0)
-        m2 = (block.g11 - block.g22) ** 2 + 4.0 * block.g12 ** 2
-        stsq = s0sq + 0.25 * m2 * math.sin(2.0 * theta) ** 2
-        ln_st, ln_s0 = 0.5 * math.log(stsq), 0.5 * math.log(s0sq)
+        kap2 = (couplings / params.k_over_kstar) ** 2
+        ln_st, ln_s0 = _log_sigmas_approx(x, theta, asymptotic_coefficients(params), kap2)
+    elif method in ("exact", "transport"):
+        logs = []
+        for kg in couplings.tolist():
+            cell = replace(params, kGamma_over_kstar=kg)
+            if method == "exact":
+                block, det = exact_open_covariance(x, cell), exact_open_det(x, cell)
+            else:
+                traj = evolve_open_de_sitter(cell, x_end=x)
+                block, det = traj.block(len(traj) - 1), traj.det[-1]
+            logs.append(_log_sigmas_from_block(block, det, theta))
+        ln_st, ln_s0 = np.array(logs).T
     else:
         raise ValueError(f"unknown method {method!r}")
     d = _discord_from_logs(ln_st, ln_s0)
-    st = math.exp(ln_st) if ln_st < 709.0 else math.inf
-    s0 = math.exp(ln_s0) if ln_s0 < 709.0 else math.inf
+    fields = (d, _exp_or_inf(ln_st), _exp_or_inf(ln_s0), ln_st, ln_s0)
+    if np.ndim(kGamma_over_kstar) == 0:
+        fields = tuple(float(f[0]) for f in fields)
+    d, st, s0, ln_st, ln_s0 = fields
     return DiscordResult(d, st, s0, Regime.EXACT, ln_st, ln_s0)
 
 

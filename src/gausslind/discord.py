@@ -53,6 +53,8 @@ class DiscordResult:
 
     ``log_sigma_theta``/``log_sigma_zero`` carry the natural logs, which
     remain finite even when the eigenvalues themselves overflow a double.
+    A row evaluation (`cosmology.discord_cosmo` with an array of
+    couplings) holds arrays in every field but ``regime``.
     """
 
     discord: float
@@ -63,46 +65,54 @@ class DiscordResult:
     log_sigma_zero: float = 0.0
 
 
-def entropy_kernel(x: float) -> float:
+def _scalar_or_array(a: np.ndarray):
+    """A 0-d result as a Python float, anything else unchanged."""
+    return float(a) if a.ndim == 0 else a
+
+
+def entropy_kernel(x):
     """Von Neumann entropy of a one-mode Gaussian state with symplectic
     eigenvalue x (in bits):
 
         f(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2),
 
     continued by f(1) = 0.  Arguments within 1e-9 below 1 are clamped.
+    Elementwise over arrays; a scalar argument gives a float.
     """
-    if x < 1.0 - 1e-9:
-        raise DomainError(f"entropy kernel needs x >= 1, got {x}")
-    if x <= 1.0 + 1e-15:
-        return 0.0
-    if x > _LARGE_X:
-        return (math.log(0.5 * x) + 1.0 - 1.0 / (6.0 * x * x)) / LN2
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 1.0 - 1e-9):
+        raise DomainError(f"entropy kernel needs x >= 1, got {np.min(x)}")
     up = 0.5 * (x + 1.0)
     dn = 0.5 * (x - 1.0)
-    return (up * math.log(up) - dn * math.log(dn)) / LN2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = (up * np.log(up) - dn * np.log(dn)) / LN2
+        large = (np.log(0.5 * x) + 1.0 - 1.0 / (6.0 * x * x)) / LN2
+    f = np.where(x > _LARGE_X, large, np.where(x <= 1.0 + 1e-15, 0.0, exact))
+    return _scalar_or_array(f)
 
 
-def _entropy_kernel_log(ln_x: float) -> float:
-    """entropy_kernel(exp(ln_x)) without forming exp(ln_x) when large."""
-    if ln_x > _LARGE_LOG:
-        correction = math.exp(-2.0 * ln_x) / 6.0 if ln_x < 350.0 else 0.0
-        return (ln_x - LN2 + 1.0 - correction) / LN2
-    return entropy_kernel(math.exp(ln_x))
+def _entropy_kernel_log(ln_x):
+    """entropy_kernel(exp(ln_x)) without forming exp(ln_x) when large;
+    elementwise over arrays, a float for a scalar."""
+    ln_x = np.asarray(ln_x, dtype=float)
+    large = ln_x > _LARGE_LOG
+    small = entropy_kernel(np.exp(np.where(large, 0.0, ln_x)))
+    # the correction underflows harmlessly for ln_x beyond ~350
+    asymptotic = (ln_x - LN2 + 1.0 - np.exp(-2.0 * ln_x) / 6.0) / LN2
+    return _scalar_or_array(np.where(large, asymptotic, small))
 
 
-def _discord_from_logs(ln_st: float, ln_s0: float) -> float:
+def _discord_from_logs(ln_st, ln_s0):
     """Exact discord from log symplectic eigenvalues.
 
-    D = f(st) - 2 f(s0) + f((st + s0^2)/(st + 1)), all in the log domain.
+    D = f(st) - 2 f(s0) + f((st + s0^2)/(st + 1)), all in the log domain;
+    elementwise over arrays, a float for scalars.
     """
-    f1 = _entropy_kernel_log(ln_st)
-    f2 = _entropy_kernel_log(ln_s0)
-    ln_num = np.logaddexp(ln_st, 2.0 * ln_s0)
-    ln_den = np.logaddexp(ln_st, 0.0)
-    f3 = _entropy_kernel_log(float(ln_num - ln_den))
-    d = f1 - 2.0 * f2 + f3
+    ln_mix = np.logaddexp(ln_st, 2.0 * ln_s0) - np.logaddexp(ln_st, 0.0)
+    d = (_entropy_kernel_log(ln_st) - 2.0 * _entropy_kernel_log(ln_s0)
+         + _entropy_kernel_log(ln_mix))
     # rounding can leave a few ulp of negativity at theta ~ 0
-    return d if d > 0.0 else 0.0
+    return _scalar_or_array(np.where(d > 0.0, d, 0.0))
 
 
 _EPS = 2.220446049250313e-16

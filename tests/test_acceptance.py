@@ -193,7 +193,8 @@ def test_criterion_06_sigma_zero_consistency():
     worst_identity = 0.0
     for params in FIG_SETS:
         p = params.p
-        s0_2, _, sx_2, _, _ = sigma0_sq_coefficients(params)
+        s0_2, _, sx_2, _, _ = sigma0_sq_coefficients(
+            asymptotic_coefficients(params), params.kGamma_over_k ** 2)
         kap2 = params.kGamma_over_k ** 2
         want_sx = kap2 * 2.0 / (p - 2.0)
         want_s0 = -2.0 * kap2 * (params.ellH ** (p - 4.0) / (p - 4.0)

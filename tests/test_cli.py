@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from gausslind.cli import main
 
 
@@ -169,6 +171,41 @@ class TestDiscordMapScenario:
         # strong coupling below p = 6 keeps discord sizeable
         d_lo, _ = data[(3.5, 2.0)]
         assert d_lo > 10.0
+
+
+class TestDiscordMapValidation:
+    BASE = {"mode": "discord_map", "map_points": [2, 2], "output_path": "map.csv"}
+
+    @pytest.mark.parametrize("change", [
+        {"map_points": [-1, 2]},
+        {"map_points": [0, 3]},
+        {"x": math.nan},
+        {"theta": math.nan},
+        {"x": -1.0},
+        {"method": "bogus"},
+        {"x": 0.5, "method": "approx"},
+    ], ids=["negative_points", "zero_points", "nan_x", "nan_theta", "negative_x",
+            "unknown_method", "approx_outside_super_hubble"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, "m.json", dict(self.BASE, **change))
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize("pole", [3.0, 6.0])
+    def test_integer_p_is_offset_and_smooth(self, tmp_path, pole):
+        def discord_at(p):
+            cfg = write_config(tmp_path, "m.json", dict(
+                self.BASE, map_points=[1, 1], p_range=[p, p],
+                log10_kGamma_range=[-2.0, -2.0], output_path=f"{p}.csv"))
+            assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
+            _, rows = read_csv(tmp_path / f"{p}.csv")
+            assert float(rows[0][0]) == p
+            return float(rows[0][2])
+
+        lo, mid, hi = (discord_at(pole + dp) for dp in (-0.01, 0.0, 0.01))
+        assert lo > mid > hi
+        assert abs(mid - 0.5 * (lo + hi)) < 0.01 * (lo - hi)
 
 
 class TestEllipseScenario:

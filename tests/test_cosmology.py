@@ -18,6 +18,7 @@ from gausslind.cosmology import (
     evolve_open_de_sitter,
     exact_open_covariance,
     exact_open_det,
+    offset_singular_p,
     omega_sq_de_sitter,
     power_spectrum_correction,
     sigma0_sq_approx,
@@ -233,7 +234,8 @@ class TestSigmaZero:
         # the coefficient-table route must reproduce the closed-form
         # power-law combinations at the quadratic coupling order
         params = CosmoParams(kGamma_over_kstar=1.0, p=p, ellH=0.1)
-        s0_2, _, sx_2, _, _ = sigma0_sq_coefficients(params)
+        s0_2, _, sx_2, _, _ = sigma0_sq_coefficients(
+            asymptotic_coefficients(params), params.kGamma_over_k ** 2)
         kap2 = params.kGamma_over_k ** 2
         kk = params.k_over_kstar
         want_sx = kap2 * 2.0 / (p - 2.0) * kk ** (p - 3.0)
@@ -298,7 +300,8 @@ class TestSigmaZero:
             assert abs(coeff(n, 0)) < 1e-9 * scale, f"x^{n} survived"
         # constant, x^{2-p} and x^{10-2p} pieces against the implemented
         # Sigma sums (the latter is the squared non-analytic correction)
-        s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(params)
+        s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(
+            asymptotic_coefficients(params), params.kGamma_over_k ** 2)
         assert abs(coeff(0, 0) - (1.0 + s0_2 + s0_4)) < 1e-9 * scale
         assert abs(coeff(2, 1) - (sx_2 + sx_4)) < 1e-9 * scale
         assert abs(coeff(10, 2) - sxx_4) < 1e-9 * scale
@@ -412,8 +415,31 @@ class TestDiscordCosmo:
         params = FIG_PARAMS[2.1]
         assert discord_cosmo(1e-4, 0.0, params, method="approx").discord == 0.0
 
+    def test_approx_window_enforced(self):
+        params = FIG_PARAMS[2.1]
+        for x in (0.5, 0.1, 0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                discord_cosmo(x, -math.pi / 4, params, method="approx")
+
+    @pytest.mark.parametrize("method", ["exact", "transport"])
+    def test_coupling_row_equals_scalar_calls(self, method):
+        params = CosmoParams(kGamma_over_kstar=0.0, p=2.1, ellH=0.1)
+        couplings = np.array([0.5, 5.0])
+        row = discord_cosmo(0.05, -0.4, params, method, kGamma_over_kstar=couplings)
+        for j, kg in enumerate(couplings):
+            cell = discord_cosmo(0.05, -0.4, CosmoParams(float(kg), 2.1, 0.1), method)
+            assert row.discord[j] == cell.discord
+            assert row.log_sigma_zero[j] == cell.log_sigma_zero
+
 
 class TestParamValidation:
+    def test_offset_singular_p(self):
+        for n in range(2, 10):
+            for p in (n - 5e-5, float(n), n + 5e-5):
+                assert offset_singular_p(p) == n + 1e-4
+        for p in (0.5, 1.0, 2.0002, 2.9998, 6.1):
+            assert offset_singular_p(p) == p
+
     def test_ellh_window(self):
         with pytest.raises(DomainError):
             CosmoParams(1.0, 2.1, 1.5)
