@@ -18,7 +18,7 @@ from gausslind import (
     de_sitter_frequency,
     de_sitter_mode,
     de_sitter_squeezing,
-    evolve_closed,
+    evolve_open,
     evolve_squeezing,
     integrate_mode_function,
 )
@@ -30,9 +30,9 @@ freq = de_sitter_frequency()
 # induced Bogoliubov pair
 mode_traj = integrate_mode_function(freq, -100.0, -0.01, de_sitter_mode(100.0))
 
-# engine 2: transport the covariance entries directly
-cov_traj = evolve_closed(freq, (-100.0, -0.01),
-                         ic=de_sitter_covariance_closed(100.0), t_eval=-x_grid)
+# engine 2: transport the covariance entries directly (no environment source)
+cov_traj = evolve_open(freq, None, (-100.0, -0.01),
+                       ic=de_sitter_covariance_closed(100.0), t_eval=-x_grid)
 
 # engine 3: evolve the squeezing parameters (r, phi)
 r0, phi0 = de_sitter_squeezing(100.0)

@@ -17,7 +17,7 @@ from gausslind import (
     de_sitter_frequency,
     de_sitter_mode,
     cosmo_kernel,
-    evolve_open_de_sitter,
+    evolve_de_sitter,
     green_covariance,
     integrate_mode_function,
     sigma0_sq_approx,
@@ -25,11 +25,13 @@ from gausslind import (
 )
 
 params = CosmoParams(kGamma_over_kstar=10.0, p=2.1, ellH=0.1)
-print(f"environment: {cosmo_kernel(params).description}")
+source = cosmo_kernel(params)
+print(f"environment: power law, p={params.p}, ellH={params.ellH}, "
+      f"kGamma/k*={params.kGamma_over_kstar}")
 print(f"coupling window opens at x = {params.x_coupling_on}\n")
 
-x_grid = np.geomspace(10.0, 1e-3, 9)
-traj = evolve_open_de_sitter(params, x_end=1e-3, x_eval=x_grid)
+x_grid = np.geomspace(params.x_coupling_on, 1e-3, 9)
+traj = evolve_de_sitter(params.x_coupling_on, 1e-3, source, x_eval=x_grid)
 
 # an independent route: Green's-function quadrature over the stored
 # closed mode function
@@ -46,7 +48,7 @@ for i, x in enumerate(x_grid):
     except Exception:
         approx = float("nan")  # outside the super-Hubble window
     stats = particle_statistics(traj.block(i))
-    g = green_covariance(mode_traj, cosmo_kernel(params), -float(x))
+    g = green_covariance(mode_traj, source, -float(x))
     g22_green = abs(mode_traj.state(-float(x)).dv) ** 2 + g.K
     dev = abs(g22_green / traj.g22[i] - 1.0)
     print(f"{x:10.4g} {np.log(det):10.4f} {approx:10.4f} "

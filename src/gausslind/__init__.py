@@ -45,13 +45,10 @@ from .closed import (
     covariance_from_bogoliubov,
     transport_rhs_closed,
     squeezing_rhs_closed,
-    evolve_closed,
     evolve_squeezing,
     wigner_ellipse,
-    third_order_residual,
 )
 from .opensys import (
-    EnvironmentKernel,
     GreenIntegrals,
     transport_rhs_open,
     det_rhs,
@@ -79,8 +76,7 @@ from .cosmology import (
     power_spectrum_correction,
     decoherence_threshold,
     discord_cosmo,
-    evolve_open_de_sitter,
-    evolve_closed_de_sitter,
+    evolve_de_sitter,
 )
 
 __version__ = "0.1.0"

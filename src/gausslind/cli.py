@@ -20,21 +20,25 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .closed import wigner_ellipse
+from .closed import ModeFrequency, wigner_ellipse
 from .cosmology import (
     APPROX_X_MAX,
     CosmoParams,
+    cosmo_kernel,
     de_sitter_squeezing,
     discord_cosmo,
+    evolve_de_sitter,
     offset_singular_p,
     power_spectrum_correction,
 )
 from .errors import ConfigError, DomainError, GausslindError
+from .opensys import evolve_open
 from .symplectic import particle_statistics, SqueezingState
 from . import selfcheck as _selfcheck
 
@@ -72,29 +76,59 @@ def _require(cfg: dict, key: str, typ=None):
     return v
 
 
+def _finite(value, what: str) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return v
+
+
+def _pair(cfg: dict, key: str, default) -> list:
+    v = cfg.get(key, default)
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"config key {key!r} must be a pair, got {v!r}")
+    return [_finite(e, key) for e in v]
+
+
+def _positive(value, what: str) -> float:
+    v = _finite(value, what)
+    if v <= 0.0:
+        raise ConfigError(f"{what} must be > 0, got {value!r}")
+    return v
+
+
+def _count(value, what: str, least: int) -> int:
+    v = _finite(value, what)
+    if v < least or not v.is_integer():
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(v)
+
+
 def _cosmo_params(cfg: dict) -> CosmoParams:
     c = _require(cfg, "cosmo", dict)
     try:
         return CosmoParams(
-            kGamma_over_kstar=float(_require(c, "kGamma_over_kstar")),
-            p=float(_require(c, "p")),
-            ellH=float(_require(c, "ellH")),
-            k_over_kstar=float(c.get("k_over_kstar", 1.0)),
-            x_star=float(c.get("x_star", 1.0)),
+            kGamma_over_kstar=_finite(_require(c, "kGamma_over_kstar"),
+                                      "cosmo.kGamma_over_kstar"),
+            p=_finite(_require(c, "p"), "cosmo.p"),
+            ellH=_finite(_require(c, "ellH"), "cosmo.ellH"),
+            k_over_kstar=_finite(c.get("k_over_kstar", 1.0), "cosmo.k_over_kstar"),
+            x_star=_finite(c.get("x_star", 1.0), "cosmo.x_star"),
         )
-    except (TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
 
 
 def _grid(cfg: dict) -> np.ndarray:
     g = _require(cfg, "grid", dict)
-    x_start = float(_require(g, "x_start"))
-    x_end = float(_require(g, "x_end"))
-    points = int(_require(g, "points"))
-    if points < 2:
-        raise ConfigError("grid.points must be >= 2")
-    if not (x_start > 0 and x_end > 0) or x_start == x_end:
-        raise ConfigError("grid endpoints must be positive and distinct")
+    x_start = _positive(_require(g, "x_start"), "grid.x_start")
+    x_end = _positive(_require(g, "x_end"), "grid.x_end")
+    points = _count(_require(g, "points"), "grid.points", 2)
+    if x_start == x_end:
+        raise ConfigError("grid endpoints must be distinct")
     return np.geomspace(x_start, x_end, points)
 
 
@@ -128,55 +162,49 @@ def _preset(cfg: dict) -> str:
     return preset
 
 
-def _evolve_generic(cfg: dict, x_grid, kern) -> "object":
-    from .closed import ModeFrequency
-    from .opensys import evolve_open as _evolve
-    from .symplectic import CovarianceBlock
-
+def _evolve(cfg: dict, x_grid, source):
+    """Transport over x_grid under the configured preset and tolerances."""
     tol = cfg.get("tolerances", {})
-    rtol = float(tol.get("rtol", 1e-11))
-    atol = float(tol.get("atol", 1e-12))
+    if not isinstance(tol, dict):
+        raise ConfigError("config key 'tolerances' must be an object")
+    rtol = _positive(tol.get("rtol", 1e-11), "tolerances.rtol")
+    atol = _positive(tol.get("atol", 1e-12), "tolerances.atol")
+    x_start, x_end = float(x_grid[0]), float(x_grid[-1])
     if _preset(cfg) == "de_sitter":
-        from .cosmology import de_sitter_covariance_closed, de_sitter_frequency
-        freq = de_sitter_frequency()
-        ic = de_sitter_covariance_closed(float(x_grid[0]))
-    else:
-        freq = ModeFrequency.free(1.0)
-        ic = CovarianceBlock.vacuum()
-    return _evolve(freq, kern, (-float(x_grid[0]), -float(x_grid[-1])),
-                   ic=ic, t_eval=[-float(x) for x in x_grid],
-                   rtol=rtol, atol=atol)
+        return evolve_de_sitter(x_start, x_end, source, x_eval=x_grid,
+                                rtol=rtol, atol=atol)
+    return evolve_open(ModeFrequency.free(1.0), source, (-x_start, -x_end),
+                       t_eval=[-float(x) for x in x_grid], rtol=rtol, atol=atol)
 
 
-def run_evolve_closed(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> None:
+def run_evolve_closed(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
-    traj = _evolve_generic(cfg, x_grid, None)
+    traj = _evolve(cfg, x_grid, None)
     rows = _trajectory_rows(traj, x_grid, open_run=False)
     _write_csv(out_dir / cfg.get("output_path", "evolve_closed.csv"),
                ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity"],
                rows, cfg_hash)
 
 
-def run_evolve_open(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> None:
-    from .opensys import EnvironmentKernel
-
+def run_evolve_open(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
+    if x_grid[-1] > x_grid[0]:
+        raise ConfigError("evolve_open needs x_start > x_end: a source only "
+                          "runs forward in time")
     if "source_const" in cfg:
         # generic constant dimensionless source, any frequency preset
-        s0 = float(cfg["source_const"])
+        s0 = _finite(cfg["source_const"], "source_const")
         if s0 < 0.0:
             raise ConfigError("source_const must be >= 0")
-        kern = EnvironmentKernel(lambda t: s0, f"constant source {s0}")
+        source = lambda t: s0
     else:
-        from .cosmology import cosmo_kernel
-
         params = _cosmo_params(cfg)
         if x_grid[0] > params.x_coupling_on:
             raise ConfigError(
                 f"grid must start at or below the coupling-on point "
                 f"{params.x_coupling_on}")
-        kern = cosmo_kernel(params)
-    traj = _evolve_generic(cfg, x_grid, kern)
+        source = cosmo_kernel(params)
+    traj = _evolve(cfg, x_grid, source)
     rows = _trajectory_rows(traj, x_grid, open_run=True)
     _write_csv(out_dir / cfg.get("output_path", "evolve_open.csv"),
                ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity",
@@ -187,29 +215,10 @@ def run_evolve_open(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> No
 DISCORD_METHODS = ("approx", "exact", "transport")
 
 
-def _finite(value, what: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if not math.isfinite(v):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return v
-
-
-def _pair(cfg: dict, key: str, default) -> list:
-    v = cfg.get(key, default)
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(f"config key {key!r} must be a pair, got {v!r}")
-    return [_finite(e, key) for e in v]
-
-
-def run_discord_map(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> None:
+def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     p_lo, p_hi = _pair(cfg, "p_range", (0.1, 9.9))
     k_lo, k_hi = _pair(cfg, "log10_kGamma_range", (-10.0, 6.0))
-    n_p, n_k = _pair(cfg, "map_points", (40, 40))
-    if min(n_p, n_k) < 1 or not (n_p.is_integer() and n_k.is_integer()):
-        raise ConfigError(f"map_points must be positive integers, got {[n_p, n_k]}")
+    n_p, n_k = (_count(n, "map_points", 1) for n in _pair(cfg, "map_points", (40, 40)))
     x = _finite(cfg.get("x", math.exp(-20.0)), "x")
     theta = _finite(cfg.get("theta", -math.pi / 4.0), "theta")
     cosmo = cfg.get("cosmo", {})
@@ -219,8 +228,8 @@ def run_discord_map(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> No
     method = cfg.get("method", "approx")
     if method not in DISCORD_METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {DISCORD_METHODS}")
-    p_vals = np.linspace(p_lo, p_hi, int(n_p))
-    k_vals = np.linspace(k_lo, k_hi, int(n_k))
+    p_vals = np.linspace(p_lo, p_hi, n_p)
+    k_vals = np.linspace(k_lo, k_hi, n_k)
     with np.errstate(over="ignore"):
         couplings = 10.0 ** k_vals
     if not np.all(np.isfinite(couplings)):
@@ -245,9 +254,9 @@ def run_discord_map(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> No
                rows, cfg_hash)
 
 
-def run_ellipse_series(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> None:
+def run_ellipse_series(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
-    n_sigma = float(cfg.get("n_sigma", math.sqrt(2.0)))
+    n_sigma = _positive(cfg.get("n_sigma", math.sqrt(2.0)), "n_sigma")
     rows = []
     for x in x_grid:
         r, phi = de_sitter_squeezing(float(x))
@@ -259,15 +268,13 @@ def run_ellipse_series(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) ->
                rows, cfg_hash)
 
 
-def run_spectrum(cfg: dict, out_dir: Path, threads: int, cfg_hash: str) -> None:
+def run_spectrum(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     base = _cosmo_params(cfg)
-    k_lo, k_hi = (float(v) for v in cfg.get("k_range", (1e-2, 1e2)))
-    points = int(cfg.get("points", 41))
+    k_lo, k_hi = (_positive(k, "k_range") for k in _pair(cfg, "k_range", (1e-2, 1e2)))
+    points = _count(cfg.get("points", 41), "points", 1)
     rows = []
     for k in np.geomspace(k_lo, k_hi, points):
-        params = CosmoParams(base.kGamma_over_kstar, base.p, base.ellH,
-                             k_over_kstar=float(k), x_star=base.x_star)
-        corr = power_spectrum_correction(params)
+        corr = power_spectrum_correction(replace(base, k_over_kstar=float(k)))
         rows.append([float(k), corr.value, corr.regime.value, corr.time_dependent])
     _write_csv(out_dir / cfg.get("output_path", "spectrum.csv"),
                ["k_over_kstar", "dP_over_P", "regime", "time_dependent"],
@@ -283,7 +290,7 @@ RUNNERS = {
 }
 
 
-def run_config(cfg: dict, out_dir: Path, threads: int) -> int:
+def run_config(cfg: dict, out_dir: Path) -> int:
     mode = _require(cfg, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -291,7 +298,7 @@ def run_config(cfg: dict, out_dir: Path, threads: int) -> int:
         return 0 if _selfcheck.run_all() else 3
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     cfg_hash = hashlib.sha256(canon.encode()).hexdigest()
-    RUNNERS[mode](cfg, out_dir, threads, cfg_hash)
+    RUNNERS[mode](cfg, out_dir, cfg_hash)
     return 0
 
 
@@ -331,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        return run_config(cfg, Path(args.out), max(1, int(args.threads)))
+        return run_config(cfg, Path(args.out))
     except ConfigError as exc:
         _emit_error(exc)
         return 2

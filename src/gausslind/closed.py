@@ -8,14 +8,14 @@
    parameters (r, phi) (valid away from r = 0).
 
 All three must agree; the cross-engine test is part of the acceptance
-suite.  The third-order scalar form of the transport system is kept only
-as a residual diagnostic on trajectories.
+suite.  The transport system is integrated by `opensys.evolve_open`,
+whose source=None case is the closed evolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,10 +42,8 @@ __all__ = [
     "covariance_from_bogoliubov",
     "transport_rhs_closed",
     "squeezing_rhs_closed",
-    "evolve_closed",
     "evolve_squeezing",
     "wigner_ellipse",
-    "third_order_residual",
 ]
 
 DEFAULT_RTOL = 1e-10
@@ -260,7 +258,6 @@ class CovarianceTrajectory:
     g12: np.ndarray
     g22: np.ndarray
     det: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def block(self, i: int) -> CovarianceBlock:
         return CovarianceBlock(self.g11[i], self.g12[i], self.g22[i])
@@ -280,20 +277,6 @@ class CovarianceTrajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-def evolve_closed(
-    freq: ModeFrequency,
-    t_span: tuple[float, float],
-    ic: CovarianceBlock | None = None,
-    t_eval: Sequence[float] | None = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> CovarianceTrajectory:
-    """Transport-engine evolution without an environment."""
-    from .opensys import evolve_open  # shared driver, zero source
-
-    return evolve_open(freq, None, t_span, ic=ic, t_eval=t_eval, rtol=rtol, atol=atol)
 
 
 def evolve_squeezing(
@@ -343,28 +326,3 @@ def wigner_ellipse(s: SqueezingState, n_sigma: float = math.sqrt(2.0)) -> Wigner
         tilt=s.phi,
         area=math.pi * math.sqrt(max(s.lam, 1.0)) * scale * scale,
     )
-
-
-def third_order_residual(
-    g11_of_t: Callable[[float], float],
-    freq: ModeFrequency,
-    t: float,
-    source: Callable[[float], float] | None = None,
-    h: float | None = None,
-) -> float:
-    """Residual of the scalar third-order form of the transport system.
-
-    (1/k^3) g11''' + 4 (w/k) g11' + (2/k) w' g11 - 2*source  with
-    w = omega^2/k^2, evaluated by central differences.  Used as an
-    independent diagnostic on trajectories, not as an engine.
-    """
-    k = freq.k
-    if h is None:
-        h = 1e-4 / k
-    f = g11_of_t
-    d1 = (f(t + h) - f(t - h)) / (2.0 * h)
-    d3 = (f(t + 2 * h) - 2.0 * f(t + h) + 2.0 * f(t - h) - f(t - 2 * h)) / (2.0 * h ** 3)
-    w = freq.ratio(t)
-    dw = (freq.ratio(t + h) - freq.ratio(t - h)) / (2.0 * h)
-    s = source(t) if source is not None else 0.0
-    return d3 / k ** 3 + 4.0 * w * d1 / k + 2.0 * dw * f(t) / k - 2.0 * s

@@ -9,9 +9,10 @@ exceeds the environment correlation length, i.e. for x < 1/(ell_E H), and
 its strength follows a power law a^(p-3) of the scale factor.
 
 Three routes to the dressed covariance are provided and cross-checked by
-the test suite: transport integration, Green's-function quadrature (via
-`opensys.green_covariance`), and the closed form in terms of incomplete
-gamma functions, together with its super-Hubble asymptotics.
+the test suite: transport integration (`evolve_de_sitter`), Green's-
+function quadrature (via `opensys.green_covariance`), and the closed form
+in terms of incomplete gamma functions, together with its super-Hubble
+asymptotics.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
@@ -29,7 +30,7 @@ from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, Regime, _discord_from_logs
 from .errors import DomainError, SingularExponentError
-from .opensys import EnvironmentKernel, evolve_open, piecewise_oscillatory_quad
+from .opensys import evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock
 
@@ -53,8 +54,7 @@ __all__ = [
     "power_spectrum_correction",
     "decoherence_threshold",
     "discord_cosmo",
-    "evolve_open_de_sitter",
-    "evolve_closed_de_sitter",
+    "evolve_de_sitter",
 ]
 
 _SINGULAR_P = (2.0, 4.0, 5.0, 8.0)
@@ -84,6 +84,9 @@ class CosmoParams:
     x_star: float = 1.0
 
     def __post_init__(self):
+        fields = (self.kGamma_over_kstar, self.p, self.ellH, self.k_over_kstar, self.x_star)
+        if not all(map(math.isfinite, fields)):
+            raise DomainError(f"cosmo parameters must be finite, got {self}")
         if not 0.0 < self.ellH < 1.0:
             raise DomainError(
                 f"ellH must be in (0, 1) (sub-Hubble environment), got {self.ellH}"
@@ -176,7 +179,7 @@ def de_sitter_squeezing(x: float) -> tuple[float, float]:
     return r, phi
 
 
-def cosmo_kernel(params: CosmoParams) -> EnvironmentKernel:
+def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
     """Dimensionless source S(x) = 2 (kGamma/k)^2 (x_star/x)^(p-3), active
     only once the mode is longer than the environment correlation length
     (x < 1/(ell_E H)); returned as a function of conformal time eta = -x.
@@ -192,18 +195,7 @@ def cosmo_kernel(params: CosmoParams) -> EnvironmentKernel:
             return 0.0
         return 2.0 * kap2 * (xs / x) ** (p - 3.0)
 
-    return EnvironmentKernel(
-        source,
-        f"power-law environment: p={p}, ellH={params.ellH}, "
-        f"kGamma/k={params.kGamma_over_k}, x*={xs}",
-    )
-
-
-def source_x(params: CosmoParams, x: float) -> float:
-    """The kernel source as a function of x (= the kernel at eta = -x)."""
-    if x <= 0.0 or x >= params.x_coupling_on:
-        return 0.0
-    return 2.0 * params.kGamma_over_k ** 2 * (params.x_star / x) ** (params.p - 3.0)
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +275,10 @@ def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10) -> fl
     hi = params.x_coupling_on
     if x >= hi:
         return 1.0
+    source = cosmo_kernel(params)
 
     def f(xp: float) -> float:
-        return source_x(params, xp) * exact_open_covariance(xp, params).g11
+        return source(-xp) * exact_open_covariance(xp, params).g11
 
     val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=quad_tol)
     return 1.0 + val
@@ -300,8 +293,7 @@ class AsymptoticCoefficients:
     """Coefficient table of the super-Hubble expansion of the dressed
     covariance.  aNM is the coefficient of the non-analytic power
     x^(const - p) in component NM; bNM .. kNM multiply the analytic
-    powers.  The lim_* fields are the x -> 0 constants of the oscillatory
-    moments at orders 1-p, 2-p, 3-p.
+    powers.
     """
 
     p: float
@@ -334,12 +326,6 @@ class AsymptoticCoefficients:
     i22: float
     j22: float
     k22: float
-    lim_re_1mp: float
-    lim_im_1mp: float
-    lim_re_2mp: float
-    lim_im_2mp: float
-    lim_re_3mp: float
-    lim_im_3mp: float
 
 
 def offset_singular_p(p: float) -> float:
@@ -391,8 +377,6 @@ def asymptotic_coefficients(params: CosmoParams) -> AsymptoticCoefficients:
         a22=a22, b22=b11, c22=-b11, d22=-2.0 * d11, e22=b11,
         f22=1.4 * d11, g22=4.0 * f11, h22=-34.0 / 35.0 * d11,
         i22=-1.6 * f11, j22=218.0 / 945.0 * d11, k22=43.0 / 175.0 * f11,
-        lim_re_1mp=r1, lim_im_1mp=i1, lim_re_2mp=r2, lim_im_2mp=i2,
-        lim_re_3mp=r3, lim_im_3mp=i3,
     )
 
 
@@ -646,7 +630,7 @@ def discord_cosmo(
             if method == "exact":
                 block, det = exact_open_covariance(x, cell), exact_open_det(x, cell)
             else:
-                traj = evolve_open_de_sitter(cell, x_end=x)
+                traj = evolve_de_sitter(cell.x_coupling_on, x, source=cosmo_kernel(cell))
                 block, det = traj.block(len(traj) - 1), traj.det[-1]
             logs.append(_log_sigmas_from_block(block, det, theta))
         ln_st, ln_s0 = np.array(logs).T
@@ -664,43 +648,27 @@ def discord_cosmo(
 # drivers
 # ---------------------------------------------------------------------------
 
-def evolve_open_de_sitter(
-    params: CosmoParams,
-    x_end: float,
-    x_eval: Sequence[float] | None = None,
-    x_start: float | None = None,
-    rtol: float = 1e-11,
-    atol: float = 1e-12,
-) -> CovarianceTrajectory:
-    """Transport the dressed covariance from the coupling-on time down to
-    x_end, seeded with the free closed form (exact while the kernel is
-    inactive)."""
-    if x_start is None:
-        x_start = params.x_coupling_on
-    if not 0.0 < x_end < x_start:
-        raise DomainError(f"need 0 < x_end < {x_start}, got {x_end}")
-    freq = de_sitter_frequency()
-    kern = cosmo_kernel(params)
-    ic = de_sitter_covariance_closed(x_start)
-    t_eval = None if x_eval is None else [-float(xx) for xx in x_eval]
-    traj = evolve_open(freq, kern, (-x_start, -x_end), ic=ic, t_eval=t_eval,
-                       rtol=rtol, atol=atol)
-    traj.meta["x"] = -traj.times
-    return traj
-
-
-def evolve_closed_de_sitter(
+def evolve_de_sitter(
     x_start: float,
     x_end: float,
+    source: Callable[[float], float] | None = None,
     x_eval: Sequence[float] | None = None,
     rtol: float = 1e-11,
     atol: float = 1e-12,
 ) -> CovarianceTrajectory:
-    """Free transport evolution seeded with the closed form at x_start."""
-    freq = de_sitter_frequency()
-    ic = de_sitter_covariance_closed(x_start)
+    """Transport the de Sitter covariance from x_start to x_end, seeded
+    with the free closed form at x_start (exact while the source is off).
+
+    The trajectory runs in conformal time eta = -x; x_eval, when given,
+    lists the x at which it is sampled.  A source only adds to the
+    determinant forward in time, so it needs x_end < x_start; unitary
+    evolution (source=None) runs either way.
+    """
+    if not (x_start > 0.0 and x_end > 0.0):
+        raise DomainError(f"x must be positive, got x_start={x_start}, x_end={x_end}")
+    if source is not None and not x_end < x_start:
+        raise DomainError(f"a source needs x_end < x_start, got {x_end} >= {x_start}")
     t_eval = None if x_eval is None else [-float(xx) for xx in x_eval]
-    traj = evolve_open(freq, None, (-x_start, -x_end), ic=ic, t_eval=t_eval,
+    return evolve_open(de_sitter_frequency(), source, (-x_start, -x_end),
+                       ic=de_sitter_covariance_closed(x_start), t_eval=t_eval,
                        rtol=rtol, atol=atol)
-    traj.meta["x"] = -traj.times
-    return traj

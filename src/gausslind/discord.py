@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import CovarianceBlock, particle_statistics, sigma_theta
+from .symplectic import CovarianceBlock, sigma_theta
 
 __all__ = [
     "Regime",
@@ -240,14 +240,3 @@ def discord_asymptotic(r: float, lam: float, theta: float) -> DiscordResult:
     d = _discord_from_logs(ln_st, ln_s0)
     return DiscordResult(d, math.exp(ln_st), math.exp(ln_s0),
                          Regime.EXACT, ln_st, ln_s0)
-
-
-def discord_from_particles(block: CovarianceBlock, theta: float) -> float:
-    """Pure-state discord written through the pair occupation:
-    f(sqrt(1 + 4 sin^2(2 theta) n (n+1))).  Agrees with ``discord`` for
-    pure states; exposed mainly for cross-checking.
-    """
-    n = particle_statistics(block).n
-    s2 = math.sin(2.0 * theta) ** 2
-    arg = 0.5 * math.log1p(4.0 * s2 * n * (n + 1.0))
-    return _entropy_kernel_log(arg)

@@ -7,7 +7,10 @@ added to the momentum-momentum transport equation:
 
 everything else unchanged.  S(t) absorbs the coupling rate and the
 environment autocorrelation in one function, because only their product
-ever appears.  Consequences implemented here: determinant growth
+ever appears; a source is any plain callable t -> S(t), and None means
+no environment.  Consequences implemented here: the transport engine
+`evolve_open` (the only covariance integrator of the package, closed
+evolution being its S = None case), determinant growth
 d(det)/dt = k S g11 (monotone purity loss), source-extended equations of
 motion of the generalized squeezing parameters, and the Green's-function
 representation of the dressed covariance as quadratures over a stored
@@ -41,7 +44,6 @@ from .errors import (
 from .symplectic import CovarianceBlock, SqueezingState
 
 __all__ = [
-    "EnvironmentKernel",
     "GreenIntegrals",
     "transport_rhs_open",
     "det_rhs",
@@ -50,21 +52,6 @@ __all__ = [
     "evolve_open",
     "piecewise_oscillatory_quad",
 ]
-
-
-@dataclass(frozen=True)
-class EnvironmentKernel:
-    """Dimensionless source S(t) >= 0 entering the g22 transport equation."""
-
-    source: Callable[[float], float]
-    description: str = ""
-
-    def __call__(self, t: float) -> float:
-        return self.source(t)
-
-    @staticmethod
-    def zero() -> "EnvironmentKernel":
-        return EnvironmentKernel(lambda t: 0.0, "no environment")
 
 
 @dataclass(frozen=True)
@@ -93,31 +80,31 @@ class GreenIntegrals:
 def transport_rhs_open(
     block: CovarianceBlock | Sequence[float],
     freq: ModeFrequency,
-    kern: EnvironmentKernel | None,
+    source: Callable[[float], float] | None,
     t: float,
 ) -> tuple[float, float, float]:
     """Open-system covariance derivatives: closed flow plus k S(t) on g22."""
     d11, d12, d22 = transport_rhs_closed(block, freq, t)
-    if kern is not None:
-        d22 += freq.k * kern(t)
+    if source is not None:
+        d22 += freq.k * source(t)
     return (d11, d12, d22)
 
 
 def det_rhs(
     block: CovarianceBlock | Sequence[float],
-    kern: EnvironmentKernel | None,
+    source: Callable[[float], float] | None,
     t: float,
     k: float = 1.0,
 ) -> float:
     """d(det)/dt = k S(t) g11; zero without an environment."""
     g11 = block.g11 if isinstance(block, CovarianceBlock) else block[0]
-    return k * kern(t) * g11 if kern is not None else 0.0
+    return k * source(t) * g11 if source is not None else 0.0
 
 
 def generalized_squeezing_rhs(
     s: SqueezingState,
     freq: ModeFrequency,
-    kern: EnvironmentKernel | None,
+    source: Callable[[float], float] | None,
     t: float,
 ) -> tuple[float, float, float]:
     """Source-extended equations of motion for (lam, r, phi).
@@ -136,7 +123,7 @@ def generalized_squeezing_rhs(
         )
     theta = s.theta_rot if s.theta_rot is not None else 0.0
     dr, dphi, _ = squeezing_rhs_closed(s.r, s.phi, theta, freq, t)
-    sv = kern(t) if kern is not None else 0.0
+    sv = source(t) if source is not None else 0.0
     if sv == 0.0:
         return (0.0, dr, dphi)
     k = freq.k
@@ -178,7 +165,7 @@ def piecewise_oscillatory_quad(
 
 def green_covariance(
     modes: ModeTrajectory,
-    kern: EnvironmentKernel,
+    source: Callable[[float], float],
     t: float,
     quad_tol: float = 1e-10,
     t_in: float | None = None,
@@ -210,9 +197,9 @@ def green_covariance(
     sign = 1.0 if t >= t0 else -1.0
     results = []
     for f, pref in (
-        (lambda tp: kern(tp) * im_v(tp) ** 2, k),
-        (lambda tp: kern(tp) * im_v(tp) * im_dv(tp), 1.0),
-        (lambda tp: kern(tp) * im_dv(tp) ** 2, 1.0 / k),
+        (lambda tp: source(tp) * im_v(tp) ** 2, k),
+        (lambda tp: source(tp) * im_v(tp) * im_dv(tp), 1.0),
+        (lambda tp: source(tp) * im_dv(tp) ** 2, 1.0 / k),
     ):
         val, err = piecewise_oscillatory_quad(f, lo, hi, half_period,
                                               epsrel=quad_tol)
@@ -227,14 +214,15 @@ def green_covariance(
 
 def evolve_open(
     freq: ModeFrequency,
-    kern: EnvironmentKernel | None,
+    source: Callable[[float], float] | None,
     t_span: tuple[float, float],
     ic: CovarianceBlock | None = None,
     t_eval: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> CovarianceTrajectory:
-    """Transport-engine evolution with an optional environment.
+    """Transport-engine evolution with an optional environment source;
+    source=None is the closed (unitary) evolution.
 
     The state vector is (g11, g12, g22, det): the determinant is
     transported by its own (cancellation-free) equation and is the value
@@ -244,8 +232,8 @@ def evolve_open(
         ic = CovarianceBlock.vacuum()
 
     def rhs(t, y):
-        d11, d12, d22 = transport_rhs_open(y[:3], freq, kern, t)
-        ddet = det_rhs(y[:3], kern, t, k=freq.k)
+        d11, d12, d22 = transport_rhs_open(y[:3], freq, source, t)
+        ddet = det_rhs(y[:3], source, t, k=freq.k)
         return [d11, d12, d22, ddet]
 
     y0 = [ic.g11, ic.g12, ic.g22, max(ic.det, 1.0)]
@@ -255,12 +243,10 @@ def evolve_open(
         raise StepFailureError(f"covariance transport failed: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise StepFailureError("covariance transport produced non-finite values")
-    meta = {"k": freq.k, "kernel": kern.description if kern is not None else "none"}
     return CovarianceTrajectory(
         times=sol.t,
         g11=sol.y[0],
         g12=sol.y[1],
         g22=sol.y[2],
         det=sol.y[3],
-        meta=meta,
     )

@@ -28,7 +28,7 @@ from .cosmology import (
     de_sitter_frequency,
     de_sitter_mode,
     de_sitter_squeezing,
-    evolve_closed_de_sitter,
+    evolve_de_sitter,
 )
 from .discord import discord, discord_squeezed, entropy_kernel
 from .specfun import upper_incomplete_gamma
@@ -77,7 +77,7 @@ def check_closed_engines() -> tuple[str, bool, str]:
     drift = 0.0
 
     # transport engine (determinant transported alongside)
-    traj = evolve_closed_de_sitter(100.0, 0.01, x_eval=x_grid)
+    traj = evolve_de_sitter(100.0, 0.01, x_eval=x_grid)
     got = np.column_stack([traj.g11, traj.g12, traj.g22])
     worst = max(worst, float(np.abs(got / closed - 1.0).max()))
     drift = max(drift, float(np.abs(traj.purity - 1.0).max()))
@@ -111,7 +111,7 @@ def check_closed_engines() -> tuple[str, bool, str]:
 def check_discord_baseline() -> tuple[str, bool, str]:
     """Discord vanishes in the reference partition; pure-state discord
     matches the entropy kernel of sqrt(1 + sinh^2(2r) sin^2(2theta))."""
-    rng = np.random.default_rng(20240811)
+    rng = np.random.default_rng(42)
     worst0 = 0.0
     for _ in range(1000):
         r = rng.uniform(0.0, 3.0)
@@ -121,8 +121,8 @@ def check_discord_baseline() -> tuple[str, bool, str]:
         worst0 = max(worst0, discord(b, 0.0).discord)
 
     worst_pure = 0.0
-    for r in np.linspace(0.0, 30.0, 61):
-        for theta in (-np.pi / 4, 0.3, 1.1):
+    for r in np.linspace(0.0, 30.0, 121):
+        for theta in (-np.pi / 4, 0.3, 1.1, 2.0):
             want = entropy_kernel(math.sqrt(
                 1.0 + math.sinh(2.0 * r) ** 2 * math.sin(2.0 * theta) ** 2
             ))
@@ -157,8 +157,8 @@ def check_special_functions() -> tuple[str, bool, str]:
     recurrence Gamma(a+1,z) = a Gamma(a,z) + z^a e^-z."""
     worst = 0.0
     worst_rec = 0.0
-    orders = (-9.5, -5.3, -1.1, 0.5, 2.5, 7.5)
-    radii = (1e-3, 0.1, 1.0, 10.0, 1e3)
+    orders = (-9.5, -5.3, -2.5, -1.1, -0.5, 0.5, 2.5, 7.7, 10.0)
+    radii = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)
     args = (0.5 * math.pi, -0.5 * math.pi, 0.25 * math.pi)
     for a in orders:
         for az in radii:

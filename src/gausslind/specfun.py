@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import BranchCutError, DomainError, PoleOrderError
@@ -164,39 +163,3 @@ def oscillatory_moment_limits(alpha: float, ell_h: float) -> tuple[float, float]
             f"moment limits acquired a non-negligible imaginary part at alpha={alpha}"
         )
     return float(lim_re.real), float(lim_im.real)
-
-
-def oscillatory_moment_quad(alpha: float, x: float, ell_h: float,
-                            epsrel: float = 1e-12) -> complex:
-    """Direct quadrature of the oscillatory moment (reference path).
-
-    Subdivides at half-periods (pi/2) of the e^{2ix'} factor before
-    adaptive refinement; used to validate the closed form and exposed for
-    diagnostic work.
-    """
-    from scipy.integrate import quad
-
-    lo, hi = min(x, 1.0 / ell_h), max(x, 1.0 / ell_h)
-    sign = 1.0 if x >= 1.0 / ell_h else -1.0
-    breaks = _half_period_breaks(lo, hi)
-    re = im = 0.0
-    for a0, b0 in zip(breaks[:-1], breaks[1:]):
-        r, _ = quad(lambda t: math.cos(2.0 * t) * t ** alpha, a0, b0,
-                    epsabs=1e-14, epsrel=epsrel, limit=200)
-        i, _ = quad(lambda t: math.sin(2.0 * t) * t ** alpha, a0, b0,
-                    epsabs=1e-14, epsrel=epsrel, limit=200)
-        re += r
-        im += i
-    return sign * complex(re, im)
-
-
-def _half_period_breaks(lo: float, hi: float, half_period: float = math.pi / 2.0):
-    """Breakpoints of [lo, hi] at multiples of the oscillation half-period."""
-    pts = [lo]
-    k = int(math.ceil(lo / half_period))
-    while k * half_period < hi:
-        if k * half_period > lo:
-            pts.append(k * half_period)
-        k += 1
-    pts.append(hi)
-    return np.array(pts)

@@ -1,9 +1,19 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from gausslind.symplectic import CovarianceBlock, SqueezingState, covariance_from_squeezing
+from gausslind.closed import ModeFrequency
+from gausslind.discord import _entropy_kernel_log
+from gausslind.symplectic import (
+    CovarianceBlock,
+    SqueezingState,
+    covariance_from_squeezing,
+    particle_statistics,
+)
 
 
 @pytest.fixture
@@ -30,3 +40,64 @@ def gauss_legendre_quad(f, a, b, n=64, pieces=8):
         half = 0.5 * (hi - lo)
         total += half * np.sum(weights * np.array([f(mid + half * t) for t in nodes]))
     return total
+
+
+def third_order_residual(g11_of_t, freq: ModeFrequency, t: float,
+                         source=None, h: float | None = None) -> float:
+    """Residual of the scalar third-order form of the transport system.
+
+    (1/k^3) g11''' + 4 (w/k) g11' + (2/k) w' g11 - 2*source  with
+    w = omega^2/k^2, evaluated by central differences: an independent
+    diagnostic on trajectories, not an engine.
+    """
+    k = freq.k
+    if h is None:
+        h = 1e-4 / k
+    f = g11_of_t
+    d1 = (f(t + h) - f(t - h)) / (2.0 * h)
+    d3 = (f(t + 2 * h) - 2.0 * f(t + h) + 2.0 * f(t - h) - f(t - 2 * h)) / (2.0 * h ** 3)
+    w = freq.ratio(t)
+    dw = (freq.ratio(t + h) - freq.ratio(t - h)) / (2.0 * h)
+    s = source(t) if source is not None else 0.0
+    return d3 / k ** 3 + 4.0 * w * d1 / k + 2.0 * dw * f(t) / k - 2.0 * s
+
+
+def discord_from_particles(block: CovarianceBlock, theta: float) -> float:
+    """Pure-state discord written through the pair occupation:
+    f(sqrt(1 + 4 sin^2(2 theta) n (n+1))); agrees with ``discord`` for
+    pure states.
+    """
+    n = particle_statistics(block).n
+    s2 = math.sin(2.0 * theta) ** 2
+    arg = 0.5 * math.log1p(4.0 * s2 * n * (n + 1.0))
+    return _entropy_kernel_log(arg)
+
+
+def oscillatory_moment_quad(alpha: float, x: float, ell_h: float,
+                            epsrel: float = 1e-12) -> complex:
+    """Direct quadrature of the oscillatory moment, subdivided at the
+    half-periods (pi/2) of the e^{2ix'} factor before adaptive refinement."""
+    lo, hi = min(x, 1.0 / ell_h), max(x, 1.0 / ell_h)
+    sign = 1.0 if x >= 1.0 / ell_h else -1.0
+    breaks = _half_period_breaks(lo, hi)
+    re = im = 0.0
+    for a0, b0 in zip(breaks[:-1], breaks[1:]):
+        r, _ = quad(lambda t: math.cos(2.0 * t) * t ** alpha, a0, b0,
+                    epsabs=1e-14, epsrel=epsrel, limit=200)
+        i, _ = quad(lambda t: math.sin(2.0 * t) * t ** alpha, a0, b0,
+                    epsabs=1e-14, epsrel=epsrel, limit=200)
+        re += r
+        im += i
+    return sign * complex(re, im)
+
+
+def _half_period_breaks(lo: float, hi: float, half_period: float = math.pi / 2.0):
+    """Breakpoints of [lo, hi] at multiples of the oscillation half-period."""
+    pts = [lo]
+    k = int(math.ceil(lo / half_period))
+    while k * half_period < hi:
+        if k * half_period > lo:
+            pts.append(k * half_period)
+        k += 1
+    pts.append(hi)
+    return np.array(pts)

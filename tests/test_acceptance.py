@@ -1,5 +1,6 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line
-with the measured figure of merit when it holds."""
+with the measured figure of merit when it holds.  Criteria 1, 2, 5 and 9
+are the checks of `gausslind selfcheck`, run here with the same grids."""
 
 import math
 import subprocess
@@ -8,38 +9,23 @@ import time
 
 import numpy as np
 
-from gausslind.closed import (
-    bogoliubov_from_mode,
-    covariance_from_bogoliubov,
-    evolve_squeezing,
-    integrate_mode_function,
-)
+from gausslind import selfcheck
+from gausslind.closed import ModeFrequency
 from gausslind.cosmology import (
     CosmoParams,
     asymptotic_coefficients,
-    de_sitter_covariance_closed,
-    de_sitter_frequency,
+    cosmo_kernel,
     de_sitter_mode,
-    de_sitter_squeezing,
     discord_cosmo,
-    evolve_closed_de_sitter,
-    evolve_open_de_sitter,
+    evolve_de_sitter,
     exact_open_covariance,
     power_spectrum_correction,
     sigma0_sq_coefficients,
     sigma0_sq_approx,
     PsRegime,
 )
-from gausslind.discord import discord, discord_squeezed, entropy_kernel
-from gausslind.opensys import EnvironmentKernel, evolve_open, piecewise_oscillatory_quad
-from gausslind.selfcheck import reference_upper_gamma
-from gausslind.specfun import upper_incomplete_gamma
-from gausslind.symplectic import (
-    SqueezingState,
-    covariance_from_squeezing,
-    particle_statistics,
-)
-from gausslind.closed import ModeFrequency
+from gausslind.opensys import evolve_open, piecewise_oscillatory_quad
+from gausslind.symplectic import particle_statistics
 
 LN2 = math.log(2.0)
 
@@ -55,63 +41,18 @@ def report(n, detail):
 
 def test_criterion_01_cross_engine_closed_evolution():
     t0 = time.perf_counter()
-    x_grid = np.geomspace(100.0, 0.01, 41)
-    closed = np.array(
-        [[b.g11, b.g12, b.g22] for b in map(de_sitter_covariance_closed, x_grid)])
-    worst = 0.0
-    drift = 0.0
-
-    traj = evolve_closed_de_sitter(100.0, 0.01, x_eval=x_grid)
-    got = np.column_stack([traj.g11, traj.g12, traj.g22])
-    worst = max(worst, float(np.abs(got / closed - 1.0).max()))
-    drift = max(drift, float(np.abs(traj.purity - 1.0).max()))
-
-    freq = de_sitter_frequency()
-    mtraj = integrate_mode_function(freq, -100.0, -0.01, de_sitter_mode(100.0))
-    for i, x in enumerate(x_grid):
-        st = mtraj.state(-float(x))
-        b = covariance_from_bogoliubov(bogoliubov_from_mode(st, 1.0))
-        worst = max(worst, float(np.abs(
-            np.array([b.g11, b.g12, b.g22]) / closed[i] - 1.0).max()))
-        norm = (st.wronskian() / 2j).real
-        drift = max(drift, abs(1.0 / (norm * norm) - 1.0))
-
-    r0, phi0 = de_sitter_squeezing(100.0)
-    _, rr, pp, _ = evolve_squeezing(freq, (-100.0, -0.01), (r0, phi0, 0.0),
-                                    t_eval=-x_grid)
-    for i in range(len(x_grid)):
-        b = covariance_from_squeezing(SqueezingState(rr[i], pp[i], 1.0))
-        worst = max(worst, float(np.abs(
-            np.array([b.g11, b.g12, b.g22]) / closed[i] - 1.0).max()))
-
+    _, ok, detail = selfcheck.check_closed_engines()
     elapsed = time.perf_counter() - t0
-    assert worst < 1e-6, f"cross-engine deviation {worst}"
-    assert drift < 1e-9, f"purity drift {drift}"
+    assert ok, detail
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s"
-    report(1, f"three engines within {worst:.2e} of the closed forms, "
-              f"purity drift {drift:.2e}, runtime {elapsed:.2f}s")
+    report(1, f"three engines against the closed forms: {detail}, "
+              f"runtime {elapsed:.2f}s")
 
 
 def test_criterion_02_discord_baseline():
-    rng = np.random.default_rng(42)
-    worst0 = 0.0
-    for _ in range(1000):
-        b = covariance_from_squeezing(SqueezingState(
-            rng.uniform(0.0, 3.0), rng.uniform(-np.pi / 2, np.pi / 2),
-            rng.uniform(1.0, 50.0)))
-        worst0 = max(worst0, discord(b, 0.0).discord)
-    assert worst0 < 1e-12, f"D(theta=0) reached {worst0}"
-
-    worst_pure = 0.0
-    for r in np.linspace(0.0, 30.0, 121):
-        for theta in (-np.pi / 4, 0.3, 1.1, 2.0):
-            want = entropy_kernel(math.sqrt(
-                1.0 + math.sinh(2 * r) ** 2 * math.sin(2 * theta) ** 2))
-            got = discord_squeezed(float(r), 1.0, theta).discord
-            worst_pure = max(worst_pure, abs(got - want) / max(1.0, abs(want)))
-    assert worst_pure < 1e-10, f"pure-state formula deviation {worst_pure}"
-    report(2, f"max D(0) = {worst0:.2e} over 1000 states; pure-state "
-              f"formula deviation {worst_pure:.2e} for r in [0, 30]")
+    _, ok, detail = selfcheck.check_discord_baseline()
+    assert ok, detail
+    report(2, f"1000 random states at theta = 0, pure states for r in [0, 30]: {detail}")
 
 
 def test_criterion_03_de_sitter_discord_slope():
@@ -136,7 +77,7 @@ def test_criterion_04_exact_covariance_against_quadrature_and_transport():
     for params in FIG_SETS:
         kap2 = params.kGamma_over_k ** 2
         hi = params.x_coupling_on
-        traj = evolve_open_de_sitter(params, x_end=0.01, x_eval=(0.5, 0.1, 0.01))
+        traj = evolve_de_sitter(hi, 0.01, cosmo_kernel(params), x_eval=(0.5, 0.1, 0.01))
         for i, x in enumerate((0.5, 0.1, 0.01)):
             mode = de_sitter_mode(x)
 
@@ -173,19 +114,9 @@ def test_criterion_04_exact_covariance_against_quadrature_and_transport():
 
 
 def test_criterion_05_coefficient_identities():
-    worst = 0.0
-    for p in (0.5, 2.1, 3.7, 6.1, 9.3):
-        t = asymptotic_coefficients(CosmoParams(1.0, p, 0.1))
-        scale = max(abs(t.b11), abs(t.d11), abs(t.f11), 1.0)
-        resid = [
-            t.b22 - t.b11, t.b12 - t.b11, t.c11 - t.b11, t.e22 - t.b11,
-            t.c12 + 0.5 * t.d11, t.e12 + 2.0 * t.f11, t.g22 - 4.0 * t.f11,
-            t.d22 + 2.0 * t.d11,
-            (4.0 - p) * t.a22 - 2.0 * (6.0 - p) * t.a11 - 1.0,
-        ]
-        worst = max(worst, max(abs(v) for v in resid) / scale)
-    assert worst < 1e-12, f"identity residual {worst}"
-    report(5, f"all coefficient identities hold, max residual {worst:.2e}")
+    _, ok, detail = selfcheck.check_coefficient_identities()
+    assert ok, detail
+    report(5, f"coefficient identities: {detail}")
 
 
 def test_criterion_06_sigma_zero_consistency():
@@ -206,7 +137,8 @@ def test_criterion_06_sigma_zero_consistency():
     # (b) matches the transported determinant at x = 1e-3 to 5%
     worst_det = 0.0
     for params in FIG_SETS:
-        traj = evolve_open_de_sitter(params, x_end=1e-3, rtol=1e-12, atol=1e-13)
+        traj = evolve_de_sitter(params.x_coupling_on, 1e-3, cosmo_kernel(params),
+                                rtol=1e-12, atol=1e-13)
         got = sigma0_sq_approx(1e-3, params)
         worst_det = max(worst_det, abs(got / traj.det[-1] - 1.0))
     assert worst_det < 0.05, f"sigma0^2 vs transport determinant {worst_det}"
@@ -282,25 +214,9 @@ def test_criterion_08_power_spectrum():
 
 
 def test_criterion_09_special_functions():
-    worst = 0.0
-    worst_rec = 0.0
-    for a in (-9.5, -5.3, -2.5, -1.1, -0.5, 0.5, 2.5, 7.7, 10.0):
-        for absz in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
-            for ph in (0.5 * math.pi, -0.5 * math.pi, 0.25 * math.pi):
-                if abs(ph) < 0.45 * math.pi and absz > 500.0:
-                    continue  # |e^-z| underflows a double
-                z = absz * complex(math.cos(ph), math.sin(ph))
-                ref = reference_upper_gamma(a, z)
-                got = upper_incomplete_gamma(a, z)
-                worst = max(worst, abs(got - ref) / abs(ref))
-                up = upper_incomplete_gamma(a + 1.0, z)
-                direct = z ** a * np.exp(-z)
-                scale = max(abs(up), abs(direct), 1e-300)
-                worst_rec = max(worst_rec, abs(up - a * got - direct) / scale)
-    assert worst < 1e-12, f"gamma vs quadrature {worst}"
-    assert worst_rec < 1e-11, f"recurrence residual {worst_rec}"
-    report(9, f"incomplete gamma within {worst:.2e} of quadrature; "
-              f"recurrence residual {worst_rec:.2e}")
+    _, ok, detail = selfcheck.check_special_functions()
+    assert ok, detail
+    report(9, f"incomplete gamma against quadrature: {detail}")
 
 
 def test_criterion_10_purity_monotonicity():
@@ -313,7 +229,7 @@ def test_criterion_10_purity_monotonicity():
         freq = ModeFrequency(
             k, lambda kk, t, a=a_mod, c=phase: kk * kk * (1.0 + a * math.sin(t + c)))
         s0 = rng.uniform(0.0, 0.5)
-        kern = EnvironmentKernel(lambda t, s=s0: s * (1.0 + math.cos(t) ** 2))
+        kern = lambda t, s=s0: s * (1.0 + math.cos(t) ** 2)
         traj = evolve_open(freq, kern, (0.0, 6.0),
                            t_eval=np.linspace(0.0, 6.0, 16),
                            rtol=1e-12, atol=1e-14)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -206,6 +207,57 @@ class TestDiscordMapValidation:
         lo, mid, hi = (discord_at(pole + dp) for dp in (-0.01, 0.0, 0.01))
         assert lo > mid > hi
         assert abs(mid - 0.5 * (lo + hi)) < 0.01 * (lo - hi)
+
+
+class TestRunInputValidation:
+    GRID = {"x_start": 10.0, "x_end": 1.0, "points": 3}
+    COSMO = {"kGamma_over_kstar": 10.0, "p": 2.1, "ellH": 0.1}
+
+    # (config, hangs without validation)
+    CASES = {
+        "nan_source_const": ({"mode": "evolve_open", "preset": "free",
+                              "source_const": math.nan, "grid": GRID}, True),
+        "nan_rtol": ({"mode": "evolve_closed", "tolerances": {"rtol": math.nan},
+                      "grid": GRID}, True),
+        "zero_atol": ({"mode": "evolve_closed", "tolerances": {"atol": 0.0},
+                       "grid": GRID}, False),
+        "nan_points": ({"mode": "evolve_closed",
+                        "grid": dict(GRID, points=math.nan)}, False),
+        "nan_p_evolve": ({"mode": "evolve_open", "cosmo": dict(COSMO, p=math.nan),
+                          "grid": GRID}, False),
+        "reversed_grid_open": ({"mode": "evolve_open", "cosmo": COSMO,
+                                "grid": {"x_start": 0.01, "x_end": 5.0, "points": 5}},
+                               False),
+        "nan_coupling_spectrum": ({"mode": "spectrum",
+                                   "cosmo": dict(COSMO, kGamma_over_kstar=math.nan)},
+                                  False),
+        "nan_p_spectrum": ({"mode": "spectrum", "cosmo": dict(COSMO, p=math.nan)},
+                           False),
+        "negative_k_range": ({"mode": "spectrum", "cosmo": COSMO,
+                              "k_range": [-1.0, 10.0]}, False),
+        "nan_n_sigma": ({"mode": "ellipse_series", "n_sigma": math.nan,
+                         "grid": GRID}, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        cfg, hangs = self.CASES[case]
+        path = write_config(tmp_path, "bad.json", dict(cfg, output_path="out.csv"))
+        if hangs:
+            # a subprocess, so that a hang fails the test instead of the suite
+            proc = subprocess.run(
+                [sys.executable, "-m", "gausslind.cli", "run", path,
+                 "--out", str(tmp_path)],
+                capture_output=True, text=True, timeout=20)
+            code, err = proc.returncode, proc.stderr
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run_cli(["run", path, "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+        assert code == 2, err
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestEllipseScenario:

@@ -10,11 +10,9 @@ from gausslind.closed import (
     ModeState,
     bogoliubov_from_mode,
     covariance_from_bogoliubov,
-    evolve_closed,
     evolve_squeezing,
     integrate_mode_function,
     squeezing_rhs_closed,
-    third_order_residual,
     transport_rhs_closed,
     wigner_ellipse,
 )
@@ -25,6 +23,9 @@ from gausslind.cosmology import (
     de_sitter_squeezing,
 )
 from gausslind.errors import DegenerateSqueezingError
+from gausslind.opensys import evolve_open
+
+from conftest import third_order_residual
 from gausslind.symplectic import (
     CovarianceBlock,
     ParticleStatistics,
@@ -157,8 +158,8 @@ class TestTransportEngine:
 
     def test_de_sitter_against_closed_form(self):
         xg = np.geomspace(100.0, 0.1, 21)
-        traj = evolve_closed(de_sitter_frequency(), (-100.0, -0.1),
-                             ic=de_sitter_covariance_closed(100.0), t_eval=-xg)
+        traj = evolve_open(de_sitter_frequency(), None, (-100.0, -0.1),
+                           ic=de_sitter_covariance_closed(100.0), t_eval=-xg)
         for i, x in enumerate(xg):
             want = de_sitter_covariance_closed(float(x))
             for got, ref in ((traj.g11[i], want.g11), (traj.g12[i], want.g12),
@@ -232,7 +233,7 @@ class TestThreeEngineAgreement:
         ts = np.linspace(0.5, t1, 12)
 
         mt = integrate_mode_function(freq, t0, t1, ModeState.vacuum(k, t0))
-        ct = evolve_closed(freq, (t0, t1), t_eval=ts)
+        ct = evolve_open(freq, None, (t0, t1), t_eval=ts)
 
         # seed the squeezing engine once r is measurably nonzero
         t_seed = 0.5

@@ -15,7 +15,7 @@ from gausslind.cosmology import (
     de_sitter_squeezing,
     decoherence_threshold,
     discord_cosmo,
-    evolve_open_de_sitter,
+    evolve_de_sitter,
     exact_open_covariance,
     exact_open_det,
     offset_singular_p,
@@ -23,7 +23,6 @@ from gausslind.cosmology import (
     power_spectrum_correction,
     sigma0_sq_approx,
     sigma0_sq_coefficients,
-    source_x,
 )
 from gausslind.errors import DomainError, SingularExponentError
 
@@ -102,16 +101,16 @@ class TestKernel:
         kern = cosmo_kernel(params)
         assert kern(-11.0) == 0.0  # x = 11 > 1/ellH = 10
         assert kern(-9.9) > 0.0
-        assert source_x(params, 10.1) == 0.0
+        assert kern(-10.1) == 0.0
 
     def test_time_independent_at_p3(self):
         params = CosmoParams(kGamma_over_kstar=2.0, p=3.0, ellH=0.1)
-        vals = {source_x(params, x) for x in (0.3, 1.0, 5.0)}
+        vals = {cosmo_kernel(params)(-x) for x in (0.3, 1.0, 5.0)}
         assert max(vals) - min(vals) < 1e-14
 
     def test_hand_value(self):
         params = FIG_PARAMS[2.1]
-        got = source_x(params, 0.5)
+        got = cosmo_kernel(params)(-0.5)
         want = 2.0 * 100.0 * (1.0 / 0.5) ** (2.1 - 3.0)
         assert abs(got - want) < 1e-14 * want
 
@@ -162,7 +161,7 @@ class TestExactOpenCovariance:
     def test_against_transport(self, p):
         params = FIG_PARAMS[p]
         xs = (0.5, 0.1, 0.01)
-        traj = evolve_open_de_sitter(params, x_end=0.01, x_eval=xs)
+        traj = evolve_de_sitter(params.x_coupling_on, 0.01, cosmo_kernel(params), x_eval=xs)
         for i, x in enumerate(xs):
             want = exact_open_covariance(float(x), params)
             for a, b in ((traj.g11[i], want.g11), (traj.g12[i], want.g12),
@@ -249,8 +248,8 @@ class TestSigmaZero:
         # the whole ln sigma^2(0) curve after Hubble exit, not one point
         params = FIG_PARAMS[p]
         xs = (0.05, 0.01, 1e-3)
-        traj = evolve_open_de_sitter(params, x_end=1e-3, x_eval=xs,
-                                     rtol=1e-12, atol=1e-13)
+        traj = evolve_de_sitter(params.x_coupling_on, 1e-3, cosmo_kernel(params),
+                                x_eval=xs, rtol=1e-12, atol=1e-13)
         for i, x in enumerate(xs):
             got = sigma0_sq_approx(float(x), params)
             assert abs(got - traj.det[i]) < 0.05 * traj.det[i]
@@ -311,7 +310,8 @@ class TestSigmaZero:
         params = FIG_PARAMS[2.1]
         x = 0.05
         got = exact_open_det(x, params)
-        traj = evolve_open_de_sitter(params, x_end=x, rtol=1e-12, atol=1e-13)
+        traj = evolve_de_sitter(params.x_coupling_on, x, cosmo_kernel(params),
+                                rtol=1e-12, atol=1e-13)
         assert abs(got - traj.det[-1]) < 1e-5 * traj.det[-1]
 
 
@@ -371,7 +371,8 @@ class TestDecoherenceThreshold:
             thr = decoherence_threshold(CosmoParams(1.0, p, 0.1), a_ratio)
             for fac, decohered in ((3.0, True), (1.0 / 3.0, False)):
                 params = CosmoParams(kGamma_over_kstar=fac * thr, p=p, ellH=0.1)
-                traj = evolve_open_de_sitter(params, x_end=1.0 / a_ratio)
+                traj = evolve_de_sitter(params.x_coupling_on, 1.0 / a_ratio,
+                                        cosmo_kernel(params))
                 assert bool(traj.det[-1] - 1.0 > 1.0) == decohered
 
 
@@ -449,3 +450,31 @@ class TestParamValidation:
     def test_negative_coupling(self):
         with pytest.raises(DomainError):
             CosmoParams(-1.0, 2.1, 0.1)
+
+    @pytest.mark.parametrize("field", ["kGamma_over_kstar", "p", "ellH",
+                                       "k_over_kstar", "x_star"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            CosmoParams(**dict({"kGamma_over_kstar": 1.0, "p": 2.1, "ellH": 0.1},
+                               **{field: value}))
+
+
+class TestEvolveDeSitter:
+    def test_bad_endpoints_rejected(self):
+        source = cosmo_kernel(FIG_PARAMS[2.1])
+        for x_start, x_end in ((10.0, 0.0), (-1.0, 0.1), (math.nan, 0.1)):
+            with pytest.raises(DomainError):
+                evolve_de_sitter(x_start, x_end)
+        # a source only runs forward in time (x decreasing)
+        for x_end in (5.0, 10.0):
+            with pytest.raises(DomainError):
+                evolve_de_sitter(1.0, x_end, source)
+
+    def test_unitary_runs_both_ways(self):
+        xs = (0.1, 1.0, 10.0)
+        traj = evolve_de_sitter(0.1, 10.0, x_eval=xs)
+        for i, x in enumerate(xs):
+            want = de_sitter_covariance_closed(x)
+            assert abs(traj.g11[i] / want.g11 - 1.0) < 1e-6
+            assert abs(traj.purity[i] - 1.0) < 1e-9

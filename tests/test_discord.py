@@ -7,7 +7,6 @@ from gausslind.discord import (
     Regime,
     discord,
     discord_asymptotic,
-    discord_from_particles,
     discord_pure,
     discord_squeezed,
     entropy_kernel,
@@ -21,7 +20,7 @@ from gausslind.symplectic import (
     covariance_from_squeezing,
 )
 
-from conftest import random_block
+from conftest import discord_from_particles, random_block
 
 LN2 = math.log(2.0)
 

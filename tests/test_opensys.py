@@ -15,12 +15,11 @@ from gausslind.cosmology import (
     de_sitter_covariance_closed,
     de_sitter_frequency,
     de_sitter_mode,
-    evolve_open_de_sitter,
+    evolve_de_sitter,
     exact_open_covariance,
 )
 from gausslind.errors import DegenerateSqueezingError
 from gausslind.opensys import (
-    EnvironmentKernel,
     GreenIntegrals,
     det_rhs,
     evolve_open,
@@ -38,8 +37,12 @@ from gausslind.symplectic import (
 from conftest import gauss_legendre_quad
 
 
-def constant_kernel(s0: float) -> EnvironmentKernel:
-    return EnvironmentKernel(lambda t: s0, f"constant source {s0}")
+def constant_kernel(s0: float):
+    return lambda t: s0
+
+
+def zero_kernel(t: float) -> float:
+    return 0.0
 
 
 class TestOpenRhs:
@@ -48,7 +51,7 @@ class TestOpenRhs:
         for _ in range(10):
             y = (rng.uniform(0.5, 4.0), rng.uniform(-1, 1), rng.uniform(0.5, 4.0))
             t = rng.uniform(0.0, 5.0)
-            assert transport_rhs_open(y, freq, EnvironmentKernel.zero(), t) \
+            assert transport_rhs_open(y, freq, zero_kernel, t) \
                 == transport_rhs_closed(y, freq, t)
             assert transport_rhs_open(y, freq, None, t) \
                 == transport_rhs_closed(y, freq, t)
@@ -62,7 +65,7 @@ class TestOpenRhs:
 
     def test_det_rhs(self, rng):
         kern = constant_kernel(0.5)
-        assert det_rhs(CovarianceBlock.vacuum(), EnvironmentKernel.zero(), 0.0) == 0.0
+        assert det_rhs(CovarianceBlock.vacuum(), zero_kernel, 0.0) == 0.0
         assert det_rhs(CovarianceBlock.vacuum(), None, 0.0) == 0.0
         b = CovarianceBlock(3.0, 1.0, 1.0)
         assert det_rhs(b, kern, 0.0, k=2.0) == 2.0 * 0.5 * 3.0
@@ -130,7 +133,7 @@ class TestGeneralizedSqueezing:
         lam, r, phi = sol.y[:, -1]
         got = covariance_from_squeezing(SqueezingState(r, phi, lam))
 
-        traj = evolve_open_de_sitter(params, x_end=x1, x_start=x0)
+        traj = evolve_de_sitter(x0, x1, kern)
         want = traj.block(len(traj) - 1)
         for a, b in ((got.g11, want.g11), (got.g12, want.g12), (got.g22, want.g22)):
             assert abs(a - b) < 1e-5 * max(abs(b), 1.0)
@@ -141,7 +144,7 @@ class TestGreenCovariance:
     def test_zero_kernel(self):
         freq = ModeFrequency.free(1.0)
         traj = integrate_mode_function(freq, 0.0, 10.0, ModeState.vacuum(1.0, 0.0))
-        g = green_covariance(traj, EnvironmentKernel.zero(), 10.0)
+        g = green_covariance(traj, zero_kernel, 10.0)
         assert g.I == 0.0 and g.J == 0.0 and g.K == 0.0
 
     def test_constant_kernel_against_fixed_order_gauss(self):
@@ -166,7 +169,7 @@ class TestGreenCovariance:
         k, T = 0.7, 12.0
         freq = ModeFrequency.free(k)
         traj = integrate_mode_function(freq, 0.0, T, ModeState.vacuum(k, 0.0))
-        kern = EnvironmentKernel(lambda t: 0.1 * (1.0 + math.sin(t) ** 2), "wavy")
+        kern = lambda t: 0.1 * (1.0 + math.sin(t) ** 2)
         g = green_covariance(traj, kern, T)
         assert g.I >= 0.0 and g.K >= 0.0
         assert g.I * g.K >= g.J ** 2 * (1.0 - 1e-9)
@@ -204,7 +207,7 @@ class TestEvolveOpen:
         ic = de_sitter_covariance_closed(50.0)
         xg = np.geomspace(50.0, 0.1, 11)
         a = evolve_open(freq, None, (-50.0, -0.1), ic=ic, t_eval=-xg)
-        b = evolve_open(freq, EnvironmentKernel.zero(), (-50.0, -0.1), ic=ic,
+        b = evolve_open(freq, zero_kernel, (-50.0, -0.1), ic=ic,
                         t_eval=-xg)
         np.testing.assert_allclose(a.g11, b.g11, rtol=1e-12)
         np.testing.assert_allclose(a.g22, b.g22, rtol=1e-12)
@@ -215,7 +218,7 @@ class TestEvolveOpen:
     def test_weak_coupling_continuity(self):
         # S scaled by 1e-12 stays within ~1e-12 of the closed run
         params = CosmoParams(kGamma_over_kstar=1e-6, p=2.5, ellH=0.1)
-        traj = evolve_open_de_sitter(params, x_end=0.1)
+        traj = evolve_de_sitter(params.x_coupling_on, 0.1, cosmo_kernel(params))
         want = de_sitter_covariance_closed(0.1)
         got = traj.block(len(traj) - 1)
         assert abs(got.g11 - want.g11) < 1e-9 * want.g11
@@ -223,8 +226,8 @@ class TestEvolveOpen:
 
     def test_purity_monotone(self):
         params = CosmoParams(kGamma_over_kstar=3.0, p=3.3, ellH=0.1)
-        traj = evolve_open_de_sitter(params, x_end=0.02,
-                                     x_eval=np.geomspace(10.0, 0.02, 40))
+        traj = evolve_de_sitter(params.x_coupling_on, 0.02, cosmo_kernel(params),
+                                x_eval=np.geomspace(10.0, 0.02, 40))
         pur = traj.purity
         assert np.all(pur <= 1.0 + 1e-12)
         assert np.all(np.diff(pur) <= 1e-12)
@@ -233,9 +236,9 @@ class TestEvolveOpen:
         # det(t) - det(t0) = int k S g11 dt' along the trajectory
         params = CosmoParams(kGamma_over_kstar=2.0, p=2.6, ellH=0.1)
         xg = np.geomspace(10.0, 0.05, 200)
-        traj = evolve_open_de_sitter(params, x_end=0.05, x_eval=xg)
-        from gausslind.cosmology import source_x
-        integrand = np.array([source_x(params, float(x)) for x in xg]) * traj.g11
+        source = cosmo_kernel(params)
+        traj = evolve_de_sitter(params.x_coupling_on, 0.05, source, x_eval=xg)
+        integrand = np.array([source(-float(x)) for x in xg]) * traj.g11
         integral = np.trapezoid(integrand, x=-xg)  # d eta = -dx
         assert abs((traj.det[-1] - 1.0) - integral) < 2e-3 * integral
 
@@ -246,7 +249,7 @@ class TestEvolveOpen:
             a_mod = rng.uniform(0.0, 0.8)
             freq = ModeFrequency(k, lambda kk, t, a=a_mod: kk * kk * (1.0 + a * math.sin(t)))
             s0 = rng.uniform(0.0, 0.5)
-            kern = EnvironmentKernel(lambda t, s=s0: s * (1.0 + math.cos(t) ** 2))
+            kern = lambda t, s=s0: s * (1.0 + math.cos(t) ** 2)
             traj = evolve_open(freq, kern, (0.0, 8.0),
                                t_eval=np.linspace(0.0, 8.0, 30),
                                rtol=1e-12, atol=1e-14)

@@ -9,9 +9,10 @@ from gausslind.selfcheck import reference_upper_gamma
 from gausslind.specfun import (
     oscillatory_moment,
     oscillatory_moment_limits,
-    oscillatory_moment_quad,
     upper_incomplete_gamma,
 )
+
+from conftest import oscillatory_moment_quad
 
 
 class TestUpperIncompleteGamma:
