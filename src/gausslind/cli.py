@@ -171,8 +171,11 @@ def _evolve(cfg: dict, x_grid, source):
     atol = _positive(tol.get("atol", 1e-12), "tolerances.atol")
     x_start, x_end = float(x_grid[0]), float(x_grid[-1])
     if _preset(cfg) == "de_sitter":
-        return evolve_de_sitter(x_start, x_end, source, x_eval=x_grid,
-                                rtol=rtol, atol=atol)
+        try:
+            return evolve_de_sitter(x_start, x_end, source, x_eval=x_grid,
+                                    rtol=rtol, atol=atol)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
     return evolve_open(ModeFrequency.free(1.0), source, (-x_start, -x_end),
                        t_eval=[-float(x) for x in x_grid], rtol=rtol, atol=atol)
 

@@ -63,6 +63,8 @@ _P_TOL = 1e-6
 _P_OFFSET = 1e-4
 #: the super-Hubble asymptotics hold for x below this
 APPROX_X_MAX = 0.1
+#: relative error allowed to a source-free evolve_de_sitter run backwards
+BACKWARD_ERROR_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -596,20 +598,24 @@ def discord_cosmo(
 ) -> DiscordResult:
     """Quantum discord of the dressed de Sitter state across partition theta.
 
-    method="exact":    closed-form covariance + quadrature determinant;
-                       valid for x inside the coupled window and not so
-                       small that the closed form loses all precision
-                       (x >= ~1e-3).
+    method="exact":    closed-form covariance + quadrature determinant,
+                       inside the coupled window; its precision at small
+                       x depends on p (against transport at kGamma/k* =
+                       10, ellH = 0.1: p = 2.1 agrees to 1.5e-12 down to
+                       x = 1e-5; p = 6.1 is off by 7.5e-8 at x = 1e-2 and
+                       by 2.9e-3 at x = 1e-3).
     method="approx":   super-Hubble asymptotics in the log domain; valid
                        for 0 < x < 0.1, arbitrarily small.
     method="transport": integrate the covariance down to x (slowest,
-                       reference).
+                       reference); one evolve_open integration per row.
 
     kGamma_over_kstar, when given, replaces the coupling of params: a
     scalar, or a 1-D array for a whole row of couplings at one p.  With
     an array every field of the result but the regime is an array over
     the couplings; the approx route then builds one coefficient table for
-    the row and evaluates it as array code.  A scalar gives floats.
+    the row and evaluates it as array code, and the transport route
+    integrates the row as one batch with source kap2 * (unit-coupling
+    source).  A scalar gives floats.
     """
     if kGamma_over_kstar is None:
         kGamma_over_kstar = params.kGamma_over_kstar
@@ -623,19 +629,21 @@ def discord_cosmo(
     if method == "approx":
         kap2 = (couplings / params.k_over_kstar) ** 2
         ln_st, ln_s0 = _log_sigmas_approx(x, theta, asymptotic_coefficients(params), kap2)
-    elif method in ("exact", "transport"):
-        logs = []
-        for kg in couplings.tolist():
-            cell = replace(params, kGamma_over_kstar=kg)
-            if method == "exact":
-                block, det = exact_open_covariance(x, cell), exact_open_det(x, cell)
-            else:
-                traj = evolve_de_sitter(cell.x_coupling_on, x, source=cosmo_kernel(cell))
-                block, det = traj.block(len(traj) - 1), traj.det[-1]
-            logs.append(_log_sigmas_from_block(block, det, theta))
-        ln_st, ln_s0 = np.array(logs).T
+    elif method == "exact":
+        cells = [replace(params, kGamma_over_kstar=kg) for kg in couplings.tolist()]
+        blocks = [(exact_open_covariance(x, c), exact_open_det(x, c)) for c in cells]
+    elif method == "transport":
+        # float pow as in kGamma_over_k: a one-member row is the scalar run
+        kap2 = np.array([(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()])
+        unit = cosmo_kernel(replace(params, kGamma_over_kstar=params.k_over_kstar))
+        traj = evolve_de_sitter(params.x_coupling_on, x, source=lambda eta: kap2 * unit(eta))
+        blocks = [(CovarianceBlock(*g), det) for *g, det in zip(
+            traj.g11[:, -1], traj.g12[:, -1], traj.g22[:, -1], traj.det[:, -1])]
     else:
         raise ValueError(f"unknown method {method!r}")
+    if method != "approx":
+        ln_st, ln_s0 = np.array([_log_sigmas_from_block(b, det, theta)
+                                 for b, det in blocks]).T
     d = _discord_from_logs(ln_st, ln_s0)
     fields = (d, _exp_or_inf(ln_st), _exp_or_inf(ln_s0), ln_st, ln_s0)
     if np.ndim(kGamma_over_kstar) == 0:
@@ -663,11 +671,22 @@ def evolve_de_sitter(
     lists the x at which it is sampled.  A source only adds to the
     determinant forward in time, so it needs x_end < x_start; unitary
     evolution (source=None) runs either way.
+
+    Backwards (x_end > x_start) the decaying super-Hubble solution grows
+    back, and the relative error of g11 and g22 reaches about
+    0.02 rtol / x_start^6 (measured against the closed form for x_start
+    0.01 to 0.5, rtol 1e-12 to 1e-8, x_end 1 to 100).  A backward run
+    whose error would exceed 1e-6 by that rule raises DomainError: at
+    the default rtol, x_start must be at least 0.077.
     """
     if not (x_start > 0.0 and x_end > 0.0):
         raise DomainError(f"x must be positive, got x_start={x_start}, x_end={x_end}")
     if source is not None and not x_end < x_start:
         raise DomainError(f"a source needs x_end < x_start, got {x_end} >= {x_start}")
+    if x_end > x_start and 0.02 * rtol > BACKWARD_ERROR_MAX * x_start ** 6:
+        raise DomainError(
+            f"backward evolution from x_start = {x_start} at rtol = {rtol} would "
+            f"lose more than {BACKWARD_ERROR_MAX} relative accuracy")
     t_eval = None if x_eval is None else [-float(xx) for xx in x_eval]
     return evolve_open(de_sitter_frequency(), source, (-x_start, -x_end),
                        ic=de_sitter_covariance_closed(x_start), t_eval=t_eval,

@@ -10,7 +10,8 @@ environment autocorrelation in one function, because only their product
 ever appears; a source is any plain callable t -> S(t), and None means
 no environment.  Consequences implemented here: the transport engine
 `evolve_open` (the only covariance integrator of the package, closed
-evolution being its S = None case), determinant growth
+evolution being its S = None case and a batch of N sources its
+array-valued case), determinant growth
 d(det)/dt = k S g11 (monotone purity loss), source-extended equations of
 motion of the generalized squeezing parameters, and the Green's-function
 representation of the dressed covariance as quadratures over a stored
@@ -227,26 +228,36 @@ def evolve_open(
     The state vector is (g11, g12, g22, det): the determinant is
     transported by its own (cancellation-free) equation and is the value
     behind the reported purity.
+
+    A source may return a numpy array of N amplitudes at each t: N
+    members sharing freq, t_span and ic then evolve in one integration
+    with state (4, N), and every trajectory field is (N, len(times)).
+    rtol and atol are divided by sqrt(N), so that each member meets the
+    scalar error criterion (solve_ivp takes the RMS norm over all 4N
+    components).  N = 1 runs the scalar arithmetic, bit for bit.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
+    members = np.shape(source(t_span[0])) if source is not None else ()
+    n = math.prod(members)
+    if members and n == 1:  # one member: scalar arithmetic is cheaper per call
+        member, source = source, lambda t: member(t).item()
+    shape = (4, *members) if n > 1 else (4,)
 
     def rhs(t, y):
-        d11, d12, d22 = transport_rhs_open(y[:3], freq, source, t)
-        ddet = det_rhs(y[:3], source, t, k=freq.k)
-        return [d11, d12, d22, ddet]
+        g = y.reshape(shape)
+        g = (g[0], g[1], g[2])  # indexing, not unpacking: cheaper per call
+        d11, d12, d22 = transport_rhs_open(g, freq, source, t)
+        return np.ravel([d11, d12, d22, det_rhs(g, source, t, k=freq.k)])
 
-    y0 = [ic.g11, ic.g12, ic.g22, max(ic.det, 1.0)]
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    t_eval=t_eval, dense_output=t_eval is None)
+    y0 = np.repeat([ic.g11, ic.g12, ic.g22, max(ic.det, 1.0)], n)
+    # overflow surfaces as a failed or non-finite solve, raised below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol / math.sqrt(n),
+                        atol=atol / math.sqrt(n), t_eval=t_eval)
     if not sol.success:
         raise StepFailureError(f"covariance transport failed: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise StepFailureError("covariance transport produced non-finite values")
-    return CovarianceTrajectory(
-        times=sol.t,
-        g11=sol.y[0],
-        g12=sol.y[1],
-        g22=sol.y[2],
-        det=sol.y[3],
-    )
+    y = sol.y.reshape(4, *members, -1)
+    return CovarianceTrajectory(times=sol.t, g11=y[0], g12=y[1], g22=y[2], det=y[3])

@@ -1,0 +1,51 @@
+"""Cost per trajectory of batched transport against scalar runs.
+
+    pytest tests/bench_transport_batch.py --benchmark-only
+
+The file name keeps it out of the default test collection.  One row of N
+couplings kGamma/k* in 1e-6..1 at p = 5.3, x = 1e-3, ellH = 0.1 is
+integrated either as one `evolve_de_sitter` call with an array-valued
+source ("batch") or as N scalar calls ("scalar").  Each benchmark's
+extra_info holds the best time per trajectory and the RHS calls per
+trajectory; add --benchmark-json=FILE to keep them.
+"""
+
+import numpy as np
+import pytest
+
+from gausslind import opensys
+from gausslind.cosmology import CosmoParams, cosmo_kernel, evolve_de_sitter
+
+P, X, ELLH = 5.3, 1e-3, 0.1
+
+
+def _couplings(n: int) -> np.ndarray:
+    return np.logspace(-6.0, 0.0, n)
+
+
+def batch(n: int):
+    kap2 = _couplings(n) ** 2
+    unit = cosmo_kernel(CosmoParams(1.0, P, ELLH))
+    return evolve_de_sitter(1.0 / ELLH, X, lambda eta: kap2 * unit(eta))
+
+
+def scalar(n: int):
+    return [evolve_de_sitter(1.0 / ELLH, X, cosmo_kernel(CosmoParams(kg, P, ELLH)))
+            for kg in _couplings(n).tolist()]
+
+
+@pytest.mark.parametrize("mode", ["batch", "scalar"])
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_transport_row(benchmark, monkeypatch, mode, n):
+    run = batch if mode == "batch" else scalar
+    calls = []
+    rhs = opensys.transport_rhs_open
+    monkeypatch.setattr(opensys, "transport_rhs_open",
+                        lambda *a: calls.append(1) or rhs(*a))
+    run(n)
+    monkeypatch.undo()
+    rounds = 3 if mode == "scalar" and n >= 16 else 7
+    benchmark.pedantic(run, args=(n,), rounds=rounds, iterations=1, warmup_rounds=1)
+    benchmark.extra_info.update(
+        mode=mode, n=n, rhs_calls_per_trajectory=len(calls) / n,
+        per_trajectory_ms=1e3 * benchmark.stats.stats.min / n)

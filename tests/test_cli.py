@@ -237,6 +237,10 @@ class TestRunInputValidation:
                               "k_range": [-1.0, 10.0]}, False),
         "nan_n_sigma": ({"mode": "ellipse_series", "n_sigma": math.nan,
                          "grid": GRID}, False),
+        # backwards from far outside the horizon: g11 would be off by ~10 %
+        "reversed_closed_far": ({"mode": "evolve_closed",
+                                 "grid": {"x_start": 0.01, "x_end": 10.0, "points": 5}},
+                                False),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -348,6 +352,21 @@ class TestErrorChannel:
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SingularExponentError"
+
+
+    def test_overflow_reports_one_json_line(self, tmp_path):
+        # the solver overflows; numpy and scipy warnings must not reach stderr
+        cfg = write_config(tmp_path, "huge.json", {
+            "mode": "evolve_open", "preset": "free", "source_const": 1e300,
+            "grid": {"x_start": 5.0, "x_end": 1.0, "points": 5},
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "gausslind.cli", "run", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "StepFailureError"
 
 
 class TestSelfcheckMode:
