@@ -18,6 +18,7 @@ asymptotics.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -215,21 +216,17 @@ def _power_bracket(x: float, p: float, ellH: float) -> float:
     )
 
 
-def exact_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
-    """Environment-dressed covariance assembled from closed-form moments.
-
-    Valid for 0 < x < 1/(ell_E H); p must stay away from the logarithmic
-    values {2, 4} (and from integer p, where the gamma orders hit poles).
-    The paired oscillatory terms are combined as twice the real part of
-    one of them, so the result is real by construction.
-    """
+def _exact_open_terms(x: float, params: CosmoParams) -> tuple:
+    """Coupling-free pieces (v2, dv2, vdv, corr11, corr12, corr22) of the
+    dressed covariance: g11 = v2 - 2 kap2 corr11, g12 = vdv - 2 kap2 corr12,
+    g22 = dv2 - 2 kap2 corr22 with kap2 = (kGamma/k)^2.  They depend on
+    p, ellH and x_star, not on the coupling."""
     params.require_regular_p((2.0, 4.0))
     if not 0.0 < x < params.x_coupling_on:
         raise DomainError(
             f"x = {x} outside the coupled window (0, {params.x_coupling_on})"
         )
     p, ellH, xs = params.p, params.ellH, params.x_star
-    kap2 = params.kGamma_over_k ** 2
     xsp = xs ** (p - 3.0)
     m1 = oscillatory_moment(1.0 - p, x, ellH)
     m2 = oscillatory_moment(2.0 - p, x, ellH)
@@ -259,7 +256,11 @@ def exact_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
         3.0 + 2.0 * x * (3j + x * (-3.0 - 2j * x + x * x))
     ) * (-m1 + 2j * m2 + m3)
     corr22 = i22_1 + 2.0 * i22_2.real + w * corr11
+    return v2, dv2, vdv, corr11, corr12, corr22
 
+
+def _dressed_block(terms: tuple, kap2: float) -> CovarianceBlock:
+    v2, dv2, vdv, corr11, corr12, corr22 = terms
     return CovarianceBlock(
         g11=v2 - 2.0 * kap2 * corr11,
         g12=vdv - 2.0 * kap2 * corr12,
@@ -267,23 +268,72 @@ def exact_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
     )
 
 
-def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10) -> float:
+def exact_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
+    """Environment-dressed covariance assembled from closed-form moments.
+
+    Valid for 0 < x < 1/(ell_E H); p must stay away from the logarithmic
+    values {2, 4} (and from integer p, where the gamma orders hit poles).
+    The paired oscillatory terms are combined as twice the real part of
+    one of them, so the result is real by construction.
+    """
+    return _dressed_block(_exact_open_terms(x, params), params.kGamma_over_k ** 2)
+
+
+def _coupling_row(params: CosmoParams, kGamma_over_kstar) -> np.ndarray:
+    """The couplings kGamma/k* of a row as a 1-D array: kGamma_over_kstar
+    (a scalar or a 1-D array), or the coupling of params when it is None."""
+    if kGamma_over_kstar is None:
+        kGamma_over_kstar = params.kGamma_over_kstar
+    couplings = np.atleast_1d(np.asarray(kGamma_over_kstar, dtype=float))
+    if couplings.ndim != 1:
+        raise DomainError("couplings must be a scalar or a 1-D array")
+    if not np.all(couplings >= 0.0):
+        raise DomainError("coupling kGamma_over_kstar must be >= 0")
+    return couplings
+
+
+def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10,
+                   kGamma_over_kstar=None):
     """det of the dressed covariance, via its own growth law.
 
     d(det)/d eta = S gamma_11 integrated against the exact gamma_11: this
     sidesteps the catastrophic cancellation of forming g11 g22 - g12^2
-    from large entries.
+    from large entries.  x must be positive and finite; x >= 1/ellH, where
+    the environment is off, gives det = 1.
+
+    kGamma_over_kstar, when given, replaces the coupling of params: a
+    scalar (float out), or a 1-D array for a row of couplings at one p
+    (array out).  Each coupling has its own quadrature, with the same
+    arithmetic as a scalar call, but the coupling-free terms of gamma_11
+    are evaluated once per quadrature node for the whole row.
+
+    The quadrature's error estimate is not returned or checked.  Over the
+    map_exact benchmark workload (seeds 0-5, two rounds each) 48 of 708
+    quadratures emit scipy's IntegrationWarning (x 0.022-0.065, p
+    7.1-9.8).  In 37 of them, all at x <= 0.05 and p >= 9.2, the estimate
+    exceeds 1e-8 relative to det, up to 1.9e-5; those 37 would fail the
+    error check of `opensys.green_covariance`.
     """
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"x must be positive and finite, got {x}")
+    couplings = _coupling_row(params, kGamma_over_kstar)
     hi = params.x_coupling_on
-    if x >= hi:
-        return 1.0
-    source = cosmo_kernel(params)
+    terms = functools.cache(lambda xp: _exact_open_terms(xp, params))
 
-    def f(xp: float) -> float:
-        return source(-xp) * exact_open_covariance(xp, params).g11
+    def det(cell: CosmoParams) -> float:
+        if x >= hi:
+            return 1.0
+        source = cosmo_kernel(cell)
+        kap2 = cell.kGamma_over_k ** 2
 
-    val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=quad_tol)
-    return 1.0 + val
+        def f(xp: float) -> float:
+            return source(-xp) * _dressed_block(terms(xp), kap2).g11
+
+        val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=quad_tol)
+        return 1.0 + val
+
+    dets = [det(replace(params, kGamma_over_kstar=kg)) for kg in couplings.tolist()]
+    return dets[0] if np.ndim(kGamma_over_kstar) == 0 else np.array(dets)
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +663,22 @@ def discord_cosmo(
     scalar, or a 1-D array for a whole row of couplings at one p.  With
     an array every field of the result but the regime is an array over
     the couplings; the approx route then builds one coefficient table for
-    the row and evaluates it as array code, and the transport route
-    integrates the row as one batch with source kap2 * (unit-coupling
-    source).  A scalar gives floats.
+    the row and evaluates it as array code, the exact route evaluates the
+    coupling-free terms of each quadrature node once for the row
+    (`exact_open_det`), and the transport route integrates the row as one
+    batch with source kap2 * (unit-coupling source).  A scalar gives
+    floats.
     """
-    if kGamma_over_kstar is None:
-        kGamma_over_kstar = params.kGamma_over_kstar
-    couplings = np.atleast_1d(np.asarray(kGamma_over_kstar, dtype=float))
-    if couplings.ndim != 1:
-        raise DomainError("couplings must be a scalar or a 1-D array")
-    if not np.all(couplings >= 0.0):
-        raise DomainError("coupling kGamma_over_kstar must be >= 0")
+    couplings = _coupling_row(params, kGamma_over_kstar)
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
     if method == "approx":
         kap2 = (couplings / params.k_over_kstar) ** 2
         ln_st, ln_s0 = _log_sigmas_approx(x, theta, asymptotic_coefficients(params), kap2)
     elif method == "exact":
-        cells = [replace(params, kGamma_over_kstar=kg) for kg in couplings.tolist()]
-        blocks = [(exact_open_covariance(x, c), exact_open_det(x, c)) for c in cells]
+        covs = [exact_open_covariance(x, replace(params, kGamma_over_kstar=kg))
+                for kg in couplings.tolist()]
+        blocks = zip(covs, exact_open_det(x, params, kGamma_over_kstar=couplings).tolist())
     elif method == "transport":
         # float pow as in kGamma_over_k: a one-member row is the scalar run
         kap2 = np.array([(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()])

@@ -16,6 +16,7 @@ large |z|, both valid for any real non-integer order.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from scipy.special import gamma as _gamma
@@ -112,6 +113,14 @@ def upper_incomplete_gamma(a: float, z: complex) -> complex:
     return _lentz_cf(a, z)
 
 
+@functools.lru_cache(maxsize=16)
+def _lower_limit_gamma(alpha: float, ell_h: float) -> complex:
+    """Gamma(1+alpha, -2i/ell_h): the lower-limit term of the moment, the
+    same at every x; a quadrature over x asks for it at each node.  One
+    exact covariance uses three (alpha, ell_h) pairs, so a few rows fit."""
+    return upper_incomplete_gamma(1.0 + alpha, -2j / ell_h)
+
+
 def oscillatory_moment(alpha: float, x: float, ell_h: float) -> complex:
     """M_alpha(x) = int_{1/ell_h}^{x} e^{2 i x'} x'^alpha dx'.
 
@@ -121,12 +130,13 @@ def oscillatory_moment(alpha: float, x: float, ell_h: float) -> complex:
                                        - Gamma(1+alpha, -2i/ell_h)]
 
     with (-i)^{-1-alpha} on the principal branch, i.e. e^{i(1+alpha)pi/2}.
+    The lower-limit Gamma is cached per (alpha, ell_h).
     """
     if x <= 0.0 or ell_h <= 0.0:
         raise DomainError("x and ell_h must be positive")
     pref = -(2.0 ** (-1.0 - alpha)) * cmath.exp(1j * (1.0 + alpha) * math.pi / 2.0)
     g_hi = upper_incomplete_gamma(1.0 + alpha, -2j * x)
-    g_lo = upper_incomplete_gamma(1.0 + alpha, -2j / ell_h)
+    g_lo = _lower_limit_gamma(alpha, ell_h)
     return pref * (g_hi - g_lo)
 
 

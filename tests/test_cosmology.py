@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from gausslind import specfun
 from gausslind.cosmology import (
     CosmoParams,
     PsRegime,
@@ -177,6 +180,84 @@ class TestExactOpenCovariance:
     def test_outside_coupled_window_rejected(self):
         with pytest.raises(DomainError):
             exact_open_covariance(11.0, FIG_PARAMS[2.1])
+
+
+class TestExactRow:
+    """exact_open_det over a row of couplings shares the coupling-free
+    terms of each quadrature node; every number equals a scalar call."""
+
+    # p = 9.3, x = 0.03, ellH = 0.09: the last three couplings emit
+    # IntegrationWarning and need about three times the nodes of the first
+    X, ELLH = 0.03, 0.09
+    COUPLINGS = np.array([1e-3, 0.1, 3.0, 20.0])
+
+    @staticmethod
+    def _gamma_calls(monkeypatch, run) -> int:
+        calls = []
+        gamma = specfun.upper_incomplete_gamma
+        monkeypatch.setattr(specfun, "upper_incomplete_gamma",
+                            lambda a, z: calls.append(1) or gamma(a, z))
+        specfun._lower_limit_gamma.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            run()
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_row_shares_gamma_work(self, monkeypatch):
+        params = CosmoParams(0.0, 9.3, self.ELLH)
+        row = self._gamma_calls(monkeypatch, lambda: discord_cosmo(
+            self.X, -0.4, params, "exact", kGamma_over_kstar=self.COUPLINGS))
+        single = max(self._gamma_calls(monkeypatch, lambda: discord_cosmo(
+            self.X, -0.4, params, "exact", kGamma_over_kstar=kg))
+            for kg in self.COUPLINGS.tolist())
+        assert row <= 1.5 * single
+
+    @pytest.mark.parametrize("p", [0.5, 2.1, 6.1, 9.3, 9.8])
+    def test_row_equals_scalar_calls(self, p):
+        params = CosmoParams(0.0, p, self.ELLH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            row = discord_cosmo(self.X, -0.4, params, "exact",
+                                kGamma_over_kstar=self.COUPLINGS)
+            dets = exact_open_det(self.X, params, kGamma_over_kstar=self.COUPLINGS)
+        for j, kg in enumerate(self.COUPLINGS.tolist()):
+            cell = CosmoParams(kg, p, self.ELLH)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                one = discord_cosmo(self.X, -0.4, cell, "exact")
+                det = exact_open_det(self.X, cell)
+            assert row.discord[j] == one.discord
+            assert row.log_sigma_theta[j] == one.log_sigma_theta
+            assert row.log_sigma_zero[j] == one.log_sigma_zero
+            assert math.exp(-2.0 * row.log_sigma_zero[j]) == math.exp(-2.0 * one.log_sigma_zero)
+            assert dets[j] == det
+
+    def test_row_includes_a_warning_cell(self):
+        with pytest.warns(IntegrationWarning):
+            exact_open_det(self.X, CosmoParams(20.0, 9.3, self.ELLH))
+
+    def test_row_shapes(self):
+        params = CosmoParams(1.0, 2.1, 0.1)
+        assert isinstance(exact_open_det(0.5, params), float)
+        assert isinstance(exact_open_det(0.5, params, kGamma_over_kstar=2.0), float)
+        dets = exact_open_det(0.5, params, kGamma_over_kstar=[1.0, 2.0])
+        assert isinstance(dets, np.ndarray) and dets.shape == (2,)
+        with pytest.raises(DomainError):
+            exact_open_det(0.5, params, kGamma_over_kstar=[[1.0, 2.0]])
+        with pytest.raises(DomainError):
+            exact_open_det(0.5, params, kGamma_over_kstar=[1.0, -2.0])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0, -0.0, -0.5])
+    def test_bad_x_rejected_at_entry(self, x):
+        with pytest.raises(DomainError, match=f"got {x}"):
+            exact_open_det(x, CosmoParams(1.0, 2.1, 0.1))
+
+    def test_environment_off_gives_one(self):
+        params = CosmoParams(1.0, 2.1, 0.1)
+        assert exact_open_det(10.0, params) == 1.0
+        assert exact_open_det(12.0, params) == 1.0
+        assert exact_open_det(12.0, params, kGamma_over_kstar=[1.0, 2.0]).tolist() == [1.0, 1.0]
 
 
 class TestAsymptoticCoefficients:

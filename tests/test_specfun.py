@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gausslind import specfun
 from gausslind.errors import BranchCutError, DomainError, PoleOrderError
 from gausslind.selfcheck import reference_upper_gamma
 from gausslind.specfun import (
@@ -128,3 +129,25 @@ class TestOscillatoryMoment:
             for off in (1.0, 2.0, 3.0):
                 lim_re, lim_im = oscillatory_moment_limits(off - p, 0.1)
                 assert math.isfinite(lim_re) and math.isfinite(lim_im)
+
+    @pytest.mark.parametrize("alpha,x,ellh", [
+        (1.0 - 2.1, 0.01, 0.1),
+        (3.0 - 6.1, 0.5, 0.1),
+        (2.0 - 9.3, 0.03, 0.09),
+        (1.0 - 0.5, 5.0, 0.4),
+    ])
+    def test_cached_lower_limit_is_the_direct_formula(self, alpha, x, ellh):
+        pref = -(2.0 ** (-1.0 - alpha)) * cmath.exp(1j * (1.0 + alpha) * math.pi / 2.0)
+        want = pref * (upper_incomplete_gamma(1.0 + alpha, -2j * x)
+                       - upper_incomplete_gamma(1.0 + alpha, -2j / ellh))
+        specfun._lower_limit_gamma.cache_clear()
+        assert oscillatory_moment(alpha, x, ellh) == want  # cold
+        hits = specfun._lower_limit_gamma.cache_info().hits
+        assert oscillatory_moment(alpha, x, ellh) == want  # warm
+        assert specfun._lower_limit_gamma.cache_info().hits == hits + 1
+
+    def test_lower_limit_cache_is_bounded(self):
+        maxsize = specfun._lower_limit_gamma.cache_info().maxsize
+        for i in range(maxsize + 10):
+            oscillatory_moment(-1.1 - 0.01 * i, 0.5, 0.1 + 0.001 * i)
+            assert specfun._lower_limit_gamma.cache_info().currsize <= maxsize
