@@ -170,14 +170,14 @@ def _evolve(cfg: dict, x_grid, source):
     rtol = _positive(tol.get("rtol", 1e-11), "tolerances.rtol")
     atol = _positive(tol.get("atol", 1e-12), "tolerances.atol")
     x_start, x_end = float(x_grid[0]), float(x_grid[-1])
-    if _preset(cfg) == "de_sitter":
-        try:
+    try:
+        if _preset(cfg) == "de_sitter":
             return evolve_de_sitter(x_start, x_end, source, x_eval=x_grid,
                                     rtol=rtol, atol=atol)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    return evolve_open(ModeFrequency.free(1.0), source, (-x_start, -x_end),
-                       t_eval=[-float(x) for x in x_grid], rtol=rtol, atol=atol)
+        return evolve_open(ModeFrequency.free(1.0), source, (-x_start, -x_end),
+                           t_eval=[-float(x) for x in x_grid], rtol=rtol, atol=atol)
+    except DomainError as exc:  # a window or an rtol below the floor
+        raise ConfigError(str(exc)) from exc
 
 
 def run_evolve_closed(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
@@ -237,21 +237,23 @@ def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
         couplings = 10.0 ** k_vals
     if not np.all(np.isfinite(couplings)):
         raise ConfigError("log10_kGamma_range overflows a double")
+    p_row = [offset_singular_p(p) for p in p_vals.tolist()]
     try:
-        row_params = [CosmoParams(kGamma_over_kstar=0.0, p=offset_singular_p(p), ellH=ellH)
-                       for p in p_vals.tolist()]
+        params = CosmoParams(kGamma_over_kstar=0.0, p=p_row[0], ellH=ellH)
     except DomainError as exc:
         raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
-    x_max = APPROX_X_MAX if method == "approx" else row_params[0].x_coupling_on
+    x_max = APPROX_X_MAX if method == "approx" else params.x_coupling_on
     if not 0.0 < x < x_max:
         raise ConfigError(f"x must be in (0, {x_max}) for method {method!r}, got {x}")
 
+    res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings,
+                        p=np.array(p_row))
     rows = []
-    for p, params in zip(p_vals.tolist(), row_params):
-        res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings)
+    for p, discord, ln_s0 in zip(p_vals.tolist(), res.discord.tolist(),
+                                 res.log_sigma_zero.tolist()):
         # math.exp: np.exp can differ from it in the last bit
-        purity = [math.exp(-2.0 * v) for v in res.log_sigma_zero.tolist()]
-        rows += zip([p] * len(k_vals), k_vals.tolist(), res.discord.tolist(), purity)
+        purity = [math.exp(-2.0 * v) for v in ln_s0]
+        rows += zip([p] * len(k_vals), k_vals.tolist(), discord, purity)
     _write_csv(out_dir / cfg.get("output_path", "discord_map.csv"),
                ["p", "log10_kGamma_kstar", "discord", "purity"],
                rows, cfg_hash)

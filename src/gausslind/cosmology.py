@@ -31,7 +31,7 @@ from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, Regime, _discord_from_logs
 from .errors import DomainError, SingularExponentError
-from .opensys import evolve_open, piecewise_oscillatory_quad
+from .opensys import evolve_open, max_members, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock
 
@@ -66,6 +66,8 @@ _P_OFFSET = 1e-4
 APPROX_X_MAX = 0.1
 #: relative error allowed to a source-free evolve_de_sitter run backwards
 BACKWARD_ERROR_MAX = 1e-6
+#: rtol of the transport route of discord_cosmo (evolve_de_sitter's default)
+TRANSPORT_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -279,14 +281,20 @@ def exact_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
     return _dressed_block(_exact_open_terms(x, params), params.kGamma_over_k ** 2)
 
 
+def _row(values, what: str) -> np.ndarray:
+    """values, a scalar or a non-empty 1-D array, as a 1-D float array."""
+    row = np.atleast_1d(np.asarray(values, dtype=float))
+    if row.ndim != 1 or row.size == 0:
+        raise DomainError(f"{what} must be a scalar or a non-empty 1-D array")
+    return row
+
+
 def _coupling_row(params: CosmoParams, kGamma_over_kstar) -> np.ndarray:
     """The couplings kGamma/k* of a row as a 1-D array: kGamma_over_kstar
     (a scalar or a 1-D array), or the coupling of params when it is None."""
     if kGamma_over_kstar is None:
         kGamma_over_kstar = params.kGamma_over_kstar
-    couplings = np.atleast_1d(np.asarray(kGamma_over_kstar, dtype=float))
-    if couplings.ndim != 1:
-        raise DomainError("couplings must be a scalar or a 1-D array")
+    couplings = _row(kGamma_over_kstar, "couplings")
     if not np.all(couplings >= 0.0):
         raise DomainError("coupling kGamma_over_kstar must be >= 0")
     return couplings
@@ -639,12 +647,60 @@ def _exp_or_inf(ln):
     return np.where(ln < 709.0, np.exp(np.minimum(ln, 709.0)), np.inf)
 
 
+def _plane_kernel(params: CosmoParams, ps: np.ndarray,
+                  kap2: np.ndarray) -> Callable[[float], np.ndarray]:
+    """The sources of cosmo_kernel over a (p, coupling) plane, as one
+    array-valued source: S[i, j](eta) = kap2[j] * 2 (x_star/x)^(p_i - 3)
+    on the same window."""
+    # one row keeps the float pow of cosmo_kernel: numpy's array pow can
+    # differ from it in the last bit
+    expo = float(ps[0]) - 3.0 if len(ps) == 1 else ps[:, None] - 3.0
+    kap2 = kap2[None, :]
+    zero = np.zeros((len(ps), kap2.shape[1]))
+    xs, x_on = params.x_star, params.x_coupling_on
+
+    def source(eta: float) -> np.ndarray:
+        x = -eta
+        if x <= 0.0 or x >= x_on:
+            return zero
+        return kap2 * (2.0 * (xs / x) ** expo)
+
+    return source
+
+
+def _transport_plane(x: float, params: CosmoParams, ps: np.ndarray,
+                     couplings: np.ndarray) -> list:
+    """(block, det) of every cell of the (p, coupling) plane, row-major,
+    from as few evolve_de_sitter integrations as the rtol floor allows."""
+    # float pow as in kGamma_over_k: a one-member plane is the scalar run
+    kap2 = np.array([(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()])
+    cap = max_members(TRANSPORT_RTOL)
+    # whole rows while they fit, else one row in pieces: cells stay row-major
+    rows, cols = max(1, cap // len(kap2)), min(len(kap2), cap)
+    cells = []
+    for i in range(0, len(ps), rows):
+        for j in range(0, len(kap2), cols):
+            p_group, kap2_group = ps[i:i + rows], kap2[j:j + cols]
+            # a batch keeps only its end point: every step of it would hold
+            # 4 values per cell.  One cell keeps every step, so that its
+            # last one is the scalar run's bit for bit.
+            x_eval = None if p_group.size * kap2_group.size == 1 else (x,)
+            traj = evolve_de_sitter(params.x_coupling_on, x,
+                                    source=_plane_kernel(params, p_group, kap2_group),
+                                    x_eval=x_eval, rtol=TRANSPORT_RTOL)
+            cells += [(CovarianceBlock(*g), det) for *g, det in zip(
+                *(f[..., -1].ravel().tolist()
+                  for f in (traj.g11, traj.g12, traj.g22, traj.det)))]
+    return cells
+
+
 def discord_cosmo(
     x: float,
     theta: float,
     params: CosmoParams,
     method: str = "approx",
     kGamma_over_kstar=None,
+    p=None,
 ) -> DiscordResult:
     """Quantum discord of the dressed de Sitter state across partition theta.
 
@@ -657,45 +713,52 @@ def discord_cosmo(
     method="approx":   super-Hubble asymptotics in the log domain; valid
                        for 0 < x < 0.1, arbitrarily small.
     method="transport": integrate the covariance down to x (slowest,
-                       reference); one evolve_open integration per row.
+                       reference); one evolve_open integration per map.
 
-    kGamma_over_kstar, when given, replaces the coupling of params: a
-    scalar, or a 1-D array for a whole row of couplings at one p.  With
-    an array every field of the result but the regime is an array over
-    the couplings; the approx route then builds one coefficient table for
-    the row and evaluates it as array code, the exact route evaluates the
-    coupling-free terms of each quadrature node once for the row
-    (`exact_open_det`), and the transport route integrates the row as one
-    batch with source kap2 * (unit-coupling source).  A scalar gives
-    floats.
+    kGamma_over_kstar, when given, replaces the coupling of params, and p
+    its growth index: each is a scalar or a non-empty 1-D array.  Every
+    field of the result but the regime has one axis per array given, p
+    first: (n_p, n_k) with both, a float with neither.
+
+    The approx and exact routes evaluate the map row by row and equal
+    per-row calls bit for bit: the approx route builds one coefficient
+    table per p and evaluates its row as array code, the exact route
+    evaluates the coupling-free terms of each quadrature node once per
+    row (`exact_open_det`).  The transport route integrates the whole
+    (p, coupling) plane as one `evolve_open` batch, source S[i, j] =
+    kap2[j] 2 (x_star/x)^(p_i - 3), and agrees with per-row calls to
+    ~1e-11 (batching divides TRANSPORT_RTOL by sqrt(cells)).  A batch
+    stays at or above solve_ivp's rtol floor: a map of more than
+    max_members(TRANSPORT_RTOL) cells (about 2e5) runs as several
+    integrations, of whole p rows where they fit.
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
+    ps = _row(params.p if p is None else p, "p")
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
+    rows = [replace(params, p=pi) for pi in ps.tolist()]
     if method == "approx":
         kap2 = (couplings / params.k_over_kstar) ** 2
-        ln_st, ln_s0 = _log_sigmas_approx(x, theta, asymptotic_coefficients(params), kap2)
+        ln_st, ln_s0 = np.array([_log_sigmas_approx(x, theta, asymptotic_coefficients(row), kap2)
+                                 for row in rows]).transpose(1, 0, 2)
     elif method == "exact":
-        covs = [exact_open_covariance(x, replace(params, kGamma_over_kstar=kg))
-                for kg in couplings.tolist()]
-        blocks = zip(covs, exact_open_det(x, params, kGamma_over_kstar=couplings).tolist())
+        cells = []
+        for row in rows:
+            covs = [exact_open_covariance(x, replace(row, kGamma_over_kstar=kg))
+                    for kg in couplings.tolist()]
+            cells += zip(covs, exact_open_det(x, row, kGamma_over_kstar=couplings).tolist())
     elif method == "transport":
-        # float pow as in kGamma_over_k: a one-member row is the scalar run
-        kap2 = np.array([(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()])
-        unit = cosmo_kernel(replace(params, kGamma_over_kstar=params.k_over_kstar))
-        traj = evolve_de_sitter(params.x_coupling_on, x, source=lambda eta: kap2 * unit(eta))
-        blocks = [(CovarianceBlock(*g), det) for *g, det in zip(
-            traj.g11[:, -1], traj.g12[:, -1], traj.g22[:, -1], traj.det[:, -1])]
+        cells = _transport_plane(x, params, ps, couplings)
     else:
         raise ValueError(f"unknown method {method!r}")
     if method != "approx":
         ln_st, ln_s0 = np.array([_log_sigmas_from_block(b, det, theta)
-                                 for b, det in blocks]).T
+                                 for b, det in cells]).T.reshape(2, len(ps), len(couplings))
     d = _discord_from_logs(ln_st, ln_s0)
-    fields = (d, _exp_or_inf(ln_st), _exp_or_inf(ln_s0), ln_st, ln_s0)
-    if np.ndim(kGamma_over_kstar) == 0:
-        fields = tuple(float(f[0]) for f in fields)
-    d, st, s0, ln_st, ln_s0 = fields
+    axes = (0 if np.ndim(p) == 0 else slice(None),
+            0 if np.ndim(kGamma_over_kstar) == 0 else slice(None))
+    fields = [f[axes] for f in (d, _exp_or_inf(ln_st), _exp_or_inf(ln_s0), ln_st, ln_s0)]
+    d, st, s0, ln_st, ln_s0 = (float(f) if f.ndim == 0 else f for f in fields)
     return DiscordResult(d, st, s0, Regime.EXACT, ln_st, ln_s0)
 
 
@@ -708,7 +771,7 @@ def evolve_de_sitter(
     x_end: float,
     source: Callable[[float], float] | None = None,
     x_eval: Sequence[float] | None = None,
-    rtol: float = 1e-11,
+    rtol: float = TRANSPORT_RTOL,
     atol: float = 1e-12,
 ) -> CovarianceTrajectory:
     """Transport the de Sitter covariance from x_start to x_end, seeded

@@ -21,6 +21,7 @@ mode trajectory.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +40,7 @@ from .closed import (
 )
 from .errors import (
     DegenerateSqueezingError,
+    DomainError,
     QuadratureFailureError,
     StepFailureError,
 )
@@ -51,8 +53,13 @@ __all__ = [
     "generalized_squeezing_rhs",
     "green_covariance",
     "evolve_open",
+    "max_members",
     "piecewise_oscillatory_quad",
+    "RTOL_FLOOR",
 ]
+
+#: smallest rtol that solve_ivp accepts without raising it to this value
+RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,14 @@ def green_covariance(
     return GreenIntegrals(I=results[0], J=results[1], K=results[2])
 
 
+def max_members(rtol: float) -> int:
+    """Largest batch whose per-member tolerance rtol / sqrt(N) stays at or
+    above RTOL_FLOOR: 0 when rtol itself is below it, or NaN."""
+    if not rtol >= RTOL_FLOOR:
+        return 0
+    return int(min((rtol / RTOL_FLOOR) ** 2, sys.maxsize))
+
+
 def evolve_open(
     freq: ModeFrequency,
     source: Callable[[float], float] | None,
@@ -227,28 +242,49 @@ def evolve_open(
 
     The state vector is (g11, g12, g22, det): the determinant is
     transported by its own (cancellation-free) equation and is the value
-    behind the reported purity.
+    behind the reported purity.  Each RHS evaluation calls the source
+    once and feeds that value to both the g22 term and d(det)/dt.
 
-    A source may return a numpy array of N amplitudes at each t: N
-    members sharing freq, t_span and ic then evolve in one integration
-    with state (4, N), and every trajectory field is (N, len(times)).
-    rtol and atol are divided by sqrt(N), so that each member meets the
-    scalar error criterion (solve_ivp takes the RMS norm over all 4N
-    components).  N = 1 runs the scalar arithmetic, bit for bit.
+    A source may return a numpy array of N amplitudes at each t, of any
+    shape (a row of couplings, or a (p, coupling) plane): N members
+    sharing freq, t_span and ic then evolve in one integration with
+    state (4, *shape), and every trajectory field is (*shape,
+    len(times)).  rtol and atol are divided by sqrt(N), so that each
+    member meets the scalar error criterion (solve_ivp takes the RMS norm
+    over all 4N components).  N = 1 runs the scalar arithmetic, bit for
+    bit.
+
+    solve_ivp silently raises any rtol below RTOL_FLOOR to that floor, so
+    a batch with rtol / sqrt(N) < RTOL_FLOOR, i.e. N > max_members(rtol),
+    raises DomainError before anything is integrated.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
     members = np.shape(source(t_span[0])) if source is not None else ()
     n = math.prod(members)
+    if n == 0:
+        raise DomainError("an array-valued source needs at least one member")
+    if n > max_members(rtol):
+        raise DomainError(
+            f"rtol = {rtol} over {n} member(s) is below the floor {RTOL_FLOOR:.3g} "
+            f"of solve_ivp: the batch needs rtol >= {RTOL_FLOOR * math.sqrt(n):.3g}")
     if members and n == 1:  # one member: scalar arithmetic is cheaper per call
         member, source = source, lambda t: member(t).item()
     shape = (4, *members) if n > 1 else (4,)
+    k = freq.k
 
     def rhs(t, y):
         g = y.reshape(shape)
         g = (g[0], g[1], g[2])  # indexing, not unpacking: cheaper per call
-        d11, d12, d22 = transport_rhs_open(g, freq, source, t)
-        return np.ravel([d11, d12, d22, det_rhs(g, source, t, k=freq.k)])
+        held = None
+        if source is not None:
+            s = source(t)
+            held = lambda _: s  # one source call feeds both terms
+        # a new array per call: solve_ivp keeps the derivatives it is given
+        out = np.empty(shape)
+        out[0], out[1], out[2] = transport_rhs_open(g, freq, held, t)
+        out[3] = det_rhs(g, held, t, k=k)
+        return out.ravel()
 
     y0 = np.repeat([ic.g11, ic.g12, ic.g22, max(ic.det, 1.0)], n)
     # overflow surfaces as a failed or non-finite solve, raised below

@@ -8,13 +8,18 @@ integrated either as one `evolve_de_sitter` call with an array-valued
 source ("batch") or as N scalar calls ("scalar").  Each benchmark's
 extra_info holds the best time per trajectory and the RHS calls per
 trajectory; add --benchmark-json=FILE to keep them.
+
+`test_transport_plane` runs a 4x4 transport `discord_cosmo` plane, p in
+{0.5, 2.0001, 5.3, 9.5} and the couplings above, either as one call with
+a p row ("plane", one integration) or as four row calls ("rows"), and
+records the best time per cell and the RHS calls.
 """
 
 import numpy as np
 import pytest
 
 from gausslind import opensys
-from gausslind.cosmology import CosmoParams, cosmo_kernel, evolve_de_sitter
+from gausslind.cosmology import CosmoParams, cosmo_kernel, discord_cosmo, evolve_de_sitter
 
 P, X, ELLH = 5.3, 1e-3, 0.1
 
@@ -49,3 +54,33 @@ def test_transport_row(benchmark, monkeypatch, mode, n):
     benchmark.extra_info.update(
         mode=mode, n=n, rhs_calls_per_trajectory=len(calls) / n,
         per_trajectory_ms=1e3 * benchmark.stats.stats.min / n)
+
+
+PLANE_P = np.array([0.5, 2.0001, 5.3, 9.5])
+
+
+def plane():
+    return discord_cosmo(X, -0.785, CosmoParams(0.0, P, ELLH), "transport",
+                         kGamma_over_kstar=_couplings(4), p=PLANE_P)
+
+
+def rows():
+    return [discord_cosmo(X, -0.785, CosmoParams(0.0, p, ELLH), "transport",
+                          kGamma_over_kstar=_couplings(4)) for p in PLANE_P.tolist()]
+
+
+@pytest.mark.parametrize("mode", ["plane", "rows"])
+def test_transport_plane(benchmark, monkeypatch, mode):
+    """A 4x4 (p, coupling) plane as one integration against 4 row calls."""
+    run = plane if mode == "plane" else rows
+    calls = []
+    rhs = opensys.transport_rhs_open
+    monkeypatch.setattr(opensys, "transport_rhs_open",
+                        lambda *a: calls.append(1) or rhs(*a))
+    run()
+    monkeypatch.undo()
+    benchmark.pedantic(run, rounds=7, iterations=1, warmup_rounds=1)
+    cells = PLANE_P.size * 4
+    benchmark.extra_info.update(
+        mode=mode, cells=cells, rhs_calls=len(calls),
+        per_cell_ms=1e3 * benchmark.stats.stats.min / cells)

@@ -174,6 +174,38 @@ class TestDiscordMapScenario:
         assert d_lo > 10.0
 
 
+    def test_transport_map_is_one_integration(self, tmp_path, monkeypatch):
+        from gausslind import cosmology, opensys
+        calls = {"evolve_open": 0, "source": 0, "rhs": 0}
+        evolve, rhs = cosmology.evolve_open, opensys.transport_rhs_open
+
+        def counted_evolve(freq, source, *args, **kwargs):
+            calls["evolve_open"] += 1
+            assert len(kwargs["t_eval"]) == 1  # the batch keeps its end point only
+
+            def counted_source(t):
+                calls["source"] += 1
+                return source(t)
+
+            return evolve(freq, counted_source, *args, **kwargs)
+
+        def counted_rhs(*args):
+            calls["rhs"] += 1
+            return rhs(*args)
+
+        monkeypatch.setattr(cosmology, "evolve_open", counted_evolve)
+        monkeypatch.setattr(opensys, "transport_rhs_open", counted_rhs)
+        cfg = write_config(tmp_path, "t.json", {
+            "mode": "discord_map", "method": "transport", "map_points": [3, 4],
+            "x": 3e-3, "cosmo": {"ellH": 0.15}, "log10_kGamma_range": [-3.0, 0.0],
+            "output_path": "t.csv"})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "t.csv")[1]) == 12
+        assert calls["evolve_open"] == 1
+        # one source call per RHS call, plus the shape probe
+        assert calls["rhs"] > 0 and calls["source"] == calls["rhs"] + 1
+
+
 class TestDiscordMapValidation:
     BASE = {"mode": "discord_map", "map_points": [2, 2], "output_path": "map.csv"}
 
@@ -367,6 +399,25 @@ class TestErrorChannel:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "StepFailureError"
+
+
+    @pytest.mark.parametrize("preset", ["de_sitter", "free"])
+    def test_rtol_below_floor_exits_2(self, tmp_path, preset):
+        # solve_ivp would raise rtol 1e-15 to 100 eps with a UserWarning
+        cfg = write_config(tmp_path, "tight.json", {
+            "mode": "evolve_open", "preset": preset, "source_const": 0.05,
+            "tolerances": {"rtol": 1e-15},
+            "grid": {"x_start": 5.0, "x_end": 1.0, "points": 5},
+            "output_path": "out.csv",
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "gausslind.cli", "run", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestSelfcheckMode:

@@ -648,3 +648,109 @@ class TestBatchedTransport:
         row = discord_cosmo(1e-3, -math.pi / 4, CosmoParams(0.0, 2.9, 0.1), "transport",
                             kGamma_over_kstar=couplings)
         assert np.all(np.isfinite(row.discord))
+
+
+class TestEmptyRows:
+    """An empty coupling row or p row is a DomainError on every route."""
+
+    @pytest.mark.parametrize("method", ["approx", "exact", "transport"])
+    def test_empty_coupling_row(self, method):
+        with pytest.raises(DomainError):
+            discord_cosmo(0.05, -0.4, CosmoParams(0.0, 2.1, 0.1), method,
+                          kGamma_over_kstar=np.array([]))
+
+    @pytest.mark.parametrize("method", ["approx", "exact", "transport"])
+    def test_empty_p_row(self, method):
+        with pytest.raises(DomainError):
+            discord_cosmo(0.05, -0.4, CosmoParams(0.0, 2.1, 0.1), method,
+                          kGamma_over_kstar=np.array([0.5, 5.0]), p=np.array([]))
+
+    def test_exact_open_det_empty_row(self):
+        with pytest.raises(DomainError):
+            exact_open_det(0.05, CosmoParams(0.0, 2.1, 0.1), kGamma_over_kstar=[])
+
+
+class TestDiscordPlane:
+    """discord_cosmo over a (p, coupling) plane: one transport integration."""
+
+    X, THETA = 1e-3, -math.pi / 4
+
+    def test_transport_plane_matches_rows(self):
+        ps = np.array([0.5, 2.0001, 5.3, 9.5])
+        couplings = np.logspace(-6.0, 0.0, 5)
+        params = CosmoParams(0.0, 0.5, 0.1)
+        plane = discord_cosmo(self.X, self.THETA, params, "transport",
+                              kGamma_over_kstar=couplings, p=ps)
+        assert plane.discord.shape == plane.log_sigma_zero.shape == (4, 5)
+        for i, p in enumerate(ps.tolist()):
+            row = discord_cosmo(self.X, self.THETA, CosmoParams(0.0, p, 0.1), "transport",
+                                kGamma_over_kstar=couplings)
+            d = plane.discord[i]
+            assert np.all(np.abs(d - row.discord) <= 1e-10 * np.maximum(1.0, np.abs(row.discord)))
+            purity, want = np.exp(-2.0 * plane.log_sigma_zero[i]), np.exp(-2.0 * row.log_sigma_zero)
+            np.testing.assert_allclose(purity, want, rtol=1e-9, atol=0.0)
+
+    def test_one_cell_plane_is_the_scalar_call(self):
+        params = CosmoParams(0.3, 5.3, 0.1)
+        one = discord_cosmo(self.X, self.THETA, params, "transport")
+        plane = discord_cosmo(self.X, self.THETA, params, "transport",
+                              kGamma_over_kstar=np.array([0.3]), p=np.array([5.3]))
+        assert plane.discord.shape == (1, 1)
+        assert plane.discord[0, 0] == one.discord
+        assert plane.log_sigma_theta[0, 0] == one.log_sigma_theta
+        assert plane.log_sigma_zero[0, 0] == one.log_sigma_zero
+
+    @pytest.mark.parametrize("method, x", [("approx", 1e-4), ("exact", 0.05)])
+    def test_p_row_equals_row_calls(self, method, x):
+        ps = np.array([0.5, 3.0001, 6.1, 8.3])
+        couplings = np.array([1e-3, 0.5, 5.0])
+        params = CosmoParams(0.0, 0.5, 0.1)
+        plane = discord_cosmo(x, -0.4, params, method, kGamma_over_kstar=couplings, p=ps)
+        for i, p in enumerate(ps.tolist()):
+            row = discord_cosmo(x, -0.4, CosmoParams(0.0, p, 0.1), method,
+                                kGamma_over_kstar=couplings)
+            for field in ("discord", "sigma_theta", "sigma_zero",
+                          "log_sigma_theta", "log_sigma_zero"):
+                assert np.array_equal(getattr(plane, field)[i], getattr(row, field))
+
+    def test_result_axes(self):
+        params = CosmoParams(0.5, 2.1, 0.1)
+        ps, couplings = np.array([2.1, 6.1]), np.array([0.1, 0.5, 5.0])
+        assert discord_cosmo(1e-4, -0.4, params, p=ps).discord.shape == (2,)
+        assert discord_cosmo(1e-4, -0.4, params, kGamma_over_kstar=couplings,
+                             p=ps).discord.shape == (2, 3)
+        assert isinstance(discord_cosmo(1e-4, -0.4, params, p=2.1).discord, float)
+
+    def test_known_defect_plane_fails(self):
+        # the 8x8 plane at x = 1e-3, ellH = 0.1 holds cells at p <~ 2 with
+        # large couplings that fail, so the one integration fails
+        with pytest.raises(StepFailureError):
+            discord_cosmo(self.X, self.THETA, CosmoParams(0.0, 0.1, 0.1), "transport",
+                          kGamma_over_kstar=10.0 ** np.linspace(-2.0, 2.0, 8),
+                          p=np.linspace(0.1, 9.9, 8))
+
+    def test_groups_respect_the_rtol_floor(self, monkeypatch):
+        # an rtol that allows 5 cells per integration: a 3x4 plane runs as
+        # 3 one-row integrations, a 2x7 plane as rows in pieces of 5 and 2
+        from gausslind import cosmology
+        from gausslind.opensys import RTOL_FLOOR, max_members
+        rtol = RTOL_FLOOR * math.sqrt(5.5)
+        assert max_members(rtol) == 5
+        monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", rtol)
+        sizes = []
+        real = cosmology.evolve_open
+        monkeypatch.setattr(cosmology, "evolve_open", lambda freq, source, *a, **kw: (
+            sizes.append(np.shape(source(0.0))) or real(freq, source, *a, **kw)))
+        params = CosmoParams(0.0, 0.5, 0.1)
+        for n_p, n_k, want in ((3, 4, [(1, 4)] * 3), (2, 7, [(1, 5), (1, 2)] * 2)):
+            sizes.clear()
+            ps, couplings = np.linspace(0.5, 9.5, n_p), np.logspace(-3.0, 0.0, n_k)
+            plane = discord_cosmo(self.X, self.THETA, params, "transport",
+                                  kGamma_over_kstar=couplings, p=ps)
+            assert sizes == want
+            for i, p in enumerate(ps.tolist()):
+                for j, kg in enumerate(couplings.tolist()):
+                    cell = discord_cosmo(self.X, self.THETA, CosmoParams(kg, p, 0.1),
+                                         "transport")
+                    assert abs(plane.discord[i, j] - cell.discord) \
+                        <= 1e-10 * max(1.0, abs(cell.discord))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,3 +262,63 @@ class TestEvolveOpen:
                 lhs = 4.0 * abs(stats.c) ** 2
                 rhs = (2.0 * stats.n + 1.0) ** 2 - traj.det[i]
                 assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+class TestRtolFloor:
+    """solve_ivp raises an rtol below 100 eps to that floor without saying
+    so; evolve_open refuses such a tolerance instead."""
+
+    def test_large_batch_rejected_before_integrating(self, monkeypatch):
+        from gausslind import opensys
+        from gausslind.errors import DomainError
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ivp ran")
+
+        monkeypatch.setattr(opensys, "solve_ivp", no_solve)
+        amplitudes = np.full((500, 500), 0.1)
+        with pytest.raises(DomainError):
+            evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes, (0.0, 1.0),
+                        rtol=1e-11)
+        with pytest.raises(DomainError):
+            evolve_open(ModeFrequency.free(1.0), None, (0.0, 1.0), rtol=1e-15)
+
+    def test_batch_at_the_floor_runs(self):
+        from gausslind.opensys import RTOL_FLOOR, max_members
+        rtol = 4.0 * RTOL_FLOOR
+        assert max_members(rtol) == 16
+        assert max_members(0.5 * RTOL_FLOOR) == 0
+        assert max_members(math.nan) == 0
+        assert max_members(-1e-11) == 0
+        amplitudes = np.full((4, 4), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes, (0.0, 1.0),
+                               rtol=rtol)
+        assert traj.det.shape[:2] == (4, 4)
+
+    def test_empty_batch_rejected(self):
+        from gausslind.errors import DomainError
+        with pytest.raises(DomainError):
+            evolve_open(ModeFrequency.free(1.0), lambda t: np.zeros(0), (0.0, 1.0))
+
+
+def test_one_source_call_per_rhs_call(monkeypatch):
+    from gausslind import opensys
+    calls = {"source": 0, "rhs": 0}
+    amplitudes = np.array([[0.1, 0.2], [0.3, 0.4]])
+
+    def source(t):
+        calls["source"] += 1
+        return amplitudes
+
+    rhs = opensys.transport_rhs_open
+
+    def counted(*args):
+        calls["rhs"] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(opensys, "transport_rhs_open", counted)
+    evolve_open(ModeFrequency.free(1.0), source, (0.0, 2.0))
+    # one more for the shape probe before the integration
+    assert calls["rhs"] > 0 and calls["source"] == calls["rhs"] + 1
