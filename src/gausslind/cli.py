@@ -64,7 +64,8 @@ def _write_csv(path: Path, header: list[str], rows, config_hash: str) -> None:
         fh.write(f"# config sha256: {config_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            # Python floats, most values, skip the type dispatch of _fmt
+            fh.write(",".join([repr(v) if type(v) is float else _fmt(v) for v in row]) + "\n")
 
 
 def _require(cfg: dict, key: str, typ=None):
@@ -133,19 +134,14 @@ def _grid(cfg: dict) -> np.ndarray:
 
 
 def _trajectory_rows(traj, x_grid, open_run: bool):
-    rows = []
-    for i, x in enumerate(x_grid):
-        b = traj.block(i)
-        s = traj.squeezing(i)
-        r = s.r if s is not None else 0.0
-        phi = s.phi if s is not None else 0.0
-        lam = max(traj.det[i], 1.0)
-        row = [x, b.g11, b.g12, b.g22, r, phi, lam, traj.purity[i]]
-        if open_run:
-            stats = particle_statistics(b)
-            row += [math.sqrt(lam), stats.n, abs(stats.c)]
-        rows.append(row)
-    return rows
+    r, phi, lam = traj.squeezing()
+    cols = [c.tolist() for c in (x_grid, traj.g11, traj.g12, traj.g22, r, phi, lam,
+                                 traj.purity)]
+    if open_run:
+        stats = particle_statistics(traj)
+        # abs of a Python complex is libm's hypot; numpy's abs can differ
+        cols += [np.sqrt(lam).tolist(), stats.n.tolist(), [abs(c) for c in stats.c.tolist()]]
+    return zip(*cols)
 
 
 #: built-in frequency presets for the evolution modes; the grid variable

@@ -23,11 +23,13 @@ from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSqueezingError, NonFiniteError, StepFailureError
 from .symplectic import (
+    DEGENERATE_R,
     CovarianceBlock,
     ParticleStatistics,
     SqueezingState,
+    _require_blocks,
+    _squeezing_columns,
     _two_product,
-    squeezing_from_covariance,
 )
 
 __all__ = [
@@ -266,14 +268,21 @@ class CovarianceTrajectory:
     def purity(self) -> np.ndarray:
         return 1.0 / np.maximum(self.det, 1.0)
 
-    def squeezing(self, i: int) -> SqueezingState | None:
-        """Squeezing parameters at sample i, or None when degenerate."""
-        try:
-            s = squeezing_from_covariance(self.block(i))
-        except DegenerateSqueezingError:
-            return None
-        # replace the (noisy) determinant by the transported one
-        return SqueezingState(s.r, s.phi, max(self.det[i], 1.0))
+    def squeezing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Squeezing columns (r, phi, lam), one value per sample.
+
+        lam is the transported determinant (floored at 1).  r and phi
+        follow squeezing_from_covariance on the entries, so r still comes
+        from their own, noisy determinant (ROADMAP item 1b); where r <=
+        DEGENERATE_R, r = phi = 0.  Every sample must pass the
+        CovarianceBlock checks: the first that fails raises
+        BelowHeisenbergError, as its block would.
+        """
+        _require_blocks(self.g11, self.g12, self.g22)
+        r, phi, _ = _squeezing_columns(self.g11, self.g12, self.g22)
+        regular = r > DEGENERATE_R
+        return (np.where(regular, r, 0.0), np.where(regular, phi, 0.0),
+                np.maximum(self.det, 1.0))
 
     def __len__(self) -> int:
         return len(self.times)

@@ -270,15 +270,22 @@ def _dressed_block(terms: tuple, kap2: float) -> CovarianceBlock:
     )
 
 
-def exact_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
+def exact_open_covariance(x: float, params: CosmoParams, kGamma_over_kstar=None):
     """Environment-dressed covariance assembled from closed-form moments.
 
     Valid for 0 < x < 1/(ell_E H); p must stay away from the logarithmic
     values {2, 4} (and from integer p, where the gamma orders hit poles).
     The paired oscillatory terms are combined as twice the real part of
     one of them, so the result is real by construction.
+
+    kGamma_over_kstar, when given, replaces the coupling of params: a
+    scalar (one block out), or a 1-D array for a row of couplings at one
+    p (a list of blocks out, the coupling-free terms evaluated once).
     """
-    return _dressed_block(_exact_open_terms(x, params), params.kGamma_over_k ** 2)
+    terms = _exact_open_terms(x, params)
+    blocks = [_dressed_block(terms, kap2)
+              for kap2 in _kap2_row(params, _coupling_row(params, kGamma_over_kstar))]
+    return blocks[0] if np.ndim(kGamma_over_kstar) == 0 else blocks
 
 
 def _row(values, what: str) -> np.ndarray:
@@ -298,6 +305,12 @@ def _coupling_row(params: CosmoParams, kGamma_over_kstar) -> np.ndarray:
     if not np.all(couplings >= 0.0):
         raise DomainError("coupling kGamma_over_kstar must be >= 0")
     return couplings
+
+
+def _kap2_row(params: CosmoParams, couplings: np.ndarray) -> list:
+    """(kGamma/k)^2 of each coupling, in the float arithmetic of
+    CosmoParams.kGamma_over_k ** 2."""
+    return [(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()]
 
 
 def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10,
@@ -673,7 +686,7 @@ def _transport_plane(x: float, params: CosmoParams, ps: np.ndarray,
     """(block, det) of every cell of the (p, coupling) plane, row-major,
     from as few evolve_de_sitter integrations as the rtol floor allows."""
     # float pow as in kGamma_over_k: a one-member plane is the scalar run
-    kap2 = np.array([(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()])
+    kap2 = np.array(_kap2_row(params, couplings))
     cap = max_members(TRANSPORT_RTOL)
     # whole rows while they fit, else one row in pieces: cells stay row-major
     rows, cols = max(1, cap // len(kap2)), min(len(kap2), cap)
@@ -723,11 +736,12 @@ def discord_cosmo(
     The approx and exact routes evaluate the map row by row and equal
     per-row calls bit for bit: the approx route builds one coefficient
     table per p and evaluates its row as array code, the exact route
-    evaluates the coupling-free terms of each quadrature node once per
-    row (`exact_open_det`).  The transport route integrates the whole
-    (p, coupling) plane as one `evolve_open` batch, source S[i, j] =
-    kap2[j] 2 (x_star/x)^(p_i - 3), and agrees with per-row calls to
-    ~1e-11 (batching divides TRANSPORT_RTOL by sqrt(cells)).  A batch
+    evaluates the coupling-free terms at x and at each quadrature node
+    once per row (`exact_open_covariance`, `exact_open_det`).  The
+    transport route integrates the whole (p, coupling) plane as one
+    `evolve_open` batch, source S[i, j] = kap2[j] 2 (x_star/x)^(p_i - 3),
+    and agrees with per-row calls to ~1e-11 (batching divides
+    TRANSPORT_RTOL by sqrt(cells)).  A batch
     stays at or above solve_ivp's rtol floor: a map of more than
     max_members(TRANSPORT_RTOL) cells (about 2e5) runs as several
     integrations, of whole p rows where they fit.
@@ -744,9 +758,8 @@ def discord_cosmo(
     elif method == "exact":
         cells = []
         for row in rows:
-            covs = [exact_open_covariance(x, replace(row, kGamma_over_kstar=kg))
-                    for kg in couplings.tolist()]
-            cells += zip(covs, exact_open_det(x, row, kGamma_over_kstar=couplings).tolist())
+            cells += zip(exact_open_covariance(x, row, kGamma_over_kstar=couplings),
+                         exact_open_det(x, row, kGamma_over_kstar=couplings).tolist())
     elif method == "transport":
         cells = _transport_plane(x, params, ps, couplings)
     else:

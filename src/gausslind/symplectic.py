@@ -83,6 +83,50 @@ def stable_det2(g11: float, g12: float, g22: float) -> float:
     return (p1 - p2) + (e1 - e2)
 
 
+def _block_checks(g11, g12, g22, det):
+    """The CovarianceBlock invariants of entries (g11, g12, g22) with
+    determinant det, in the order they are checked: positive diagonal,
+    finite entries, det not below -1e-6 half_sum^2.  Floats give three
+    bools, arrays three masks (True where the check passes).
+
+    Construction only enforces positive definiteness up to a coarse
+    relative level: the determinant of a strongly squeezed block is a
+    fine-tuned cancellation, and blocks assembled from truncated
+    asymptotics legitimately carry det noise many orders above eps.  The
+    uncertainty bound det >= 1 is checked by the operations that actually
+    consume the determinant, with their clamping rules.  A NaN det (finite
+    entries beyond ~1e154 overflow its products) passes.
+    """
+    half_sum = 0.5 * (g11 + g22)
+    return ((g11 > 0.0) & (g22 > 0.0),
+            (abs(g11) < math.inf) & (abs(g12) < math.inf) & (abs(g22) < math.inf),
+            (det >= -1e-6 * half_sum * half_sum) | (det != det))
+
+
+def _require_block(g11: float, g12: float, g22: float) -> None:
+    """Raise BelowHeisenbergError, naming the first check that fails, when
+    (g11, g12, g22) are not the entries of a CovarianceBlock."""
+    det = stable_det2(g11, g12, g22)
+    positive, finite, definite = _block_checks(g11, g12, g22, det)
+    if not positive:
+        raise BelowHeisenbergError(
+            f"diagonal entries must be positive, got ({g11}, {g22})")
+    if not finite:
+        raise BelowHeisenbergError("covariance entries must be finite")
+    if not definite:
+        raise BelowHeisenbergError(f"covariance is not positive definite: det = {det}")
+
+
+def _require_blocks(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray) -> None:
+    """CovarianceBlock's checks on every element of the entry arrays: the
+    first element that fails raises what its block would."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        ok = np.logical_and.reduce(_block_checks(g11, g12, g22, stable_det2(g11, g12, g22)))
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        _require_block(*(float(g[i]) for g in (g11, g12, g22)))
+
+
 def _canonical_angle(a: float) -> float:
     """Map an angle to (-pi, pi]."""
     r = math.remainder(a, 2.0 * math.pi)
@@ -104,23 +148,7 @@ class CovarianceBlock:
     g22: float
 
     def __post_init__(self):
-        if not (self.g11 > 0.0 and self.g22 > 0.0):
-            raise BelowHeisenbergError(
-                f"diagonal entries must be positive, got ({self.g11}, {self.g22})"
-            )
-        if not all(map(math.isfinite, (self.g11, self.g12, self.g22))):
-            raise BelowHeisenbergError("covariance entries must be finite")
-        # construction only enforces positive definiteness up to a coarse
-        # relative level: the determinant of a strongly squeezed block is
-        # a fine-tuned cancellation, and blocks assembled from truncated
-        # asymptotics legitimately carry det noise many orders above eps.
-        # The uncertainty bound det >= 1 is checked by the operations that
-        # actually consume the determinant, with their clamping rules.
-        half_sum = 0.5 * (self.g11 + self.g22)
-        if self.det < -1e-6 * half_sum * half_sum:
-            raise BelowHeisenbergError(
-                f"covariance is not positive definite: det = {self.det}"
-            )
+        _require_block(self.g11, self.g12, self.g22)
 
     @property
     def det(self) -> float:
@@ -331,7 +359,8 @@ def sigma_theta(block: CovarianceBlock, theta: float) -> float:
 
 
 def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
-    """Mean pair occupation and pair correlation of the block."""
+    """Mean pair occupation and pair correlation of the block.  Entry
+    arrays, as on a CovarianceTrajectory, give arrays of n and c."""
     n = 0.25 * (block.g11 + block.g22) - 0.5
     c = 0.25 * (block.g11 - block.g22) + 0.5j * block.g12
     return ParticleStatistics(n, c)
@@ -341,34 +370,50 @@ def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
 DEGENERATE_R = 1e-8
 
 
+def _squeezing_columns(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray):
+    """Squeezing parameters (r, phi, lam) of covariance entries given as
+    float arrays of one shape, element by element, with lam = max(det, 1)
+    of the entries.  Formulas as in squeezing_from_covariance; r is not
+    checked against the degeneracy floor here.
+
+    hypot, asinh and atan2 run as Python's math functions (libm) on each
+    element: numpy's versions can differ from them in the last bit.
+    """
+    def libm(f, *cols):
+        return np.array(list(map(f, *(c.ravel().tolist() for c in cols)))).reshape(g11.shape)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        lam = np.maximum(stable_det2(g11, g12, g22), 1.0)
+        # r = arccosh(y)/2 with y = (g11+g22)/(2 sqrt(lam)), but evaluated
+        # as asinh of sinh(2r) = sqrt(y^2-1) read off the entries directly:
+        # the difference combination is cancellation-free, so r keeps full
+        # relative accuracy down to (and below) the degeneracy floor, where
+        # the y route would lose half the digits to the cosh flatness.
+        s = 0.5 * libm(math.hypot, g11 - g22, 2.0 * g12) / np.sqrt(lam)
+        r = 0.5 * libm(math.asinh, s)
+        phi = 0.5 * libm(math.atan2, -g12, 0.5 * (g22 - g11))
+        phi = np.where(phi <= -0.5 * math.pi, phi + math.pi, phi)
+    return r, phi, lam
+
+
 def squeezing_from_covariance(block: CovarianceBlock) -> SqueezingState:
     """Invert a covariance block into squeezing parameters (r, phi, lam).
 
     lam = det, cosh(2r) = (g11+g22)/(2 sqrt(lam)), and phi is fixed by
     sin(2 phi) = -g12/(sqrt(lam) sinh(2r)),
     cos(2 phi) = (g22-g11)/(2 sqrt(lam) sinh(2r)),
-    canonicalized to phi in (-pi/2, pi/2].
+    canonicalized to phi in (-pi/2, pi/2].  The one-element case of
+    _squeezing_columns.
 
     Raises DegenerateSqueezingError when r <= 1e-8 (phi undefined; use the
     covariance representation instead).
     """
-    lam = max(block.det, 1.0)
-    sqrt_lam = math.sqrt(lam)
-    # r = arccosh(y)/2 with y = (g11+g22)/(2 sqrt(lam)), but evaluated as
-    # asinh of sinh(2r) = sqrt(y^2-1) read off the entries directly: the
-    # difference combination is cancellation-free, so r keeps full
-    # relative accuracy down to (and below) the degeneracy floor, where
-    # the y route would lose half the digits to the cosh flatness.
-    s = 0.5 * math.hypot(block.g11 - block.g22, 2.0 * block.g12) / sqrt_lam
-    r = 0.5 * math.asinh(s)
+    (r,), (phi,), (lam,) = (c.tolist() for c in _squeezing_columns(
+        *(np.array([v], dtype=float) for v in (block.g11, block.g12, block.g22))))
     if r <= DEGENERATE_R:
         raise DegenerateSqueezingError(
             f"r = {r} too small for the squeezing angle to be defined"
         )
-    two_phi = math.atan2(-block.g12, 0.5 * (block.g22 - block.g11))
-    phi = 0.5 * two_phi
-    if phi <= -0.5 * math.pi:
-        phi += math.pi
     return SqueezingState(r=r, phi=phi, lam=lam)
 
 

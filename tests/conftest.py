@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from gausslind.closed import ModeFrequency
 from gausslind.discord import _entropy_kernel_log
 from gausslind.symplectic import (
+    DEGENERATE_R,
     CovarianceBlock,
     SqueezingState,
     covariance_from_squeezing,
@@ -27,6 +28,31 @@ def random_block(rng, r_max=3.0, lam_max=50.0) -> CovarianceBlock:
     phi = rng.uniform(-np.pi / 2, np.pi / 2)
     lam = rng.uniform(1.0, lam_max)
     return covariance_from_squeezing(SqueezingState(r, phi, lam))
+
+
+def trajectory_rows_oracle(traj, x_grid, open_run: bool) -> list:
+    """CSV rows of a trajectory built one sample at a time, with the
+    scalar squeezing formulas written out: a validated CovarianceBlock
+    per sample, r and phi from its own determinant (0 where r <=
+    DEGENERATE_R), lam and purity from the transported det, and for open
+    runs sigma0, n_pairs and |c| from ParticleStatistics."""
+    rows = []
+    for i, x in enumerate(x_grid):
+        b = traj.block(i)
+        sqrt_det = math.sqrt(max(b.det, 1.0))
+        r = 0.5 * math.asinh(0.5 * math.hypot(b.g11 - b.g22, 2.0 * b.g12) / sqrt_det)
+        phi = 0.5 * math.atan2(-b.g12, 0.5 * (b.g22 - b.g11))
+        if phi <= -0.5 * math.pi:
+            phi += math.pi
+        if r <= DEGENERATE_R:
+            r = phi = 0.0
+        lam = max(traj.det[i], 1.0)
+        row = [x, b.g11, b.g12, b.g22, r, phi, lam, traj.purity[i]]
+        if open_run:
+            stats = particle_statistics(b)
+            row += [math.sqrt(lam), stats.n, abs(stats.c)]
+        rows.append([float(v) for v in row])
+    return rows
 
 
 def gauss_legendre_quad(f, a, b, n=64, pieces=8):

@@ -259,6 +259,38 @@ class TestExactRow:
         assert exact_open_det(12.0, params) == 1.0
         assert exact_open_det(12.0, params, kGamma_over_kstar=[1.0, 2.0]).tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("k_over_kstar", [1.0, 0.3])
+    def test_covariance_row_equals_scalar_calls(self, monkeypatch, k_over_kstar):
+        from gausslind import cosmology
+        params = CosmoParams(0.0, 6.1, self.ELLH, k_over_kstar=k_over_kstar)
+        terms = cosmology._exact_open_terms
+        calls = []
+        monkeypatch.setattr(cosmology, "_exact_open_terms",
+                            lambda x, p: calls.append(x) or terms(x, p))
+        row = exact_open_covariance(self.X, params, kGamma_over_kstar=self.COUPLINGS)
+        assert calls == [self.X]
+        assert isinstance(row, list) and len(row) == len(self.COUPLINGS)
+        for block, kg in zip(row, self.COUPLINGS.tolist()):
+            cell = CosmoParams(kg, 6.1, self.ELLH, k_over_kstar=k_over_kstar)
+            assert block == exact_open_covariance(self.X, cell)
+            assert block == exact_open_covariance(self.X, params, kGamma_over_kstar=kg)
+        with pytest.raises(DomainError):
+            exact_open_covariance(self.X, params, kGamma_over_kstar=[[1.0]])
+        with pytest.raises(DomainError):
+            exact_open_covariance(self.X, params, kGamma_over_kstar=[])
+
+    def test_discord_row_makes_one_covariance_call_per_p(self, monkeypatch):
+        from gausslind import cosmology
+        calls = []
+        cov = cosmology.exact_open_covariance
+        monkeypatch.setattr(cosmology, "exact_open_covariance",
+                            lambda *a, **k: calls.append(1) or cov(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            discord_cosmo(self.X, -0.4, CosmoParams(0.0, 9.3, self.ELLH), "exact",
+                          kGamma_over_kstar=self.COUPLINGS, p=[6.1, 9.3])
+        assert len(calls) == 2
+
 
 class TestAsymptoticCoefficients:
     def test_leading_coefficient_anchor(self):
