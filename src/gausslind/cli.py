@@ -244,15 +244,19 @@ def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
 
     res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings,
                         p=np.array(p_row))
-    rows = []
-    for p, discord, ln_s0 in zip(p_vals.tolist(), res.discord.tolist(),
-                                 res.log_sigma_zero.tolist()):
-        # math.exp: np.exp can differ from it in the last bit
-        purity = [math.exp(-2.0 * v) for v in ln_s0]
-        rows += zip([p] * len(k_vals), k_vals.tolist(), discord, purity)
+    k_list = k_vals.tolist()
+
+    def rows():
+        # one p row at a time: a list of every row of a large map would
+        # hold a tuple per cell
+        for p, discord, ln_s0 in zip(p_vals.tolist(), res.discord, res.log_sigma_zero):
+            # math.exp: np.exp can differ from it in the last bit
+            purity = [math.exp(-2.0 * v) for v in ln_s0.tolist()]
+            yield from zip([p] * len(k_list), k_list, discord.tolist(), purity)
+
     _write_csv(out_dir / cfg.get("output_path", "discord_map.csv"),
                ["p", "log10_kGamma_kstar", "discord", "purity"],
-               rows, cfg_hash)
+               rows(), cfg_hash)
 
 
 def run_ellipse_series(cfg: dict, out_dir: Path, cfg_hash: str) -> None:

@@ -363,42 +363,22 @@ def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class AsymptoticCoefficients:
-    """Coefficient table of the super-Hubble expansion of the dressed
-    covariance.  aNM is the coefficient of the non-analytic power
-    x^(const - p) in component NM; bNM .. kNM multiply the analytic
-    powers.
+    """Independent coefficients of the super-Hubble expansion of the
+    dressed covariance.  aNM is the coefficient of the non-analytic power
+    x^(const - p) in component NM; b11, d11 and f11 fix every analytic
+    power (the rest of the series is a rational multiple of one of them,
+    b12 = b22 = b11 among them).
     """
 
     p: float
     ellH: float
     x_star: float
     a11: float
-    b11: float
-    c11: float
-    d11: float
-    e11: float
-    f11: float
-    g11: float
-    h11: float
     a12: float
-    b12: float
-    c12: float
-    d12: float
-    e12: float
-    f12: float
-    g12: float
-    h12: float
     a22: float
-    b22: float
-    c22: float
-    d22: float
-    e22: float
-    f22: float
-    g22: float
-    h22: float
-    i22: float
-    j22: float
-    k22: float
+    b11: float
+    d11: float
+    f11: float
 
 
 def offset_singular_p(p: float) -> float:
@@ -441,16 +421,8 @@ def asymptotic_coefficients(params: CosmoParams) -> AsymptoticCoefficients:
     f11 = xsp / 9.0 * (r1 + 2.0 * i2 - r3)
     a12 = -xsp * (p - 6.0) / den
     a22 = -(26.0 + p * (p - 11.0)) * xsp / den
-    return AsymptoticCoefficients(
-        p=p, ellH=ellH, x_star=xs,
-        a11=a11, b11=b11, c11=b11, d11=d11, e11=0.4 * d11, f11=f11,
-        g11=-6.0 / 35.0 * d11, h11=-0.2 * f11,
-        a12=a12, b12=b11, c12=-0.5 * d11, d12=-0.6 * d11, e12=-2.0 * f11,
-        f12=3.0 / 7.0 * d11, g12=0.6 * f11, h12=-2.0 / 27.0 * d11,
-        a22=a22, b22=b11, c22=-b11, d22=-2.0 * d11, e22=b11,
-        f22=1.4 * d11, g22=4.0 * f11, h22=-34.0 / 35.0 * d11,
-        i22=-1.6 * f11, j22=218.0 / 945.0 * d11, k22=43.0 / 175.0 * f11,
-    )
+    return AsymptoticCoefficients(p=p, ellH=ellH, x_star=xs, a11=a11, a12=a12, a22=a22,
+                                  b11=b11, d11=d11, f11=f11)
 
 
 def _require_super_hubble(x: float) -> None:
@@ -465,8 +437,9 @@ def _approx_terms(t: AsymptoticCoefficients, kap2):
     terms i.  kap2 = (kGamma/k)^2 is a scalar or an array of couplings
     sharing the table t; its shape trails that of coeffs."""
     p = t.p
+    free = 1.0 - 2.0 * kap2 * t.b11  # b12 = b22 = b11
     coeffs = np.array([
-        [1.0 - 2.0 * kap2 * t.b11, 1.0 - 2.0 * kap2 * t.b12, 1.0 - 2.0 * kap2 * t.b22],
+        [free, free, free],
         [-2.0 * kap2 * t.a11, -2.0 * kap2 * t.a12, -2.0 * kap2 * t.a22],
     ])
     exps = np.array([[-2.0, -3.0, -4.0], [6.0 - p, 5.0 - p, 4.0 - p]])
@@ -490,44 +463,30 @@ def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     the purely quartic coefficient of x^(10-2p).  The last one comes from
     the squared non-analytic corrections and is what dominates the
     determinant growth once p > 8 (for p < 8 it is subleading).
+
+    Each is the closed form of its sum over the series coefficients, so
+    that the exact cancellations of those sums (the moment limits out of
+    s0_2, the factor p - 8 out of sxx_4) happen in the algebra, not in
+    floating point.
     """
-    s0_2 = kap2 * (-2.0 * t.c11 + 4.0 * t.e12 - 2.0 * t.e22 - 2.0 * t.f11 - 2.0 * t.g22)
-    s0_4 = kap2 * kap2 * (
-        -4.0 * t.c12 ** 2 + 4.0 * t.d11 * t.d22 - 8.0 * t.b12 * t.e12
-        + 4.0 * t.c11 * t.e22 + 4.0 * t.b22 * t.f11 + 4.0 * t.b11 * t.g22
-    )
-    sx_2 = kap2 * (-2.0 * t.a11 + 4.0 * t.a12 - 2.0 * t.a22)
-    sx_4 = kap2 * kap2 * (
-        4.0 * t.a22 * t.b11 - 8.0 * t.a12 * t.b12 + 4.0 * t.a11 * t.b22
-    )
-    sxx_4 = 4.0 * kap2 * kap2 * (t.a11 * t.a22 - t.a12 ** 2)
+    p = t.p
+    xsp = t.x_star ** (p - 3.0)
+    e = t.ellH ** (p - 4.0) / (p - 4.0) + t.ellH ** (p - 2.0) / (p - 2.0)
+    s0_2 = -2.0 * kap2 * xsp * e
+    s0_4 = kap2 * kap2 * (4.0 * t.b11 ** 2 - 9.0 * t.d11 ** 2 + 36.0 * t.b11 * t.f11)
+    sx_2 = 2.0 * kap2 * xsp / (p - 2.0)
+    sx_4 = -2.0 * kap2 * t.b11 * sx_2
+    sxx_4 = 4.0 * kap2 * kap2 * xsp * xsp / ((p - 5.0) ** 2 * (p - 8.0) * (p - 2.0))
     return s0_2, s0_4, sx_2, sx_4, sxx_4
 
 
-def sigma0_sq_approx(x: float, params: CosmoParams, route: str = "coefficients") -> float:
-    """Super-Hubble sigma^2(0) = det of the dressed covariance.
-
-    route="coefficients": 1 + Sigma_0 + Sigma_{2-p} x^{2-p} with both
-    coupling orders (quadratic and quartic) from the coefficient table;
-    this is the form that tracks the transported determinant.
-
-    route="leading": the two-term coupling-quadratic estimate
-    1 + 2 (kG/k*)^2 (k/k*)^{p-5} [ (k/k*)^{2-p} (a*/a)^{2-p} / (p-2)
-                                   - (ellH)^{p-4} / (p-4) ]
-    with a*/a = x/x_star (leading both in ellH and in x).
-    """
+def sigma0_sq_approx(x: float, params: CosmoParams) -> float:
+    """Super-Hubble sigma^2(0) = det of the dressed covariance:
+    1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p} with both
+    coupling orders (quadratic and quartic) from `sigma0_sq_coefficients`;
+    this is the form that tracks the transported determinant."""
     _require_super_hubble(x)
     p = params.p
-    if route == "leading":
-        params.require_regular_p((2.0, 4.0))
-        kk = params.k_over_kstar
-        pref = 2.0 * params.kGamma_over_kstar ** 2 * kk ** (p - 5.0)
-        return 1.0 + pref * (
-            kk ** (2.0 - p) * (x / params.x_star) ** (2.0 - p) / (p - 2.0)
-            - params.ellH ** (p - 4.0) / (p - 4.0)
-        )
-    if route != "coefficients":
-        raise ValueError(f"unknown route {route!r}")
     s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(
         asymptotic_coefficients(params), params.kGamma_over_k ** 2)
     return 1.0 + s0_2 + s0_4 + (sx_2 + sx_4) * x ** (2.0 - p) \
@@ -568,10 +527,8 @@ def _reflected_gamma_cos(p: float) -> float:
 
 def power_spectrum_correction(params: CosmoParams) -> PowerSpectrumCorrection:
     """Piecewise closed form of the relative power-spectrum correction."""
+    params.require_regular_p((4.0, 8.0))
     p = params.p
-    for p0 in (4.0, 8.0):
-        if abs(p - p0) < _P_TOL:
-            raise SingularExponentError(f"p = {p} within {_P_TOL} of {p0}")
     kap_star2 = params.kGamma_over_kstar ** 2
     kk = params.k_over_kstar
     if p < 4.0:

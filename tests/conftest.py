@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,3 +129,30 @@ def _half_period_breaks(lo: float, hi: float, half_period: float = math.pi / 2.0
         k += 1
     pts.append(hi)
     return np.array(pts)
+
+
+def super_hubble_series(t) -> SimpleNamespace:
+    """The full super-Hubble series of the dressed covariance from the
+    independent coefficients of an AsymptoticCoefficients table t.
+
+    Component NM of the dressed covariance is its free value minus
+    2 (kGamma/k)^2 corrNM, with
+      corr11 = a11 x^(6-p) + b11/x^2 + c11 + d11 x + e11 x^3 + f11 x^4
+               + g11 x^5 + h11 x^6,
+      corr12 = a12 x^(5-p) + b12/x^3 + c12 + d12 x^2 + e12 x^3 + f12 x^4
+               + g12 x^5 + h12 x^6,
+      corr22 = a22 x^(4-p) + b22/x^4 + c22/x^2 + d22/x + e22 + f22 x
+               + g22 x^2 + h22 x^3 + i22 x^4 + j22 x^5 + k22 x^6,
+    and every analytic coefficient a fixed rational multiple of b11, d11
+    or f11.
+    """
+    b, d, f = t.b11, t.d11, t.f11
+    return SimpleNamespace(
+        **asdict(t),
+        c11=b, e11=0.4 * d, g11=-6.0 / 35.0 * d, h11=-0.2 * f,
+        b12=b, c12=-0.5 * d, d12=-0.6 * d, e12=-2.0 * f,
+        f12=3.0 / 7.0 * d, g12=0.6 * f, h12=-2.0 / 27.0 * d,
+        b22=b, c22=-b, d22=-2.0 * d, e22=b,
+        f22=1.4 * d, g22=4.0 * f, h22=-34.0 / 35.0 * d,
+        i22=-1.6 * f, j22=218.0 / 945.0 * d, k22=43.0 / 175.0 * f,
+    )

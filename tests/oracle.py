@@ -1,0 +1,75 @@
+"""mpmath oracle for the super-Hubble coefficient table.
+
+Every quantity is evaluated at 50 significant digits from mpmath's own
+incomplete gamma (`mp.gammainc`), independently of `gausslind.specfun`.
+The Sigma coefficients of sigma^2(0) are the sums over the full series
+of the dressed covariance (the rational multiples of b11, d11 and f11),
+so they check the closed forms of `cosmology.sigma0_sq_coefficients`
+against the series they stand for.
+"""
+
+from types import SimpleNamespace
+
+import mpmath as mp
+
+DPS = 50
+
+
+def moment_limits(alpha, ellH):
+    """(Re, Im) of the x -> 0 constant L of the oscillatory moment
+    M_alpha(x) = int_{1/ellH}^x e^{2it} t^alpha dt, i.e. M_alpha(x) minus
+    its power series in x:
+    L = -2^(-1-alpha) e^(i pi (1+alpha)/2) [Gamma(1+alpha) - Gamma(1+alpha, -2i/ellH)]."""
+    a = mp.mpf(alpha)
+    lim = -mp.power(2, -1 - a) * mp.expjpi((1 + a) / 2) * (
+        mp.gamma(1 + a) - mp.gammainc(1 + a, mp.mpc(0, -2) / mp.mpf(ellH)))
+    return lim.real, lim.imag
+
+
+def coefficient_table(p, ellH, x_star=1.0) -> SimpleNamespace:
+    """a11, a12, a22, b11, d11, f11 of the table at (p, ellH, x_star),
+    with p and the moment limits (r, i) of orders 1-p, 2-p, 3-p."""
+    with mp.workdps(DPS):
+        p, ellH = mp.mpf(p), mp.mpf(ellH)
+        xsp = mp.power(mp.mpf(x_star), p - 3)
+        r1, i1 = moment_limits(1 - p, ellH)
+        r2, i2 = moment_limits(2 - p, ellH)
+        r3, i3 = moment_limits(3 - p, ellH)
+        den = (p - 8) * (p - 5) * (p - 2)
+        e = mp.power(ellH, p - 4) / (p - 4) + mp.power(ellH, p - 2) / (p - 2)
+        return SimpleNamespace(
+            p=p, r=(r1, r2, r3), i=(i1, i2, i3),
+            a11=-2 * xsp / den,
+            a12=-xsp * (p - 6) / den,
+            a22=-(26 + p * (p - 11)) * xsp / den,
+            b11=xsp / 2 * (e - r1 - 2 * i2 + r3),
+            d11=xsp / 3 * (-i1 + 2 * r2 + i3),
+            f11=xsp / 9 * (r1 + 2 * i2 - r3),
+        )
+
+
+def sigma_coefficients(t: SimpleNamespace, kap2) -> tuple:
+    """(s0_2, s0_4, sx_2, sx_4, sxx_4) of sigma^2(0) as sums over the
+    full series of the table t (from `coefficient_table`)."""
+    with mp.workdps(DPS):
+        kap2 = mp.mpf(kap2)
+        b, d, f = t.b11, t.d11, t.f11
+        b12 = b22 = c11 = e22 = b
+        c12, d22, e12, g22 = -d / 2, -2 * d, -2 * f, 4 * f
+        s0_2 = kap2 * (-2 * c11 + 4 * e12 - 2 * e22 - 2 * f - 2 * g22)
+        s0_4 = kap2 ** 2 * (-4 * c12 ** 2 + 4 * d * d22 - 8 * b12 * e12
+                            + 4 * c11 * e22 + 4 * b22 * f + 4 * b * g22)
+        sx_2 = kap2 * (-2 * t.a11 + 4 * t.a12 - 2 * t.a22)
+        sx_4 = kap2 ** 2 * (4 * t.a22 * b - 8 * t.a12 * b12 + 4 * t.a11 * b22)
+        sxx_4 = 4 * kap2 ** 2 * (t.a11 * t.a22 - t.a12 ** 2)
+        return s0_2, s0_4, sx_2, sx_4, sxx_4
+
+
+def sigma0_sq(x, p, ellH, kGamma_over_k, x_star=1.0):
+    """sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^(2-p) + Sigma_{10-2p} x^(10-2p)."""
+    with mp.workdps(DPS):
+        t = coefficient_table(p, ellH, x_star)
+        s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma_coefficients(t, mp.mpf(kGamma_over_k) ** 2)
+        x = mp.mpf(x)
+        return (1 + s0_2 + s0_4 + (sx_2 + sx_4) * mp.power(x, 2 - t.p)
+                + sxx_4 * mp.power(x, 10 - 2 * t.p))

@@ -27,6 +27,8 @@ from gausslind.cosmology import (
 from gausslind.opensys import evolve_open, piecewise_oscillatory_quad
 from gausslind.symplectic import particle_statistics
 
+from conftest import super_hubble_series
+
 LN2 = math.log(2.0)
 
 FIG_SETS = (
@@ -116,7 +118,7 @@ def test_criterion_04_exact_covariance_against_quadrature_and_transport():
 def test_criterion_05_coefficient_identities():
     _, ok, detail = selfcheck.check_coefficient_identities()
     assert ok, detail
-    report(5, f"coefficient identities: {detail}")
+    report(5, f"super-Hubble coefficient table: {detail}")
 
 
 def test_criterion_06_sigma_zero_consistency():
@@ -147,7 +149,7 @@ def test_criterion_06_sigma_zero_consistency():
     import sympy as sp
 
     params = FIG_SETS[0]
-    t = asymptotic_coefficients(params)
+    t = super_hubble_series(asymptotic_coefficients(params))
     kap2 = params.kGamma_over_k ** 2
     x, y = sp.symbols("x y", positive=True)
     corr11 = (y * t.a11 * x ** 6 + t.b11 / x ** 2 + t.c11 + t.d11 * x
@@ -166,6 +168,13 @@ def test_criterion_06_sigma_zero_consistency():
         abs(float(poly.coeff_monomial(x ** (n + 8) * y ** 0)))
         for n in range(-6, 0))
     assert worst_cancel < 1e-9 * scale, f"power cancellation residual {worst_cancel}"
+    # the surviving powers against the closed-form Sigma terms
+    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(
+        asymptotic_coefficients(params), kap2)
+    for (nx, ny), want in (((8, 0), 1.0 + s0_2 + s0_4), ((10, 1), sx_2 + sx_4),
+                           ((18, 2), sxx_4)):
+        got = float(poly.coeff_monomial(x ** nx * y ** ny))
+        assert abs(got - want) < 1e-9 * scale, f"x^{nx - 8} y^{ny}: {got} vs {want}"
     report(6, f"Sigma identities {worst_identity:.2e}; transport determinant "
               f"match {worst_det:.2%}; cancellations {worst_cancel:.2e}")
 

@@ -4,6 +4,10 @@ scalar oracle.
 The oracle is the earlier scalar implementation, kept here verbatim in
 structure: one coefficient-table evaluation per cell, scipy logsumexp on
 Python lists of two to four terms, and the entropy kernel through math.
+Its sigma^2(0) coefficients are the closed forms of
+`sigma0_sq_coefficients`, written out per cell (the mpmath test in
+test_super_hubble_oracle.py shows them exact to rounding, where the series sums the
+earlier implementation used are not).
 The array route builds one table per p and evaluates a whole row of
 couplings at once; rounding differs (numpy log/exp, stacked log-sum-exp),
 so the comparison uses tolerances fixed in advance: discord to 1e-10
@@ -22,6 +26,8 @@ from gausslind.cosmology import (
     discord_cosmo,
     offset_singular_p,
 )
+
+from conftest import super_hubble_series
 
 DISCORD_ATOL = 1e-10
 PURITY_RTOL = 1e-12
@@ -81,13 +87,13 @@ def reference_cell(x, theta, t, kap2):
     ln22, s22 = _signed_log_terms(
         ((1.0 - 2.0 * kap2 * t.b22, -4.0), (-2.0 * kap2 * t.a22, 4.0 - p)), ln_x)
 
-    s0_2 = kap2 * (-2.0 * t.c11 + 4.0 * t.e12 - 2.0 * t.e22 - 2.0 * t.f11 - 2.0 * t.g22)
-    s0_4 = kap2 * kap2 * (
-        -4.0 * t.c12 ** 2 + 4.0 * t.d11 * t.d22 - 8.0 * t.b12 * t.e12
-        + 4.0 * t.c11 * t.e22 + 4.0 * t.b22 * t.f11 + 4.0 * t.b11 * t.g22)
-    sx_2 = kap2 * (-2.0 * t.a11 + 4.0 * t.a12 - 2.0 * t.a22)
-    sx_4 = kap2 * kap2 * (4.0 * t.a22 * t.b11 - 8.0 * t.a12 * t.b12 + 4.0 * t.a11 * t.b22)
-    sxx_4 = 4.0 * kap2 * kap2 * (t.a11 * t.a22 - t.a12 ** 2)
+    xsp = t.x_star ** (p - 3.0)
+    s0_2 = -2.0 * kap2 * xsp * (t.ellH ** (p - 4.0) / (p - 4.0)
+                                + t.ellH ** (p - 2.0) / (p - 2.0))
+    s0_4 = kap2 * kap2 * (4.0 * t.b11 ** 2 - 9.0 * t.d11 ** 2 + 36.0 * t.b11 * t.f11)
+    sx_2 = 2.0 * kap2 * xsp / (p - 2.0)
+    sx_4 = -2.0 * kap2 * t.b11 * sx_2
+    sxx_4 = 4.0 * kap2 * kap2 * xsp * xsp / ((p - 5.0) ** 2 * (p - 8.0) * (p - 2.0))
     ln_s0sq, sgn0 = _signed_log_terms(
         ((1.0, 0.0), (s0_2 + s0_4, 0.0), (sx_2 + sx_4, 2.0 - p),
          (sxx_4, 10.0 - 2.0 * p)), ln_x)
@@ -120,7 +126,7 @@ def test_array_route_matches_per_cell_oracle(ellH):
     worst_d = worst_pur = 0.0
     for p in P_VALUES:
         params = CosmoParams(kGamma_over_kstar=0.0, p=p, ellH=ellH)
-        t = asymptotic_coefficients(params)
+        t = super_hubble_series(asymptotic_coefficients(params))
         for theta in THETAS:
             for x in XS:
                 res = discord_cosmo(x, theta, params, "approx", kGamma_over_kstar=couplings)
