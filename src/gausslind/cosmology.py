@@ -29,7 +29,8 @@ from scipy.special import logsumexp
 
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
-from .discord import DiscordResult, Regime, _discord_from_logs
+from .discord import (DiscordResult, _discord_from_logs, _log_sigmas_from_block,
+                      _scalar_or_array)
 from .errors import DomainError, SingularExponentError
 from .opensys import evolve_open, max_members, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
@@ -313,8 +314,7 @@ def _kap2_row(params: CosmoParams, couplings: np.ndarray) -> list:
     return [(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()]
 
 
-def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10,
-                   kGamma_over_kstar=None):
+def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     """det of the dressed covariance, via its own growth law.
 
     d(det)/d eta = S gamma_11 integrated against the exact gamma_11: this
@@ -328,7 +328,8 @@ def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10,
     arithmetic as a scalar call, but the coupling-free terms of gamma_11
     are evaluated once per quadrature node for the whole row.
 
-    The quadrature's error estimate is not returned or checked.  Over the
+    The quadrature asks for 1e-10 relative accuracy; its error estimate
+    is not returned or checked.  Over the
     map_exact benchmark workload (seeds 0-5, two rounds each) 48 of 708
     quadratures emit scipy's IntegrationWarning (x 0.022-0.065, p
     7.1-9.8).  In 37 of them, all at x <= 0.05 and p >= 9.2, the estimate
@@ -350,7 +351,7 @@ def exact_open_det(x: float, params: CosmoParams, quad_tol: float = 1e-10,
         def f(xp: float) -> float:
             return source(-xp) * _dressed_block(terms(xp), kap2).g11
 
-        val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=quad_tol)
+        val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=1e-10)
         return 1.0 + val
 
     dets = [det(replace(params, kGamma_over_kstar=kg)) for kg in couplings.tolist()]
@@ -601,22 +602,6 @@ def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2):
     return 0.5 * ln_stsq, 0.5 * ln_s0sq
 
 
-def _log_sigmas_from_block(block: CovarianceBlock, det: float,
-                           theta: float) -> tuple[float, float]:
-    """(ln sigma(theta), ln sigma(0)) of a dressed block with determinant
-    det: sigma(0)^2 = max(det, 1) and
-    sigma(theta)^2 = sigma(0)^2 + (1/4) m^2 sin^2(2 theta),
-    m^2 = (g11 - g22)^2 + 4 g12^2."""
-    s0sq = max(det, 1.0)
-    m2 = (block.g11 - block.g22) ** 2 + 4.0 * block.g12 ** 2
-    stsq = s0sq + 0.25 * m2 * math.sin(2.0 * theta) ** 2
-    return 0.5 * math.log(stsq), 0.5 * math.log(s0sq)
-
-
-def _exp_or_inf(ln):
-    return np.where(ln < 709.0, np.exp(np.minimum(ln, 709.0)), np.inf)
-
-
 def _plane_kernel(params: CosmoParams, ps: np.ndarray,
                   kap2: np.ndarray) -> Callable[[float], np.ndarray]:
     """The sources of cosmo_kernel over a (p, coupling) plane, as one
@@ -722,14 +707,12 @@ def discord_cosmo(
     else:
         raise ValueError(f"unknown method {method!r}")
     if method != "approx":
-        ln_st, ln_s0 = np.array([_log_sigmas_from_block(b, det, theta)
+        ln_st, ln_s0 = np.array([_log_sigmas_from_block(b, theta, det)
                                  for b, det in cells]).T.reshape(2, len(ps), len(couplings))
     d = _discord_from_logs(ln_st, ln_s0)
     axes = (0 if np.ndim(p) == 0 else slice(None),
             0 if np.ndim(kGamma_over_kstar) == 0 else slice(None))
-    fields = [f[axes] for f in (d, _exp_or_inf(ln_st), _exp_or_inf(ln_s0), ln_st, ln_s0)]
-    d, st, s0, ln_st, ln_s0 = (float(f) if f.ndim == 0 else f for f in fields)
-    return DiscordResult(d, st, s0, Regime.EXACT, ln_st, ln_s0)
+    return DiscordResult(*(_scalar_or_array(f[axes]) for f in (d, ln_st, ln_s0)))
 
 
 # ---------------------------------------------------------------------------

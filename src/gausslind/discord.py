@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import CovarianceBlock, sigma_theta
+from .symplectic import CovarianceBlock, _sigma_theta_sq
 
 __all__ = [
     "Regime",
@@ -49,25 +49,35 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Discord in bits together with the symplectic eigenvalues used.
-
-    ``log_sigma_theta``/``log_sigma_zero`` carry the natural logs, which
-    remain finite even when the eigenvalues themselves overflow a double.
-    A row evaluation (`cosmology.discord_cosmo` with an array of
-    couplings) holds arrays in every field but ``regime``.
+    """Discord in bits with the natural logs of the symplectic
+    eigenvalues used, which remain finite even when the eigenvalues
+    themselves overflow a double.  A map evaluation
+    (`cosmology.discord_cosmo` with array arguments) holds arrays in
+    every field but ``regime``.
     """
 
     discord: float
-    sigma_theta: float
-    sigma_zero: float
-    regime: Regime
-    log_sigma_theta: float = 0.0
-    log_sigma_zero: float = 0.0
+    log_sigma_theta: float
+    log_sigma_zero: float
+    regime: Regime = Regime.EXACT
+
+    @property
+    def sigma_theta(self):
+        return _exp_or_inf(self.log_sigma_theta)
+
+    @property
+    def sigma_zero(self):
+        return _exp_or_inf(self.log_sigma_zero)
 
 
 def _scalar_or_array(a: np.ndarray):
     """A 0-d result as a Python float, anything else unchanged."""
     return float(a) if a.ndim == 0 else a
+
+
+def _exp_or_inf(ln):
+    """exp(ln), inf where it would overflow; elementwise over arrays."""
+    return _scalar_or_array(np.where(ln < 709.0, np.exp(np.minimum(ln, 709.0)), np.inf))
 
 
 def entropy_kernel(x):
@@ -102,15 +112,23 @@ def _entropy_kernel_log(ln_x):
     return _scalar_or_array(np.where(large, asymptotic, small))
 
 
+def _entropies(ln_st, ln_s0):
+    """(f(st), f(s0), f(mix)) with mix = (st + s0^2)/(st + 1), from the
+    logs of st = sigma(theta) and s0 = sigma(0); elementwise over arrays,
+    floats for scalars."""
+    ln_mix = np.logaddexp(ln_st, 2.0 * ln_s0) - np.logaddexp(ln_st, 0.0)
+    return (_entropy_kernel_log(ln_st), _entropy_kernel_log(ln_s0),
+            _entropy_kernel_log(ln_mix))
+
+
 def _discord_from_logs(ln_st, ln_s0):
     """Exact discord from log symplectic eigenvalues.
 
     D = f(st) - 2 f(s0) + f((st + s0^2)/(st + 1)), all in the log domain;
     elementwise over arrays, a float for scalars.
     """
-    ln_mix = np.logaddexp(ln_st, 2.0 * ln_s0) - np.logaddexp(ln_st, 0.0)
-    d = (_entropy_kernel_log(ln_st) - 2.0 * _entropy_kernel_log(ln_s0)
-         + _entropy_kernel_log(ln_mix))
+    f_st, f_s0, f_mix = _entropies(ln_st, ln_s0)
+    d = f_st - 2.0 * f_s0 + f_mix
     # rounding can leave a few ulp of negativity at theta ~ 0
     return _scalar_or_array(np.where(d > 0.0, d, 0.0))
 
@@ -118,33 +136,37 @@ def _discord_from_logs(ln_st, ln_s0):
 _EPS = 2.220446049250313e-16
 
 
-def _sigmas_from_block(block: CovarianceBlock, theta: float) -> tuple[float, float]:
-    """(sigma(theta), sigma(0)) with a purity snap.
+def _log_sigmas_from_block(block: CovarianceBlock, theta: float,
+                           det: float | None = None) -> tuple[float, float]:
+    """(ln sigma(theta), ln sigma(0)) of a block: sigma(0)^2 = max(det, 1)
+    and sigma(theta)^2 from `symplectic._sigma_theta_sq`.
 
-    The determinant read off stored entries carries ~eps * ((g11+g22)/2)^2
-    of representation noise, and the entropy kernel has an infinite
-    derivative at 1+: a pure state whose determinant lands at 1 + 1e-11
-    would otherwise acquire spurious nano-bit entropy.  Determinants
-    within that noise floor (or the global Heisenberg slack) of 1 are
-    therefore treated as exactly pure.  States whose mixedness genuinely
+    det, when given, is a determinant transported alongside the entries.
+    Without it the block's own determinant is used with a purity snap:
+    that determinant carries ~eps * ((g11+g22)/2)^2 of representation
+    noise, and the entropy kernel has an infinite derivative at 1+, so a
+    pure state whose determinant lands at 1 + 1e-11 would otherwise
+    acquire spurious nano-bit entropy.  Determinants within that noise
+    floor (or the global Heisenberg slack) of 1 are therefore treated as
+    exactly pure, for both eigenvalues.  States whose mixedness genuinely
     sits below this floor are not representable as a block in the first
     place; use discord_squeezed with (r, lam) for those.
     """
-    det = block.det
-    half_sum = 0.5 * (block.g11 + block.g22)
-    floor = max(1e-9, 64.0 * _EPS * half_sum * half_sum)
-    if det < 1.0 + floor:
-        det = 1.0
-    s0 = math.sqrt(det)
-    st = sigma_theta(block, theta)
-    return max(st, s0), s0
+    if not math.isfinite(theta):
+        raise DomainError(f"partition angle must be finite, got {theta}")
+    if det is None:
+        det = block.det
+        half_sum = 0.5 * (block.g11 + block.g22)
+        if det < 1.0 + max(1e-9, 64.0 * _EPS * half_sum * half_sum):
+            det = 1.0
+    s0sq = max(det, 1.0)
+    return 0.5 * math.log(_sigma_theta_sq(block, theta, s0sq)), 0.5 * math.log(s0sq)
 
 
 def discord(block: CovarianceBlock, theta: float) -> DiscordResult:
     """Quantum discord of a covariance block across partition theta."""
-    st, s0 = _sigmas_from_block(block, theta)
-    d = _discord_from_logs(math.log(st), math.log(s0))
-    return DiscordResult(d, st, s0, Regime.EXACT, math.log(st), math.log(s0))
+    ln_st, ln_s0 = _log_sigmas_from_block(block, theta)
+    return DiscordResult(_discord_from_logs(ln_st, ln_s0), ln_st, ln_s0)
 
 
 def discord_squeezed(r: float, lam: float, theta: float) -> DiscordResult:
@@ -152,24 +174,17 @@ def discord_squeezed(r: float, lam: float, theta: float) -> DiscordResult:
 
     This is the log-domain entry point: it never forms the covariance
     entries, so it is usable for any squeezing amplitude (r ~ hundreds)
-    and any decoherence level (lam up to e^700 and beyond via logs).
+    and any decoherence level (lam up to the largest double, e^709).
     """
+    if not all(map(math.isfinite, (r, lam, theta))):
+        raise DomainError(f"r, lam and theta must be finite, got {r}, {lam}, {theta}")
     if r < 0.0:
         raise DomainError(f"r must be >= 0, got {r}")
     if lam < 1.0 - 1e-9:
         raise DomainError(f"lam must be >= 1, got {lam}")
-    lam = max(lam, 1.0)
-    ln_s0 = 0.5 * math.log(lam)
+    ln_s0 = 0.5 * math.log(max(lam, 1.0))
     ln_st = ln_s0 + 0.5 * _ln1p_sinh_sq(r, theta)
-    d = _discord_from_logs(ln_st, ln_s0)
-    return DiscordResult(
-        d,
-        math.exp(ln_st) if ln_st < 709.0 else math.inf,
-        math.sqrt(lam),
-        Regime.EXACT,
-        ln_st,
-        ln_s0,
-    )
+    return DiscordResult(_discord_from_logs(ln_st, ln_s0), ln_st, ln_s0)
 
 
 def _ln1p_sinh_sq(r: float, theta: float) -> float:
@@ -185,15 +200,13 @@ def _ln1p_sinh_sq(r: float, theta: float) -> float:
 
 def discord_pure(r: float, theta: float) -> float:
     """Discord of a pure squeezed state: f(sqrt(1 + sinh^2 2r sin^2 2theta))."""
-    if r < 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    return _entropy_kernel_log(0.5 * _ln1p_sinh_sq(r, theta))
+    return discord_squeezed(r, 1.0, theta).discord
 
 
 def mutual_information(block: CovarianceBlock, theta: float) -> float:
     """Quantum mutual information 2 f(sigma(theta)) - 2 f(sigma(0))."""
-    st, s0 = _sigmas_from_block(block, theta)
-    return 2.0 * (_entropy_kernel_log(math.log(st)) - _entropy_kernel_log(math.log(s0)))
+    f_st, f_s0, _ = _entropies(*_log_sigmas_from_block(block, theta))
+    return 2.0 * (f_st - f_s0)
 
 
 def max_classical_info(block: CovarianceBlock, theta: float) -> float:
@@ -202,14 +215,8 @@ def max_classical_info(block: CovarianceBlock, theta: float) -> float:
     J = f(sigma(theta)) - f((sigma(0)^2 + sigma(theta))/(1 + sigma(theta))),
     so that mutual_information - max_classical_info = discord identically.
     """
-    st, s0 = _sigmas_from_block(block, theta)
-    # validity of the closed form requires sigma(theta) >= sigma(0) >= 1,
-    # which holds for every homogeneous state; assert rather than assume.
-    if st < s0 * (1.0 - 1e-12):
-        raise DomainError("sigma(theta) < sigma(0): state is not homogeneous")
-    ln_num = np.logaddexp(2.0 * math.log(s0), math.log(st))
-    ln_den = np.logaddexp(0.0, math.log(st))
-    return _entropy_kernel_log(math.log(st)) - _entropy_kernel_log(float(ln_num - ln_den))
+    f_st, _, f_mix = _entropies(*_log_sigmas_from_block(block, theta))
+    return f_st - f_mix
 
 
 def discord_asymptotic(r: float, lam: float, theta: float) -> DiscordResult:
@@ -219,24 +226,19 @@ def discord_asymptotic(r: float, lam: float, theta: float) -> DiscordResult:
     D ~ 2r/ln2; below 0.1 decoherence wins and
     D ~ e^{2r} |sin 2theta| / (2 sqrt(lam) ln 2); in between the exact
     log-domain formula is used.  The 10/0.1 thresholds keep the exact path
-    authoritative near the crossover.
+    authoritative near the crossover.  The eigenvalues are those of
+    discord_squeezed in every regime.
     """
     if r < 5.0:
         raise DomainError(f"asymptotic form needs r >= 5, got {r}")
+    res = discord_squeezed(r, lam, theta)
     s2t = abs(math.sin(2.0 * theta))
-    ln_s0 = 0.5 * math.log(max(lam, 1.0))
-    ln_st = ln_s0 + 0.5 * _ln1p_sinh_sq(r, theta)
     if s2t == 0.0:
-        return DiscordResult(0.0, math.inf, math.exp(ln_s0),
-                             Regime.LARGE_SQUEEZING_LOW, ln_st, ln_s0)
-    ln_ratio = 2.0 * r + math.log(s2t) - 0.5 * math.log(lam)
+        return replace(res, discord=0.0, regime=Regime.LARGE_SQUEEZING_LOW)
+    ln_ratio = 2.0 * r + math.log(s2t) - res.log_sigma_zero
     if ln_ratio > math.log(10.0):
-        return DiscordResult(2.0 * r / LN2, math.inf, math.exp(ln_s0),
-                             Regime.LARGE_SQUEEZING_HIGH, ln_st, ln_s0)
+        return replace(res, discord=2.0 * r / LN2, regime=Regime.LARGE_SQUEEZING_HIGH)
     if ln_ratio < math.log(0.1):
-        d = math.exp(ln_ratio) / (2.0 * LN2)
-        return DiscordResult(d, math.exp(ln_st), math.exp(ln_s0),
-                             Regime.LARGE_SQUEEZING_LOW, ln_st, ln_s0)
-    d = _discord_from_logs(ln_st, ln_s0)
-    return DiscordResult(d, math.exp(ln_st), math.exp(ln_s0),
-                         Regime.EXACT, ln_st, ln_s0)
+        return replace(res, discord=math.exp(ln_ratio) / (2.0 * LN2),
+                       regime=Regime.LARGE_SQUEEZING_LOW)
+    return res

@@ -345,17 +345,21 @@ def purity(block: CovarianceBlock) -> float:
     return 1.0 / det
 
 
+def _sigma_theta_sq(block: CovarianceBlock, theta: float, s0sq: float) -> float:
+    """sigma(theta)^2 of a block whose sigma(0)^2 is s0sq:
+    s0sq + (1/4) m^2 sin^2(2 theta), m^2 = (g11 - g22)^2 + 4 g12^2, the
+    cancellation-free form of cos^2(2 theta) s0sq + ((g11+g22)/2)^2 sin^2(2 theta)."""
+    m2 = (block.g11 - block.g22) ** 2 + 4.0 * block.g12 ** 2
+    return s0sq + 0.25 * m2 * math.sin(2.0 * theta) ** 2
+
+
 def sigma_theta(block: CovarianceBlock, theta: float) -> float:
     """Symplectic eigenvalue of either reduced block in partition theta.
 
-    Reduces to sqrt(det) at theta = 0 and grows monotonically with
-    |sin(2 theta)|.
+    Reduces to sqrt(max(det, 1)) at theta = 0 and grows monotonically
+    with |sin(2 theta)|.
     """
-    det = max(block.det, 1.0)
-    c2 = math.cos(2.0 * theta)
-    s2 = math.sin(2.0 * theta)
-    half_sum = 0.5 * (block.g11 + block.g22)
-    return math.sqrt(c2 * c2 * det + half_sum * half_sum * s2 * s2)
+    return math.sqrt(_sigma_theta_sq(block, theta, max(block.det, 1.0)))
 
 
 def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:

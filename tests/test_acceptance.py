@@ -54,7 +54,7 @@ def test_criterion_01_cross_engine_closed_evolution():
 def test_criterion_02_discord_baseline():
     _, ok, detail = selfcheck.check_discord_baseline()
     assert ok, detail
-    report(2, f"1000 random states at theta = 0, pure states for r in [0, 30]: {detail}")
+    report(2, f"1000 random and 3 snapped states at theta = 0, pure states for r in [0, 30]: {detail}")
 
 
 def test_criterion_03_de_sitter_discord_slope():

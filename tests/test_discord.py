@@ -59,6 +59,16 @@ class TestDiscordExact:
             b = random_block(rng)
             assert discord(b, 0.0).discord < 1e-12
 
+    @pytest.mark.parametrize("r, phi, lam", [(6.0, 0.3, 1.0), (9.0, 0.3, 1e6),
+                                             (11.0, -0.7, 1e8)])
+    def test_snapped_block_vanishes_in_reference_partition(self, r, phi, lam):
+        # det sits below the representation noise of these entries, so the
+        # purity snap fires; it must set sigma(theta) as well as sigma(0)
+        b = covariance_from_squeezing(SqueezingState(r, phi, lam))
+        assert discord(b, 0.0).discord <= 1e-12
+        assert abs(mutual_information(b, 0.0)) <= 1e-12
+        assert abs(max_classical_info(b, 0.0)) <= 1e-12
+
     def test_pure_state_reduces_to_kernel(self, rng):
         for _ in range(50):
             r = rng.uniform(0.0, 4.0)
@@ -176,6 +186,37 @@ class TestAsymptotics:
     def test_validity_floor(self):
         with pytest.raises(DomainError):
             discord_asymptotic(2.0, 1.0, 0.4)
+        with pytest.raises(DomainError):
+            discord_asymptotic(6.0, 0.5, 0.4)
+
+    @pytest.mark.parametrize("r, lam, theta", [
+        (6.0, 1.0, math.pi / 4),            # high
+        (6.0, 1.0, 0.0),                    # sin 2theta = 0
+        (5.0, math.exp(40.0), math.pi / 4),  # low
+        (6.0, math.exp(24.0), math.pi / 4),  # crossover, exact
+    ])
+    def test_sigmas_are_their_logs(self, r, lam, theta):
+        res = discord_asymptotic(r, lam, theta)
+        assert res.sigma_theta == math.exp(res.log_sigma_theta)
+        assert res.sigma_zero == math.exp(res.log_sigma_zero)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: discord(CovarianceBlock(2.0, 0.5, 3.0), math.nan),
+    lambda: mutual_information(CovarianceBlock(2.0, 0.5, 3.0), math.inf),
+    lambda: max_classical_info(CovarianceBlock(2.0, 0.5, 3.0), math.nan),
+    lambda: discord_squeezed(math.nan, 1.0, 0.4),
+    lambda: discord_squeezed(6.0, math.nan, 0.4),
+    lambda: discord_squeezed(6.0, math.inf, 0.4),
+    lambda: discord_squeezed(6.0, 1.0, math.nan),
+    lambda: discord_pure(math.inf, 0.4),
+    lambda: discord_pure(2.0, math.nan),
+], ids=["discord-theta", "mutual_information-theta", "max_classical_info-theta",
+        "squeezed-r", "squeezed-lam", "squeezed-lam-inf", "squeezed-theta",
+        "pure-r", "pure-theta"])
+def test_non_finite_input_raises(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestInvariants:
