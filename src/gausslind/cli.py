@@ -223,6 +223,8 @@ def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     cosmo = cfg.get("cosmo", {})
     if not isinstance(cosmo, dict):
         raise ConfigError("config key 'cosmo' must be an object")
+    if set(cosmo) - {"ellH"}:  # p and kGamma come from their ranges
+        raise ConfigError(f"discord_map reads only cosmo.ellH, got keys {sorted(cosmo)}")
     ellH = _finite(cosmo.get("ellH", 1e-3), "cosmo.ellH")
     method = cfg.get("method", "approx")
     if method not in DISCORD_METHODS:

@@ -30,6 +30,7 @@ from .symplectic import (
     _require_blocks,
     _squeezing_columns,
     _two_product,
+    stable_det2,
 )
 
 __all__ = [
@@ -265,24 +266,29 @@ class CovarianceTrajectory:
         return CovarianceBlock(self.g11[i], self.g12[i], self.g22[i])
 
     @property
+    def lam(self) -> np.ndarray:
+        """The transported determinant floored at 1: sigma(0)^2."""
+        return np.maximum(self.det, 1.0)
+
+    @property
     def purity(self) -> np.ndarray:
-        return 1.0 / np.maximum(self.det, 1.0)
+        return 1.0 / self.lam
 
     def squeezing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Squeezing columns (r, phi, lam), one value per sample.
 
-        lam is the transported determinant (floored at 1).  r and phi
-        follow squeezing_from_covariance on the entries, so r still comes
-        from their own, noisy determinant (ROADMAP item 1b); where r <=
-        DEGENERATE_R, r = phi = 0.  Every sample must pass the
-        CovarianceBlock checks: the first that fails raises
-        BelowHeisenbergError, as its block would.
+        lam is self.lam; r and phi follow squeezing_from_covariance on the
+        entries, so r still comes from their own, noisy determinant (ROADMAP
+        item 1b), and r = phi = 0 where r <= DEGENERATE_R.  The first sample
+        that fails the CovarianceBlock checks raises as its block would.
         """
-        _require_blocks(self.g11, self.g12, self.g22)
-        r, phi, _ = _squeezing_columns(self.g11, self.g12, self.g22)
+        g = (self.g11, self.g12, self.g22)
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+            det = stable_det2(*g)
+            _require_blocks(*g, det)
+            r, phi = _squeezing_columns(*g, np.maximum(det, 1.0))
         regular = r > DEGENERATE_R
-        return (np.where(regular, r, 0.0), np.where(regular, phi, 0.0),
-                np.maximum(self.det, 1.0))
+        return np.where(regular, r, 0.0), np.where(regular, phi, 0.0), self.lam
 
     def __len__(self) -> int:
         return len(self.times)
@@ -328,10 +334,10 @@ def wigner_ellipse(s: SqueezingState, n_sigma: float = math.sqrt(2.0)) -> Wigner
     product of the axes (area / pi) is independent of r.
     """
     scale = n_sigma / math.sqrt(2.0)
-    q = max(s.lam, 1.0) ** 0.25
+    q = s.lam ** 0.25
     return WignerEllipse(
         semi_major=scale * q * math.exp(s.r),
         semi_minor=scale * q * math.exp(-s.r),
         tilt=s.phi,
-        area=math.pi * math.sqrt(max(s.lam, 1.0)) * scale * scale,
+        area=math.pi * math.sqrt(s.lam) * scale * scale,
     )

@@ -705,7 +705,7 @@ def discord_cosmo(
     elif method == "transport":
         cells = _transport_plane(x, params, ps, couplings)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     if method != "approx":
         ln_st, ln_s0 = np.array([_log_sigmas_from_block(b, theta, det)
                                  for b, det in cells]).T.reshape(2, len(ps), len(couplings))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import CovarianceBlock, _sigma_theta_sq
+from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _sigma_theta_sq
 
 __all__ = [
     "Regime",
@@ -86,11 +86,12 @@ def entropy_kernel(x):
 
         f(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2),
 
-    continued by f(1) = 0.  Arguments within 1e-9 below 1 are clamped.
+    continued by f(1) = 0.  Arguments within HEISENBERG_SLACK below 1
+    are clamped.
     Elementwise over arrays; a scalar argument gives a float.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0 - 1e-9):
+    if np.any(x < 1.0 - HEISENBERG_SLACK):
         raise DomainError(f"entropy kernel needs x >= 1, got {np.min(x)}")
     up = 0.5 * (x + 1.0)
     dn = 0.5 * (x - 1.0)
@@ -133,33 +134,14 @@ def _discord_from_logs(ln_st, ln_s0):
     return _scalar_or_array(np.where(d > 0.0, d, 0.0))
 
 
-_EPS = 2.220446049250313e-16
-
-
 def _log_sigmas_from_block(block: CovarianceBlock, theta: float,
                            det: float | None = None) -> tuple[float, float]:
-    """(ln sigma(theta), ln sigma(0)) of a block: sigma(0)^2 = max(det, 1)
-    and sigma(theta)^2 from `symplectic._sigma_theta_sq`.
-
-    det, when given, is a determinant transported alongside the entries.
-    Without it the block's own determinant is used with a purity snap:
-    that determinant carries ~eps * ((g11+g22)/2)^2 of representation
-    noise, and the entropy kernel has an infinite derivative at 1+, so a
-    pure state whose determinant lands at 1 + 1e-11 would otherwise
-    acquire spurious nano-bit entropy.  Determinants within that noise
-    floor (or the global Heisenberg slack) of 1 are therefore treated as
-    exactly pure, for both eigenvalues.  States whose mixedness genuinely
-    sits below this floor are not representable as a block in the first
-    place; use discord_squeezed with (r, lam) for those.
-    """
+    """(ln sigma(theta), ln sigma(0)) of a block: sigma(0)^2 = block.lam,
+    or max(det, 1) when det, a determinant transported alongside the
+    entries, is given; sigma(theta)^2 from `symplectic._sigma_theta_sq`."""
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
-    if det is None:
-        det = block.det
-        half_sum = 0.5 * (block.g11 + block.g22)
-        if det < 1.0 + max(1e-9, 64.0 * _EPS * half_sum * half_sum):
-            det = 1.0
-    s0sq = max(det, 1.0)
+    s0sq = block.lam if det is None else max(det, 1.0)
     return 0.5 * math.log(_sigma_theta_sq(block, theta, s0sq)), 0.5 * math.log(s0sq)
 
 
@@ -175,14 +157,13 @@ def discord_squeezed(r: float, lam: float, theta: float) -> DiscordResult:
     This is the log-domain entry point: it never forms the covariance
     entries, so it is usable for any squeezing amplitude (r ~ hundreds)
     and any decoherence level (lam up to the largest double, e^709).
+    (r, lam) go through SqueezingState; bad input raises DomainError.
     """
-    if not all(map(math.isfinite, (r, lam, theta))):
-        raise DomainError(f"r, lam and theta must be finite, got {r}, {lam}, {theta}")
-    if r < 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    if lam < 1.0 - 1e-9:
+    if not math.isfinite(theta):
+        raise DomainError(f"partition angle must be finite, got {theta}")
+    if lam < 1.0 - HEISENBERG_SLACK:
         raise DomainError(f"lam must be >= 1, got {lam}")
-    ln_s0 = 0.5 * math.log(max(lam, 1.0))
+    ln_s0 = 0.5 * math.log(SqueezingState(r, 0.0, lam).lam)
     ln_st = ln_s0 + 0.5 * _ln1p_sinh_sq(r, theta)
     return DiscordResult(_discord_from_logs(ln_st, ln_s0), ln_st, ln_s0)
 

@@ -129,13 +129,12 @@ def generalized_squeezing_rhs(
         raise DegenerateSqueezingError(
             f"generalized squeezing engine needs r > {SQUEEZING_R_FLOOR}"
         )
-    theta = s.theta_rot if s.theta_rot is not None else 0.0
-    dr, dphi, _ = squeezing_rhs_closed(s.r, s.phi, theta, freq, t)
+    dr, dphi, _ = squeezing_rhs_closed(s.r, s.phi, 0.0, freq, t)
     sv = source(t) if source is not None else 0.0
     if sv == 0.0:
         return (0.0, dr, dphi)
     k = freq.k
-    sqrt_lam = math.sqrt(max(s.lam, 1.0))
+    sqrt_lam = math.sqrt(s.lam)
     ch, sh = math.cosh(2.0 * s.r), math.sinh(2.0 * s.r)
     c2, s2 = math.cos(2.0 * s.phi), math.sin(2.0 * s.phi)
     dlam = k * sv * sqrt_lam * (ch - c2 * sh)
@@ -252,11 +251,13 @@ def evolve_open(
     len(times)).  rtol and atol are divided by sqrt(N), so that each
     member meets the scalar error criterion (solve_ivp takes the RMS norm
     over all 4N components).  N = 1 runs the scalar arithmetic, bit for
-    bit.
+    bit.  With t_eval=None every step is kept, all 4N values of it:
+    about 32 B x N x steps.  The initial det is ic.lam, so an ic below
+    the uncertainty bound raises BelowHeisenbergError.
 
     solve_ivp silently raises any rtol below RTOL_FLOOR to that floor, so
     a batch with rtol / sqrt(N) < RTOL_FLOOR, i.e. N > max_members(rtol),
-    raises DomainError before anything is integrated.
+    raises DomainError first.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
@@ -286,7 +287,7 @@ def evolve_open(
         out[3] = det_rhs(g, held, t, k=k)
         return out.ravel()
 
-    y0 = np.repeat([ic.g11, ic.g12, ic.g22, max(ic.det, 1.0)], n)
+    y0 = np.repeat([ic.g11, ic.g12, ic.g22, ic.lam], n)
     # overflow surfaces as a failed or non-finite solve, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol / math.sqrt(n),

@@ -13,6 +13,7 @@ All functions are pure; all value types are frozen dataclasses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import (
     BelowHeisenbergError,
     DegenerateSqueezingError,
+    DomainError,
     NonSymplecticError,
 )
 
@@ -53,7 +55,7 @@ SYMPLECTIC_FORM = np.array(
     ]
 )
 
-#: det in [1 - HEISENBERG_SLACK, 1) is treated as exactly 1 (pure state).
+#: a determinant or lam in [1 - HEISENBERG_SLACK, 1) is exactly 1 (pure)
 HEISENBERG_SLACK = 1e-9
 
 
@@ -89,13 +91,10 @@ def _block_checks(g11, g12, g22, det):
     finite entries, det not below -1e-6 half_sum^2.  Floats give three
     bools, arrays three masks (True where the check passes).
 
-    Construction only enforces positive definiteness up to a coarse
-    relative level: the determinant of a strongly squeezed block is a
-    fine-tuned cancellation, and blocks assembled from truncated
-    asymptotics legitimately carry det noise many orders above eps.  The
-    uncertainty bound det >= 1 is checked by the operations that actually
-    consume the determinant, with their clamping rules.  A NaN det (finite
-    entries beyond ~1e154 overflow its products) passes.
+    Positive definiteness is only enforced up to a coarse relative level:
+    strongly squeezed or truncated-asymptotic blocks carry det noise many
+    orders above eps.  The bound det >= 1 is read by CovarianceBlock.lam.
+    A NaN det (finite entries beyond ~1e154 overflow its products) passes.
     """
     half_sum = 0.5 * (g11 + g22)
     return ((g11 > 0.0) & (g22 > 0.0),
@@ -117,11 +116,11 @@ def _require_block(g11: float, g12: float, g22: float) -> None:
         raise BelowHeisenbergError(f"covariance is not positive definite: det = {det}")
 
 
-def _require_blocks(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray) -> None:
-    """CovarianceBlock's checks on every element of the entry arrays: the
-    first element that fails raises what its block would."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
-        ok = np.logical_and.reduce(_block_checks(g11, g12, g22, stable_det2(g11, g12, g22)))
+def _require_blocks(g11, g12, g22, det) -> None:
+    """CovarianceBlock's checks on every element of the entry arrays with
+    stable_det2 det: the first element that fails raises what its block
+    would.  Call under np.errstate(over="ignore", invalid="ignore")."""
+    ok = np.logical_and.reduce(_block_checks(g11, g12, g22, det))
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
         _require_block(*(float(g[i]) for g in (g11, g12, g22)))
@@ -140,7 +139,7 @@ class CovarianceBlock:
     """Reference-partition covariance of one mode pair: (g11, g12, g22).
 
     Invariants: g11, g22 > 0 and det = g11*g22 - g12**2 >= 1 up to a small
-    numerical slack (equality holds for pure states).
+    numerical slack (equality holds for pure states), read by ``lam``.
     """
 
     g11: float
@@ -153,6 +152,23 @@ class CovarianceBlock:
     @property
     def det(self) -> float:
         return stable_det2(self.g11, self.g12, self.g22)
+
+    @property
+    def lam(self) -> float:
+        """sigma(0)^2 = 1/purity: the one place where the entry determinant
+        meets the uncertainty bound.  That determinant carries ~eps
+        ((g11+g22)/2)^2 of representation noise, and the entropy kernel has
+        an infinite derivative at 1+, so within the band max(HEISENBERG_SLACK,
+        64 eps ((g11+g22)/2)^2) of 1 the block is exactly pure, lam = 1;
+        below the band, BelowHeisenbergError.  Mixedness inside the band is
+        not representable by the entries: use discord_squeezed with (r, lam).
+        """
+        det = self.det
+        half_sum = 0.5 * (self.g11 + self.g22)
+        band = max(HEISENBERG_SLACK, 64.0 * sys.float_info.epsilon * half_sum * half_sum)
+        if det < 1.0 - band:
+            raise BelowHeisenbergError(f"det = {det} violates the uncertainty bound")
+        return 1.0 if det < 1.0 + band else det
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.g11, self.g12], [self.g12, self.g22]])
@@ -210,24 +226,24 @@ class PartitionAngles:
 
 @dataclass(frozen=True)
 class SqueezingState:
-    """Generalized squeezing parameters (r, phi, lam) of a covariance block.
-
-    ``lam`` is the determinant of the block (inverse squared purity) and
-    equals 1 for pure states.  ``theta_rot`` is the free rotation angle of
-    the underlying mode transformation; it is carried along by the closed
-    equations of motion but never enters the covariance.
+    """Generalized squeezing parameters (r, phi, lam) of a covariance block,
+    lam = det = 1/purity.  Non-finite values or r < 0 raise DomainError,
+    lam < 1 - HEISENBERG_SLACK raises BelowHeisenbergError, and lam is
+    stored floored at 1: consumers read it as it is.
     """
 
     r: float
     phi: float
     lam: float = 1.0
-    theta_rot: float | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.phi, self.lam))):
+            raise DomainError(f"r, phi and lam must be finite, got {self}")
         if self.r < 0.0:
-            raise ValueError(f"squeezing amplitude must be >= 0, got {self.r}")
+            raise DomainError(f"squeezing amplitude must be >= 0, got {self.r}")
         if self.lam < 1.0 - HEISENBERG_SLACK:
             raise BelowHeisenbergError(f"ellipse-area parameter below 1: {self.lam}")
+        object.__setattr__(self, "lam", max(self.lam, 1.0))
 
 
 @dataclass(frozen=True)
@@ -336,13 +352,8 @@ def covariance_blocks_in_partition(block: CovarianceBlock, theta: float) -> dict
 
 
 def purity(block: CovarianceBlock) -> float:
-    """State purity 1/det; tiny numerical undershoot of det=1 is clamped."""
-    det = block.det
-    if det < 1.0 - HEISENBERG_SLACK:
-        raise BelowHeisenbergError(f"det = {det} violates the uncertainty bound")
-    if det < 1.0:
-        return 1.0
-    return 1.0 / det
+    """State purity 1/det, read as 1/block.lam."""
+    return 1.0 / block.lam
 
 
 def _sigma_theta_sq(block: CovarianceBlock, theta: float, s0sq: float) -> float:
@@ -356,10 +367,10 @@ def _sigma_theta_sq(block: CovarianceBlock, theta: float, s0sq: float) -> float:
 def sigma_theta(block: CovarianceBlock, theta: float) -> float:
     """Symplectic eigenvalue of either reduced block in partition theta.
 
-    Reduces to sqrt(max(det, 1)) at theta = 0 and grows monotonically
+    Reduces to sqrt(block.lam) at theta = 0 and grows monotonically
     with |sin(2 theta)|.
     """
-    return math.sqrt(_sigma_theta_sq(block, theta, max(block.det, 1.0)))
+    return math.sqrt(_sigma_theta_sq(block, theta, block.lam))
 
 
 def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
@@ -374,11 +385,11 @@ def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
 DEGENERATE_R = 1e-8
 
 
-def _squeezing_columns(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray):
-    """Squeezing parameters (r, phi, lam) of covariance entries given as
-    float arrays of one shape, element by element, with lam = max(det, 1)
-    of the entries.  Formulas as in squeezing_from_covariance; r is not
-    checked against the degeneracy floor here.
+def _squeezing_columns(g11, g12, g22, lam):
+    """Squeezing parameters (r, phi) of covariance entries with determinant
+    lam >= 1, float arrays of one shape, element by element, as in
+    squeezing_from_covariance; r is not checked against the degeneracy
+    floor here.  Call under np.errstate(over="ignore", invalid="ignore").
 
     hypot, asinh and atan2 run as Python's math functions (libm) on each
     element: numpy's versions can differ from them in the last bit.
@@ -386,18 +397,15 @@ def _squeezing_columns(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray):
     def libm(f, *cols):
         return np.array(list(map(f, *(c.ravel().tolist() for c in cols)))).reshape(g11.shape)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
-        lam = np.maximum(stable_det2(g11, g12, g22), 1.0)
-        # r = arccosh(y)/2 with y = (g11+g22)/(2 sqrt(lam)), but evaluated
-        # as asinh of sinh(2r) = sqrt(y^2-1) read off the entries directly:
-        # the difference combination is cancellation-free, so r keeps full
-        # relative accuracy down to (and below) the degeneracy floor, where
-        # the y route would lose half the digits to the cosh flatness.
-        s = 0.5 * libm(math.hypot, g11 - g22, 2.0 * g12) / np.sqrt(lam)
-        r = 0.5 * libm(math.asinh, s)
-        phi = 0.5 * libm(math.atan2, -g12, 0.5 * (g22 - g11))
-        phi = np.where(phi <= -0.5 * math.pi, phi + math.pi, phi)
-    return r, phi, lam
+    # r = arccosh(y)/2 with y = (g11+g22)/(2 sqrt(lam)), but evaluated
+    # as asinh of sinh(2r) = sqrt(y^2-1) read off the entries directly:
+    # the difference combination is cancellation-free, so r keeps full
+    # relative accuracy down to (and below) the degeneracy floor, where
+    # the y route would lose half the digits to the cosh flatness.
+    s = 0.5 * libm(math.hypot, g11 - g22, 2.0 * g12) / np.sqrt(lam)
+    r = 0.5 * libm(math.asinh, s)
+    phi = 0.5 * libm(math.atan2, -g12, 0.5 * (g22 - g11))
+    return r, np.where(phi <= -0.5 * math.pi, phi + math.pi, phi)
 
 
 def squeezing_from_covariance(block: CovarianceBlock) -> SqueezingState:
@@ -407,13 +415,15 @@ def squeezing_from_covariance(block: CovarianceBlock) -> SqueezingState:
     sin(2 phi) = -g12/(sqrt(lam) sinh(2r)),
     cos(2 phi) = (g22-g11)/(2 sqrt(lam) sinh(2r)),
     canonicalized to phi in (-pi/2, pi/2].  The one-element case of
-    _squeezing_columns.
+    _squeezing_columns, with lam = max(det, 1).
 
     Raises DegenerateSqueezingError when r <= 1e-8 (phi undefined; use the
     covariance representation instead).
     """
-    (r,), (phi,), (lam,) = (c.tolist() for c in _squeezing_columns(
-        *(np.array([v], dtype=float) for v in (block.g11, block.g12, block.g22))))
+    lam = max(block.det, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        (r,), (phi,) = (c.tolist() for c in _squeezing_columns(
+            *(np.array([v], dtype=float) for v in (block.g11, block.g12, block.g22, lam))))
     if r <= DEGENERATE_R:
         raise DegenerateSqueezingError(
             f"r = {r} too small for the squeezing angle to be defined"
@@ -428,9 +438,9 @@ def covariance_from_squeezing(state: SqueezingState) -> CovarianceBlock:
     g12 = -sqrt(lam) sin 2phi sinh 2r
     g22 = sqrt(lam) (cosh 2r + cos 2phi sinh 2r)
 
-    The determinant equals lam identically; theta_rot does not appear.
+    The determinant equals lam identically.
     """
-    sl = math.sqrt(max(state.lam, 1.0))
+    sl = math.sqrt(state.lam)
     ch = math.cosh(2.0 * state.r)
     sh = math.sinh(2.0 * state.r)
     c2, s2 = math.cos(2.0 * state.phi), math.sin(2.0 * state.phi)

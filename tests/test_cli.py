@@ -217,8 +217,11 @@ class TestDiscordMapValidation:
         {"x": -1.0},
         {"method": "bogus"},
         {"x": 0.5, "method": "approx"},
+        {"cosmo": {"ellH": 1e-3, "x_star": 5, "k_over_kstar": 3}},
+        {"cosmo": {"p": 2.1}},
     ], ids=["negative_points", "zero_points", "nan_x", "nan_theta", "negative_x",
-            "unknown_method", "approx_outside_super_hubble"])
+            "unknown_method", "approx_outside_super_hubble", "ignored_cosmo_keys",
+            "cosmo_p"])
     def test_bad_input_exits_2(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, "m.json", dict(self.BASE, **change))
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 2

@@ -239,6 +239,10 @@ class TestExactRow:
         with pytest.warns(IntegrationWarning):
             exact_open_det(self.X, CosmoParams(20.0, 9.3, self.ELLH))
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="bogus"):
+            discord_cosmo(0.5, -0.4, CosmoParams(1.0, 2.1, 0.1), method="bogus")
+
     def test_row_shapes(self):
         params = CosmoParams(1.0, 2.1, 0.1)
         assert isinstance(exact_open_det(0.5, params), float)

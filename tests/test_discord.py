@@ -13,16 +13,22 @@ from gausslind.discord import (
     max_classical_info,
     mutual_information,
 )
-from gausslind.errors import DomainError
+from gausslind.errors import BelowHeisenbergError, DomainError
 from gausslind.symplectic import (
     CovarianceBlock,
     SqueezingState,
     covariance_from_squeezing,
+    purity,
+    sigma_theta,
 )
 
 from conftest import discord_from_particles, random_block
 
 LN2 = math.log(2.0)
+
+# (r, phi, lam) whose block's det lies within the representation noise of
+# its entries: the block reads as pure
+SNAPPED = [(6.0, 0.3, 1.0), (8.0, 0.3, 1.0), (9.0, 0.3, 1e6), (11.0, -0.7, 1e8)]
 
 # frozen 50-digit values of the exact closed form (mpmath, dps=50)
 D_R1_LAM4 = 1.31118902714392746809932731989
@@ -59,8 +65,7 @@ class TestDiscordExact:
             b = random_block(rng)
             assert discord(b, 0.0).discord < 1e-12
 
-    @pytest.mark.parametrize("r, phi, lam", [(6.0, 0.3, 1.0), (9.0, 0.3, 1e6),
-                                             (11.0, -0.7, 1e8)])
+    @pytest.mark.parametrize("r, phi, lam", SNAPPED)
     def test_snapped_block_vanishes_in_reference_partition(self, r, phi, lam):
         # det sits below the representation noise of these entries, so the
         # purity snap fires; it must set sigma(theta) as well as sigma(0)
@@ -68,6 +73,14 @@ class TestDiscordExact:
         assert discord(b, 0.0).discord <= 1e-12
         assert abs(mutual_information(b, 0.0)) <= 1e-12
         assert abs(max_classical_info(b, 0.0)) <= 1e-12
+
+    @pytest.mark.parametrize("r, phi, lam", SNAPPED)
+    def test_every_reader_sees_one_lam(self, r, phi, lam):
+        b = covariance_from_squeezing(SqueezingState(r, phi, lam))
+        assert b.lam == 1.0
+        assert purity(b) == 1.0
+        assert sigma_theta(b, 0.0) ** 2 == 1.0
+        assert discord(b, 0.0).sigma_zero ** 2 == 1.0
 
     def test_pure_state_reduces_to_kernel(self, rng):
         for _ in range(50):
@@ -217,6 +230,18 @@ class TestAsymptotics:
 def test_non_finite_input_raises(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("read", [
+    purity,
+    lambda b: sigma_theta(b, 0.4),
+    lambda b: discord(b, 0.4),
+    lambda b: mutual_information(b, 0.4),
+    lambda b: max_classical_info(b, 0.4),
+], ids=["purity", "sigma_theta", "discord", "mutual_information", "max_classical_info"])
+def test_sub_heisenberg_block_raises(read):
+    with pytest.raises(BelowHeisenbergError):
+        read(CovarianceBlock(1.0, 0.0, 0.5))  # det 0.5
 
 
 class TestInvariants:

@@ -19,7 +19,7 @@ from gausslind.cosmology import (
     evolve_de_sitter,
     exact_open_covariance,
 )
-from gausslind.errors import DegenerateSqueezingError
+from gausslind.errors import BelowHeisenbergError, DegenerateSqueezingError
 from gausslind.opensys import (
     GreenIntegrals,
     det_rhs,
@@ -215,6 +215,11 @@ class TestEvolveOpen:
         for i, x in enumerate(xg):
             want = de_sitter_covariance_closed(float(x))
             assert abs(a.g11[i] - want.g11) < 1e-9 * abs(want.g11) + 1e-9
+
+    def test_sub_heisenberg_ic_rejected(self):
+        with pytest.raises(BelowHeisenbergError):
+            evolve_open(ModeFrequency.free(1.0), lambda t: 0.1, (0.0, 1.0),
+                        ic=CovarianceBlock(1.0, 0.0, 0.5))  # det 0.5
 
     def test_weak_coupling_continuity(self):
         # S scaled by 1e-12 stays within ~1e-12 of the closed run

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gausslind.errors import (
     BelowHeisenbergError,
     DegenerateSqueezingError,
+    DomainError,
     NonSymplecticError,
 )
 from gausslind.symplectic import (
@@ -168,6 +169,35 @@ class TestPurity:
 
     def test_clamp_window(self):
         assert purity(CovarianceBlock(1.0 - 1e-10, 0.0, 1.0)) == 1.0
+
+    def test_lam_band(self):
+        # the band is max(1e-9, 64 eps ((g11+g22)/2)^2) on either side of 1
+        assert CovarianceBlock(1.0 + 5e-10, 0.0, 1.0).lam == 1.0
+        assert CovarianceBlock(1.0 + 2e-9, 0.0, 1.0).lam == 1.0 + 2e-9
+        wide = CovarianceBlock(1e4, 0.0, 1e-4 * (1.0 - 1e-7))  # band 3.6e-7
+        assert wide.lam == 1.0
+        with pytest.raises(BelowHeisenbergError):
+            CovarianceBlock(1e4, 0.0, 1e-4 * (1.0 - 1e-6)).lam
+
+
+class TestSqueezingState:
+    @pytest.mark.parametrize("r, phi, lam", [
+        (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+        (1.0, math.nan, 1.0), (1.0, -math.inf, 1.0),
+        (1.0, 0.0, math.nan), (1.0, 0.0, math.inf),
+        (-0.5, 0.0, 1.0),
+    ], ids=["r-nan", "r-inf", "phi-nan", "phi-inf", "lam-nan", "lam-inf", "r-negative"])
+    def test_bad_input_raises_domain_error(self, r, phi, lam):
+        with pytest.raises(DomainError):
+            SqueezingState(r, phi, lam)
+
+    def test_lam_below_one(self):
+        with pytest.raises(BelowHeisenbergError):
+            SqueezingState(1.0, 0.0, 0.5)
+
+    def test_lam_floored_within_slack(self):
+        assert SqueezingState(1.0, 0.0, 1.0 - 1e-10).lam == 1.0
+        assert SqueezingState(1.0, 0.0, 3.0).lam == 3.0
 
 
 class TestSigmaTheta:
