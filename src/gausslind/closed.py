@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateSqueezingError, NonFiniteError, StepFailureError
+from .errors import DegenerateSqueezingError, StepFailureError
 from .symplectic import (
     DEGENERATE_R,
     CovarianceBlock,
@@ -148,7 +148,7 @@ def integrate_mode_function(
     def rhs(t, y):
         w2 = freq.w(t)
         if not math.isfinite(w2):
-            raise NonFiniteError(f"omega^2 non-finite at t = {t}")
+            raise StepFailureError(f"omega^2 non-finite at t = {t}")
         return [y[2], y[3], -w2 * y[0], -w2 * y[1]]
 
     y0 = [ic.v.real, ic.v.imag, ic.dv.real, ic.dv.imag]
@@ -157,7 +157,7 @@ def integrate_mode_function(
     if not sol.success:
         raise StepFailureError(f"mode integration failed: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
-        raise NonFiniteError("mode function became non-finite")
+        raise StepFailureError("mode function became non-finite")
     return ModeTrajectory(freq, sol.sol, t0, t1)
 
 

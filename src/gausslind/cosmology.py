@@ -185,23 +185,28 @@ def de_sitter_squeezing(x: float) -> tuple[float, float]:
     return r, phi
 
 
+def _power_law_source(params: CosmoParams, kap2, expo, off):
+    """S(eta) = kap2 * 2 (x_star/x)^expo at x = -eta inside the coupled
+    window 0 < x < 1/(ell_E H), else off: the power-law environment of
+    every route.  kap2 and expo are floats, or arrays that broadcast to
+    the shape of off."""
+    xs, x_on = params.x_star, params.x_coupling_on
+
+    def source(eta: float):
+        x = -eta
+        if x <= 0.0 or x >= x_on:
+            return off
+        return kap2 * (2.0 * (xs / x) ** expo)
+
+    return source
+
+
 def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
     """Dimensionless source S(x) = 2 (kGamma/k)^2 (x_star/x)^(p-3), active
     only once the mode is longer than the environment correlation length
     (x < 1/(ell_E H)); returned as a function of conformal time eta = -x.
     """
-    kap2 = params.kGamma_over_k ** 2
-    p = params.p
-    xs = params.x_star
-    x_on = params.x_coupling_on
-
-    def source(eta: float) -> float:
-        x = -eta
-        if x <= 0.0 or x >= x_on:
-            return 0.0
-        return 2.0 * kap2 * (xs / x) ** (p - 3.0)
-
-    return source
+    return _power_law_source(params, _kap2_row(params)[0], params.p - 3.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +289,7 @@ def exact_open_covariance(x: float, params: CosmoParams, kGamma_over_kstar=None)
     p (a list of blocks out, the coupling-free terms evaluated once).
     """
     terms = _exact_open_terms(x, params)
-    blocks = [_dressed_block(terms, kap2)
-              for kap2 in _kap2_row(params, _coupling_row(params, kGamma_over_kstar))]
+    blocks = [_dressed_block(terms, kap2) for kap2 in _kap2_row(params, kGamma_over_kstar)]
     return blocks[0] if np.ndim(kGamma_over_kstar) == 0 else blocks
 
 
@@ -303,15 +307,17 @@ def _coupling_row(params: CosmoParams, kGamma_over_kstar) -> np.ndarray:
     if kGamma_over_kstar is None:
         kGamma_over_kstar = params.kGamma_over_kstar
     couplings = _row(kGamma_over_kstar, "couplings")
-    if not np.all(couplings >= 0.0):
-        raise DomainError("coupling kGamma_over_kstar must be >= 0")
+    if not np.all((couplings >= 0.0) & (couplings < math.inf)):
+        raise DomainError("coupling kGamma_over_kstar must be finite and >= 0")
     return couplings
 
 
-def _kap2_row(params: CosmoParams, couplings: np.ndarray) -> list:
-    """(kGamma/k)^2 of each coupling, in the float arithmetic of
-    CosmoParams.kGamma_over_k ** 2."""
-    return [(kg / params.k_over_kstar) ** 2 for kg in couplings.tolist()]
+def _kap2_row(params: CosmoParams, kGamma_over_kstar=None) -> list:
+    """(kGamma/k)^2 of each coupling of a row (see _coupling_row), one
+    float pow each, as CosmoParams.kGamma_over_k ** 2: the one coupling^2
+    rule of every route."""
+    return [(kg / params.k_over_kstar) ** 2
+            for kg in _coupling_row(params, kGamma_over_kstar).tolist()]
 
 
 def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
@@ -338,15 +344,13 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive and finite, got {x}")
-    couplings = _coupling_row(params, kGamma_over_kstar)
     hi = params.x_coupling_on
     terms = functools.cache(lambda xp: _exact_open_terms(xp, params))
 
-    def det(cell: CosmoParams) -> float:
+    def det(kap2: float) -> float:
         if x >= hi:
             return 1.0
-        source = cosmo_kernel(cell)
-        kap2 = cell.kGamma_over_k ** 2
+        source = _power_law_source(params, kap2, params.p - 3.0, 0.0)
 
         def f(xp: float) -> float:
             return source(-xp) * _dressed_block(terms(xp), kap2).g11
@@ -354,7 +358,7 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
         val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=1e-10)
         return 1.0 + val
 
-    dets = [det(replace(params, kGamma_over_kstar=kg)) for kg in couplings.tolist()]
+    dets = [det(kap2) for kap2 in _kap2_row(params, kGamma_over_kstar)]
     return dets[0] if np.ndim(kGamma_over_kstar) == 0 else np.array(dets)
 
 
@@ -450,7 +454,7 @@ def _approx_terms(t: AsymptoticCoefficients, kap2):
 def approx_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
     """Leading super-Hubble form of the dressed covariance (x < 0.1)."""
     _require_super_hubble(x)
-    coeffs, exps = _approx_terms(asymptotic_coefficients(params), params.kGamma_over_k ** 2)
+    coeffs, exps = _approx_terms(asymptotic_coefficients(params), _kap2_row(params)[0])
     g11, g12, g22 = (coeffs * x ** exps).sum(axis=0).tolist()
     return CovarianceBlock(g11=g11, g12=g12, g22=g22)
 
@@ -489,7 +493,7 @@ def sigma0_sq_approx(x: float, params: CosmoParams) -> float:
     _require_super_hubble(x)
     p = params.p
     s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(
-        asymptotic_coefficients(params), params.kGamma_over_k ** 2)
+        asymptotic_coefficients(params), _kap2_row(params)[0])
     return 1.0 + s0_2 + s0_4 + (sx_2 + sx_4) * x ** (2.0 - p) \
         + sxx_4 * x ** (10.0 - 2.0 * p)
 
@@ -610,24 +614,13 @@ def _plane_kernel(params: CosmoParams, ps: np.ndarray,
     # one row keeps the float pow of cosmo_kernel: numpy's array pow can
     # differ from it in the last bit
     expo = float(ps[0]) - 3.0 if len(ps) == 1 else ps[:, None] - 3.0
-    kap2 = kap2[None, :]
-    zero = np.zeros((len(ps), kap2.shape[1]))
-    xs, x_on = params.x_star, params.x_coupling_on
-
-    def source(eta: float) -> np.ndarray:
-        x = -eta
-        if x <= 0.0 or x >= x_on:
-            return zero
-        return kap2 * (2.0 * (xs / x) ** expo)
-
-    return source
+    return _power_law_source(params, kap2[None, :], expo, np.zeros((len(ps), len(kap2))))
 
 
 def _transport_plane(x: float, params: CosmoParams, ps: np.ndarray,
                      couplings: np.ndarray) -> list:
     """(block, det) of every cell of the (p, coupling) plane, row-major,
     from as few evolve_de_sitter integrations as the rtol floor allows."""
-    # float pow as in kGamma_over_k: a one-member plane is the scalar run
     kap2 = np.array(_kap2_row(params, couplings))
     cap = max_members(TRANSPORT_RTOL)
     # whole rows while they fit, else one row in pieces: cells stay row-major
@@ -694,7 +687,7 @@ def discord_cosmo(
         raise DomainError(f"partition angle must be finite, got {theta}")
     rows = [replace(params, p=pi) for pi in ps.tolist()]
     if method == "approx":
-        kap2 = (couplings / params.k_over_kstar) ** 2
+        kap2 = np.array(_kap2_row(params, couplings))
         ln_st, ln_s0 = np.array([_log_sigmas_approx(x, theta, asymptotic_coefficients(row), kap2)
                                  for row in rows]).transpose(1, 0, 2)
     elif method == "exact":

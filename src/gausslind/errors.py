@@ -23,15 +23,8 @@ class DomainError(GausslindError):
 
 
 class StepFailureError(GausslindError):
-    """Adaptive integrator could not meet the requested tolerance."""
-
-
-class NonFiniteError(GausslindError):
-    """A frequency or state value became non-finite during integration."""
-
-
-class QuadratureFailureError(GausslindError):
-    """Numerical quadrature could not reach the requested tolerance."""
+    """An integrator or quadrature could not meet its tolerance, or a
+    value became non-finite during integration."""
 
 
 class PoleOrderError(GausslindError):

@@ -38,12 +38,7 @@ from .closed import (
     squeezing_rhs_closed,
     transport_rhs_closed,
 )
-from .errors import (
-    DegenerateSqueezingError,
-    DomainError,
-    QuadratureFailureError,
-    StepFailureError,
-)
+from .errors import DegenerateSqueezingError, DomainError, StepFailureError
 from .symplectic import CovarianceBlock, SqueezingState
 
 __all__ = [
@@ -78,9 +73,9 @@ class GreenIntegrals:
     def __post_init__(self):
         scale = max(self.I, self.K, 1e-300)
         if self.I < -1e-12 * scale or self.K < -1e-12 * scale:
-            raise ValueError(f"negative diagonal correction: I={self.I}, K={self.K}")
+            raise DomainError(f"negative diagonal correction: I={self.I}, K={self.K}")
         if self.I * self.K < self.J ** 2 * (1.0 - 1e-9) - 1e-12 * scale ** 2:
-            raise ValueError(
+            raise DomainError(
                 f"Cauchy-Schwarz violated: I*K={self.I * self.K}, J^2={self.J ** 2}"
             )
 
@@ -88,34 +83,35 @@ class GreenIntegrals:
 def transport_rhs_open(
     block: CovarianceBlock | Sequence[float],
     freq: ModeFrequency,
-    source: Callable[[float], float] | None,
+    s: float | None,
     t: float,
 ) -> tuple[float, float, float]:
-    """Open-system covariance derivatives: closed flow plus k S(t) on g22."""
+    """Open-system covariance derivatives at time t: closed flow plus k s on
+    g22, s = S(t) the source value (None: no environment)."""
     d11, d12, d22 = transport_rhs_closed(block, freq, t)
-    if source is not None:
-        d22 += freq.k * source(t)
+    if s is not None:
+        d22 += freq.k * s
     return (d11, d12, d22)
 
 
 def det_rhs(
     block: CovarianceBlock | Sequence[float],
-    source: Callable[[float], float] | None,
-    t: float,
+    s: float | None,
     k: float = 1.0,
 ) -> float:
-    """d(det)/dt = k S(t) g11; zero without an environment."""
+    """d(det)/dt = k s g11 for the source value s = S(t); 0 for s None."""
     g11 = block.g11 if isinstance(block, CovarianceBlock) else block[0]
-    return k * source(t) * g11 if source is not None else 0.0
+    return k * s * g11 if s is not None else 0.0
 
 
 def generalized_squeezing_rhs(
-    s: SqueezingState,
+    state: SqueezingState,
     freq: ModeFrequency,
-    source: Callable[[float], float] | None,
+    s: float | None,
     t: float,
 ) -> tuple[float, float, float]:
-    """Source-extended equations of motion for (lam, r, phi).
+    """Source-extended equations of motion for (lam, r, phi) at time t,
+    given the source value s = S(t) (None: no environment).
 
     dlam/dt = k S sqrt(lam) [cosh 2r - cos 2phi sinh 2r]
     dr/dt   = closed part - (k S / (4 sqrt(lam))) [sinh 2r - cos 2phi cosh 2r]
@@ -125,21 +121,20 @@ def generalized_squeezing_rhs(
     engine remains the engine of record; this one is singular at r -> 0
     and stiff near lam ~ 1.
     """
-    if s.r <= SQUEEZING_R_FLOOR:
+    if state.r <= SQUEEZING_R_FLOOR:
         raise DegenerateSqueezingError(
             f"generalized squeezing engine needs r > {SQUEEZING_R_FLOOR}"
         )
-    dr, dphi, _ = squeezing_rhs_closed(s.r, s.phi, 0.0, freq, t)
-    sv = source(t) if source is not None else 0.0
-    if sv == 0.0:
+    dr, dphi, _ = squeezing_rhs_closed(state.r, state.phi, 0.0, freq, t)
+    if not s:  # None or 0
         return (0.0, dr, dphi)
     k = freq.k
-    sqrt_lam = math.sqrt(s.lam)
-    ch, sh = math.cosh(2.0 * s.r), math.sinh(2.0 * s.r)
-    c2, s2 = math.cos(2.0 * s.phi), math.sin(2.0 * s.phi)
-    dlam = k * sv * sqrt_lam * (ch - c2 * sh)
-    dr -= k * sv / (4.0 * sqrt_lam) * (sh - c2 * ch)
-    dphi -= k * sv * s2 / (4.0 * sqrt_lam * sh)
+    sqrt_lam = math.sqrt(state.lam)
+    ch, sh = math.cosh(2.0 * state.r), math.sinh(2.0 * state.r)
+    c2, s2 = math.cos(2.0 * state.phi), math.sin(2.0 * state.phi)
+    dlam = k * s * sqrt_lam * (ch - c2 * sh)
+    dr -= k * s / (4.0 * sqrt_lam) * (sh - c2 * ch)
+    dphi -= k * s * s2 / (4.0 * sqrt_lam * sh)
     return (dlam, dr, dphi)
 
 
@@ -212,7 +207,7 @@ def green_covariance(
                                               epsrel=quad_tol)
         scale = max(abs(val), 1e-30)
         if err > 100.0 * quad_tol * scale + 1e-10:
-            raise QuadratureFailureError(
+            raise StepFailureError(
                 f"requested {quad_tol}, got error estimate {err} on scale {scale}"
             )
         results.append(sign * pref * val)
@@ -277,14 +272,11 @@ def evolve_open(
     def rhs(t, y):
         g = y.reshape(shape)
         g = (g[0], g[1], g[2])  # indexing, not unpacking: cheaper per call
-        held = None
-        if source is not None:
-            s = source(t)
-            held = lambda _: s  # one source call feeds both terms
+        s = None if source is None else source(t)
         # a new array per call: solve_ivp keeps the derivatives it is given
         out = np.empty(shape)
-        out[0], out[1], out[2] = transport_rhs_open(g, freq, held, t)
-        out[3] = det_rhs(g, held, t, k=k)
+        out[0], out[1], out[2] = transport_rhs_open(g, freq, s, t)
+        out[3] = det_rhs(g, s, k)
         return out.ravel()
 
     y0 = np.repeat([ic.g11, ic.g12, ic.g22, ic.lam], n)

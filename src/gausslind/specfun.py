@@ -116,8 +116,10 @@ def upper_incomplete_gamma(a: float, z: complex) -> complex:
 @functools.lru_cache(maxsize=16)
 def _lower_limit_gamma(alpha: float, ell_h: float) -> complex:
     """Gamma(1+alpha, -2i/ell_h): the lower-limit term of the moment, the
-    same at every x; a quadrature over x asks for it at each node.  One
-    exact covariance uses three (alpha, ell_h) pairs, so a few rows fit."""
+    same at every x.  Two routes read it: a quadrature over x of the exact
+    route asks for it at each node, and the super-Hubble table asks for it
+    through `oscillatory_moment_limits`, three orders per table.  One exact
+    covariance uses three (alpha, ell_h) pairs, so a few rows fit."""
     return upper_incomplete_gamma(1.0 + alpha, -2j / ell_h)
 
 
@@ -153,23 +155,16 @@ def oscillatory_moment_limits(alpha: float, ell_h: float) -> tuple[float, float]
                  + 2^{-2-a} [e^{-i pi a/2} G(1+a,  2i/ell_h)
                              + e^{+i pi a/2} G(1+a, -2i/ell_h)]
 
-    Both combinations are real; the residual imaginary part (pure
-    round-off) is asserted small and discarded.
+    With Gamma(a, conj z) = conj Gamma(a, z) both brackets are real parts
+    of w = e^{+i pi a/2} G(1+a, -2i/ell_h): limit_re = 2^{-1-a} (G(1+a)
+    sin(pi a/2) - Im w) and limit_im = 2^{-1-a} (Re w - G(1+a) cos(pi a/2)),
+    real by construction.  G(1+a, -2i/ell_h) is the cached lower-limit
+    term of `oscillatory_moment`.
     """
     a = alpha
-    g_full = complex(_gamma(1.0 + a))
-    g_plus = upper_incomplete_gamma(1.0 + a, 2j / ell_h)
-    g_minus = upper_incomplete_gamma(1.0 + a, -2j / ell_h)
-    ep = cmath.exp(-1j * math.pi * a / 2.0)
-    em = cmath.exp(1j * math.pi * a / 2.0)
+    g_full = float(_gamma(1.0 + a))
+    w = cmath.exp(1j * math.pi * a / 2.0) * _lower_limit_gamma(a, ell_h)
     two = 2.0 ** (-1.0 - a)
-    lim_re = two * g_full * math.sin(math.pi * a / 2.0) \
-        - 1j * 0.5 * two * (ep * g_plus - em * g_minus)
-    lim_im = -two * g_full * math.cos(math.pi * a / 2.0) \
-        + 0.5 * two * (ep * g_plus + em * g_minus)
-    scale = max(abs(lim_re), abs(lim_im), 1e-30)
-    if max(abs(lim_re.imag), abs(lim_im.imag)) > 1e-8 * scale:
-        raise DomainError(
-            f"moment limits acquired a non-negligible imaginary part at alpha={alpha}"
-        )
-    return float(lim_re.real), float(lim_im.real)
+    lim_re = two * g_full * math.sin(math.pi * a / 2.0) - two * w.imag
+    lim_im = -two * g_full * math.cos(math.pi * a / 2.0) + two * w.real
+    return lim_re, lim_im

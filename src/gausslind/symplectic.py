@@ -94,7 +94,9 @@ def _block_checks(g11, g12, g22, det):
     Positive definiteness is only enforced up to a coarse relative level:
     strongly squeezed or truncated-asymptotic blocks carry det noise many
     orders above eps.  The bound det >= 1 is read by CovarianceBlock.lam.
-    A NaN det (finite entries beyond ~1e154 overflow its products) passes.
+    A NaN det (finite entries beyond ~1e154 overflow its products) passes:
+    CovarianceBlock.det raises on it, and a trajectory reads its
+    transported det instead.
     """
     half_sum = 0.5 * (g11 + g22)
     return ((g11 > 0.0) & (g22 > 0.0),
@@ -151,7 +153,13 @@ class CovarianceBlock:
 
     @property
     def det(self) -> float:
-        return stable_det2(self.g11, self.g12, self.g22)
+        """stable_det2 of the entries; DomainError where finite entries
+        (beyond ~1e154) overflow it."""
+        det = stable_det2(self.g11, self.g12, self.g22)
+        if not math.isfinite(det):
+            raise DomainError(f"the determinant of entries ({self.g11}, {self.g12}, "
+                              f"{self.g22}) overflows a double")
+        return det
 
     @property
     def lam(self) -> float:
@@ -193,9 +201,9 @@ class Covariance4:
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+            raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(m).max())):
-            raise ValueError("covariance matrix must be symmetric")
+            raise DomainError("covariance matrix must be symmetric")
         object.__setattr__(self, "m", 0.5 * (m + m.T))
 
     @property
@@ -220,7 +228,7 @@ class PartitionAngles:
         for name in ("alpha", "beta", "delta", "theta"):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValueError(f"angle {name} must be finite, got {v}")
+                raise DomainError(f"angle {name} must be finite, got {v}")
             object.__setattr__(self, name, _canonical_angle(v))
 
 
@@ -282,27 +290,20 @@ def general_partition_matrix(angles: PartitionAngles) -> np.ndarray:
 
 
 def one_param_partition_matrix(theta: float) -> np.ndarray:
-    """One-angle subfamily of partitions.
+    """One-angle subfamily of partitions: the four-angle family at
+    (alpha, beta, delta) = (0, 2 theta - pi/2, pi/2).
 
     theta = 0 is the reference partition; theta = -pi/4 is the partition
     into the two opposite-wavevector modes, which maximizes discord.
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    return np.array(
-        [
-            [ct, 0.0, 0.0, st],
-            [0.0, ct, -st, 0.0],
-            [st * s2, st * c2, ct * c2, -ct * s2],
-            [-st * c2, st * s2, ct * s2, ct * c2],
-        ]
-    )
+    return general_partition_matrix(
+        PartitionAngles(0.0, 2.0 * theta - 0.5 * math.pi, 0.5 * math.pi, theta))
 
 
 def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff ||T J T^T - J||_max <= tol."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     T = np.asarray(T, dtype=float)
     resid = T @ SYMPLECTIC_FORM @ T.T - SYMPLECTIC_FORM
     return bool(np.abs(resid).max() <= tol)

@@ -22,7 +22,7 @@ from gausslind.cosmology import (
     de_sitter_mode,
     de_sitter_squeezing,
 )
-from gausslind.errors import DegenerateSqueezingError
+from gausslind.errors import DegenerateSqueezingError, StepFailureError
 from gausslind.opensys import evolve_open
 
 from conftest import third_order_residual
@@ -70,6 +70,11 @@ class TestModeIntegration:
         traj = integrate_mode_function(freq, -100.0, -0.01, de_sitter_mode(100.0))
         for x in np.geomspace(100.0, 0.01, 25):
             assert traj.wronskian_drift(-float(x)) < 1e-9
+
+    def test_non_finite_omega_sq_is_a_step_failure(self):
+        freq = ModeFrequency(1.0, lambda k, t: math.nan if t > 1.0 else k * k)
+        with pytest.raises(StepFailureError, match="omega"):
+            integrate_mode_function(freq, 0.0, 2.0, ModeState.vacuum(1.0, 0.0))
 
 
 class TestBogoliubov:

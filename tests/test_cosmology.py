@@ -119,6 +119,18 @@ class TestKernel:
         want = 2.0 * 100.0 * (1.0 / 0.5) ** (2.1 - 3.0)
         assert abs(got - want) < 1e-14 * want
 
+    @pytest.mark.parametrize("p,kg,ellH", [(2.1, 10.0, 0.1), (6.1, 0.3, 0.15),
+                                           (9.3, 1e-4, 0.05)])
+    def test_kernel_is_the_one_cell_plane(self, p, kg, ellH):
+        from gausslind.cosmology import _plane_kernel
+        params = CosmoParams(kg, p, ellH)
+        scalar = cosmo_kernel(params)
+        plane = _plane_kernel(params, np.array([p]), np.array([params.kGamma_over_k ** 2]))
+        etas = np.linspace(-2.0 / ellH, 0.0, 401)[1:-1].tolist() + [-1.0 / ellH]
+        for eta in etas:
+            got = plane(eta)
+            assert got.shape == (1, 1) and scalar(eta) == got.item()
+
 
 class TestExactOpenCovariance:
     def test_zero_coupling_recovers_closed(self):
@@ -686,6 +698,14 @@ class TestEmptyRows:
     def test_exact_open_det_empty_row(self):
         with pytest.raises(DomainError):
             exact_open_det(0.05, CosmoParams(0.0, 2.1, 0.1), kGamma_over_kstar=[])
+
+    @pytest.mark.parametrize("method", ["approx", "exact", "transport"])
+    def test_infinite_coupling(self, method):
+        with pytest.raises(DomainError):
+            discord_cosmo(0.05, -0.4, CosmoParams(0.0, 2.1, 0.1), method,
+                          kGamma_over_kstar=np.array([0.5, math.inf]))
+        with pytest.raises(DomainError):
+            exact_open_det(0.05, CosmoParams(0.0, 2.1, 0.1), kGamma_over_kstar=[math.inf])
 
 
 class TestDiscordPlane:

@@ -19,7 +19,12 @@ from gausslind.cosmology import (
     evolve_de_sitter,
     exact_open_covariance,
 )
-from gausslind.errors import BelowHeisenbergError, DegenerateSqueezingError
+from gausslind.errors import (
+    BelowHeisenbergError,
+    DegenerateSqueezingError,
+    DomainError,
+    StepFailureError,
+)
 from gausslind.opensys import (
     GreenIntegrals,
     det_rhs,
@@ -52,7 +57,7 @@ class TestOpenRhs:
         for _ in range(10):
             y = (rng.uniform(0.5, 4.0), rng.uniform(-1, 1), rng.uniform(0.5, 4.0))
             t = rng.uniform(0.0, 5.0)
-            assert transport_rhs_open(y, freq, zero_kernel, t) \
+            assert transport_rhs_open(y, freq, zero_kernel(t), t) \
                 == transport_rhs_closed(y, freq, t)
             assert transport_rhs_open(y, freq, None, t) \
                 == transport_rhs_closed(y, freq, t)
@@ -60,17 +65,17 @@ class TestOpenRhs:
     def test_source_feeds_momentum_variance_only(self):
         freq = ModeFrequency.free(2.0)
         d11, d12, d22 = transport_rhs_open(
-            CovarianceBlock.vacuum(), freq, constant_kernel(0.3), 0.0)
+            CovarianceBlock.vacuum(), freq, constant_kernel(0.3)(0.0), 0.0)
         assert d11 == 0.0 and d12 == 0.0
         assert abs(d22 - 2.0 * 0.3) < 1e-15  # k * S
 
     def test_det_rhs(self, rng):
         kern = constant_kernel(0.5)
-        assert det_rhs(CovarianceBlock.vacuum(), zero_kernel, 0.0) == 0.0
-        assert det_rhs(CovarianceBlock.vacuum(), None, 0.0) == 0.0
+        assert det_rhs(CovarianceBlock.vacuum(), zero_kernel(0.0)) == 0.0
+        assert det_rhs(CovarianceBlock.vacuum(), None) == 0.0
         b = CovarianceBlock(3.0, 1.0, 1.0)
-        assert det_rhs(b, kern, 0.0, k=2.0) == 2.0 * 0.5 * 3.0
-        assert det_rhs(b, kern, 0.0, k=2.0) > 0.0
+        assert det_rhs(b, kern(0.0), k=2.0) == 2.0 * 0.5 * 3.0
+        assert det_rhs(b, kern(0.0), k=2.0) > 0.0
 
     def test_det_rhs_consistent_with_transport(self, rng):
         freq = ModeFrequency(1.0, lambda k, t: k * k * (1.0 - 0.5 * math.sin(t)))
@@ -80,9 +85,9 @@ class TestOpenRhs:
             g12 = rng.uniform(-0.8, 0.8)
             y = (g11, g12, g22)
             t = rng.uniform(0.0, 6.0)
-            d11, d12, d22 = transport_rhs_open(y, freq, kern, t)
+            d11, d12, d22 = transport_rhs_open(y, freq, kern(t), t)
             implied = d11 * g22 + g11 * d22 - 2.0 * g12 * d12
-            assert abs(implied - det_rhs(y, kern, t)) < 1e-12 * max(1.0, implied)
+            assert abs(implied - det_rhs(y, kern(t))) < 1e-12 * max(1.0, implied)
 
 
 class TestGeneralizedSqueezing:
@@ -101,7 +106,7 @@ class TestGeneralizedSqueezing:
         for _ in range(50):
             s = SqueezingState(rng.uniform(0.01, 4.0), rng.uniform(-1.5, 1.5),
                                rng.uniform(1.0, 20.0))
-            dlam, _, _ = generalized_squeezing_rhs(s, freq, kern, 0.0)
+            dlam, _, _ = generalized_squeezing_rhs(s, freq, kern(0.0), 0.0)
             assert dlam >= 0.0
 
     def test_r_floor(self):
@@ -127,7 +132,7 @@ class TestGeneralizedSqueezing:
         def rhs(t, y):
             return generalized_squeezing_rhs(
                 SqueezingState(max(y[1], 2e-6), y[2], max(y[0], 1.0)),
-                freq, kern, t)
+                freq, kern(t), t)
 
         sol = solve_ivp(rhs, (-x0, -x1), [1.0, seed.r, seed.phi],
                         method="DOP853", rtol=1e-11, atol=1e-13)
@@ -198,8 +203,22 @@ class TestGreenCovariance:
                 assert abs(a - b) < 1e-6 * abs(b)
 
     def test_green_integrals_validate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             GreenIntegrals(I=1.0, J=5.0, K=1.0)  # violates Cauchy-Schwarz
+
+    def test_green_integrals_negative_diagonal(self):
+        with pytest.raises(DomainError, match="negative diagonal"):
+            GreenIntegrals(I=-1.0, J=0.0, K=1.0)
+
+    def test_quadrature_short_of_tolerance(self):
+        # a barely integrable spike: quad cannot meet 1e-10 on it
+        k, T = 0.7, 12.0
+        traj = integrate_mode_function(ModeFrequency.free(k), 0.0, T,
+                                       ModeState.vacuum(k, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's IntegrationWarning
+            with pytest.raises(StepFailureError, match="error estimate"):
+                green_covariance(traj, lambda t: abs(t - 3.3) ** -0.999, T)
 
 
 class TestEvolveOpen:

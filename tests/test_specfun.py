@@ -146,6 +146,48 @@ class TestOscillatoryMoment:
         assert oscillatory_moment(alpha, x, ellh) == want  # warm
         assert specfun._lower_limit_gamma.cache_info().hits == hits + 1
 
+    @staticmethod
+    def _limit_grid():
+        """(alpha, ell_h) over the three orders of the super-Hubble table:
+        p in (0.1, 9.9) off the integers, ell_h in [1e-3, 0.5]."""
+        ps = [p for p in np.linspace(0.1, 9.9, 41).tolist() if abs(p - round(p)) > 1e-3]
+        return [(off - p, ellh) for p in ps for off in (1.0, 2.0, 3.0)
+                for ellh in np.geomspace(1e-3, 0.5, 7).tolist()]
+
+    def test_upper_gamma_conjugation_on_the_limit_grid(self):
+        # Gamma(a, conj z) = conj Gamma(a, z), bit for bit: the limits read
+        # one lower-limit Gamma and its conjugate instead of two calls
+        for alpha, ellh in self._limit_grid():
+            assert upper_incomplete_gamma(1.0 + alpha, 2j / ellh) \
+                == upper_incomplete_gamma(1.0 + alpha, -2j / ellh).conjugate()
+
+    def test_limits_equal_the_two_gamma_formula(self):
+        from scipy.special import gamma
+        for alpha, ellh in self._limit_grid():
+            a = alpha
+            g_full = complex(gamma(1.0 + a))
+            g_plus = upper_incomplete_gamma(1.0 + a, 2j / ellh)
+            g_minus = upper_incomplete_gamma(1.0 + a, -2j / ellh)
+            ep = cmath.exp(-1j * math.pi * a / 2.0)
+            em = cmath.exp(1j * math.pi * a / 2.0)
+            two = 2.0 ** (-1.0 - a)
+            lim_re = two * g_full * math.sin(math.pi * a / 2.0) \
+                - 1j * 0.5 * two * (ep * g_plus - em * g_minus)
+            lim_im = -two * g_full * math.cos(math.pi * a / 2.0) \
+                + 0.5 * two * (ep * g_plus + em * g_minus)
+            assert oscillatory_moment_limits(alpha, ellh) == (lim_re.real, lim_im.real)
+
+    def test_cold_limits_call_one_gamma(self, monkeypatch):
+        calls = []
+        gamma = specfun.upper_incomplete_gamma
+        monkeypatch.setattr(specfun, "upper_incomplete_gamma",
+                            lambda a, z: calls.append((a, z)) or gamma(a, z))
+        specfun._lower_limit_gamma.cache_clear()
+        pairs = [(-1.1, 0.1), (-3.1, 0.1), (0.4, 0.003)]
+        for alpha, ellh in pairs:
+            oscillatory_moment_limits(alpha, ellh)
+        assert calls == [(1.0 + alpha, -2j / ellh) for alpha, ellh in pairs]
+
     def test_lower_limit_cache_is_bounded(self):
         maxsize = specfun._lower_limit_gamma.cache_info().maxsize
         for i in range(maxsize + 10):

@@ -31,6 +31,7 @@ from gausslind.symplectic import (
     transform_covariance,
 )
 from gausslind.cosmology import de_sitter_covariance_closed
+from gausslind.discord import discord
 
 from conftest import random_block
 
@@ -57,6 +58,20 @@ class TestPartitionMatrices:
         np.testing.assert_allclose(T4, one_param_partition_matrix(theta),
                                    atol=1e-14)
 
+    def test_one_param_is_the_four_angle_family(self):
+        # the former 4x4 literal of the one-angle family, entry by entry
+        eps = np.finfo(float).eps
+        for theta in np.linspace(-math.pi, math.pi, 2001).tolist():
+            ct, st = math.cos(theta), math.sin(theta)
+            c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
+            literal = np.array([
+                [ct, 0.0, 0.0, st],
+                [0.0, ct, -st, 0.0],
+                [st * s2, st * c2, ct * c2, -ct * s2],
+                [-st * c2, st * s2, ct * s2, ct * c2],
+            ])
+            assert np.abs(one_param_partition_matrix(theta) - literal).max() <= 4.0 * eps
+
     def test_one_param_symplectic(self):
         T = one_param_partition_matrix(0.7)
         resid = T @ SYMPLECTIC_FORM @ T.T - SYMPLECTIC_FORM
@@ -81,6 +96,30 @@ class TestPartitionMatrices:
         assert -math.pi < a.alpha <= math.pi
         assert -math.pi < a.beta <= math.pi
         assert abs(a.theta) < 1e-12
+
+
+class TestTypedErrors:
+    """Bad input to the partition and covariance types is a DomainError."""
+
+    def test_partition_angle_not_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="alpha"):
+                PartitionAngles(bad, 0.0, 0.0, 0.0)
+            with pytest.raises(DomainError, match="theta"):
+                PartitionAngles(0.0, 0.0, 0.0, bad)
+
+    def test_covariance4_shape_and_symmetry(self):
+        with pytest.raises(DomainError, match="4x4"):
+            Covariance4(np.eye(3))
+        asym = np.eye(4)
+        asym[0, 1] = 0.5
+        with pytest.raises(DomainError, match="symmetric"):
+            Covariance4(asym)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_is_symplectic_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            is_symplectic(np.eye(4), tol)
 
 
 class TestTransformCovariance:
@@ -178,6 +217,28 @@ class TestPurity:
         assert wide.lam == 1.0
         with pytest.raises(BelowHeisenbergError):
             CovarianceBlock(1e4, 0.0, 1e-4 * (1.0 - 1e-6)).lam
+
+
+class TestOverflowingDeterminant:
+    """Finite entries beyond ~1e154 overflow the determinant: every reader
+    of it raises DomainError instead of returning NaN."""
+
+    BLOCK = (1e200, 1e199, 1e200)
+
+    def test_block_constructs(self):
+        assert math.isnan(stable_det2(*self.BLOCK))
+        CovarianceBlock(*self.BLOCK)
+
+    @pytest.mark.parametrize("read", [
+        purity,
+        lambda b: sigma_theta(b, 0.3),
+        lambda b: discord(b, -math.pi / 4),
+        squeezing_from_covariance,
+        lambda b: b.lam,
+    ], ids=["purity", "sigma_theta", "discord", "squeezing_from_covariance", "lam"])
+    def test_readers_raise(self, read):
+        with pytest.raises(DomainError, match="overflows"):
+            read(CovarianceBlock(*self.BLOCK))
 
 
 class TestSqueezingState:
