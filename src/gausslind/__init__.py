@@ -22,14 +22,11 @@ from .symplectic import (
 )
 from .discord import (
     DiscordResult,
-    Regime,
     entropy_kernel,
     discord,
     discord_squeezed,
-    discord_pure,
     mutual_information,
     max_classical_info,
-    discord_asymptotic,
 )
 from .specfun import (
     upper_incomplete_gamma,

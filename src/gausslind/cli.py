@@ -94,6 +94,13 @@ def _pair(cfg: dict, key: str, default) -> list:
     return [_finite(e, key) for e in v]
 
 
+def _range(cfg: dict, key: str, default) -> list:
+    lo, hi = _pair(cfg, key, default)
+    if lo > hi:
+        raise ConfigError(f"config key {key!r} must run from low to high, got {[lo, hi]}")
+    return [lo, hi]
+
+
 def _positive(value, what: str) -> float:
     v = _finite(value, what)
     if v <= 0.0:
@@ -215,8 +222,8 @@ DISCORD_METHODS = ("approx", "exact", "transport")
 
 
 def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
-    p_lo, p_hi = _pair(cfg, "p_range", (0.1, 9.9))
-    k_lo, k_hi = _pair(cfg, "log10_kGamma_range", (-10.0, 6.0))
+    p_lo, p_hi = _range(cfg, "p_range", (0.1, 9.9))
+    k_lo, k_hi = _range(cfg, "log10_kGamma_range", (-10.0, 6.0))
     n_p, n_k = (_count(n, "map_points", 1) for n in _pair(cfg, "map_points", (40, 40)))
     x = _finite(cfg.get("x", math.exp(-20.0)), "x")
     theta = _finite(cfg.get("theta", -math.pi / 4.0), "theta")
@@ -277,7 +284,7 @@ def run_ellipse_series(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
 
 def run_spectrum(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     base = _cosmo_params(cfg)
-    k_lo, k_hi = (_positive(k, "k_range") for k in _pair(cfg, "k_range", (1e-2, 1e2)))
+    k_lo, k_hi = (_positive(k, "k_range") for k in _range(cfg, "k_range", (1e-2, 1e2)))
     points = _count(cfg.get("points", 41), "points", 1)
     rows = []
     for k in np.geomspace(k_lo, k_hi, points):

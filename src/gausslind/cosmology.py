@@ -29,8 +29,8 @@ from scipy.special import logsumexp
 
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
-from .discord import (DiscordResult, _discord_from_logs, _log_sigmas_from_block,
-                      _scalar_or_array)
+from .discord import (DiscordResult, _discord_from_logs, _ln, _log_sigma_theta,
+                      _log_sigmas_from_block, _scalar_or_array)
 from .errors import DomainError, SingularExponentError
 from .opensys import evolve_open, max_members, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
@@ -577,10 +577,11 @@ def _signed_log_sum(coeffs, exps, ln_x: float):
 
 
 def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2):
-    """(ln sigma(theta), ln sigma(0)) from the super-Hubble asymptotics
-    for the array of couplings kap2 sharing the table t, assembled
-    entirely in the log domain so that x as small as e^-700 stays
-    representable."""
+    """(ln sigma(0)^2, ln q), q = m^2 sin^2(2 theta) / 4, from the
+    super-Hubble asymptotics for the array of couplings kap2 sharing the
+    table t, assembled entirely in the log domain so that x as small as
+    e^-700 stays representable.  A sigma(0)^2 that the truncated series
+    puts below 1 reads as 1 (purity 1; see the README numerical notes)."""
     _require_super_hubble(x)
     ln_x = math.log(x)
     p = t.p
@@ -592,9 +593,6 @@ def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2):
         np.array([[0.0], [0.0], [2.0 - p], [10.0 - 2.0 * p]]), ln_x)
     # clamp to the pure-state floor sigma(0) = 1
     ln_s0sq = np.where((sgn0 <= 0.0) | (ln_s0sq < 0.0), 0.0, ln_s0sq)
-    s2t = math.sin(2.0 * theta) ** 2
-    if s2t == 0.0:
-        return 0.5 * ln_s0sq, 0.5 * ln_s0sq
 
     coeffs, exps = _approx_terms(t, kap2)
     (ln11, ln12, ln22), (s11, _, s22) = _signed_log_sum(coeffs, exps[..., None], ln_x)
@@ -602,8 +600,7 @@ def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2):
     ln_diff, _ = logsumexp(np.stack((ln11, ln22)), axis=0,
                            b=np.stack((s11, -s22)), return_sign=True)
     ln_m2 = np.logaddexp(2.0 * ln_diff, math.log(4.0) + 2.0 * ln12)
-    ln_stsq = np.logaddexp(ln_s0sq, ln_m2 + math.log(0.25 * s2t))
-    return 0.5 * ln_stsq, 0.5 * ln_s0sq
+    return ln_s0sq, ln_m2 + _ln(0.25 * math.sin(2.0 * theta) ** 2)
 
 
 def _plane_kernel(params: CosmoParams, ps: np.ndarray,
@@ -665,8 +662,8 @@ def discord_cosmo(
 
     kGamma_over_kstar, when given, replaces the coupling of params, and p
     its growth index: each is a scalar or a non-empty 1-D array.  Every
-    field of the result but the regime has one axis per array given, p
-    first: (n_p, n_k) with both, a float with neither.
+    field of the result has one axis per array given, p first: (n_p, n_k)
+    with both, a float with neither.
 
     The approx and exact routes evaluate the map row by row and equal
     per-row calls bit for bit: the approx route builds one coefficient
@@ -688,8 +685,8 @@ def discord_cosmo(
     rows = [replace(params, p=pi) for pi in ps.tolist()]
     if method == "approx":
         kap2 = np.array(_kap2_row(params, couplings))
-        ln_st, ln_s0 = np.array([_log_sigmas_approx(x, theta, asymptotic_coefficients(row), kap2)
-                                 for row in rows]).transpose(1, 0, 2)
+        ln_s0sq, ln_q = np.array([_log_sigmas_approx(x, theta, asymptotic_coefficients(row), kap2)
+                                  for row in rows]).transpose(1, 0, 2)
     elif method == "exact":
         cells = []
         for row in rows:
@@ -700,12 +697,13 @@ def discord_cosmo(
     else:
         raise DomainError(f"unknown method {method!r}")
     if method != "approx":
-        ln_st, ln_s0 = np.array([_log_sigmas_from_block(b, theta, det)
-                                 for b, det in cells]).T.reshape(2, len(ps), len(couplings))
-    d = _discord_from_logs(ln_st, ln_s0)
+        ln_s0sq, ln_q = np.array([_log_sigmas_from_block(b, theta, det)
+                                  for b, det in cells]).T.reshape(2, len(ps), len(couplings))
+    d, _, _ = _discord_from_logs(ln_s0sq, ln_q)
     axes = (0 if np.ndim(p) == 0 else slice(None),
             0 if np.ndim(kGamma_over_kstar) == 0 else slice(None))
-    return DiscordResult(*(_scalar_or_array(f[axes]) for f in (d, ln_st, ln_s0)))
+    return DiscordResult(*(_scalar_or_array(f[axes]) for f in
+                           (d, _log_sigma_theta(ln_s0sq, ln_q), 0.5 * ln_s0sq)))
 
 
 # ---------------------------------------------------------------------------

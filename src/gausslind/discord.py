@@ -1,50 +1,35 @@
 """Gaussian quantum discord and mutual information for homogeneous states.
 
-Every quantity here is a function of two symplectic eigenvalues only: the
-reduced one, sigma(theta), and the global one, sigma(0) = sqrt(det).  The
-exact closed form is evaluated in the log domain throughout so that
-astronomically squeezed states (r of order hundreds) are handled without
-overflow or catastrophic cancellation.
+Every quantity here is a function of sigma(0)^2 (= det = 1/purity) and
+q = sigma(theta)^2 - sigma(0)^2 >= 0.  Each producer (a covariance block,
+squeezing parameters, the super-Hubble map) hands over their logs, and one
+assembly turns them into D, I and J at full relative precision, for any
+squeezing (r of order hundreds) and where D is far below the entropies
+it is the difference of (the decoherence-dominated regime).
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlog1py
 
 from .errors import DomainError
-from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _sigma_theta_sq
+from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _q_theta
 
 __all__ = [
-    "Regime",
     "DiscordResult",
     "entropy_kernel",
     "discord",
     "discord_squeezed",
-    "discord_pure",
     "mutual_information",
     "max_classical_info",
-    "discord_asymptotic",
 ]
 
 LN2 = math.log(2.0)
-
-#: above this argument the exact entropy kernel loses ~eps*x of absolute
-#: accuracy to cancellation, while the expansion
-#: f(x) = log2(x/2) + (1 - 1/(6x^2))/ln2 + O(x^-4) is already exact to
-#: double precision (the x^-4 term is 5e-18 at the boundary); 1e4 keeps
-#: both error sources at the 1e-13 level.
-_LARGE_X = 1e4
-_LARGE_LOG = math.log(_LARGE_X)
-
-
-class Regime(enum.Enum):
-    EXACT = "exact"
-    LARGE_SQUEEZING_HIGH = "large_squeezing_high"
-    LARGE_SQUEEZING_LOW = "large_squeezing_low"
+_LN7 = math.log(7.0)
 
 
 @dataclass(frozen=True)
@@ -52,14 +37,12 @@ class DiscordResult:
     """Discord in bits with the natural logs of the symplectic
     eigenvalues used, which remain finite even when the eigenvalues
     themselves overflow a double.  A map evaluation
-    (`cosmology.discord_cosmo` with array arguments) holds arrays in
-    every field but ``regime``.
+    (`cosmology.discord_cosmo` with array arguments) holds arrays.
     """
 
     discord: float
     log_sigma_theta: float
     log_sigma_zero: float
-    regime: Regime = Regime.EXACT
 
     @property
     def sigma_theta(self):
@@ -80,75 +63,129 @@ def _exp_or_inf(ln):
     return _scalar_or_array(np.where(ln < 709.0, np.exp(np.minimum(ln, 709.0)), np.inf))
 
 
+def _ln(x: float) -> float:
+    """ln x, -inf at x = 0."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _psi_gap(ln_a, ln_b, ln_step, ln_bm1):
+    """psi(1/b^2) - psi(1/a^2) >= 0, psi(y) = sum_k y^k / (2k (2k+1)), for
+    symplectic eigenvalues a = b + step >= b >= 1 given the logs of a, b,
+    step and b - 1; elementwise.  As f(x) ln 2 = ln(x/2) + 1 - psi(1/x^2)
+    for the entropy kernel f, this is (f(a) - f(b)) ln 2 - ln(a/b).
+
+    b >= 8: the series in y = 1/x^2 as (y_b - y_a) sum_k h_k / (2k (2k+1)),
+    h_k = (y_b^k - y_a^k)/(y_b - y_a) > 0, as long as the batch's largest
+    y_b needs (<= 10 terms); a term past an element's own y_b^k < e^-38
+    is below half an ulp, so no value depends on its batch.
+    b < 8: f = u ln u - d ln d, u = (x+1)/2, d = (x-1)/2, differenced
+    through log1p of the step for a <= 2b (cancelling to ~1/(3 b^2) of its
+    terms: <= 2e-14 relative in D against mpmath), as a difference of two
+    values below 1 for a > 2b.  A step past e^690 changes psi(1/a^2) by
+    < e^-1380, so it is evaluated at e^690 and never overflows.
+    """
+    ln_a, ln_b, ln_step, ln_bm1 = np.broadcast_arrays(ln_a, ln_b, ln_step, ln_bm1)
+    big = ln_bm1 >= _LN7
+    gap = np.empty(big.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        a, b, step = ln_a[big], ln_b[big], ln_step[big]
+        y_a, y_b = np.exp(-2.0 * a), np.exp(-2.0 * b)
+        series, h_k, y_ak = 1.0 / 6.0, 1.0, 1.0
+        for k in range(2, math.ceil(19.0 / b.min(initial=np.inf)) + 1):
+            y_ak = y_ak * y_a
+            h_k = y_b * h_k + y_ak
+            series = series + h_k / (2 * k * (2 * k + 1))
+        # y_b - y_a = step (a + b) / (a^2 b^2)
+        gap[big] = series * np.exp(step - a - 2.0 * b) * (1.0 + np.exp(b - a))
+
+        step, bm1 = np.minimum(ln_step[~big], 690.0), ln_bm1[~big]
+        half, d_b = 0.5 * np.exp(step), 0.5 * np.exp(bm1)
+        d_a = d_b + half
+        # 1/d without overflow: below d = 1e-300, x log1p(1/d) is below 1e-297 either way
+        inv_a, inv_b = 1.0 / np.maximum(d_a, 1e-300), 1.0 / np.maximum(d_b, 1e-300)
+        near = (xlog1py(half, inv_a) + (1.0 + d_b) * np.log1p(half / (1.0 + d_b))
+                - np.where(d_b > 0.0, d_b * np.logaddexp(0.0, step - bm1), 0.0)
+                - np.log1p(half / (0.5 + d_b)))
+        # a > 2b: the difference of (f(x) ln 2 - ln x) = d log1p(1/d) - log1p(d/u),
+        # whose terms stay below 1 where those of `near` grow like ln(step)
+        far = (xlog1py(d_a, inv_a) - np.log1p(d_a / (1.0 + d_a))
+               - xlog1py(d_b, inv_b) + np.log1p(d_b / (1.0 + d_b)))
+        gap[~big] = np.where(half > 0.5 + d_b, far, near)
+    return gap
+
+
 def entropy_kernel(x):
     """Von Neumann entropy of a one-mode Gaussian state with symplectic
     eigenvalue x (in bits):
 
         f(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2),
 
-    continued by f(1) = 0.  Arguments within HEISENBERG_SLACK below 1
-    are clamped.
+    continued by f(1) = 0: ln x + `_psi_gap` from 1 to x, divided by ln 2.
+    Arguments within HEISENBERG_SLACK below 1 are clamped.
     Elementwise over arrays; a scalar argument gives a float.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0 - HEISENBERG_SLACK):
         raise DomainError(f"entropy kernel needs x >= 1, got {np.min(x)}")
-    up = 0.5 * (x + 1.0)
-    dn = 0.5 * (x - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (up * np.log(up) - dn * np.log(dn)) / LN2
-        large = (np.log(0.5 * x) + 1.0 - 1.0 / (6.0 * x * x)) / LN2
-    f = np.where(x > _LARGE_X, large, np.where(x <= 1.0 + 1e-15, 0.0, exact))
-    return _scalar_or_array(f)
+    x = np.maximum(x, 1.0)
+    with np.errstate(divide="ignore"):
+        ln_x, ln_xm1 = np.log(x), np.log(x - 1.0)
+    return _scalar_or_array((ln_x + _psi_gap(ln_x, 0.0, ln_xm1, -np.inf)) / LN2)
 
 
-def _entropy_kernel_log(ln_x):
-    """entropy_kernel(exp(ln_x)) without forming exp(ln_x) when large;
-    elementwise over arrays, a float for a scalar."""
-    ln_x = np.asarray(ln_x, dtype=float)
-    large = ln_x > _LARGE_LOG
-    small = entropy_kernel(np.exp(np.where(large, 0.0, ln_x)))
-    # the correction underflows harmlessly for ln_x beyond ~350
-    asymptotic = (ln_x - LN2 + 1.0 - np.exp(-2.0 * ln_x) / 6.0) / LN2
-    return _scalar_or_array(np.where(large, asymptotic, small))
+def _log_sigma_theta(ln_s0sq, ln_q):
+    """ln sigma(theta) = ln(sigma(0)^2 + q) / 2; elementwise over arrays."""
+    return 0.5 * np.logaddexp(ln_s0sq, ln_q)
 
 
-def _entropies(ln_st, ln_s0):
-    """(f(st), f(s0), f(mix)) with mix = (st + s0^2)/(st + 1), from the
-    logs of st = sigma(theta) and s0 = sigma(0); elementwise over arrays,
-    floats for scalars."""
-    ln_mix = np.logaddexp(ln_st, 2.0 * ln_s0) - np.logaddexp(ln_st, 0.0)
-    return (_entropy_kernel_log(ln_st), _entropy_kernel_log(ln_s0),
-            _entropy_kernel_log(ln_mix))
+def _discord_from_logs(ln_s0sq, ln_q):
+    """(D, I, J) in bits from ln sigma(0)^2 and ln q, elementwise, floats
+    for scalars; D = 0 exactly at q = 0 (ln q = -inf).  With st = sigma(theta),
+    s0 = sigma(0), mix = (st + s0^2)/(st + 1) and f(x) ln 2 = ln(x/2) + 1 - psi(1/x^2):
 
+        D ln 2 = log1p(q / (s0^2 (st + 1)))
+                 + [psi(1/s0^2) - psi(1/st^2)] - [psi(1/mix^2) - psi(1/s0^2)],
+        I ln 2 = log1p(q / s0^2) + 2 [psi(1/s0^2) - psi(1/st^2)],  J = I - D >= I/2,
 
-def _discord_from_logs(ln_st, ln_s0):
-    """Exact discord from log symplectic eigenvalues.
-
-    D = f(st) - 2 f(s0) + f((st + s0^2)/(st + 1)), all in the log domain;
-    elementwise over arrays, a float for scalars.
+    the brackets from the exact steps st - s0 = q/(st + s0) and
+    s0 - mix = (st - s0)(s0 - 1)/(st + 1), in logs: no term is the
+    difference of two large ones.
     """
-    f_st, f_s0, f_mix = _entropies(ln_st, ln_s0)
-    d = f_st - 2.0 * f_s0 + f_mix
-    # rounding can leave a few ulp of negativity at theta ~ 0
-    return _scalar_or_array(np.where(d > 0.0, d, 0.0))
+    ln_s0sq, ln_q = np.asarray(ln_s0sq, dtype=float), np.asarray(ln_q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_st, ln_s0 = _log_sigma_theta(ln_s0sq, ln_q), 0.5 * ln_s0sq
+        ln_st1 = np.logaddexp(ln_st, 0.0)
+        ln_step = ln_q - np.logaddexp(ln_st, ln_s0)
+        ln_s0m1 = ln_s0 + np.log(-np.expm1(-ln_s0))
+        ln_mixm1 = ln_s0sq + np.log(-np.expm1(-ln_s0sq)) - ln_st1
+        # both brackets in one pass, (a, b) = (st, s0) and (s0, mix)
+        gap_st, gap_mix = _psi_gap(
+            np.stack((ln_st, ln_s0)), np.stack((ln_s0, np.logaddexp(ln_st, ln_s0sq) - ln_st1)),
+            np.stack((ln_step, ln_step - ln_st1 + ln_s0m1)), np.stack((ln_s0m1, ln_mixm1)))
+        d = np.logaddexp(0.0, ln_q - ln_s0sq - ln_st1) + gap_st - gap_mix
+        i = np.logaddexp(0.0, ln_q - ln_s0sq) + 2.0 * gap_st
+    return tuple(_scalar_or_array(v / LN2) for v in (d, i, i - d))
+
+
+def _result(ln_s0sq: float, ln_q: float) -> DiscordResult:
+    """The DiscordResult of one (ln sigma(0)^2, ln q)."""
+    return DiscordResult(_discord_from_logs(ln_s0sq, ln_q)[0],
+                         float(_log_sigma_theta(ln_s0sq, ln_q)), 0.5 * ln_s0sq)
 
 
 def _log_sigmas_from_block(block: CovarianceBlock, theta: float,
                            det: float | None = None) -> tuple[float, float]:
-    """(ln sigma(theta), ln sigma(0)) of a block: sigma(0)^2 = block.lam,
-    or max(det, 1) when det, a determinant transported alongside the
-    entries, is given; sigma(theta)^2 from `symplectic._sigma_theta_sq`."""
+    """(ln sigma(0)^2, ln q) of a block: sigma(0)^2 = block.lam, or
+    max(det, 1) when det, a determinant transported alongside the
+    entries, is given; q from `symplectic._q_theta`."""
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
-    s0sq = block.lam if det is None else max(det, 1.0)
-    return 0.5 * math.log(_sigma_theta_sq(block, theta, s0sq)), 0.5 * math.log(s0sq)
+    return math.log(block.lam if det is None else max(det, 1.0)), _ln(_q_theta(block, theta))
 
 
 def discord(block: CovarianceBlock, theta: float) -> DiscordResult:
     """Quantum discord of a covariance block across partition theta."""
-    ln_st, ln_s0 = _log_sigmas_from_block(block, theta)
-    return DiscordResult(_discord_from_logs(ln_st, ln_s0), ln_st, ln_s0)
+    return _result(*_log_sigmas_from_block(block, theta))
 
 
 def discord_squeezed(r: float, lam: float, theta: float) -> DiscordResult:
@@ -156,38 +193,24 @@ def discord_squeezed(r: float, lam: float, theta: float) -> DiscordResult:
 
     This is the log-domain entry point: it never forms the covariance
     entries, so it is usable for any squeezing amplitude (r ~ hundreds)
-    and any decoherence level (lam up to the largest double, e^709).
+    and any decoherence level (lam up to the largest double, e^709):
+    ln q = ln lam + 2 ln sinh(2r) + 2 ln|sin(2 theta)|.
     (r, lam) go through SqueezingState; bad input raises DomainError.
     """
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
     if lam < 1.0 - HEISENBERG_SLACK:
         raise DomainError(f"lam must be >= 1, got {lam}")
-    ln_s0 = 0.5 * math.log(SqueezingState(r, 0.0, lam).lam)
-    ln_st = ln_s0 + 0.5 * _ln1p_sinh_sq(r, theta)
-    return DiscordResult(_discord_from_logs(ln_st, ln_s0), ln_st, ln_s0)
-
-
-def _ln1p_sinh_sq(r: float, theta: float) -> float:
-    """ln(1 + sinh(2r)^2 sin(2 theta)^2), stable for large r."""
-    s2t = math.sin(2.0 * theta)
-    if r == 0.0 or s2t == 0.0:
-        return 0.0
-    # ln sinh(2r) = 2r - ln 2 + ln1p(-e^{-4r})
-    ln_sh = 2.0 * r - LN2 + math.log1p(-math.exp(-4.0 * r)) if r > 1e-8 else math.log(math.sinh(2.0 * r))
-    ln_term = 2.0 * (ln_sh + math.log(abs(s2t)))
-    return float(np.logaddexp(0.0, ln_term))
-
-
-def discord_pure(r: float, theta: float) -> float:
-    """Discord of a pure squeezed state: f(sqrt(1 + sinh^2 2r sin^2 2theta))."""
-    return discord_squeezed(r, 1.0, theta).discord
+    state = SqueezingState(r, 0.0, lam)
+    # ln sinh(2r) = 2r - ln 2 + ln(1 - e^{-4r}), exact for every r > 0
+    ln_sinh = 2.0 * state.r - LN2 + _ln(-math.expm1(-4.0 * state.r))
+    ln_q = math.log(state.lam) + 2.0 * (ln_sinh + _ln(abs(math.sin(2.0 * theta))))
+    return _result(math.log(state.lam), ln_q)
 
 
 def mutual_information(block: CovarianceBlock, theta: float) -> float:
     """Quantum mutual information 2 f(sigma(theta)) - 2 f(sigma(0))."""
-    f_st, f_s0, _ = _entropies(*_log_sigmas_from_block(block, theta))
-    return 2.0 * (f_st - f_s0)
+    return _discord_from_logs(*_log_sigmas_from_block(block, theta))[1]
 
 
 def max_classical_info(block: CovarianceBlock, theta: float) -> float:
@@ -196,30 +219,4 @@ def max_classical_info(block: CovarianceBlock, theta: float) -> float:
     J = f(sigma(theta)) - f((sigma(0)^2 + sigma(theta))/(1 + sigma(theta))),
     so that mutual_information - max_classical_info = discord identically.
     """
-    f_st, _, f_mix = _entropies(*_log_sigmas_from_block(block, theta))
-    return f_st - f_mix
-
-
-def discord_asymptotic(r: float, lam: float, theta: float) -> DiscordResult:
-    """Large-squeezing discord with automatic regime selection.
-
-    For e^{2r} |sin 2theta| / sqrt(lam) > 10 the squeezing wins and
-    D ~ 2r/ln2; below 0.1 decoherence wins and
-    D ~ e^{2r} |sin 2theta| / (2 sqrt(lam) ln 2); in between the exact
-    log-domain formula is used.  The 10/0.1 thresholds keep the exact path
-    authoritative near the crossover.  The eigenvalues are those of
-    discord_squeezed in every regime.
-    """
-    if r < 5.0:
-        raise DomainError(f"asymptotic form needs r >= 5, got {r}")
-    res = discord_squeezed(r, lam, theta)
-    s2t = abs(math.sin(2.0 * theta))
-    if s2t == 0.0:
-        return replace(res, discord=0.0, regime=Regime.LARGE_SQUEEZING_LOW)
-    ln_ratio = 2.0 * r + math.log(s2t) - res.log_sigma_zero
-    if ln_ratio > math.log(10.0):
-        return replace(res, discord=2.0 * r / LN2, regime=Regime.LARGE_SQUEEZING_HIGH)
-    if ln_ratio < math.log(0.1):
-        return replace(res, discord=math.exp(ln_ratio) / (2.0 * LN2),
-                       regime=Regime.LARGE_SQUEEZING_LOW)
-    return res
+    return _discord_from_logs(*_log_sigmas_from_block(block, theta))[2]

@@ -357,21 +357,22 @@ def purity(block: CovarianceBlock) -> float:
     return 1.0 / block.lam
 
 
-def _sigma_theta_sq(block: CovarianceBlock, theta: float, s0sq: float) -> float:
-    """sigma(theta)^2 of a block whose sigma(0)^2 is s0sq:
-    s0sq + (1/4) m^2 sin^2(2 theta), m^2 = (g11 - g22)^2 + 4 g12^2, the
-    cancellation-free form of cos^2(2 theta) s0sq + ((g11+g22)/2)^2 sin^2(2 theta)."""
+def _q_theta(block: CovarianceBlock, theta: float) -> float:
+    """q = sigma(theta)^2 - sigma(0)^2 = (1/4) m^2 sin^2(2 theta) >= 0,
+    m^2 = (g11 - g22)^2 + 4 g12^2: the cancellation-free form of
+    cos^2(2 theta) det + ((g11+g22)/2)^2 sin^2(2 theta) - det."""
     m2 = (block.g11 - block.g22) ** 2 + 4.0 * block.g12 ** 2
-    return s0sq + 0.25 * m2 * math.sin(2.0 * theta) ** 2
+    return 0.25 * m2 * math.sin(2.0 * theta) ** 2
 
 
 def sigma_theta(block: CovarianceBlock, theta: float) -> float:
-    """Symplectic eigenvalue of either reduced block in partition theta.
+    """Symplectic eigenvalue of either reduced block in partition theta,
+    sqrt(block.lam + q).
 
     Reduces to sqrt(block.lam) at theta = 0 and grows monotonically
     with |sin(2 theta)|.
     """
-    return math.sqrt(_sigma_theta_sq(block, theta, block.lam))
+    return math.sqrt(block.lam + _q_theta(block, theta))
 
 
 def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:

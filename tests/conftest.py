@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from gausslind.closed import ModeFrequency
-from gausslind.discord import _entropy_kernel_log
+from gausslind.cosmology import (CosmoParams, _kap2_row, _log_sigmas_approx,
+                                 asymptotic_coefficients, offset_singular_p)
+from gausslind.discord import entropy_kernel
 from gausslind.symplectic import (
     DEGENERATE_R,
     CovarianceBlock,
@@ -22,6 +24,25 @@ from gausslind.symplectic import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def default_map():
+    """(x, theta, params, p row, coupling row) of the default 40x40
+    `discord_map`: the CLI defaults x = e^-20, theta = -pi/4, ellH = 1e-3,
+    p in 0.1..9.9 (poles offset) and log10 kGamma/k* in -10..6."""
+    ps = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 40).tolist()])
+    return (math.exp(-20.0), -math.pi / 4.0, CosmoParams(0.0, float(ps[0]), 1e-3), ps,
+            10.0 ** np.linspace(-10.0, 6.0, 40))
+
+
+def default_map_logs():
+    """(ln sigma(0)^2, ln q), each (40, 40), of the default map as its
+    approx route hands them to the discord assembly."""
+    x, theta, params, ps, couplings = default_map()
+    kap2 = np.array(_kap2_row(params, couplings))
+    return tuple(np.array([
+        _log_sigmas_approx(x, theta, asymptotic_coefficients(replace(params, p=p)), kap2)
+        for p in ps.tolist()]).transpose(1, 0, 2))
 
 
 def random_block(rng, r_max=3.0, lam_max=50.0) -> CovarianceBlock:
@@ -97,8 +118,7 @@ def discord_from_particles(block: CovarianceBlock, theta: float) -> float:
     """
     n = particle_statistics(block).n
     s2 = math.sin(2.0 * theta) ** 2
-    arg = 0.5 * math.log1p(4.0 * s2 * n * (n + 1.0))
-    return _entropy_kernel_log(arg)
+    return entropy_kernel(math.sqrt(1.0 + 4.0 * s2 * n * (n + 1.0)))
 
 
 def oscillatory_moment_quad(alpha: float, x: float, ell_h: float,

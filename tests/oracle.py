@@ -73,3 +73,23 @@ def sigma0_sq(x, p, ellH, kGamma_over_k, x_star=1.0):
         x = mp.mpf(x)
         return (1 + s0_2 + s0_4 + (sx_2 + sx_4) * mp.power(x, 2 - t.p)
                 + sxx_4 * mp.power(x, 10 - 2 * t.p))
+
+
+def discord_from_logs(ln_s0sq, ln_q, dps=600):
+    """(D, I, J) in bits of sigma(0)^2 = e^ln_s0sq and
+    q = sigma(theta)^2 - sigma(0)^2 = e^ln_q (ln_q = -inf for q = 0),
+    straight from D = f(st) - 2 f(s0) + f(mix), I = 2 f(st) - 2 f(s0) and
+    J = f(st) - f(mix), mix = (st + s0^2)/(st + 1), with
+    f(x) = u log2 u - d log2 d, u = (x+1)/2, d = (x-1)/2, at dps digits.
+    The entropies are differences of terms of size sigma ln sigma, so D
+    down to 1e-300 at sigma(0) = e^300 needs about 300 + 130 + 16 digits."""
+    with mp.workdps(dps):
+        s, q = mp.exp(mp.mpf(ln_s0sq)), mp.exp(mp.mpf(ln_q))
+        st, s0 = mp.sqrt(s + q), mp.sqrt(s)
+        mix = (st + s) / (st + 1)
+
+        def f(x):
+            u, d = (x + 1) / 2, (x - 1) / 2
+            return (u * mp.log(u) - (d * mp.log(d) if d > 0 else 0)) / mp.log(2)
+
+        return f(st) - 2 * f(s0) + f(mix), 2 * (f(st) - f(s0)), f(st) - f(mix)

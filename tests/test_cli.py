@@ -5,6 +5,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gausslind.cli import main
 
@@ -297,6 +299,79 @@ class TestRunInputValidation:
         assert code == 2, err
         assert json.loads(err)["error"] == "ConfigError"
         assert not (tmp_path / "out.csv").exists()
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NON_POSITIVE = st.one_of(NON_FINITE, st.floats(max_value=0.0))
+NOT_A_COUNT = st.one_of(NON_FINITE, st.integers(max_value=0),
+                        st.floats(0.01, 100.0).filter(lambda v: not v.is_integer()))
+
+
+def _with_bad_element(bad, good=st.floats(-5.0, 5.0)):
+    """A pair with a bad element in either place."""
+    return st.tuples(bad, good, st.booleans()).map(
+        lambda t: [t[0], t[1]] if t[2] else [t[1], t[0]])
+
+
+def _reversed(lo, hi):
+    """A pair in [lo, hi] that runs from high to low."""
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).filter(
+        lambda t: t[0] > t[1]).map(list)
+
+
+class TestValidatorProperties:
+    """Every invalid value of a validated key exits 2 with one JSON line,
+    before anything is integrated."""
+
+    MAP = {"mode": "discord_map", "map_points": [2, 2]}
+    GRID = {"x_start": 10.0, "x_end": 1.0, "points": 3}
+    CLOSED = {"mode": "evolve_closed", "grid": GRID}
+    OPEN = {"mode": "evolve_open", "preset": "free", "source_const": 0.1, "grid": GRID}
+    SPECTRUM = {"mode": "spectrum", "points": 2,
+                "cosmo": {"kGamma_over_kstar": 0.1, "p": 3.5, "ellH": 0.01}}
+    ELLIPSE = {"mode": "ellipse_series", "grid": GRID}
+
+    # (base config, key path, invalid values)
+    CASES = {
+        "x": (MAP, ("x",), st.one_of(NON_POSITIVE, st.floats(min_value=0.1))),
+        "theta": (MAP, ("theta",), NON_FINITE),
+        "p_range": (MAP, ("p_range",),
+                    st.one_of(_with_bad_element(NON_FINITE), _reversed(0.1, 9.9))),
+        "log10_kGamma_range": (MAP, ("log10_kGamma_range",), st.one_of(
+            _with_bad_element(NON_FINITE), _with_bad_element(st.floats(309.0, 1e300)),
+            _reversed(-10.0, 6.0))),
+        "map_points": (MAP, ("map_points",), _with_bad_element(NOT_A_COUNT, st.just(2))),
+        "cosmo.ellH": (MAP, ("cosmo", "ellH"), st.one_of(NON_POSITIVE, st.floats(min_value=1.0))),
+        "grid.x_start": (CLOSED, ("grid", "x_start"), NON_POSITIVE),
+        "grid.x_end": (ELLIPSE, ("grid", "x_end"), NON_POSITIVE),
+        "grid.points": (CLOSED, ("grid", "points"),
+                        st.one_of(NOT_A_COUNT, st.just(1))),
+        "grid.reversed_open": (OPEN, ("grid", "x_end"), st.floats(10.0, 1e3)),
+        "tolerances.rtol": (CLOSED, ("tolerances", "rtol"), NON_POSITIVE),
+        "tolerances.atol": (OPEN, ("tolerances", "atol"), NON_POSITIVE),
+        "source_const": (OPEN, ("source_const",),
+                         st.one_of(NON_FINITE, st.floats(max_value=-1e-300))),
+        "k_range": (SPECTRUM, ("k_range",),
+                    st.one_of(_with_bad_element(NON_POSITIVE), _reversed(1e-2, 1e2))),
+        "n_sigma": (ELLIPSE, ("n_sigma",), NON_POSITIVE),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @settings(max_examples=40, derandomize=True, deadline=2000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_invalid_value_exits_2(self, tmp_path, capsys, case, data):
+        base, path, values = self.CASES[case]
+        cfg = json.loads(json.dumps(dict(base, output_path="prop.csv")))
+        leaf = cfg
+        for key in path[:-1]:
+            leaf = leaf.setdefault(key, {})
+        leaf[path[-1]] = data.draw(values, label=case)
+        code = run_cli(["run", write_config(tmp_path, "prop.json", cfg), "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2, lines
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+        assert not (tmp_path / "prop.csv").exists()
 
 
 class TestEllipseScenario:

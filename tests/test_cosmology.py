@@ -29,7 +29,7 @@ from gausslind.cosmology import (
 )
 from gausslind.errors import DomainError, SingularExponentError, StepFailureError
 
-from conftest import super_hubble_series
+from conftest import default_map, super_hubble_series
 
 FIG_PARAMS = {
     2.1: CosmoParams(kGamma_over_kstar=10.0, p=2.1, ellH=0.1),
@@ -792,3 +792,14 @@ class TestDiscordPlane:
                                          "transport")
                     assert abs(plane.discord[i, j] - cell.discord) \
                         <= 1e-10 * max(1.0, abs(cell.discord))
+
+
+def test_discord_stays_large_under_strong_decoherence():
+    # the abstract's last sentence on the default 40x40 map: where the
+    # purity is at most 1e-6 (1,276 cells), 708 still carry a bit of discord
+    # or more
+    x, theta, params, ps, couplings = default_map()
+    res = discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps)
+    mixed = np.exp(-2.0 * res.log_sigma_zero) <= 1e-6
+    assert (res.discord[mixed] >= 1.0).sum() >= 700
+    assert abs(res.discord[mixed].max() - 103.68113203854749) <= 1e-9

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from gausslind.discord import (
-    Regime,
     discord,
-    discord_asymptotic,
-    discord_pure,
     discord_squeezed,
     entropy_kernel,
     max_classical_info,
@@ -51,7 +48,7 @@ class TestEntropyKernel:
         assert abs(entropy_kernel(1e6) - 20.374263610212897) < 1e-12
         lo = entropy_kernel(1e6 * (1 - 1e-9))
         hi = entropy_kernel(1e6 * (1 + 1e-9))
-        assert abs(hi - lo) < 1e-7  # continuous across the switch
+        assert abs(hi - lo) < 1e-7  # continuous
 
     def test_monotone(self):
         xs = np.geomspace(1.0 + 1e-12, 1e12, 200)
@@ -117,24 +114,28 @@ class TestDiscordExact:
 
 
 class TestDiscordPure:
+    """Pure states: discord_squeezed(r, 1, theta)."""
+
     def test_zeros(self):
-        assert discord_pure(2.0, 0.0) == 0.0
-        assert discord_pure(0.0, 1.1) == 0.0
+        assert discord_squeezed(2.0, 1.0, 0.0).discord == 0.0
+        assert discord_squeezed(0.0, 1.0, 1.1).discord == 0.0
 
     def test_formula_across_r(self):
         for r in np.linspace(0.0, 30.0, 31):
             want = entropy_kernel(math.sqrt(
                 1.0 + math.sinh(2 * r) ** 2 * math.sin(-math.pi / 2) ** 2))
-            assert abs(discord_pure(float(r), -math.pi / 4) - want) < 1e-10 * max(1, want)
+            got = discord_squeezed(float(r), 1.0, -math.pi / 4).discord
+            assert abs(got - want) < 1e-10 * max(1, want)
 
     def test_leading_order_large_r(self):
-        # 2r/ln2 to leading order; the exact value carries a -(2 - 1/ln2)
-        # offset that the asymptotic regime ignores
-        got = discord_pure(50.0, math.pi / 4)
+        # 2r/ln2 to leading order; the exact value carries a
+        # -(2 - 1/ln2) offset (TestAsymptotics pins it)
+        got = discord_squeezed(50.0, 1.0, math.pi / 4).discord
         assert abs(got - 2.0 * 50.0 / LN2) < 1.0
         # fifty e-folds of the inflationary attractor mean r = 100, which
         # is where the often-quoted ~290 bits ("order 300") comes from
-        assert abs(discord_pure(100.0, math.pi / 4) - 4.0 * 50.0 / LN2) < 1.0
+        got = discord_squeezed(100.0, 1.0, math.pi / 4).discord
+        assert abs(got - 4.0 * 50.0 / LN2) < 1.0
 
 
 class TestMutualInformationAndJ:
@@ -170,23 +171,27 @@ class TestMutualInformationAndJ:
 
 
 class TestAsymptotics:
+    """The paper's two limits of the exact discord at large squeezing,
+    with rho = e^{2r} |sin 2theta| / sqrt(lam)."""
+
     def test_high_squeezing_regime(self):
-        res = discord_asymptotic(20.0, 1.0, math.pi / 4)
-        assert res.regime is Regime.LARGE_SQUEEZING_HIGH
-        exact = discord_squeezed(20.0, 1.0, math.pi / 4).discord
-        assert abs(res.discord - exact) / exact < 0.05
+        # rho >> 1: D = 2r/ln2 + log2(sqrt(lam)/4) + 1/ln2 - 2 f(sqrt(lam)),
+        # up to O(r e^{-2r} sqrt(lam)) from f(mix)
+        for lam in (1.0, 4.0, math.exp(10.0)):
+            const = (0.5 * math.log(lam) - 2.0 * LN2 + 1.0) / LN2 \
+                - 2.0 * entropy_kernel(math.sqrt(lam))
+            for r in (20.0, 50.0, 300.0):
+                got = discord_squeezed(r, lam, math.pi / 4).discord
+                assert abs(got - (2.0 * r / LN2 + const)) <= 1e-13 * got
 
     def test_low_squeezing_regime(self):
-        lam = math.exp(40.0)
-        res = discord_asymptotic(5.0, lam, math.pi / 4)
-        assert res.regime is Regime.LARGE_SQUEEZING_LOW
-        exact = discord_squeezed(5.0, lam, math.pi / 4).discord
-        assert abs(res.discord - exact) / exact < 0.10
-
-    def test_crossover_falls_back_to_exact(self):
-        lam = math.exp(4.0 * 6.0)  # ratio ~ 1
-        res = discord_asymptotic(6.0, lam, math.pi / 4)
-        assert res.regime is Regime.EXACT
+        # rho << 1: D 2 ln2 / rho = 1 + O(rho), at full relative precision
+        # down to D ~ 1e-100
+        r = 10.0
+        for rho in (1e-1, 1e-3, 1e-10, 1e-50, 1e-100):
+            lam = math.exp(2.0 * (2.0 * r - math.log(rho)))
+            got = discord_squeezed(r, lam, math.pi / 4).discord
+            assert abs(got * 2.0 * LN2 / rho - 1.0) <= rho + 1e-13
 
     def test_suppression_criterion(self):
         # purity << e^{-4r} marks where decoherence wins: discord across
@@ -198,18 +203,18 @@ class TestAsymptotics:
 
     def test_validity_floor(self):
         with pytest.raises(DomainError):
-            discord_asymptotic(2.0, 1.0, 0.4)
+            discord_squeezed(-1.0, 1.0, 0.4)
         with pytest.raises(DomainError):
-            discord_asymptotic(6.0, 0.5, 0.4)
+            discord_squeezed(6.0, 0.5, 0.4)
 
     @pytest.mark.parametrize("r, lam, theta", [
         (6.0, 1.0, math.pi / 4),            # high
         (6.0, 1.0, 0.0),                    # sin 2theta = 0
         (5.0, math.exp(40.0), math.pi / 4),  # low
-        (6.0, math.exp(24.0), math.pi / 4),  # crossover, exact
+        (6.0, math.exp(24.0), math.pi / 4),  # crossover
     ])
     def test_sigmas_are_their_logs(self, r, lam, theta):
-        res = discord_asymptotic(r, lam, theta)
+        res = discord_squeezed(r, lam, theta)
         assert res.sigma_theta == math.exp(res.log_sigma_theta)
         assert res.sigma_zero == math.exp(res.log_sigma_zero)
 
@@ -222,8 +227,8 @@ class TestAsymptotics:
     lambda: discord_squeezed(6.0, math.nan, 0.4),
     lambda: discord_squeezed(6.0, math.inf, 0.4),
     lambda: discord_squeezed(6.0, 1.0, math.nan),
-    lambda: discord_pure(math.inf, 0.4),
-    lambda: discord_pure(2.0, math.nan),
+    lambda: discord_squeezed(math.inf, 1.0, 0.4),
+    lambda: discord_squeezed(2.0, 1.0, math.nan),
 ], ids=["discord-theta", "mutual_information-theta", "max_classical_info-theta",
         "squeezed-r", "squeezed-lam", "squeezed-lam-inf", "squeezed-theta",
         "pure-r", "pure-theta"])
