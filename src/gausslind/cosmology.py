@@ -21,6 +21,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +70,8 @@ APPROX_X_MAX = 0.1
 BACKWARD_ERROR_MAX = 1e-6
 #: rtol of the transport route of discord_cosmo (evolve_de_sitter's default)
 TRANSPORT_RTOL = 1e-11
+#: cells of the discord_cosmo plane evaluated at once, in blocks of whole p rows
+PLANE_BLOCK_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -385,6 +388,16 @@ class AsymptoticCoefficients:
     d11: float
     f11: float
 
+    @property
+    def _p_factors(self) -> tuple:
+        """(x_star^(p-3), ellH bracket, quartic bracket, pole denominator) of
+        sigma0_sq_coefficients, in Python floats: numpy's array pow can
+        differ from float pow in the last bit."""
+        p, ellH, b, d, f = self.p, self.ellH, self.b11, self.d11, self.f11
+        ell = ellH ** (p - 4.0) / (p - 4.0) + ellH ** (p - 2.0) / (p - 2.0)
+        return (self.x_star ** (p - 3.0), ell, 4.0 * b ** 2 - 9.0 * d ** 2 + 36.0 * b * f,
+                (p - 5.0) ** 2 * (p - 8.0) * (p - 2.0))
+
 
 def offset_singular_p(p: float) -> float:
     """p moved off the singular values of the coefficient table.
@@ -436,18 +449,28 @@ def _require_super_hubble(x: float) -> None:
             f"super-Hubble approximation needs 0 < x < {APPROX_X_MAX}, got {x}")
 
 
+def _stack_tables(tables: Sequence[AsymptoticCoefficients]) -> SimpleNamespace:
+    """What `_approx_terms` and `sigma0_sq_coefficients` read of a table,
+    as (n_p, 1) columns over the tables: with a coupling row kap2 they
+    then evaluate the (p, coupling) plane as array code."""
+    return SimpleNamespace(**{name: np.array([getattr(t, name) for t in tables]).T[..., None]
+                              for name in ("p", "a11", "a12", "a22", "b11", "_p_factors")})
+
+
 def _approx_terms(t: AsymptoticCoefficients, kap2):
     """Leading super-Hubble terms of g11, g12, g22 as (coeffs, exps):
     component c is g_c(x) = sum_i coeffs[i, c] x^exps[i, c] over the two
     terms i.  kap2 = (kGamma/k)^2 is a scalar or an array of couplings
-    sharing the table t; its shape trails that of coeffs."""
+    sharing the table t, or a row against tables stacked by `_stack_tables`;
+    the shapes of kap2 and t.p trail those of coeffs and exps."""
     p = t.p
     free = 1.0 - 2.0 * kap2 * t.b11  # b12 = b22 = b11
     coeffs = np.array([
         [free, free, free],
         [-2.0 * kap2 * t.a11, -2.0 * kap2 * t.a12, -2.0 * kap2 * t.a22],
     ])
-    exps = np.array([[-2.0, -3.0, -4.0], [6.0 - p, 5.0 - p, 4.0 - p]])
+    exps = np.reshape(np.broadcast_arrays(-2.0, -3.0, -4.0, 6.0 - p, 5.0 - p, 4.0 - p),
+                      (2, 3) + np.shape(p))
     return coeffs, exps
 
 
@@ -461,7 +484,8 @@ def approx_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
 
 def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     """Super-Hubble coefficients of sigma^2(0) from the coefficient table
-    t at coupling kap2 = (kGamma/k)^2, a scalar or an array.
+    t at coupling kap2 = (kGamma/k)^2, a scalar or an array (or, as in
+    `_approx_terms`, a row against stacked tables).
 
     Returns (s0_2, s0_4, sx_2, sx_4, sxx_4): the quadratic/quartic
     coupling pieces of the constant term and of the x^(2-p) term, plus
@@ -474,14 +498,12 @@ def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     s0_2, the factor p - 8 out of sxx_4) happen in the algebra, not in
     floating point.
     """
-    p = t.p
-    xsp = t.x_star ** (p - 3.0)
-    e = t.ellH ** (p - 4.0) / (p - 4.0) + t.ellH ** (p - 2.0) / (p - 2.0)
-    s0_2 = -2.0 * kap2 * xsp * e
-    s0_4 = kap2 * kap2 * (4.0 * t.b11 ** 2 - 9.0 * t.d11 ** 2 + 36.0 * t.b11 * t.f11)
-    sx_2 = 2.0 * kap2 * xsp / (p - 2.0)
+    xsp, ell, quartic, pole = t._p_factors
+    s0_2 = -2.0 * kap2 * xsp * ell
+    s0_4 = kap2 * kap2 * quartic
+    sx_2 = 2.0 * kap2 * xsp / (t.p - 2.0)
     sx_4 = -2.0 * kap2 * t.b11 * sx_2
-    sxx_4 = 4.0 * kap2 * kap2 * xsp * xsp / ((p - 5.0) ** 2 * (p - 8.0) * (p - 2.0))
+    sxx_4 = 4.0 * kap2 * kap2 * xsp * xsp / pole
     return s0_2, s0_4, sx_2, sx_4, sxx_4
 
 
@@ -576,26 +598,26 @@ def _signed_log_sum(coeffs, exps, ln_x: float):
     return logsumexp(logs, axis=0, b=np.sign(coeffs), return_sign=True)
 
 
-def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2):
+def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndarray):
     """(ln sigma(0)^2, ln q), q = m^2 sin^2(2 theta) / 4, from the
-    super-Hubble asymptotics for the array of couplings kap2 sharing the
-    table t, assembled entirely in the log domain so that x as small as
-    e^-700 stays representable.  A sigma(0)^2 that the truncated series
-    puts below 1 reads as 1 (purity 1; see the README numerical notes)."""
+    super-Hubble asymptotics over the plane of the tables stacked in t
+    and the couplings kap2, assembled entirely in the log domain so that
+    x as small as e^-700 stays representable.  A sigma(0)^2 that the
+    truncated series puts below 1 reads as 1 (purity 1; see the README
+    numerical notes)."""
     _require_super_hubble(x)
     ln_x = math.log(x)
-    p = t.p
 
     # sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p}
     s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(t, kap2)
     ln_s0sq, sgn0 = _signed_log_sum(
         np.stack(np.broadcast_arrays(1.0, s0_2 + s0_4, sx_2 + sx_4, sxx_4)),
-        np.array([[0.0], [0.0], [2.0 - p], [10.0 - 2.0 * p]]), ln_x)
+        np.stack(np.broadcast_arrays(0.0, 0.0, 2.0 - t.p, 10.0 - 2.0 * t.p)), ln_x)
     # clamp to the pure-state floor sigma(0) = 1
     ln_s0sq = np.where((sgn0 <= 0.0) | (ln_s0sq < 0.0), 0.0, ln_s0sq)
 
     coeffs, exps = _approx_terms(t, kap2)
-    (ln11, ln12, ln22), (s11, _, s22) = _signed_log_sum(coeffs, exps[..., None], ln_x)
+    (ln11, ln12, ln22), (s11, _, s22) = _signed_log_sum(coeffs, exps, ln_x)
     # (g11 - g22)^2 + 4 g12^2, as logs
     ln_diff, _ = logsumexp(np.stack((ln11, ln22)), axis=0,
                            b=np.stack((s11, -s22)), return_sign=True)
@@ -665,18 +687,21 @@ def discord_cosmo(
     field of the result has one axis per array given, p first: (n_p, n_k)
     with both, a float with neither.
 
-    The approx and exact routes evaluate the map row by row and equal
-    per-row calls bit for bit: the approx route builds one coefficient
-    table per p and evaluates its row as array code, the exact route
-    evaluates the coupling-free terms at x and at each quadrature node
-    once per row (`exact_open_covariance`, `exact_open_det`).  The
-    transport route integrates the whole (p, coupling) plane as one
-    `evolve_open` batch, source S[i, j] = kap2[j] 2 (x_star/x)^(p_i - 3),
-    and agrees with per-row calls to ~1e-11 (batching divides
-    TRANSPORT_RTOL by sqrt(cells)).  A batch
-    stays at or above solve_ivp's rtol floor: a map of more than
-    max_members(TRANSPORT_RTOL) cells (about 2e5) runs as several
-    integrations, of whole p rows where they fit.
+    The approx and exact routes equal per-row calls bit for bit: the
+    approx route builds one coefficient table per p and evaluates the
+    plane from them as array code, the exact route evaluates the
+    coupling-free terms at x and at each quadrature node once per row
+    (`exact_open_covariance`, `exact_open_det`).  The transport route
+    integrates the whole (p, coupling) plane as one `evolve_open` batch,
+    source S[i, j] = kap2[j] 2 (x_star/x)^(p_i - 3), and agrees with
+    per-row calls to ~1e-11 (batching divides TRANSPORT_RTOL by
+    sqrt(cells)).  A batch stays at or above solve_ivp's rtol floor: a
+    map of more than max_members(TRANSPORT_RTOL) cells (about 2e5) runs
+    as several integrations, of whole p rows where they fit.
+
+    The approx plane and the discord assembly run in blocks of whole p
+    rows, at most PLANE_BLOCK_CELLS (2^16) cells or one row, which bounds
+    their memory; no value depends on the blocks.
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")
@@ -685,8 +710,7 @@ def discord_cosmo(
     rows = [replace(params, p=pi) for pi in ps.tolist()]
     if method == "approx":
         kap2 = np.array(_kap2_row(params, couplings))
-        ln_s0sq, ln_q = np.array([_log_sigmas_approx(x, theta, asymptotic_coefficients(row), kap2)
-                                  for row in rows]).transpose(1, 0, 2)
+        ln_s0sq, ln_q = np.empty((2, len(ps), len(couplings)))
     elif method == "exact":
         cells = []
         for row in rows:
@@ -699,7 +723,13 @@ def discord_cosmo(
     if method != "approx":
         ln_s0sq, ln_q = np.array([_log_sigmas_from_block(b, theta, det)
                                   for b, det in cells]).T.reshape(2, len(ps), len(couplings))
-    d, _, _ = _discord_from_logs(ln_s0sq, ln_q)
+    d = np.empty_like(ln_s0sq)
+    step = max(1, PLANE_BLOCK_CELLS // len(couplings))
+    for block in (slice(i, i + step) for i in range(0, len(ps), step)):
+        if method == "approx":
+            tables = _stack_tables([asymptotic_coefficients(row) for row in rows[block]])
+            ln_s0sq[block], ln_q[block] = _log_sigmas_approx(x, theta, tables, kap2)
+        d[block] = _discord_from_logs(ln_s0sq[block], ln_q[block])[0]
     axes = (0 if np.ndim(p) == 0 else slice(None),
             0 if np.ndim(kGamma_over_kstar) == 0 else slice(None))
     return DiscordResult(*(_scalar_or_array(f[axes]) for f in

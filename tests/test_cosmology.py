@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from gausslind import specfun
 from gausslind.cosmology import (
     CosmoParams,
     PsRegime,
+    _approx_terms,
+    _kap2_row,
+    _stack_tables,
     approx_open_covariance,
     asymptotic_coefficients,
     cosmo_kernel,
@@ -803,3 +807,70 @@ def test_discord_stays_large_under_strong_decoherence():
     mixed = np.exp(-2.0 * res.log_sigma_zero) <= 1e-6
     assert (res.discord[mixed] >= 1.0).sum() >= 700
     assert abs(res.discord[mixed].max() - 103.68113203854749) <= 1e-9
+
+
+class TestApproxPlane:
+    """The approx route evaluates its whole (p, coupling) plane as one
+    `_log_sigmas_approx` call per block of p rows."""
+
+    FIELDS = ("discord", "log_sigma_theta", "log_sigma_zero")
+
+    @staticmethod
+    def _maps():
+        x, theta, params, ps, couplings = default_map()
+        yield x, theta, params, ps, couplings
+        yield (math.exp(-2.5), theta, replace(params, ellH=0.03), ps,
+               10.0 ** np.linspace(-10.0, 6.0, 8))
+
+    @staticmethod
+    def _count(monkeypatch, name: str) -> list:
+        """A list that grows by one per call of cosmology's binding name."""
+        from gausslind import cosmology
+        calls, real = [], getattr(cosmology, name)
+        monkeypatch.setattr(cosmology, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    def test_plane_equals_row_calls(self):
+        for x, theta, params, ps, couplings in self._maps():
+            plane = discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps)
+            assert plane.discord.shape == (len(ps), len(couplings))
+            for i, p in enumerate(ps.tolist()):
+                row = discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=p)
+                for field in self.FIELDS:
+                    assert np.array_equal(getattr(plane, field)[i], getattr(row, field))
+
+    def test_stacked_tables_equal_each_table(self):
+        # the plane's coefficients are each table's own float arithmetic
+        x, theta, params, ps, couplings = default_map()
+        kap2 = np.array(_kap2_row(params, couplings))
+        tables = [asymptotic_coefficients(replace(params, p=p)) for p in ps.tolist()]
+        stack = _stack_tables(tables)
+        plane = np.array(sigma0_sq_coefficients(stack, kap2))
+        coeffs, exps = _approx_terms(stack, kap2)
+        for i, t in enumerate(tables):
+            assert np.array_equal(plane[:, i], sigma0_sq_coefficients(t, kap2))
+            row_coeffs, row_exps = _approx_terms(t, kap2)
+            assert np.array_equal(coeffs[:, :, i], row_coeffs)
+            assert np.array_equal(exps[:, :, i, 0], row_exps)
+
+    @pytest.mark.parametrize("n_p", [4, 40])
+    def test_three_logsumexp_calls_per_map(self, monkeypatch, n_p):
+        x, theta, params, ps, couplings = default_map()
+        calls = self._count(monkeypatch, "logsumexp")
+        discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps[:n_p])
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("budget, blocks", [(7 * 40, 6), (1, 40)])
+    def test_blocks_do_not_change_values(self, monkeypatch, budget, blocks):
+        # 7 rows a block splits the 40 rows 7+7+7+7+7+5; a budget below one
+        # row runs each row alone
+        from gausslind import cosmology
+        x, theta, params, ps, couplings = default_map()
+        whole = discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps)
+        monkeypatch.setattr(cosmology, "PLANE_BLOCK_CELLS", budget)
+        calls = self._count(monkeypatch, "logsumexp")
+        assemblies = self._count(monkeypatch, "_discord_from_logs")
+        split = discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps)
+        assert (len(calls), len(assemblies)) == (3 * blocks, blocks)
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(split, field), getattr(whole, field))
