@@ -36,8 +36,8 @@ cov_traj = evolve_open(freq, None, (-100.0, -0.01),
 
 # engine 3: evolve the squeezing parameters (r, phi)
 r0, phi0 = de_sitter_squeezing(100.0)
-_, r_traj, phi_traj, _ = evolve_squeezing(freq, (-100.0, -0.01),
-                                          (r0, phi0, 0.0), t_eval=-x_grid)
+_, r_traj, phi_traj = evolve_squeezing(freq, (-100.0, -0.01), (r0, phi0),
+                                       t_eval=-x_grid)
 
 print(f"{'x':>10} {'g22 closed':>14} {'mode dev':>10} {'transport dev':>14} "
       f"{'r':>8} {'purity':>8}")

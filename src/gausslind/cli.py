@@ -4,7 +4,7 @@
     gausslind selfcheck
 
 (--threads is accepted for compatibility and has no effect: a
-discord_map evaluates each p row in one call, in a single thread.)
+discord_map runs in a single thread, in the blocks of discord_cosmo.)
 
 A scenario is one JSON document selecting a mode and its parameters; the
 output is one UTF-8 CSV file with '#'-prefixed header comments carrying
@@ -29,7 +29,10 @@ from . import __version__
 from .closed import ModeFrequency, wigner_ellipse
 from .cosmology import (
     APPROX_X_MAX,
+    DISCORD_METHODS,
+    PLANE_BLOCK_CELLS,
     CosmoParams,
+    _plane_blocks,
     cosmo_kernel,
     de_sitter_squeezing,
     discord_cosmo,
@@ -218,9 +221,6 @@ def run_evolve_open(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
                rows, cfg_hash)
 
 
-DISCORD_METHODS = ("approx", "exact", "transport")
-
-
 def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     p_lo, p_hi = _range(cfg, "p_range", (0.1, 9.9))
     k_lo, k_hi = _range(cfg, "log10_kGamma_range", (-10.0, 6.0))
@@ -253,15 +253,17 @@ def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
 
     res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings,
                         p=np.array(p_row))
-    k_list = k_vals.tolist()
 
     def rows():
-        # one p row at a time: a list of every row of a large map would
-        # hold a tuple per cell
-        for p, discord, ln_s0 in zip(p_vals.tolist(), res.discord, res.log_sigma_zero):
-            # math.exp: np.exp can differ from it in the last bit
-            purity = [math.exp(-2.0 * v) for v in ln_s0.tolist()]
-            yield from zip([p] * len(k_list), k_list, discord.tolist(), purity)
+        # in the blocks of discord_cosmo: lists of a whole map, or of one
+        # long row, would hold a float per cell
+        for block in _plane_blocks(n_p, n_k, PLANE_BLOCK_CELLS):
+            k_list = k_vals[block[1]].tolist()
+            for p, discord, ln_s0 in zip(p_vals[block[0]].tolist(), res.discord[block],
+                                         res.log_sigma_zero[block]):
+                # math.exp: np.exp can differ from it in the last bit
+                purity = [math.exp(-2.0 * v) for v in ln_s0.tolist()]
+                yield from zip([p] * len(k_list), k_list, discord.tolist(), purity)
 
     _write_csv(out_dir / cfg.get("output_path", "discord_map.csv"),
                ["p", "log10_kGamma_kstar", "discord", "purity"],

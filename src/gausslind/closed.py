@@ -27,10 +27,12 @@ from .symplectic import (
     CovarianceBlock,
     ParticleStatistics,
     SqueezingState,
+    _libm,
+    _ln,
+    _q_theta,
     _require_blocks,
     _squeezing_columns,
     _two_product,
-    stable_det2,
 )
 
 __all__ = [
@@ -223,17 +225,14 @@ def transport_rhs_closed(
 SQUEEZING_R_FLOOR = 1e-6
 
 
-def squeezing_rhs_closed(
-    r: float, phi: float, theta_rot: float, freq: ModeFrequency, t: float
-) -> tuple[float, float, float]:
+def squeezing_rhs_closed(r: float, phi: float, freq: ModeFrequency,
+                         t: float) -> tuple[float, float]:
     """Closed equations of motion of the squeezing parameters.
 
     dr/dt     = (k/2) (w - 1) sin 2phi
     dphi/dt   = -(k/2) (w + 1) + (k/2) (w - 1) cos 2phi / tanh 2r
-    dtheta/dt = (k/2) (w + 1) - (k/2) (w - 1) cos 2phi tanh r
 
-    with w = omega^2/k^2.  theta_rot feeds back into nothing; it is
-    integrated for completeness only.
+    with w = omega^2/k^2.
     """
     if r <= SQUEEZING_R_FLOOR:
         raise DegenerateSqueezingError(
@@ -245,8 +244,7 @@ def squeezing_rhs_closed(
     s2, c2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
     dr = half * (w - 1.0) * s2
     dphi = -half * (w + 1.0) + half * (w - 1.0) * c2 / math.tanh(2.0 * r)
-    dtheta = half * (w + 1.0) - half * (w - 1.0) * c2 * math.tanh(r)
-    return (dr, dphi, dtheta)
+    return (dr, dphi)
 
 
 @dataclass
@@ -284,11 +282,18 @@ class CovarianceTrajectory:
         """
         g = (self.g11, self.g12, self.g22)
         with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
-            det = stable_det2(*g)
-            _require_blocks(*g, det)
-            r, phi = _squeezing_columns(*g, np.maximum(det, 1.0))
+            r, phi = _squeezing_columns(*g, np.maximum(_require_blocks(*g), 1.0))
         regular = r > DEGENERATE_R
         return np.where(regular, r, 0.0), np.where(regular, phi, 0.0), self.lam
+
+    def _log_sigmas(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(ln sigma(0)^2, ln q) of every sample across partition theta (checked
+        by the caller), through `_libm`: sigma(0)^2 = self.lam, q = `_q_theta`.
+        The first sample that fails the CovarianceBlock checks raises as its block would."""
+        g = (self.g11, self.g12, self.g22)
+        _require_blocks(*g)
+        return (_libm(math.log, self.lam),
+                _libm(lambda g11, g12, g22: _ln(_q_theta(g11, g12, g22, theta)), *g))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -297,25 +302,25 @@ class CovarianceTrajectory:
 def evolve_squeezing(
     freq: ModeFrequency,
     t_span: tuple[float, float],
-    ic: tuple[float, float, float],
+    ic: tuple[float, float],
     t_eval: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Squeezing-engine evolution; returns (times, r, phi, theta_rot).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squeezing-engine evolution from ic = (r, phi); returns (times, r, phi).
 
     The initial amplitude must sit above the r floor; trajectories that
     reach it abort with DegenerateSqueezingError.
     """
 
     def rhs(t, y):
-        return squeezing_rhs_closed(y[0], y[1], y[2], freq, t)
+        return squeezing_rhs_closed(y[0], y[1], freq, t)
 
     sol = solve_ivp(rhs, t_span, list(ic), method="DOP853", rtol=rtol, atol=atol,
                     t_eval=t_eval, dense_output=t_eval is None)
     if not sol.success:
         raise StepFailureError(f"squeezing integration failed: {sol.message}")
-    return sol.t, sol.y[0], sol.y[1], sol.y[2]
+    return sol.t, sol.y[0], sol.y[1]
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,11 @@ from scipy.special import logsumexp
 
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
-from .discord import (DiscordResult, _discord_from_logs, _ln, _log_sigma_theta,
-                      _log_sigmas_from_block, _scalar_or_array)
+from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
 from .errors import DomainError, SingularExponentError
 from .opensys import evolve_open, max_members, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
-from .symplectic import CovarianceBlock
+from .symplectic import CovarianceBlock, _ln
 
 __all__ = [
     "CosmoParams",
@@ -70,7 +69,7 @@ APPROX_X_MAX = 0.1
 BACKWARD_ERROR_MAX = 1e-6
 #: rtol of the transport route of discord_cosmo (evolve_de_sitter's default)
 TRANSPORT_RTOL = 1e-11
-#: cells of the discord_cosmo plane evaluated at once, in blocks of whole p rows
+#: cells of the discord_cosmo plane evaluated at once (see _plane_blocks)
 PLANE_BLOCK_CELLS = 2 ** 16
 
 
@@ -636,29 +635,45 @@ def _plane_kernel(params: CosmoParams, ps: np.ndarray,
     return _power_law_source(params, kap2[None, :], expo, np.zeros((len(ps), len(kap2))))
 
 
-def _transport_plane(x: float, params: CosmoParams, ps: np.ndarray,
-                     couplings: np.ndarray) -> list:
-    """(block, det) of every cell of the (p, coupling) plane, row-major,
-    from as few evolve_de_sitter integrations as the rtol floor allows."""
+def _plane_blocks(n_p: int, n_k: int, cells: int):
+    """(rows, cols) slices that cover an (n_p, n_k) plane, row-major: whole
+    p rows while they fit in `cells` cells, else one row in pieces of `cells`."""
+    rows, cols = max(1, cells // n_k), min(n_k, cells)
+    for i in range(0, n_p, rows):
+        for j in range(0, n_k, cols):
+            yield slice(i, i + rows), slice(j, j + cols)
+
+
+def _approx_block(x: float, theta: float, params: CosmoParams, ps, couplings):
+    """(ln sigma(0)^2, ln q) of a block: one coefficient table per p."""
+    tables = _stack_tables([asymptotic_coefficients(replace(params, p=p)) for p in ps.tolist()])
+    return _log_sigmas_approx(x, theta, tables, np.array(_kap2_row(params, couplings)))
+
+
+def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
+    """(ln sigma(0)^2, ln q) of a block: one exact_open_covariance and one
+    exact_open_det call per p row, read as the samples at x of a trajectory."""
+    g = np.empty((4, len(ps), len(couplings), 1))  # g11, g12, g22, det
+    for i, p in enumerate(ps.tolist()):
+        row = replace(params, p=p)
+        g[:3, i, :, 0] = np.transpose([(b.g11, b.g12, b.g22) for b in
+                                       exact_open_covariance(x, row, kGamma_over_kstar=couplings)])
+        g[3, i, :, 0] = exact_open_det(x, row, kGamma_over_kstar=couplings)
+    return CovarianceTrajectory(np.array([-x]), *g)._log_sigmas(theta)
+
+
+def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
+    """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter batch, sampled
+    at x only (every step would hold 4 values per cell)."""
     kap2 = np.array(_kap2_row(params, couplings))
-    cap = max_members(TRANSPORT_RTOL)
-    # whole rows while they fit, else one row in pieces: cells stay row-major
-    rows, cols = max(1, cap // len(kap2)), min(len(kap2), cap)
-    cells = []
-    for i in range(0, len(ps), rows):
-        for j in range(0, len(kap2), cols):
-            p_group, kap2_group = ps[i:i + rows], kap2[j:j + cols]
-            # a batch keeps only its end point: every step of it would hold
-            # 4 values per cell.  One cell keeps every step, so that its
-            # last one is the scalar run's bit for bit.
-            x_eval = None if p_group.size * kap2_group.size == 1 else (x,)
-            traj = evolve_de_sitter(params.x_coupling_on, x,
-                                    source=_plane_kernel(params, p_group, kap2_group),
-                                    x_eval=x_eval, rtol=TRANSPORT_RTOL)
-            cells += [(CovarianceBlock(*g), det) for *g, det in zip(
-                *(f[..., -1].ravel().tolist()
-                  for f in (traj.g11, traj.g12, traj.g22, traj.det)))]
-    return cells
+    traj = evolve_de_sitter(params.x_coupling_on, x, source=_plane_kernel(params, ps, kap2),
+                            x_eval=(x,), rtol=TRANSPORT_RTOL)
+    return traj._log_sigmas(theta)
+
+
+_ROUTES = {"approx": _approx_block, "exact": _exact_block, "transport": _transport_block}
+#: the methods of discord_cosmo
+DISCORD_METHODS = tuple(_ROUTES)
 
 
 def discord_cosmo(
@@ -680,55 +695,31 @@ def discord_cosmo(
     method="approx":   super-Hubble asymptotics in the log domain; valid
                        for 0 < x < 0.1, arbitrarily small.
     method="transport": integrate the covariance down to x (slowest,
-                       reference); one evolve_open integration per map.
+                       reference); one evolve_open integration per block.
 
     kGamma_over_kstar, when given, replaces the coupling of params, and p
     its growth index: each is a scalar or a non-empty 1-D array.  Every
     field of the result has one axis per array given, p first: (n_p, n_k)
     with both, a float with neither.
 
-    The approx and exact routes equal per-row calls bit for bit: the
-    approx route builds one coefficient table per p and evaluates the
-    plane from them as array code, the exact route evaluates the
-    coupling-free terms at x and at each quadrature node once per row
-    (`exact_open_covariance`, `exact_open_det`).  The transport route
-    integrates the whole (p, coupling) plane as one `evolve_open` batch,
-    source S[i, j] = kap2[j] 2 (x_star/x)^(p_i - 3), and agrees with
-    per-row calls to ~1e-11 (batching divides TRANSPORT_RTOL by
-    sqrt(cells)).  A batch stays at or above solve_ivp's rtol floor: a
-    map of more than max_members(TRANSPORT_RTOL) cells (about 2e5) runs
-    as several integrations, of whole p rows where they fit.
-
-    The approx plane and the discord assembly run in blocks of whole p
-    rows, at most PLANE_BLOCK_CELLS (2^16) cells or one row, which bounds
-    their memory; no value depends on the blocks.
+    Every route runs in the blocks of `_plane_blocks`, of at most
+    PLANE_BLOCK_CELLS = 2^16 cells, which bounds the memory.  The approx
+    and exact routes equal per-row calls bit for bit.  The transport route
+    integrates a block as one `evolve_open` batch, capped at
+    max_members(TRANSPORT_RTOL) cells (solve_ivp's rtol floor), and agrees
+    with per-row calls to ~1e-11 (batching divides TRANSPORT_RTOL by sqrt(cells)).
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
-    rows = [replace(params, p=pi) for pi in ps.tolist()]
-    if method == "approx":
-        kap2 = np.array(_kap2_row(params, couplings))
-        ln_s0sq, ln_q = np.empty((2, len(ps), len(couplings)))
-    elif method == "exact":
-        cells = []
-        for row in rows:
-            cells += zip(exact_open_covariance(x, row, kGamma_over_kstar=couplings),
-                         exact_open_det(x, row, kGamma_over_kstar=couplings).tolist())
-    elif method == "transport":
-        cells = _transport_plane(x, params, ps, couplings)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    if method != "approx":
-        ln_s0sq, ln_q = np.array([_log_sigmas_from_block(b, theta, det)
-                                  for b, det in cells]).T.reshape(2, len(ps), len(couplings))
-    d = np.empty_like(ln_s0sq)
-    step = max(1, PLANE_BLOCK_CELLS // len(couplings))
-    for block in (slice(i, i + step) for i in range(0, len(ps), step)):
-        if method == "approx":
-            tables = _stack_tables([asymptotic_coefficients(row) for row in rows[block]])
-            ln_s0sq[block], ln_q[block] = _log_sigmas_approx(x, theta, tables, kap2)
+    if method not in _ROUTES:
+        raise DomainError(f"unknown method {method!r}; expected one of {DISCORD_METHODS}")
+    cap = max_members(TRANSPORT_RTOL) if method == "transport" else PLANE_BLOCK_CELLS
+    ln_s0sq, ln_q, d = np.empty((3, len(ps), len(couplings)))
+    for block in _plane_blocks(len(ps), len(couplings), min(PLANE_BLOCK_CELLS, cap)):
+        logs = _ROUTES[method](x, theta, params, ps[block[0]], couplings[block[1]])
+        ln_s0sq[block], ln_q[block] = np.reshape(logs, (2, *d[block].shape))
         d[block] = _discord_from_logs(ln_s0sq[block], ln_q[block])[0]
     axes = (0 if np.ndim(p) == 0 else slice(None),
             0 if np.ndim(kGamma_over_kstar) == 0 else slice(None))

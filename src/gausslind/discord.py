@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import xlog1py
 
 from .errors import DomainError
-from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _q_theta
+from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _ln, _q_theta
 
 __all__ = [
     "DiscordResult",
@@ -61,11 +61,6 @@ def _scalar_or_array(a: np.ndarray):
 def _exp_or_inf(ln):
     """exp(ln), inf where it would overflow; elementwise over arrays."""
     return _scalar_or_array(np.where(ln < 709.0, np.exp(np.minimum(ln, 709.0)), np.inf))
-
-
-def _ln(x: float) -> float:
-    """ln x, -inf at x = 0."""
-    return math.log(x) if x > 0.0 else -math.inf
 
 
 def _psi_gap(ln_a, ln_b, ln_step, ln_bm1):
@@ -173,14 +168,12 @@ def _result(ln_s0sq: float, ln_q: float) -> DiscordResult:
                          float(_log_sigma_theta(ln_s0sq, ln_q)), 0.5 * ln_s0sq)
 
 
-def _log_sigmas_from_block(block: CovarianceBlock, theta: float,
-                           det: float | None = None) -> tuple[float, float]:
-    """(ln sigma(0)^2, ln q) of a block: sigma(0)^2 = block.lam, or
-    max(det, 1) when det, a determinant transported alongside the
-    entries, is given; q from `symplectic._q_theta`."""
+def _log_sigmas_from_block(block: CovarianceBlock, theta: float) -> tuple[float, float]:
+    """(ln sigma(0)^2, ln q) of a block: sigma(0)^2 = block.lam, q from
+    `symplectic._q_theta`."""
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
-    return math.log(block.lam if det is None else max(det, 1.0)), _ln(_q_theta(block, theta))
+    return math.log(block.lam), _ln(_q_theta(block.g11, block.g12, block.g22, theta))
 
 
 def discord(block: CovarianceBlock, theta: float) -> DiscordResult:

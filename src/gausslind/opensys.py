@@ -125,7 +125,7 @@ def generalized_squeezing_rhs(
         raise DegenerateSqueezingError(
             f"generalized squeezing engine needs r > {SQUEEZING_R_FLOOR}"
         )
-    dr, dphi, _ = squeezing_rhs_closed(state.r, state.phi, 0.0, freq, t)
+    dr, dphi = squeezing_rhs_closed(state.r, state.phi, freq, t)
     if not s:  # None or 0
         return (0.0, dr, dphi)
     k = freq.k

@@ -99,8 +99,7 @@ def check_closed_engines() -> tuple[str, bool, str]:
 
     # squeezing engine (purity 1 by construction)
     r0, phi0 = de_sitter_squeezing(100.0)
-    _, rr, pp, _ = evolve_squeezing(freq, (-100.0, -0.01), (r0, phi0, 0.0),
-                                    t_eval=-x_grid)
+    _, rr, pp = evolve_squeezing(freq, (-100.0, -0.01), (r0, phi0), t_eval=-x_grid)
     for i in range(len(x_grid)):
         b = covariance_from_squeezing(SqueezingState(rr[i], pp[i], 1.0))
         rel = np.abs(np.array([b.g11, b.g12, b.g22]) / closed[i] - 1.0).max()

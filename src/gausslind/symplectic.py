@@ -118,14 +118,17 @@ def _require_block(g11: float, g12: float, g22: float) -> None:
         raise BelowHeisenbergError(f"covariance is not positive definite: det = {det}")
 
 
-def _require_blocks(g11, g12, g22, det) -> None:
-    """CovarianceBlock's checks on every element of the entry arrays with
-    stable_det2 det: the first element that fails raises what its block
-    would.  Call under np.errstate(over="ignore", invalid="ignore")."""
-    ok = np.logical_and.reduce(_block_checks(g11, g12, g22, det))
+def _require_blocks(g11, g12, g22) -> np.ndarray:
+    """CovarianceBlock's checks on every element of the entry arrays: the
+    first element that fails raises what its block would.  Returns the
+    stable_det2 determinants."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        det = stable_det2(g11, g12, g22)
+        ok = np.logical_and.reduce(_block_checks(g11, g12, g22, det))
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
         _require_block(*(float(g[i]) for g in (g11, g12, g22)))
+    return det
 
 
 def _canonical_angle(a: float) -> float:
@@ -357,12 +360,17 @@ def purity(block: CovarianceBlock) -> float:
     return 1.0 / block.lam
 
 
-def _q_theta(block: CovarianceBlock, theta: float) -> float:
-    """q = sigma(theta)^2 - sigma(0)^2 = (1/4) m^2 sin^2(2 theta) >= 0,
-    m^2 = (g11 - g22)^2 + 4 g12^2: the cancellation-free form of
-    cos^2(2 theta) det + ((g11+g22)/2)^2 sin^2(2 theta) - det."""
-    m2 = (block.g11 - block.g22) ** 2 + 4.0 * block.g12 ** 2
+def _q_theta(g11: float, g12: float, g22: float, theta: float) -> float:
+    """q = sigma(theta)^2 - sigma(0)^2 = (1/4) m^2 sin^2(2 theta) >= 0 of a
+    block's entries, m^2 = (g11 - g22)^2 + 4 g12^2: the cancellation-free
+    form of cos^2(2 theta) det + ((g11+g22)/2)^2 sin^2(2 theta) - det."""
+    m2 = (g11 - g22) ** 2 + 4.0 * g12 ** 2
     return 0.25 * m2 * math.sin(2.0 * theta) ** 2
+
+
+def _ln(x: float) -> float:
+    """ln x, -inf at x = 0."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def sigma_theta(block: CovarianceBlock, theta: float) -> float:
@@ -372,7 +380,7 @@ def sigma_theta(block: CovarianceBlock, theta: float) -> float:
     Reduces to sqrt(block.lam) at theta = 0 and grows monotonically
     with |sin(2 theta)|.
     """
-    return math.sqrt(block.lam + _q_theta(block, theta))
+    return math.sqrt(block.lam + _q_theta(block.g11, block.g12, block.g22, theta))
 
 
 def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
@@ -387,26 +395,27 @@ def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
 DEGENERATE_R = 1e-8
 
 
+def _libm(f, *cols):
+    """f, a function of Python floats, on each element of float arrays of one
+    shape: numpy's log, pow, hypot and the like can differ from libm's."""
+    return np.array(list(map(f, *(c.ravel().tolist() for c in cols)))).reshape(np.shape(cols[0]))
+
+
 def _squeezing_columns(g11, g12, g22, lam):
     """Squeezing parameters (r, phi) of covariance entries with determinant
     lam >= 1, float arrays of one shape, element by element, as in
     squeezing_from_covariance; r is not checked against the degeneracy
     floor here.  Call under np.errstate(over="ignore", invalid="ignore").
-
-    hypot, asinh and atan2 run as Python's math functions (libm) on each
-    element: numpy's versions can differ from them in the last bit.
+    hypot, asinh and atan2 run through `_libm`.
     """
-    def libm(f, *cols):
-        return np.array(list(map(f, *(c.ravel().tolist() for c in cols)))).reshape(g11.shape)
-
     # r = arccosh(y)/2 with y = (g11+g22)/(2 sqrt(lam)), but evaluated
     # as asinh of sinh(2r) = sqrt(y^2-1) read off the entries directly:
     # the difference combination is cancellation-free, so r keeps full
     # relative accuracy down to (and below) the degeneracy floor, where
     # the y route would lose half the digits to the cosh flatness.
-    s = 0.5 * libm(math.hypot, g11 - g22, 2.0 * g12) / np.sqrt(lam)
-    r = 0.5 * libm(math.asinh, s)
-    phi = 0.5 * libm(math.atan2, -g12, 0.5 * (g22 - g11))
+    s = 0.5 * _libm(math.hypot, g11 - g22, 2.0 * g12) / np.sqrt(lam)
+    r = 0.5 * _libm(math.asinh, s)
+    phi = 0.5 * _libm(math.atan2, -g12, 0.5 * (g22 - g11))
     return r, np.where(phi <= -0.5 * math.pi, phi + math.pi, phi)
 
 
@@ -417,12 +426,12 @@ def squeezing_from_covariance(block: CovarianceBlock) -> SqueezingState:
     sin(2 phi) = -g12/(sqrt(lam) sinh(2r)),
     cos(2 phi) = (g22-g11)/(2 sqrt(lam) sinh(2r)),
     canonicalized to phi in (-pi/2, pi/2].  The one-element case of
-    _squeezing_columns, with lam = max(det, 1).
+    _squeezing_columns, with lam = block.lam.
 
     Raises DegenerateSqueezingError when r <= 1e-8 (phi undefined; use the
     covariance representation instead).
     """
-    lam = max(block.det, 1.0)
+    lam = block.lam
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
         (r,), (phi,) = (c.tolist() for c in _squeezing_columns(
             *(np.array([v], dtype=float) for v in (block.g11, block.g12, block.g22, lam))))

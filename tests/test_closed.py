@@ -203,26 +203,25 @@ class TestTransportEngine:
 class TestSqueezingEngine:
     def test_no_growth_without_mixing(self):
         freq = ModeFrequency.free(1.0)
-        dr, _, _ = squeezing_rhs_closed(0.5, 0.0, 0.0, freq, 0.0)
+        dr, _ = squeezing_rhs_closed(0.5, 0.0, freq, 0.0)
         assert dr == 0.0
 
     def test_r_floor(self):
         with pytest.raises(DegenerateSqueezingError):
-            squeezing_rhs_closed(1e-7, 0.1, 0.0, ModeFrequency.free(1.0), 0.0)
+            squeezing_rhs_closed(1e-7, 0.1, ModeFrequency.free(1.0), 0.0)
 
     def test_growth_sign_super_hubble(self):
         freq = de_sitter_frequency()
         for x in (0.5, 0.1):
             r, phi = de_sitter_squeezing(x)
-            dr, _, _ = squeezing_rhs_closed(r, phi, 0.0, freq, -x)
+            dr, _ = squeezing_rhs_closed(r, phi, freq, -x)
             assert dr > 0.0
 
     def test_de_sitter_against_closed_form(self):
         freq = de_sitter_frequency()
         xg = np.geomspace(100.0, 0.05, 31)
         r0, phi0 = de_sitter_squeezing(100.0)
-        _, rr, pp, _ = evolve_squeezing(freq, (-100.0, -0.05), (r0, phi0, 0.0),
-                                        t_eval=-xg)
+        _, rr, pp = evolve_squeezing(freq, (-100.0, -0.05), (r0, phi0), t_eval=-xg)
         for i, x in enumerate(xg):
             r_want, phi_want = de_sitter_squeezing(float(x))
             assert abs(rr[i] - r_want) < 1e-6 * max(1.0, r_want)
@@ -245,8 +244,7 @@ class TestThreeEngineAgreement:
         b_seed = covariance_from_bogoliubov(bogoliubov_from_mode(mt.state(t_seed), k))
         from gausslind.symplectic import squeezing_from_covariance
         s_seed = squeezing_from_covariance(b_seed)
-        _, rr, pp, _ = evolve_squeezing(freq, (t_seed, t1), (s_seed.r, s_seed.phi, 0.0),
-                                        t_eval=ts)
+        _, rr, pp = evolve_squeezing(freq, (t_seed, t1), (s_seed.r, s_seed.phi), t_eval=ts)
 
         for i, t in enumerate(ts):
             b_mode = covariance_from_bogoliubov(bogoliubov_from_mode(mt.state(float(t)), k))

