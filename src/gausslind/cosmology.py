@@ -31,7 +31,7 @@ from scipy.special import logsumexp
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
-from .errors import DomainError, SingularExponentError
+from .errors import BelowHeisenbergError, DomainError, SingularExponentError
 from .opensys import evolve_open, max_members, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock, _ln
@@ -226,11 +226,12 @@ def _power_bracket(x: float, p: float, ellH: float) -> float:
     )
 
 
-def _exact_open_terms(x: float, params: CosmoParams) -> tuple:
-    """Coupling-free pieces (v2, dv2, vdv, corr11, corr12, corr22) of the
-    dressed covariance: g11 = v2 - 2 kap2 corr11, g12 = vdv - 2 kap2 corr12,
-    g22 = dv2 - 2 kap2 corr22 with kap2 = (kGamma/k)^2.  They depend on
-    p, ellH and x_star, not on the coupling."""
+def _g11_node(x: float, params: CosmoParams) -> tuple:
+    """(v2, corr11, parts): the coupling-free pieces of g11 = v2 - 2 kap2
+    corr11 at x, kap2 = (kGamma/k)^2, with only the work g11 needs (the
+    three moments, the power bracket and the mode); parts = (mode, xsp, br,
+    e, m1, m2, m3) lets `_exact_open_terms` build the other entries.  They
+    depend on p, ellH and x_star, not on the coupling."""
     params.require_regular_p((2.0, 4.0))
     if not 0.0 < x < params.x_coupling_on:
         raise DomainError(
@@ -243,17 +244,24 @@ def _exact_open_terms(x: float, params: CosmoParams) -> tuple:
     m3 = oscillatory_moment(3.0 - p, x, ellH)
     br = _power_bracket(x, p, ellH)
     e = complex(math.cos(2.0 * x), -math.sin(2.0 * x))  # e^{-2ix}
-
     mode = de_sitter_mode(x)
-    v2 = abs(mode.v) ** 2
-    dv2 = abs(mode.dv) ** 2
-    vdv = (mode.v * mode.dv.conjugate()).real
 
     i11_1 = xsp * (1.0 + x * x) / (2.0 * x * x) * br
     i11_2 = xsp / (4.0 * x * x) * e * (
         (x * x - 1.0 - 2j * x) * (m1 - m3) - (4.0 * x + 2j * x * x - 2j) * m2
     )
     corr11 = i11_1 + 2.0 * i11_2.real
+    return abs(mode.v) ** 2, corr11, (mode, xsp, br, e, m1, m2, m3)
+
+
+def _exact_open_terms(x: float, params: CosmoParams) -> tuple:
+    """Coupling-free pieces (v2, dv2, vdv, corr11, corr12, corr22) of the
+    dressed covariance: g11 = v2 - 2 kap2 corr11, g12 = vdv - 2 kap2 corr12,
+    g22 = dv2 - 2 kap2 corr22 with kap2 = (kGamma/k)^2 (g11's from
+    `_g11_node`)."""
+    v2, corr11, (mode, xsp, br, e, m1, m2, m3) = _g11_node(x, params)
+    dv2 = abs(mode.dv) ** 2
+    vdv = (mode.v * mode.dv.conjugate()).real
 
     i12_1 = 0.5 * xsp / x ** 3 * br
     i12_2 = -1j * xsp / (4.0 * x ** 3) * e * (x - 1j) * (x * (x - 1j) - 1.0) \
@@ -336,6 +344,12 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     arithmetic as a scalar call, but the coupling-free terms of gamma_11
     are evaluated once per quadrature node for the whole row.
 
+    The integrand is one float per node, g11 = v2 - 2 kap2 corr11 from
+    `_g11_node`; no CovarianceBlock is built.  The node guard raises
+    BelowHeisenbergError unless 0 < g11 < inf (NaN included).  g12, g22
+    and their determinant are not checked at the nodes: the growth law
+    never reads them.
+
     The quadrature asks for 1e-10 relative accuracy; its error estimate
     is not returned or checked.  Over the
     map_exact benchmark workload (seeds 0-5, two rounds each) 48 of 708
@@ -347,7 +361,7 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive and finite, got {x}")
     hi = params.x_coupling_on
-    terms = functools.cache(lambda xp: _exact_open_terms(xp, params))
+    node = functools.cache(lambda xp: _g11_node(xp, params)[:2])
 
     def det(kap2: float) -> float:
         if x >= hi:
@@ -355,7 +369,12 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
         source = _power_law_source(params, kap2, params.p - 3.0, 0.0)
 
         def f(xp: float) -> float:
-            return source(-xp) * _dressed_block(terms(xp), kap2).g11
+            v2, corr11 = node(xp)
+            g11 = v2 - 2.0 * kap2 * corr11
+            if not 0.0 < g11 < math.inf:  # False for NaN too
+                raise BelowHeisenbergError(
+                    f"diagonal entries must be positive, got g11 = {g11} at x = {xp}")
+            return source(-xp) * g11
 
         val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=1e-10)
         return 1.0 + val

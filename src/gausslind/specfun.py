@@ -59,12 +59,21 @@ def _series(a: float, z: complex) -> complex:
     for n in range(1, _MAX_SERIES):
         term *= z / (a + n)
         total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
+        size = abs(total)
+        # max(size, 1e-300) without the builtin call, NaN included
+        if abs(term) < 1e-17 * (1e-300 if size < 1e-300 else size):
             break
     else:  # pragma: no cover - the split radius keeps us far from this
         raise DomainError(f"incomplete-gamma series did not converge for a={a}, z={z}")
     low = cmath.exp(a * cmath.log(z) - z) * total
-    return complex(_gamma(a)) - low
+    return _complete_gamma(a) - low
+
+
+@functools.lru_cache(maxsize=16)
+def _complete_gamma(a: float) -> complex:
+    """complex(Gamma(a)), the same for every z of an order: a quadrature of
+    the exact route asks the series for three orders at each node."""
+    return complex(_gamma(a))
 
 
 def _lentz_cf(a: float, z: complex) -> complex:
@@ -106,7 +115,7 @@ def upper_incomplete_gamma(a: float, z: complex) -> complex:
     _check_args(a, z)
     if z == 0.0:
         if a > 0.0:
-            return complex(_gamma(a))
+            return _complete_gamma(a)
         raise DomainError(f"Gamma(a, 0) diverges for a = {a} <= 0")
     if (a > 0.0 and abs(z) < a + 1.0) or abs(z) < _SPLIT_RADIUS:
         return _series(a, z)
@@ -132,14 +141,21 @@ def oscillatory_moment(alpha: float, x: float, ell_h: float) -> complex:
                                        - Gamma(1+alpha, -2i/ell_h)]
 
     with (-i)^{-1-alpha} on the principal branch, i.e. e^{i(1+alpha)pi/2}.
-    The lower-limit Gamma is cached per (alpha, ell_h).
+    The prefactor is cached per alpha, the lower-limit Gamma per
+    (alpha, ell_h).
     """
     if x <= 0.0 or ell_h <= 0.0:
         raise DomainError("x and ell_h must be positive")
-    pref = -(2.0 ** (-1.0 - alpha)) * cmath.exp(1j * (1.0 + alpha) * math.pi / 2.0)
     g_hi = upper_incomplete_gamma(1.0 + alpha, -2j * x)
     g_lo = _lower_limit_gamma(alpha, ell_h)
-    return pref * (g_hi - g_lo)
+    return _moment_prefactor(alpha) * (g_hi - g_lo)
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_prefactor(alpha: float) -> complex:
+    """-2^{-1-alpha} e^{i (1+alpha) pi/2} of `oscillatory_moment`, the same
+    at every x."""
+    return -(2.0 ** (-1.0 - alpha)) * cmath.exp(1j * (1.0 + alpha) * math.pi / 2.0)
 
 
 def oscillatory_moment_limits(alpha: float, ell_h: float) -> tuple[float, float]:

@@ -463,6 +463,20 @@ class TestErrorChannel:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SingularExponentError"
 
+    @pytest.mark.parametrize("x", [1e-3, 1e-5, math.exp(-20.0)])
+    def test_default_range_exact_map_exits_3(self, tmp_path, capsys, x):
+        # corr11 cancels to noise at small x and large p (ROADMAP item 2):
+        # the block at x has a negative diagonal entry
+        cfg = write_config(tmp_path, "e.json", {
+            "mode": "discord_map", "method": "exact", "map_points": [6, 6],
+            "x": x, "cosmo": {"ellH": 0.1},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "BelowHeisenbergError"
+        assert err["message"].startswith("diagonal entries must be positive")
 
     def test_overflow_reports_one_json_line(self, tmp_path):
         # the solver overflows; numpy and scipy warnings must not reach stderr

@@ -31,7 +31,8 @@ from gausslind.cosmology import (
     sigma0_sq_approx,
     sigma0_sq_coefficients,
 )
-from gausslind.errors import DomainError, SingularExponentError, StepFailureError
+from gausslind.errors import (BelowHeisenbergError, DomainError, SingularExponentError,
+                              StepFailureError)
 
 from conftest import default_map, super_hubble_series
 
@@ -274,6 +275,31 @@ class TestExactRow:
     def test_bad_x_rejected_at_entry(self, x):
         with pytest.raises(DomainError, match=f"got {x}"):
             exact_open_det(x, CosmoParams(1.0, 2.1, 0.1))
+
+    @pytest.mark.parametrize("corr11", [1e300, math.nan, -math.inf])
+    def test_node_guard(self, monkeypatch, corr11):
+        # g11 = v2 - 2 kap2 corr11 negative, NaN or infinite at the nodes
+        from gausslind import cosmology
+        node = cosmology._g11_node
+        monkeypatch.setattr(cosmology, "_g11_node",
+                            lambda x, params: (node(x, params)[0], corr11, None))
+        with pytest.raises(BelowHeisenbergError, match="diagonal entries must be positive"):
+            exact_open_det(0.5, CosmoParams(1.0, 2.1, 0.1))
+
+    def test_blocks_built_once_per_cell(self, monkeypatch):
+        from gausslind.symplectic import CovarianceBlock
+        built = []
+        post_init = CovarianceBlock.__post_init__
+        monkeypatch.setattr(CovarianceBlock, "__post_init__",
+                            lambda block: built.append(1) or post_init(block))
+        params = CosmoParams(0.0, 9.3, self.ELLH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            exact_open_det(self.X, params, kGamma_over_kstar=self.COUPLINGS)
+            assert built == []
+            discord_cosmo(self.X, -0.4, params, "exact", kGamma_over_kstar=self.COUPLINGS,
+                          p=np.array([6.1, 9.3]))
+        assert len(built) == 2 * len(self.COUPLINGS)
 
     def test_environment_off_gives_one(self):
         params = CosmoParams(1.0, 2.1, 0.1)
