@@ -32,7 +32,7 @@ from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
 from .errors import BelowHeisenbergError, DomainError, SingularExponentError
-from .opensys import evolve_open, max_members, piecewise_oscillatory_quad
+from .opensys import TransportResponse, evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock, _ln
 
@@ -187,18 +187,23 @@ def de_sitter_squeezing(x: float) -> tuple[float, float]:
     return r, phi
 
 
-def _power_law_source(params: CosmoParams, kap2, expo, off):
-    """S(eta) = kap2 * 2 (x_star/x)^expo at x = -eta inside the coupled
-    window 0 < x < 1/(ell_E H), else off: the power-law environment of
-    every route.  kap2 and expo are floats, or arrays that broadcast to
-    the shape of off."""
-    xs, x_on = params.x_star, params.x_coupling_on
+def _power_law(params: CosmoParams, expo, x: float):
+    """The unit amplitude 2 (x_star/x)^expo of the power-law environment;
+    expo is a float, or an array of p - 3 for a row of p."""
+    return 2.0 * (params.x_star / x) ** expo
+
+
+def _power_law_source(params: CosmoParams, kap2: float):
+    """S(eta) = kap2 * `_power_law` (expo p - 3) at x = -eta inside the
+    coupled window 0 < x < 1/(ell_E H), else 0: the power-law environment
+    of the scalar routes."""
+    expo, x_on = params.p - 3.0, params.x_coupling_on
 
     def source(eta: float):
         x = -eta
         if x <= 0.0 or x >= x_on:
-            return off
-        return kap2 * (2.0 * (xs / x) ** expo)
+            return 0.0
+        return kap2 * _power_law(params, expo, x)
 
     return source
 
@@ -208,7 +213,7 @@ def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
     only once the mode is longer than the environment correlation length
     (x < 1/(ell_E H)); returned as a function of conformal time eta = -x.
     """
-    return _power_law_source(params, _kap2_row(params)[0], params.p - 3.0, 0.0)
+    return _power_law_source(params, _kap2_row(params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +371,7 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     def det(kap2: float) -> float:
         if x >= hi:
             return 1.0
-        source = _power_law_source(params, kap2, params.p - 3.0, 0.0)
+        source = _power_law_source(params, kap2)
 
         def f(xp: float) -> float:
             v2, corr11 = node(xp)
@@ -643,17 +648,6 @@ def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndar
     return ln_s0sq, ln_m2 + _ln(0.25 * math.sin(2.0 * theta) ** 2)
 
 
-def _plane_kernel(params: CosmoParams, ps: np.ndarray,
-                  kap2: np.ndarray) -> Callable[[float], np.ndarray]:
-    """The sources of cosmo_kernel over a (p, coupling) plane, as one
-    array-valued source: S[i, j](eta) = kap2[j] * 2 (x_star/x)^(p_i - 3)
-    on the same window."""
-    # one row keeps the float pow of cosmo_kernel: numpy's array pow can
-    # differ from it in the last bit
-    expo = float(ps[0]) - 3.0 if len(ps) == 1 else ps[:, None] - 3.0
-    return _power_law_source(params, kap2[None, :], expo, np.zeros((len(ps), len(kap2))))
-
-
 def _plane_blocks(n_p: int, n_k: int, cells: int):
     """(rows, cols) slices that cover an (n_p, n_k) plane, row-major: whole
     p rows while they fit in `cells` cells, else one row in pieces of `cells`."""
@@ -682,12 +676,14 @@ def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
 
 
 def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
-    """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter batch, sampled
-    at x only (every step would hold 4 values per cell)."""
-    kap2 = np.array(_kap2_row(params, couplings))
-    traj = evolve_de_sitter(params.x_coupling_on, x, source=_plane_kernel(params, ps, kap2),
-                            x_eval=(x,), rtol=TRANSPORT_RTOL)
-    return traj._log_sigmas(theta)
+    """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter response
+    integration over the unit sources of its p rows, sampled at x only, and
+    each cell formed from the response polynomials in its kap2.  The unit
+    source is on over all of [x, 1/ellH], its start included."""
+    expo = ps - 3.0
+    response = evolve_de_sitter(params.x_coupling_on, x, x_eval=(x,), rtol=TRANSPORT_RTOL,
+                                source=lambda eta: _power_law(params, expo, -eta))
+    return response.cells(_kap2_row(params, couplings))._log_sigmas(theta)
 
 
 _ROUTES = {"approx": _approx_block, "exact": _exact_block, "transport": _transport_block}
@@ -713,8 +709,9 @@ def discord_cosmo(
                        by 2.9e-3 at x = 1e-3).
     method="approx":   super-Hubble asymptotics in the log domain; valid
                        for 0 < x < 0.1, arbitrarily small.
-    method="transport": integrate the covariance down to x (slowest,
-                       reference); one evolve_open integration per block.
+    method="transport": integrate the covariance down to x (reference);
+                       one evolve_open response integration per block,
+                       whatever the number of couplings.
 
     kGamma_over_kstar, when given, replaces the coupling of params, and p
     its growth index: each is a scalar or a non-empty 1-D array.  Every
@@ -724,9 +721,11 @@ def discord_cosmo(
     Every route runs in the blocks of `_plane_blocks`, of at most
     PLANE_BLOCK_CELLS = 2^16 cells, which bounds the memory.  The approx
     and exact routes equal per-row calls bit for bit.  The transport route
-    integrates a block as one `evolve_open` batch, capped at
-    max_members(TRANSPORT_RTOL) cells (solve_ivp's rtol floor), and agrees
-    with per-row calls to ~1e-11 (batching divides TRANSPORT_RTOL by sqrt(cells)).
+    integrates the unit sources 2 (x_star/x)^(p_i - 3) of a block's p rows
+    as one response (`opensys.TransportResponse`) and forms each cell from
+    its kap2 polynomials; its cost does not grow with the couplings.  It
+    agrees with per-row calls to ~1e-11 (the response divides
+    TRANSPORT_RTOL by sqrt(1 + rows)).
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")
@@ -734,9 +733,8 @@ def discord_cosmo(
         raise DomainError(f"partition angle must be finite, got {theta}")
     if method not in _ROUTES:
         raise DomainError(f"unknown method {method!r}; expected one of {DISCORD_METHODS}")
-    cap = max_members(TRANSPORT_RTOL) if method == "transport" else PLANE_BLOCK_CELLS
     ln_s0sq, ln_q, d = np.empty((3, len(ps), len(couplings)))
-    for block in _plane_blocks(len(ps), len(couplings), min(PLANE_BLOCK_CELLS, cap)):
+    for block in _plane_blocks(len(ps), len(couplings), PLANE_BLOCK_CELLS):
         logs = _ROUTES[method](x, theta, params, ps[block[0]], couplings[block[1]])
         ln_s0sq[block], ln_q[block] = np.reshape(logs, (2, *d[block].shape))
         d[block] = _discord_from_logs(ln_s0sq[block], ln_q[block])[0]
@@ -757,9 +755,11 @@ def evolve_de_sitter(
     x_eval: Sequence[float] | None = None,
     rtol: float = TRANSPORT_RTOL,
     atol: float = 1e-12,
-) -> CovarianceTrajectory:
+) -> CovarianceTrajectory | TransportResponse:
     """Transport the de Sitter covariance from x_start to x_end, seeded
     with the free closed form at x_start (exact while the source is off).
+    A source of unit amplitudes (a 1-D array per time) runs the response
+    integration of `evolve_open` and returns its TransportResponse.
 
     The trajectory runs in conformal time eta = -x; x_eval, when given,
     lists the x at which it is sampled.  A source only adds to the

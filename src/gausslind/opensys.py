@@ -10,8 +10,9 @@ environment autocorrelation in one function, because only their product
 ever appears; a source is any plain callable t -> S(t), and None means
 no environment.  Consequences implemented here: the transport engine
 `evolve_open` (the only covariance integrator of the package, closed
-evolution being its S = None case and a batch of N sources its
-array-valued case), determinant growth
+evolution being its S = None case, and the linear response to n unit
+sources, from which any coupling kap2 S_i follows, its array-valued
+case), determinant growth
 d(det)/dt = k S g11 (monotone purity loss), source-extended equations of
 motion of the generalized squeezing parameters, and the Green's-function
 representation of the dressed covariance as quadratures over a stored
@@ -21,12 +22,12 @@ mode trajectory.
 from __future__ import annotations
 
 import math
-import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import ode, quad, solve_ivp
 
 from .closed import (
     DEFAULT_ATOL,
@@ -48,13 +49,18 @@ __all__ = [
     "generalized_squeezing_rhs",
     "green_covariance",
     "evolve_open",
-    "max_members",
+    "TransportResponse",
     "piecewise_oscillatory_quad",
     "RTOL_FLOOR",
+    "RESPONSE_MAX_STEPS",
 ]
 
 #: smallest rtol that solve_ivp accepts without raising it to this value
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
+#: steps the response integration of evolve_open may take to each sample:
+#: twice the 91,000 of a de Sitter p = 0.1 row at ellH = 1e-4, x = e^-20
+#: (ellH = 1e-3 planes take at most 11,000)
+RESPONSE_MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -214,12 +220,106 @@ def green_covariance(
     return GreenIntegrals(I=results[0], J=results[1], K=results[2])
 
 
-def max_members(rtol: float) -> int:
-    """Largest batch whose per-member tolerance rtol / sqrt(N) stays at or
-    above RTOL_FLOOR: 0 when rtol itself is below it, or NaN."""
-    if not rtol >= RTOL_FLOOR:
-        return 0
-    return int(min((rtol / RTOL_FLOOR) ** 2, sys.maxsize))
+@dataclass(frozen=True)
+class TransportResponse:
+    """Linear response of the transport equations to the sources kap2 S_i(t).
+
+    The equations are linear in (g, det) and their closed flow does not
+    depend on the source, so a source kap2 * S_i(t) with a constant kap2
+    gives, from the same initial block, the covariance and determinant
+
+        g + kap2 F_i   and   det0 + kap2 a1_i + kap2^2 a2_i
+
+    where g is the closed (source-free) covariance, F_i follows the closed
+    flow plus k S_i on its g22 entry from F_i = 0, a1_i' = k S_i g11 and
+    a2_i' = k S_i F_i11 from 0 (so a1_i, a2_i >= 0 and the det needs no
+    cancellation).  g is (3, T), F is (3, n, T) and a1, a2 are (n, T) over
+    the n unit amplitudes S_i and the T sample times.
+    """
+
+    times: np.ndarray
+    g: np.ndarray
+    F: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    det0: float
+
+    def cells(self, kap2) -> CovarianceTrajectory:
+        """The trajectories of the sources kap2[j] * S_i, each field (n,
+        len(kap2), T): the covariance and det polynomials in kap2 above."""
+        kap2 = np.asarray(kap2, dtype=float)[:, None]
+        g11, g12, g22 = (g + kap2 * f[:, None, :] for g, f in zip(self.g, self.F))
+        det = self.det0 + kap2 * self.a1[:, None, :] + kap2 * kap2 * self.a2[:, None, :]
+        return CovarianceTrajectory(self.times, g11, g12, g22, det)
+
+
+#: the basis blocks whose images under the closed flow are its matrix
+_BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplitudes,
+              t_span: tuple[float, float], ic: CovarianceBlock, t_eval,
+              rtol: float, atol: float) -> TransportResponse:
+    """The response integration of evolve_open: 3 + 5n values, on scipy's
+    compiled DOP853; amplitudes is the source at the start."""
+    if np.ndim(amplitudes) != 1 or len(amplitudes) == 0:
+        raise DomainError("an array-valued source returns a 1-D array of at least one "
+                          f"amplitude, got shape {np.shape(amplitudes)}")
+    n = len(amplitudes)
+    m = 3 + 3 * n  # the covariance values: rows g11, g12, g22 of 1 + n blocks
+    k = freq.k
+    raised = []
+
+    def rhs(t, y):
+        if not raised:
+            try:
+                s = source(t)
+                # columns: the closed block, then F_1..F_n
+                cols = y[:m].reshape(3, 1 + n)
+                flow = np.array([transport_rhs_open(e, freq, None, t) for e in _BASIS]).T
+                d = flow @ cols
+                d[2, 1:] += k * s
+                return np.concatenate((d.ravel(), det_rhs(cols[:, 0], s, k),
+                                       det_rhs(cols[:, 1:], s, k)))
+            except BaseException as exc:  # re-raised below
+                raised.append(exc)
+        # the compiled integrator does not stop on an exception; a NaN
+        # derivative makes it fail at once
+        return np.full_like(y, math.nan)
+
+    y0 = np.zeros(m + 2 * n)
+    y0[:m:1 + n] = (ic.g11, ic.g12, ic.g22)
+    times = np.atleast_1d(np.asarray(t_span[1] if t_eval is None else t_eval, dtype=float))
+    scale = math.sqrt(1 + n)
+    # a given first step: the integrator's own guess reads the response
+    # blocks, which start at 0, against atol alone, and can land on a step
+    # too small to take or past the end of the span
+    solver = ode(rhs).set_integrator(
+        "dop853", rtol=rtol / scale, atol=atol / scale, nsteps=RESPONSE_MAX_STEPS,
+        first_step=1e-6 * abs(t_span[1] - t_span[0]))
+    solver.set_initial_value(y0, t_span[0])
+    # IWORK(4) < 0 of DOP853: no stiffness test, which a fast-varying source
+    # trips on this non-stiff system
+    solver._integrator.iwork[3] = -1
+    ys = np.empty((len(times), len(y0)))
+    # overflow surfaces as a failed or non-finite solve, raised below; the
+    # integrator reports a failure as a UserWarning plus its return code
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i, t in enumerate(times.tolist()):
+            ys[i] = solver.integrate(t)
+            if raised:
+                raise raised[0]
+            if not solver.successful():
+                reason = "; ".join(str(w.message) for w in caught) or \
+                    f"return code {solver.get_return_code()}"
+                raise StepFailureError(f"covariance transport failed at t = {t}: {reason}")
+    if not np.all(np.isfinite(ys)):
+        raise StepFailureError("covariance transport produced non-finite values")
+    y = ys.T
+    return TransportResponse(times=times, g=y[:m:1 + n], F=y[:m].reshape(3, 1 + n, -1)[:, 1:],
+                             a1=y[m:m + n], a2=y[m + n:], det0=ic.lam)
 
 
 def evolve_open(
@@ -230,63 +330,59 @@ def evolve_open(
     t_eval: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> CovarianceTrajectory:
+) -> CovarianceTrajectory | TransportResponse:
     """Transport-engine evolution with an optional environment source;
     source=None is the closed (unitary) evolution.
 
     The state vector is (g11, g12, g22, det): the determinant is
     transported by its own (cancellation-free) equation and is the value
     behind the reported purity.  Each RHS evaluation calls the source
-    once and feeds that value to both the g22 term and d(det)/dt.
+    once and feeds that value to both the g22 term and d(det)/dt.  With
+    t_eval=None every step is kept.  The initial det is ic.lam, so an ic
+    below the uncertainty bound raises BelowHeisenbergError.  solve_ivp
+    silently raises any rtol below RTOL_FLOOR to that floor, so such an
+    rtol raises DomainError first.
 
-    A source may return a numpy array of N amplitudes at each t, of any
-    shape (a row of couplings, or a (p, coupling) plane): N members
-    sharing freq, t_span and ic then evolve in one integration with
-    state (4, *shape), and every trajectory field is (*shape,
-    len(times)).  rtol and atol are divided by sqrt(N), so that each
-    member meets the scalar error criterion (solve_ivp takes the RMS norm
-    over all 4N components).  N = 1 runs the scalar arithmetic, bit for
-    bit.  With t_eval=None every step is kept, all 4N values of it:
-    about 32 B x N x steps.  The initial det is ic.lam, so an ic below
-    the uncertainty bound raises BelowHeisenbergError.
-
-    solve_ivp silently raises any rtol below RTOL_FLOOR to that floor, so
-    a batch with rtol / sqrt(N) < RTOL_FLOOR, i.e. N > max_members(rtol),
-    raises DomainError first.
+    A source that returns a 1-D numpy array of n unit amplitudes S_i(t)
+    runs the response integration instead and returns a
+    TransportResponse, whose `cells(kap2)` are the trajectories of the
+    sources kap2[j] * S_i for any couplings kap2: one integration of
+    3 + 5n values, whatever the number of couplings.  It runs on scipy's
+    compiled DOP853 (`scipy.integrate.ode`), at rtol and atol divided by
+    sqrt(1 + n) so that each of the 1 + n blocks meets the scalar error
+    criterion (the integrator takes the RMS norm over all components;
+    unlike solve_ivp it has no rtol floor).  Each RHS call builds the
+    closed flow as a 3x3 matrix from transport_rhs_open on the three
+    basis blocks (three calls) and applies it to the closed block and the
+    n response blocks at once.  It samples t_eval only (the end of
+    t_span when None), with at most RESPONSE_MAX_STEPS steps to each
+    sample; a failed step or a non-finite value raises StepFailureError.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
-    members = np.shape(source(t_span[0])) if source is not None else ()
-    n = math.prod(members)
-    if n == 0:
-        raise DomainError("an array-valued source needs at least one member")
-    if n > max_members(rtol):
-        raise DomainError(
-            f"rtol = {rtol} over {n} member(s) is below the floor {RTOL_FLOOR:.3g} "
-            f"of solve_ivp: the batch needs rtol >= {RTOL_FLOOR * math.sqrt(n):.3g}")
-    if members and n == 1:  # one member: scalar arithmetic is cheaper per call
-        member, source = source, lambda t: member(t).item()
-    shape = (4, *members) if n > 1 else (4,)
+    if not rtol >= RTOL_FLOOR:
+        raise DomainError(f"rtol = {rtol} is below the floor {RTOL_FLOOR:.3g} of solve_ivp")
+    start = None if source is None else source(t_span[0])
+    if np.ndim(start) > 0:
+        return _response(freq, source, start, t_span, ic, t_eval, rtol, atol)
     k = freq.k
 
     def rhs(t, y):
-        g = y.reshape(shape)
-        g = (g[0], g[1], g[2])  # indexing, not unpacking: cheaper per call
+        g = (y[0], y[1], y[2])  # indexing, not unpacking: cheaper per call
         s = None if source is None else source(t)
         # a new array per call: solve_ivp keeps the derivatives it is given
-        out = np.empty(shape)
+        out = np.empty(4)
         out[0], out[1], out[2] = transport_rhs_open(g, freq, s, t)
         out[3] = det_rhs(g, s, k)
-        return out.ravel()
+        return out
 
-    y0 = np.repeat([ic.g11, ic.g12, ic.g22, ic.lam], n)
     # overflow surfaces as a failed or non-finite solve, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol / math.sqrt(n),
-                        atol=atol / math.sqrt(n), t_eval=t_eval)
+        sol = solve_ivp(rhs, t_span, [ic.g11, ic.g12, ic.g22, ic.lam], method="DOP853",
+                        rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise StepFailureError(f"covariance transport failed: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise StepFailureError("covariance transport produced non-finite values")
-    y = sol.y.reshape(4, *members, -1)
-    return CovarianceTrajectory(times=sol.t, g11=y[0], g12=y[1], g22=y[2], det=y[3])
+    return CovarianceTrajectory(times=sol.t, g11=sol.y[0], g12=sol.y[1], g22=sol.y[2],
+                                det=sol.y[3])

@@ -3,7 +3,8 @@
 Runs the fast subset of the acceptance checks that make sense on an end
 user's machine: cross-engine agreement of the closed evolution, discord
 baselines, the super-Hubble coefficient table against the exact
-determinant, and the incomplete-gamma accuracy battery.  Each check
+determinant, the incomplete-gamma accuracy battery, and the transport
+discord map against the super-Hubble one.  Each check
 returns (name, ok, detail) and prints one line; the CLI maps failure to
 a non-zero exit.
 """
@@ -29,8 +30,10 @@ from .cosmology import (
     de_sitter_frequency,
     de_sitter_mode,
     de_sitter_squeezing,
+    discord_cosmo,
     evolve_de_sitter,
     exact_open_det,
+    offset_singular_p,
     sigma0_sq_approx,
 )
 from .discord import discord, discord_squeezed, entropy_kernel
@@ -158,6 +161,26 @@ def check_coefficient_identities() -> tuple[str, bool, str]:
             f"identity residual {worst:.2e}, sigma0^2 vs exact det {worst_det:.2e}")
 
 
+def check_route_agreement() -> tuple[str, bool, str]:
+    """The transport route against the super-Hubble asymptotics on a 12x12
+    plane of the default map ranges (p 0.1..9.9, kGamma/k* 1e-10..1e6) at
+    x = e^-20, ellH = 0.1, where both hold: discord to 3e-13 relative
+    where it exceeds 1e-10 and to 2e-12 absolute, ln sigma(0) to 6e-13
+    (measured: 1.0e-13, 7.0e-13, 1.9e-13)."""
+    ps = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 12).tolist()])
+    couplings = 10.0 ** np.linspace(-10.0, 6.0, 12)
+    x, theta, params = math.exp(-20.0), -math.pi / 4.0, CosmoParams(0.0, ps[0], 0.1)
+    got, want = (discord_cosmo(x, theta, params, method, kGamma_over_kstar=couplings, p=ps)
+                 for method in ("transport", "approx"))
+    large = want.discord > 1e-10
+    rel = float(np.max(np.abs(got.discord[large] / want.discord[large] - 1.0)))
+    dev = float(np.max(np.abs(got.discord - want.discord)))
+    dev_s0 = float(np.max(np.abs(got.log_sigma_zero - want.log_sigma_zero)))
+    ok = rel < 3e-13 and dev < 2e-12 and dev_s0 < 6e-13
+    return ("transport against super-Hubble discord map", ok,
+            f"D rel dev {rel:.2e}, D abs dev {dev:.2e}, ln sigma0 dev {dev_s0:.2e}")
+
+
 def check_special_functions() -> tuple[str, bool, str]:
     """Incomplete gamma against the ray-quadrature reference plus the
     recurrence Gamma(a+1,z) = a Gamma(a,z) + z^a e^-z."""
@@ -189,6 +212,7 @@ CHECKS = (
     check_discord_baseline,
     check_coefficient_identities,
     check_special_functions,
+    check_route_agreement,
 )
 
 

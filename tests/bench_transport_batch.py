@@ -1,18 +1,20 @@
-"""Cost per trajectory of batched transport against scalar runs.
+"""Cost per trajectory of the transport response against scalar runs.
 
     pytest tests/bench_transport_batch.py --benchmark-only
 
 The file name keeps it out of the default test collection.  One row of N
 couplings kGamma/k* in 1e-6..1 at p = 5.3, x = 1e-3, ellH = 0.1 is
-integrated either as one `evolve_de_sitter` call with an array-valued
-source ("batch") or as N scalar calls ("scalar").  Each benchmark's
-extra_info holds the best time per trajectory and the RHS calls per
-trajectory; add --benchmark-json=FILE to keep them.
+integrated either as one `evolve_de_sitter` response to the row's unit
+source, its cells formed from the kap2 polynomials ("batch"), or as N
+scalar calls ("scalar").  Each benchmark's extra_info holds the best time
+per trajectory and the transport_rhs_open calls per trajectory (three per
+RHS call of a response, one of a scalar run); add --benchmark-json=FILE
+to keep them.
 
 `test_transport_plane` runs a 4x4 transport `discord_cosmo` plane, p in
 {0.5, 2.0001, 5.3, 9.5} and the couplings above, either as one call with
 a p row ("plane", one integration) or as four row calls ("rows"), and
-records the best time per cell and the RHS calls.
+records the best time per cell and the transport_rhs_open calls.
 """
 
 import numpy as np
@@ -29,9 +31,9 @@ def _couplings(n: int) -> np.ndarray:
 
 
 def batch(n: int):
-    kap2 = _couplings(n) ** 2
-    unit = cosmo_kernel(CosmoParams(1.0, P, ELLH))
-    return evolve_de_sitter(1.0 / ELLH, X, lambda eta: kap2 * unit(eta))
+    expo = np.array([P - 3.0])
+    response = evolve_de_sitter(1.0 / ELLH, X, lambda eta: 2.0 * (1.0 / -eta) ** expo)
+    return response.cells(_couplings(n) ** 2)
 
 
 def scalar(n: int):

@@ -264,6 +264,6 @@ def test_criterion_11_selfcheck_command():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 30.0, f"selfcheck took {elapsed:.1f}s"
     lines = [l for l in proc.stdout.splitlines() if l.startswith("[")]
-    assert len(lines) == 4 and all(l.startswith("[PASS]") for l in lines)
+    assert len(lines) == len(selfcheck.CHECKS) and all(l.startswith("[PASS]") for l in lines)
     report(11, f"selfcheck exit 0 in {elapsed:.1f}s "
                f"({len(lines)} checks reported)")

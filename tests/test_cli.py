@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gausslind.cli import main
+from gausslind.selfcheck import CHECKS
 
 
 def run_cli(args):
@@ -204,8 +205,26 @@ class TestDiscordMapScenario:
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "t.csv")[1]) == 12
         assert calls["evolve_open"] == 1
-        # one source call per RHS call, plus the shape probe
-        assert calls["rhs"] > 0 and calls["source"] == calls["rhs"] + 1
+        # one source call per RHS call, plus the shape probe; each RHS call
+        # builds the closed flow from three transport_rhs_open calls
+        assert calls["rhs"] > 0 and calls["rhs"] == 3 * (calls["source"] - 1)
+
+    @pytest.mark.parametrize("change", [
+        {"map_points": [12, 12], "x": math.exp(-20.0), "cosmo": {"ellH": 0.1}},
+        {"map_points": [8, 8], "x": 1e-3, "cosmo": {"ellH": 0.1},
+         "log10_kGamma_range": [-2.0, 2.0]},
+        {"map_points": [40, 40], "x": math.exp(-20.0), "cosmo": {"ellH": 1e-3}},
+    ], ids=["default_ranges_12x12", "known_defect_8x8", "default_40x40"])
+    def test_default_range_transport_map_runs(self, tmp_path, change):
+        # each of these failed with StepFailureError (exit 3) when every
+        # cell was its own member of the integration
+        cfg = write_config(tmp_path, "t.json", {
+            "mode": "discord_map", "method": "transport", "output_path": "t.csv", **change})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "t.csv")
+        n_p, n_k = change["map_points"]
+        assert len(rows) == n_p * n_k
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 class TestDiscordMapValidation:
@@ -493,6 +512,24 @@ class TestErrorChannel:
         assert json.loads(lines[0])["error"] == "StepFailureError"
 
 
+    def test_transport_step_failure_reports_one_json_line(self, tmp_path):
+        # a step cap of 5 fails the response integration; the integrator's
+        # UserWarning must not reach stderr
+        cfg = write_config(tmp_path, "t.json", {
+            "mode": "discord_map", "method": "transport", "map_points": [2, 2],
+            "x": 3e-3, "cosmo": {"ellH": 0.15}})
+        script = ("import sys; from gausslind import opensys; opensys.RESPONSE_MAX_STEPS = 5; "
+                  "from gausslind.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "StepFailureError"
+        assert "larger nsteps is needed" in err["message"]
+
     @pytest.mark.parametrize("preset", ["de_sitter", "free"])
     def test_rtol_below_floor_exits_2(self, tmp_path, preset):
         # solve_ivp would raise rtol 1e-15 to 100 eps with a UserWarning
@@ -517,7 +554,7 @@ class TestSelfcheckMode:
         cfg = write_config(tmp_path, "sc.json", {"mode": "selfcheck"})
         assert run_cli(["run", cfg]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == len(CHECKS)
 
 
 class TestEntryPoint:

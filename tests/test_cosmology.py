@@ -31,8 +31,7 @@ from gausslind.cosmology import (
     sigma0_sq_approx,
     sigma0_sq_coefficients,
 )
-from gausslind.errors import (BelowHeisenbergError, DomainError, SingularExponentError,
-                              StepFailureError)
+from gausslind.errors import BelowHeisenbergError, DomainError, SingularExponentError
 
 from conftest import default_map, super_hubble_series
 
@@ -127,14 +126,17 @@ class TestKernel:
     @pytest.mark.parametrize("p,kg,ellH", [(2.1, 10.0, 0.1), (6.1, 0.3, 0.15),
                                            (9.3, 1e-4, 0.05)])
     def test_kernel_is_the_one_cell_plane(self, p, kg, ellH):
-        from gausslind.cosmology import _plane_kernel
+        # the scalar source is kap2 times the unit amplitude of a one-cell
+        # transport plane, one power law; only the scalar source has the
+        # window
+        from gausslind.cosmology import _power_law
         params = CosmoParams(kg, p, ellH)
         scalar = cosmo_kernel(params)
-        plane = _plane_kernel(params, np.array([p]), np.array([params.kGamma_over_k ** 2]))
-        etas = np.linspace(-2.0 / ellH, 0.0, 401)[1:-1].tolist() + [-1.0 / ellH]
+        kap2 = params.kGamma_over_k ** 2
+        etas = np.linspace(-1.0 / ellH, 0.0, 401)[1:-1].tolist()
         for eta in etas:
-            got = plane(eta)
-            assert got.shape == (1, 1) and scalar(eta) == got.item()
+            assert scalar(eta) == kap2 * _power_law(params, p - 3.0, -eta)
+        assert scalar(-1.0 / ellH) == 0.0 < _power_law(params, p - 3.0, 1.0 / ellH)
 
 
 class TestExactOpenCovariance:
@@ -644,70 +646,73 @@ class TestEvolveDeSitter:
         evolve_de_sitter(10.0, 0.01)
 
 
-def _unit_source(params):
-    """S(eta) / kap2 of the power-law source of params."""
-    return cosmo_kernel(CosmoParams(params.k_over_kstar, params.p, params.ellH,
-                                    params.k_over_kstar, params.x_star))
+def _unit_amplitudes(ps):
+    """The unit sources 2 (1/x)^(p_i - 3) of a p row (x_star = 1), on at
+    every x."""
+    expo = np.asarray(ps, dtype=float) - 3.0
+    return lambda eta: 2.0 * (1.0 / -eta) ** expo
 
 
 class TestBatchedTransport:
-    """evolve_open with an array-valued source: one integration per row."""
+    """evolve_open with unit amplitudes: one response integration per p row,
+    whatever the number of couplings."""
 
     X_EVAL = (5.0, 0.1, 1e-3)
 
     @pytest.mark.parametrize("p", [0.5, 2.0001, 5.3, 9.5])
     def test_row_matches_scalar_runs(self, p):
-        params = CosmoParams(0.0, p, 0.1)
+        # the cells of the kap2 polynomials against one scalar run each
         couplings = np.logspace(-6.0, 0.0, 5)
-        kap2 = couplings ** 2
-        unit = _unit_source(params)
-        row = evolve_de_sitter(params.x_coupling_on, 1e-3,
-                               lambda eta: kap2 * unit(eta), x_eval=self.X_EVAL)
-        assert row.g11.shape == (len(couplings), len(self.X_EVAL))
+        response = evolve_de_sitter(10.0, 1e-3, _unit_amplitudes([p]), x_eval=self.X_EVAL)
+        row = response.cells(couplings ** 2)
+        assert row.g11.shape == (1, len(couplings), len(self.X_EVAL))
         for j, kg in enumerate(couplings.tolist()):
             cell = CosmoParams(kg, p, 0.1)
             one = evolve_de_sitter(cell.x_coupling_on, 1e-3, cosmo_kernel(cell),
                                    x_eval=self.X_EVAL)
             for field in ("g11", "g12", "g22", "det"):
-                np.testing.assert_allclose(getattr(row, field)[j], getattr(one, field),
+                np.testing.assert_allclose(getattr(row, field)[0, j], getattr(one, field),
                                            rtol=1e-8, atol=0.0)
 
-    def test_single_member_is_the_scalar_call(self):
-        params = CosmoParams(0.3, 5.3, 0.1)
-        kap2 = np.array([params.kGamma_over_k ** 2])
-        unit = _unit_source(params)
-        one = evolve_de_sitter(params.x_coupling_on, 1e-3, cosmo_kernel(params))
-        row = evolve_de_sitter(params.x_coupling_on, 1e-3, lambda eta: kap2 * unit(eta))
-        assert np.array_equal(row.times, one.times)
-        for field in ("g11", "g12", "g22", "det"):
-            assert np.array_equal(getattr(row, field), getattr(one, field)[None, :])
+    def test_zero_coupling_cell_is_the_closed_run(self):
+        response = evolve_de_sitter(10.0, 1e-3, _unit_amplitudes([0.5, 5.3]),
+                                    x_eval=self.X_EVAL)
+        cells = response.cells([0.0])
+        closed = evolve_de_sitter(10.0, 1e-3, x_eval=self.X_EVAL)
+        for i in range(2):
+            assert np.array_equal(cells.det[i, 0], np.full(3, response.det0))
+            for field in ("g11", "g12", "g22"):
+                assert np.array_equal(getattr(cells, field)[i, 0], getattr(cells, field)[0, 0])
+                np.testing.assert_allclose(getattr(cells, field)[i, 0], getattr(closed, field),
+                                           rtol=1e-9, atol=0.0)
 
     def test_row_matches_closed_form(self):
         # an independent oracle: the incomplete-gamma closed form is good to
         # ~1e-12 at p = 2.1 down to x = 1e-5
         x, couplings = 1e-3, np.array([0.1, 1.0, 10.0])
-        params = CosmoParams(0.0, 2.1, 0.1)
-        kap2 = couplings ** 2
-        unit = _unit_source(params)
-        row = evolve_de_sitter(params.x_coupling_on, x, lambda eta: kap2 * unit(eta))
+        row = evolve_de_sitter(10.0, x, _unit_amplitudes([2.1])).cells(couplings ** 2)
         for j, kg in enumerate(couplings.tolist()):
             cell = CosmoParams(kg, 2.1, 0.1)
             block = exact_open_covariance(x, cell)
-            for got, want in ((row.g11[j, -1], block.g11), (row.g12[j, -1], block.g12),
-                              (row.g22[j, -1], block.g22),
-                              (row.det[j, -1], exact_open_det(x, cell))):
+            for got, want in ((row.g11[0, j, -1], block.g11), (row.g12[0, j, -1], block.g12),
+                              (row.g22[0, j, -1], block.g22),
+                              (row.det[0, j, -1], exact_open_det(x, cell))):
                 assert abs(got / want - 1.0) < 1e-9
 
-    def test_known_defect_rows(self):
-        # x = 1e-3, ellH = 0.1, kGamma/k* 1e-2..1e2: cells at p <~ 2 with
-        # large couplings fail, so their whole row fails; p = 2.9 does not
+    def test_known_defect_rows_run(self):
+        # x = 1e-3, ellH = 0.1, kGamma/k* 1e-2..1e2: the rows at p <~ 2 with
+        # large couplings failed as per-cell integrations; as responses they
+        # run and match the exact route
         couplings = 10.0 ** np.linspace(-2.0, 2.0, 8)
-        with pytest.raises(StepFailureError):
-            discord_cosmo(1e-3, -math.pi / 4, CosmoParams(0.0, 0.1, 0.1), "transport",
-                          kGamma_over_kstar=couplings)
-        row = discord_cosmo(1e-3, -math.pi / 4, CosmoParams(0.0, 2.9, 0.1), "transport",
-                            kGamma_over_kstar=couplings)
-        assert np.all(np.isfinite(row.discord))
+        for p in (0.1, 2.9):
+            params = CosmoParams(0.0, p, 0.1)
+            row = discord_cosmo(1e-3, -math.pi / 4, params, "transport",
+                                kGamma_over_kstar=couplings)
+            exact = discord_cosmo(1e-3, -math.pi / 4, params, "exact",
+                                  kGamma_over_kstar=couplings)
+            assert np.all(np.abs(row.discord - exact.discord)
+                          <= 1e-9 * np.maximum(1.0, np.abs(exact.discord)))
+            assert np.all(np.abs(row.log_sigma_zero - exact.log_sigma_zero) <= 1e-9)
 
 
 class TestEmptyRows:
@@ -789,13 +794,50 @@ class TestDiscordPlane:
                              p=ps).discord.shape == (2, 3)
         assert isinstance(discord_cosmo(1e-4, -0.4, params, p=2.1).discord, float)
 
-    def test_known_defect_plane_fails(self):
+    def test_known_defect_plane_runs(self):
         # the 8x8 plane at x = 1e-3, ellH = 0.1 holds cells at p <~ 2 with
-        # large couplings that fail, so the one integration fails
-        with pytest.raises(StepFailureError):
-            discord_cosmo(self.X, self.THETA, CosmoParams(0.0, 0.1, 0.1), "transport",
-                          kGamma_over_kstar=10.0 ** np.linspace(-2.0, 2.0, 8),
-                          p=np.linspace(0.1, 9.9, 8))
+        # large couplings that failed as per-cell integrations; its rows at
+        # p <= 2.9 match the exact route
+        ps, couplings = np.linspace(0.1, 9.9, 8), 10.0 ** np.linspace(-2.0, 2.0, 8)
+        params = CosmoParams(0.0, 0.1, 0.1)
+        plane = discord_cosmo(self.X, self.THETA, params, "transport",
+                              kGamma_over_kstar=couplings, p=ps)
+        assert np.all(np.isfinite(plane.discord)) and np.all(np.isfinite(plane.log_sigma_zero))
+        low = ps <= 2.9
+        exact = discord_cosmo(self.X, self.THETA, params, "exact",
+                              kGamma_over_kstar=couplings, p=ps[low])
+        assert np.all(np.abs(plane.discord[low] - exact.discord)
+                      <= 1e-9 * np.maximum(1.0, np.abs(exact.discord)))
+        assert np.all(np.abs(plane.log_sigma_zero[low] - exact.log_sigma_zero) <= 1e-9)
+
+    def test_known_defect_plane_matches_approx_at_small_x(self):
+        # the same ranges at x = e^-20, deep in the super-Hubble window
+        ps, couplings = np.linspace(0.1, 9.9, 8), 10.0 ** np.linspace(-2.0, 2.0, 8)
+        ps = np.array([offset_singular_p(p) for p in ps.tolist()])
+        params = CosmoParams(0.0, ps[0], 0.1)
+        got, want = (discord_cosmo(math.exp(-20.0), self.THETA, params, method,
+                                   kGamma_over_kstar=couplings, p=ps)
+                     for method in ("transport", "approx"))
+        assert np.all(np.abs(got.discord - want.discord)
+                      <= 1e-11 * np.maximum(1.0, np.abs(want.discord)))
+        assert np.all(np.abs(got.log_sigma_zero - want.log_sigma_zero) <= 1e-11)
+
+    def test_rhs_calls_flat_in_couplings(self, monkeypatch):
+        # one response integration per block of p rows: a 3x64 plane makes
+        # the RHS calls of a 3x4 one
+        from gausslind import opensys
+        calls = []
+        rhs = opensys.transport_rhs_open
+        monkeypatch.setattr(opensys, "transport_rhs_open",
+                            lambda *a: calls.append(1) or rhs(*a))
+        counts = []
+        for n_k in (4, 64):
+            calls.clear()
+            discord_cosmo(self.X, self.THETA, CosmoParams(0.0, 0.5, 0.1), "transport",
+                          kGamma_over_kstar=np.logspace(-3.0, 0.0, n_k),
+                          p=np.linspace(0.5, 9.5, 3))
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[0] == counts[1]
 
     @pytest.mark.parametrize("method, x", [("approx", 1e-4), ("exact", 0.05),
                                            ("transport", 1e-3)])
@@ -813,37 +855,11 @@ class TestDiscordPlane:
             for field in TestApproxPlane.FIELDS:
                 assert np.array_equal(getattr(split, field), getattr(whole, field))
             return
-        # a batch of 3 cells integrates at another tolerance than one of 14
+        # one p row integrates at another tolerance than a block of two
         assert np.all(np.abs(split.discord - whole.discord)
                       <= 1e-10 * np.maximum(1.0, np.abs(whole.discord)))
         np.testing.assert_allclose(np.exp(-2.0 * split.log_sigma_zero),
                                    np.exp(-2.0 * whole.log_sigma_zero), rtol=1e-9, atol=0.0)
-
-    def test_groups_respect_the_rtol_floor(self, monkeypatch):
-        # an rtol that allows 5 cells per integration: a 3x4 plane runs as
-        # 3 one-row integrations, a 2x7 plane as rows in pieces of 5 and 2
-        from gausslind import cosmology
-        from gausslind.opensys import RTOL_FLOOR, max_members
-        rtol = RTOL_FLOOR * math.sqrt(5.5)
-        assert max_members(rtol) == 5
-        monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", rtol)
-        sizes = []
-        real = cosmology.evolve_open
-        monkeypatch.setattr(cosmology, "evolve_open", lambda freq, source, *a, **kw: (
-            sizes.append(np.shape(source(0.0))) or real(freq, source, *a, **kw)))
-        params = CosmoParams(0.0, 0.5, 0.1)
-        for n_p, n_k, want in ((3, 4, [(1, 4)] * 3), (2, 7, [(1, 5), (1, 2)] * 2)):
-            sizes.clear()
-            ps, couplings = np.linspace(0.5, 9.5, n_p), np.logspace(-3.0, 0.0, n_k)
-            plane = discord_cosmo(self.X, self.THETA, params, "transport",
-                                  kGamma_over_kstar=couplings, p=ps)
-            assert sizes == want
-            for i, p in enumerate(ps.tolist()):
-                for j, kg in enumerate(couplings.tolist()):
-                    cell = discord_cosmo(self.X, self.THETA, CosmoParams(kg, p, 0.1),
-                                         "transport")
-                    assert abs(plane.discord[i, j] - cell.discord) \
-                        <= 1e-10 * max(1.0, abs(cell.discord))
 
 
 def test_discord_stays_large_under_strong_decoherence():

@@ -290,52 +290,91 @@ class TestEvolveOpen:
 
 class TestRtolFloor:
     """solve_ivp raises an rtol below 100 eps to that floor without saying
-    so; evolve_open refuses such a tolerance instead."""
+    so; evolve_open refuses such a tolerance instead.  The response
+    integration runs on scipy's compiled DOP853, which has no such floor."""
 
-    def test_large_batch_rejected_before_integrating(self, monkeypatch):
+    def test_rtol_below_the_floor_rejected_before_integrating(self, monkeypatch):
         from gausslind import opensys
         from gausslind.errors import DomainError
 
         def no_solve(*args, **kwargs):
-            raise AssertionError("solve_ivp ran")
+            raise AssertionError("an integrator ran")
 
         monkeypatch.setattr(opensys, "solve_ivp", no_solve)
-        amplitudes = np.full((500, 500), 0.1)
-        with pytest.raises(DomainError):
-            evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes, (0.0, 1.0),
-                        rtol=1e-11)
-        with pytest.raises(DomainError):
-            evolve_open(ModeFrequency.free(1.0), None, (0.0, 1.0), rtol=1e-15)
+        monkeypatch.setattr(opensys, "ode", no_solve)
+        for source in (None, lambda t: 0.1, lambda t: np.full(3, 0.1)):
+            for rtol in (1e-15, math.nan):
+                with pytest.raises(DomainError):
+                    evolve_open(ModeFrequency.free(1.0), source, (0.0, 1.0), rtol=rtol)
 
     def test_batch_at_the_floor_runs(self):
-        from gausslind.opensys import RTOL_FLOOR, max_members
+        # 16 amplitudes at rtol 4 RTOL_FLOOR: each block is held to
+        # rtol / sqrt(17), below the floor, and no warning is raised
+        from gausslind.opensys import RTOL_FLOOR
         rtol = 4.0 * RTOL_FLOOR
-        assert max_members(rtol) == 16
-        assert max_members(0.5 * RTOL_FLOOR) == 0
-        assert max_members(math.nan) == 0
-        assert max_members(-1e-11) == 0
-        amplitudes = np.full((4, 4), 0.1)
+        amplitudes = np.linspace(0.1, 1.6, 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes, (0.0, 1.0),
-                               rtol=rtol)
-        assert traj.det.shape[:2] == (4, 4)
+            response = evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes, (0.0, 1.0),
+                                   rtol=rtol)
+        cells = response.cells([1.0])
+        assert cells.det.shape == (16, 1, 1)
+        for i in (0, 15):
+            one = evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes[i], (0.0, 1.0),
+                              t_eval=[1.0], rtol=rtol)
+            for field in ("g11", "g12", "g22", "det"):
+                np.testing.assert_allclose(getattr(cells, field)[i, 0], getattr(one, field),
+                                           rtol=1e-10, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         from gausslind.errors import DomainError
         with pytest.raises(DomainError):
             evolve_open(ModeFrequency.free(1.0), lambda t: np.zeros(0), (0.0, 1.0))
 
+    def test_plane_of_amplitudes_rejected(self):
+        from gausslind.errors import DomainError
+        with pytest.raises(DomainError, match="1-D"):
+            evolve_open(ModeFrequency.free(1.0), lambda t: np.zeros((2, 2)), (0.0, 1.0))
+
+
+class TestResponseFailure:
+    """The compiled integrator reports a failure as a UserWarning plus a
+    return code; evolve_open raises StepFailureError instead, and lets no
+    warning out."""
+
+    def test_step_cap(self, monkeypatch):
+        from gausslind import opensys
+        monkeypatch.setattr(opensys, "RESPONSE_MAX_STEPS", 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError, match="larger nsteps is needed"):
+                evolve_de_sitter(10.0, 1e-3, lambda eta: np.array([1.0, 2.0]))
+
+    def test_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError):
+                evolve_open(ModeFrequency.free(1.0), lambda t: np.array([1e300]), (0.0, 5.0))
+
+    def test_source_error_is_raised_at_once(self):
+        calls = []
+
+        def source(t):
+            calls.append(t)
+            if len(calls) > 50:
+                raise DomainError("source failed")
+            return np.array([0.1])
+
+        with pytest.raises(DomainError, match="source failed"):
+            evolve_open(ModeFrequency.free(1.0), source, (0.0, 100.0))
+        assert len(calls) == 51
+
 
 def test_one_source_call_per_rhs_call(monkeypatch):
+    # one source call per RHS evaluation, plus the shape probe; a response
+    # RHS builds the closed flow from three transport_rhs_open calls
     from gausslind import opensys
     calls = {"source": 0, "rhs": 0}
-    amplitudes = np.array([[0.1, 0.2], [0.3, 0.4]])
-
-    def source(t):
-        calls["source"] += 1
-        return amplitudes
-
     rhs = opensys.transport_rhs_open
 
     def counted(*args):
@@ -343,6 +382,12 @@ def test_one_source_call_per_rhs_call(monkeypatch):
         return rhs(*args)
 
     monkeypatch.setattr(opensys, "transport_rhs_open", counted)
-    evolve_open(ModeFrequency.free(1.0), source, (0.0, 2.0))
-    # one more for the shape probe before the integration
-    assert calls["rhs"] > 0 and calls["source"] == calls["rhs"] + 1
+    for value, per_call in ((0.1, 1), (np.array([0.1, 0.2, 0.3, 0.4]), 3)):
+        calls.update(source=0, rhs=0)
+
+        def source(t):
+            calls["source"] += 1
+            return value
+
+        evolve_open(ModeFrequency.free(1.0), source, (0.0, 2.0))
+        assert calls["rhs"] > 0 and calls["rhs"] == per_call * (calls["source"] - 1)
