@@ -193,27 +193,20 @@ def _power_law(params: CosmoParams, expo, x: float):
     return 2.0 * (params.x_star / x) ** expo
 
 
-def _power_law_source(params: CosmoParams, kap2: float):
-    """S(eta) = kap2 * `_power_law` (expo p - 3) at x = -eta inside the
-    coupled window 0 < x < 1/(ell_E H), else 0: the power-law environment
-    of the scalar routes."""
-    expo, x_on = params.p - 3.0, params.x_coupling_on
+def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
+    """Dimensionless source S(x) = 2 (kGamma/k)^2 (x_star/x)^(p-3), active
+    only once the mode is longer than the environment correlation length
+    (x < 1/(ell_E H)); returned as a function of conformal time eta = -x.
+    """
+    kap2, expo, x_on = _kap2_row(params)[0], params.p - 3.0, params.x_coupling_on
 
-    def source(eta: float):
+    def source(eta: float) -> float:
         x = -eta
         if x <= 0.0 or x >= x_on:
             return 0.0
         return kap2 * _power_law(params, expo, x)
 
     return source
-
-
-def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
-    """Dimensionless source S(x) = 2 (kGamma/k)^2 (x_star/x)^(p-3), active
-    only once the mode is longer than the environment correlation length
-    (x < 1/(ell_E H)); returned as a function of conformal time eta = -x.
-    """
-    return _power_law_source(params, _kap2_row(params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +358,21 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive and finite, got {x}")
-    hi = params.x_coupling_on
+    hi, expo = params.x_coupling_on, params.p - 3.0
     node = functools.cache(lambda xp: _g11_node(xp, params)[:2])
 
     def det(kap2: float) -> float:
         if x >= hi:
             return 1.0
-        source = _power_law_source(params, kap2)
 
+        # the quadrature nodes lie inside (x, hi), where the source is on
         def f(xp: float) -> float:
             v2, corr11 = node(xp)
             g11 = v2 - 2.0 * kap2 * corr11
             if not 0.0 < g11 < math.inf:  # False for NaN too
                 raise BelowHeisenbergError(
                     f"diagonal entries must be positive, got g11 = {g11} at x = {xp}")
-            return source(-xp) * g11
+            return kap2 * _power_law(params, expo, xp) * g11
 
         val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=1e-10)
         return 1.0 + val

@@ -356,7 +356,8 @@ def evolve_open(
     basis blocks (three calls) and applies it to the closed block and the
     n response blocks at once.  It samples t_eval only (the end of
     t_span when None), with at most RESPONSE_MAX_STEPS steps to each
-    sample; a failed step or a non-finite value raises StepFailureError.
+    sample; a failed step or a non-finite value raises StepFailureError,
+    and an exception in the source is raised as it is.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
