@@ -253,10 +253,6 @@ class TransportResponse:
         return CovarianceTrajectory(self.times, g11, g12, g22, det)
 
 
-#: the basis blocks whose images under the closed flow are its matrix
-_BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
 def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplitudes,
               t_span: tuple[float, float], ic: CovarianceBlock, t_eval,
               rtol: float, atol: float) -> TransportResponse:
@@ -269,18 +265,28 @@ def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplit
     m = 3 + 3 * n  # the covariance values: rows g11, g12, g22 of 1 + n blocks
     k = freq.k
     raised = []
+    # the closed flow as a matrix: its columns are the images of the basis
+    # blocks; only the three entries that the block (1, 1, 0) maps to are
+    # not constant in t
+    flow = np.array([transport_rhs_closed(e, freq, t_span[0]) for e in np.eye(3)]).T
+    # one derivative buffer for every call: the compiled integrator copies it
+    out = np.empty(m + 2 * n)
+    d = out[:m].reshape(3, 1 + n)
 
     def rhs(t, y):
         if not raised:
             try:
                 s = source(t)
+                flow[0, 1], flow[1, 0], flow[2, 1] = transport_rhs_open(
+                    (1.0, 1.0, 0.0), freq, None, t)
                 # columns: the closed block, then F_1..F_n
                 cols = y[:m].reshape(3, 1 + n)
-                flow = np.array([transport_rhs_open(e, freq, None, t) for e in _BASIS]).T
-                d = flow @ cols
-                d[2, 1:] += k * s
-                return np.concatenate((d.ravel(), det_rhs(cols[:, 0], s, k),
-                                       det_rhs(cols[:, 1:], s, k)))
+                np.matmul(flow, cols, out=d)
+                ks = k * s
+                d[2, 1:] += ks
+                np.multiply(ks, cols[0, 0], out=out[m:m + n])  # a1' = k S g11
+                np.multiply(ks, cols[0, 1:], out=out[m + n:])  # a2' = k S F11
+                return out
             except BaseException as exc:  # re-raised below
                 raised.append(exc)
         # the compiled integrator does not stop on an exception; a NaN
@@ -351,10 +357,12 @@ def evolve_open(
     compiled DOP853 (`scipy.integrate.ode`), at rtol and atol divided by
     sqrt(1 + n) so that each of the 1 + n blocks meets the scalar error
     criterion (the integrator takes the RMS norm over all components;
-    unlike solve_ivp it has no rtol floor).  Each RHS call builds the
-    closed flow as a 3x3 matrix from transport_rhs_open on the three
-    basis blocks (three calls) and applies it to the closed block and the
-    n response blocks at once.  It samples t_eval only (the end of
+    unlike solve_ivp it has no rtol floor).  The closed flow is a 3x3
+    matrix built once from the images of the three basis blocks; each RHS
+    call refreshes its t-dependent entries from one transport_rhs_open
+    call on the block (1, 1, 0), applies it to the closed block and the n
+    response blocks at once and writes into one reused buffer (the
+    compiled integrator copies it).  It samples t_eval only (the end of
     t_span when None), with at most RESPONSE_MAX_STEPS steps to each
     sample; a failed step or a non-finite value raises StepFailureError,
     and an exception in the source is raised as it is.

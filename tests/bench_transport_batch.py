@@ -7,14 +7,19 @@ couplings kGamma/k* in 1e-6..1 at p = 5.3, x = 1e-3, ellH = 0.1 is
 integrated either as one `evolve_de_sitter` response to the row's unit
 source, its cells formed from the kap2 polynomials ("batch"), or as N
 scalar calls ("scalar").  Each benchmark's extra_info holds the best time
-per trajectory and the transport_rhs_open calls per trajectory (three per
-RHS call of a response, one of a scalar run); add --benchmark-json=FILE
+per trajectory and the transport_rhs_open calls per trajectory (one per
+RHS call, of a response as of a scalar run); add --benchmark-json=FILE
 to keep them.
 
 `test_transport_plane` runs a 4x4 transport `discord_cosmo` plane, p in
 {0.5, 2.0001, 5.3, 9.5} and the couplings above, either as one call with
 a p row ("plane", one integration) or as four row calls ("rows"), and
 records the best time per cell and the transport_rhs_open calls.
+
+`test_response_rhs_call` times one call of the response RHS itself, the
+function the compiled integrator calls back, for a de Sitter row of n unit
+sources (p in 0.1..9.9, x = 1e-3, ellH = 0.1) at its end state, and
+records the RHS calls that row's integration took.
 """
 
 import numpy as np
@@ -86,3 +91,27 @@ def test_transport_plane(benchmark, monkeypatch, mode):
     benchmark.extra_info.update(
         mode=mode, cells=cells, rhs_calls=len(calls),
         per_cell_ms=1e3 * benchmark.stats.stats.min / cells)
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_response_rhs_call(benchmark, monkeypatch, n):
+    """One response RHS call at n unit sources, and the RHS calls of one
+    integration."""
+    captured, sources = [], []
+    ode = opensys.ode
+    monkeypatch.setattr(opensys, "ode", lambda f: captured.append(f) or ode(f))
+    expo = np.linspace(0.1, 9.9, n) - 3.0
+
+    def source(eta):
+        sources.append(eta)
+        return 2.0 * (1.0 / -eta) ** expo
+
+    response = evolve_de_sitter(1.0 / ELLH, X, source)
+    monkeypatch.undo()
+    (rhs,) = captured
+    y = np.concatenate((np.hstack((response.g, response.F[:, :, 0])).ravel(),
+                        response.a1[:, 0], response.a2[:, 0]))
+    benchmark.pedantic(rhs, args=(-X, y), rounds=2000, iterations=10, warmup_rounds=100)
+    benchmark.extra_info.update(
+        n=n, rhs_calls_per_integration=len(sources) - 1,  # less the shape probe
+        per_call_us=1e6 * benchmark.stats.stats.median)

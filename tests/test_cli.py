@@ -206,8 +206,8 @@ class TestDiscordMapScenario:
         assert len(read_csv(tmp_path / "t.csv")[1]) == 12
         assert calls["evolve_open"] == 1
         # one source call per RHS call, plus the shape probe; each RHS call
-        # builds the closed flow from three transport_rhs_open calls
-        assert calls["rhs"] > 0 and calls["rhs"] == 3 * (calls["source"] - 1)
+        # refreshes the closed flow from one transport_rhs_open call
+        assert calls["rhs"] > 0 and calls["rhs"] == calls["source"] - 1
 
     @pytest.mark.parametrize("change", [
         {"map_points": [12, 12], "x": math.exp(-20.0), "cosmo": {"ellH": 0.1}},

@@ -370,9 +370,60 @@ class TestResponseFailure:
         assert len(calls) == 51
 
 
+class TestResponseFlow:
+    """The response RHS keeps the closed flow as a matrix across calls and
+    refreshes only its t-dependent entries; it must stay the closed flow
+    of transport_rhs_open at every t."""
+
+    @pytest.mark.parametrize("freq, t_span, times", [
+        # omega^2 > 0 at eta = -5 and -3 (sub-Hubble), < 0 at -0.05 (super-Hubble)
+        (de_sitter_frequency(), (-10.0, -0.01), (-5.0, -0.05, -3.0)),
+        (ModeFrequency.free(2.5), (0.0, 1.0), (0.3, 0.9)),
+    ], ids=["de_sitter", "free_2.5"])
+    def test_refreshed_flow_is_the_closed_flow(self, monkeypatch, freq, t_span, times):
+        from gausslind import opensys
+        captured = []
+        ode = opensys.ode
+
+        def capturing(f):
+            captured.append(f)
+            return ode(f)
+
+        monkeypatch.setattr(opensys, "ode", capturing)
+        # two zero amplitudes: the closed block and F_1, F_2 are three columns
+        evolve_open(freq, lambda t: np.zeros(2), t_span)
+        (rhs,) = captured
+        y = np.zeros(9 + 4)
+        y[:9] = np.eye(3).ravel()
+        for t in times:
+            # flow @ identity: equal values are equal bits for every nonzero
+            # entry; only the sign of a zero can differ, which no product sees
+            got = rhs(t, y)[:9].reshape(3, 3)
+            want = np.array([transport_rhs_open(e, freq, None, t)
+                             for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]).T
+            assert np.array_equal(got, want)
+
+    def test_k_not_one_matches_scalar_runs(self):
+        # de Sitter at k = 2.5: omega^2 changes sign at eta = -0.566
+        freq = ModeFrequency(2.5, lambda k, eta: k * k - 2.0 / (eta * eta))
+        expo = np.array([-1.5, 0.5, 2.5])
+        t_span, t_eval = (-4.0, -0.2), (-1.0, -0.2)
+        response = evolve_open(freq, lambda eta: 2.0 * (1.0 / -eta) ** expo, t_span,
+                               t_eval=t_eval)
+        kap2 = [1e-3, 0.7]
+        cells = response.cells(kap2)
+        for i, e in enumerate(expo.tolist()):
+            for j, c in enumerate(kap2):
+                one = evolve_open(freq, lambda eta: c * 2.0 * (1.0 / -eta) ** e, t_span,
+                                  t_eval=t_eval)
+                for field in ("g11", "g12", "g22", "det"):
+                    np.testing.assert_allclose(getattr(cells, field)[i, j], getattr(one, field),
+                                               rtol=1e-9)
+
+
 def test_one_source_call_per_rhs_call(monkeypatch):
     # one source call per RHS evaluation, plus the shape probe; a response
-    # RHS builds the closed flow from three transport_rhs_open calls
+    # RHS refreshes the closed flow from one transport_rhs_open call
     from gausslind import opensys
     calls = {"source": 0, "rhs": 0}
     rhs = opensys.transport_rhs_open
@@ -382,7 +433,7 @@ def test_one_source_call_per_rhs_call(monkeypatch):
         return rhs(*args)
 
     monkeypatch.setattr(opensys, "transport_rhs_open", counted)
-    for value, per_call in ((0.1, 1), (np.array([0.1, 0.2, 0.3, 0.4]), 3)):
+    for value in (0.1, np.array([0.1, 0.2, 0.3, 0.4])):
         calls.update(source=0, rhs=0)
 
         def source(t):
@@ -390,4 +441,4 @@ def test_one_source_call_per_rhs_call(monkeypatch):
             return value
 
         evolve_open(ModeFrequency.free(1.0), source, (0.0, 2.0))
-        assert calls["rhs"] > 0 and calls["rhs"] == per_call * (calls["source"] - 1)
+        assert calls["rhs"] > 0 and calls["rhs"] == calls["source"] - 1
