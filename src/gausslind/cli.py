@@ -11,16 +11,24 @@ output is one UTF-8 CSV file with '#'-prefixed header comments carrying
 the tool version and a hash of the configuration, so that identical
 configs produce identical bytes.  Exit codes: 0 success, 2 configuration
 error, 3 numerical failure; failures emit one JSON object on stderr.
+
+Every CSV value is Python's shortest round-trip `repr`, formatted once:
+a discord_map is formatted column by column, a block of `_plane_blocks`
+at a time, with each p and log10_kGamma label formatted once per block
+(`_map_lines`); the other modes format their rows value by value
+(`_line`).  The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -60,15 +68,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _line(row) -> str:
+    """One CSV line of values, each formatted by _fmt."""
+    # Python floats, most values, skip the type dispatch of _fmt
+    return ",".join([repr(v) if type(v) is float else _fmt(v) for v in row])
+
+
 def _write_csv(path: Path, header: list[str], rows, config_hash: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write the header comments, the header and `rows`, an iterable of
+    formatted CSV lines (one data row each, no newline), streaming.
+
+    An output that cannot be created raises ConfigError (exit 2)."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+    with fh:
         fh.write(f"# gausslind {__version__}\n")
         fh.write(f"# config sha256: {config_hash}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            # Python floats, most values, skip the type dispatch of _fmt
-            fh.write(",".join([repr(v) if type(v) is float else _fmt(v) for v in row]) + "\n")
+        for line in rows:
+            fh.write(line + "\n")
 
 
 def _require(cfg: dict, key: str, typ=None):
@@ -189,7 +210,7 @@ def _evolve(cfg: dict, x_grid, source):
 def run_evolve_closed(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
     traj = _evolve(cfg, x_grid, None)
-    rows = _trajectory_rows(traj, x_grid, open_run=False)
+    rows = map(_line, _trajectory_rows(traj, x_grid, open_run=False))
     _write_csv(out_dir / cfg.get("output_path", "evolve_closed.csv"),
                ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity"],
                rows, cfg_hash)
@@ -214,7 +235,7 @@ def run_evolve_open(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
                 f"{params.x_coupling_on}")
         source = cosmo_kernel(params)
     traj = _evolve(cfg, x_grid, source)
-    rows = _trajectory_rows(traj, x_grid, open_run=True)
+    rows = map(_line, _trajectory_rows(traj, x_grid, open_run=True))
     _write_csv(out_dir / cfg.get("output_path", "evolve_open.csv"),
                ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity",
                 "sigma0", "n_pairs", "abs_c"],
@@ -253,21 +274,23 @@ def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
 
     res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings,
                         p=np.array(p_row))
-
-    def rows():
-        # in the blocks of discord_cosmo: lists of a whole map, or of one
-        # long row, would hold a float per cell
-        for block in _plane_blocks(n_p, n_k, PLANE_BLOCK_CELLS):
-            k_list = k_vals[block[1]].tolist()
-            for p, discord, ln_s0 in zip(p_vals[block[0]].tolist(), res.discord[block],
-                                         res.log_sigma_zero[block]):
-                # math.exp: np.exp can differ from it in the last bit
-                purity = [math.exp(-2.0 * v) for v in ln_s0.tolist()]
-                yield from zip([p] * len(k_list), k_list, discord.tolist(), purity)
-
     _write_csv(out_dir / cfg.get("output_path", "discord_map.csv"),
                ["p", "log10_kGamma_kstar", "discord", "purity"],
-               rows(), cfg_hash)
+               _map_lines(p_vals, k_vals, res), cfg_hash)
+
+
+def _map_lines(p_vals, k_vals, res):
+    """CSV lines of a discord map, formatted column by column in the blocks
+    of discord_cosmo: lists of a whole map, or of one long row, would hold
+    a string per cell.  Each label is formatted once per block."""
+    for block in _plane_blocks(len(p_vals), len(k_vals), PLANE_BLOCK_CELLS):
+        k_labels = list(map(repr, k_vals[block[1]].tolist()))
+        for p, discord, ln_s0 in zip(p_vals[block[0]].tolist(), res.discord[block],
+                                     res.log_sigma_zero[block]):
+            # math.exp: np.exp can differ from it in the last bit
+            purity = map(math.exp, (-2.0 * ln_s0).tolist())
+            yield from map(",".join, zip(repeat(repr(p)), k_labels,
+                                         map(repr, discord.tolist()), map(repr, purity)))
 
 
 def run_ellipse_series(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
@@ -281,7 +304,7 @@ def run_ellipse_series(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
                      ell.semi_major / ell.semi_minor])
     _write_csv(out_dir / cfg.get("output_path", "ellipse_series.csv"),
                ["efolds", "semi_major", "semi_minor", "tilt", "axis_ratio"],
-               rows, cfg_hash)
+               map(_line, rows), cfg_hash)
 
 
 def run_spectrum(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
@@ -294,7 +317,7 @@ def run_spectrum(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
         rows.append([float(k), corr.value, corr.regime.value, corr.time_dependent])
     _write_csv(out_dir / cfg.get("output_path", "spectrum.csv"),
                ["k_over_kstar", "dP_over_P", "regime", "time_dependent"],
-               rows, cfg_hash)
+               map(_line, rows), cfg_hash)
 
 
 RUNNERS = {
@@ -323,7 +346,10 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (building it costs
+    several times what one parse does)."""
     parser = argparse.ArgumentParser(
         prog="gausslind",
         description="Gaussian-state evolution and discord scenarios",
@@ -335,7 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
     sub.add_parser("selfcheck", help="run the built-in validation suite")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "selfcheck":
         try:

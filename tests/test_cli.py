@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gausslind import cli
 from gausslind.cli import main
 from gausslind.selfcheck import CHECKS
 
@@ -548,6 +549,28 @@ class TestErrorChannel:
         assert json.loads(lines[0])["error"] == "ConfigError"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("where", ["out_under_file", "output_under_file", "output_is_dir"])
+    def test_unwritable_output_exits_2(self, tmp_path, where):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        out, output_path = {
+            "out_under_file": (tmp_path / "afile" / "sub", "o.csv"),
+            "output_under_file": (tmp_path, str(tmp_path / "afile" / "o.csv")),
+            "output_is_dir": (tmp_path, "adir"),
+        }[where]
+        cfg = write_config(tmp_path, "c.json", {
+            "mode": "evolve_closed", "output_path": output_path,
+            "grid": {"x_start": 10.0, "x_end": 1.0, "points": 3}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "gausslind.cli", "run", cfg, "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"cannot write {str(out / output_path)!r}: ")
+
 
 class TestSelfcheckMode:
     def test_selfcheck_as_config_mode(self, tmp_path, capsys):
@@ -568,3 +591,36 @@ class TestEntryPoint:
              "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_parser_reused_across_calls(self, tmp_path, monkeypatch):
+        """One parser serves every call of a process; each call's output
+        equals a fresh process's and no argument carries over."""
+        cfg = write_config(tmp_path, "c.json", {
+            "mode": "discord_map", "map_points": [3, 4], "output_path": "m.csv"})
+        fresh = tmp_path / "fresh"
+        subprocess.run([sys.executable, "-m", "gausslind.cli", "run", cfg, "--out", str(fresh)],
+                       check=True, timeout=60)
+        want = (fresh / "m.csv").read_bytes()
+        a, b, c = (tmp_path / d for d in "abc")
+
+        def take(d):
+            assert [f.name for f in d.iterdir()] == ["m.csv"]
+            got = (d / "m.csv").read_bytes()
+            (d / "m.csv").unlink()
+            return got
+
+        assert main(["run", cfg, "--out", str(a), "--threads", "3"]) == 0
+        assert take(a) == want
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg, "--out"])
+        assert exc.value.code == 2
+        assert main(["run", cfg, "--out", str(b)]) == 0
+        assert take(b) == want
+        c.mkdir()
+        monkeypatch.chdir(c)
+        assert main(["run", cfg]) == 0
+        assert take(c) == want
+        assert not any(a.iterdir()) and not any(b.iterdir())
+        args = cli._parser().parse_args(["run", cfg])
+        assert vars(args) == {"command": "run", "config": cfg, "out": ".", "threads": 1}
+        assert cli._parser() is cli._parser()
