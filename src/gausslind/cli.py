@@ -207,16 +207,15 @@ def _evolve(cfg: dict, x_grid, source):
         raise ConfigError(str(exc)) from exc
 
 
-def run_evolve_closed(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
+def run_evolve_closed(cfg: dict, path: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
     traj = _evolve(cfg, x_grid, None)
     rows = map(_line, _trajectory_rows(traj, x_grid, open_run=False))
-    _write_csv(out_dir / cfg.get("output_path", "evolve_closed.csv"),
-               ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity"],
+    _write_csv(path, ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity"],
                rows, cfg_hash)
 
 
-def run_evolve_open(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
+def run_evolve_open(cfg: dict, path: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
     if x_grid[-1] > x_grid[0]:
         raise ConfigError("evolve_open needs x_start > x_end: a source only "
@@ -236,13 +235,12 @@ def run_evolve_open(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
         source = cosmo_kernel(params)
     traj = _evolve(cfg, x_grid, source)
     rows = map(_line, _trajectory_rows(traj, x_grid, open_run=True))
-    _write_csv(out_dir / cfg.get("output_path", "evolve_open.csv"),
-               ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity",
-                "sigma0", "n_pairs", "abs_c"],
+    _write_csv(path, ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity",
+                      "sigma0", "n_pairs", "abs_c"],
                rows, cfg_hash)
 
 
-def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
+def run_discord_map(cfg: dict, path: Path, cfg_hash: str) -> None:
     p_lo, p_hi = _range(cfg, "p_range", (0.1, 9.9))
     k_lo, k_hi = _range(cfg, "log10_kGamma_range", (-10.0, 6.0))
     n_p, n_k = (_count(n, "map_points", 1) for n in _pair(cfg, "map_points", (40, 40)))
@@ -274,8 +272,7 @@ def run_discord_map(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
 
     res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings,
                         p=np.array(p_row))
-    _write_csv(out_dir / cfg.get("output_path", "discord_map.csv"),
-               ["p", "log10_kGamma_kstar", "discord", "purity"],
+    _write_csv(path, ["p", "log10_kGamma_kstar", "discord", "purity"],
                _map_lines(p_vals, k_vals, res), cfg_hash)
 
 
@@ -293,7 +290,7 @@ def _map_lines(p_vals, k_vals, res):
                                          map(repr, discord.tolist()), map(repr, purity)))
 
 
-def run_ellipse_series(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
+def run_ellipse_series(cfg: dict, path: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
     n_sigma = _positive(cfg.get("n_sigma", math.sqrt(2.0)), "n_sigma")
     rows = []
@@ -302,12 +299,11 @@ def run_ellipse_series(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
         ell = wigner_ellipse(SqueezingState(r, phi, 1.0), n_sigma)
         rows.append([-math.log(x), ell.semi_major, ell.semi_minor, ell.tilt,
                      ell.semi_major / ell.semi_minor])
-    _write_csv(out_dir / cfg.get("output_path", "ellipse_series.csv"),
-               ["efolds", "semi_major", "semi_minor", "tilt", "axis_ratio"],
+    _write_csv(path, ["efolds", "semi_major", "semi_minor", "tilt", "axis_ratio"],
                map(_line, rows), cfg_hash)
 
 
-def run_spectrum(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
+def run_spectrum(cfg: dict, path: Path, cfg_hash: str) -> None:
     base = _cosmo_params(cfg)
     k_lo, k_hi = (_positive(k, "k_range") for k in _range(cfg, "k_range", (1e-2, 1e2)))
     points = _count(cfg.get("points", 41), "points", 1)
@@ -315,8 +311,7 @@ def run_spectrum(cfg: dict, out_dir: Path, cfg_hash: str) -> None:
     for k in np.geomspace(k_lo, k_hi, points):
         corr = power_spectrum_correction(replace(base, k_over_kstar=float(k)))
         rows.append([float(k), corr.value, corr.regime.value, corr.time_dependent])
-    _write_csv(out_dir / cfg.get("output_path", "spectrum.csv"),
-               ["k_over_kstar", "dP_over_P", "regime", "time_dependent"],
+    _write_csv(path, ["k_over_kstar", "dP_over_P", "regime", "time_dependent"],
                map(_line, rows), cfg_hash)
 
 
@@ -335,9 +330,12 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "selfcheck":
         return 0 if _selfcheck.run_all() else 3
+    name = cfg.get("output_path", f"{mode}.csv")
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"config key 'output_path' must be a non-empty string, got {name!r}")
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     cfg_hash = hashlib.sha256(canon.encode()).hexdigest()
-    RUNNERS[mode](cfg, out_dir, cfg_hash)
+    RUNNERS[mode](cfg, out_dir / name, cfg_hash)
     return 0
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSqueezingError, StepFailureError
 from .symplectic import (
@@ -53,6 +52,15 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, with scipy.integrate imported at the
+    first call: that import costs more than the rest of the package's
+    together, and the routes that integrate nothing (the approx discord
+    map, the ellipse series, the spectrum) never pay it."""
+    import scipy.integrate
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,12 @@ d(det)/dt = k S g11 (monotone purity loss), source-extended equations of
 motion of the generalized squeezing parameters, and the Green's-function
 representation of the dressed covariance as quadratures over a stored
 mode trajectory.
+
+scipy.integrate is imported at the first integrator call, not with the
+module.  `quad`, `ode` and `solve_ivp` stay module-level names, through
+which this module calls the integrators: `perfbench/tracer.py` wraps
+`opensys.quad` to count quadrature calls and warnings, and tests patch
+`opensys.ode` and `opensys.solve_ivp`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import ode, quad, solve_ivp
 
 from .closed import (
     DEFAULT_ATOL,
@@ -36,6 +41,7 @@ from .closed import (
     ModeFrequency,
     ModeTrajectory,
     SQUEEZING_R_FLOOR,
+    solve_ivp,
     squeezing_rhs_closed,
     transport_rhs_closed,
 )
@@ -61,6 +67,18 @@ RTOL_FLOOR = 100.0 * np.finfo(float).eps
 #: twice the 91,000 of a de Sitter p = 0.1 row at ellH = 1e-4, x = e^-20
 #: (ellH = 1e-3 planes take at most 11,000)
 RESPONSE_MAX_STEPS = 200_000
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported at the first call (as closed.solve_ivp)."""
+    import scipy.integrate
+    return scipy.integrate.quad(*args, **kwargs)
+
+
+def ode(*args, **kwargs):
+    """scipy.integrate.ode, imported at the first call (as closed.solve_ivp)."""
+    import scipy.integrate
+    return scipy.integrate.ode(*args, **kwargs)
 
 
 @dataclass(frozen=True)

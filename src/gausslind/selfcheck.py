@@ -15,7 +15,6 @@ import math
 import time
 
 import numpy as np
-from scipy.integrate import quad
 
 from .closed import (
     bogoliubov_from_mode,
@@ -49,7 +48,7 @@ def reference_upper_gamma(a: float, z: complex, epsrel: float = 5e-14) -> comple
     along this path (the phase of e^-z is constant), so plain adaptive
     quadrature reaches near-machine accuracy."""
     import warnings
-    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import IntegrationWarning, quad
 
     z = complex(z)
 

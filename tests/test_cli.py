@@ -572,6 +572,29 @@ class TestErrorChannel:
         assert err["message"].startswith(f"cannot write {str(out / output_path)!r}: ")
 
 
+    @pytest.mark.parametrize("output_path", [5, ""], ids=["int", "empty"])
+    @pytest.mark.parametrize("cfg", [
+        {"mode": "evolve_closed", "grid": {"x_start": 10.0, "x_end": 1.0, "points": 3}},
+        {"mode": "evolve_open", "preset": "free", "source_const": 0.05,
+         "grid": {"x_start": 10.0, "x_end": 1.0, "points": 3}},
+        {"mode": "discord_map", "map_points": [2, 2]},
+        {"mode": "ellipse_series", "grid": {"x_start": 10.0, "x_end": 1.0, "points": 3}},
+        {"mode": "spectrum", "points": 3,
+         "cosmo": {"kGamma_over_kstar": 10.0, "p": 2.1, "ellH": 0.1}},
+    ], ids=lambda cfg: cfg["mode"])
+    def test_bad_output_path_exits_2(self, tmp_path, capsys, cfg, output_path):
+        # a number raised TypeError; "" wrote the CSV as a file named by --out
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.json", dict(cfg, output_path=output_path))
+        assert run_cli(["run", path, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert "output_path" in err["message"]
+        assert not out.exists()
+
+
 class TestSelfcheckMode:
     def test_selfcheck_as_config_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sc.json", {"mode": "selfcheck"})

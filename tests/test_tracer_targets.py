@@ -1,7 +1,7 @@
 """The benchmark tracer (perfbench/tracer.py) patches gausslind by name:
 every target it lists must exist, and the exact route must reach the Gamma
-functions through the module globals it patches, or their counts read 0
-(perfbench/selftest.py requires them > 0 on map_exact)."""
+functions and scipy's quad through the module globals it patches, or their
+counts read 0 (perfbench/selftest.py requires them > 0 on map_exact)."""
 
 import functools
 import importlib
@@ -41,6 +41,9 @@ def test_exact_route_is_traced():
     summary = t.summary()
     assert t.counts["specfun.gamma.series"] > 0
     assert t.counts["specfun.gamma.cf"] > 0
+    # opensys.quad too: the quadrature must call scipy's quad through the
+    # opensys binding the tracer wraps, not through a local import
     for span in ("specfun.gamma", "specfun.oscillatory_moment",
-                 "cosmology.exact_open_covariance", "cosmology.exact_open_det"):
+                 "cosmology.exact_open_covariance", "cosmology.exact_open_det",
+                 "opensys.quad"):
         assert summary[span]["calls"] > 0, span
