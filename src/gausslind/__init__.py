@@ -49,7 +49,6 @@ from .opensys import (
     GreenIntegrals,
     transport_rhs_open,
     det_rhs,
-    generalized_squeezing_rhs,
     green_covariance,
     evolve_open,
 )

@@ -25,9 +25,9 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import logsumexp
 
+from ._special import gamma as _gamma_fn
+from ._special import logsumexp
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
@@ -611,7 +611,7 @@ def _signed_log_sum(coeffs, exps, ln_x: float):
     """(ln|sum|, sign) of sum_i c_i x^{e_i} along axis 0, given ln x."""
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(coeffs)) + exps * ln_x
-    return logsumexp(logs, axis=0, b=np.sign(coeffs), return_sign=True)
+    return logsumexp(logs, np.sign(coeffs))
 
 
 def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndarray):
@@ -635,8 +635,7 @@ def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndar
     coeffs, exps = _approx_terms(t, kap2)
     (ln11, ln12, ln22), (s11, _, s22) = _signed_log_sum(coeffs, exps, ln_x)
     # (g11 - g22)^2 + 4 g12^2, as logs
-    ln_diff, _ = logsumexp(np.stack((ln11, ln22)), axis=0,
-                           b=np.stack((s11, -s22)), return_sign=True)
+    ln_diff, _ = logsumexp(np.stack((ln11, ln22)), np.stack((s11, -s22)))
     ln_m2 = np.logaddexp(2.0 * ln_diff, math.log(4.0) + 2.0 * ln12)
     return ln_s0sq, ln_m2 + _ln(0.25 * math.sin(2.0 * theta) ** 2)
 

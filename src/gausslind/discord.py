@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlog1py
 
+from ._special import xlog1py
 from .errors import DomainError
 from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _ln, _q_theta
 
@@ -95,18 +95,27 @@ def _psi_gap(ln_a, ln_b, ln_step, ln_bm1):
 
         step, bm1 = np.minimum(ln_step[~big], 690.0), ln_bm1[~big]
         half, d_b = 0.5 * np.exp(step), 0.5 * np.exp(bm1)
-        d_a = d_b + half
-        # 1/d without overflow: below d = 1e-300, x log1p(1/d) is below 1e-297 either way
-        inv_a, inv_b = 1.0 / np.maximum(d_a, 1e-300), 1.0 / np.maximum(d_b, 1e-300)
-        near = (xlog1py(half, inv_a) + (1.0 + d_b) * np.log1p(half / (1.0 + d_b))
-                - np.where(d_b > 0.0, d_b * np.logaddexp(0.0, step - bm1), 0.0)
-                - np.log1p(half / (0.5 + d_b)))
+        small = np.empty(half.shape)
+        # each form only where it is used: xlog1py runs libm's log per element
+        far = half > 0.5 + d_b
+        h, d, s, bm = half[~far], d_b[~far], step[~far], bm1[~far]
+        small[~far] = (xlog1py(h, _inv(d + h)) + (1.0 + d) * np.log1p(h / (1.0 + d))
+                       - np.where(d > 0.0, d * np.logaddexp(0.0, s - bm), 0.0)
+                       - np.log1p(h / (0.5 + d)))
         # a > 2b: the difference of (f(x) ln 2 - ln x) = d log1p(1/d) - log1p(d/u),
-        # whose terms stay below 1 where those of `near` grow like ln(step)
-        far = (xlog1py(d_a, inv_a) - np.log1p(d_a / (1.0 + d_a))
-               - xlog1py(d_b, inv_b) + np.log1p(d_b / (1.0 + d_b)))
-        gap[~big] = np.where(half > 0.5 + d_b, far, near)
+        # whose terms stay below 1 where those of the form above grow like ln(step)
+        d_b = d_b[far]
+        d_a = d_b + half[far]
+        small[far] = (xlog1py(d_a, _inv(d_a)) - np.log1p(d_a / (1.0 + d_a))
+                      - xlog1py(d_b, _inv(d_b)) + np.log1p(d_b / (1.0 + d_b)))
+        gap[~big] = small
     return gap
+
+
+def _inv(d):
+    """1/d without overflow: below d = 1e-300, x log1p(1/d) is below 1e-297
+    either way."""
+    return 1.0 / np.maximum(d, 1e-300)
 
 
 def entropy_kernel(x):

@@ -13,8 +13,7 @@ no environment.  Consequences implemented here: the transport engine
 evolution being its S = None case, and the linear response to n unit
 sources, from which any coupling kap2 S_i follows, its array-valued
 case), determinant growth
-d(det)/dt = k S g11 (monotone purity loss), source-extended equations of
-motion of the generalized squeezing parameters, and the Green's-function
+d(det)/dt = k S g11 (monotone purity loss), and the Green's-function
 representation of the dressed covariance as quadratures over a stored
 mode trajectory.
 
@@ -40,19 +39,16 @@ from .closed import (
     CovarianceTrajectory,
     ModeFrequency,
     ModeTrajectory,
-    SQUEEZING_R_FLOOR,
     solve_ivp,
-    squeezing_rhs_closed,
     transport_rhs_closed,
 )
-from .errors import DegenerateSqueezingError, DomainError, StepFailureError
-from .symplectic import CovarianceBlock, SqueezingState
+from .errors import DomainError, StepFailureError
+from .symplectic import CovarianceBlock
 
 __all__ = [
     "GreenIntegrals",
     "transport_rhs_open",
     "det_rhs",
-    "generalized_squeezing_rhs",
     "green_covariance",
     "evolve_open",
     "TransportResponse",
@@ -126,40 +122,6 @@ def det_rhs(
     """d(det)/dt = k s g11 for the source value s = S(t); 0 for s None."""
     g11 = block.g11 if isinstance(block, CovarianceBlock) else block[0]
     return k * s * g11 if s is not None else 0.0
-
-
-def generalized_squeezing_rhs(
-    state: SqueezingState,
-    freq: ModeFrequency,
-    s: float | None,
-    t: float,
-) -> tuple[float, float, float]:
-    """Source-extended equations of motion for (lam, r, phi) at time t,
-    given the source value s = S(t) (None: no environment).
-
-    dlam/dt = k S sqrt(lam) [cosh 2r - cos 2phi sinh 2r]
-    dr/dt   = closed part - (k S / (4 sqrt(lam))) [sinh 2r - cos 2phi cosh 2r]
-    dphi/dt = closed part - k S sin 2phi / (4 sqrt(lam) sinh 2r)
-
-    Reduces exactly to the closed equations when S = 0.  The transport
-    engine remains the engine of record; this one is singular at r -> 0
-    and stiff near lam ~ 1.
-    """
-    if state.r <= SQUEEZING_R_FLOOR:
-        raise DegenerateSqueezingError(
-            f"generalized squeezing engine needs r > {SQUEEZING_R_FLOOR}"
-        )
-    dr, dphi = squeezing_rhs_closed(state.r, state.phi, freq, t)
-    if not s:  # None or 0
-        return (0.0, dr, dphi)
-    k = freq.k
-    sqrt_lam = math.sqrt(state.lam)
-    ch, sh = math.cosh(2.0 * state.r), math.sinh(2.0 * state.r)
-    c2, s2 = math.cos(2.0 * state.phi), math.sin(2.0 * state.phi)
-    dlam = k * s * sqrt_lam * (ch - c2 * sh)
-    dr -= k * s / (4.0 * sqrt_lam) * (sh - c2 * ch)
-    dphi -= k * s * s2 / (4.0 * sqrt_lam * sh)
-    return (dlam, dr, dphi)
 
 
 def piecewise_oscillatory_quad(

@@ -19,8 +19,7 @@ import cmath
 import functools
 import math
 
-from scipy.special import gamma as _gamma
-
+from ._special import gamma as _gamma
 from .errors import BranchCutError, DomainError, PoleOrderError
 
 __all__ = [

@@ -398,7 +398,9 @@ DEGENERATE_R = 1e-8
 def _libm(f, *cols):
     """f, a function of Python floats, on each element of float arrays of one
     shape: numpy's log, pow, hypot and the like can differ from libm's."""
-    return np.array(list(map(f, *(c.ravel().tolist() for c in cols)))).reshape(np.shape(cols[0]))
+    shape = np.shape(cols[0])
+    return np.fromiter(map(f, *(c.ravel().tolist() for c in cols)), float,
+                       math.prod(shape)).reshape(shape)
 
 
 def _squeezing_columns(g11, g12, g22, lam):

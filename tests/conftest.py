@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gausslind.closed import ModeFrequency
+from gausslind.closed import SQUEEZING_R_FLOOR, ModeFrequency, squeezing_rhs_closed
 from gausslind.cosmology import (CosmoParams, _kap2_row, _log_sigmas_approx, _stack_tables,
                                  asymptotic_coefficients, offset_singular_p)
 from gausslind.discord import entropy_kernel
+from gausslind.errors import DegenerateSqueezingError
 from gausslind.symplectic import (
     DEGENERATE_R,
     CovarianceBlock,
@@ -107,6 +108,40 @@ def third_order_residual(g11_of_t, freq: ModeFrequency, t: float,
     dw = (freq.ratio(t + h) - freq.ratio(t - h)) / (2.0 * h)
     s = source(t) if source is not None else 0.0
     return d3 / k ** 3 + 4.0 * w * d1 / k + 2.0 * dw * f(t) / k - 2.0 * s
+
+
+def generalized_squeezing_rhs(
+    state: SqueezingState,
+    freq: ModeFrequency,
+    s: float | None,
+    t: float,
+) -> tuple[float, float, float]:
+    """Source-extended equations of motion for (lam, r, phi) at time t,
+    given the source value s = S(t) (None: no environment).
+
+    dlam/dt = k S sqrt(lam) [cosh 2r - cos 2phi sinh 2r]
+    dr/dt   = closed part - (k S / (4 sqrt(lam))) [sinh 2r - cos 2phi cosh 2r]
+    dphi/dt = closed part - k S sin 2phi / (4 sqrt(lam) sinh 2r)
+
+    Reduces exactly to the closed equations when S = 0.  A cross-check of
+    the transport engine, not an engine: it is singular at r -> 0, stiff
+    near lam ~ 1, and its dlam cancels at large r.
+    """
+    if state.r <= SQUEEZING_R_FLOOR:
+        raise DegenerateSqueezingError(
+            f"generalized squeezing engine needs r > {SQUEEZING_R_FLOOR}"
+        )
+    dr, dphi = squeezing_rhs_closed(state.r, state.phi, freq, t)
+    if not s:  # None or 0
+        return (0.0, dr, dphi)
+    k = freq.k
+    sqrt_lam = math.sqrt(state.lam)
+    ch, sh = math.cosh(2.0 * state.r), math.sinh(2.0 * state.r)
+    c2, s2 = math.cos(2.0 * state.phi), math.sin(2.0 * state.phi)
+    dlam = k * s * sqrt_lam * (ch - c2 * sh)
+    dr -= k * s / (4.0 * sqrt_lam) * (sh - c2 * ch)
+    dphi -= k * s * s2 / (4.0 * sqrt_lam * sh)
+    return (dlam, dr, dphi)
 
 
 def discord_from_particles(block: CovarianceBlock, theta: float) -> float:

@@ -477,6 +477,22 @@ class TestPowerSpectrum:
         assert corr.regime is PsRegime.P_GT_8
         assert corr.time_dependent is True
 
+    # float.hex of power_spectrum_correction(CosmoParams(0.7, p, 0.05,
+    # k_over_kstar=1.3)).value, recorded with scipy.special's gamma.  No
+    # benchmark workload reaches this gamma: 5.5 and 7.3 go through
+    # _reflected_gamma_cos, 6.0 is the removable point, 3.3 and 9.1 the
+    # outer regimes.
+    @pytest.mark.parametrize("p, bits", [
+        (3.3, "0x1.d30251e0a4965p+1"),
+        (5.5, "0x1.824a3633dd6abp-2"),
+        (6.0, "0x1.4624dd2f1a9fbp-2"),
+        (7.3, "0x1.b93b14887755ep-2"),
+        (9.1, "0x1.1369337779fa4p-3"),
+    ])
+    def test_value_bits(self, p, bits):
+        corr = power_spectrum_correction(CosmoParams(0.7, p, 0.05, k_over_kstar=1.3))
+        assert float(corr.value).hex() == bits
+
     def test_slope_p3(self):
         a = power_spectrum_correction(CosmoParams(0.1, 3.0, 0.01, k_over_kstar=1.0))
         b = power_spectrum_correction(CosmoParams(0.1, 3.0, 0.01, k_over_kstar=10.0))

@@ -29,7 +29,6 @@ from gausslind.opensys import (
     GreenIntegrals,
     det_rhs,
     evolve_open,
-    generalized_squeezing_rhs,
     green_covariance,
     transport_rhs_open,
 )
@@ -40,7 +39,7 @@ from gausslind.symplectic import (
     particle_statistics,
 )
 
-from conftest import gauss_legendre_quad
+from conftest import gauss_legendre_quad, generalized_squeezing_rhs
 
 
 def constant_kernel(s0: float):
