@@ -170,8 +170,8 @@ def _trajectory_rows(traj, x_grid, open_run: bool):
                                  traj.purity)]
     if open_run:
         stats = particle_statistics(traj)
-        # abs of a Python complex is libm's hypot; numpy's abs can differ
-        cols += [np.sqrt(lam).tolist(), stats.n.tolist(), [abs(c) for c in stats.c.tolist()]]
+        abs_c = np.hypot(stats.c.real, stats.c.imag)  # closer to mpmath than np.abs
+        cols += [np.sqrt(lam).tolist(), stats.n.tolist(), abs_c.tolist()]
     return zip(*cols)
 
 

@@ -26,9 +26,7 @@ from .symplectic import (
     CovarianceBlock,
     ParticleStatistics,
     SqueezingState,
-    _libm,
-    _ln,
-    _q_theta,
+    _ln_q,
     _require_blocks,
     _squeezing_columns,
     _two_product,
@@ -296,12 +294,11 @@ class CovarianceTrajectory:
 
     def _log_sigmas(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """(ln sigma(0)^2, ln q) of every sample across partition theta (checked
-        by the caller), through `_libm`: sigma(0)^2 = self.lam, q = `_q_theta`.
+        by the caller): sigma(0)^2 = self.lam, ln q = `symplectic._ln_q`.
         The first sample that fails the CovarianceBlock checks raises as its block would."""
         g = (self.g11, self.g12, self.g22)
         _require_blocks(*g)
-        return (_libm(math.log, self.lam),
-                _libm(lambda g11, g12, g22: _ln(_q_theta(g11, g12, g22, theta)), *g))
+        return np.log(self.lam), _ln_q(*g, theta)
 
     def __len__(self) -> int:
         return len(self.times)

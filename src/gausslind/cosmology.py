@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._special import gamma as _gamma_fn
 from ._special import logsumexp
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
@@ -34,7 +33,7 @@ from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scala
 from .errors import BelowHeisenbergError, DomainError, SingularExponentError
 from .opensys import TransportResponse, evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
-from .symplectic import CovarianceBlock, _ln
+from .symplectic import CovarianceBlock, _half_sin, _ln
 
 __all__ = [
     "CosmoParams",
@@ -565,7 +564,7 @@ def _reflected_gamma_cos(p: float) -> float:
     """Gamma(2-p) cos(pi p / 2) through the reflection formula,
     regular at odd p; p -> 6 is a removable point of the full product
     (6-p) Gamma(2-p) cos(pi p/2) and handled by the caller."""
-    return -math.pi / (2.0 * math.sin(math.pi * p / 2.0) * _gamma_fn(p - 1.0))
+    return -math.pi / (2.0 * math.sin(math.pi * p / 2.0) * math.gamma(p - 1.0))
 
 
 def power_spectrum_correction(params: CosmoParams) -> PowerSpectrumCorrection:
@@ -580,7 +579,7 @@ def power_spectrum_correction(params: CosmoParams) -> PowerSpectrumCorrection:
     if p < 8.0:
         if abs(p - 6.0) < 1e-9:
             # removable zero-times-pole: (6-p)/sin(pi p/2) -> 2/pi
-            combo = (3.0 - p) * (2.0 / math.pi) * (-math.pi / 2.0) / _gamma_fn(p - 1.0)
+            combo = (3.0 - p) * (2.0 / math.pi) * (-math.pi / 2.0) / math.gamma(p - 1.0)
         else:
             combo = (3.0 - p) * (6.0 - p) * _reflected_gamma_cos(p)
         value = 2.0 ** (p - 4.0) * combo * kap_star2 * kk ** (p - 5.0)
@@ -637,7 +636,7 @@ def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndar
     # (g11 - g22)^2 + 4 g12^2, as logs
     ln_diff, _ = logsumexp(np.stack((ln11, ln22)), np.stack((s11, -s22)))
     ln_m2 = np.logaddexp(2.0 * ln_diff, math.log(4.0) + 2.0 * ln12)
-    return ln_s0sq, ln_m2 + _ln(0.25 * math.sin(2.0 * theta) ** 2)
+    return ln_s0sq, ln_m2 + 2.0 * _ln(_half_sin(theta))
 
 
 def _plane_blocks(n_p: int, n_k: int, cells: int):

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import xlog1py
 from .errors import DomainError
-from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _ln, _q_theta
+from .symplectic import HEISENBERG_SLACK, CovarianceBlock, SqueezingState, _ln, _ln_q
 
 __all__ = [
     "DiscordResult",
@@ -96,25 +95,24 @@ def _psi_gap(ln_a, ln_b, ln_step, ln_bm1):
         step, bm1 = np.minimum(ln_step[~big], 690.0), ln_bm1[~big]
         half, d_b = 0.5 * np.exp(step), 0.5 * np.exp(bm1)
         small = np.empty(half.shape)
-        # each form only where it is used: xlog1py runs libm's log per element
         far = half > 0.5 + d_b
         h, d, s, bm = half[~far], d_b[~far], step[~far], bm1[~far]
-        small[~far] = (xlog1py(h, _inv(d + h)) + (1.0 + d) * np.log1p(h / (1.0 + d))
+        small[~far] = (h * np.log1p(_inv(d + h)) + (1.0 + d) * np.log1p(h / (1.0 + d))
                        - np.where(d > 0.0, d * np.logaddexp(0.0, s - bm), 0.0)
                        - np.log1p(h / (0.5 + d)))
         # a > 2b: the difference of (f(x) ln 2 - ln x) = d log1p(1/d) - log1p(d/u),
         # whose terms stay below 1 where those of the form above grow like ln(step)
         d_b = d_b[far]
         d_a = d_b + half[far]
-        small[far] = (xlog1py(d_a, _inv(d_a)) - np.log1p(d_a / (1.0 + d_a))
-                      - xlog1py(d_b, _inv(d_b)) + np.log1p(d_b / (1.0 + d_b)))
+        small[far] = (d_a * np.log1p(_inv(d_a)) - np.log1p(d_a / (1.0 + d_a))
+                      - d_b * np.log1p(_inv(d_b)) + np.log1p(d_b / (1.0 + d_b)))
         gap[~big] = small
     return gap
 
 
 def _inv(d):
     """1/d without overflow: below d = 1e-300, x log1p(1/d) is below 1e-297
-    either way."""
+    either way, and 0 at x = 0."""
     return 1.0 / np.maximum(d, 1e-300)
 
 
@@ -178,11 +176,11 @@ def _result(ln_s0sq: float, ln_q: float) -> DiscordResult:
 
 
 def _log_sigmas_from_block(block: CovarianceBlock, theta: float) -> tuple[float, float]:
-    """(ln sigma(0)^2, ln q) of a block: sigma(0)^2 = block.lam, q from
-    `symplectic._q_theta`."""
+    """(ln sigma(0)^2, ln q) of a block: sigma(0)^2 = block.lam, ln q from
+    `symplectic._ln_q`."""
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
-    return math.log(block.lam), _ln(_q_theta(block.g11, block.g12, block.g22, theta))
+    return math.log(block.lam), float(_ln_q(block.g11, block.g12, block.g22, theta))
 
 
 def discord(block: CovarianceBlock, theta: float) -> DiscordResult:

@@ -19,7 +19,6 @@ import cmath
 import functools
 import math
 
-from ._special import gamma as _gamma
 from .errors import BranchCutError, DomainError, PoleOrderError
 
 __all__ = [
@@ -40,6 +39,8 @@ _MAX_CF = 20000
 
 
 def _check_args(a: float, z: complex) -> None:
+    if not math.isfinite(a):
+        raise DomainError(f"order must be finite, got {a}")
     if a <= _POLE_TOL and abs(a - round(a)) < _POLE_TOL:
         raise PoleOrderError(f"order {a} is too close to a non-positive integer")
     if z.imag == 0.0 and z.real < 0.0:
@@ -71,8 +72,15 @@ def _series(a: float, z: complex) -> complex:
 @functools.lru_cache(maxsize=16)
 def _complete_gamma(a: float) -> complex:
     """complex(Gamma(a)), the same for every z of an order: a quadrature of
-    the exact route asks the series for three orders at each node."""
-    return complex(_gamma(a))
+    the exact route asks the series for three orders at each node.
+    PoleOrderError at the poles, DomainError where Gamma(a) overflows a
+    double (a > 171.6)."""
+    try:
+        return complex(math.gamma(a))
+    except ValueError:
+        raise PoleOrderError(f"Gamma({a}) has a pole") from None
+    except OverflowError:
+        raise DomainError(f"Gamma({a}) overflows a double") from None
 
 
 def _lentz_cf(a: float, z: complex) -> complex:
@@ -108,7 +116,9 @@ def upper_incomplete_gamma(a: float, z: complex) -> complex:
 
     Supports any real order away from the poles at non-positive integers
     and any complex argument off the negative real axis; z = 0 requires
-    a > 0 (where the ordinary gamma function is returned).
+    a > 0 (where the ordinary gamma function is returned).  Where the
+    series needs Gamma(a) and it overflows a double (a > 171.6, z = 0
+    among them), DomainError.
     """
     z = complex(z)
     _check_args(a, z)
@@ -177,7 +187,7 @@ def oscillatory_moment_limits(alpha: float, ell_h: float) -> tuple[float, float]
     term of `oscillatory_moment`.
     """
     a = alpha
-    g_full = float(_gamma(1.0 + a))
+    g_full = _complete_gamma(1.0 + a).real
     w = cmath.exp(1j * math.pi * a / 2.0) * _lower_limit_gamma(a, ell_h)
     two = 2.0 ** (-1.0 - a)
     lim_re = two * g_full * math.sin(math.pi * a / 2.0) - two * w.imag

@@ -360,27 +360,40 @@ def purity(block: CovarianceBlock) -> float:
     return 1.0 / block.lam
 
 
-def _q_theta(g11: float, g12: float, g22: float, theta: float) -> float:
-    """q = sigma(theta)^2 - sigma(0)^2 = (1/4) m^2 sin^2(2 theta) >= 0 of a
-    block's entries, m^2 = (g11 - g22)^2 + 4 g12^2: the cancellation-free
-    form of cos^2(2 theta) det + ((g11+g22)/2)^2 sin^2(2 theta) - det."""
-    m2 = (g11 - g22) ** 2 + 4.0 * g12 ** 2
-    return 0.25 * m2 * math.sin(2.0 * theta) ** 2
-
-
 def _ln(x: float) -> float:
     """ln x, -inf at x = 0."""
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _half_sin(theta: float) -> float:
+    """|sin(2 theta)| / 2, the partition factor of sqrt(q)."""
+    return 0.5 * abs(math.sin(2.0 * theta))
+
+
+def _sqrt_q(g11, g12, g22, theta: float):
+    """sqrt(q) of covariance entries, q = sigma(theta)^2 - sigma(0)^2
+    = (m |sin(2 theta)| / 2)^2 >= 0 with m = hypot(g11 - g22, 2 g12): the
+    cancellation-free form of cos^2(2 theta) det + ((g11+g22)/2)^2
+    sin^2(2 theta) - det.  No entry is squared, so it stays finite for
+    entries far beyond 1e154.  Floats or arrays of one shape."""
+    return np.hypot(g11 - g22, 2.0 * g12) * _half_sin(theta)
+
+
+def _ln_q(g11, g12, g22, theta: float):
+    """ln q = 2 ln sqrt(q) of `_sqrt_q`, -inf where q = 0."""
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(_sqrt_q(g11, g12, g22, theta))
+
+
 def sigma_theta(block: CovarianceBlock, theta: float) -> float:
     """Symplectic eigenvalue of either reduced block in partition theta,
-    sqrt(block.lam + q).
+    sqrt(block.lam + q) = hypot(sqrt(block.lam), sqrt(q)).
 
     Reduces to sqrt(block.lam) at theta = 0 and grows monotonically
     with |sin(2 theta)|.
     """
-    return math.sqrt(block.lam + _q_theta(block.g11, block.g12, block.g22, theta))
+    return math.hypot(math.sqrt(block.lam),
+                      float(_sqrt_q(block.g11, block.g12, block.g22, theta)))
 
 
 def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
@@ -395,29 +408,24 @@ def particle_statistics(block: CovarianceBlock) -> ParticleStatistics:
 DEGENERATE_R = 1e-8
 
 
-def _libm(f, *cols):
-    """f, a function of Python floats, on each element of float arrays of one
-    shape: numpy's log, pow, hypot and the like can differ from libm's."""
-    shape = np.shape(cols[0])
-    return np.fromiter(map(f, *(c.ravel().tolist() for c in cols)), float,
-                       math.prod(shape)).reshape(shape)
-
-
 def _squeezing_columns(g11, g12, g22, lam):
     """Squeezing parameters (r, phi) of covariance entries with determinant
     lam >= 1, float arrays of one shape, element by element, as in
     squeezing_from_covariance; r is not checked against the degeneracy
     floor here.  Call under np.errstate(over="ignore", invalid="ignore").
-    hypot, asinh and atan2 run through `_libm`.
     """
     # r = arccosh(y)/2 with y = (g11+g22)/(2 sqrt(lam)), but evaluated
     # as asinh of sinh(2r) = sqrt(y^2-1) read off the entries directly:
     # the difference combination is cancellation-free, so r keeps full
     # relative accuracy down to (and below) the degeneracy floor, where
     # the y route would lose half the digits to the cosh flatness.
-    s = 0.5 * _libm(math.hypot, g11 - g22, 2.0 * g12) / np.sqrt(lam)
-    r = 0.5 * _libm(math.asinh, s)
-    phi = 0.5 * _libm(math.atan2, -g12, 0.5 * (g22 - g11))
+    # asinh s = log1p(s + s^2/(1 + sqrt(1 + s^2))), s^2 never formed: on
+    # the evolve_open rows it is as close to mpmath as libm's asinh, where
+    # np.arcsinh's SIMD kernel reads up to 0.09 ulp further.  Finite for
+    # s below 8.9e307.
+    s = 0.5 * np.hypot(g11 - g22, 2.0 * g12) / np.sqrt(lam)
+    r = 0.5 * np.log1p(s + s * (s / (1.0 + np.hypot(1.0, s))))
+    phi = 0.5 * np.arctan2(-g12, 0.5 * (g22 - g11))
     return r, np.where(phi <= -0.5 * math.pi, phi + math.pi, phi)
 
 

@@ -57,13 +57,15 @@ def trajectory_rows_oracle(traj, x_grid, open_run: bool) -> list:
     scalar squeezing formulas written out: a validated CovarianceBlock
     per sample, r and phi from its own determinant (0 where r <=
     DEGENERATE_R), lam and purity from the transported det, and for open
-    runs sigma0, n_pairs and |c| from ParticleStatistics."""
+    runs sigma0, n_pairs and |c| from ParticleStatistics.  hypot, log1p
+    and atan2 are numpy's, called on one value at a time."""
     rows = []
     for i, x in enumerate(x_grid):
         b = traj.block(i)
         sqrt_det = math.sqrt(max(b.det, 1.0))
-        r = 0.5 * math.asinh(0.5 * math.hypot(b.g11 - b.g22, 2.0 * b.g12) / sqrt_det)
-        phi = 0.5 * math.atan2(-b.g12, 0.5 * (b.g22 - b.g11))
+        s = 0.5 * np.hypot(b.g11 - b.g22, 2.0 * b.g12) / sqrt_det
+        r = 0.5 * np.log1p(s + s * (s / (1.0 + np.hypot(1.0, s))))
+        phi = 0.5 * np.arctan2(-b.g12, 0.5 * (b.g22 - b.g11))
         if phi <= -0.5 * math.pi:
             phi += math.pi
         if r <= DEGENERATE_R:
@@ -72,7 +74,7 @@ def trajectory_rows_oracle(traj, x_grid, open_run: bool) -> list:
         row = [x, b.g11, b.g12, b.g22, r, phi, lam, traj.purity[i]]
         if open_run:
             stats = particle_statistics(b)
-            row += [math.sqrt(lam), stats.n, abs(stats.c)]
+            row += [math.sqrt(lam), stats.n, np.hypot(stats.c.real, stats.c.imag)]
         rows.append([float(v) for v in row])
     return rows
 

@@ -8,6 +8,7 @@ so they check the closed forms of `cosmology.sigma0_sq_coefficients`
 against the series they stand for.
 """
 
+import math
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -93,3 +94,65 @@ def discord_from_logs(ln_s0sq, ln_q, dps=600):
             return (u * mp.log(u) - (d * mp.log(d) if d > 0 else 0)) / mp.log(2)
 
         return f(st) - 2 * f(s0) + f(mix), 2 * (f(st) - f(s0)), f(st) - f(mix)
+
+
+def discord_from_entries(g11, g12, g22, lam, theta, dps=600):
+    """(D, I, J) in bits of one covariance sample given as doubles: its
+    entries, sigma(0)^2 = lam and the partition angle theta, with
+    q = ((g11 - g22)^2 + 4 g12^2) sin^2(2 theta) / 4 formed at dps digits
+    and handed to `discord_from_logs`."""
+    with mp.workdps(dps):
+        g11, g12, g22 = mp.mpf(g11), mp.mpf(g12), mp.mpf(g22)
+        q = ((g11 - g22) ** 2 + 4 * g12 ** 2) * mp.sin(2 * mp.mpf(theta)) ** 2 / 4
+        return discord_from_logs(mp.log(mp.mpf(lam)), mp.log(q), dps)
+
+
+def psi_gap(ln_step, ln_bm1, dps=60):
+    """psi(1/b^2) - psi(1/a^2) of `discord._psi_gap` for b = 1 + e^ln_bm1
+    and a = b + e^ln_step, at dps digits: with f(x) ln 2 = ln(x/2) + 1
+    - psi(1/x^2), it is F(a) - F(b) - ln(a/b), F(x) = u ln u - d ln d,
+    u = (x+1)/2, d = (x-1)/2."""
+    with mp.workdps(dps):
+        b = 1 + mp.exp(mp.mpf(ln_bm1))
+        a = b + mp.exp(mp.mpf(ln_step))
+
+        def F(x):
+            u, d = (x + 1) / 2, (x - 1) / 2
+            return u * mp.log(u) - (d * mp.log(d) if d > 0 else 0)
+
+        return F(a) - F(b) - mp.log(a / b)
+
+
+def xlog1py(x, y):
+    """x log1p(y) of two doubles at 40 digits, NaN where IEEE arithmetic
+    gives NaN: a NaN argument, y < -1, or 0 times an infinite log."""
+    with mp.workdps(40):
+        x, y = mp.mpf(x), mp.mpf(y)
+        if mp.isnan(x) or mp.isnan(y) or y < -1:
+            return mp.nan
+        log = mp.log1p(y)  # -inf at y = -1
+        if (x == 0 and mp.isinf(log)) or (mp.isinf(x) and log == 0):
+            return mp.nan
+        return x * log
+
+
+def xlog1py_ulps(got, x, y):
+    """|got - x log1p(y)| in ulps of x log1p(y) at 40 digits; None where
+    x log1p(y) is not a normal double."""
+    with mp.workdps(40):
+        want = xlog1py(x, y)
+        if mp.isnan(want) or not 2.2250738585072014e-308 <= abs(want) <= 1.7976931348623157e308:
+            return None
+        return float(abs(mp.mpf(got) - want) / math.ulp(float(want)))
+
+
+def gamma_ulps(gamma, x):
+    """|gamma() - Gamma(x)| in ulps of Gamma(x) rounded to a double (the
+    subnormal spacing 5e-324 below 2.2e-308) at 40 digits, x off the
+    poles; None, and gamma is not called, where Gamma(x) overflows a
+    double."""
+    with mp.workdps(40):
+        want = mp.gamma(mp.mpf(x))
+        if math.isinf(float(want)):
+            return None
+        return float(abs(mp.mpf(gamma()) - want) / math.ulp(float(want)))

@@ -779,6 +779,22 @@ class TestDiscordPlane:
             purity, want = np.exp(-2.0 * plane.log_sigma_zero[i]), np.exp(-2.0 * row.log_sigma_zero)
             np.testing.assert_allclose(purity, want, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("efolds", [60.0, 65.0])
+    def test_transport_plane_below_e_minus_55(self, efolds):
+        # the default ranges at ellH = 0.1, where entries pass 1e154: ln q
+        # from hypot squares none of them (ROADMAP item 15 step 1).  The
+        # bounds are those of selfcheck's route agreement at x = e^-20.
+        ps = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 6).tolist()])
+        couplings = 10.0 ** np.linspace(-10.0, 6.0, 6)
+        x, params = math.exp(-efolds), CosmoParams(0.0, ps[0], 0.1)
+        got, want = (discord_cosmo(x, self.THETA, params, method,
+                                   kGamma_over_kstar=couplings, p=ps)
+                     for method in ("transport", "approx"))
+        large = want.discord > 1e-10
+        assert np.all(np.abs(got.discord[large] / want.discord[large] - 1.0) < 3e-13)
+        assert np.all(np.abs(got.discord - want.discord) < 2e-12)
+        assert np.all(np.abs(got.log_sigma_zero - want.log_sigma_zero) < 6e-13)
+
     def test_one_cell_plane_is_the_scalar_call(self):
         params = CosmoParams(0.3, 5.3, 0.1)
         one = discord_cosmo(self.X, self.THETA, params, "transport")

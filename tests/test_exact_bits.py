@@ -7,8 +7,11 @@ gave, as `float.hex`.  The p ~ 9.2-9.3 cells are round-off limited: corr11
 cancels to a few digits there, so a relative change of 2e-16 in the three
 moments moves their det by up to 6e-8, and a rewrite of the Gamma work
 or of the quadrature shows up here bit for bit before it shows up in the
-reference.  The pins were recorded with glibc 2.36 libm on x86-64 and
-scipy 1.17.1; another libm can move the last bits of every cell.
+reference.  The pins were recorded with glibc 2.36 libm (math.gamma) on
+x86-64, numpy 2.4 and scipy 1.17.1; another libm or numpy can move the
+last bits of every cell.  The discord of each cell is also held to the
+mpmath oracle of its own covariance entries and det, which does not
+depend on the bits.
 """
 
 import warnings
@@ -16,7 +19,14 @@ import warnings
 import pytest
 from scipy.integrate import IntegrationWarning
 
+from gausslind import closed
 from gausslind.cosmology import CosmoParams, discord_cosmo, exact_open_det
+
+import oracle
+
+#: max |D / D_oracle - 1| over the pins: 2.887e-15 at p 9.314 and 9.226,
+#: with the cephes ports and with numpy and math.gamma alike
+DISCORD_RTOL = 2.9e-15
 
 # (x, theta, ellH, p, kGamma/k*, det, discord, ln sigma(0))
 PINS = [
@@ -30,7 +40,7 @@ PINS = [
     # p 9.314, x 0.0276, ellH 0.0530, kGamma/k* 4.0e-3 and 1.97
     ("0x1.c44be2a9665b9p-6", "-0x1.28da1f78f1dd8p+0", "0x1.b1ccff0dcf0adp-5",
      "0x1.2a0f98b282600p+3", "0x1.05aeffbc8e59bp-8",
-     "0x1.0d9be578c45b7p+20", "0x1.3d0c8262d4b5ap-1", "0x1.bd458a573165ap+2"),
+     "0x1.0d9be578c45b7p+20", "0x1.3d0c8262d4b59p-1", "0x1.bd458a573165ap+2"),
     ("0x1.c44be2a9665b9p-6", "-0x1.28da1f78f1dd8p+0", "0x1.b1ccff0dcf0adp-5",
      "0x1.2a0f98b282600p+3", "0x1.f930e12a8ac6ep+0",
      "0x1.1b0d3fd335567p+43", "0x1.5495e0b9ddc38p-16", "0x1.de7e144d7bb1fp+3"),
@@ -44,8 +54,11 @@ PINS = [
 ]
 
 
-@pytest.mark.parametrize("pin", PINS, ids=lambda pin: f"p{float.fromhex(pin[3]):.3f}"
-                         f"-kG{float.fromhex(pin[4]):.3g}")
+def _pin_id(pin) -> str:
+    return f"p{float.fromhex(pin[3]):.3f}-kG{float.fromhex(pin[4]):.3g}"
+
+
+@pytest.mark.parametrize("pin", PINS, ids=_pin_id)
 def test_exact_route_bits(pin):
     x, theta, ellH, p, kg = (float.fromhex(v) for v in pin[:5])
     params = CosmoParams(kg, p, ellH)
@@ -55,3 +68,18 @@ def test_exact_route_bits(pin):
         res = discord_cosmo(x, theta, params, "exact")
     got = (det, float(res.discord), float(res.log_sigma_zero))
     assert tuple(v.hex() for v in got) == pin[5:]
+
+
+@pytest.mark.parametrize("pin", PINS, ids=_pin_id)
+def test_exact_route_discord_against_oracle(pin, monkeypatch):
+    x, theta, ellH, p, kg = (float.fromhex(v) for v in pin[:5])
+    samples, log_sigmas = [], closed.CovarianceTrajectory._log_sigmas
+    monkeypatch.setattr(closed.CovarianceTrajectory, "_log_sigmas",
+                        lambda traj, th: samples.append(traj) or log_sigmas(traj, th))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        got = float(discord_cosmo(x, theta, CosmoParams(kg, p, ellH), "exact").discord)
+    (traj,) = samples
+    g11, g12, g22 = (float(g.ravel()[0]) for g in (traj.g11, traj.g12, traj.g22))
+    want = oracle.discord_from_entries(g11, g12, g22, float(traj.lam.ravel()[0]), theta)[0]
+    assert abs(got / float(want) - 1.0) <= DISCORD_RTOL

@@ -274,6 +274,14 @@ class TestSigmaTheta:
         want = math.cosh(2.0)  # sqrt(1 + sinh^2) at full mixing angle
         assert abs(sigma_theta(b, math.pi / 4) - want) < 1e-12 * want
 
+    def test_entries_beyond_1e154(self):
+        # det = 10 but q = (1e200/2)^2 is not a double: sigma(theta) and
+        # the discord come from ln q, which squares no entry
+        b = CovarianceBlock(1e200, 0.0, 1e-199)
+        assert sigma_theta(b, math.pi / 4) == pytest.approx(0.5e200, rel=1e-14)
+        assert discord(b, math.pi / 4).log_sigma_theta == pytest.approx(
+            math.log(0.5e200), rel=1e-15)
+
     def test_theta_zero_is_sqrt_det(self, rng):
         for _ in range(20):
             b = random_block(rng)

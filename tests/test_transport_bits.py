@@ -10,8 +10,8 @@ A pin is a cell (i, j) with its discord and ln sigma(0) as `float.hex`.
 The whole plane is one response integration, so any change to the
 response RHS, the integrator settings or the cell formulas shows up here
 bit for bit.  The pins were recorded with glibc 2.36 libm on x86-64,
-numpy's bundled OpenBLAS and scipy 1.17.1; another libm or BLAS can move
-the last bits of every cell.
+numpy 2.4 with its bundled OpenBLAS and scipy 1.17.1; another libm, numpy
+or BLAS can move the last bits of every cell.
 """
 
 import math
