@@ -30,8 +30,8 @@ from ._special import logsumexp
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
-from .errors import BelowHeisenbergError, DomainError, SingularExponentError
-from .opensys import TransportResponse, evolve_open, piecewise_oscillatory_quad
+from .errors import BelowHeisenbergError, DomainError, SingularExponentError, StepFailureError
+from .opensys import TransportResponse, _dop853, evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock, _half_sin, _ln
 
@@ -70,6 +70,11 @@ BACKWARD_ERROR_MAX = 1e-6
 TRANSPORT_RTOL = 1e-11
 #: cells of the discord_cosmo plane evaluated at once (see _plane_blocks)
 PLANE_BLOCK_CELLS = 2 ** 16
+#: x (Hubble crossing) below which the transport route integrates in
+#: e-folds (`_efold_response`).  Four rounds of the map_transport benchmark
+#: (seed 0) take 34.3k, 35.0k, 37.5k and 42.0k RHS calls at 2, 1, 0.5 and
+#: 0.2; at 1 the conformal-time phase before it is never empty (ellH < 1)
+EFOLD_X_SWITCH = 1.0
 
 
 @dataclass(frozen=True)
@@ -666,15 +671,91 @@ def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     return CovarianceTrajectory(np.array([-x]), *g)._log_sigmas(theta)
 
 
+def _efold_response(start: TransportResponse, x: float, ps, x_star: float,
+                    rtol: float) -> TransportResponse:
+    """The plane's response carried from its one sample at x_s = -start.times
+    down to x < x_s in e-folds N = -ln x, on scaled variables that stay
+    O(1) outside the Hubble radius: the closed block as u = (x^2 g11,
+    x^3 g12, x^4 g22), each F_i as the same scaling times x^cF with
+    cF = max(p - 8, 0), a1 times x^c1 with c1 = max(p - 2, 0) and a2 times
+    x^c2 with c2 = max(p - 2 + cF, 0).  Then du/dN = M(x) u with
+
+        M = [[-2, 2, 0], [2 - x^2, -3, 1], [0, 4 - 2 x^2, -4]],
+
+    the F_i follow M - cF plus their unit source on row 3, and a1, a2 decay
+    at c1, c2 under theirs; the three source powers 2 x_star^(p-3) times
+    x^(cF+8-p), x^(c1+2-p) and x^(c2+2-p-cF), none of them negative, come
+    from one exp per call.  The error control is relative only, at rtol
+    over sqrt(1 + n) like the conformal-time phase: an atol on the scaled
+    values was measured to cost ln sigma(0) accuracy.  The result is
+    unscaled at x, where entries past the double range become inf."""
+    n = len(ps)
+    m = 3 + 3 * n
+    c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
+    c_2 = np.maximum(ps - 2.0 + c_f, 0.0)
+    # the scale power of each state value: rows of (closed, F_1..F_n), a1, a2
+    powers = np.concatenate(((np.arange(2.0, 5.0)[:, None] + np.append(0.0, c_f)).ravel(),
+                             c_1, c_2))
+    decay = np.concatenate((np.tile(np.append(0.0, c_f), 3), c_1, c_2))
+    forcing = np.stack((8.0 - ps + c_f, 2.0 - ps + c_1, 2.0 - ps - c_f + c_2))
+    ln_amp = math.log(2.0) + (ps - 3.0) * math.log(x_star)
+    flow = np.array([[-2.0, 2.0, 0.0], [2.0, -3.0, 1.0], [0.0, 4.0, -4.0]])
+    # one derivative buffer, as in `opensys._response`, with views of its parts
+    out = np.empty(m + 2 * n)
+    d, d_f22, d_a1, d_a2 = out[:m].reshape(3, 1 + n), out[m - n:m], out[m:m + n], out[m + n:]
+
+    def rhs(efolds, y):
+        x2 = math.exp(-2.0 * efolds)
+        flow[1, 0], flow[2, 1] = 2.0 - x2, 4.0 - 2.0 * x2
+        np.matmul(flow, y[:m].reshape(3, 1 + n), out=d)
+        # each source power stops at e^-230 of its amplitude, where it moves
+        # no value: falling on, its share of DOP853's error norm would be
+        # squared below the smallest normal double, and the norm's
+        # 1 / sqrt(...) overflow, when every other share is exactly 0
+        s = np.exp(ln_amp + np.maximum(forcing * -efolds, -230.0))
+        np.add(d_f22, s[0], out=d_f22)
+        np.multiply(s[1], y[0], out=d_a1)  # a1' = S g11
+        np.multiply(s[2], y[1:1 + n], out=d_a2)  # a2' = S F11
+        np.subtract(out, decay * y, out=out)
+        return out
+
+    x_s = -float(start.times[-1])
+    y0 = np.concatenate((np.hstack((start.g, start.F[:, :, -1])).ravel(),
+                         start.a1[:, -1], start.a2[:, -1])) * x_s ** powers
+    n0, n1 = -math.log(x_s), -math.log(x)
+    # the scaled modes decay at up to rate per e-fold; a step h below 2 / rate
+    # keeps DOP853's amplification of each within 4e-5 of e^(-rate h).
+    # Unbounded, the steps settle near the edge of its stability interval
+    # (-6.3, 0), where the error estimate misses the decaying modes
+    rate = max(6.0 + c_f.max(), c_2.max())
+    y = _dop853(rhs, y0, n0, np.array([n1]), rtol / math.sqrt(1 + n), 0.0, 0.0,
+                max_step=2.0 / rate)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = y * x ** -powers
+    return TransportResponse(times=np.array([-x]), g=y[:m:1 + n, None],
+                             F=y[:m].reshape(3, 1 + n, 1)[:, 1:],
+                             a1=y[m:m + n, None], a2=y[m + n:, None], det0=start.det0)
+
+
 def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter response
-    integration over the unit sources of its p rows, sampled at x only, and
-    each cell formed from the response polynomials in its kap2.  The unit
-    source is on over all of [x, 1/ellH], its start included."""
+    integration over the unit sources of its p rows from 1/ellH down to x,
+    or down to EFOLD_X_SWITCH and on in e-folds (`_efold_response`) when x
+    is below it, and each cell formed from the response polynomials in its
+    kap2.  The unit source is on over all of [x, 1/ellH], its start
+    included.  A cell beyond the range of doubles raises StepFailureError."""
+    x_s = max(x, EFOLD_X_SWITCH)
     expo = ps - 3.0
-    response = evolve_de_sitter(params.x_coupling_on, x, x_eval=(x,), rtol=TRANSPORT_RTOL,
+    response = evolve_de_sitter(params.x_coupling_on, x_s, x_eval=(x_s,), rtol=TRANSPORT_RTOL,
                                 source=lambda eta: _power_law(params, expo, -eta))
-    return response.cells(_kap2_row(params, couplings))._log_sigmas(theta)
+    if x < x_s:
+        response = _efold_response(response, x, ps, params.x_star, TRANSPORT_RTOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = response.cells(_kap2_row(params, couplings))
+    if not all(np.isfinite(f).all() for f in (cells.g11, cells.g12, cells.g22, cells.det)):
+        raise StepFailureError(f"the transported covariance at x = {x} exceeds the range of "
+                               "doubles")
+    return cells._log_sigmas(theta)
 
 
 _ROUTES = {"approx": _approx_block, "exact": _exact_block, "transport": _transport_block}
@@ -702,7 +783,8 @@ def discord_cosmo(
                        for 0 < x < 0.1, arbitrarily small.
     method="transport": integrate the covariance down to x (reference);
                        one evolve_open response integration per block,
-                       whatever the number of couplings.
+                       whatever the number of couplings, in conformal
+                       time down to x = 1 and in e-folds below it.
 
     kGamma_over_kstar, when given, replaces the coupling of params, and p
     its growth index: each is a scalar or a non-empty 1-D array.  Every
@@ -716,7 +798,13 @@ def discord_cosmo(
     as one response (`opensys.TransportResponse`) and forms each cell from
     its kap2 polynomials; its cost does not grow with the couplings.  It
     agrees with per-row calls to ~1e-11 (the response divides
-    TRANSPORT_RTOL by sqrt(1 + rows)).
+    TRANSPORT_RTOL by sqrt(1 + rows)).  Below x = EFOLD_X_SWITCH = 1 the
+    response goes on in e-folds N = -ln x on variables scaled by their
+    super-Hubble powers (`_efold_response`): its steps no longer shrink
+    with x, and on the map_transport benchmark it takes about half the
+    RHS calls of a run in conformal time all the way.  Where a cell's
+    entries or determinant pass the range of doubles (default ranges at
+    ellH = 0.1 below about x = e^-67) it raises StepFailureError.
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")

@@ -60,8 +60,9 @@ __all__ = [
 #: smallest rtol that solve_ivp accepts without raising it to this value
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
 #: steps the response integration of evolve_open may take to each sample:
-#: twice the 91,000 of a de Sitter p = 0.1 row at ellH = 1e-4, x = e^-20
-#: (ellH = 1e-3 planes take at most 11,000)
+#: twice the 90,400 of a de Sitter p = 0.1 row at ellH = 1e-4 from 1/ellH
+#: down to x = 1, after which the transport route's e-fold phase takes 78
+#: more to x = e^-20 (a 40-row ellH = 1e-3 plane: 10,700 and 128)
 RESPONSE_MAX_STEPS = 200_000
 
 
@@ -233,6 +234,60 @@ class TransportResponse:
         return CovarianceTrajectory(self.times, g11, g12, g22, det)
 
 
+def _dop853(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, t0: float,
+            times, rtol: float, atol: float, first_step: float,
+            max_step: float = 0.0) -> np.ndarray:
+    """The samples (len(times), len(y0)) of y' = rhs(t, y) from y(t0) = y0 on
+    scipy's compiled DOP853, with at most RESPONSE_MAX_STEPS steps to each
+    sample; a failed step or a non-finite value raises StepFailureError, and
+    an exception in rhs is raised as it is."""
+    raised = []
+
+    def guarded(t, y):
+        if not raised:
+            try:
+                return rhs(t, y)
+            except BaseException as exc:  # re-raised below
+                raised.append(exc)
+        # the compiled integrator does not stop on an exception; a NaN
+        # derivative makes it fail at once
+        return np.full_like(y, math.nan)
+
+    solver = ode(guarded).set_integrator(
+        "dop853", rtol=rtol, atol=atol, nsteps=RESPONSE_MAX_STEPS, first_step=first_step,
+        max_step=max_step)
+    solver.set_initial_value(y0, t0)
+    # IWORK(4) < 0 of DOP853: no stiffness test, which a fast-varying source
+    # trips on this non-stiff system
+    solver._integrator.iwork[3] = -1
+    ys = np.empty((len(times), len(y0)))
+    # overflow surfaces as a failed or non-finite solve, raised below; the
+    # integrator reports a failure as a UserWarning plus its return code
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i, t in enumerate(times.tolist()):
+                ys[i] = solver.integrate(t)
+                if raised:
+                    raise raised[0]
+                if not solver.successful():
+                    reason = "; ".join(str(w.message) for w in caught) or \
+                        f"return code {solver.get_return_code()}"
+                    raise StepFailureError(f"covariance transport failed at t = {t}: {reason}")
+    finally:
+        # the compiled integrator keeps a reference to the callback and to
+        # the integrator object for good (scipy 1.17.1): cut what they hold
+        # (rhs is the closure cell that guarded reads), or every integration
+        # keeps its RHS buffers and work arrays alive to the end of the process
+        rhs = None
+        raised.clear()
+        vars(solver._integrator).clear()
+    if not np.all(np.isfinite(ys)):
+        raise StepFailureError("covariance transport produced non-finite values")
+    return ys
+
+
 def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplitudes,
               t_span: tuple[float, float], ic: CovarianceBlock, t_eval,
               rtol: float, atol: float) -> TransportResponse:
@@ -244,7 +299,6 @@ def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplit
     n = len(amplitudes)
     m = 3 + 3 * n  # the covariance values: rows g11, g12, g22 of 1 + n blocks
     k = freq.k
-    raised = []
     # the closed flow as a matrix: its columns are the images of the basis
     # blocks; only the three entries that the block (1, 1, 0) maps to are
     # not constant in t
@@ -254,24 +308,16 @@ def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplit
     d = out[:m].reshape(3, 1 + n)
 
     def rhs(t, y):
-        if not raised:
-            try:
-                s = source(t)
-                flow[0, 1], flow[1, 0], flow[2, 1] = transport_rhs_open(
-                    (1.0, 1.0, 0.0), freq, None, t)
-                # columns: the closed block, then F_1..F_n
-                cols = y[:m].reshape(3, 1 + n)
-                np.matmul(flow, cols, out=d)
-                ks = k * s
-                d[2, 1:] += ks
-                np.multiply(ks, cols[0, 0], out=out[m:m + n])  # a1' = k S g11
-                np.multiply(ks, cols[0, 1:], out=out[m + n:])  # a2' = k S F11
-                return out
-            except BaseException as exc:  # re-raised below
-                raised.append(exc)
-        # the compiled integrator does not stop on an exception; a NaN
-        # derivative makes it fail at once
-        return np.full_like(y, math.nan)
+        s = source(t)
+        flow[0, 1], flow[1, 0], flow[2, 1] = transport_rhs_open((1.0, 1.0, 0.0), freq, None, t)
+        # columns: the closed block, then F_1..F_n
+        cols = y[:m].reshape(3, 1 + n)
+        np.matmul(flow, cols, out=d)
+        ks = k * s
+        d[2, 1:] += ks
+        np.multiply(ks, cols[0, 0], out=out[m:m + n])  # a1' = k S g11
+        np.multiply(ks, cols[0, 1:], out=out[m + n:])  # a2' = k S F11
+        return out
 
     y0 = np.zeros(m + 2 * n)
     y0[:m:1 + n] = (ic.g11, ic.g12, ic.g22)
@@ -280,30 +326,8 @@ def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplit
     # a given first step: the integrator's own guess reads the response
     # blocks, which start at 0, against atol alone, and can land on a step
     # too small to take or past the end of the span
-    solver = ode(rhs).set_integrator(
-        "dop853", rtol=rtol / scale, atol=atol / scale, nsteps=RESPONSE_MAX_STEPS,
-        first_step=1e-6 * abs(t_span[1] - t_span[0]))
-    solver.set_initial_value(y0, t_span[0])
-    # IWORK(4) < 0 of DOP853: no stiffness test, which a fast-varying source
-    # trips on this non-stiff system
-    solver._integrator.iwork[3] = -1
-    ys = np.empty((len(times), len(y0)))
-    # overflow surfaces as a failed or non-finite solve, raised below; the
-    # integrator reports a failure as a UserWarning plus its return code
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for i, t in enumerate(times.tolist()):
-            ys[i] = solver.integrate(t)
-            if raised:
-                raise raised[0]
-            if not solver.successful():
-                reason = "; ".join(str(w.message) for w in caught) or \
-                    f"return code {solver.get_return_code()}"
-                raise StepFailureError(f"covariance transport failed at t = {t}: {reason}")
-    if not np.all(np.isfinite(ys)):
-        raise StepFailureError("covariance transport produced non-finite values")
-    y = ys.T
+    y = _dop853(rhs, y0, t_span[0], times, rtol / scale, atol / scale,
+                1e-6 * abs(t_span[1] - t_span[0])).T
     return TransportResponse(times=times, g=y[:m:1 + n], F=y[:m].reshape(3, 1 + n, -1)[:, 1:],
                              a1=y[m:m + n], a2=y[m + n:], det0=ic.lam)
 

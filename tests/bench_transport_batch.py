@@ -13,19 +13,20 @@ to keep them.
 
 `test_transport_plane` runs a 4x4 transport `discord_cosmo` plane, p in
 {0.5, 2.0001, 5.3, 9.5} and the couplings above, either as one call with
-a p row ("plane", one integration) or as four row calls ("rows"), and
-records the best time per cell and the transport_rhs_open calls.
+a p row ("plane", one response) or as four row calls ("rows"), and
+records the best time per cell and the RHS calls of each phase: conformal
+time down to x = 1 ("conformal") and e-folds below it ("efold").
 
-`test_response_rhs_call` times one call of the response RHS itself, the
-function the compiled integrator calls back, for a de Sitter row of n unit
-sources (p in 0.1..9.9, x = 1e-3, ellH = 0.1) at its end state, and
-records the RHS calls that row's integration took.
+`test_phase_rhs_call` times one call of each phase's RHS itself, the
+function the compiled integrator calls back, for a transport plane of n
+p rows (p in 0.1..9.9, x = 1e-3, ellH = 0.1) at the end state of that
+phase, and records the RHS calls the phase took.
 """
 
 import numpy as np
 import pytest
 
-from gausslind import opensys
+from gausslind import cosmology, opensys
 from gausslind.cosmology import CosmoParams, cosmo_kernel, discord_cosmo, evolve_de_sitter
 
 P, X, ELLH = 5.3, 1e-3, 0.1
@@ -76,42 +77,57 @@ def rows():
                           kGamma_over_kstar=_couplings(4)) for p in PLANE_P.tolist()]
 
 
+PHASES = ("conformal", "efold")
+
+
+def _record_phases(monkeypatch) -> list:
+    """Patch the integrator entry of both phases; each integration appends
+    [rhs, calls, t_end, y_end] to the returned list, in phase order."""
+    runs = []
+    dop853 = opensys._dop853
+
+    def recording(rhs, y0, t0, times, *args, **kwargs):
+        run = [rhs, 0, float(times[-1]), None]
+
+        def counted(t, y):
+            run[1] += 1
+            return rhs(t, y)
+
+        runs.append(run)
+        ys = dop853(counted, y0, t0, times, *args, **kwargs)
+        run[3] = ys[-1].copy()
+        return ys
+
+    monkeypatch.setattr(opensys, "_dop853", recording)
+    monkeypatch.setattr(cosmology, "_dop853", recording)
+    return runs
+
+
 @pytest.mark.parametrize("mode", ["plane", "rows"])
 def test_transport_plane(benchmark, monkeypatch, mode):
     """A 4x4 (p, coupling) plane as one integration against 4 row calls."""
     run = plane if mode == "plane" else rows
-    calls = []
-    rhs = opensys.transport_rhs_open
-    monkeypatch.setattr(opensys, "transport_rhs_open",
-                        lambda *a: calls.append(1) or rhs(*a))
+    runs = _record_phases(monkeypatch)
     run()
     monkeypatch.undo()
     benchmark.pedantic(run, rounds=7, iterations=1, warmup_rounds=1)
     cells = PLANE_P.size * 4
     benchmark.extra_info.update(
-        mode=mode, cells=cells, rhs_calls=len(calls),
-        per_cell_ms=1e3 * benchmark.stats.stats.min / cells)
+        mode=mode, cells=cells, per_cell_ms=1e3 * benchmark.stats.stats.min / cells,
+        **{f"rhs_calls_{phase}": sum(r[1] for r in runs[i::2])
+           for i, phase in enumerate(PHASES)})
 
 
+@pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("n", [1, 3, 40])
-def test_response_rhs_call(benchmark, monkeypatch, n):
-    """One response RHS call at n unit sources, and the RHS calls of one
-    integration."""
-    captured, sources = [], []
-    ode = opensys.ode
-    monkeypatch.setattr(opensys, "ode", lambda f: captured.append(f) or ode(f))
-    expo = np.linspace(0.1, 9.9, n) - 3.0
-
-    def source(eta):
-        sources.append(eta)
-        return 2.0 * (1.0 / -eta) ** expo
-
-    response = evolve_de_sitter(1.0 / ELLH, X, source)
+def test_phase_rhs_call(benchmark, monkeypatch, phase, n):
+    """One RHS call of a phase at n p rows, and the RHS calls of that phase."""
+    runs = _record_phases(monkeypatch)
+    ps = np.linspace(0.1, 9.9, n)
+    discord_cosmo(X, -0.785, CosmoParams(0.0, ps[0], ELLH), "transport",
+                  kGamma_over_kstar=_couplings(4), p=ps)
     monkeypatch.undo()
-    (rhs,) = captured
-    y = np.concatenate((np.hstack((response.g, response.F[:, :, 0])).ravel(),
-                        response.a1[:, 0], response.a2[:, 0]))
-    benchmark.pedantic(rhs, args=(-X, y), rounds=2000, iterations=10, warmup_rounds=100)
+    rhs, calls, t, y = runs[PHASES.index(phase)]
+    benchmark.pedantic(rhs, args=(t, y), rounds=2000, iterations=10, warmup_rounds=100)
     benchmark.extra_info.update(
-        n=n, rhs_calls_per_integration=len(sources) - 1,  # less the shape probe
-        per_call_us=1e6 * benchmark.stats.stats.median)
+        phase=phase, n=n, rhs_calls=calls, per_call_us=1e6 * benchmark.stats.stats.median)

@@ -12,6 +12,7 @@ from gausslind.cosmology import (
     PsRegime,
     _approx_terms,
     _kap2_row,
+    _power_law,
     _stack_tables,
     approx_open_covariance,
     asymptotic_coefficients,
@@ -31,7 +32,13 @@ from gausslind.cosmology import (
     sigma0_sq_approx,
     sigma0_sq_coefficients,
 )
-from gausslind.errors import BelowHeisenbergError, DomainError, SingularExponentError
+from gausslind.discord import _discord_from_logs
+from gausslind.errors import (
+    BelowHeisenbergError,
+    DomainError,
+    GausslindError,
+    SingularExponentError,
+)
 
 from conftest import default_map, super_hubble_series
 
@@ -795,6 +802,44 @@ class TestDiscordPlane:
         assert np.all(np.abs(got.discord - want.discord) < 2e-12)
         assert np.all(np.abs(got.log_sigma_zero - want.log_sigma_zero) < 6e-13)
 
+    @pytest.mark.parametrize("efolds", [70.0, 100.0])
+    def test_transport_plane_beyond_the_double_range(self, efolds):
+        # the 12x12 default plane at ellH = 0.1: below about x = e^-67 its
+        # entries and determinants pass the range of doubles.  Each point
+        # raises a typed error or matches approx, with no NaN, inf or warning
+        ps = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 12).tolist()])
+        couplings = 10.0 ** np.linspace(-10.0, 6.0, 12)
+        x, params = math.exp(-efolds), CosmoParams(0.0, ps[0], 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = discord_cosmo(x, self.THETA, params, "approx", kGamma_over_kstar=couplings,
+                                 p=ps)
+            try:
+                got = discord_cosmo(x, self.THETA, params, "transport",
+                                    kGamma_over_kstar=couplings, p=ps)
+            except GausslindError:
+                return
+        assert np.all(np.isfinite(got.discord)) and np.all(np.isfinite(got.log_sigma_zero))
+        large = want.discord > 1e-10
+        assert np.all(np.abs(got.discord[large] / want.discord[large] - 1.0) < 3e-13)
+        assert np.all(np.abs(got.discord - want.discord) < 2e-12)
+        assert np.all(np.abs(got.log_sigma_zero - want.log_sigma_zero) < 6e-13)
+
+    @pytest.mark.parametrize("x", [2.0, 1.0])
+    def test_transport_plane_from_hubble_crossing_up_is_one_phase(self, x):
+        # 1 <= x < 1/ellH: the conformal-time response integration alone,
+        # bit for bit, with no e-fold phase
+        ps, couplings = np.array([0.5, 5.3, 9.5]), np.logspace(-3.0, 1.0, 4)
+        params = CosmoParams(0.0, 0.5, 0.1)
+        got = discord_cosmo(x, self.THETA, params, "transport", kGamma_over_kstar=couplings,
+                            p=ps)
+        response = evolve_de_sitter(params.x_coupling_on, x,
+                                    lambda eta: _power_law(params, ps - 3.0, -eta),
+                                    x_eval=(x,))
+        ln_s0sq, ln_q = response.cells(_kap2_row(params, couplings))._log_sigmas(self.THETA)
+        assert np.array_equal(got.discord, _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0])
+        assert np.array_equal(got.log_sigma_zero, 0.5 * ln_s0sq[..., 0])
+
     def test_one_cell_plane_is_the_scalar_call(self):
         params = CosmoParams(0.3, 5.3, 0.1)
         one = discord_cosmo(self.X, self.THETA, params, "transport")
@@ -892,6 +937,50 @@ class TestDiscordPlane:
                       <= 1e-10 * np.maximum(1.0, np.abs(whole.discord)))
         np.testing.assert_allclose(np.exp(-2.0 * split.log_sigma_zero),
                                    np.exp(-2.0 * whole.log_sigma_zero), rtol=1e-9, atol=0.0)
+
+
+class TestEfoldPhase:
+    """The transport route's response below x = 1, integrated in e-folds."""
+
+    @pytest.mark.parametrize("ps", [[0.5], [5.3], [9.9], np.linspace(0.1, 9.9, 12)],
+                             ids=["p0.5", "p5.3", "p9.9", "12rows"])
+    def test_cost_flat_in_efolds(self, monkeypatch, ps):
+        # once the sub-Hubble transients are gone, the steps sit at their cap
+        # of 2 / (fastest decay rate) e-folds: 39 RHS calls an e-fold at
+        # rate 6, 64 at rate 9.8 (p = 9.9).  No burst where the source
+        # powers fall towards the underflow threshold (p = 5.3 took 205
+        # calls an e-fold over e^-100..e^-300 before they were held at e^-230)
+        from gausslind import cosmology
+        ps = np.asarray(ps, dtype=float)
+        params = CosmoParams(0.0, ps[0], 0.1)
+        start = evolve_de_sitter(10.0, 1.0, lambda eta: _power_law(params, ps - 3.0, -eta),
+                                 x_eval=(1.0,))
+        calls = []
+        dop853 = cosmology._dop853
+
+        def counting(rhs, *args, **kwargs):
+            return dop853(lambda t, y: calls.append(t) or rhs(t, y), *args, **kwargs)
+
+        monkeypatch.setattr(cosmology, "_dop853", counting)
+        counts = []
+        for efolds in (100.0, 300.0):
+            calls.clear()
+            cosmology._efold_response(start, math.exp(-efolds), ps, params.x_star,
+                                      cosmology.TRANSPORT_RTOL)
+            counts.append(len(calls))
+        assert (counts[1] - counts[0]) / 200.0 <= 70.0
+
+    def test_integrations_release_their_buffers(self):
+        # the compiled integrator keeps a reference to every callback it is
+        # given; each integration cuts what its callback holds when it ends
+        import gc
+        for x in (3e-3, 2.0):
+            discord_cosmo(x, -0.7, CosmoParams(0.0, 5.3, 0.1), "transport",
+                          kGamma_over_kstar=np.array([0.1, 1.0]), p=np.array([5.3, 9.0]))
+        gc.collect()
+        names = ("_response.<locals>.rhs", "_efold_response.<locals>.rhs")
+        assert not [f for f in gc.get_objects()
+                    if getattr(f, "__qualname__", None) in names]
 
 
 def test_discord_stays_large_under_strong_decoherence():

@@ -382,13 +382,13 @@ class TestResponseFlow:
     def test_refreshed_flow_is_the_closed_flow(self, monkeypatch, freq, t_span, times):
         from gausslind import opensys
         captured = []
-        ode = opensys.ode
+        dop853 = opensys._dop853
 
-        def capturing(f):
-            captured.append(f)
-            return ode(f)
+        def capturing(rhs, *args, **kwargs):
+            captured.append(rhs)
+            return dop853(rhs, *args, **kwargs)
 
-        monkeypatch.setattr(opensys, "ode", capturing)
+        monkeypatch.setattr(opensys, "_dop853", capturing)
         # two zero amplitudes: the closed block and F_1, F_2 are three columns
         evolve_open(freq, lambda t: np.zeros(2), t_span)
         (rhs,) = captured
