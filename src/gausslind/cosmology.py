@@ -75,6 +75,8 @@ PLANE_BLOCK_CELLS = 2 ** 16
 #: (seed 0) take 34.3k, 35.0k, 37.5k and 42.0k RHS calls at 2, 1, 0.5 and
 #: 0.2; at 1 the conformal-time phase before it is never empty (ellH < 1)
 EFOLD_X_SWITCH = 1.0
+#: the factor 2 of the source S = 2 kap2 (x_star/x)^(p-3) (`_power_law`)
+SOURCE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def de_sitter_squeezing(x: float) -> tuple[float, float]:
 def _power_law(params: CosmoParams, expo, x: float):
     """The unit amplitude 2 (x_star/x)^expo of the power-law environment;
     expo is a float, or an array of p - 3 for a row of p."""
-    return 2.0 * (params.x_star / x) ** expo
+    return SOURCE_FACTOR * (params.x_star / x) ** expo
 
 
 def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
@@ -671,26 +673,26 @@ def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     return CovarianceTrajectory(np.array([-x]), *g)._log_sigmas(theta)
 
 
-def _efold_response(start: TransportResponse, x: float, ps, x_star: float,
-                    rtol: float) -> TransportResponse:
-    """The plane's response carried from its one sample at x_s = -start.times
-    down to x < x_s in e-folds N = -ln x, on scaled variables that stay
-    O(1) outside the Hubble radius: the closed block as u = (x^2 g11,
-    x^3 g12, x^4 g22), each F_i as the same scaling times x^cF with
-    cF = max(p - 8, 0), a1 times x^c1 with c1 = max(p - 2, 0) and a2 times
-    x^c2 with c2 = max(p - 2 + cF, 0).  Then du/dN = M(x) u with
+def _efold_response(start: TransportResponse, x: float, ps, rtol: float) -> TransportResponse:
+    """The plane's response to its unit sources x^(3-p), carried from its
+    one sample at x_s = -start.times down to x < x_s in e-folds N = -ln x,
+    on scaled variables that stay O(1) outside the Hubble radius: the
+    closed block as u = (x^2 g11, x^3 g12, x^4 g22), each F_i as the same
+    scaling times x^cF with cF = max(p - 8, 0), a1 times x^c1 with
+    c1 = max(p - 2, 0) and a2 times x^c2 with c2 = max(p - 2 + cF, 0).
+    Then du/dN = M(x) u with
 
         M = [[-2, 2, 0], [2 - x^2, -3, 1], [0, 4 - 2 x^2, -4]],
 
-    the F_i follow M - cF plus their unit source on row 3, and a1, a2 decay
-    at c1, c2 under theirs; the three source powers 2 x_star^(p-3) times
-    x^(cF+8-p), x^(c1+2-p) and x^(c2+2-p-cF), none of them negative, come
-    from one exp per call.  The error control is relative only, at rtol
-    over sqrt(1 + n) like the conformal-time phase: an atol on the scaled
-    values was measured to cost ln sigma(0) accuracy.  The result is
-    unscaled at x, where entries past the double range become inf."""
-    n = len(ps)
-    m = 3 + 3 * n
+    the F_i follow M - cF plus their source x^(cF+8-p) on row 3, and a1, a2
+    decay at c1, c2 under theirs, x^(c1+2-p) and x^(c2+2-p-cF), none of
+    them negative; each RHS call writes into buffers made once.  The error
+    control is relative only, at rtol over sqrt(1 + n) like the conformal-
+    time phase, so an amplitude per source folds into the start exactly
+    (`scaled`); an atol on the scaled values was measured to cost
+    ln sigma(0) accuracy.  The result is unscaled at x, where entries past
+    the double range become inf."""
+    n, m = len(ps), 3 + 3 * len(ps)
     c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
     c_2 = np.maximum(ps - 2.0 + c_f, 0.0)
     # the scale power of each state value: rows of (closed, F_1..F_n), a1, a2
@@ -698,25 +700,27 @@ def _efold_response(start: TransportResponse, x: float, ps, x_star: float,
                              c_1, c_2))
     decay = np.concatenate((np.tile(np.append(0.0, c_f), 3), c_1, c_2))
     forcing = np.stack((8.0 - ps + c_f, 2.0 - ps + c_1, 2.0 - ps - c_f + c_2))
-    ln_amp = math.log(2.0) + (ps - 3.0) * math.log(x_star)
     flow = np.array([[-2.0, 2.0, 0.0], [2.0, -3.0, 1.0], [0.0, 4.0, -4.0]])
-    # one derivative buffer, as in `opensys._response`, with views of its parts
-    out = np.empty(m + 2 * n)
+    out, decayed, s = np.empty(m + 2 * n), np.empty(m + 2 * n), np.empty((3, n))
+    s_f, s_1, s_2 = s
     d, d_f22, d_a1, d_a2 = out[:m].reshape(3, 1 + n), out[m - n:m], out[m:m + n], out[m + n:]
 
     def rhs(efolds, y):
-        x2 = math.exp(-2.0 * efolds)
+        xe = math.exp(-efolds)
+        x2 = xe * xe
         flow[1, 0], flow[2, 1] = 2.0 - x2, 4.0 - 2.0 * x2
-        np.matmul(flow, y[:m].reshape(3, 1 + n), out=d)
-        # each source power stops at e^-230 of its amplitude, where it moves
-        # no value: falling on, its share of DOP853's error norm would be
-        # squared below the smallest normal double, and the norm's
-        # 1 / sqrt(...) overflow, when every other share is exactly 0
-        s = np.exp(ln_amp + np.maximum(forcing * -efolds, -230.0))
-        np.add(d_f22, s[0], out=d_f22)
-        np.multiply(s[1], y[0], out=d_a1)  # a1' = S g11
-        np.multiply(s[2], y[1:1 + n], out=d_a2)  # a2' = S F11
-        np.subtract(out, decay * y, out=out)
+        flow.dot(y[:m].reshape(3, 1 + n), out=d)
+        # each source power stops at 1e-100 (e^-230), where it moves no
+        # value: below, its share of DOP853's error norm would square under
+        # the smallest normal double and the norm's 1 / sqrt(...) overflow
+        # when every other share is exactly 0
+        np.power(xe, forcing, out=s)
+        np.maximum(s, 1e-100, out=s)
+        np.add(d_f22, s_f, out=d_f22)
+        np.multiply(s_1, y[0], out=d_a1)  # a1' = S g11
+        np.multiply(s_2, y[1:1 + n], out=d_a2)  # a2' = S F11
+        np.multiply(decay, y, out=decayed)
+        np.subtract(out, decayed, out=out)
         return out
 
     x_s = -float(start.times[-1])
@@ -738,20 +742,22 @@ def _efold_response(start: TransportResponse, x: float, ps, x_star: float,
 
 
 def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
-    """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter response
-    integration over the unit sources of its p rows from 1/ellH down to x,
-    or down to EFOLD_X_SWITCH and on in e-folds (`_efold_response`) when x
-    is below it, and each cell formed from the response polynomials in its
-    kap2.  The unit source is on over all of [x, 1/ellH], its start
-    included.  A cell beyond the range of doubles raises StepFailureError."""
+    """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter response to
+    the powers (x_star/x)^(p-3) of its p rows, one np.power per RHS call,
+    from 1/ellH down to x, or to EFOLD_X_SWITCH and on in e-folds
+    (`_efold_response`) when x is below it, scaled by SOURCE_FACTOR once;
+    each cell is formed from its kap2 polynomials.  The source is on over
+    all of [x, 1/ellH].  A cell past the range of doubles raises
+    StepFailureError."""
     x_s = max(x, EFOLD_X_SWITCH)
-    expo = ps - 3.0
+    x_star, expo, powers = params.x_star, ps - 3.0, np.empty(len(ps))
     response = evolve_de_sitter(params.x_coupling_on, x_s, x_eval=(x_s,), rtol=TRANSPORT_RTOL,
-                                source=lambda eta: _power_law(params, expo, -eta))
+                                source=lambda eta: np.power(x_star / -eta, expo, out=powers))
     if x < x_s:
-        response = _efold_response(response, x, ps, params.x_star, TRANSPORT_RTOL)
+        amp = x_star ** expo
+        response = _efold_response(response.scaled(1.0 / amp), x, ps, TRANSPORT_RTOL).scaled(amp)
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = response.cells(_kap2_row(params, couplings))
+        cells = response.scaled(SOURCE_FACTOR).cells(_kap2_row(params, couplings))
     if not all(np.isfinite(f).all() for f in (cells.g11, cells.g12, cells.g22, cells.det)):
         raise StepFailureError(f"the transported covariance at x = {x} exceeds the range of "
                                "doubles")
@@ -798,13 +804,10 @@ def discord_cosmo(
     as one response (`opensys.TransportResponse`) and forms each cell from
     its kap2 polynomials; its cost does not grow with the couplings.  It
     agrees with per-row calls to ~1e-11 (the response divides
-    TRANSPORT_RTOL by sqrt(1 + rows)).  Below x = EFOLD_X_SWITCH = 1 the
-    response goes on in e-folds N = -ln x on variables scaled by their
-    super-Hubble powers (`_efold_response`): its steps no longer shrink
-    with x, and on the map_transport benchmark it takes about half the
-    RHS calls of a run in conformal time all the way.  Where a cell's
-    entries or determinant pass the range of doubles (default ranges at
-    ellH = 0.1 below about x = e^-67) it raises StepFailureError.
+    TRANSPORT_RTOL by sqrt(1 + rows)); below x = 1 its steps do not shrink
+    with x (`_efold_response`).  Where a cell's entries or determinant pass
+    the range of doubles (default ranges at ellH = 0.1 below about
+    x = e^-67) it raises StepFailureError.
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")

@@ -12,23 +12,22 @@ no environment.  Consequences implemented here: the transport engine
 `evolve_open` (the only covariance integrator of the package, closed
 evolution being its S = None case, and the linear response to n unit
 sources, from which any coupling kap2 S_i follows, its array-valued
-case), determinant growth
-d(det)/dt = k S g11 (monotone purity loss), and the Green's-function
-representation of the dressed covariance as quadratures over a stored
-mode trajectory.
+case), determinant growth d(det)/dt = k S g11 (monotone purity loss),
+and the Green's-function representation of the dressed covariance as
+quadratures over a stored mode trajectory.
 
 scipy.integrate is imported at the first integrator call, not with the
 module.  `quad`, `ode` and `solve_ivp` stay module-level names, through
 which this module calls the integrators: `perfbench/tracer.py` wraps
 `opensys.quad` to count quadrature calls and warnings, and tests patch
-`opensys.ode` and `opensys.solve_ivp`.
+`opensys.ode`, `opensys._dop853` and `opensys.solve_ivp`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,8 +60,7 @@ __all__ = [
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
 #: steps the response integration of evolve_open may take to each sample:
 #: twice the 90,400 of a de Sitter p = 0.1 row at ellH = 1e-4 from 1/ellH
-#: down to x = 1, after which the transport route's e-fold phase takes 78
-#: more to x = e^-20 (a 40-row ellH = 1e-3 plane: 10,700 and 128)
+#: down to x = 1 (the e-fold phase then takes 78 more to x = e^-20)
 RESPONSE_MAX_STEPS = 200_000
 
 
@@ -233,6 +231,11 @@ class TransportResponse:
         det = self.det0 + kap2 * self.a1[:, None, :] + kap2 * kap2 * self.a2[:, None, :]
         return CovarianceTrajectory(self.times, g11, g12, g22, det)
 
+    def scaled(self, c) -> "TransportResponse":
+        """The response to the sources c S_i, c a constant or one per source."""
+        c = np.reshape(c, (-1, 1))
+        return replace(self, F=c * self.F, a1=c * self.a1, a2=c * c * self.a2)
+
 
 def _dop853(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, t0: float,
             times, rtol: float, atol: float, first_step: float,
@@ -291,32 +294,34 @@ def _dop853(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, t0: 
 def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplitudes,
               t_span: tuple[float, float], ic: CovarianceBlock, t_eval,
               rtol: float, atol: float) -> TransportResponse:
-    """The response integration of evolve_open: 3 + 5n values, on scipy's
-    compiled DOP853; amplitudes is the source at the start."""
+    """The response integration of evolve_open, 3 + 5n values on scipy's
+    compiled DOP853 (no rtol floor) at rtol and atol over sqrt(1 + n): each
+    of the 1 + n blocks meets the scalar criterion of the RMS error norm.
+    Its state is the response per unit k S, (g, F/k, a1/k, a2/k^2), scaled
+    back at the end, so each RHS call takes the source as it is: one
+    freq.ratio into the closed flow, one product of that 3x3 matrix with
+    all 1 + n blocks and three in-place ufuncs, all into one buffer."""
     if np.ndim(amplitudes) != 1 or len(amplitudes) == 0:
         raise DomainError("an array-valued source returns a 1-D array of at least one "
                           f"amplitude, got shape {np.shape(amplitudes)}")
-    n = len(amplitudes)
+    n, k = len(amplitudes), freq.k
     m = 3 + 3 * n  # the covariance values: rows g11, g12, g22 of 1 + n blocks
-    k = freq.k
-    # the closed flow as a matrix: its columns are the images of the basis
-    # blocks; only the three entries that the block (1, 1, 0) maps to are
-    # not constant in t
+    # the closed flow: its columns are the images of the basis blocks;
+    # only its entries -k w and -2k w, w = omega^2/k^2, depend on t
     flow = np.array([transport_rhs_closed(e, freq, t_span[0]) for e in np.eye(3)]).T
-    # one derivative buffer for every call: the compiled integrator copies it
+    mk, m2k = -k, -2.0 * k
+    # the derivative buffer (the compiled integrator copies it), its parts
     out = np.empty(m + 2 * n)
-    d = out[:m].reshape(3, 1 + n)
+    d, d_f22, d_a1, d_a2 = out[:m].reshape(3, 1 + n), out[m - n:m], out[m:m + n], out[m + n:]
 
     def rhs(t, y):
         s = source(t)
-        flow[0, 1], flow[1, 0], flow[2, 1] = transport_rhs_open((1.0, 1.0, 0.0), freq, None, t)
-        # columns: the closed block, then F_1..F_n
-        cols = y[:m].reshape(3, 1 + n)
-        np.matmul(flow, cols, out=d)
-        ks = k * s
-        d[2, 1:] += ks
-        np.multiply(ks, cols[0, 0], out=out[m:m + n])  # a1' = k S g11
-        np.multiply(ks, cols[0, 1:], out=out[m + n:])  # a2' = k S F11
+        w = freq.ratio(t)
+        flow[1, 0], flow[2, 1] = mk * w, m2k * w
+        flow.dot(y[:m].reshape(3, 1 + n), out=d)  # half the cost of np.matmul
+        np.add(d_f22, s, out=d_f22)
+        np.multiply(s, y[0], out=d_a1)  # (a1/k)' = S g11
+        np.multiply(s, y[1:1 + n], out=d_a2)  # (a2/k^2)' = S F11/k
         return out
 
     y0 = np.zeros(m + 2 * n)
@@ -329,7 +334,7 @@ def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplit
     y = _dop853(rhs, y0, t_span[0], times, rtol / scale, atol / scale,
                 1e-6 * abs(t_span[1] - t_span[0])).T
     return TransportResponse(times=times, g=y[:m:1 + n], F=y[:m].reshape(3, 1 + n, -1)[:, 1:],
-                             a1=y[m:m + n], a2=y[m + n:], det0=ic.lam)
+                             a1=y[m:m + n], a2=y[m + n:], det0=ic.lam).scaled(k)
 
 
 def evolve_open(
@@ -354,22 +359,14 @@ def evolve_open(
     rtol raises DomainError first.
 
     A source that returns a 1-D numpy array of n unit amplitudes S_i(t)
-    runs the response integration instead and returns a
-    TransportResponse, whose `cells(kap2)` are the trajectories of the
-    sources kap2[j] * S_i for any couplings kap2: one integration of
-    3 + 5n values, whatever the number of couplings.  It runs on scipy's
-    compiled DOP853 (`scipy.integrate.ode`), at rtol and atol divided by
-    sqrt(1 + n) so that each of the 1 + n blocks meets the scalar error
-    criterion (the integrator takes the RMS norm over all components;
-    unlike solve_ivp it has no rtol floor).  The closed flow is a 3x3
-    matrix built once from the images of the three basis blocks; each RHS
-    call refreshes its t-dependent entries from one transport_rhs_open
-    call on the block (1, 1, 0), applies it to the closed block and the n
-    response blocks at once and writes into one reused buffer (the
-    compiled integrator copies it).  It samples t_eval only (the end of
-    t_span when None), with at most RESPONSE_MAX_STEPS steps to each
-    sample; a failed step or a non-finite value raises StepFailureError,
-    and an exception in the source is raised as it is.
+    (it may refill one array in place) runs the response integration
+    (`_response`) instead and returns a TransportResponse, whose
+    `cells(kap2)` are the trajectories of the sources kap2[j] * S_i for
+    any couplings kap2: one integration of 3 + 5n values, whatever the
+    number of couplings.  It samples t_eval only (the end of t_span when
+    None), with at most RESPONSE_MAX_STEPS steps to each sample; a failed
+    step or a non-finite value raises StepFailureError, and an exception
+    in the source is raised as it is.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()

@@ -7,9 +7,9 @@ couplings kGamma/k* in 1e-6..1 at p = 5.3, x = 1e-3, ellH = 0.1 is
 integrated either as one `evolve_de_sitter` response to the row's unit
 source, its cells formed from the kap2 polynomials ("batch"), or as N
 scalar calls ("scalar").  Each benchmark's extra_info holds the best time
-per trajectory and the transport_rhs_open calls per trajectory (one per
-RHS call, of a response as of a scalar run); add --benchmark-json=FILE
-to keep them.
+per trajectory and the RHS calls per trajectory (the calls of the
+callbacks handed to the integrators); add --benchmark-json=FILE to keep
+them.
 
 `test_transport_plane` runs a 4x4 transport `discord_cosmo` plane, p in
 {0.5, 2.0001, 5.3, 9.5} and the couplings above, either as one call with
@@ -28,6 +28,8 @@ import pytest
 
 from gausslind import cosmology, opensys
 from gausslind.cosmology import CosmoParams, cosmo_kernel, discord_cosmo, evolve_de_sitter
+
+from conftest import count_rhs_calls
 
 P, X, ELLH = 5.3, 1e-3, 0.1
 
@@ -51,10 +53,7 @@ def scalar(n: int):
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
 def test_transport_row(benchmark, monkeypatch, mode, n):
     run = batch if mode == "batch" else scalar
-    calls = []
-    rhs = opensys.transport_rhs_open
-    monkeypatch.setattr(opensys, "transport_rhs_open",
-                        lambda *a: calls.append(1) or rhs(*a))
+    calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (opensys, "solve_ivp"))
     run(n)
     monkeypatch.undo()
     rounds = 3 if mode == "scalar" and n >= 16 else 7

@@ -36,6 +36,19 @@ def default_map():
             10.0 ** np.linspace(-10.0, 6.0, 40))
 
 
+def count_rhs_calls(monkeypatch, *targets) -> list:
+    """A list that grows by one per call of each RHS callback handed to the
+    integrators that targets name, (module, name) pairs such as
+    (opensys, "_dop853") or (opensys, "solve_ivp")."""
+    calls = []
+    for module, name in targets:
+        def counting(rhs, *args, _real=getattr(module, name), **kwargs):
+            return _real(lambda t, y: calls.append(1) or rhs(t, y), *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def default_map_logs():
     """(ln sigma(0)^2, ln q), each (40, 40), of the default map as its
     approx route hands them to the discord assembly."""

@@ -12,6 +12,8 @@ from gausslind import cli
 from gausslind.cli import main
 from gausslind.selfcheck import CHECKS
 
+from conftest import count_rhs_calls
+
 
 def run_cli(args):
     return main(list(args))
@@ -180,8 +182,8 @@ class TestDiscordMapScenario:
 
     def test_transport_map_is_one_integration(self, tmp_path, monkeypatch):
         from gausslind import cosmology, opensys
-        calls = {"evolve_open": 0, "source": 0, "rhs": 0}
-        evolve, rhs = cosmology.evolve_open, opensys.transport_rhs_open
+        calls = {"evolve_open": 0, "source": 0}
+        evolve = cosmology.evolve_open
 
         def counted_evolve(freq, source, *args, **kwargs):
             calls["evolve_open"] += 1
@@ -193,12 +195,9 @@ class TestDiscordMapScenario:
 
             return evolve(freq, counted_source, *args, **kwargs)
 
-        def counted_rhs(*args):
-            calls["rhs"] += 1
-            return rhs(*args)
-
         monkeypatch.setattr(cosmology, "evolve_open", counted_evolve)
-        monkeypatch.setattr(opensys, "transport_rhs_open", counted_rhs)
+        # the conformal-time phase: its integrator is opensys's _dop853
+        rhs_calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"))
         cfg = write_config(tmp_path, "t.json", {
             "mode": "discord_map", "method": "transport", "map_points": [3, 4],
             "x": 3e-3, "cosmo": {"ellH": 0.15}, "log10_kGamma_range": [-3.0, 0.0],
@@ -206,9 +205,9 @@ class TestDiscordMapScenario:
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "t.csv")[1]) == 12
         assert calls["evolve_open"] == 1
-        # one source call per RHS call, plus the shape probe; each RHS call
-        # refreshes the closed flow from one transport_rhs_open call
-        assert calls["rhs"] > 0 and calls["rhs"] == calls["source"] - 1
+        # one source call per RHS call of the conformal-time phase, plus the
+        # shape probe
+        assert len(rhs_calls) > 0 and len(rhs_calls) == calls["source"] - 1
 
     @pytest.mark.parametrize("change", [
         {"map_points": [12, 12], "x": math.exp(-20.0), "cosmo": {"ellH": 0.1}},

@@ -8,11 +8,11 @@ from scipy.integrate import IntegrationWarning
 
 from gausslind import specfun
 from gausslind.cosmology import (
+    SOURCE_FACTOR,
     CosmoParams,
     PsRegime,
     _approx_terms,
     _kap2_row,
-    _power_law,
     _stack_tables,
     approx_open_covariance,
     asymptotic_coefficients,
@@ -40,7 +40,7 @@ from gausslind.errors import (
     SingularExponentError,
 )
 
-from conftest import default_map, super_hubble_series
+from conftest import count_rhs_calls, default_map, super_hubble_series
 
 FIG_PARAMS = {
     2.1: CosmoParams(kGamma_over_kstar=10.0, p=2.1, ellH=0.1),
@@ -833,9 +833,10 @@ class TestDiscordPlane:
         params = CosmoParams(0.0, 0.5, 0.1)
         got = discord_cosmo(x, self.THETA, params, "transport", kGamma_over_kstar=couplings,
                             p=ps)
+        # the route's own formulation: the powers alone, SOURCE_FACTOR after
         response = evolve_de_sitter(params.x_coupling_on, x,
-                                    lambda eta: _power_law(params, ps - 3.0, -eta),
-                                    x_eval=(x,))
+                                    lambda eta: np.power(params.x_star / -eta, ps - 3.0),
+                                    x_eval=(x,)).scaled(SOURCE_FACTOR)
         ln_s0sq, ln_q = response.cells(_kap2_row(params, couplings))._log_sigmas(self.THETA)
         assert np.array_equal(got.discord, _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0])
         assert np.array_equal(got.log_sigma_zero, 0.5 * ln_s0sq[..., 0])
@@ -902,11 +903,8 @@ class TestDiscordPlane:
     def test_rhs_calls_flat_in_couplings(self, monkeypatch):
         # one response integration per block of p rows: a 3x64 plane makes
         # the RHS calls of a 3x4 one
-        from gausslind import opensys
-        calls = []
-        rhs = opensys.transport_rhs_open
-        monkeypatch.setattr(opensys, "transport_rhs_open",
-                            lambda *a: calls.append(1) or rhs(*a))
+        from gausslind import cosmology, opensys
+        calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (cosmology, "_dop853"))
         counts = []
         for n_k in (4, 64):
             calls.clear()
@@ -949,24 +947,17 @@ class TestEfoldPhase:
         # of 2 / (fastest decay rate) e-folds: 39 RHS calls an e-fold at
         # rate 6, 64 at rate 9.8 (p = 9.9).  No burst where the source
         # powers fall towards the underflow threshold (p = 5.3 took 205
-        # calls an e-fold over e^-100..e^-300 before they were held at e^-230)
+        # calls an e-fold over e^-100..e^-300 before they were held at ~e^-230)
         from gausslind import cosmology
         ps = np.asarray(ps, dtype=float)
-        params = CosmoParams(0.0, ps[0], 0.1)
-        start = evolve_de_sitter(10.0, 1.0, lambda eta: _power_law(params, ps - 3.0, -eta),
+        # the response to the unit sources x^(3-p) of the e-fold phase
+        start = evolve_de_sitter(10.0, 1.0, lambda eta: np.power(-eta, 3.0 - ps),
                                  x_eval=(1.0,))
-        calls = []
-        dop853 = cosmology._dop853
-
-        def counting(rhs, *args, **kwargs):
-            return dop853(lambda t, y: calls.append(t) or rhs(t, y), *args, **kwargs)
-
-        monkeypatch.setattr(cosmology, "_dop853", counting)
+        calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
         counts = []
         for efolds in (100.0, 300.0):
             calls.clear()
-            cosmology._efold_response(start, math.exp(-efolds), ps, params.x_star,
-                                      cosmology.TRANSPORT_RTOL)
+            cosmology._efold_response(start, math.exp(-efolds), ps, cosmology.TRANSPORT_RTOL)
             counts.append(len(calls))
         assert (counts[1] - counts[0]) / 200.0 <= 70.0
 

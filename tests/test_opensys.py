@@ -39,7 +39,7 @@ from gausslind.symplectic import (
     particle_statistics,
 )
 
-from conftest import gauss_legendre_quad, generalized_squeezing_rhs
+from conftest import count_rhs_calls, gauss_legendre_quad, generalized_squeezing_rhs
 
 
 def constant_kernel(s0: float):
@@ -421,23 +421,19 @@ class TestResponseFlow:
 
 
 def test_one_source_call_per_rhs_call(monkeypatch):
-    # one source call per RHS evaluation, plus the shape probe; a response
-    # RHS refreshes the closed flow from one transport_rhs_open call
+    # one source call per RHS evaluation, plus the shape probe, counted
+    # through the callbacks handed to the integrators: solve_ivp for a
+    # scalar source, the compiled DOP853 for a response
     from gausslind import opensys
-    calls = {"source": 0, "rhs": 0}
-    rhs = opensys.transport_rhs_open
-
-    def counted(*args):
-        calls["rhs"] += 1
-        return rhs(*args)
-
-    monkeypatch.setattr(opensys, "transport_rhs_open", counted)
+    rhs_calls = count_rhs_calls(monkeypatch, (opensys, "solve_ivp"), (opensys, "_dop853"))
+    calls = {"source": 0}
     for value in (0.1, np.array([0.1, 0.2, 0.3, 0.4])):
-        calls.update(source=0, rhs=0)
+        calls.update(source=0)
+        rhs_calls.clear()
 
         def source(t):
             calls["source"] += 1
             return value
 
         evolve_open(ModeFrequency.free(1.0), source, (0.0, 2.0))
-        assert calls["rhs"] > 0 and calls["rhs"] == calls["source"] - 1
+        assert len(rhs_calls) > 0 and len(rhs_calls) == calls["source"] - 1

@@ -42,15 +42,15 @@ PLANES = {
 # (plane, i, j, discord, ln sigma(0))
 PINS = [
     # p 0.1, kGamma/k* 100: D 14.4
-    ("known_defect_8x8", 0, 7, "0x1.cd8e1d301cffbp+3", "0x1.0d4962c2e26c6p+4"),
+    ("known_defect_8x8", 0, 7, "0x1.cd8e1d301d051p+3", "0x1.0d4962c2e26c5p+4"),
     # p 4.3, kGamma/k* 0.139: D 21.4
-    ("known_defect_8x8", 3, 2, "0x1.5653ef56370cap+4", "0x1.7ac125b78d346p+2"),
+    ("known_defect_8x8", 3, 2, "0x1.5653ef56370cap+4", "0x1.7ac125b78d378p+2"),
     # p 9.9, kGamma/k* 7.20: D 1.0e-12
     ("known_defect_8x8", 7, 5, "0x1.218e68c09fe47p-40", "0x1.1c5bd419d2779p+5"),
     # p 0.1, kGamma/k* 1e6: D 63.4
-    ("default_12x12", 0, 11, "0x1.fb33ea763e6ccp+5", "0x1.1a023f387b225p+5"),
+    ("default_12x12", 0, 11, "0x1.fb33ea763e6d4p+5", "0x1.1a023f387b224p+5"),
     # p 4.55, kGamma/k* 0.0534: D 49.1
-    ("default_12x12", 5, 6, "0x1.8895e4f780485p+5", "0x1.67e9b5c3c818bp+4"),
+    ("default_12x12", 5, 6, "0x1.8895e4f780488p+5", "0x1.67e9b5c3c8191p+4"),
     # p 9.9, kGamma/k* 2.3e-6: D 6.7e-22
     ("default_12x12", 11, 3, "0x1.935211b5718e1p-71", "0x1.172c3e71cf6cap+6"),
 ]
@@ -89,12 +89,11 @@ def test_transport_route_bits(planes, pin):
     assert tuple(v.hex() for v in got) == pin[3:]
 
 
-@pytest.mark.parametrize("name", PLANES)
-def test_transport_route_accuracy(planes, name):
-    # the reference: the response to the same unit sources in conformal time
-    # from the same start, at rtol 1e-14 and atol 1e-16 (below the rtol
-    # floor that evolve_de_sitter enforces, hence the private engine)
-    x, params, p_row, couplings = _plane(name)
+def _reference(x, params, p_row, couplings):
+    """(discord, ln sigma(0)) of a plane from the response to its unit
+    sources in conformal time from 1/ellH down to x, at rtol 1e-14 and atol
+    1e-16 (below the rtol floor that evolve_de_sitter enforces, hence the
+    private engine)."""
     x_on = params.x_coupling_on
 
     def source(eta):
@@ -103,8 +102,32 @@ def test_transport_route_accuracy(planes, name):
     ref = _response(de_sitter_frequency(), source, source(-x_on), (-x_on, -x),
                     de_sitter_covariance_closed(x_on), [-x], 1e-14, 1e-16)
     ln_s0sq, ln_q = ref.cells(_kap2_row(params, couplings))._log_sigmas(-math.pi / 4.0)
-    want_d = _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0]
+    return _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0], 0.5 * ln_s0sq[..., 0]
+
+
+@pytest.mark.parametrize("name", PLANES)
+def test_transport_route_accuracy(planes, name):
+    want_d, want_s0 = _reference(*_plane(name))
     res = planes[name]
     d_max, s0_max = PARENT_ERRORS[name]
     assert np.max(np.abs(res.discord - want_d)) <= d_max
-    assert np.max(np.abs(res.log_sigma_zero - 0.5 * ln_s0sq[..., 0])) <= s0_max
+    assert np.max(np.abs(res.log_sigma_zero - want_s0)) <= s0_max
+
+
+@pytest.mark.parametrize("x", [1e-3, math.exp(-30.0)], ids=["x1e-3", "xe-30"])
+@pytest.mark.parametrize("x_star, k_over_kstar", [(0.3, 1.0), (3.0, 2.0), (0.5, 0.7)])
+def test_transport_route_off_pivot(x, x_star, k_over_kstar):
+    # x_star moves the amplitude x_star^(p-3) of each unit source, which
+    # the e-fold phase folds into its state scale, and k/k* every kap2.
+    # A 6x4 plane through both phases against the reference above; the
+    # largest errors measured at these six points, with the amplitudes
+    # in the source or in the state, are 7.4e-13 in discord and 4.2e-13
+    # in ln sigma(0)
+    p_row = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 6).tolist()])
+    couplings = 10.0 ** np.linspace(-3.0, 1.0, 4)
+    params = CosmoParams(0.0, p_row[0], 0.1, k_over_kstar=k_over_kstar, x_star=x_star)
+    res = discord_cosmo(x, -math.pi / 4.0, params, "transport", kGamma_over_kstar=couplings,
+                        p=p_row)
+    want_d, want_s0 = _reference(x, params, p_row, couplings)
+    assert np.max(np.abs(res.discord - want_d)) <= 1e-12
+    assert np.max(np.abs(res.log_sigma_zero - want_s0)) <= 6e-13
