@@ -75,8 +75,6 @@ PLANE_BLOCK_CELLS = 2 ** 16
 #: (seed 0) take 34.3k, 35.0k, 37.5k and 42.0k RHS calls at 2, 1, 0.5 and
 #: 0.2; at 1 the conformal-time phase before it is never empty (ellH < 1)
 EFOLD_X_SWITCH = 1.0
-#: the factor 2 of the source S = 2 kap2 (x_star/x)^(p-3) (`_power_law`)
-SOURCE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def de_sitter_squeezing(x: float) -> tuple[float, float]:
 def _power_law(params: CosmoParams, expo, x: float):
     """The unit amplitude 2 (x_star/x)^expo of the power-law environment;
     expo is a float, or an array of p - 3 for a row of p."""
-    return SOURCE_FACTOR * (params.x_star / x) ** expo
+    return 2.0 * (params.x_star / x) ** expo
 
 
 def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
@@ -673,7 +671,7 @@ def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     return CovarianceTrajectory(np.array([-x]), *g)._log_sigmas(theta)
 
 
-def _efold_response(start: TransportResponse, x: float, ps, rtol: float) -> TransportResponse:
+def _efold_response(start: TransportResponse, x: float, ps) -> TransportResponse:
     """The plane's response to its unit sources x^(3-p), carried from its
     one sample at x_s = -start.times down to x < x_s in e-folds N = -ln x,
     on scaled variables that stay O(1) outside the Hubble radius: the
@@ -687,11 +685,10 @@ def _efold_response(start: TransportResponse, x: float, ps, rtol: float) -> Tran
     the F_i follow M - cF plus their source x^(cF+8-p) on row 3, and a1, a2
     decay at c1, c2 under theirs, x^(c1+2-p) and x^(c2+2-p-cF), none of
     them negative; each RHS call writes into buffers made once.  The error
-    control is relative only, at rtol over sqrt(1 + n) like the conformal-
-    time phase, so an amplitude per source folds into the start exactly
-    (`scaled`); an atol on the scaled values was measured to cost
-    ln sigma(0) accuracy.  The result is unscaled at x, where entries past
-    the double range become inf."""
+    control is relative only, at TRANSPORT_RTOL over sqrt(1 + n) like the
+    conformal-time phase; an atol on the scaled values was measured to
+    cost ln sigma(0) accuracy.  The result is unscaled at x, where entries
+    past the double range become inf."""
     n, m = len(ps), 3 + 3 * len(ps)
     c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
     c_2 = np.maximum(ps - 2.0 + c_f, 0.0)
@@ -732,7 +729,7 @@ def _efold_response(start: TransportResponse, x: float, ps, rtol: float) -> Tran
     # Unbounded, the steps settle near the edge of its stability interval
     # (-6.3, 0), where the error estimate misses the decaying modes
     rate = max(6.0 + c_f.max(), c_2.max())
-    y = _dop853(rhs, y0, n0, np.array([n1]), rtol / math.sqrt(1 + n), 0.0, 0.0,
+    y = _dop853(rhs, y0, n0, np.array([n1]), TRANSPORT_RTOL / math.sqrt(1 + n), 0.0, 0.0,
                 max_step=2.0 / rate)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         y = y * x ** -powers
@@ -743,21 +740,21 @@ def _efold_response(start: TransportResponse, x: float, ps, rtol: float) -> Tran
 
 def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter response to
-    the powers (x_star/x)^(p-3) of its p rows, one np.power per RHS call,
+    the unit sources x^(3-p) of its p rows, one np.power per RHS call,
     from 1/ellH down to x, or to EFOLD_X_SWITCH and on in e-folds
-    (`_efold_response`) when x is below it, scaled by SOURCE_FACTOR once;
-    each cell is formed from its kap2 polynomials.  The source is on over
-    all of [x, 1/ellH].  A cell past the range of doubles raises
-    StepFailureError."""
+    (`_efold_response`) when x is below it; each row's amplitude enters
+    once, in the couplings 2 x_star^(p-3) kap2 of its cells.  The source
+    is on over all of [x, 1/ellH].  A cell past the range of doubles
+    raises StepFailureError."""
     x_s = max(x, EFOLD_X_SWITCH)
-    x_star, expo, powers = params.x_star, ps - 3.0, np.empty(len(ps))
+    expo, powers = ps - 3.0, np.empty(len(ps))
     response = evolve_de_sitter(params.x_coupling_on, x_s, x_eval=(x_s,), rtol=TRANSPORT_RTOL,
-                                source=lambda eta: np.power(x_star / -eta, expo, out=powers))
+                                source=lambda eta: np.power(-1.0 / eta, expo, out=powers))
     if x < x_s:
-        amp = x_star ** expo
-        response = _efold_response(response.scaled(1.0 / amp), x, ps, TRANSPORT_RTOL).scaled(amp)
+        response = _efold_response(response, x, ps)
+    kap2 = np.outer(_power_law(params, expo, 1.0), _kap2_row(params, couplings))
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = response.scaled(SOURCE_FACTOR).cells(_kap2_row(params, couplings))
+        cells = response.cells(kap2)
     if not all(np.isfinite(f).all() for f in (cells.g11, cells.g12, cells.g22, cells.det)):
         raise StepFailureError(f"the transported covariance at x = {x} exceeds the range of "
                                "doubles")
@@ -800,14 +797,14 @@ def discord_cosmo(
     Every route runs in the blocks of `_plane_blocks`, of at most
     PLANE_BLOCK_CELLS = 2^16 cells, which bounds the memory.  The approx
     and exact routes equal per-row calls bit for bit.  The transport route
-    integrates the unit sources 2 (x_star/x)^(p_i - 3) of a block's p rows
-    as one response (`opensys.TransportResponse`) and forms each cell from
-    its kap2 polynomials; its cost does not grow with the couplings.  It
-    agrees with per-row calls to ~1e-11 (the response divides
-    TRANSPORT_RTOL by sqrt(1 + rows)); below x = 1 its steps do not shrink
-    with x (`_efold_response`).  Where a cell's entries or determinant pass
-    the range of doubles (default ranges at ellH = 0.1 below about
-    x = e^-67) it raises StepFailureError.
+    integrates the unit sources x^(3 - p_i) of a block's p rows as one
+    response (`opensys.TransportResponse`) and forms each cell from its
+    polynomials in 2 x_star^(p_i - 3) kap2; its cost does not grow with
+    the couplings.  It agrees with per-row calls to ~1e-11 (the response
+    divides TRANSPORT_RTOL by sqrt(1 + rows)); below x = 1 its steps do not
+    shrink with x (`_efold_response`).  Where a cell's entries or
+    determinant pass the range of doubles (default ranges at ellH = 0.1
+    below about x = e^-67) it raises StepFailureError.
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")

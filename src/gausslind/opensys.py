@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,7 +129,6 @@ def piecewise_oscillatory_quad(
     hi: float,
     half_period: float,
     epsrel: float = 1e-10,
-    epsabs: float = 1e-13,
 ) -> tuple[float, float]:
     """Adaptive quadrature with pre-subdivision at oscillation half-periods.
 
@@ -144,7 +143,7 @@ def piecewise_oscillatory_quad(
     for a0, b0 in zip(pts[:-1], pts[1:]):
         if b0 - a0 < 1e-300:
             continue
-        v, e = quad(f, a0, b0, epsabs=epsabs, epsrel=epsrel, limit=200)
+        v, e = quad(f, a0, b0, epsabs=1e-13, epsrel=epsrel, limit=200)
         total += v
         err += abs(e)
     return total, err
@@ -155,9 +154,8 @@ def green_covariance(
     source: Callable[[float], float],
     t: float,
     quad_tol: float = 1e-10,
-    t_in: float | None = None,
 ) -> GreenIntegrals:
-    """Covariance corrections by quadrature over a stored mode trajectory.
+    """Covariance corrections by quadrature over modes, from modes.t0 to t.
 
     With v the mode function and primes denoting the final-time values,
 
@@ -168,8 +166,7 @@ def green_covariance(
     so that the dressed covariance is g11 = |v|^2 + I,
     g12 = Re(v v'*)/k + J, g22 = |v'|^2/k^2 + K.
     """
-    k = modes.freq.k
-    t0 = modes.t0 if t_in is None else t_in
+    k, t0 = modes.freq.k, modes.t0
     final = modes.state(t)
     v_f, dv_f = final.v, final.dv
 
@@ -213,7 +210,8 @@ class TransportResponse:
     flow plus k S_i on its g22 entry from F_i = 0, a1_i' = k S_i g11 and
     a2_i' = k S_i F_i11 from 0 (so a1_i, a2_i >= 0 and the det needs no
     cancellation).  g is (3, T), F is (3, n, T) and a1, a2 are (n, T) over
-    the n unit amplitudes S_i and the T sample times.
+    the n unit amplitudes S_i and the T sample times.  The response to
+    c_i S_i is that to S_i at the couplings c_i kap2.
     """
 
     times: np.ndarray
@@ -224,17 +222,13 @@ class TransportResponse:
     det0: float
 
     def cells(self, kap2) -> CovarianceTrajectory:
-        """The trajectories of the sources kap2[j] * S_i, each field (n,
-        len(kap2), T): the covariance and det polynomials in kap2 above."""
-        kap2 = np.asarray(kap2, dtype=float)[:, None]
+        """The trajectories of the sources kap2_ij * S_i, each field (n, m,
+        T): the polynomials above at kap2, a scalar (m = 1), a row of m
+        couplings shared by every source, or one such row per source."""
+        kap2 = np.asarray(kap2, dtype=float)[..., None]
         g11, g12, g22 = (g + kap2 * f[:, None, :] for g, f in zip(self.g, self.F))
         det = self.det0 + kap2 * self.a1[:, None, :] + kap2 * kap2 * self.a2[:, None, :]
         return CovarianceTrajectory(self.times, g11, g12, g22, det)
-
-    def scaled(self, c) -> "TransportResponse":
-        """The response to the sources c S_i, c a constant or one per source."""
-        c = np.reshape(c, (-1, 1))
-        return replace(self, F=c * self.F, a1=c * self.a1, a2=c * c * self.a2)
 
 
 def _dop853(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, t0: float,
@@ -297,10 +291,10 @@ def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplit
     """The response integration of evolve_open, 3 + 5n values on scipy's
     compiled DOP853 (no rtol floor) at rtol and atol over sqrt(1 + n): each
     of the 1 + n blocks meets the scalar criterion of the RMS error norm.
-    Its state is the response per unit k S, (g, F/k, a1/k, a2/k^2), scaled
-    back at the end, so each RHS call takes the source as it is: one
-    freq.ratio into the closed flow, one product of that 3x3 matrix with
-    all 1 + n blocks and three in-place ufuncs, all into one buffer."""
+    Its state is (g, F/k, a1/k, a2/k^2), the response per unit k S, so each
+    RHS call takes the source as it is: one freq.ratio into the closed
+    flow, one product of that 3x3 matrix with all 1 + n blocks and three
+    in-place ufuncs, all into one buffer."""
     if np.ndim(amplitudes) != 1 or len(amplitudes) == 0:
         raise DomainError("an array-valued source returns a 1-D array of at least one "
                           f"amplitude, got shape {np.shape(amplitudes)}")
@@ -333,8 +327,9 @@ def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplit
     # too small to take or past the end of the span
     y = _dop853(rhs, y0, t_span[0], times, rtol / scale, atol / scale,
                 1e-6 * abs(t_span[1] - t_span[0])).T
-    return TransportResponse(times=times, g=y[:m:1 + n], F=y[:m].reshape(3, 1 + n, -1)[:, 1:],
-                             a1=y[m:m + n], a2=y[m + n:], det0=ic.lam).scaled(k)
+    return TransportResponse(times=times, g=y[:m:1 + n],
+                             F=k * y[:m].reshape(3, 1 + n, -1)[:, 1:],
+                             a1=k * y[m:m + n], a2=k * k * y[m + n:], det0=ic.lam)
 
 
 def evolve_open(
@@ -353,17 +348,18 @@ def evolve_open(
     transported by its own (cancellation-free) equation and is the value
     behind the reported purity.  Each RHS evaluation calls the source
     once and feeds that value to both the g22 term and d(det)/dt.  With
-    t_eval=None every step is kept.  The initial det is ic.lam, so an ic
-    below the uncertainty bound raises BelowHeisenbergError.  solve_ivp
-    silently raises any rtol below RTOL_FLOOR to that floor, so such an
-    rtol raises DomainError first.
+    t_eval=None every step is kept; samples outside t_span or not strictly
+    ordered along it raise DomainError, as does an rtol below RTOL_FLOOR,
+    which solve_ivp would raise to that floor silently.  The initial det
+    is ic.lam, so an ic below the uncertainty bound raises
+    BelowHeisenbergError.
 
     A source that returns a 1-D numpy array of n unit amplitudes S_i(t)
     (it may refill one array in place) runs the response integration
     (`_response`) instead and returns a TransportResponse, whose
-    `cells(kap2)` are the trajectories of the sources kap2[j] * S_i for
-    any couplings kap2: one integration of 3 + 5n values, whatever the
-    number of couplings.  It samples t_eval only (the end of t_span when
+    `cells(kap2)` are the trajectories of the sources kap2_ij * S_i for
+    any couplings kap2 (one row shared by the sources, or one row each):
+    one integration of 3 + 5n values, whatever the number of couplings.  It samples t_eval only (the end of t_span when
     None), with at most RESPONSE_MAX_STEPS steps to each sample; a failed
     step or a non-finite value raises StepFailureError, and an exception
     in the source is raised as it is.
@@ -372,6 +368,12 @@ def evolve_open(
         ic = CovarianceBlock.vacuum()
     if not rtol >= RTOL_FLOOR:
         raise DomainError(f"rtol = {rtol} is below the floor {RTOL_FLOOR:.3g} of solve_ivp")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if not (t_eval.ndim == 1 and np.all((t_eval >= min(t_span)) & (t_eval <= max(t_span)))
+                and np.all(np.diff(t_eval) * (t_span[1] - t_span[0]) > 0.0)):
+            raise DomainError(f"t_eval must lie within t_span = {tuple(t_span)} and be "
+                              "strictly ordered along it")
     start = None if source is None else source(t_span[0])
     if np.ndim(start) > 0:
         return _response(freq, source, start, t_span, ic, t_eval, rtol, atol)

@@ -8,7 +8,6 @@ from scipy.integrate import IntegrationWarning
 
 from gausslind import specfun
 from gausslind.cosmology import (
-    SOURCE_FACTOR,
     CosmoParams,
     PsRegime,
     _approx_terms,
@@ -833,11 +832,12 @@ class TestDiscordPlane:
         params = CosmoParams(0.0, 0.5, 0.1)
         got = discord_cosmo(x, self.THETA, params, "transport", kGamma_over_kstar=couplings,
                             p=ps)
-        # the route's own formulation: the powers alone, SOURCE_FACTOR after
+        # the route's own formulation: the unit sources x^(3-p), and the
+        # amplitude 2 x_star^(p-3) in the couplings of each row
         response = evolve_de_sitter(params.x_coupling_on, x,
-                                    lambda eta: np.power(params.x_star / -eta, ps - 3.0),
-                                    x_eval=(x,)).scaled(SOURCE_FACTOR)
-        ln_s0sq, ln_q = response.cells(_kap2_row(params, couplings))._log_sigmas(self.THETA)
+                                    lambda eta: np.power(-1.0 / eta, ps - 3.0), x_eval=(x,))
+        kap2 = np.outer(2.0 * params.x_star ** (ps - 3.0), _kap2_row(params, couplings))
+        ln_s0sq, ln_q = response.cells(kap2)._log_sigmas(self.THETA)
         assert np.array_equal(got.discord, _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0])
         assert np.array_equal(got.log_sigma_zero, 0.5 * ln_s0sq[..., 0])
 
@@ -951,13 +951,13 @@ class TestEfoldPhase:
         from gausslind import cosmology
         ps = np.asarray(ps, dtype=float)
         # the response to the unit sources x^(3-p) of the e-fold phase
-        start = evolve_de_sitter(10.0, 1.0, lambda eta: np.power(-eta, 3.0 - ps),
+        start = evolve_de_sitter(10.0, 1.0, lambda eta: np.power(-1.0 / eta, ps - 3.0),
                                  x_eval=(1.0,))
         calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
         counts = []
         for efolds in (100.0, 300.0):
             calls.clear()
-            cosmology._efold_response(start, math.exp(-efolds), ps, cosmology.TRANSPORT_RTOL)
+            cosmology._efold_response(start, math.exp(-efolds), ps)
             counts.append(len(calls))
         assert (counts[1] - counts[0]) / 200.0 <= 70.0
 

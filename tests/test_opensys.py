@@ -26,6 +26,7 @@ from gausslind.errors import (
     StepFailureError,
 )
 from gausslind.opensys import (
+    RTOL_FLOOR,
     GreenIntegrals,
     det_rhs,
     evolve_open,
@@ -334,6 +335,82 @@ class TestRtolFloor:
         from gausslind.errors import DomainError
         with pytest.raises(DomainError, match="1-D"):
             evolve_open(ModeFrequency.free(1.0), lambda t: np.zeros((2, 2)), (0.0, 1.0))
+
+
+class TestSampleContract:
+    """Both integrations take the same samples: t_eval lies within t_span
+    and is strictly ordered along it, or evolve_open raises DomainError
+    before integrating."""
+
+    SOURCES = {"scalar": lambda t: 0.5, "response": lambda t: np.array([0.5])}
+
+    @pytest.mark.parametrize("path", SOURCES)
+    @pytest.mark.parametrize("t_span, t_eval", [
+        ((0.0, 1.0), [-0.5, 0.5]),  # before the start
+        ((0.0, 1.0), [0.5, 2.0]),  # past the end
+        ((0.0, 1.0), [1.0, 0.5]),  # against the direction of integration
+        ((0.0, 1.0), [0.5, 0.5]),  # not strictly ordered
+        ((1.0, 0.0), [0.2, 0.8]),  # against a backward span
+        ((0.0, 1.0), [[0.5]]),  # not 1-D
+        ((0.0, 1.0), [math.nan]),
+    ])
+    def test_bad_samples_rejected_before_integrating(self, monkeypatch, path, t_span, t_eval):
+        from gausslind import opensys
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an integrator ran")
+
+        monkeypatch.setattr(opensys, "solve_ivp", no_solve)
+        monkeypatch.setattr(opensys, "ode", no_solve)
+        with pytest.raises(DomainError, match="t_eval"):
+            evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], t_span, t_eval=t_eval)
+
+    @pytest.mark.parametrize("path", SOURCES)
+    @pytest.mark.parametrize("t_span, t_eval", [((0.0, 1.0), [0.0, 0.5, 1.0]),
+                                                ((1.0, 0.0), [1.0, 0.5, 0.0])])
+    def test_samples_at_both_ends_run(self, path, t_span, t_eval):
+        got = evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], t_span, t_eval=t_eval)
+        assert np.array_equal(got.times, t_eval)
+
+
+class TestCells:
+    """TransportResponse.cells takes a scalar coupling, a row shared by
+    every source, or one row per source: a source's amplitude c_i goes
+    into its couplings, c_i kap2_j."""
+
+    def _response(self, amplitudes=(1.0, 1.0, 1.0)):
+        # three unit sources (1 + t)^e_i on the free frequency k = 2.5
+        expo, amps = np.array([-1.0, 0.0, 2.0]), np.asarray(amplitudes)
+        return evolve_open(ModeFrequency.free(2.5), lambda t: amps * (1.0 + t) ** expo,
+                           (0.0, 1.0), t_eval=[0.5, 1.0], rtol=4.0 * RTOL_FLOOR)
+
+    def test_amplitude_per_source_in_the_couplings(self):
+        # the tolerances of TestRtolFloor::test_batch_at_the_floor_runs
+        c, kap2 = np.array([0.5, 2.0, 7.0]), np.array([0.1, 1.0])
+        cells = self._response().cells(np.outer(c, kap2))
+        assert cells.det.shape == (3, 2, 2)
+        for i, e in enumerate((-1.0, 0.0, 2.0)):
+            for j, kk in enumerate(kap2.tolist()):
+                one = evolve_open(ModeFrequency.free(2.5),
+                                  lambda t: c[i] * kk * (1.0 + t) ** e, (0.0, 1.0),
+                                  t_eval=[0.5, 1.0], rtol=4.0 * RTOL_FLOOR)
+                for field in ("g11", "g12", "g22", "det"):
+                    np.testing.assert_allclose(getattr(cells, field)[i, j],
+                                               getattr(one, field), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("kap2, m", [(0.5, 1), ([0.5], 1), ([0.1, 0.5, 2.0, 3.0], 4),
+                                         (np.full((3, 4), 0.5), 4)],
+                             ids=["scalar", "one", "row", "per_source"])
+    def test_shapes(self, kap2, m):
+        cells = self._response().cells(kap2)
+        for field in ("g11", "g12", "g22", "det"):
+            assert getattr(cells, field).shape == (3, m, 2)
+
+    def test_shared_row_is_a_row_per_source(self):
+        response, kap2 = self._response(), np.array([0.1, 0.5])
+        shared, per_source = response.cells(kap2), response.cells(np.tile(kap2, (3, 1)))
+        for field in ("g11", "g12", "g22", "det"):
+            assert np.array_equal(getattr(shared, field), getattr(per_source, field))
 
 
 class TestResponseFailure:

@@ -117,12 +117,11 @@ def test_transport_route_accuracy(planes, name):
 @pytest.mark.parametrize("x", [1e-3, math.exp(-30.0)], ids=["x1e-3", "xe-30"])
 @pytest.mark.parametrize("x_star, k_over_kstar", [(0.3, 1.0), (3.0, 2.0), (0.5, 0.7)])
 def test_transport_route_off_pivot(x, x_star, k_over_kstar):
-    # x_star moves the amplitude x_star^(p-3) of each unit source, which
-    # the e-fold phase folds into its state scale, and k/k* every kap2.
-    # A 6x4 plane through both phases against the reference above; the
-    # largest errors measured at these six points, with the amplitudes
-    # in the source or in the state, are 7.4e-13 in discord and 4.2e-13
-    # in ln sigma(0)
+    # x_star moves the amplitude 2 x_star^(p-3) of each p row, which the
+    # route puts into the couplings of the row's cells, and k/k* every
+    # kap2.  A 6x4 plane through both phases against the reference above;
+    # the largest errors measured at these six points are 4.0e-13 in
+    # discord and 1.5e-13 in ln sigma(0)
     p_row = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 6).tolist()])
     couplings = 10.0 ** np.linspace(-3.0, 1.0, 4)
     params = CosmoParams(0.0, p_row[0], 0.1, k_over_kstar=k_over_kstar, x_star=x_star)
