@@ -30,7 +30,7 @@ from ._special import logsumexp
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
-from .errors import BelowHeisenbergError, DomainError, SingularExponentError, StepFailureError
+from .errors import BelowHeisenbergError, DomainError, SingularExponentError
 from .opensys import TransportResponse, _dop853, evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock, _half_sin, _ln
@@ -612,36 +612,45 @@ def decoherence_threshold(params: CosmoParams, a_over_astar: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _signed_log_sum(coeffs, exps, ln_x: float):
-    """(ln|sum|, sign) of sum_i c_i x^{e_i} along axis 0, given ln x."""
+    """(ln|sum|, sign) of sum_i c_i x^{e_i} over the terms i along axis 0
+    (arrays, or sequences of terms that broadcast), given ln x; stacked by
+    assignment, at a fifth of the cost of np.stack(np.broadcast_arrays())."""
+    terms = (*coeffs, *exps)
+    stacked = np.empty((len(terms),) + np.broadcast(*terms).shape)
+    for i, term in enumerate(terms):
+        stacked[i] = term
+    coeffs, exps = stacked[:len(coeffs)], stacked[len(coeffs):]
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(coeffs)) + exps * ln_x
     return logsumexp(logs, np.sign(coeffs))
 
 
-def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndarray):
-    """(ln sigma(0)^2, ln q), q = m^2 sin^2(2 theta) / 4, from the
-    super-Hubble asymptotics over the plane of the tables stacked in t
-    and the couplings kap2, assembled entirely in the log domain so that
-    x as small as e^-700 stays representable.  A sigma(0)^2 that the
-    truncated series puts below 1 reads as 1 (purity 1; see the README
-    numerical notes)."""
-    _require_super_hubble(x)
+def _log_sigmas_series(x: float, theta: float, det_terms, entry_terms):
+    """(ln sigma(0)^2, ln q, (ln|g|, sign g, ln m^2)) of cells whose det and
+    entries g (g11, g12, g22 on axis 1) are sums of powers of x, each given
+    as the (coeffs, exps) of `_signed_log_sum`, in the log domain down to
+    x = e^-700: sigma(0)^2 = max(det, 1), q = m^2 sin^2(2 theta) / 4 with
+    m^2 = (g11 - g22)^2 + 4 g12^2."""
     ln_x = math.log(x)
+    ln_s0sq, sgn0 = _signed_log_sum(*det_terms, ln_x)
+    ln_s0sq = np.where((sgn0 <= 0.0) | (ln_s0sq < 0.0), 0.0, ln_s0sq)
+    ln_g, sgn_g = _signed_log_sum(*entry_terms, ln_x)
+    # (g11 - g22)^2 + 4 g12^2, as logs
+    ln_diff, _ = logsumexp(np.stack((ln_g[0], ln_g[2])), np.stack((sgn_g[0], -sgn_g[2])))
+    ln_m2 = np.logaddexp(2.0 * ln_diff, math.log(4.0) + 2.0 * ln_g[1])
+    return ln_s0sq, ln_m2 + 2.0 * _ln(_half_sin(theta)), (ln_g, sgn_g, ln_m2)
 
+
+def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndarray):
+    """(ln sigma(0)^2, ln q) from the super-Hubble asymptotics over the
+    plane of the tables stacked in t and the couplings kap2
+    (`_log_sigmas_series`).  A sigma(0)^2 that the truncated series puts
+    below 1 reads as 1 (purity 1; see the README numerical notes)."""
+    _require_super_hubble(x)
     # sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p}
     s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(t, kap2)
-    ln_s0sq, sgn0 = _signed_log_sum(
-        np.stack(np.broadcast_arrays(1.0, s0_2 + s0_4, sx_2 + sx_4, sxx_4)),
-        np.stack(np.broadcast_arrays(0.0, 0.0, 2.0 - t.p, 10.0 - 2.0 * t.p)), ln_x)
-    # clamp to the pure-state floor sigma(0) = 1
-    ln_s0sq = np.where((sgn0 <= 0.0) | (ln_s0sq < 0.0), 0.0, ln_s0sq)
-
-    coeffs, exps = _approx_terms(t, kap2)
-    (ln11, ln12, ln22), (s11, _, s22) = _signed_log_sum(coeffs, exps, ln_x)
-    # (g11 - g22)^2 + 4 g12^2, as logs
-    ln_diff, _ = logsumexp(np.stack((ln11, ln22)), np.stack((s11, -s22)))
-    ln_m2 = np.logaddexp(2.0 * ln_diff, math.log(4.0) + 2.0 * ln12)
-    return ln_s0sq, ln_m2 + 2.0 * _ln(_half_sin(theta))
+    det_terms = ((1.0, s0_2 + s0_4, sx_2 + sx_4, sxx_4), (0.0, 0.0, 2.0 - t.p, 10.0 - 2.0 * t.p))
+    return _log_sigmas_series(x, theta, det_terms, _approx_terms(t, kap2))[:2]
 
 
 def _plane_blocks(n_p: int, n_k: int, cells: int):
@@ -671,42 +680,37 @@ def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     return CovarianceTrajectory(np.array([-x]), *g)._log_sigmas(theta)
 
 
-def _efold_response(start: TransportResponse, x: float, ps) -> TransportResponse:
-    """The plane's response to its unit sources x^(3-p), carried from its
-    one sample at x_s = -start.times down to x < x_s in e-folds N = -ln x,
-    on scaled variables that stay O(1) outside the Hubble radius: the
-    closed block as u = (x^2 g11, x^3 g12, x^4 g22), each F_i as the same
-    scaling times x^cF with cF = max(p - 8, 0), a1 times x^c1 with
-    c1 = max(p - 2, 0) and a2 times x^c2 with c2 = max(p - 2 + cF, 0).
-    Then du/dN = M(x) u with
-
-        M = [[-2, 2, 0], [2 - x^2, -3, 1], [0, 4 - 2 x^2, -4]],
-
-    the F_i follow M - cF plus their source x^(cF+8-p) on row 3, and a1, a2
-    decay at c1, c2 under theirs, x^(c1+2-p) and x^(c2+2-p-cF), none of
-    them negative; each RHS call writes into buffers made once.  The error
-    control is relative only, at TRANSPORT_RTOL over sqrt(1 + n) like the
-    conformal-time phase; an atol on the scaled values was measured to
-    cost ln sigma(0) accuracy.  The result is unscaled at x, where entries
-    past the double range become inf."""
+def _efold_response(start: TransportResponse, x: float, ps) -> tuple[np.ndarray, np.ndarray]:
+    """The plane's response to its unit sources x^(3-p) at x <= x_s =
+    -start.times, as its state y (rows g11, g12, g22 of the blocks g,
+    F_1..F_n, then a1, a2) scaled to z = x^P y, O(1) outside the Hubble
+    radius, and P: 2, 3, 4 on those rows plus cF = max(p - 8, 0) on each
+    F_i, c1 = max(p - 2, 0) on a1 and c1 + cF on a2.  Below x_s it
+    integrates dz/dN = x^P dy/dN - P z in e-folds N = -ln x: on each block
+    M z - P z, M = [[0, 2, 0], [2 - x^2, 0, 1], [0, 4 - 2 x^2, 0]], plus
+    the source x^(8-p+cF) on each F_i22, and x^(2-p+c1) times z of g11 and
+    of each F_i11 into a1 and a2.  The error control is relative only (an
+    atol on z cost ln sigma(0) accuracy), at TRANSPORT_RTOL / sqrt(1 + n)."""
     n, m = len(ps), 3 + 3 * len(ps)
     c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
-    c_2 = np.maximum(ps - 2.0 + c_f, 0.0)
-    # the scale power of each state value: rows of (closed, F_1..F_n), a1, a2
     powers = np.concatenate(((np.arange(2.0, 5.0)[:, None] + np.append(0.0, c_f)).ravel(),
-                             c_1, c_2))
-    decay = np.concatenate((np.tile(np.append(0.0, c_f), 3), c_1, c_2))
-    forcing = np.stack((8.0 - ps + c_f, 2.0 - ps + c_1, 2.0 - ps - c_f + c_2))
-    flow = np.array([[-2.0, 2.0, 0.0], [2.0, -3.0, 1.0], [0.0, 4.0, -4.0]])
-    out, decayed, s = np.empty(m + 2 * n), np.empty(m + 2 * n), np.empty((3, n))
-    s_f, s_1, s_2 = s
+                             c_1, c_1 + c_f))
+    x_s = -float(start.times[-1])
+    z = np.concatenate((np.hstack((start.g, start.F[:, :, -1])).ravel(),
+                        start.a1[:, -1], start.a2[:, -1])) * x_s ** powers
+    if not x < x_s:
+        return z, powers
+    forcing = np.stack((8.0 - ps + c_f, 2.0 - ps + c_1))
+    flow = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 4.0, 0.0]])
+    out, decayed, s = np.empty(m + 2 * n), np.empty(m + 2 * n), np.empty((2, n))
+    s_f, s_a = s
     d, d_f22, d_a1, d_a2 = out[:m].reshape(3, 1 + n), out[m - n:m], out[m:m + n], out[m + n:]
 
-    def rhs(efolds, y):
+    def rhs(efolds, z):
         xe = math.exp(-efolds)
         x2 = xe * xe
         flow[1, 0], flow[2, 1] = 2.0 - x2, 4.0 - 2.0 * x2
-        flow.dot(y[:m].reshape(3, 1 + n), out=d)
+        flow.dot(z[:m].reshape(3, 1 + n), out=d)
         # each source power stops at 1e-100 (e^-230), where it moves no
         # value: below, its share of DOP853's error norm would square under
         # the smallest normal double and the norm's 1 / sqrt(...) overflow
@@ -714,51 +718,47 @@ def _efold_response(start: TransportResponse, x: float, ps) -> TransportResponse
         np.power(xe, forcing, out=s)
         np.maximum(s, 1e-100, out=s)
         np.add(d_f22, s_f, out=d_f22)
-        np.multiply(s_1, y[0], out=d_a1)  # a1' = S g11
-        np.multiply(s_2, y[1:1 + n], out=d_a2)  # a2' = S F11
-        np.multiply(decay, y, out=decayed)
+        np.multiply(s_a, z[0], out=d_a1)  # a1' = S g11
+        np.multiply(s_a, z[1:1 + n], out=d_a2)  # a2' = S F11
+        np.multiply(powers, z, out=decayed)
         np.subtract(out, decayed, out=out)
         return out
 
-    x_s = -float(start.times[-1])
-    y0 = np.concatenate((np.hstack((start.g, start.F[:, :, -1])).ravel(),
-                         start.a1[:, -1], start.a2[:, -1])) * x_s ** powers
-    n0, n1 = -math.log(x_s), -math.log(x)
     # the scaled modes decay at up to rate per e-fold; a step h below 2 / rate
     # keeps DOP853's amplification of each within 4e-5 of e^(-rate h).
     # Unbounded, the steps settle near the edge of its stability interval
     # (-6.3, 0), where the error estimate misses the decaying modes
-    rate = max(6.0 + c_f.max(), c_2.max())
-    y = _dop853(rhs, y0, n0, np.array([n1]), TRANSPORT_RTOL / math.sqrt(1 + n), 0.0, 0.0,
-                max_step=2.0 / rate)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = y * x ** -powers
-    return TransportResponse(times=np.array([-x]), g=y[:m:1 + n, None],
-                             F=y[:m].reshape(3, 1 + n, 1)[:, 1:],
-                             a1=y[m:m + n, None], a2=y[m + n:, None], det0=start.det0)
+    rate = max(6.0 + c_f.max(), (c_1 + c_f).max())
+    z = _dop853(rhs, z, -math.log(x_s), np.array([-math.log(x)]),
+                TRANSPORT_RTOL / math.sqrt(1 + n), 0.0, 0.0, max_step=2.0 / rate)[0]
+    return z, powers
 
 
 def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter response to
-    the unit sources x^(3-p) of its p rows, one np.power per RHS call,
-    from 1/ellH down to x, or to EFOLD_X_SWITCH and on in e-folds
-    (`_efold_response`) when x is below it; each row's amplitude enters
-    once, in the couplings 2 x_star^(p-3) kap2 of its cells.  The source
-    is on over all of [x, 1/ellH].  A cell past the range of doubles
-    raises StepFailureError."""
+    the unit sources x^(3-p) of its p rows (one np.power per RHS call) down
+    to max(x, EFOLD_X_SWITCH), then `_efold_response`; its cells, at the
+    couplings 2 x_star^(p-3) kap2 of each row, read from the scaled state
+    by `_log_sigmas_series` at any x.  A cell with a diagonal entry <= 0 or
+    det < -1e-6 ((g11 + g22)/2)^2 (CovarianceBlock) raises BelowHeisenbergError."""
     x_s = max(x, EFOLD_X_SWITCH)
     expo, powers = ps - 3.0, np.empty(len(ps))
     response = evolve_de_sitter(params.x_coupling_on, x_s, x_eval=(x_s,), rtol=TRANSPORT_RTOL,
                                 source=lambda eta: np.power(-1.0 / eta, expo, out=powers))
-    if x < x_s:
-        response = _efold_response(response, x, ps)
+    z, scale = _efold_response(response, x, ps)
     kap2 = np.outer(_power_law(params, expo, 1.0), _kap2_row(params, couplings))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = response.cells(kap2)
-    if not all(np.isfinite(f).all() for f in (cells.g11, cells.g12, cells.g22, cells.det)):
-        raise StepFailureError(f"the transported covariance at x = {x} exceeds the range of "
-                               "doubles")
-    return cells._log_sigmas(theta)
+    # g + kap2 F and det0 + kap2 a1 + kap2^2 a2, each value z x^-P
+    m, n = 3 + 3 * len(ps), len(ps)
+    (g, a1, a2), (e_g, e_1, e_2) = ((v[:m].reshape(3, 1 + n, 1), v[m:m + n, None], v[m + n:, None])
+                                    for v in (z, -scale))
+    entry_terms = ((g[:, :1], kap2 * g[:, 1:]), (e_g[:, :1], e_g[:, 1:]))
+    det_terms = ((response.det0, kap2 * a1, kap2 * kap2 * a2), (0.0, e_1, e_2))
+    ln_s0sq, ln_q, (ln_g, sgn_g, ln_m2) = _log_sigmas_series(x, theta, det_terms, entry_terms)
+    # g11, g22 > 0 and (g11 - g22)^2 + 4 g12^2 <= (1 + 1e-6) (g11 + g22)^2, as logs
+    definite = ln_m2 <= 2.0 * np.logaddexp(ln_g[0], ln_g[2]) + math.log1p(1e-6)
+    if not np.all((sgn_g[0] > 0.0) & (sgn_g[2] > 0.0) & definite):
+        raise BelowHeisenbergError(f"a transported covariance at x = {x} is not positive definite")
+    return ln_s0sq, ln_q
 
 
 _ROUTES = {"approx": _approx_block, "exact": _exact_block, "transport": _transport_block}
@@ -784,8 +784,8 @@ def discord_cosmo(
                        by 2.9e-3 at x = 1e-3).
     method="approx":   super-Hubble asymptotics in the log domain; valid
                        for 0 < x < 0.1, arbitrarily small.
-    method="transport": integrate the covariance down to x (reference);
-                       one evolve_open response integration per block,
+    method="transport": integrate the covariance down to x < 1/ellH
+                       (reference); one evolve_open response per block,
                        whatever the number of couplings, in conformal
                        time down to x = 1 and in e-folds below it.
 
@@ -797,14 +797,8 @@ def discord_cosmo(
     Every route runs in the blocks of `_plane_blocks`, of at most
     PLANE_BLOCK_CELLS = 2^16 cells, which bounds the memory.  The approx
     and exact routes equal per-row calls bit for bit.  The transport route
-    integrates the unit sources x^(3 - p_i) of a block's p rows as one
-    response (`opensys.TransportResponse`) and forms each cell from its
-    polynomials in 2 x_star^(p_i - 3) kap2; its cost does not grow with
-    the couplings.  It agrees with per-row calls to ~1e-11 (the response
-    divides TRANSPORT_RTOL by sqrt(1 + rows)); below x = 1 its steps do not
-    shrink with x (`_efold_response`).  Where a cell's entries or
-    determinant pass the range of doubles (default ranges at ellH = 0.1
-    below about x = e^-67) it raises StepFailureError.
+    (`_transport_block`) agrees with per-row calls to ~1e-11 (the response
+    divides TRANSPORT_RTOL by sqrt(1 + rows)).
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")

@@ -222,10 +222,12 @@ class TransportResponse:
     det0: float
 
     def cells(self, kap2) -> CovarianceTrajectory:
-        """The trajectories of the sources kap2_ij * S_i, each field (n, m,
-        T): the polynomials above at kap2, a scalar (m = 1), a row of m
-        couplings shared by every source, or one such row per source."""
+        """The sources kap2_ij * S_i as trajectories, each field (n, m, T):
+        the polynomials above at kap2, a scalar (m = 1), a row of m shared by
+        the sources, or an (n, m) or (1, m) array; others raise DomainError."""
         kap2 = np.asarray(kap2, dtype=float)[..., None]
+        if kap2.ndim > 3 or kap2.ndim == 3 and len(kap2) not in (1, len(self.a1)):
+            raise DomainError(f"couplings of shape {kap2.shape[:-1]} for {len(self.a1)} sources")
         g11, g12, g22 = (g + kap2 * f[:, None, :] for g, f in zip(self.g, self.F))
         det = self.det0 + kap2 * self.a1[:, None, :] + kap2 * kap2 * self.a2[:, None, :]
         return CovarianceTrajectory(self.times, g11, g12, g22, det)
@@ -349,25 +351,25 @@ def evolve_open(
     behind the reported purity.  Each RHS evaluation calls the source
     once and feeds that value to both the g22 term and d(det)/dt.  With
     t_eval=None every step is kept; samples outside t_span or not strictly
-    ordered along it raise DomainError, as does an rtol below RTOL_FLOOR,
-    which solve_ivp would raise to that floor silently.  The initial det
-    is ic.lam, so an ic below the uncertainty bound raises
-    BelowHeisenbergError.
+    ordered along it raise DomainError, as does an rtol not above 0 or, for
+    a scalar source, below RTOL_FLOOR (solve_ivp would raise it to that
+    floor silently).  The initial det is ic.lam, so an ic below the
+    uncertainty bound raises BelowHeisenbergError.
 
     A source that returns a 1-D numpy array of n unit amplitudes S_i(t)
     (it may refill one array in place) runs the response integration
-    (`_response`) instead and returns a TransportResponse, whose
-    `cells(kap2)` are the trajectories of the sources kap2_ij * S_i for
-    any couplings kap2 (one row shared by the sources, or one row each):
-    one integration of 3 + 5n values, whatever the number of couplings.  It samples t_eval only (the end of t_span when
+    (`_response`, no rtol floor) instead and returns a TransportResponse,
+    whose `cells(kap2)` are the trajectories of the sources kap2_ij * S_i
+    for any couplings kap2: one integration of 3 + 5n values, whatever the
+    number of couplings.  It samples t_eval only (the end of t_span when
     None), with at most RESPONSE_MAX_STEPS steps to each sample; a failed
     step or a non-finite value raises StepFailureError, and an exception
     in the source is raised as it is.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
-    if not rtol >= RTOL_FLOOR:
-        raise DomainError(f"rtol = {rtol} is below the floor {RTOL_FLOOR:.3g} of solve_ivp")
+    if not rtol > 0.0:
+        raise DomainError(f"rtol must be positive, got {rtol}")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if not (t_eval.ndim == 1 and np.all((t_eval >= min(t_span)) & (t_eval <= max(t_span)))
@@ -377,6 +379,8 @@ def evolve_open(
     start = None if source is None else source(t_span[0])
     if np.ndim(start) > 0:
         return _response(freq, source, start, t_span, ic, t_eval, rtol, atol)
+    if not rtol >= RTOL_FLOOR:
+        raise DomainError(f"rtol = {rtol} is below the floor {RTOL_FLOOR:.3g} of solve_ivp")
     k = freq.k
 
     def rhs(t, y):

@@ -35,7 +35,6 @@ from gausslind.discord import _discord_from_logs
 from gausslind.errors import (
     BelowHeisenbergError,
     DomainError,
-    GausslindError,
     SingularExponentError,
 )
 
@@ -801,45 +800,53 @@ class TestDiscordPlane:
         assert np.all(np.abs(got.discord - want.discord) < 2e-12)
         assert np.all(np.abs(got.log_sigma_zero - want.log_sigma_zero) < 6e-13)
 
-    @pytest.mark.parametrize("efolds", [70.0, 100.0])
+    @pytest.mark.parametrize("efolds", [70.0, 100.0, 300.0, 690.0])
     def test_transport_plane_beyond_the_double_range(self, efolds):
         # the 12x12 default plane at ellH = 0.1: below about x = e^-67 its
-        # entries and determinants pass the range of doubles.  Each point
-        # raises a typed error or matches approx, with no NaN, inf or warning
+        # entries and determinants pass the range of doubles, and its cells
+        # are read from the scaled state in the log domain (ROADMAP item 15).
+        # The bounds are those of selfcheck's route agreement, with no warning
         ps = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 12).tolist()])
         couplings = 10.0 ** np.linspace(-10.0, 6.0, 12)
         x, params = math.exp(-efolds), CosmoParams(0.0, ps[0], 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = discord_cosmo(x, self.THETA, params, "approx", kGamma_over_kstar=couplings,
-                                 p=ps)
-            try:
-                got = discord_cosmo(x, self.THETA, params, "transport",
-                                    kGamma_over_kstar=couplings, p=ps)
-            except GausslindError:
-                return
-        assert np.all(np.isfinite(got.discord)) and np.all(np.isfinite(got.log_sigma_zero))
+            got, want = (discord_cosmo(x, self.THETA, params, method,
+                                       kGamma_over_kstar=couplings, p=ps)
+                         for method in ("transport", "approx"))
         large = want.discord > 1e-10
         assert np.all(np.abs(got.discord[large] / want.discord[large] - 1.0) < 3e-13)
         assert np.all(np.abs(got.discord - want.discord) < 2e-12)
         assert np.all(np.abs(got.log_sigma_zero - want.log_sigma_zero) < 6e-13)
 
-    @pytest.mark.parametrize("x", [2.0, 1.0])
-    def test_transport_plane_from_hubble_crossing_up_is_one_phase(self, x):
+    @pytest.mark.parametrize("x", [9.0, 5.0, 2.0, 1.0])
+    def test_transport_plane_from_hubble_crossing_up_is_one_phase(self, monkeypatch, x):
         # 1 <= x < 1/ellH: the conformal-time response integration alone,
-        # bit for bit, with no e-fold phase
+        # with no e-fold step; its cells, read from the scaled state in the
+        # log domain, are those of the response to the last bits
+        from gausslind import cosmology, opensys
         ps, couplings = np.array([0.5, 5.3, 9.5]), np.logspace(-3.0, 1.0, 4)
         params = CosmoParams(0.0, 0.5, 0.1)
+        integrations, dop853 = [], opensys._dop853
+
+        def counted(*args, **kwargs):
+            integrations.append(args[2])
+            return dop853(*args, **kwargs)
+
+        monkeypatch.setattr(opensys, "_dop853", counted)
+        monkeypatch.setattr(cosmology, "_dop853", counted)
         got = discord_cosmo(x, self.THETA, params, "transport", kGamma_over_kstar=couplings,
                             p=ps)
+        assert integrations == [-params.x_coupling_on]
         # the route's own formulation: the unit sources x^(3-p), and the
         # amplitude 2 x_star^(p-3) in the couplings of each row
         response = evolve_de_sitter(params.x_coupling_on, x,
                                     lambda eta: np.power(-1.0 / eta, ps - 3.0), x_eval=(x,))
         kap2 = np.outer(2.0 * params.x_star ** (ps - 3.0), _kap2_row(params, couplings))
         ln_s0sq, ln_q = response.cells(kap2)._log_sigmas(self.THETA)
-        assert np.array_equal(got.discord, _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0])
-        assert np.array_equal(got.log_sigma_zero, 0.5 * ln_s0sq[..., 0])
+        want = _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0]
+        assert np.all(np.abs(got.discord - want) <= 1e-14 * np.maximum(1.0, want))
+        assert np.all(np.abs(got.log_sigma_zero - 0.5 * ln_s0sq[..., 0]) <= 1e-14)
 
     def test_one_cell_plane_is_the_scalar_call(self):
         params = CosmoParams(0.3, 5.3, 0.1)
@@ -954,12 +961,35 @@ class TestEfoldPhase:
         start = evolve_de_sitter(10.0, 1.0, lambda eta: np.power(-1.0 / eta, ps - 3.0),
                                  x_eval=(1.0,))
         calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
-        counts = []
+        counts, states = [], []
         for efolds in (100.0, 300.0):
             calls.clear()
-            cosmology._efold_response(start, math.exp(-efolds), ps)
+            z, powers = cosmology._efold_response(start, math.exp(-efolds), ps)
             counts.append(len(calls))
+            states.append(z)
         assert (counts[1] - counts[0]) / 200.0 <= 70.0
+        # the scaled state z = x^P y stays far inside the range of doubles,
+        # where y itself passes it (|y| up to e^(300 max P))
+        assert all(np.max(np.abs(z)) < 1e10 for z in states)
+
+    def test_scaled_state_and_powers(self, monkeypatch):
+        # at x = x_s the scaled state is the response scaled, with no step;
+        # P is 2, 3, 4 on the rows of (g, F_i), plus cF = max(p - 8, 0) on
+        # each F_i, c1 = max(p - 2, 0) on a1 and c1 + cF on a2
+        from gausslind import cosmology
+        ps = np.array([0.5, 5.3, 9.9])
+        start = evolve_de_sitter(10.0, 2.0, lambda eta: np.power(-1.0 / eta, ps - 3.0),
+                                 x_eval=(2.0,))
+        calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
+        z, powers = cosmology._efold_response(start, 2.0, ps)
+        assert not calls
+        c_f, c_1 = [0.0, 0.0, 1.9], [0.0, 3.3, 7.9]
+        want = np.concatenate([np.add([r] * 4, [0.0, *c_f]) for r in (2.0, 3.0, 4.0)]
+                              + [c_1, np.add(c_1, c_f)])
+        np.testing.assert_allclose(powers, want, rtol=1e-15, atol=0.0)
+        y = np.concatenate((np.hstack((start.g, start.F[..., 0])).ravel(), start.a1[:, 0],
+                            start.a2[:, 0]))
+        np.testing.assert_allclose(z, y * 2.0 ** powers, rtol=1e-15, atol=0.0)
 
     def test_integrations_release_their_buffers(self):
         # the compiled integrator keeps a reference to every callback it is

@@ -302,10 +302,31 @@ class TestRtolFloor:
 
         monkeypatch.setattr(opensys, "solve_ivp", no_solve)
         monkeypatch.setattr(opensys, "ode", no_solve)
-        for source in (None, lambda t: 0.1, lambda t: np.full(3, 0.1)):
+        for source in (None, lambda t: 0.1):
             for rtol in (1e-15, math.nan):
                 with pytest.raises(DomainError):
                     evolve_open(ModeFrequency.free(1.0), source, (0.0, 1.0), rtol=rtol)
+        # the response has no floor, but an rtol that is not positive is
+        # refused on every path
+        for rtol in (0.0, -1e-10, math.nan):
+            with pytest.raises(DomainError, match="positive"):
+                evolve_open(ModeFrequency.free(1.0), lambda t: np.full(3, 0.1), (0.0, 1.0),
+                            rtol=rtol)
+
+    def test_response_below_the_floor_runs(self):
+        # the response of evolve_de_sitter to two unit sources at rtol 1e-14
+        # runs and tracks the one at rtol 1e-12; a scalar source at the
+        # same rtol is refused
+        from gausslind.errors import DomainError
+        expo = np.array([-0.9, 2.5])
+        tight, loose = (evolve_de_sitter(10.0, 2.0, lambda eta: (-1.0 / eta) ** expo,
+                                         x_eval=(2.0,), rtol=rtol, atol=1e-16)
+                        for rtol in (1e-14, 1e-12))
+        for got, want in ((tight.g, loose.g), (tight.F, loose.F), (tight.a1, loose.a1),
+                          (tight.a2, loose.a2)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        with pytest.raises(DomainError, match="floor"):
+            evolve_de_sitter(10.0, 2.0, lambda eta: 0.1, rtol=1e-14)
 
     def test_batch_at_the_floor_runs(self):
         # 16 amplitudes at rtol 4 RTOL_FLOOR: each block is held to
@@ -405,6 +426,13 @@ class TestCells:
         cells = self._response().cells(kap2)
         for field in ("g11", "g12", "g22", "det"):
             assert getattr(cells, field).shape == (3, m, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 3, 4), (1, 3, 4), (0, 4)])
+    def test_other_shapes_rejected(self, shape):
+        # three sources: a 2-D array needs a first axis of 1 or 3, and no
+        # array has more than two axes
+        with pytest.raises(DomainError, match="couplings"):
+            self._response().cells(np.full(shape, 0.5))
 
     def test_shared_row_is_a_row_per_source(self):
         response, kap2 = self._response(), np.array([0.1, 0.5])
