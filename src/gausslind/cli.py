@@ -12,11 +12,16 @@ the tool version and a hash of the configuration, so that identical
 configs produce identical bytes.  Exit codes: 0 success, 2 configuration
 error, 3 numerical failure; failures emit one JSON object on stderr.
 
-Every CSV value is Python's shortest round-trip `repr`, formatted once:
-a discord_map is formatted column by column, a block of `_plane_blocks`
-at a time, with each p and log10_kGamma label formatted once per block
-(`_map_lines`); the other modes format their rows value by value
-(`_line`).  The argument parser is built once per process.
+Numeric config keys must be JSON numbers: a boolean or a string exits 2.
+`selfcheck`, as the subcommand or as a config mode, runs through the same
+dispatch and exits the same way.
+
+Every CSV is written by one rule: a runner hands over its values as
+columns, each float written as its shortest round-trip `repr` and each
+text value as itself, and `_lines` joins the columns into lines.  A
+discord_map is formatted a block of `_plane_blocks` at a time, each p and
+log10_kGamma label once per block (`_map_lines`).  The argument parser is
+built once per process.
 """
 
 from __future__ import annotations
@@ -57,21 +62,9 @@ MODES = ("evolve_closed", "evolve_open", "discord_map", "ellipse_series",
          "spectrum", "selfcheck")
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal representation."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _line(row) -> str:
-    """One CSV line of values, each formatted by _fmt."""
-    # Python floats, most values, skip the type dispatch of _fmt
-    return ",".join([repr(v) if type(v) is float else _fmt(v) for v in row])
+def _lines(*columns):
+    """One CSV line per row of `columns`, equal-length iterables of text."""
+    return map(",".join, zip(*columns))
 
 
 def _write_csv(path: Path, header: list[str], rows, config_hash: str) -> None:
@@ -102,10 +95,13 @@ def _require(cfg: dict, key: str, typ=None):
 
 
 def _finite(value, what: str) -> float:
+    # bool is an int: JSON true would read as 1.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         v = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    except OverflowError:  # an integer beyond the range of doubles
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return v
@@ -164,15 +160,14 @@ def _grid(cfg: dict) -> np.ndarray:
     return np.geomspace(x_start, x_end, points)
 
 
-def _trajectory_rows(traj, x_grid, open_run: bool):
+TRAJECTORY_HEADER = ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity"]
+
+
+def _trajectory_columns(traj, x_grid) -> list:
+    """The TRAJECTORY_HEADER columns of a trajectory, lists of floats."""
     r, phi, lam = traj.squeezing()
-    cols = [c.tolist() for c in (x_grid, traj.g11, traj.g12, traj.g22, r, phi, lam,
+    return [c.tolist() for c in (x_grid, traj.g11, traj.g12, traj.g22, r, phi, lam,
                                  traj.purity)]
-    if open_run:
-        stats = particle_statistics(traj)
-        abs_c = np.hypot(stats.c.real, stats.c.imag)  # closer to mpmath than np.abs
-        cols += [np.sqrt(lam).tolist(), stats.n.tolist(), abs_c.tolist()]
-    return zip(*cols)
 
 
 #: built-in frequency presets for the evolution modes; the grid variable
@@ -210,9 +205,8 @@ def _evolve(cfg: dict, x_grid, source):
 def run_evolve_closed(cfg: dict, path: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
     traj = _evolve(cfg, x_grid, None)
-    rows = map(_line, _trajectory_rows(traj, x_grid, open_run=False))
-    _write_csv(path, ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity"],
-               rows, cfg_hash)
+    _write_csv(path, TRAJECTORY_HEADER,
+               _lines(*(map(repr, c) for c in _trajectory_columns(traj, x_grid))), cfg_hash)
 
 
 def run_evolve_open(cfg: dict, path: Path, cfg_hash: str) -> None:
@@ -234,10 +228,12 @@ def run_evolve_open(cfg: dict, path: Path, cfg_hash: str) -> None:
                 f"{params.x_coupling_on}")
         source = cosmo_kernel(params)
     traj = _evolve(cfg, x_grid, source)
-    rows = map(_line, _trajectory_rows(traj, x_grid, open_run=True))
-    _write_csv(path, ["x", "g11", "g12", "g22", "r", "phi", "lam", "purity",
-                      "sigma0", "n_pairs", "abs_c"],
-               rows, cfg_hash)
+    cols = _trajectory_columns(traj, x_grid)
+    stats = particle_statistics(traj)
+    abs_c = np.hypot(stats.c.real, stats.c.imag)  # closer to mpmath than np.abs
+    cols += [np.sqrt(cols[6]).tolist(), stats.n.tolist(), abs_c.tolist()]  # sqrt(lam)
+    _write_csv(path, TRAJECTORY_HEADER + ["sigma0", "n_pairs", "abs_c"],
+               _lines(*(map(repr, c) for c in cols)), cfg_hash)
 
 
 def run_discord_map(cfg: dict, path: Path, cfg_hash: str) -> None:
@@ -286,33 +282,34 @@ def _map_lines(p_vals, k_vals, res):
                                      res.log_sigma_zero[block]):
             # math.exp: np.exp can differ from it in the last bit
             purity = map(math.exp, (-2.0 * ln_s0).tolist())
-            yield from map(",".join, zip(repeat(repr(p)), k_labels,
-                                         map(repr, discord.tolist()), map(repr, purity)))
+            yield from _lines(repeat(repr(p)), k_labels, map(repr, discord.tolist()),
+                              map(repr, purity))
 
 
 def run_ellipse_series(cfg: dict, path: Path, cfg_hash: str) -> None:
     x_grid = _grid(cfg)
     n_sigma = _positive(cfg.get("n_sigma", math.sqrt(2.0)), "n_sigma")
-    rows = []
-    for x in x_grid:
-        r, phi = de_sitter_squeezing(float(x))
-        ell = wigner_ellipse(SqueezingState(r, phi, 1.0), n_sigma)
-        rows.append([-math.log(x), ell.semi_major, ell.semi_minor, ell.tilt,
-                     ell.semi_major / ell.semi_minor])
+    xs = x_grid.tolist()
+    ells = [wigner_ellipse(SqueezingState(*de_sitter_squeezing(x), 1.0), n_sigma)
+            for x in xs]
+    cols = [[-math.log(x) for x in xs], [e.semi_major for e in ells],
+            [e.semi_minor for e in ells], [e.tilt for e in ells],
+            [e.semi_major / e.semi_minor for e in ells]]
     _write_csv(path, ["efolds", "semi_major", "semi_minor", "tilt", "axis_ratio"],
-               map(_line, rows), cfg_hash)
+               _lines(*(map(repr, c) for c in cols)), cfg_hash)
 
 
 def run_spectrum(cfg: dict, path: Path, cfg_hash: str) -> None:
     base = _cosmo_params(cfg)
     k_lo, k_hi = (_positive(k, "k_range") for k in _range(cfg, "k_range", (1e-2, 1e2)))
     points = _count(cfg.get("points", 41), "points", 1)
-    rows = []
-    for k in np.geomspace(k_lo, k_hi, points):
-        corr = power_spectrum_correction(replace(base, k_over_kstar=float(k)))
-        rows.append([float(k), corr.value, corr.regime.value, corr.time_dependent])
+    ks = np.geomspace(k_lo, k_hi, points).tolist()
+    corrs = [power_spectrum_correction(replace(base, k_over_kstar=k)) for k in ks]
     _write_csv(path, ["k_over_kstar", "dP_over_P", "regime", "time_dependent"],
-               map(_line, rows), cfg_hash)
+               _lines(map(repr, ks), [repr(c.value) for c in corrs],
+                      [c.regime.value for c in corrs],
+                      ["true" if c.time_dependent else "false" for c in corrs]),
+               cfg_hash)
 
 
 RUNNERS = {
@@ -363,33 +360,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: a configuration error exits 2 and a numerical
+    failure 3, each with one JSON line on stderr."""
     args = _parser().parse_args(argv)
-
-    if args.command == "selfcheck":
-        try:
-            return 0 if _selfcheck.run_all() else 3
-        except GausslindError as exc:
-            _emit_error(exc)
-            return 3
-
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        if args.command == "selfcheck":
+            return run_config({"mode": "selfcheck"}, Path("."))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise ConfigError(f"cannot read {args.config!r}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        _emit_error(exc)
-        return 2
-
-    try:
         return run_config(cfg, Path(args.out))
     except ConfigError as exc:
         _emit_error(exc)
         return 2
-    except GausslindError as exc:
-        _emit_error(exc)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (GausslindError, ValueError, ArithmeticError) as exc:
         _emit_error(exc)
         return 3
 

@@ -8,9 +8,10 @@ Trajectory: one README-style de Sitter trajectory of 4,000 samples
 (kGamma/k* = 10, p = 2.1, ellH = 0.1, x from 10 to 1e-3) is integrated
 once; each benchmark then turns it into CSV rows and writes them.
 "per_row" is the per-sample oracle of conftest (validated blocks, scalar
-squeezing and particle statistics) written with one `_fmt` call per value;
-"columns" is `cli._trajectory_rows` formatted by `cli._line` and written
-by `cli._write_csv`.
+squeezing and particle statistics) written with one `repr` call per value;
+"columns" is `cli.run_evolve_open` with its integration replaced by the
+trajectory: its columns joined into lines by `cli._lines` and written by
+`cli._write_csv`.  Both files are checked to be equal.
 
 Map: the default 40x40 approx `discord_map` is computed once; "per_value"
 writes it as the CLI did before its lines were formatted by column (a
@@ -49,19 +50,21 @@ def per_row(traj, x_grid, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(HEADER) + "\n")
         for row in rows:
-            fh.write(",".join(cli._fmt(v) for v in row) + "\n")
+            fh.write(",".join(repr(v) for v in row) + "\n")
 
 
 def columns(traj, x_grid, path):
-    cli._write_csv(path, HEADER, map(cli._line, cli._trajectory_rows(traj, x_grid, open_run=True)),
-                   "")
+    cli.run_evolve_open(dict(CFG, mode="evolve_open"), path, "")
 
 
 @pytest.mark.parametrize("mode", ["per_row", "columns"])
-def test_trajectory_rows(benchmark, tmp_path, trajectory, mode):
+def test_trajectory_rows(benchmark, tmp_path, monkeypatch, trajectory, mode):
+    monkeypatch.setattr(cli, "_evolve", lambda cfg, x_grid, source: trajectory[0])
     run = per_row if mode == "per_row" else columns
     benchmark.pedantic(run, args=(*trajectory, tmp_path / "open.csv"), rounds=10,
                        iterations=1, warmup_rounds=1)
+    per_row(*trajectory, tmp_path / "want.csv")
+    assert data_lines(tmp_path / "open.csv") == data_lines(tmp_path / "want.csv")
     benchmark.extra_info.update(
         mode=mode, rows=POINTS, per_row_us=1e6 * benchmark.stats.stats.min / POINTS)
 
@@ -80,7 +83,7 @@ def map_per_value(p_vals, k_vals, res, path):
         for p, discord, ln_s0 in zip(p_vals.tolist(), res.discord, res.log_sigma_zero):
             purity = [math.exp(-2.0 * v) for v in ln_s0.tolist()]
             for row in zip([p] * len(k_list), k_list, discord.tolist(), purity):
-                fh.write(",".join([repr(v) if type(v) is float else cli._fmt(v)
+                fh.write(",".join([repr(v) if type(v) is float else str(v)
                                    for v in row]) + "\n")
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gausslind import cli
+from gausslind import cli, selfcheck
 from gausslind.cli import main
 from gausslind.selfcheck import CHECKS
 
@@ -320,10 +320,16 @@ class TestRunInputValidation:
         assert not (tmp_path / "out.csv").exists()
 
 
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# 10**400 is a JSON integer beyond the range of doubles
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])
 NON_POSITIVE = st.one_of(NON_FINITE, st.floats(max_value=0.0))
 NOT_A_COUNT = st.one_of(NON_FINITE, st.integers(max_value=0),
                         st.floats(0.01, 100.0).filter(lambda v: not v.is_integer()))
+
+
+# JSON values that float() would read as numbers: true, "-0.5"
+NOT_A_NUMBER = st.one_of(st.booleans(),
+                         st.one_of(st.floats(-1e3, 1e3), st.integers(-100, 100)).map(str))
 
 
 def _with_bad_element(bad, good=st.floats(-5.0, 5.0)):
@@ -352,27 +358,37 @@ class TestValidatorProperties:
 
     # (base config, key path, invalid values)
     CASES = {
-        "x": (MAP, ("x",), st.one_of(NON_POSITIVE, st.floats(min_value=0.1))),
-        "theta": (MAP, ("theta",), NON_FINITE),
-        "p_range": (MAP, ("p_range",),
-                    st.one_of(_with_bad_element(NON_FINITE), _reversed(0.1, 9.9))),
+        "x": (MAP, ("x",), st.one_of(NON_POSITIVE, st.floats(min_value=0.1), NOT_A_NUMBER)),
+        "theta": (MAP, ("theta",), st.one_of(NON_FINITE, NOT_A_NUMBER)),
+        "p_range": (MAP, ("p_range",), st.one_of(
+            _with_bad_element(NON_FINITE), _reversed(0.1, 9.9),
+            _with_bad_element(NOT_A_NUMBER))),
         "log10_kGamma_range": (MAP, ("log10_kGamma_range",), st.one_of(
             _with_bad_element(NON_FINITE), _with_bad_element(st.floats(309.0, 1e300)),
-            _reversed(-10.0, 6.0))),
-        "map_points": (MAP, ("map_points",), _with_bad_element(NOT_A_COUNT, st.just(2))),
-        "cosmo.ellH": (MAP, ("cosmo", "ellH"), st.one_of(NON_POSITIVE, st.floats(min_value=1.0))),
-        "grid.x_start": (CLOSED, ("grid", "x_start"), NON_POSITIVE),
-        "grid.x_end": (ELLIPSE, ("grid", "x_end"), NON_POSITIVE),
+            _reversed(-10.0, 6.0), _with_bad_element(NOT_A_NUMBER))),
+        "map_points": (MAP, ("map_points",), st.one_of(
+            _with_bad_element(NOT_A_COUNT, st.just(2)),
+            _with_bad_element(NOT_A_NUMBER, st.just(2)))),
+        "cosmo.ellH": (MAP, ("cosmo", "ellH"), st.one_of(
+            NON_POSITIVE, st.floats(min_value=1.0), NOT_A_NUMBER)),
+        "grid.x_start": (CLOSED, ("grid", "x_start"), st.one_of(NON_POSITIVE, NOT_A_NUMBER)),
+        "grid.x_end": (ELLIPSE, ("grid", "x_end"), st.one_of(NON_POSITIVE, NOT_A_NUMBER)),
         "grid.points": (CLOSED, ("grid", "points"),
-                        st.one_of(NOT_A_COUNT, st.just(1))),
-        "grid.reversed_open": (OPEN, ("grid", "x_end"), st.floats(10.0, 1e3)),
-        "tolerances.rtol": (CLOSED, ("tolerances", "rtol"), NON_POSITIVE),
-        "tolerances.atol": (OPEN, ("tolerances", "atol"), NON_POSITIVE),
-        "source_const": (OPEN, ("source_const",),
-                         st.one_of(NON_FINITE, st.floats(max_value=-1e-300))),
-        "k_range": (SPECTRUM, ("k_range",),
-                    st.one_of(_with_bad_element(NON_POSITIVE), _reversed(1e-2, 1e2))),
-        "n_sigma": (ELLIPSE, ("n_sigma",), NON_POSITIVE),
+                        st.one_of(NOT_A_COUNT, st.just(1), NOT_A_NUMBER)),
+        "grid.reversed_open": (OPEN, ("grid", "x_end"),
+                               st.one_of(st.floats(10.0, 1e3), NOT_A_NUMBER)),
+        "tolerances.rtol": (CLOSED, ("tolerances", "rtol"), st.one_of(NON_POSITIVE, NOT_A_NUMBER)),
+        "tolerances.atol": (OPEN, ("tolerances", "atol"), st.one_of(NON_POSITIVE, NOT_A_NUMBER)),
+        "source_const": (OPEN, ("source_const",), st.one_of(
+            NON_FINITE, st.floats(max_value=-1e-300), NOT_A_NUMBER)),
+        "k_range": (SPECTRUM, ("k_range",), st.one_of(
+            _with_bad_element(NON_POSITIVE), _reversed(1e-2, 1e2),
+            _with_bad_element(NOT_A_NUMBER))),
+        "n_sigma": (ELLIPSE, ("n_sigma",), st.one_of(NON_POSITIVE, NOT_A_NUMBER)),
+        "cosmo.kGamma_over_kstar": (SPECTRUM, ("cosmo", "kGamma_over_kstar"),
+                                    st.one_of(NON_FINITE, NOT_A_NUMBER)),
+        "cosmo.p": (SPECTRUM, ("cosmo", "p"), st.one_of(NON_FINITE, NOT_A_NUMBER)),
+        "points": (SPECTRUM, ("points",), st.one_of(NOT_A_COUNT, NOT_A_NUMBER)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -458,10 +474,13 @@ class TestSpectrumScenario:
 class TestErrorChannel:
     def test_config_errors_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run_cli(["run", str(bad)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "error" in err and "message" in err
+        for text in (b"{not json", b'{"mode": "\xff"}', b"[1]"):
+            bad.write_bytes(text)
+            assert run_cli(["run", str(bad)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+        assert run_cli(["run", str(tmp_path / "missing.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
         cfg = write_config(tmp_path, "m.json", {"mode": "nope"})
         assert run_cli(["run", cfg]) == 2
@@ -600,6 +619,18 @@ class TestSelfcheckMode:
         assert run_cli(["run", cfg]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == len(CHECKS)
+
+    def test_both_entry_points_map_errors_alike(self, tmp_path, capsys, monkeypatch):
+        def broken():
+            raise ValueError("injected")
+
+        monkeypatch.setattr(selfcheck, "run_all", broken)
+        cfg = write_config(tmp_path, "sc.json", {"mode": "selfcheck"})
+        for argv in (["selfcheck"], ["run", cfg]):
+            assert run_cli(argv) == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1, argv
+            assert json.loads(lines[0]) == {"error": "ValueError", "message": "injected"}
 
 
 class TestEntryPoint:

@@ -1,7 +1,7 @@
 """Every CSV the CLI writes, byte for byte, against a per-value oracle.
 
-The CLI formats a discord map column by column, each label once per block
-of `_plane_blocks`, and the other modes row by row.  The oracle here
+The CLI formats every mode column by column, a discord map a block of
+`_plane_blocks` at a time with each label once per block.  The oracle here
 recomputes each mode's values and writes every file one value at a time
 with its own copy of the per-value formatter, so a label that drifts from
 its cells, or a value formatted another way, shows as a byte difference.

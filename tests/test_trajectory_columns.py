@@ -1,4 +1,5 @@
-"""Trajectory CSV rows computed as columns against the per-row oracle."""
+"""Trajectory CSV rows, written by the CLI from columns, against the
+per-row oracle."""
 
 import json
 import math
@@ -19,11 +20,24 @@ def trajectory(rows, det=None):
     return CovarianceTrajectory(np.arange(len(rows), dtype=float), g11, g12, g22, det)
 
 
+def written_rows(tmp_path, monkeypatch, cfg, traj, open_run):
+    """The data rows, as text values, that the evolve_open (open_run) or
+    evolve_closed runner writes for `traj` on the grid of `cfg`."""
+    monkeypatch.setattr(cli, "_evolve", lambda cfg, x_grid, source: traj)
+    mode = "evolve_open" if open_run else "evolve_closed"
+    path = tmp_path / f"{mode}.csv"
+    cli.RUNNERS[mode](dict(cfg, mode=mode), path, "")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2].split(",") == cli.TRAJECTORY_HEADER + (
+        ["sigma0", "n_pairs", "abs_c"] if open_run else [])
+    return [line.split(",") for line in lines[3:]]
+
+
 def assert_rows_equal(got, want):
     """Value for value, down to the CSV text of each value."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert [cli._fmt(v) for v in g] == [cli._fmt(v) for v in w]
+        assert g == [repr(float(v)) for v in w]
 
 
 SCENARIOS = {
@@ -52,19 +66,20 @@ def scenario_trajectory(cfg, open_run):
 
 class TestRowsMatchOracle:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_scenario(self, name):
+    def test_scenario(self, tmp_path, monkeypatch, name):
         cfg, open_run = SCENARIOS[name]
         traj, x_grid = scenario_trajectory(cfg, open_run)
-        got = list(cli._trajectory_rows(traj, x_grid, open_run))
+        got = written_rows(tmp_path, monkeypatch, cfg, traj, open_run)
         assert_rows_equal(got, trajectory_rows_oracle(traj, x_grid, open_run))
 
-    def test_free_vacuum_rows_are_degenerate(self):
-        traj, x_grid = scenario_trajectory(*SCENARIOS["free_closed"])
-        rows = list(cli._trajectory_rows(traj, x_grid, False))
-        assert all(row[4] == 0.0 and row[5] == 0.0 for row in rows)
+    def test_free_vacuum_rows_are_degenerate(self, tmp_path, monkeypatch):
+        cfg, open_run = SCENARIOS["free_closed"]
+        traj, _ = scenario_trajectory(cfg, open_run)
+        rows = written_rows(tmp_path, monkeypatch, cfg, traj, open_run)
+        assert all(float(row[4]) == 0.0 and float(row[5]) == 0.0 for row in rows)
 
     @pytest.mark.parametrize("open_run", [False, True])
-    def test_edge_rows(self, open_run):
+    def test_edge_rows(self, tmp_path, monkeypatch, open_run):
         rows = [
             (1.0, 0.0, 1.0),          # vacuum: r = 0, degenerate
             (2.0, 0.0, 0.5),          # atan2(-0.0, < 0) = -pi: phi wraps to pi/2
@@ -75,9 +90,10 @@ class TestRowsMatchOracle:
             (1.5, -0.7, 2.5),
         ]
         traj = trajectory(rows, det=[1.0, 1.0, 1.0, 1.0, 1.0, 2.5, 4.0])
-        x_grid = np.linspace(1.0, 0.1, len(rows))
-        got = list(cli._trajectory_rows(traj, x_grid, open_run))
-        assert_rows_equal(got, trajectory_rows_oracle(traj, x_grid, open_run))
+        cfg = {"preset": "free", "source_const": 0.1,
+               "grid": {"x_start": 1.0, "x_end": 0.1, "points": len(rows)}}
+        got = written_rows(tmp_path, monkeypatch, cfg, traj, open_run)
+        assert_rows_equal(got, trajectory_rows_oracle(traj, cli._grid(cfg), open_run))
         r, phi, lam = traj.squeezing()
         assert r[0] == phi[0] == 0.0
         assert phi[1] == phi[2] == 0.5 * math.pi
