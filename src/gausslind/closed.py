@@ -26,7 +26,6 @@ from .symplectic import (
     CovarianceBlock,
     ParticleStatistics,
     SqueezingState,
-    _ln_q,
     _require_blocks,
     _squeezing_columns,
     _two_product,
@@ -291,14 +290,6 @@ class CovarianceTrajectory:
             r, phi = _squeezing_columns(*g, np.maximum(_require_blocks(*g), 1.0))
         regular = r > DEGENERATE_R
         return np.where(regular, r, 0.0), np.where(regular, phi, 0.0), self.lam
-
-    def _log_sigmas(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(ln sigma(0)^2, ln q) of every sample across partition theta (checked
-        by the caller): sigma(0)^2 = self.lam, ln q = `symplectic._ln_q`.
-        The first sample that fails the CovarianceBlock checks raises as its block would."""
-        g = (self.g11, self.g12, self.g22)
-        _require_blocks(*g)
-        return np.log(self.lam), _ln_q(*g, theta)
 
     def __len__(self) -> int:
         return len(self.times)

@@ -30,10 +30,10 @@ from ._special import logsumexp
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
-from .errors import BelowHeisenbergError, DomainError, SingularExponentError
+from .errors import BelowHeisenbergError, DomainError, SingularExponentError, StepFailureError
 from .opensys import TransportResponse, _dop853, evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
-from .symplectic import CovarianceBlock, _half_sin, _ln
+from .symplectic import CovarianceBlock, _half_sin, _ln, _ln_q
 
 __all__ = [
     "CosmoParams",
@@ -75,6 +75,8 @@ PLANE_BLOCK_CELLS = 2 ** 16
 #: (seed 0) take 34.3k, 35.0k, 37.5k and 42.0k RHS calls at 2, 1, 0.5 and
 #: 0.2; at 1 the conformal-time phase before it is never empty (ellH < 1)
 EFOLD_X_SWITCH = 1.0
+#: the largest kGamma/k whose square kap2 is a double
+_KAP_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -319,8 +321,10 @@ def _coupling_row(params: CosmoParams, kGamma_over_kstar) -> np.ndarray:
     if kGamma_over_kstar is None:
         kGamma_over_kstar = params.kGamma_over_kstar
     couplings = _row(kGamma_over_kstar, "couplings")
-    if not np.all((couplings >= 0.0) & (couplings < math.inf)):
-        raise DomainError("coupling kGamma_over_kstar must be finite and >= 0")
+    if not (np.all(couplings >= 0.0)
+            and float(couplings.max()) / params.k_over_kstar <= _KAP_MAX):
+        raise DomainError("coupling kGamma_over_kstar must be >= 0, and its (kGamma/k)^2 "
+                          "a finite double")
     return couplings
 
 
@@ -338,7 +342,8 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     d(det)/d eta = S gamma_11 integrated against the exact gamma_11: this
     sidesteps the catastrophic cancellation of forming g11 g22 - g12^2
     from large entries.  x must be positive and finite; x >= 1/ellH, where
-    the environment is off, gives det = 1.
+    the environment is off, gives det = 1.  det >= 1 holds without a
+    floor: it is 1 plus a quadrature of a positive integrand (node guard).
 
     kGamma_over_kstar, when given, replaces the coupling of params: a
     scalar (float out), or a 1-D array for a row of couplings at one p
@@ -646,7 +651,6 @@ def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndar
     plane of the tables stacked in t and the couplings kap2
     (`_log_sigmas_series`).  A sigma(0)^2 that the truncated series puts
     below 1 reads as 1 (purity 1; see the README numerical notes)."""
-    _require_super_hubble(x)
     # sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p}
     s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(t, kap2)
     det_terms = ((1.0, s0_2 + s0_4, sx_2 + sx_4, sxx_4), (0.0, 0.0, 2.0 - t.p, 10.0 - 2.0 * t.p))
@@ -670,14 +674,15 @@ def _approx_block(x: float, theta: float, params: CosmoParams, ps, couplings):
 
 def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     """(ln sigma(0)^2, ln q) of a block: one exact_open_covariance and one
-    exact_open_det call per p row, read as the samples at x of a trajectory."""
-    g = np.empty((4, len(ps), len(couplings), 1))  # g11, g12, g22, det
+    exact_open_det call per p row; the blocks passed the CovarianceBlock
+    checks when built and det >= 1, so the cells are ln det and ln q."""
+    g = np.empty((4, len(ps), len(couplings)))  # g11, g12, g22, det
     for i, p in enumerate(ps.tolist()):
         row = replace(params, p=p)
-        g[:3, i, :, 0] = np.transpose([(b.g11, b.g12, b.g22) for b in
-                                       exact_open_covariance(x, row, kGamma_over_kstar=couplings)])
-        g[3, i, :, 0] = exact_open_det(x, row, kGamma_over_kstar=couplings)
-    return CovarianceTrajectory(np.array([-x]), *g)._log_sigmas(theta)
+        g[:3, i] = np.transpose([(b.g11, b.g12, b.g22) for b in
+                                 exact_open_covariance(x, row, kGamma_over_kstar=couplings)])
+        g[3, i] = exact_open_det(x, row, kGamma_over_kstar=couplings)
+    return np.log(g[3]), _ln_q(*g[:3], theta)
 
 
 def _efold_response(start: TransportResponse, x: float, ps) -> tuple[np.ndarray, np.ndarray]:
@@ -762,8 +767,6 @@ def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings)
 
 
 _ROUTES = {"approx": _approx_block, "exact": _exact_block, "transport": _transport_block}
-#: the methods of discord_cosmo
-DISCORD_METHODS = tuple(_ROUTES)
 
 
 def discord_cosmo(
@@ -794,23 +797,31 @@ def discord_cosmo(
     field of the result has one axis per array given, p first: (n_p, n_k)
     with both, a float with neither.
 
+    Every input, x in (0, APPROX_X_MAX) for approx and (0, 1/ellH) for the
+    others among them, is checked before any route runs (DomainError).
     Every route runs in the blocks of `_plane_blocks`, of at most
-    PLANE_BLOCK_CELLS = 2^16 cells, which bounds the memory.  The approx
-    and exact routes equal per-row calls bit for bit.  The transport route
-    (`_transport_block`) agrees with per-row calls to ~1e-11 (the response
-    divides TRANSPORT_RTOL by sqrt(1 + rows)).
+    PLANE_BLOCK_CELLS = 2^16 cells, which bounds the memory; a block with a
+    discord or ln sigma(0) that is not finite raises StepFailureError.  The
+    approx and exact routes equal per-row calls bit for bit.  The transport
+    route (`_transport_block`) agrees with per-row calls to ~1e-11 (the
+    response divides TRANSPORT_RTOL by sqrt(1 + rows)).
     """
     couplings = _coupling_row(params, kGamma_over_kstar)
     ps = _row(params.p if p is None else p, "p")
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
     if method not in _ROUTES:
-        raise DomainError(f"unknown method {method!r}; expected one of {DISCORD_METHODS}")
+        raise DomainError(f"unknown method {method!r}; expected one of {tuple(_ROUTES)}")
+    x_max = APPROX_X_MAX if method == "approx" else params.x_coupling_on
+    if not 0.0 < x < x_max:
+        raise DomainError(f"x must be in (0, {x_max}) for method {method!r}, got {x}")
     ln_s0sq, ln_q, d = np.empty((3, len(ps), len(couplings)))
     for block in _plane_blocks(len(ps), len(couplings), PLANE_BLOCK_CELLS):
-        logs = _ROUTES[method](x, theta, params, ps[block[0]], couplings[block[1]])
-        ln_s0sq[block], ln_q[block] = np.reshape(logs, (2, *d[block].shape))
+        ln_s0sq[block], ln_q[block] = _ROUTES[method](x, theta, params, ps[block[0]],
+                                                      couplings[block[1]])
         d[block] = _discord_from_logs(ln_s0sq[block], ln_q[block])[0]
+        if not (np.isfinite(d[block]).all() and np.isfinite(ln_s0sq[block]).all()):
+            raise StepFailureError(f"method {method!r}: a discord or ln sigma(0) is not finite")
     axes = (0 if np.ndim(p) == 0 else slice(None),
             0 if np.ndim(kGamma_over_kstar) == 0 else slice(None))
     return DiscordResult(*(_scalar_or_array(f[axes]) for f in

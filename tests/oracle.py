@@ -6,12 +6,18 @@ The Sigma coefficients of sigma^2(0) are the sums over the full series
 of the dressed covariance (the rational multiples of b11, d11 and f11),
 so they check the closed forms of `cosmology.sigma0_sq_coefficients`
 against the series they stand for.
+
+`log_sigmas` is the linear-domain reader of a trajectory's cells, the
+reference for the log-domain readers of the discord routes.
 """
 
 import math
 from types import SimpleNamespace
 
 import mpmath as mp
+import numpy as np
+
+from gausslind.symplectic import _ln_q, _require_blocks
 
 DPS = 50
 
@@ -74,6 +80,16 @@ def sigma0_sq(x, p, ellH, kGamma_over_k, x_star=1.0):
         x = mp.mpf(x)
         return (1 + s0_2 + s0_4 + (sx_2 + sx_4) * mp.power(x, 2 - t.p)
                 + sxx_4 * mp.power(x, 10 - 2 * t.p))
+
+
+def log_sigmas(traj, theta):
+    """(ln sigma(0)^2, ln q) of every sample of a CovarianceTrajectory (or
+    of its cells) across partition theta, read from the entries and the
+    transported det in the linear domain: the CovarianceBlock checks
+    (`symplectic._require_blocks`), then ln traj.lam and `symplectic._ln_q`."""
+    g = (traj.g11, traj.g12, traj.g22)
+    _require_blocks(*g)
+    return np.log(traj.lam), _ln_q(*g, theta)
 
 
 def discord_from_logs(ln_s0sq, ln_q, dps=600):

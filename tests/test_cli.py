@@ -240,9 +240,14 @@ class TestDiscordMapValidation:
         {"x": 0.5, "method": "approx"},
         {"cosmo": {"ellH": 1e-3, "x_star": 5, "k_over_kstar": 3}},
         {"cosmo": {"p": 2.1}},
+        {"log10_kGamma_range": [150.0, 160.0]},
+        {"log10_kGamma_range": [150.0, 160.0], "method": "transport"},
+        {"p_range": [-300.0, -100.0]},
+        {"p_range": [-300.0, -100.0], "method": "exact", "x": 0.05, "cosmo": {"ellH": 0.1}},
     ], ids=["negative_points", "zero_points", "nan_x", "nan_theta", "negative_x",
             "unknown_method", "approx_outside_super_hubble", "ignored_cosmo_keys",
-            "cosmo_p"])
+            "cosmo_p", "coupling_square_overflows", "transport_coupling_square_overflows",
+            "gamma_order_overflows", "exact_gamma_order_overflows"])
     def test_bad_input_exits_2(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, "m.json", dict(self.BASE, **change))
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 2
@@ -349,6 +354,8 @@ class TestValidatorProperties:
     before anything is integrated."""
 
     MAP = {"mode": "discord_map", "map_points": [2, 2]}
+    EXACT_MAP = dict(MAP, method="exact", cosmo={"ellH": 0.1})
+    TRANSPORT_MAP = dict(MAP, method="transport", cosmo={"ellH": 0.1})
     GRID = {"x_start": 10.0, "x_end": 1.0, "points": 3}
     CLOSED = {"mode": "evolve_closed", "grid": GRID}
     OPEN = {"mode": "evolve_open", "preset": "free", "source_const": 0.1, "grid": GRID}
@@ -359,6 +366,11 @@ class TestValidatorProperties:
     # (base config, key path, invalid values)
     CASES = {
         "x": (MAP, ("x",), st.one_of(NON_POSITIVE, st.floats(min_value=0.1), NOT_A_NUMBER)),
+        # 1/ellH = 10
+        "x.exact": (EXACT_MAP, ("x",),
+                    st.one_of(NON_POSITIVE, st.floats(min_value=10.0), NOT_A_NUMBER)),
+        "x.transport": (TRANSPORT_MAP, ("x",),
+                        st.one_of(NON_POSITIVE, st.floats(min_value=10.0), NOT_A_NUMBER)),
         "theta": (MAP, ("theta",), st.one_of(NON_FINITE, NOT_A_NUMBER)),
         "p_range": (MAP, ("p_range",), st.one_of(
             _with_bad_element(NON_FINITE), _reversed(0.1, 9.9),
@@ -515,6 +527,17 @@ class TestErrorChannel:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "BelowHeisenbergError"
         assert err["message"].startswith("diagonal entries must be positive")
+
+    def test_non_finite_map_cell_exits_3(self, tmp_path, capsys):
+        # exact_open_det overflows at p ~ 150: every cell read D = nan and
+        # purity 0, and the run exited 0
+        cfg = write_config(tmp_path, "e.json", {
+            "mode": "discord_map", "method": "exact", "map_points": [2, 3], "x": 0.05,
+            "cosmo": {"ellH": 0.1}, "p_range": [150.0, 180.0], "output_path": "e.csv"})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "StepFailureError"
+        assert not (tmp_path / "e.csv").exists()
 
     def test_overflow_reports_one_json_line(self, tmp_path):
         # the solver overflows; numpy and scipy warnings must not reach stderr

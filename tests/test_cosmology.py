@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -8,6 +9,7 @@ from scipy.integrate import IntegrationWarning
 
 from gausslind import specfun
 from gausslind.cosmology import (
+    APPROX_X_MAX,
     CosmoParams,
     PsRegime,
     _approx_terms,
@@ -36,9 +38,11 @@ from gausslind.errors import (
     BelowHeisenbergError,
     DomainError,
     SingularExponentError,
+    StepFailureError,
 )
 
 from conftest import count_rhs_calls, default_map, super_hubble_series
+import oracle
 
 FIG_PARAMS = {
     2.1: CosmoParams(kGamma_over_kstar=10.0, p=2.1, ellH=0.1),
@@ -764,6 +768,81 @@ class TestEmptyRows:
             exact_open_det(0.05, CosmoParams(0.0, 2.1, 0.1), kGamma_over_kstar=[math.inf])
 
 
+class TestDiscordChecks:
+    """discord_cosmo checks its input once, before any route runs, and the
+    output of each block once."""
+
+    METHODS = ["approx", "exact", "transport"]
+    PARAMS = CosmoParams(0.1, 2.1, 0.1)
+
+    @pytest.fixture
+    def no_route(self, monkeypatch):
+        from gausslind import cosmology
+
+        def route(*args):
+            raise AssertionError("a route ran")
+
+        for method in self.METHODS:
+            monkeypatch.setitem(cosmology._ROUTES, method, route)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("x", [0.0, -1e-3, math.nan, math.inf, "x_max"])
+    def test_x_window_at_entry(self, no_route, method, x):
+        if x == "x_max":
+            x = APPROX_X_MAX if method == "approx" else self.PARAMS.x_coupling_on
+        with pytest.raises(DomainError, match=f"for method '{method}', got {x}"):
+            discord_cosmo(x, -0.4, self.PARAMS, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("params, couplings", [
+        (CosmoParams(1e160, 2.1, 0.1), None),
+        (CosmoParams(0.0, 2.1, 0.1), np.array([0.5, 1e160])),
+        (CosmoParams(1e100, 2.1, 0.1, k_over_kstar=1e-100), None),
+        (CosmoParams(1.0, 2.1, 0.1, k_over_kstar=1e-320), None),
+    ], ids=["scalar", "row", "k_over_kstar", "quotient_overflows"])
+    def test_coupling_square_overflow_at_entry(self, no_route, method, params, couplings):
+        with pytest.raises(DomainError, match="a finite double"):
+            discord_cosmo(0.05, -0.4, params, method, kGamma_over_kstar=couplings)
+
+    @pytest.mark.parametrize("route", [
+        cosmo_kernel,
+        *(functools.partial(f, 0.05) for f in (exact_open_covariance, exact_open_det,
+                                               approx_open_covariance, sigma0_sq_approx)),
+    ], ids=["cosmo_kernel", "exact_open_covariance", "exact_open_det",
+            "approx_open_covariance", "sigma0_sq_approx"])
+    def test_coupling_square_overflow_on_scalar_routes(self, route):
+        # each raised a bare OverflowError from the coupling square
+        with pytest.raises(DomainError, match="a finite double"):
+            route(CosmoParams(1e160, 2.1, 0.1))
+
+    @pytest.mark.parametrize("method, x", [("approx", 1e-4), ("exact", 0.5),
+                                           ("transport", 0.5)])
+    @pytest.mark.parametrize("which, bad", [(0, math.inf), (1, math.nan)],
+                             ids=["ln_s0sq_inf", "ln_q_nan"])
+    def test_non_finite_cell_raises(self, monkeypatch, method, x, which, bad):
+        # one cell of a route's (ln sigma(0)^2, ln q) spoilt
+        from gausslind import cosmology
+        route = cosmology._ROUTES[method]
+
+        def spoilt(*args):
+            logs = [np.array(v) for v in route(*args)]
+            logs[which][-1, -1] = bad
+            return logs
+
+        monkeypatch.setitem(cosmology._ROUTES, method, spoilt)
+        with pytest.raises(StepFailureError, match="not finite"):
+            discord_cosmo(x, -0.4, CosmoParams(0.0, 2.1, 0.1), method,
+                          kGamma_over_kstar=np.array([0.01, 1.0]), p=np.array([2.1, 6.1]))
+
+    def test_exact_det_overflow_raises(self):
+        # exact_open_det is inf at p ~ 150: the cells read D = nan and
+        # purity 0 when no output check held them
+        with pytest.raises(StepFailureError, match="method 'exact'"):
+            discord_cosmo(0.05, -math.pi / 4.0, CosmoParams(0.0, 150.5, 0.1), "exact",
+                          kGamma_over_kstar=np.array([1e-10, 1e-2, 1e6]),
+                          p=np.array([150.5, 180.5]))
+
+
 class TestDiscordPlane:
     """discord_cosmo over a (p, coupling) plane: one transport integration."""
 
@@ -846,7 +925,7 @@ class TestDiscordPlane:
         response = evolve_de_sitter(params.x_coupling_on, x,
                                     lambda eta: np.power(-1.0 / eta, ps - 3.0), x_eval=(x,))
         kap2 = np.outer(2.0 * params.x_star ** (ps - 3.0), _kap2_row(params, couplings))
-        ln_s0sq, ln_q = response.cells(kap2)._log_sigmas(self.THETA)
+        ln_s0sq, ln_q = oracle.log_sigmas(response.cells(kap2), self.THETA)
         want = _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0]
         assert np.all(np.abs(got.discord - want) <= 1e-14 * np.maximum(1.0, want))
         assert np.all(np.abs(got.log_sigma_zero - 0.5 * ln_s0sq[..., 0]) <= 1e-14)

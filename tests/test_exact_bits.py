@@ -19,8 +19,12 @@ import warnings
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from gausslind import closed
-from gausslind.cosmology import CosmoParams, discord_cosmo, exact_open_det
+from gausslind.cosmology import (
+    CosmoParams,
+    discord_cosmo,
+    exact_open_covariance,
+    exact_open_det,
+)
 
 import oracle
 
@@ -71,15 +75,12 @@ def test_exact_route_bits(pin):
 
 
 @pytest.mark.parametrize("pin", PINS, ids=_pin_id)
-def test_exact_route_discord_against_oracle(pin, monkeypatch):
+def test_exact_route_discord_against_oracle(pin):
     x, theta, ellH, p, kg = (float.fromhex(v) for v in pin[:5])
-    samples, log_sigmas = [], closed.CovarianceTrajectory._log_sigmas
-    monkeypatch.setattr(closed.CovarianceTrajectory, "_log_sigmas",
-                        lambda traj, th: samples.append(traj) or log_sigmas(traj, th))
+    params = CosmoParams(kg, p, ellH)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        got = float(discord_cosmo(x, theta, CosmoParams(kg, p, ellH), "exact").discord)
-    (traj,) = samples
-    g11, g12, g22 = (float(g.ravel()[0]) for g in (traj.g11, traj.g12, traj.g22))
-    want = oracle.discord_from_entries(g11, g12, g22, float(traj.lam.ravel()[0]), theta)[0]
+        got = float(discord_cosmo(x, theta, params, "exact").discord)
+        block, det = exact_open_covariance(x, params), exact_open_det(x, params)
+    want = oracle.discord_from_entries(block.g11, block.g12, block.g22, det, theta)[0]
     assert abs(got / float(want) - 1.0) <= DISCORD_RTOL

@@ -31,6 +31,8 @@ from gausslind.cosmology import (
 )
 from gausslind.discord import _discord_from_logs
 
+import oracle
+
 # name: (x, ellH, log10 kGamma/k* range, points per axis)
 PLANES = {
     "known_defect_8x8": (1e-3, 0.1, (-2.0, 2.0), 8),
@@ -95,7 +97,7 @@ def _reference(x, params, p_row, couplings):
     ref = evolve_de_sitter(params.x_coupling_on, x,
                            lambda eta: _power_law(params, p_row - 3.0, -eta),
                            x_eval=(x,), rtol=1e-14, atol=1e-16)
-    ln_s0sq, ln_q = ref.cells(_kap2_row(params, couplings))._log_sigmas(-math.pi / 4.0)
+    ln_s0sq, ln_q = oracle.log_sigmas(ref.cells(_kap2_row(params, couplings)), -math.pi / 4.0)
     return _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0], 0.5 * ln_s0sq[..., 0]
 
 
