@@ -224,7 +224,10 @@ def run_evolve_open(cfg: dict, path: Path, cfg_hash: str) -> None:
             raise ConfigError(
                 f"grid must start at or below the coupling-on point "
                 f"{params.x_coupling_on}")
-        source = cosmo_kernel(params)
+        try:  # the coupling's square
+            source = cosmo_kernel(params)
+        except DomainError as exc:
+            raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
     traj = _evolve(cfg, x_grid, source)
     cols = _trajectory_columns(traj, x_grid)
     stats = particle_statistics(traj)
@@ -296,7 +299,10 @@ def run_spectrum(cfg: dict, path: Path, cfg_hash: str) -> None:
     k_lo, k_hi = (_positive(k, "k_range") for k in _range(cfg, "k_range", (1e-2, 1e2)))
     points = _count(cfg.get("points", 41), "points", 1)
     ks = np.geomspace(k_lo, k_hi, points).tolist()
-    corrs = [power_spectrum_correction(replace(base, k_over_kstar=k)) for k in ks]
+    try:  # the coupling's square
+        corrs = [power_spectrum_correction(replace(base, k_over_kstar=k)) for k in ks]
+    except DomainError as exc:
+        raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
     _write_csv(path, ["k_over_kstar", "dP_over_P", "regime", "time_dependent"],
                _lines(map(repr, ks), [repr(c.value) for c in corrs],
                       [c.regime.value for c in corrs],

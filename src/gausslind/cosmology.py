@@ -21,7 +21,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,12 +118,12 @@ class CosmoParams:
         """Largest x at which the environment is active."""
         return 1.0 / self.ellH
 
-    def require_regular_p(self, which: Sequence[float] = _SINGULAR_P) -> None:
-        for p0 in which:
-            if abs(self.p - p0) < _P_TOL:
-                raise SingularExponentError(
-                    f"p = {self.p} is within {_P_TOL} of the logarithmic case p = {p0}"
-                )
+
+def _require_regular_p(p: float, which: Sequence[float] = _SINGULAR_P) -> None:
+    for p0 in which:
+        if abs(p - p0) < _P_TOL:
+            raise SingularExponentError(
+                f"p = {p} is within {_P_TOL} of the logarithmic case p = {p0}")
 
 
 def omega_sq_de_sitter(k: float, eta: float) -> float:
@@ -219,34 +218,28 @@ def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
 # exact dressed covariance (incomplete-gamma closed form)
 # ---------------------------------------------------------------------------
 
-def _power_bracket(x: float, p: float, ellH: float) -> float:
-    """int_{1/ellH}^x t^{1-p} (1 + t^2) dt in closed form."""
-    lam = 1.0 / ellH
-    return (
-        x ** (2.0 - p) / (2.0 - p)
-        + x ** (4.0 - p) / (4.0 - p)
-        - lam ** (2.0 - p) / (2.0 - p)
-        - lam ** (4.0 - p) / (4.0 - p)
-    )
+def _exact_row(params: CosmoParams) -> tuple:
+    """(p, ellH, x_star^(p-3), lam^(2-p)/(2-p), lam^(4-p)/(4-p)), what each
+    node of the exact route reads of its p row; lam = 1/ellH is the lower
+    end of the power bracket.  SingularExponentError at p in {2, 4}."""
+    p, lam = params.p, params.x_coupling_on
+    _require_regular_p(p, (2.0, 4.0))
+    return (p, params.ellH, params.x_star ** (p - 3.0),
+            lam ** (2.0 - p) / (2.0 - p), lam ** (4.0 - p) / (4.0 - p))
 
 
-def _g11_node(x: float, params: CosmoParams) -> tuple:
+def _g11_node(x: float, row: tuple) -> tuple:
     """(v2, corr11, parts): the coupling-free pieces of g11 = v2 - 2 kap2
-    corr11 at x, kap2 = (kGamma/k)^2, with only the work g11 needs (the
-    three moments, the power bracket and the mode); parts = (mode, xsp, br,
-    e, m1, m2, m3) lets `_exact_open_terms` build the other entries.  They
-    depend on p, ellH and x_star, not on the coupling."""
-    params.require_regular_p((2.0, 4.0))
-    if not 0.0 < x < params.x_coupling_on:
-        raise DomainError(
-            f"x = {x} outside the coupled window (0, {params.x_coupling_on})"
-        )
-    p, ellH, xs = params.p, params.ellH, params.x_star
-    xsp = xs ** (p - 3.0)
+    corr11 at x in the coupled window, kap2 = (kGamma/k)^2, for the p row
+    of `_exact_row`, with only the work g11 needs (the three moments, the
+    power bracket and the mode); parts = (mode, xsp, br, e, m1, m2, m3)
+    lets `_exact_open_terms` build the other entries."""
+    p, ellH, xsp, lam_2, lam_4 = row
     m1 = oscillatory_moment(1.0 - p, x, ellH)
     m2 = oscillatory_moment(2.0 - p, x, ellH)
     m3 = oscillatory_moment(3.0 - p, x, ellH)
-    br = _power_bracket(x, p, ellH)
+    # int_{1/ellH}^x t^{1-p} (1 + t^2) dt in closed form
+    br = x ** (2.0 - p) / (2.0 - p) + x ** (4.0 - p) / (4.0 - p) - lam_2 - lam_4
     e = complex(math.cos(2.0 * x), -math.sin(2.0 * x))  # e^{-2ix}
     mode = de_sitter_mode(x)
 
@@ -263,7 +256,10 @@ def _exact_open_terms(x: float, params: CosmoParams) -> tuple:
     dressed covariance: g11 = v2 - 2 kap2 corr11, g12 = vdv - 2 kap2 corr12,
     g22 = dv2 - 2 kap2 corr22 with kap2 = (kGamma/k)^2 (g11's from
     `_g11_node`)."""
-    v2, corr11, (mode, xsp, br, e, m1, m2, m3) = _g11_node(x, params)
+    row = _exact_row(params)
+    if not 0.0 < x < params.x_coupling_on:
+        raise DomainError(f"x = {x} outside the coupled window (0, {params.x_coupling_on})")
+    v2, corr11, (mode, xsp, br, e, m1, m2, m3) = _g11_node(x, row)
     dv2 = abs(mode.dv) ** 2
     vdv = (mode.v * mode.dv.conjugate()).real
 
@@ -308,10 +304,10 @@ def exact_open_covariance(x: float, params: CosmoParams, kGamma_over_kstar=None)
 
 
 def _row(values, what: str) -> np.ndarray:
-    """values, a scalar or a non-empty 1-D array, as a 1-D float array."""
+    """values, a scalar or a non-empty 1-D array of finite numbers, as a 1-D array."""
     row = np.atleast_1d(np.asarray(values, dtype=float))
-    if row.ndim != 1 or row.size == 0:
-        raise DomainError(f"{what} must be a scalar or a non-empty 1-D array")
+    if row.ndim != 1 or row.size == 0 or not np.isfinite(row).all():
+        raise DomainError(f"{what} must be finite, a scalar or a non-empty 1-D array")
     return row
 
 
@@ -349,7 +345,8 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     scalar (float out), or a 1-D array for a row of couplings at one p
     (array out).  Each coupling has its own quadrature, with the same
     arithmetic as a scalar call, but the coupling-free terms of gamma_11
-    are evaluated once per quadrature node for the whole row.
+    and the source power are evaluated once per quadrature node for the
+    whole row.  p in {2, 4} raises SingularExponentError, at any x.
 
     The integrand is one float per node, g11 = v2 - 2 kap2 corr11 from
     `_g11_node`; no CovarianceBlock is built.  The node guard raises
@@ -367,8 +364,9 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive and finite, got {x}")
-    hi, expo = params.x_coupling_on, params.p - 3.0
-    node = functools.cache(lambda xp: _g11_node(xp, params)[:2])
+    hi, expo, row = params.x_coupling_on, params.p - 3.0, _exact_row(params)
+    # the coupling-free pieces of the integrand, once per node for the row
+    node = functools.cache(lambda xp: (*_g11_node(xp, row)[:2], _power_law(params, expo, xp)))
 
     def det(kap2: float) -> float:
         if x >= hi:
@@ -376,12 +374,12 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
 
         # the quadrature nodes lie inside (x, hi), where the source is on
         def f(xp: float) -> float:
-            v2, corr11 = node(xp)
+            v2, corr11, source = node(xp)
             g11 = v2 - 2.0 * kap2 * corr11
             if not 0.0 < g11 < math.inf:  # False for NaN too
                 raise BelowHeisenbergError(
                     f"diagonal entries must be positive, got g11 = {g11} at x = {xp}")
-            return kap2 * _power_law(params, expo, xp) * g11
+            return kap2 * source * g11
 
         val, _ = piecewise_oscillatory_quad(f, x, hi, math.pi / 2.0, epsrel=1e-10)
         return 1.0 + val
@@ -400,7 +398,9 @@ class AsymptoticCoefficients:
     dressed covariance.  aNM is the coefficient of the non-analytic power
     x^(const - p) in component NM; b11, d11 and f11 fix every analytic
     power (the rest of the series is a rational multiple of one of them,
-    b12 = b22 = b11 among them).
+    b12 = b22 = b11 among them).  xsp = x_star^(p-3), ell, quartic and pole
+    are the p factors of `sigma0_sq_coefficients`.  Each field is a float,
+    or an (n_p, 1) column for a p row (`asymptotic_coefficients`).
     """
 
     p: float
@@ -412,16 +412,10 @@ class AsymptoticCoefficients:
     b11: float
     d11: float
     f11: float
-
-    @property
-    def _p_factors(self) -> tuple:
-        """(x_star^(p-3), ellH bracket, quartic bracket, pole denominator) of
-        sigma0_sq_coefficients, in Python floats: numpy's array pow can
-        differ from float pow in the last bit."""
-        p, ellH, b, d, f = self.p, self.ellH, self.b11, self.d11, self.f11
-        ell = ellH ** (p - 4.0) / (p - 4.0) + ellH ** (p - 2.0) / (p - 2.0)
-        return (self.x_star ** (p - 3.0), ell, 4.0 * b ** 2 - 9.0 * d ** 2 + 36.0 * b * f,
-                (p - 5.0) ** 2 * (p - 8.0) * (p - 2.0))
+    xsp: float
+    ell: float
+    quartic: float
+    pole: float
 
 
 def offset_singular_p(p: float) -> float:
@@ -438,34 +432,39 @@ def offset_singular_p(p: float) -> float:
     return p
 
 
-def asymptotic_coefficients(params: CosmoParams) -> AsymptoticCoefficients:
+def asymptotic_coefficients(params: CosmoParams, p=None) -> AsymptoticCoefficients:
     """Coefficient table for the super-Hubble expansion.
+
+    p, when given, replaces the growth index of params as in
+    `discord_cosmo`: a scalar (float fields, as without p) or a non-empty
+    1-D array ((n_p, 1) column fields), each finite.  Each value is the
+    Python float arithmetic of its own p: numpy's array pow can differ
+    from float pow in the last bit.
 
     Rejects p within 1e-6 of {2, 4, 5, 8} (vanishing denominators turn
     those powers logarithmic).  Other integer p >= 2 can still hit poles
     of individual gamma orders; `offset_singular_p` moves p off all of
     them.
     """
-    params.require_regular_p()
-    p, ellH, xs = params.p, params.ellH, params.x_star
-    xsp = xs ** (p - 3.0)
-    r1, i1 = oscillatory_moment_limits(1.0 - p, ellH)
-    r2, i2 = oscillatory_moment_limits(2.0 - p, ellH)
-    r3, i3 = oscillatory_moment_limits(3.0 - p, ellH)
-    den = (p - 8.0) * (p - 5.0) * (p - 2.0)
-
-    a11 = -2.0 * xsp / den
-    b11 = 0.5 * xsp * (
-        ellH ** (p - 4.0) / (p - 4.0)
-        + ellH ** (p - 2.0) / (p - 2.0)
-        - r1 - 2.0 * i2 + r3
-    )
-    d11 = xsp / 3.0 * (-i1 + 2.0 * r2 + i3)
-    f11 = xsp / 9.0 * (r1 + 2.0 * i2 - r3)
-    a12 = -xsp * (p - 6.0) / den
-    a22 = -(26.0 + p * (p - 11.0)) * xsp / den
-    return AsymptoticCoefficients(p=p, ellH=ellH, x_star=xs, a11=a11, a12=a12, a22=a22,
-                                  b11=b11, d11=d11, f11=f11)
+    ellH, xs, fields = params.ellH, params.x_star, []
+    for p_i in _row(params.p if p is None else p, "p").tolist():
+        _require_regular_p(p_i)
+        xsp = xs ** (p_i - 3.0)
+        r1, i1 = oscillatory_moment_limits(1.0 - p_i, ellH)
+        r2, i2 = oscillatory_moment_limits(2.0 - p_i, ellH)
+        r3, i3 = oscillatory_moment_limits(3.0 - p_i, ellH)
+        den = (p_i - 8.0) * (p_i - 5.0) * (p_i - 2.0)
+        ell = ellH ** (p_i - 4.0) / (p_i - 4.0) + ellH ** (p_i - 2.0) / (p_i - 2.0)
+        b11 = 0.5 * xsp * (ell - r1 - 2.0 * i2 + r3)
+        d11 = xsp / 3.0 * (-i1 + 2.0 * r2 + i3)
+        f11 = xsp / 9.0 * (r1 + 2.0 * i2 - r3)
+        fields.append((p_i, ellH, xs, -2.0 * xsp / den, -xsp * (p_i - 6.0) / den,
+                       -(26.0 + p_i * (p_i - 11.0)) * xsp / den, b11, d11, f11, xsp, ell,
+                       4.0 * b11 ** 2 - 9.0 * d11 ** 2 + 36.0 * b11 * f11,
+                       (p_i - 5.0) ** 2 * (p_i - 8.0) * (p_i - 2.0)))
+    if np.ndim(p) == 0:
+        return AsymptoticCoefficients(*fields[0])
+    return AsymptoticCoefficients(*np.array(fields).T[..., None])
 
 
 def _require_super_hubble(x: float) -> None:
@@ -474,20 +473,12 @@ def _require_super_hubble(x: float) -> None:
             f"super-Hubble approximation needs 0 < x < {APPROX_X_MAX}, got {x}")
 
 
-def _stack_tables(tables: Sequence[AsymptoticCoefficients]) -> SimpleNamespace:
-    """What `_approx_terms` and `sigma0_sq_coefficients` read of a table,
-    as (n_p, 1) columns over the tables: with a coupling row kap2 they
-    then evaluate the (p, coupling) plane as array code."""
-    return SimpleNamespace(**{name: np.array([getattr(t, name) for t in tables]).T[..., None]
-                              for name in ("p", "a11", "a12", "a22", "b11", "_p_factors")})
-
-
 def _approx_terms(t: AsymptoticCoefficients, kap2):
     """Leading super-Hubble terms of g11, g12, g22 as (coeffs, exps):
     component c is g_c(x) = sum_i coeffs[i, c] x^exps[i, c] over the two
     terms i.  kap2 = (kGamma/k)^2 is a scalar or an array of couplings
-    sharing the table t, or a row against tables stacked by `_stack_tables`;
-    the shapes of kap2 and t.p trail those of coeffs and exps."""
+    sharing the table t, or a row against the table of a p row; the
+    shapes of kap2 and t.p trail those of coeffs and exps."""
     p = t.p
     free = 1.0 - 2.0 * kap2 * t.b11  # b12 = b22 = b11
     coeffs = np.array([
@@ -510,7 +501,7 @@ def approx_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
 def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     """Super-Hubble coefficients of sigma^2(0) from the coefficient table
     t at coupling kap2 = (kGamma/k)^2, a scalar or an array (or, as in
-    `_approx_terms`, a row against stacked tables).
+    `_approx_terms`, a row against the table of a p row).
 
     Returns (s0_2, s0_4, sx_2, sx_4, sxx_4): the quadratic/quartic
     coupling pieces of the constant term and of the x^(2-p) term, plus
@@ -523,12 +514,11 @@ def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     s0_2, the factor p - 8 out of sxx_4) happen in the algebra, not in
     floating point.
     """
-    xsp, ell, quartic, pole = t._p_factors
-    s0_2 = -2.0 * kap2 * xsp * ell
-    s0_4 = kap2 * kap2 * quartic
-    sx_2 = 2.0 * kap2 * xsp / (t.p - 2.0)
+    s0_2 = -2.0 * kap2 * t.xsp * t.ell
+    s0_4 = kap2 * kap2 * t.quartic
+    sx_2 = 2.0 * kap2 * t.xsp / (t.p - 2.0)
     sx_4 = -2.0 * kap2 * t.b11 * sx_2
-    sxx_4 = 4.0 * kap2 * kap2 * xsp * xsp / pole
+    sxx_4 = 4.0 * kap2 * kap2 * t.xsp * t.xsp / t.pole
     return s0_2, s0_4, sx_2, sx_4, sxx_4
 
 
@@ -579,7 +569,9 @@ def _reflected_gamma_cos(p: float) -> float:
 
 def power_spectrum_correction(params: CosmoParams) -> PowerSpectrumCorrection:
     """Piecewise closed form of the relative power-spectrum correction."""
-    params.require_regular_p((4.0, 8.0))
+    _require_regular_p(params.p, (4.0, 8.0))
+    if params.kGamma_over_kstar > _KAP_MAX:
+        raise DomainError("coupling kGamma_over_kstar must have its (kGamma/k*)^2 a finite double")
     p = params.p
     kap_star2 = params.kGamma_over_kstar ** 2
     kk = params.k_over_kstar
@@ -646,9 +638,9 @@ def _log_sigmas_series(x: float, theta: float, det_terms, entry_terms):
     return ln_s0sq, ln_m2 + 2.0 * _ln(_half_sin(theta)), (ln_g, sgn_g, ln_m2)
 
 
-def _log_sigmas_approx(x: float, theta: float, t: SimpleNamespace, kap2: np.ndarray):
+def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2: np.ndarray):
     """(ln sigma(0)^2, ln q) from the super-Hubble asymptotics over the
-    plane of the tables stacked in t and the couplings kap2
+    plane of the p row of table t and the couplings kap2
     (`_log_sigmas_series`).  A sigma(0)^2 that the truncated series puts
     below 1 reads as 1 (purity 1; see the README numerical notes)."""
     # sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p}
@@ -667,9 +659,9 @@ def _plane_blocks(n_p: int, n_k: int, cells: int):
 
 
 def _approx_block(x: float, theta: float, params: CosmoParams, ps, couplings):
-    """(ln sigma(0)^2, ln q) of a block: one coefficient table per p."""
-    tables = _stack_tables([asymptotic_coefficients(replace(params, p=p)) for p in ps.tolist()])
-    return _log_sigmas_approx(x, theta, tables, np.array(_kap2_row(params, couplings)))
+    """(ln sigma(0)^2, ln q) of a block: one coefficient table for its p row."""
+    return _log_sigmas_approx(x, theta, asymptotic_coefficients(params, ps),
+                              np.array(_kap2_row(params, couplings)))
 
 
 def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):

@@ -7,8 +7,8 @@ the default `discord_map` ranges (x = e^-20, theta = -pi/4, ellH = 1e-3,
 p in 0.1..9.9 with poles offset, log10 kGamma/k* in -10..6): the default
 40x40 and the 1000x1000 map.  Each is evaluated as `discord_cosmo` does
 for method "approx": `_approx_block` (one `asymptotic_coefficients` table
-per p, stacked and handed to `_log_sigmas_approx` with the kap2 of the
-couplings) on each block of `_plane_blocks`, at most PLANE_BLOCK_CELLS
+over the block's p row, handed to `_log_sigmas_approx` with the kap2 of
+the couplings) on each block of `_plane_blocks`, at most PLANE_BLOCK_CELLS
 cells (one block for 40x40, 16 for 1000x1000).  The discord assembly is
 not timed (see bench_discord_assembly.py).  Each benchmark's extra_info
 holds the best time per plane in ms; add --benchmark-json=FILE to keep
@@ -42,4 +42,6 @@ def approx_plane(ps: np.ndarray, couplings: np.ndarray) -> list:
 def test_approx_plane(benchmark, n, rounds):
     benchmark.pedantic(approx_plane, args=_plane(n), rounds=rounds, iterations=1,
                        warmup_rounds=1)
-    benchmark.extra_info.update(plane=f"{n}x{n}", per_plane_ms=1e3 * benchmark.stats.stats.min)
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info.update(plane=f"{n}x{n}",
+                                    per_plane_ms=1e3 * benchmark.stats.stats.min)

@@ -9,9 +9,10 @@ evaluated either as one `discord_cosmo(method="exact")` call with an array
 of couplings ("row") or as N scalar calls ("scalar").  Each benchmark's
 extra_info holds the best time per coupling and three work counts of one
 cold run (every specfun cache cleared first): the Gamma evaluations per
-coupling, the distinct quadrature nodes per coupling (calls of the cached
-node helper `cosmology._g11_node`; a row shares the nodes its couplings
-have in common) and the CovarianceBlock constructions for the N cells.
+coupling, the distinct quadrature nodes per coupling (calls of the node
+helper `cosmology._g11_node`, which `exact_open_det` caches per node with
+the source power; a row shares the nodes its couplings have in common)
+and the CovarianceBlock constructions for the N cells.
 Add --benchmark-json=FILE to keep them.
 """
 
@@ -53,7 +54,7 @@ def test_exact_row(benchmark, monkeypatch, mode, n):
     monkeypatch.setattr(specfun, "upper_incomplete_gamma",
                         lambda a, z: calls.append(1) or gamma(a, z))
     monkeypatch.setattr(cosmology, "_g11_node",
-                        lambda x, params: nodes.append(1) or node(x, params))
+                        lambda x, row: nodes.append(1) or node(x, row))
     monkeypatch.setattr(CovarianceBlock, "__post_init__",
                         lambda block: blocks.append(1) or post_init(block))
     for cache in (specfun._lower_limit_gamma, specfun._complete_gamma,
@@ -64,5 +65,6 @@ def test_exact_row(benchmark, monkeypatch, mode, n):
     benchmark.pedantic(run, args=(n,), rounds=5, iterations=1, warmup_rounds=1)
     benchmark.extra_info.update(
         mode=mode, n=n, gamma_calls_per_coupling=len(calls) / n,
-        nodes_per_coupling=len(nodes) / n, blocks_per_row=len(blocks),
-        per_coupling_ms=1e3 * benchmark.stats.stats.min / n)
+        nodes_per_coupling=len(nodes) / n, blocks_per_row=len(blocks))
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info.update(per_coupling_ms=1e3 * benchmark.stats.stats.min / n)

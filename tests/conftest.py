@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from gausslind.closed import SQUEEZING_R_FLOOR, ModeFrequency, squeezing_rhs_closed
-from gausslind.cosmology import (CosmoParams, _kap2_row, _log_sigmas_approx, _stack_tables,
+from gausslind.cosmology import (CosmoParams, _kap2_row, _log_sigmas_approx,
                                  asymptotic_coefficients, offset_singular_p)
 from gausslind.discord import entropy_kernel
 from gausslind.errors import DegenerateSqueezingError
@@ -53,8 +53,8 @@ def default_map_logs():
     """(ln sigma(0)^2, ln q), each (40, 40), of the default map as its
     approx route hands them to the discord assembly."""
     x, theta, params, ps, couplings = default_map()
-    tables = _stack_tables([asymptotic_coefficients(replace(params, p=p)) for p in ps.tolist()])
-    return _log_sigmas_approx(x, theta, tables, np.array(_kap2_row(params, couplings)))
+    return _log_sigmas_approx(x, theta, asymptotic_coefficients(params, ps),
+                              np.array(_kap2_row(params, couplings)))
 
 
 def random_block(rng, r_max=3.0, lam_max=50.0) -> CovarianceBlock:

@@ -296,6 +296,10 @@ class TestRunInputValidation:
                            False),
         "negative_k_range": ({"mode": "spectrum", "cosmo": COSMO,
                               "k_range": [-1.0, 10.0]}, False),
+        "coupling_square_overflows_spectrum": ({"mode": "spectrum", "cosmo": dict(
+            COSMO, kGamma_over_kstar=1e160)}, False),
+        "coupling_square_overflows_evolve_open": ({"mode": "evolve_open", "cosmo": dict(
+            COSMO, kGamma_over_kstar=1e160), "grid": GRID}, False),
         "nan_n_sigma": ({"mode": "ellipse_series", "n_sigma": math.nan,
                          "grid": GRID}, False),
         # backwards from far outside the horizon: g11 would be off by ~10 %

@@ -1,7 +1,7 @@
 import functools
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from gausslind.cosmology import (
     PsRegime,
     _approx_terms,
     _kap2_row,
-    _stack_tables,
     approx_open_covariance,
     asymptotic_coefficients,
     cosmo_kernel,
@@ -468,6 +467,12 @@ class TestSigmaZero:
 
 
 class TestPowerSpectrum:
+    @pytest.mark.parametrize("k_over_kstar", [1.0, 100.0])
+    def test_coupling_square_overflow(self, k_over_kstar):
+        # raised a bare OverflowError from the coupling square
+        with pytest.raises(DomainError, match="a finite double"):
+            power_spectrum_correction(CosmoParams(1e160, 2.1, 0.1, k_over_kstar=k_over_kstar))
+
     def test_scale_invariant_at_p5(self):
         vals = [power_spectrum_correction(
             CosmoParams(0.1, 5.0, 0.01, k_over_kstar=k)).value
@@ -834,6 +839,14 @@ class TestDiscordChecks:
             discord_cosmo(x, -0.4, CosmoParams(0.0, 2.1, 0.1), method,
                           kGamma_over_kstar=np.array([0.01, 1.0]), p=np.array([2.1, 6.1]))
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_p_finite_at_entry(self, no_route, method, p):
+        # transport ran its integration on a non-finite p and raised
+        # StepFailureError
+        with pytest.raises(DomainError, match="p must be finite"):
+            discord_cosmo(0.05, -0.4, self.PARAMS, method, p=np.array([2.1, p]))
+
     def test_exact_det_overflow_raises(self):
         # exact_open_det is inf at p ~ 150: the cells read D = nan and
         # purity 0 when no output check held them
@@ -1132,7 +1145,11 @@ class TestApproxPlane:
         x, theta, params, ps, couplings = default_map()
         kap2 = np.array(_kap2_row(params, couplings))
         tables = [asymptotic_coefficients(replace(params, p=p)) for p in ps.tolist()]
-        stack = _stack_tables(tables)
+        stack = asymptotic_coefficients(params, ps)
+        for field in fields(stack):
+            column = getattr(stack, field.name)
+            assert column.shape == (len(ps), 1)
+            assert np.array_equal(column[:, 0], [getattr(t, field.name) for t in tables])
         plane = np.array(sigma0_sq_coefficients(stack, kap2))
         coeffs, exps = _approx_terms(stack, kap2)
         for i, t in enumerate(tables):
@@ -1162,3 +1179,54 @@ class TestApproxPlane:
         assert (len(calls), len(assemblies)) == (3 * blocks, blocks)
         for field in self.FIELDS:
             assert np.array_equal(getattr(split, field), getattr(whole, field))
+
+
+class TestClosedFormRows:
+    """The closed-form routes do their p-only work once per p row: one
+    coefficient table per approx block, and one source power per node of
+    an exact row."""
+
+    @pytest.mark.parametrize("p0", [2.0, 4.0, 5.0, 8.0])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_singular_p_in_row_named(self, p0, at):
+        ps = [0.5, 3.3, 6.1]
+        ps[at] = p0
+        with pytest.raises(SingularExponentError, match=f"p = {p0} is within"):
+            asymptotic_coefficients(CosmoParams(1.0, 0.5, 0.1), np.array(ps))
+
+    @pytest.mark.parametrize("p", [[math.nan], [1.0, math.inf], -math.inf])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(DomainError, match="p must be finite"):
+            asymptotic_coefficients(CosmoParams(1.0, 0.5, 0.1), p)
+
+    def test_scalar_p_is_a_float_table(self):
+        params = CosmoParams(1.0, 0.5, 0.1)
+        assert asymptotic_coefficients(params, 3.3) == \
+            asymptotic_coefficients(replace(params, p=3.3))
+
+    @pytest.mark.parametrize("budget, blocks", [(2 ** 16, 1), (7 * 40, 6)])
+    def test_one_table_per_approx_block(self, monkeypatch, budget, blocks):
+        from gausslind import cosmology
+        x, theta, params, ps, couplings = default_map()
+        monkeypatch.setattr(cosmology, "PLANE_BLOCK_CELLS", budget)
+        calls, table = [], cosmology.asymptotic_coefficients
+        monkeypatch.setattr(cosmology, "asymptotic_coefficients",
+                            lambda *a, **kw: calls.append(1) or table(*a, **kw))
+        discord_cosmo(x, theta, params, kGamma_over_kstar=couplings, p=ps)
+        assert len(calls) == blocks
+
+    def test_one_source_power_per_node(self, monkeypatch):
+        from gausslind import cosmology
+        nodes, powers = [], []
+        node, power = cosmology._g11_node, cosmology._power_law
+        monkeypatch.setattr(cosmology, "_g11_node",
+                            lambda x, row: nodes.append(x) or node(x, row))
+        monkeypatch.setattr(cosmology, "_power_law",
+                            lambda params, expo, x: powers.append(x) or power(params, expo, x))
+        couplings = np.array([0.1, 1.0, 3.0])
+        dets = exact_open_det(0.5, CosmoParams(0.0, 2.1, 0.1), kGamma_over_kstar=couplings)
+        assert len(set(powers)) == len(powers) == len(nodes) > 0
+        assert sorted(powers) == sorted(nodes)
+        monkeypatch.undo()
+        assert dets.tolist() == [exact_open_det(0.5, CosmoParams(kg, 2.1, 0.1))
+                                 for kg in couplings.tolist()]

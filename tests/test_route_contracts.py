@@ -18,10 +18,15 @@ exact against transport: ellH from 0.05 to 0.5, x from 0.3 to 1, where
 the exact route is clean (ROADMAP item 2).  Measured: 9.9e-13 of
 max(1, |D|) and 3.8e-12 of |D| in D, 2.0e-12 in ln sigma0; 200 more
 seeds read 1.6e-12, 6.8e-12 and 5.2e-12.
+
+The README's route-tolerance table states these boxes, gaps and bounds;
+`test_readme_table_matches_contracts` holds it to CONTRACTS.
 """
 
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,3 +78,34 @@ def test_approx_against_transport(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_against_transport(seed):
     _check_against_transport("exact", seed)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_rows() -> dict:
+    """method: its cells after the first two, for each row of the README's
+    route-tolerance table."""
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip())[1:-1]]
+        if len(cells) == 7 and cells[0] in CONTRACTS and cells[1] == "transport":
+            rows[cells[0]] = cells[2:]
+    return rows
+
+
+def _number(text: str) -> float:
+    return math.exp(float(text[2:])) if text.startswith("e^") else float(text)
+
+
+def test_readme_table_matches_contracts():
+    rows = _readme_rows()
+    assert sorted(rows) == sorted(CONTRACTS)
+    for method, (ln_x, ln_ellH, bounds) in CONTRACTS.items():
+        x, ellH, *gaps = rows[method]
+        for text, ln_range in ((x, ln_x), (ellH, ln_ellH)):
+            ends = [math.log(_number(end)) for end in text.split(" to ")]
+            assert np.allclose(ends, ln_range, rtol=1e-12, atol=0.0), (method, text)
+        for text, bound in zip(gaps, bounds, strict=True):
+            measured, stated = map(float, re.fullmatch(r"(\S+) \(bound (\S+)\)", text).groups())
+            assert stated == bound and math.isclose(stated, 10.0 * measured), (method, text)
