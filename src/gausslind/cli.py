@@ -224,7 +224,7 @@ def run_evolve_open(cfg: dict, path: Path, cfg_hash: str) -> None:
             raise ConfigError(
                 f"grid must start at or below the coupling-on point "
                 f"{params.x_coupling_on}")
-        try:  # the coupling's square
+        try:  # the coupling's square, or a power of ellH or k/k* that overflows
             source = cosmo_kernel(params)
         except DomainError as exc:
             raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
@@ -299,7 +299,7 @@ def run_spectrum(cfg: dict, path: Path, cfg_hash: str) -> None:
     k_lo, k_hi = (_positive(k, "k_range") for k in _range(cfg, "k_range", (1e-2, 1e2)))
     points = _count(cfg.get("points", 41), "points", 1)
     ks = np.geomspace(k_lo, k_hi, points).tolist()
-    try:  # the coupling's square
+    try:  # the coupling's square, or a power of ellH or k/k* that overflows
         corrs = [power_spectrum_correction(replace(base, k_over_kstar=k)) for k in ks]
     except DomainError as exc:
         raise ConfigError(f"invalid cosmo parameters: {exc}") from exc

@@ -70,10 +70,17 @@ TRANSPORT_RTOL = 1e-11
 #: cells of the discord_cosmo plane evaluated at once (see _plane_blocks)
 PLANE_BLOCK_CELLS = 2 ** 16
 #: x (Hubble crossing) below which the transport route integrates in
-#: e-folds (`_efold_response`).  Four rounds of the map_transport benchmark
-#: (seed 0) take 34.3k, 35.0k, 37.5k and 42.0k RHS calls at 2, 1, 0.5 and
-#: 0.2; at 1 the conformal-time phase before it is never empty (ellH < 1)
+#: e-folds (`_efold_response`).  With DOP853 in conformal time before it,
+#: four rounds of the map_transport benchmark (seed 0) took 34.3k, 35.0k,
+#: 37.5k and 42.0k RHS calls at 2, 1, 0.5 and 0.2; at 1 the conformal-time
+#: phase before it (`_subhubble_response`) is never empty (ellH < 1)
 EFOLD_X_SWITCH = 1.0
+#: Chebyshev points per interval of the sub-Hubble collocation
+#: (`_subhubble_response`)
+_CHEB_POINTS = 25
+#: halvings an interval of the sub-Hubble collocation may take before its
+#: Chebyshev tail counts as a failure (StepFailureError)
+_CHEB_HALVINGS = 10
 #: the largest kGamma/k whose square kap2 is a double
 _KAP_MAX = math.sqrt(np.finfo(float).max)
 
@@ -568,27 +575,37 @@ def _reflected_gamma_cos(p: float) -> float:
 
 
 def power_spectrum_correction(params: CosmoParams) -> PowerSpectrumCorrection:
-    """Piecewise closed form of the relative power-spectrum correction."""
+    """Piecewise closed form of the relative power-spectrum correction; a
+    value that is not a finite double (a power of ellH or k/k* overflows,
+    say) raises DomainError."""
     _require_regular_p(params.p, (4.0, 8.0))
     if params.kGamma_over_kstar > _KAP_MAX:
         raise DomainError("coupling kGamma_over_kstar must have its (kGamma/k*)^2 a finite double")
     p = params.p
     kap_star2 = params.kGamma_over_kstar ** 2
     kk = params.k_over_kstar
-    if p < 4.0:
-        value = params.ellH ** (p - 4.0) / (4.0 - p) * kap_star2 * kk ** (p - 5.0)
-        return PowerSpectrumCorrection(value, PsRegime.P_LT_4, False, p - 5.0)
-    if p < 8.0:
-        if abs(p - 6.0) < 1e-9:
-            # removable zero-times-pole: (6-p)/sin(pi p/2) -> 2/pi
-            combo = (3.0 - p) * (2.0 / math.pi) * (-math.pi / 2.0) / math.gamma(p - 1.0)
+    try:  # a float ** raises OverflowError, a product overflows to inf
+        if p < 4.0:
+            value = params.ellH ** (p - 4.0) / (4.0 - p) * kap_star2 * kk ** (p - 5.0)
+            shape = PsRegime.P_LT_4, False, p - 5.0
+        elif p < 8.0:
+            if abs(p - 6.0) < 1e-9:
+                # removable zero-times-pole: (6-p)/sin(pi p/2) -> 2/pi
+                combo = (3.0 - p) * (2.0 / math.pi) * (-math.pi / 2.0) / math.gamma(p - 1.0)
+            else:
+                combo = (3.0 - p) * (6.0 - p) * _reflected_gamma_cos(p)
+            value = 2.0 ** (p - 4.0) * combo * kap_star2 * kk ** (p - 5.0)
+            shape = PsRegime.P_4_TO_8, False, p - 5.0
         else:
-            combo = (3.0 - p) * (6.0 - p) * _reflected_gamma_cos(p)
-        value = 2.0 ** (p - 4.0) * combo * kap_star2 * kk ** (p - 5.0)
-        return PowerSpectrumCorrection(value, PsRegime.P_4_TO_8, False, p - 5.0)
-    den = (p - 8.0) * (p - 5.0) * (p - 2.0)
-    value = 4.0 / den * kap_star2 * kk ** 3
-    return PowerSpectrumCorrection(value, PsRegime.P_GT_8, True, 3.0)
+            den = (p - 8.0) * (p - 5.0) * (p - 2.0)
+            value = 4.0 / den * kap_star2 * kk ** 3
+            shape = PsRegime.P_GT_8, True, 3.0
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the power-spectrum correction at p = {p}, k/k* = {kk} is not "
+                          "a finite double")
+    return PowerSpectrumCorrection(value, *shape)
 
 
 def decoherence_threshold(params: CosmoParams, a_over_astar: float) -> float:
@@ -677,6 +694,108 @@ def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     return np.log(g[3]), _ln_q(*g[:3], theta)
 
 
+@functools.cache
+def _chebyshev_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, Q, T) of the _CHEB_POINTS Chebyshev points s_j = -cos(j pi / N),
+    j = 0..N, on [-1, 1] from -1 up: Q takes values at s to the integrals
+    from -1 to each s_j of their interpolating polynomial (its last row is
+    the Clenshaw-Curtis weights) and T to that polynomial's last two
+    Chebyshev coefficients.  Built with plain numpy on first use."""
+    n = _CHEB_POINTS - 1
+    angles = np.pi * np.arange(n + 1) / n
+    s = -np.cos(angles)
+    cheb = np.cos(np.outer(np.pi - angles, np.arange(n + 2)))  # T_m(s_j), m = 0..N+1
+    # values to coefficients, the trapezoid sum of the cosine transform
+    to_coeffs = (2.0 / n) * cheb[:, :n + 1].T
+    to_coeffs[:, [0, -1]] *= 0.5
+    to_coeffs[[0, -1]] *= 0.5
+    # coefficients to those of the antiderivative: T_0 -> T_1, T_1 -> T_2 / 4,
+    # T_m -> T_(m+1) / (2 (m + 1)) - T_(m-1) / (2 (m - 1)), up to constants
+    antider = np.zeros((n + 2, n + 1))
+    antider[1, 0], antider[2, 1] = 1.0, 0.25
+    m = np.arange(2, n + 1)
+    antider[m + 1, m], antider[m - 1, m] = 0.5 / (m + 1), -0.5 / (m - 1)
+    return s, (cheb - cheb[0]) @ antider @ to_coeffs, to_coeffs[-2:]
+
+
+def _collocate(x_hi: float, h: float, y: np.ndarray, expo: np.ndarray):
+    """One interval [x_hi - h, x_hi] of `_subhubble_response`: its state at
+    x_hi - h and the increments of (a1, a2), or None when a Chebyshev tail
+    is above TRANSPORT_RTOL of its scale or a value is not finite.
+
+    y (3, 1 + n) holds the rows g11, g12, g22 of the closed block and of
+    each F_i at x_hi.  In conformal time t = -x the blocks solve
+    u' = A u + b, A = [[0, 2, 0], [-w, 0, 1], [0, -2w, 0]] with
+    w = 1 - 2/x^2 and b = (0, 0, x^expo_i) on F_i (0 on g), so at the
+    Chebyshev points u = y + Q (A u + b): one dense system for the three
+    rows at every point, whose right-hand sides are the 1 + n blocks."""
+    s, q, tail = _chebyshev_operators()
+    k, n = len(s), len(expo)
+    half = 0.5 * h
+    q = half * q
+    x = x_hi - (s + 1.0) * half
+    w = 1.0 - 2.0 / (x * x)
+    src = np.power(x[:, None], expo)  # (points, n)
+    system = np.eye(3 * k)
+    system[:k, k:2 * k] = -2.0 * q
+    system[k:2 * k, :k] = q * w
+    system[k:2 * k, 2 * k:] = -q
+    system[2 * k:, k:2 * k] = 2.0 * q * w
+    rhs = np.repeat(y, k, axis=0)
+    rhs[2 * k:, 1:] += q @ src
+    u = np.linalg.solve(system, rhs).reshape(3, k, 1 + n)
+    # a1' = S g11 and a2' = S F11, by the Clenshaw-Curtis weights
+    integrands = src * u[0, :, :1], src * u[0, :, 1:]
+    # each block, and each integrand, against its largest value (a NaN or
+    # an infinity fails too)
+    for v in (u, integrands[0][None], integrands[1][None]):
+        scale = np.abs(v).max(axis=(0, 1))
+        if not (np.isfinite(scale).all()
+                and (np.abs(tail @ v).max(axis=(0, 1)) <= TRANSPORT_RTOL * scale).all()):
+            return None
+    return u[:, -1], (q[-1] @ integrands[0], q[-1] @ integrands[1])
+
+
+def _subhubble_response(x_on: float, x_s: float, ps) -> TransportResponse:
+    """The response to the unit sources x^(3-p) of the p row ps from x_on
+    down to x_s >= 1, at x_s: the TransportResponse that
+    evolve_de_sitter(x_on, x_s, source, x_eval=(x_s,)) returns, by
+    Chebyshev integral collocation (`_collocate`) instead of DOP853.
+
+    Conformal time is cut into intervals of length min(2, x/3) from their
+    upper end x, so at most half the lower end (the covariance oscillates
+    with period pi; x^(3-p) and w = 1 - 2/x^2 vary on the scale of x), and
+    no interval depends on the couplings.  An interval whose Chebyshev
+    tail, in any block or in the integrand of a1 or a2, exceeds
+    TRANSPORT_RTOL of that block's largest value halves, at most
+    _CHEB_HALVINGS times, and then raises StepFailureError, as does a value
+    that is not finite.  Against an rtol-1e-14 DOP853 reference the state
+    at x_s = 1 or 2 is within ~5e-14 relative for ellH from 0.5 to 1e-3."""
+    expo = 3.0 - ps
+    ic = de_sitter_covariance_closed(x_on)
+    y = np.zeros((3, 1 + len(ps)))
+    y[:, 0] = ic.g11, ic.g12, ic.g22
+    a = np.zeros((2, len(ps)))
+    x_hi = x_on
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while x_hi > x_s:
+            h = min(2.0, x_hi / 3.0, x_hi - x_s)
+            for _ in range(_CHEB_HALVINGS + 1):
+                step = _collocate(x_hi, h, y, expo)
+                if step is not None:
+                    break
+                h *= 0.5
+            else:
+                raise StepFailureError(
+                    f"sub-Hubble collocation failed below x = {x_hi}: a Chebyshev tail stays "
+                    f"above rtol {TRANSPORT_RTOL} after {_CHEB_HALVINGS} halvings")
+            y, da = step
+            a += da
+            x_hi = x_s if h == x_hi - x_s else x_hi - h
+    return TransportResponse(times=np.array([-x_s]), g=y[:, :1], F=y[:, 1:, None],
+                             a1=a[0][:, None], a2=a[1][:, None], det0=ic.lam)
+
+
 def _efold_response(start: TransportResponse, x: float, ps) -> tuple[np.ndarray, np.ndarray]:
     """The plane's response to its unit sources x^(3-p) at x <= x_s =
     -start.times, as its state y (rows g11, g12, g22 of the blocks g,
@@ -687,7 +806,11 @@ def _efold_response(start: TransportResponse, x: float, ps) -> tuple[np.ndarray,
     M z - P z, M = [[0, 2, 0], [2 - x^2, 0, 1], [0, 4 - 2 x^2, 0]], plus
     the source x^(8-p+cF) on each F_i22, and x^(2-p+c1) times z of g11 and
     of each F_i11 into a1 and a2.  The error control is relative only (an
-    atol on z cost ln sigma(0) accuracy), at TRANSPORT_RTOL / sqrt(1 + n)."""
+    atol on z cost ln sigma(0) accuracy), at 0.5 TRANSPORT_RTOL / sqrt(1 + n):
+    the collocation before it is within ~5e-14 of the reference, so this
+    phase carries the route's error budget, and at the full TRANSPORT_RTOL
+    it alone put ln sigma(0) 1.49e-13 off on the 8x8 known-defect plane
+    (`tests/test_transport_bits.py`, bound 1.4e-13), against 9.2e-14 here."""
     n, m = len(ps), 3 + 3 * len(ps)
     c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
     powers = np.concatenate(((np.arange(2.0, 5.0)[:, None] + np.append(0.0, c_f)).ravel(),
@@ -727,23 +850,22 @@ def _efold_response(start: TransportResponse, x: float, ps) -> tuple[np.ndarray,
     # (-6.3, 0), where the error estimate misses the decaying modes
     rate = max(6.0 + c_f.max(), (c_1 + c_f).max())
     z = _dop853(rhs, z, -math.log(x_s), np.array([-math.log(x)]),
-                TRANSPORT_RTOL / math.sqrt(1 + n), 0.0, 0.0, max_step=2.0 / rate)[0]
+                0.5 * TRANSPORT_RTOL / math.sqrt(1 + n), 0.0, 0.0, max_step=2.0 / rate)[0]
     return z, powers
 
 
 def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
-    """(ln sigma(0)^2, ln q) of a block: one evolve_de_sitter response to
-    the unit sources x^(3-p) of its p rows (one np.power per RHS call) down
-    to max(x, EFOLD_X_SWITCH), then `_efold_response`; its cells, at the
-    couplings 2 x_star^(p-3) kap2 of each row, read from the scaled state
-    by `_log_sigmas_series` at any x.  A cell with a diagonal entry <= 0 or
-    det < -1e-6 ((g11 + g22)/2)^2 (CovarianceBlock) raises BelowHeisenbergError."""
-    x_s = max(x, EFOLD_X_SWITCH)
-    expo, powers = ps - 3.0, np.empty(len(ps))
-    response = evolve_de_sitter(params.x_coupling_on, x_s, x_eval=(x_s,), rtol=TRANSPORT_RTOL,
-                                source=lambda eta: np.power(-1.0 / eta, expo, out=powers))
+    """(ln sigma(0)^2, ln q) of a block: the response to the unit sources
+    x^(3-p) of its p rows by `_subhubble_response` from 1/ellH down to
+    max(x, EFOLD_X_SWITCH) (one dense solve per interval, one np.power of
+    the source powers per interval), then `_efold_response`; its cells, at
+    the couplings 2 x_star^(p-3) kap2 of each row, read from the scaled
+    state by `_log_sigmas_series` at any x.  A cell with a diagonal entry
+    <= 0 or det < -1e-6 ((g11 + g22)/2)^2 (CovarianceBlock) raises
+    BelowHeisenbergError."""
+    response = _subhubble_response(params.x_coupling_on, max(x, EFOLD_X_SWITCH), ps)
     z, scale = _efold_response(response, x, ps)
-    kap2 = np.outer(_power_law(params, expo, 1.0), _kap2_row(params, couplings))
+    kap2 = np.outer(_power_law(params, ps - 3.0, 1.0), _kap2_row(params, couplings))
     # g + kap2 F and det0 + kap2 a1 + kap2^2 a2, each value z x^-P
     m, n = 3 + 3 * len(ps), len(ps)
     (g, a1, a2), (e_g, e_1, e_2) = ((v[:m].reshape(3, 1 + n, 1), v[m:m + n, None], v[m + n:, None])
@@ -779,10 +901,13 @@ def discord_cosmo(
                        by 2.9e-3 at x = 1e-3).
     method="approx":   super-Hubble asymptotics in the log domain; valid
                        for 0 < x < 0.1, arbitrarily small.
-    method="transport": integrate the covariance down to x < 1/ellH
-                       (reference); one evolve_open response per block,
-                       whatever the number of couplings, in conformal
-                       time down to x = 1 and in e-folds below it.
+    method="transport": transport the covariance down to x < 1/ellH
+                       (reference); one response per block, whatever the
+                       number of couplings, by Chebyshev collocation in
+                       conformal time down to x = 1
+                       (`_subhubble_response`, ~5e-14) and integrated in
+                       e-folds below it (`_efold_response`, at half
+                       TRANSPORT_RTOL, which carries the error budget).
 
     kGamma_over_kstar, when given, replaces the coupling of params, and p
     its growth index: each is a scalar or a non-empty 1-D array.  Every

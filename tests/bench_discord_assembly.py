@@ -32,4 +32,5 @@ INPUTS = {
 def test_discord_assembly(benchmark, case):
     benchmark.pedantic(_discord_from_logs, args=INPUTS[case], rounds=200,
                        iterations=1, warmup_rounds=5)
-    benchmark.extra_info.update(case=case, per_call_ms=1e3 * benchmark.stats.stats.min)
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info.update(case=case, per_call_ms=1e3 * benchmark.stats.stats.min)

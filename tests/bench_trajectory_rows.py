@@ -65,8 +65,9 @@ def test_trajectory_rows(benchmark, tmp_path, monkeypatch, trajectory, mode):
                        iterations=1, warmup_rounds=1)
     per_row(*trajectory, tmp_path / "want.csv")
     assert data_lines(tmp_path / "open.csv") == data_lines(tmp_path / "want.csv")
-    benchmark.extra_info.update(
-        mode=mode, rows=POINTS, per_row_us=1e6 * benchmark.stats.stats.min / POINTS)
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info.update(
+            mode=mode, rows=POINTS, per_row_us=1e6 * benchmark.stats.stats.min / POINTS)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,7 @@ def test_map_rows(benchmark, tmp_path, approx_map, mode):
                        warmup_rounds=1)
     map_per_value(*approx_map, tmp_path / "want.csv")
     assert data_lines(path) == data_lines(tmp_path / "want.csv")
-    cells = 40 * 40
-    benchmark.extra_info.update(
-        mode=mode, cells=cells, per_cell_us=1e6 * benchmark.stats.stats.min / cells)
+    if benchmark.stats:  # None under --benchmark-disable
+        cells = 40 * 40
+        benchmark.extra_info.update(
+            mode=mode, cells=cells, per_cell_us=1e6 * benchmark.stats.stats.min / cells)

@@ -181,33 +181,42 @@ class TestDiscordMapScenario:
 
 
     def test_transport_map_is_one_integration(self, tmp_path, monkeypatch):
+        # one block: one sub-Hubble collocation over its 3 p rows, sampled at
+        # x = 1 only, then one e-fold integration, the only DOP853 run
         from gausslind import cosmology, opensys
-        calls = {"evolve_open": 0, "source": 0}
-        evolve = cosmology.evolve_open
+        blocks, subhubble = [], cosmology._subhubble_response
 
-        def counted_evolve(freq, source, *args, **kwargs):
-            calls["evolve_open"] += 1
-            assert len(kwargs["t_eval"]) == 1  # the batch keeps its end point only
+        def counted_subhubble(x_on, x_s, ps):
+            response = subhubble(x_on, x_s, ps)
+            blocks.append((x_on, x_s, len(ps), len(response.times)))
+            return response
 
-            def counted_source(t):
-                calls["source"] += 1
-                return source(t)
-
-            return evolve(freq, counted_source, *args, **kwargs)
-
-        monkeypatch.setattr(cosmology, "evolve_open", counted_evolve)
-        # the conformal-time phase: its integrator is opensys's _dop853
-        rhs_calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"))
+        monkeypatch.setattr(cosmology, "_subhubble_response", counted_subhubble)
+        efold_calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
+        other_calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (opensys, "solve_ivp"))
         cfg = write_config(tmp_path, "t.json", {
             "mode": "discord_map", "method": "transport", "map_points": [3, 4],
             "x": 3e-3, "cosmo": {"ellH": 0.15}, "log10_kGamma_range": [-3.0, 0.0],
             "output_path": "t.csv"})
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "t.csv")[1]) == 12
-        assert calls["evolve_open"] == 1
-        # one source call per RHS call of the conformal-time phase, plus the
-        # shape probe
-        assert len(rhs_calls) > 0 and len(rhs_calls) == calls["source"] - 1
+        assert blocks == [(1.0 / 0.15, 1.0, 3, 1)]
+        assert len(efold_calls) > 0 and not other_calls
+
+    def test_transport_tail_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a tolerance no Chebyshev tail of the sub-Hubble collocation meets:
+        # each interval halves to its cap, and the map fails in bounded time
+        from gausslind import cosmology
+        monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", 1e-30)
+        cfg = write_config(tmp_path, "t.json", {
+            "mode": "discord_map", "method": "transport", "map_points": [2, 2],
+            "x": 1e-3, "cosmo": {"ellH": 0.1}, "output_path": "t.csv"})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "StepFailureError" and "halvings" in err["message"]
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("change", [
         {"map_points": [12, 12], "x": math.exp(-20.0), "cosmo": {"ellH": 0.1}},
@@ -300,6 +309,12 @@ class TestRunInputValidation:
             COSMO, kGamma_over_kstar=1e160)}, False),
         "coupling_square_overflows_evolve_open": ({"mode": "evolve_open", "cosmo": dict(
             COSMO, kGamma_over_kstar=1e160), "grid": GRID}, False),
+        # exited 3 with a bare OverflowError from k^(p - 5) at k/k* = 1e-2
+        "k_power_overflows_spectrum": ({"mode": "spectrum", "cosmo": dict(COSMO, p=-200.0)},
+                                       False),
+        # and from ellH^(p - 4)
+        "ellH_power_overflows_spectrum": ({"mode": "spectrum", "cosmo": dict(COSMO, p=-400.0),
+                                           "k_range": [1.0, 2.0]}, False),
         "nan_n_sigma": ({"mode": "ellipse_series", "n_sigma": math.nan,
                          "grid": GRID}, False),
         # backwards from far outside the horizon: g11 would be off by ~10 %

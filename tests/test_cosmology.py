@@ -473,6 +473,15 @@ class TestPowerSpectrum:
         with pytest.raises(DomainError, match="a finite double"):
             power_spectrum_correction(CosmoParams(1e160, 2.1, 0.1, k_over_kstar=k_over_kstar))
 
+    @pytest.mark.parametrize("kappa, p, k_over_kstar", [
+        (10.0, -200.0, 1e-2), (10.0, -400.0, 1.0), (10.0, 9.0, 1e110), (1e150, 9.0, 1e10),
+    ], ids=["k_power", "ellH_power", "k_cubed", "product"])
+    def test_power_overflow(self, kappa, p, k_over_kstar):
+        # k^(p - 5), ellH^(p - 4) and k^3 raised a bare OverflowError, and a
+        # product past the range of doubles returned inf
+        with pytest.raises(DomainError, match="a finite double"):
+            power_spectrum_correction(CosmoParams(kappa, p, 0.1, k_over_kstar=k_over_kstar))
+
     def test_scale_invariant_at_p5(self):
         vals = [power_spectrum_correction(
             CosmoParams(0.1, 5.0, 0.01, k_over_kstar=k)).value
@@ -916,32 +925,35 @@ class TestDiscordPlane:
 
     @pytest.mark.parametrize("x", [9.0, 5.0, 2.0, 1.0])
     def test_transport_plane_from_hubble_crossing_up_is_one_phase(self, monkeypatch, x):
-        # 1 <= x < 1/ellH: the conformal-time response integration alone,
-        # with no e-fold step; its cells, read from the scaled state in the
-        # log domain, are those of the response to the last bits
+        # 1 <= x < 1/ellH: the sub-Hubble collocation alone, with no DOP853
+        # run; its cells, read from the scaled state in the log domain, are
+        # those of the collocated response to the last bits
         from gausslind import cosmology, opensys
         ps, couplings = np.array([0.5, 5.3, 9.5]), np.logspace(-3.0, 1.0, 4)
         params = CosmoParams(0.0, 0.5, 0.1)
-        integrations, dop853 = [], opensys._dop853
-
-        def counted(*args, **kwargs):
-            integrations.append(args[2])
-            return dop853(*args, **kwargs)
-
-        monkeypatch.setattr(opensys, "_dop853", counted)
-        monkeypatch.setattr(cosmology, "_dop853", counted)
+        calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (cosmology, "_dop853"))
         got = discord_cosmo(x, self.THETA, params, "transport", kGamma_over_kstar=couplings,
                             p=ps)
-        assert integrations == [-params.x_coupling_on]
+        assert not calls
+        monkeypatch.undo()
         # the route's own formulation: the unit sources x^(3-p), and the
         # amplitude 2 x_star^(p-3) in the couplings of each row
-        response = evolve_de_sitter(params.x_coupling_on, x,
-                                    lambda eta: np.power(-1.0 / eta, ps - 3.0), x_eval=(x,))
         kap2 = np.outer(2.0 * params.x_star ** (ps - 3.0), _kap2_row(params, couplings))
-        ln_s0sq, ln_q = oracle.log_sigmas(response.cells(kap2), self.THETA)
-        want = _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0]
-        assert np.all(np.abs(got.discord - want) <= 1e-14 * np.maximum(1.0, want))
-        assert np.all(np.abs(got.log_sigma_zero - 0.5 * ln_s0sq[..., 0]) <= 1e-14)
+
+        def cells(response):
+            ln_s0sq, ln_q = oracle.log_sigmas(response.cells(kap2), self.THETA)
+            return _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0], 0.5 * ln_s0sq[..., 0]
+
+        want_d, want_s0 = cells(cosmology._subhubble_response(params.x_coupling_on, x, ps))
+        assert np.all(np.abs(got.discord - want_d) <= 1e-14 * np.maximum(1.0, want_d))
+        assert np.all(np.abs(got.log_sigma_zero - want_s0) <= 1e-14)
+        # and the rtol-1e-14 DOP853 response, within the bounds of
+        # test_transport_route_accuracy (5.8e-13 in D, 1.4e-13 in ln sigma(0))
+        ref_d, ref_s0 = cells(evolve_de_sitter(
+            params.x_coupling_on, x, lambda eta: np.power(-1.0 / eta, ps - 3.0), x_eval=(x,),
+            rtol=1e-14, atol=1e-16))
+        assert np.max(np.abs(got.discord - ref_d)) <= 5.8e-13
+        assert np.max(np.abs(got.log_sigma_zero - ref_s0)) <= 1.4e-13
 
     def test_one_cell_plane_is_the_scalar_call(self):
         params = CosmoParams(0.3, 5.3, 0.1)
@@ -1037,6 +1049,108 @@ class TestDiscordPlane:
                       <= 1e-10 * np.maximum(1.0, np.abs(whole.discord)))
         np.testing.assert_allclose(np.exp(-2.0 * split.log_sigma_zero),
                                    np.exp(-2.0 * whole.log_sigma_zero), rtol=1e-9, atol=0.0)
+
+
+class TestSubHubblePhase:
+    """The transport route's response from 1/ellH down to x_s >= 1, by
+    Chebyshev collocation in conformal time (`_subhubble_response`)."""
+
+    PS = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 12).tolist()])
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        """The (x_hi, h) of every interval the collocation tries."""
+        from gausslind import cosmology
+        intervals, collocate = [], cosmology._collocate
+
+        def recorded(x_hi, h, y, expo):
+            intervals.append((x_hi, h))
+            return collocate(x_hi, h, y, expo)
+
+        monkeypatch.setattr(cosmology, "_collocate", recorded)
+        return intervals
+
+    @pytest.mark.parametrize("x_s", [1.0, 2.0])
+    @pytest.mark.parametrize("ellH", [0.5, 0.1, 0.01, 1e-3])
+    def test_against_dop853(self, ellH, x_s):
+        # the compiled DOP853 response at rtol 1e-14 is the independent
+        # reference; the largest error measured over these cases is 5.0e-14
+        from gausslind import cosmology
+        got = cosmology._subhubble_response(1.0 / ellH, x_s, self.PS)
+        assert got.times.tolist() == [-x_s]
+        if not x_s < 1.0 / ellH:
+            # an empty span: the closed form at 1/ellH, no response
+            vac = de_sitter_covariance_closed(x_s)
+            assert got.g[:, 0].tolist() == [vac.g11, vac.g12, vac.g22]
+            assert not (got.F.any() or got.a1.any() or got.a2.any())
+            return
+        want = self._reference(ellH)
+        sample = want.times.tolist().index(-x_s)
+        assert got.det0 == want.det0
+        for field in ("g", "F", "a1", "a2"):
+            g, w = getattr(got, field), getattr(want, field)[..., sample:sample + 1]
+            assert g.shape == w.shape
+            assert np.all(np.abs(g - w) <= 2e-13 * np.abs(w)), field
+
+    @classmethod
+    @functools.cache
+    def _reference(cls, ellH):
+        """The DOP853 response from 1/ellH, sampled at x = 2 and 1."""
+        return evolve_de_sitter(1.0 / ellH, 1.0, lambda eta: np.power(-1.0 / eta, cls.PS - 3.0),
+                                x_eval=(2.0, 1.0), rtol=1e-14, atol=1e-16)
+
+    def test_intervals_flat_in_couplings(self, monkeypatch):
+        # one collocation per block of p rows: a 3x64 plane takes the
+        # intervals of a 3x4 one, min(2, x/3) long from each upper end x
+        intervals = self._record(monkeypatch)
+        runs = []
+        for n_k in (4, 64):
+            intervals.clear()
+            discord_cosmo(1e-3, -0.4, CosmoParams(0.0, 0.5, 0.05), "transport",
+                          kGamma_over_kstar=np.logspace(-3.0, 0.0, n_k),
+                          p=np.linspace(0.5, 9.5, 3))
+            runs.append(list(intervals))
+        assert runs[0] == runs[1]
+        assert intervals[0][0] == 20.0 and intervals[-1][0] - intervals[-1][1] == 1.0
+        for (x_hi, h), (x_next, _) in zip(intervals, intervals[1:]):
+            assert h == min(2.0, x_hi / 3.0) and x_next == x_hi - h
+
+    def test_tail_failure_raises(self, monkeypatch):
+        # a tolerance no Chebyshev tail meets: the first interval halves
+        # _CHEB_HALVINGS times, then the solve fails
+        from gausslind import cosmology
+        monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", 1e-30)
+        intervals = self._record(monkeypatch)
+        with pytest.raises(StepFailureError, match="halvings"):
+            cosmology._subhubble_response(10.0, 1.0, np.array([0.5, 5.3]))
+        assert intervals == [(10.0, 2.0 * 0.5 ** i)
+                             for i in range(cosmology._CHEB_HALVINGS + 1)]
+
+    def test_halved_interval_goes_on(self, monkeypatch):
+        # an interval whose first try fails halves and the run goes on from
+        # its end, at the full length again
+        from gausslind import cosmology
+        intervals, collocate = [], cosmology._collocate
+
+        def fails_once(x_hi, h, y, expo):
+            intervals.append((x_hi, h))
+            return None if len(intervals) == 1 else collocate(x_hi, h, y, expo)
+
+        monkeypatch.setattr(cosmology, "_collocate", fails_once)
+        got = cosmology._subhubble_response(10.0, 1.0, self.PS)
+        assert intervals[:3] == [(10.0, 2.0), (10.0, 1.0), (9.0, 2.0)]
+        monkeypatch.undo()
+        want = cosmology._subhubble_response(10.0, 1.0, self.PS)
+        for field in ("g", "F", "a1", "a2"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=1e-13, atol=0.0)
+
+    def test_non_finite_source_raises(self):
+        # x^(3 - p) overflows at x = 1/ellH for p = -400: every halving
+        # fails, where DOP853 raised on the non-finite values it produced
+        from gausslind import cosmology
+        with pytest.raises(StepFailureError):
+            cosmology._subhubble_response(10.0, 1.0, np.array([-400.0]))
 
 
 class TestEfoldPhase:
