@@ -9,12 +9,14 @@ everything else unchanged.  S(t) absorbs the coupling rate and the
 environment autocorrelation in one function, because only their product
 ever appears; a source is any plain callable t -> S(t), and None means
 no environment.  Consequences implemented here: the transport engine
-`evolve_open` (the only covariance integrator of the package, closed
+`evolve_open` (the covariance integrator of the package, closed
 evolution being its S = None case, and the linear response to n unit
 sources, from which any coupling kap2 S_i follows, its array-valued
-case), determinant growth d(det)/dt = k S g11 (monotone purity loss),
-and the Green's-function representation of the dressed covariance as
-quadratures over a stored mode trajectory.
+case, the only user of `_dop853`: the transport route of `discord_cosmo`
+collocates its de Sitter response in `cosmology`), determinant growth
+d(det)/dt = k S g11 (monotone purity loss), and the Green's-function
+representation of the dressed covariance as quadratures over a stored
+mode trajectory.
 
 scipy.integrate is imported at the first integrator call, not with the
 module.  `quad`, `ode` and `solve_ivp` stay module-level names, through
@@ -60,7 +62,7 @@ __all__ = [
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
 #: steps the response integration of evolve_open may take to each sample:
 #: twice the 90,400 of a de Sitter p = 0.1 row at ellH = 1e-4 from 1/ellH
-#: down to x = 1 (the e-fold phase then takes 78 more to x = e^-20)
+#: down to x = 1
 RESPONSE_MAX_STEPS = 200_000
 
 

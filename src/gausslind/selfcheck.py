@@ -165,10 +165,10 @@ def check_route_agreement() -> tuple[str, bool, str]:
     plane of the default map ranges (p 0.1..9.9, kGamma/k* 1e-10..1e6) at
     x = e^-20, ellH = 0.1, where both hold: discord to 3e-13 relative
     where it exceeds 1e-10 and to 2e-12 absolute, ln sigma(0) to 6e-13
-    (measured: 2.9e-14, 5.7e-14, 1.4e-14 with the sub-Hubble phase
-    collocated; 2.9e-14, 2.8e-13, 1.1e-13 with it on DOP853; 1.0e-13,
-    7.0e-13, 1.9e-13 when transport ran in conformal time all the way
-    down to x)."""
+    (measured: 2.9e-14, 5.7e-14, 1.4e-14 with both phases collocated, as
+    with the e-fold phase alone on DOP853; 2.9e-14, 2.8e-13, 1.1e-13 with
+    both on DOP853; 1.0e-13, 7.0e-13, 1.9e-13 when transport ran in
+    conformal time all the way down to x)."""
     ps = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 12).tolist()])
     couplings = 10.0 ** np.linspace(-10.0, 6.0, 12)
     x, theta, params = math.exp(-20.0), -math.pi / 4.0, CosmoParams(0.0, ps[0], 0.1)

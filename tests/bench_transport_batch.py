@@ -14,16 +14,15 @@ them.
 `test_transport_plane` runs a 4x4 transport `discord_cosmo` plane, p in
 {0.5, 2.0001, 5.3, 9.5} and the couplings above, either as one call with
 a p row ("plane", one response) or as four row calls ("rows"), and
-records the best time per cell, the intervals and the time of the
-sub-Hubble collocation down to x = 1 and the RHS calls of the e-fold
-integration below it.
+records the best time per cell and the intervals and the time of each
+collocated phase: in conformal time down to x = 1, and in e-folds below
+it.
 
-`test_phase_step` times one step of each phase for a transport plane of
-n p rows (p in 0.1..9.9, x = 1e-3, ellH = 0.1): one interval of the
-sub-Hubble collocation ("subhubble", `cosmology._collocate`) at its last
-interval, or one call of the e-fold RHS, the function the compiled
-integrator calls back, at its end state ("efold"); and records the
-intervals or the RHS calls the phase took.
+`test_phase_step` times one interval of each phase for a transport plane
+of n p rows (p in 0.1..9.9, x = 1e-3, ellH = 0.1), at the phase's last
+interval: `cosmology._subhubble_interval` ("subhubble") or
+`cosmology._efold_interval` ("efold"); and records the intervals the
+phase took.
 """
 
 import time
@@ -82,46 +81,34 @@ def rows():
                           kGamma_over_kstar=_couplings(4)) for p in PLANE_P.tolist()]
 
 
-PHASES = ("subhubble", "efold")
+# phase: (the phase's entry, its interval), each a name in cosmology
+PHASES = {"subhubble": ("_subhubble_response", "_subhubble_interval"),
+          "efold": ("_efold_response", "_efold_interval")}
 
 
 def _record_phases(monkeypatch) -> dict:
-    """Patch the entry of both phases.  "subhubble" gets one [seconds,
-    intervals, last interval's arguments] per collocation, "efold" one
-    [rhs, calls, t_end, y_end] per e-fold integration."""
+    """Patch the entry and the interval of both phases: each gets one
+    [seconds, intervals, last interval's arguments] per run."""
     runs = {phase: [] for phase in PHASES}
-    subhubble, collocate, dop853 = (cosmology._subhubble_response, cosmology._collocate,
-                                    cosmology._dop853)
+    for phase, names in PHASES.items():
+        entry, interval = (getattr(cosmology, name) for name in names)
 
-    def timed_subhubble(*args):
-        run = [0.0, 0, None]
-        runs["subhubble"].append(run)
-        start = time.perf_counter()
-        response = subhubble(*args)
-        run[0] = time.perf_counter() - start
-        return response
+        def timed(*args, _runs=runs[phase], _entry=entry):
+            run = [0.0, 0, None]
+            _runs.append(run)
+            start = time.perf_counter()
+            out = _entry(*args)
+            run[0] = time.perf_counter() - start
+            return out
 
-    def counted_collocate(*args):
-        run = runs["subhubble"][-1]
-        run[1] += 1
-        run[2] = args
-        return collocate(*args)
-
-    def recording(rhs, y0, t0, times, *args, **kwargs):
-        run = [rhs, 0, float(times[-1]), None]
-
-        def counted(t, y):
+        def counted(*args, _runs=runs[phase], _interval=interval, **kwargs):
+            run = _runs[-1]
             run[1] += 1
-            return rhs(t, y)
+            run[2] = (args, kwargs)
+            return _interval(*args, **kwargs)
 
-        runs["efold"].append(run)
-        ys = dop853(counted, y0, t0, times, *args, **kwargs)
-        run[3] = ys[-1].copy()
-        return ys
-
-    monkeypatch.setattr(cosmology, "_subhubble_response", timed_subhubble)
-    monkeypatch.setattr(cosmology, "_collocate", counted_collocate)
-    monkeypatch.setattr(cosmology, "_dop853", recording)
+        monkeypatch.setattr(cosmology, names[0], timed)
+        monkeypatch.setattr(cosmology, names[1], counted)
     return runs
 
 
@@ -136,27 +123,24 @@ def test_transport_plane(benchmark, monkeypatch, mode):
     if benchmark.stats:  # None under --benchmark-disable
         cells = PLANE_P.size * 4
         benchmark.extra_info.update(
-            mode=mode, cells=cells, per_cell_ms=1e3 * benchmark.stats.stats.min / cells,
-            subhubble_intervals=sum(r[1] for r in runs["subhubble"]),
-            subhubble_ms=1e3 * sum(r[0] for r in runs["subhubble"]),
-            rhs_calls_efold=sum(r[1] for r in runs["efold"]))
+            mode=mode, cells=cells, per_cell_ms=1e3 * benchmark.stats.stats.min / cells)
+        for phase, phase_runs in runs.items():
+            benchmark.extra_info[f"{phase}_intervals"] = sum(r[1] for r in phase_runs)
+            benchmark.extra_info[f"{phase}_ms"] = 1e3 * sum(r[0] for r in phase_runs)
 
 
 @pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("n", [1, 3, 40])
 def test_phase_step(benchmark, monkeypatch, phase, n):
-    """One step of a phase at n p rows, and the work that phase took."""
+    """One interval of a phase at n p rows, and the intervals it took."""
     runs = _record_phases(monkeypatch)
     ps = np.linspace(0.1, 9.9, n)
     discord_cosmo(X, -0.785, CosmoParams(0.0, ps[0], ELLH), "transport",
                   kGamma_over_kstar=_couplings(4), p=ps)
     monkeypatch.undo()
-    if phase == "subhubble":
-        _, steps, args = runs[phase][0]
-        step = cosmology._collocate
-    else:
-        step, steps, *args = runs[phase][0]
-    benchmark.pedantic(step, args=tuple(args), rounds=2000, iterations=10, warmup_rounds=100)
+    _, steps, (args, kwargs) = runs[phase][0]
+    benchmark.pedantic(getattr(cosmology, PHASES[phase][1]), args=args, kwargs=kwargs,
+                       rounds=2000, iterations=10, warmup_rounds=100)
     if benchmark.stats:  # None under --benchmark-disable
         benchmark.extra_info.update(phase=phase, n=n, steps=steps,
                                     per_step_us=1e6 * benchmark.stats.stats.median)

@@ -49,6 +49,21 @@ def count_rhs_calls(monkeypatch, *targets) -> list:
     return calls
 
 
+def record_intervals(monkeypatch, name: str) -> list:
+    """A list that grows by the (t, h) of each interval that the
+    collocation step cosmology.<name> (`_subhubble_interval`, t = -x, or
+    `_efold_interval`, t = -ln x) tries."""
+    from gausslind import cosmology
+    intervals, real = [], getattr(cosmology, name)
+
+    def recorded(t, h, *args, **kwargs):
+        intervals.append((t, h))
+        return real(t, h, *args, **kwargs)
+
+    monkeypatch.setattr(cosmology, name, recorded)
+    return intervals
+
+
 def default_map_logs():
     """(ln sigma(0)^2, ln q), each (40, 40), of the default map as its
     approx route hands them to the discord assembly."""

@@ -12,7 +12,7 @@ from gausslind import cli, selfcheck
 from gausslind.cli import main
 from gausslind.selfcheck import CHECKS
 
-from conftest import count_rhs_calls
+from conftest import count_rhs_calls, record_intervals
 
 
 def run_cli(args):
@@ -182,7 +182,8 @@ class TestDiscordMapScenario:
 
     def test_transport_map_is_one_integration(self, tmp_path, monkeypatch):
         # one block: one sub-Hubble collocation over its 3 p rows, sampled at
-        # x = 1 only, then one e-fold integration, the only DOP853 run
+        # x = 1 only, then one e-fold collocation, 1 e-fold an interval down
+        # to x = 3e-3; no integrator runs
         from gausslind import cosmology, opensys
         blocks, subhubble = [], cosmology._subhubble_response
 
@@ -192,8 +193,8 @@ class TestDiscordMapScenario:
             return response
 
         monkeypatch.setattr(cosmology, "_subhubble_response", counted_subhubble)
-        efold_calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
-        other_calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (opensys, "solve_ivp"))
+        efold = record_intervals(monkeypatch, "_efold_interval")
+        calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (opensys, "solve_ivp"))
         cfg = write_config(tmp_path, "t.json", {
             "mode": "discord_map", "method": "transport", "map_points": [3, 4],
             "x": 3e-3, "cosmo": {"ellH": 0.15}, "log10_kGamma_range": [-3.0, 0.0],
@@ -201,7 +202,7 @@ class TestDiscordMapScenario:
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "t.csv")[1]) == 12
         assert blocks == [(1.0 / 0.15, 1.0, 3, 1)]
-        assert len(efold_calls) > 0 and not other_calls
+        assert [t for t, _ in efold] == list(range(6)) and not calls
 
     def test_transport_tail_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a tolerance no Chebyshev tail of the sub-Hubble collocation meets:
@@ -574,12 +575,15 @@ class TestErrorChannel:
 
 
     def test_transport_step_failure_reports_one_json_line(self, tmp_path):
-        # a step cap of 5 fails the response integration; the integrator's
-        # UserWarning must not reach stderr
+        # a tolerance no Chebyshev tail meets from the e-fold phase on: its
+        # first interval halves to its cap; no numpy warning may reach stderr
         cfg = write_config(tmp_path, "t.json", {
             "mode": "discord_map", "method": "transport", "map_points": [2, 2],
             "x": 3e-3, "cosmo": {"ellH": 0.15}})
-        script = ("import sys; from gausslind import opensys; opensys.RESPONSE_MAX_STEPS = 5; "
+        script = ("import sys; from gausslind import cosmology; "
+                  "sub = cosmology._subhubble_response; "
+                  "cosmology._subhubble_response = lambda *a: "
+                  "(sub(*a), setattr(cosmology, 'TRANSPORT_RTOL', 1e-30))[0]; "
                   "from gausslind.cli import main; sys.exit(main(sys.argv[1:]))")
         proc = subprocess.run(
             [sys.executable, "-c", script, "run", cfg, "--out", str(tmp_path)],
@@ -589,7 +593,7 @@ class TestErrorChannel:
         assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
         assert err["error"] == "StepFailureError"
-        assert "larger nsteps is needed" in err["message"]
+        assert "e-fold collocation" in err["message"] and "halvings" in err["message"]
 
     @pytest.mark.parametrize("preset", ["de_sitter", "free"])
     def test_rtol_below_floor_exits_2(self, tmp_path, preset):

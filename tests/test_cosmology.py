@@ -40,7 +40,7 @@ from gausslind.errors import (
     StepFailureError,
 )
 
-from conftest import count_rhs_calls, default_map, super_hubble_series
+from conftest import count_rhs_calls, default_map, record_intervals, super_hubble_series
 import oracle
 
 FIG_PARAMS = {
@@ -925,16 +925,16 @@ class TestDiscordPlane:
 
     @pytest.mark.parametrize("x", [9.0, 5.0, 2.0, 1.0])
     def test_transport_plane_from_hubble_crossing_up_is_one_phase(self, monkeypatch, x):
-        # 1 <= x < 1/ellH: the sub-Hubble collocation alone, with no DOP853
-        # run; its cells, read from the scaled state in the log domain, are
-        # those of the collocated response to the last bits
-        from gausslind import cosmology, opensys
+        # 1 <= x < 1/ellH: the sub-Hubble collocation alone, with no e-fold
+        # interval; its cells, read from the scaled state in the log domain,
+        # are those of the collocated response to the last bits
+        from gausslind import cosmology
         ps, couplings = np.array([0.5, 5.3, 9.5]), np.logspace(-3.0, 1.0, 4)
         params = CosmoParams(0.0, 0.5, 0.1)
-        calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (cosmology, "_dop853"))
+        intervals = record_intervals(monkeypatch, "_efold_interval")
         got = discord_cosmo(x, self.THETA, params, "transport", kGamma_over_kstar=couplings,
                             p=ps)
-        assert not calls
+        assert not intervals
         monkeypatch.undo()
         # the route's own formulation: the unit sources x^(3-p), and the
         # amplitude 2 x_star^(p-3) in the couplings of each row
@@ -1014,19 +1014,21 @@ class TestDiscordPlane:
                       <= 1e-11 * np.maximum(1.0, np.abs(want.discord)))
         assert np.all(np.abs(got.log_sigma_zero - want.log_sigma_zero) <= 1e-11)
 
-    def test_rhs_calls_flat_in_couplings(self, monkeypatch):
-        # one response integration per block of p rows: a 3x64 plane makes
-        # the RHS calls of a 3x4 one
-        from gausslind import cosmology, opensys
-        calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (cosmology, "_dop853"))
-        counts = []
+    def test_efold_intervals_flat_in_couplings(self, monkeypatch):
+        # one response per block of p rows: a 3x64 plane takes the e-fold
+        # intervals of a 3x4 one, 1 e-fold long from x = 1 down to 1e-3
+        intervals = record_intervals(monkeypatch, "_efold_interval")
+        runs = []
         for n_k in (4, 64):
-            calls.clear()
+            intervals.clear()
             discord_cosmo(self.X, self.THETA, CosmoParams(0.0, 0.5, 0.1), "transport",
                           kGamma_over_kstar=np.logspace(-3.0, 0.0, n_k),
                           p=np.linspace(0.5, 9.5, 3))
-            counts.append(len(calls))
-        assert counts[0] > 0 and counts[0] == counts[1]
+            runs.append(list(intervals))
+        assert runs[0] == runs[1]
+        assert [t for t, _ in intervals] == list(range(7))
+        assert [h for _, h in intervals[:-1]] == [1.0] * 6
+        assert intervals[-1][1] == -math.log(self.X) - 6.0
 
     @pytest.mark.parametrize("method, x", [("approx", 1e-4), ("exact", 0.05),
                                            ("transport", 1e-3)])
@@ -1044,7 +1046,8 @@ class TestDiscordPlane:
             for field in TestApproxPlane.FIELDS:
                 assert np.array_equal(getattr(split, field), getattr(whole, field))
             return
-        # one p row integrates at another tolerance than a block of two
+        # the same intervals, but a block of one p row solves with fewer
+        # right-hand sides than one of two, which may move the last bits
         assert np.all(np.abs(split.discord - whole.discord)
                       <= 1e-10 * np.maximum(1.0, np.abs(whole.discord)))
         np.testing.assert_allclose(np.exp(-2.0 * split.log_sigma_zero),
@@ -1056,19 +1059,6 @@ class TestSubHubblePhase:
     Chebyshev collocation in conformal time (`_subhubble_response`)."""
 
     PS = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 12).tolist()])
-
-    @staticmethod
-    def _record(monkeypatch) -> list:
-        """The (x_hi, h) of every interval the collocation tries."""
-        from gausslind import cosmology
-        intervals, collocate = [], cosmology._collocate
-
-        def recorded(x_hi, h, y, expo):
-            intervals.append((x_hi, h))
-            return collocate(x_hi, h, y, expo)
-
-        monkeypatch.setattr(cosmology, "_collocate", recorded)
-        return intervals
 
     @pytest.mark.parametrize("x_s", [1.0, 2.0])
     @pytest.mark.parametrize("ellH", [0.5, 0.1, 0.01, 1e-3])
@@ -1101,8 +1091,9 @@ class TestSubHubblePhase:
 
     def test_intervals_flat_in_couplings(self, monkeypatch):
         # one collocation per block of p rows: a 3x64 plane takes the
-        # intervals of a 3x4 one, min(2, x/3) long from each upper end x
-        intervals = self._record(monkeypatch)
+        # intervals of a 3x4 one, min(2, x/3) long from each upper end x,
+        # recorded in conformal time t = -x
+        intervals = record_intervals(monkeypatch, "_subhubble_interval")
         runs = []
         for n_k in (4, 64):
             intervals.clear()
@@ -1111,34 +1102,34 @@ class TestSubHubblePhase:
                           p=np.linspace(0.5, 9.5, 3))
             runs.append(list(intervals))
         assert runs[0] == runs[1]
-        assert intervals[0][0] == 20.0 and intervals[-1][0] - intervals[-1][1] == 1.0
-        for (x_hi, h), (x_next, _) in zip(intervals, intervals[1:]):
-            assert h == min(2.0, x_hi / 3.0) and x_next == x_hi - h
+        assert intervals[0][0] == -20.0 and intervals[-1][0] + intervals[-1][1] == -1.0
+        for (t, h), (t_next, _) in zip(intervals, intervals[1:]):
+            assert h == min(2.0, -t / 3.0) and t_next == t + h
 
     def test_tail_failure_raises(self, monkeypatch):
         # a tolerance no Chebyshev tail meets: the first interval halves
         # _CHEB_HALVINGS times, then the solve fails
         from gausslind import cosmology
         monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", 1e-30)
-        intervals = self._record(monkeypatch)
+        intervals = record_intervals(monkeypatch, "_subhubble_interval")
         with pytest.raises(StepFailureError, match="halvings"):
             cosmology._subhubble_response(10.0, 1.0, np.array([0.5, 5.3]))
-        assert intervals == [(10.0, 2.0 * 0.5 ** i)
+        assert intervals == [(-10.0, 2.0 * 0.5 ** i)
                              for i in range(cosmology._CHEB_HALVINGS + 1)]
 
     def test_halved_interval_goes_on(self, monkeypatch):
         # an interval whose first try fails halves and the run goes on from
         # its end, at the full length again
         from gausslind import cosmology
-        intervals, collocate = [], cosmology._collocate
+        intervals, interval = [], cosmology._subhubble_interval
 
-        def fails_once(x_hi, h, y, expo):
-            intervals.append((x_hi, h))
-            return None if len(intervals) == 1 else collocate(x_hi, h, y, expo)
+        def fails_once(t, h, *args, **kwargs):
+            intervals.append((t, h))
+            return None if len(intervals) == 1 else interval(t, h, *args, **kwargs)
 
-        monkeypatch.setattr(cosmology, "_collocate", fails_once)
+        monkeypatch.setattr(cosmology, "_subhubble_interval", fails_once)
         got = cosmology._subhubble_response(10.0, 1.0, self.PS)
-        assert intervals[:3] == [(10.0, 2.0), (10.0, 1.0), (9.0, 2.0)]
+        assert intervals[:3] == [(-10.0, 2.0), (-10.0, 1.0), (-9.0, 2.0)]
         monkeypatch.undo()
         want = cosmology._subhubble_response(10.0, 1.0, self.PS)
         for field in ("g", "F", "a1", "a2"):
@@ -1154,44 +1145,94 @@ class TestSubHubblePhase:
 
 
 class TestEfoldPhase:
-    """The transport route's response below x = 1, integrated in e-folds."""
+    """The transport route's response below x = 1, by Chebyshev collocation
+    in e-folds N = -ln x (`_efold_response`)."""
+
+    # 12 p rows: c1 = max(p - 2, 0) near 0 at 2.0001, cF = max(p - 8, 0) > 0
+    # from 8.5 up
+    PS = np.array([0.1, 0.99, 1.88, 2.0001, 3.3, 4.55, 5.44, 6.33, 7.22, 8.5, 9.2, 9.9])
+    XS = (0.3, 1e-3, math.exp(-20.0), math.exp(-300.0), math.exp(-690.0))
+
+    @staticmethod
+    def _start(ps, x_s=1.0):
+        """The response to the unit sources x^(3-p) from x = 10 down to x_s."""
+        return evolve_de_sitter(10.0, x_s, lambda eta: np.power(-1.0 / eta, ps - 3.0),
+                                x_eval=(x_s,))
+
+    @classmethod
+    @functools.cache
+    def _reference(cls, ellH):
+        """(start, z at each x of XS): the flow of `_efold_response` in z on
+        the compiled DOP853 of opensys at rtol 1e-14 (relative only), from
+        the sub-Hubble collocation's state at x = 1."""
+        from gausslind import cosmology, opensys
+        ps, n, m = cls.PS, len(cls.PS), 3 + 3 * len(cls.PS)
+        start = cosmology._subhubble_response(1.0 / ellH, 1.0, ps)
+        z0, powers = cosmology._efold_response(start, 1.0, ps)
+        c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
+        forcing = np.stack((8.0 - ps + c_f, 2.0 - ps + c_1))
+
+        def rhs(efolds, z):
+            x2 = math.exp(-2.0 * efolds)
+            flow = np.array([[0.0, 2.0, 0.0], [2.0 - x2, 0.0, 1.0], [0.0, 4.0 - 2.0 * x2, 0.0]])
+            dz = np.empty_like(z)
+            dz[:m] = (flow @ z[:m].reshape(3, 1 + n)).ravel()
+            # each source power held at 1e-100, where it moves no value, so
+            # that no share of the error norm underflows to 0
+            s_f, s_a = np.maximum(np.exp(-efolds * forcing), 1e-100)
+            dz[m - n:m] += s_f
+            dz[m:m + n], dz[m + n:] = s_a * z[0], s_a * z[1:1 + n]
+            return dz - powers * z
+
+        # steps below 2 / (fastest decay rate), inside DOP853's stability interval
+        return start, opensys._dop853(rhs, z0, 0.0, -np.log(cls.XS), 1e-14, 0.0, 0.0,
+                                      max_step=0.2)
+
+    @pytest.mark.parametrize("x", XS, ids=["x0.3", "x1e-3", "xe-20", "xe-300", "xe-690"])
+    @pytest.mark.parametrize("ellH", [0.5, 0.1, 1e-3])
+    def test_against_dop853(self, ellH, x):
+        # the largest error measured over these cases is 3.8e-14 (the
+        # DOP853 phase at half TRANSPORT_RTOL was 6.7e-13 off at x = 0.3)
+        from gausslind import cosmology
+        start, want = self._reference(ellH)
+        z, _ = cosmology._efold_response(start, x, self.PS)
+        w = want[self.XS.index(x)]
+        assert np.all(np.abs(z - w) <= 2e-13 * np.abs(w))
 
     @pytest.mark.parametrize("ps", [[0.5], [5.3], [9.9], np.linspace(0.1, 9.9, 12)],
                              ids=["p0.5", "p5.3", "p9.9", "12rows"])
     def test_cost_flat_in_efolds(self, monkeypatch, ps):
-        # once the sub-Hubble transients are gone, the steps sit at their cap
-        # of 2 / (fastest decay rate) e-folds: 39 RHS calls an e-fold at
-        # rate 6, 64 at rate 9.8 (p = 9.9).  No burst where the source
-        # powers fall towards the underflow threshold (p = 5.3 took 205
-        # calls an e-fold over e^-100..e^-300 before they were held at ~e^-230)
+        # one interval an e-fold with no halving, down to where the source
+        # powers and the integrands of a1 underflow (p = 5.3 took 205 DOP853
+        # calls an e-fold over e^-100..e^-300 before the powers were held at
+        # ~e^-230)
         from gausslind import cosmology
         ps = np.asarray(ps, dtype=float)
-        # the response to the unit sources x^(3-p) of the e-fold phase
-        start = evolve_de_sitter(10.0, 1.0, lambda eta: np.power(-1.0 / eta, ps - 3.0),
-                                 x_eval=(1.0,))
-        calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
+        start = self._start(ps)
+        intervals = record_intervals(monkeypatch, "_efold_interval")
         counts, states = [], []
         for efolds in (100.0, 300.0):
-            calls.clear()
+            intervals.clear()
             z, powers = cosmology._efold_response(start, math.exp(-efolds), ps)
-            counts.append(len(calls))
+            counts.append(len(intervals))
             states.append(z)
-        assert (counts[1] - counts[0]) / 200.0 <= 70.0
+        assert counts == [100, 300]
+        assert all(h == 1.0 for _, h in intervals)
         # the scaled state z = x^P y stays far inside the range of doubles,
         # where y itself passes it (|y| up to e^(300 max P))
         assert all(np.max(np.abs(z)) < 1e10 for z in states)
 
     def test_scaled_state_and_powers(self, monkeypatch):
-        # at x = x_s the scaled state is the response scaled, with no step;
-        # P is 2, 3, 4 on the rows of (g, F_i), plus cF = max(p - 8, 0) on
-        # each F_i, c1 = max(p - 2, 0) on a1 and c1 + cF on a2
+        # at x = x_s the scaled state is the response scaled, with no
+        # interval; P is 2, 3, 4 on the rows of (g, F_i), plus
+        # cF = max(p - 8, 0) on each F_i, c1 = max(p - 2, 0) on a1 and
+        # c1 + cF on a2
         from gausslind import cosmology
         ps = np.array([0.5, 5.3, 9.9])
-        start = evolve_de_sitter(10.0, 2.0, lambda eta: np.power(-1.0 / eta, ps - 3.0),
-                                 x_eval=(2.0,))
-        calls = count_rhs_calls(monkeypatch, (cosmology, "_dop853"))
+        start = self._start(ps, 2.0)
+        intervals = record_intervals(monkeypatch, "_efold_interval")
         z, powers = cosmology._efold_response(start, 2.0, ps)
-        assert not calls
+        assert not intervals
         c_f, c_1 = [0.0, 0.0, 1.9], [0.0, 3.3, 7.9]
         want = np.concatenate([np.add([r] * 4, [0.0, *c_f]) for r in (2.0, 3.0, 4.0)]
                               + [c_1, np.add(c_1, c_f)])
@@ -1200,15 +1241,41 @@ class TestEfoldPhase:
                             start.a2[:, 0]))
         np.testing.assert_allclose(z, y * 2.0 ** powers, rtol=1e-15, atol=0.0)
 
+    def test_tail_failure_raises(self, monkeypatch):
+        # a tolerance no Chebyshev tail meets: the first e-fold halves
+        # _CHEB_HALVINGS times, then the phase fails
+        from gausslind import cosmology
+        start = self._start(self.PS[:2])
+        monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", 1e-30)
+        intervals = record_intervals(monkeypatch, "_efold_interval")
+        with pytest.raises(StepFailureError, match="e-fold collocation.*halvings"):
+            cosmology._efold_response(start, 1e-3, self.PS[:2])
+        assert intervals == [(0.0, 0.5 ** i) for i in range(cosmology._CHEB_HALVINGS + 1)]
+
+    @pytest.mark.parametrize("field", ["F", "a2"])
+    def test_non_finite_value_raises(self, field):
+        # an infinite start: in a block it fails every halving of the first
+        # interval, in a2 the check of the end state
+        from gausslind import cosmology
+        ps = self.PS[:3]
+        start = self._start(ps)
+        start = replace(start, **{field: getattr(start, field) * math.inf})
+        with pytest.raises(StepFailureError):
+            cosmology._efold_response(start, 1e-3, ps)
+
     def test_integrations_release_their_buffers(self):
         # the compiled integrator keeps a reference to every callback it is
-        # given; each integration cuts what its callback holds when it ends
+        # given; each integration cuts what its callback holds when it ends.
+        # The transport route hands it none; evolve_open's response
+        # integration and this class's reference do
         import gc
         for x in (3e-3, 2.0):
             discord_cosmo(x, -0.7, CosmoParams(0.0, 5.3, 0.1), "transport",
                           kGamma_over_kstar=np.array([0.1, 1.0]), p=np.array([5.3, 9.0]))
+            self._start(np.array([5.3, 9.0]), x)
+        self._reference(0.5)
         gc.collect()
-        names = ("_response.<locals>.rhs", "_efold_response.<locals>.rhs")
+        names = ("_response.<locals>.rhs", "TestEfoldPhase._reference.<locals>.rhs")
         assert not [f for f in gc.get_objects()
                     if getattr(f, "__qualname__", None) in names]
 

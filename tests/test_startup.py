@@ -1,6 +1,7 @@
 """The import set at start-up: no scipy module at all is loaded by
-importing the package or by the modes that integrate nothing (the approx
-discord_map, ellipse_series, spectrum); the modes that integrate load
+importing the package or by the modes that call no scipy integrator (the
+approx discord_map, the transport discord_map, whose phases are
+collocated, ellipse_series, spectrum); the modes that integrate load
 scipy.integrate at their first integrator call.  Each case runs in a
 fresh interpreter."""
 
@@ -52,7 +53,7 @@ def test_import_leaves_integrate_out(module):
      False),
     ({"mode": "evolve_open", "preset": "free", "source_const": 0.05, "grid": GRID}, True),
     (dict(SMALL_MAP, method="exact"), True),
-    (dict(SMALL_MAP, method="transport"), True),
+    (dict(SMALL_MAP, method="transport"), False),
 ], ids=["discord_map", "ellipse_series", "spectrum", "evolve_open", "exact_map",
         "transport_map"])
 def test_run_loads_integrate_only_to_integrate(tmp_path, cfg, integrates):

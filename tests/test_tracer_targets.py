@@ -91,9 +91,10 @@ CASES = {"approx_plane": _approx_plane, "transport_plane": _transport_plane,
     # still expects 0 on map_transport (ROADMAP item 12)
     ("transport_plane", "cosmology.logsumexp"),
     pytest.param("transport_plane", "opensys.transport_rhs_open", marks=pytest.mark.xfail(
-        strict=True, reason="opensys.rhs_calls wraps transport_rhs_open, which the response "
-                            "RHS does not call; the metric is to count the callbacks handed "
-                            "to opensys._dop853 (ROADMAP item 12)")),
+        strict=True, reason="opensys.rhs_calls wraps transport_rhs_open, and a transport map "
+                            "hands no callback to any integrator: both phases are collocated "
+                            "in cosmology, so the metric is to expect 0 there (ROADMAP item "
+                            "12)")),
     ("evolve_open_scenario", "opensys.evolve_open"),
     ("evolve_open_scenario", "opensys.transport_rhs_open"),
     ("evolve_open_scenario", "closed.squeezing"),
