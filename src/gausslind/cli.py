@@ -33,7 +33,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from .cosmology import (
     offset_singular_p,
     power_spectrum_correction,
 )
-from .errors import ConfigError, DomainError, GausslindError
+from .errors import ConfigError, DomainError, GausslindError, StepFailureError
 from .opensys import evolve_open
 from .symplectic import particle_statistics, SqueezingState
 from . import selfcheck as _selfcheck
@@ -290,6 +290,8 @@ def run_ellipse_series(cfg: dict, path: Path, cfg_hash: str) -> None:
     cols = [[-math.log(x) for x in xs], [e.semi_major for e in ells],
             [e.semi_minor for e in ells], [e.tilt for e in ells],
             [e.semi_major / e.semi_minor for e in ells]]
+    if not all(map(math.isfinite, chain.from_iterable(cols))):  # n_sigma ~ 1e308
+        raise StepFailureError(f"ellipse_series: a value is not finite at n_sigma = {n_sigma}")
     _write_csv(path, ["efolds", "semi_major", "semi_minor", "tilt", "axis_ratio"],
                _lines(*(map(repr, c) for c in cols)), cfg_hash)
 

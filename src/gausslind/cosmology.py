@@ -9,10 +9,11 @@ exceeds the environment correlation length, i.e. for x < 1/(ell_E H), and
 its strength follows a power law a^(p-3) of the scale factor.
 
 Three routes to the dressed covariance are provided and cross-checked by
-the test suite: transport integration (`evolve_de_sitter`), Green's-
-function quadrature (via `opensys.green_covariance`), and the closed form
-in terms of incomplete gamma functions, together with its super-Hubble
-asymptotics.
+the test suite: the transport equations, collocated for a whole plane of
+couplings (`_transport_block`) or integrated for one source
+(`evolve_de_sitter`), Green's-function quadrature (via
+`opensys.green_covariance`), and the closed form in terms of incomplete
+gamma functions, together with its super-Hubble asymptotics.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .closed import CovarianceTrajectory, ModeFrequency, ModeState
 from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
 from .errors import BelowHeisenbergError, DomainError, SingularExponentError, StepFailureError
-from .opensys import TransportResponse, evolve_open, piecewise_oscillatory_quad
+from .opensys import evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock, _half_sin, _ln, _ln_q
 
@@ -793,12 +794,18 @@ def _subhubble_interval(t: float, h: float, y: np.ndarray, a: np.ndarray, expo: 
     return None if step is None else (step[0], a + step[1])
 
 
-def _subhubble_response(x_on: float, x_s: float, ps) -> TransportResponse:
+def _subhubble_response(x_on: float, x_s: float, ps) -> tuple[np.ndarray, np.ndarray, float]:
     """The response to the unit sources x^(3-p) of the p row ps from x_on
-    down to x_s >= 1, at x_s: the TransportResponse that
-    evolve_de_sitter(x_on, x_s, source, x_eval=(x_s,)) returns, by
-    Chebyshev integral collocation (`_subhubble_interval`) instead of
-    DOP853.
+    down to x_s >= 1, at x_s, by Chebyshev integral collocation
+    (`_subhubble_interval`), from the closed form at x_on: (y, a, det0),
+    y (3, 1 + n) the rows g11, g12, g22 of the closed block g and of the
+    response F_i to each source, a (2, n) the rows a1, a2 and det0 the
+    initial det.  The source kap2_i x^(3-p_i) gives the covariance
+    g + kap2_i F_i and the det det0 + kap2_i a1_i + kap2_i^2 a2_i, since
+    the transport equations are linear in (g, det) and their closed flow
+    does not depend on the source; F_i follows the closed flow plus
+    x^(3-p_i) on its g22 entry, a1_i' = x^(3-p_i) g11 and
+    a2_i' = x^(3-p_i) F_i11, all three from 0.
 
     Conformal time is cut into intervals of length min(2, x/3) from their
     upper end x, so at most half the lower end (the covariance oscillates
@@ -815,8 +822,7 @@ def _subhubble_response(x_on: float, x_s: float, ps) -> TransportResponse:
     y, a = _march(-x_on, -x_s, lambda t: min(2.0, -t / 3.0),
                   functools.partial(_subhubble_interval, expo=3.0 - ps),
                   (y, np.zeros((2, len(ps)))), "sub-Hubble collocation (t = -x)")
-    return TransportResponse(times=np.array([-x_s]), g=y[:, :1], F=y[:, 1:, None],
-                             a1=a[0][:, None], a2=a[1][:, None], det0=ic.lam)
+    return y, a, ic.lam
 
 
 def _efold_interval(n_0: float, h: float, y: np.ndarray, a: np.ndarray, ps: np.ndarray):
@@ -845,12 +851,14 @@ def _efold_interval(n_0: float, h: float, y: np.ndarray, a: np.ndarray, ps: np.n
     return u, np.exp(-h * np.stack((c_1, c_1 + c_f))) * a + da
 
 
-def _efold_response(start: TransportResponse, x: float, ps) -> tuple[np.ndarray, np.ndarray]:
-    """The plane's response to its unit sources x^(3-p) at x <= x_s =
-    -start.times, as its state y (rows g11, g12, g22 of the blocks g,
-    F_1..F_n, then a1, a2) scaled to z = x^P y, O(1) outside the Hubble
-    radius, and P: 2, 3, 4 on those rows plus cF = max(p - 8, 0) on each
-    F_i, c1 = max(p - 2, 0) on a1 and c1 + cF on a2.  Below x_s z solves
+def _efold_response(y: np.ndarray, a: np.ndarray, x_s: float, x: float,
+                    ps) -> tuple[np.ndarray, np.ndarray]:
+    """The plane's response to its unit sources x^(3-p) at x <= x_s, from
+    its state (y, a) at x_s (of `_subhubble_response`), as that state
+    (rows g11, g12, g22 of the blocks g, F_1..F_n, then a1, a2) scaled to
+    z = x^P (y, a), O(1) outside the Hubble radius, and P: 2, 3, 4 on
+    those rows plus cF = max(p - 8, 0) on each F_i, c1 = max(p - 2, 0) on
+    a1 and c1 + cF on a2.  Below x_s z solves
     dz/dN = x^P dy/dN - P z in e-folds N = -ln x: on each block
     M z - P z, M = [[0, 2, 0], [2 - x^2, 0, 1], [0, 4 - 2 x^2, 0]], plus
     the source x^(8-p+cF) on each F_i22, and x^(2-p+c1) times z of g11 and
@@ -866,9 +874,7 @@ def _efold_response(start: TransportResponse, x: float, ps) -> tuple[np.ndarray,
     c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
     powers = np.concatenate(((np.arange(2.0, 5.0)[:, None] + np.append(0.0, c_f)).ravel(),
                              c_1, c_1 + c_f))
-    x_s = -float(start.times[-1])
-    z = np.concatenate((np.hstack((start.g, start.F[:, :, -1])).ravel(),
-                        start.a1[:, -1], start.a2[:, -1])) * x_s ** powers
+    z = np.concatenate((y.ravel(), a.ravel())) * x_s ** powers
     if not x < x_s:
         return z, powers
     y, a = _march(-math.log(x_s), -math.log(x), lambda t: 1.0,
@@ -887,15 +893,16 @@ def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings)
     state by `_log_sigmas_series` at any x.  A cell with a diagonal entry
     <= 0 or det < -1e-6 ((g11 + g22)/2)^2 (CovarianceBlock) raises
     BelowHeisenbergError."""
-    response = _subhubble_response(params.x_coupling_on, max(x, EFOLD_X_SWITCH), ps)
-    z, scale = _efold_response(response, x, ps)
+    x_s = max(x, EFOLD_X_SWITCH)
+    y, a, det0 = _subhubble_response(params.x_coupling_on, x_s, ps)
+    z, scale = _efold_response(y, a, x_s, x, ps)
     kap2 = np.outer(_power_law(params, ps - 3.0, 1.0), _kap2_row(params, couplings))
     # g + kap2 F and det0 + kap2 a1 + kap2^2 a2, each value z x^-P
     m, n = 3 + 3 * len(ps), len(ps)
     (g, a1, a2), (e_g, e_1, e_2) = ((v[:m].reshape(3, 1 + n, 1), v[m:m + n, None], v[m + n:, None])
                                     for v in (z, -scale))
     entry_terms = ((g[:, :1], kap2 * g[:, 1:]), (e_g[:, :1], e_g[:, 1:]))
-    det_terms = ((response.det0, kap2 * a1, kap2 * kap2 * a2), (0.0, e_1, e_2))
+    det_terms = ((det0, kap2 * a1, kap2 * kap2 * a2), (0.0, e_1, e_2))
     ln_s0sq, ln_q, (ln_g, sgn_g, ln_m2) = _log_sigmas_series(x, theta, det_terms, entry_terms)
     # g11, g22 > 0 and (g11 - g22)^2 + 4 g12^2 <= (1 + 1e-6) (g11 + g22)^2, as logs
     definite = ln_m2 <= 2.0 * np.logaddexp(ln_g[0], ln_g[2]) + math.log1p(1e-6)
@@ -953,7 +960,7 @@ def discord_cosmo(
     ps = _row(params.p if p is None else p, "p")
     if not math.isfinite(theta):
         raise DomainError(f"partition angle must be finite, got {theta}")
-    if method not in _ROUTES:
+    if not (isinstance(method, str) and method in _ROUTES):
         raise DomainError(f"unknown method {method!r}; expected one of {tuple(_ROUTES)}")
     x_max = APPROX_X_MAX if method == "approx" else params.x_coupling_on
     if not 0.0 < x < x_max:
@@ -982,11 +989,10 @@ def evolve_de_sitter(
     x_eval: Sequence[float] | None = None,
     rtol: float = TRANSPORT_RTOL,
     atol: float = 1e-12,
-) -> CovarianceTrajectory | TransportResponse:
+) -> CovarianceTrajectory:
     """Transport the de Sitter covariance from x_start to x_end, seeded
-    with the free closed form at x_start (exact while the source is off).
-    A source of unit amplitudes (a 1-D array per time) runs the response
-    integration of `evolve_open` and returns its TransportResponse.
+    with the free closed form at x_start (exact while the source is off),
+    by `evolve_open`; a source returns a number, as there.
 
     The trajectory runs in conformal time eta = -x; x_eval, when given,
     lists the x at which it is sampled.  A source only adds to the

@@ -24,7 +24,7 @@ class DomainError(GausslindError):
 
 class StepFailureError(GausslindError):
     """An integrator or quadrature could not meet its tolerance, or a
-    value became non-finite during integration."""
+    computed value is not finite."""
 
 
 class PoleOrderError(GausslindError):

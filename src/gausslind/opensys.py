@@ -7,28 +7,25 @@ added to the momentum-momentum transport equation:
 
 everything else unchanged.  S(t) absorbs the coupling rate and the
 environment autocorrelation in one function, because only their product
-ever appears; a source is any plain callable t -> S(t), and None means
-no environment.  Consequences implemented here: the transport engine
-`evolve_open` (the covariance integrator of the package, closed
-evolution being its S = None case, and the linear response to n unit
-sources, from which any coupling kap2 S_i follows, its array-valued
-case, the only user of `_dop853`: the transport route of `discord_cosmo`
-collocates its de Sitter response in `cosmology`), determinant growth
+ever appears; a source is any plain callable t -> S(t) returning a
+number, and None means no environment.  Consequences implemented here:
+the transport engine `evolve_open` (the covariance integrator of the
+package, closed evolution being its S = None case), determinant growth
 d(det)/dt = k S g11 (monotone purity loss), and the Green's-function
 representation of the dressed covariance as quadratures over a stored
-mode trajectory.
+mode trajectory.  The transport route of `cosmology.discord_cosmo`
+integrates no ODE: it collocates its de Sitter response in `cosmology`.
 
 scipy.integrate is imported at the first integrator call, not with the
-module.  `quad`, `ode` and `solve_ivp` stay module-level names, through
-which this module calls the integrators: `perfbench/tracer.py` wraps
+module.  `quad` and `solve_ivp` stay module-level names, through which
+this module calls the integrators: `perfbench/tracer.py` wraps
 `opensys.quad` to count quadrature calls and warnings, and tests patch
-`opensys.ode`, `opensys._dop853` and `opensys.solve_ivp`.
+`opensys.solve_ivp`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,30 +49,18 @@ __all__ = [
     "det_rhs",
     "green_covariance",
     "evolve_open",
-    "TransportResponse",
     "piecewise_oscillatory_quad",
     "RTOL_FLOOR",
-    "RESPONSE_MAX_STEPS",
 ]
 
 #: smallest rtol that solve_ivp accepts without raising it to this value
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
-#: steps the response integration of evolve_open may take to each sample:
-#: twice the 90,400 of a de Sitter p = 0.1 row at ellH = 1e-4 from 1/ellH
-#: down to x = 1
-RESPONSE_MAX_STEPS = 200_000
 
 
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported at the first call (as closed.solve_ivp)."""
     import scipy.integrate
     return scipy.integrate.quad(*args, **kwargs)
-
-
-def ode(*args, **kwargs):
-    """scipy.integrate.ode, imported at the first call (as closed.solve_ivp)."""
-    import scipy.integrate
-    return scipy.integrate.ode(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -198,144 +183,6 @@ def green_covariance(
     return GreenIntegrals(I=results[0], J=results[1], K=results[2])
 
 
-@dataclass(frozen=True)
-class TransportResponse:
-    """Linear response of the transport equations to the sources kap2 S_i(t).
-
-    The equations are linear in (g, det) and their closed flow does not
-    depend on the source, so a source kap2 * S_i(t) with a constant kap2
-    gives, from the same initial block, the covariance and determinant
-
-        g + kap2 F_i   and   det0 + kap2 a1_i + kap2^2 a2_i
-
-    where g is the closed (source-free) covariance, F_i follows the closed
-    flow plus k S_i on its g22 entry from F_i = 0, a1_i' = k S_i g11 and
-    a2_i' = k S_i F_i11 from 0 (so a1_i, a2_i >= 0 and the det needs no
-    cancellation).  g is (3, T), F is (3, n, T) and a1, a2 are (n, T) over
-    the n unit amplitudes S_i and the T sample times.  The response to
-    c_i S_i is that to S_i at the couplings c_i kap2.
-    """
-
-    times: np.ndarray
-    g: np.ndarray
-    F: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    det0: float
-
-    def cells(self, kap2) -> CovarianceTrajectory:
-        """The sources kap2_ij * S_i as trajectories, each field (n, m, T):
-        the polynomials above at kap2, a scalar (m = 1), a row of m shared by
-        the sources, or an (n, m) or (1, m) array; others raise DomainError."""
-        kap2 = np.asarray(kap2, dtype=float)[..., None]
-        if kap2.ndim > 3 or kap2.ndim == 3 and len(kap2) not in (1, len(self.a1)):
-            raise DomainError(f"couplings of shape {kap2.shape[:-1]} for {len(self.a1)} sources")
-        g11, g12, g22 = (g + kap2 * f[:, None, :] for g, f in zip(self.g, self.F))
-        det = self.det0 + kap2 * self.a1[:, None, :] + kap2 * kap2 * self.a2[:, None, :]
-        return CovarianceTrajectory(self.times, g11, g12, g22, det)
-
-
-def _dop853(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, t0: float,
-            times, rtol: float, atol: float, first_step: float,
-            max_step: float = 0.0) -> np.ndarray:
-    """The samples (len(times), len(y0)) of y' = rhs(t, y) from y(t0) = y0 on
-    scipy's compiled DOP853, with at most RESPONSE_MAX_STEPS steps to each
-    sample; a failed step or a non-finite value raises StepFailureError, and
-    an exception in rhs is raised as it is."""
-    raised = []
-
-    def guarded(t, y):
-        if not raised:
-            try:
-                return rhs(t, y)
-            except BaseException as exc:  # re-raised below
-                raised.append(exc)
-        # the compiled integrator does not stop on an exception; a NaN
-        # derivative makes it fail at once
-        return np.full_like(y, math.nan)
-
-    solver = ode(guarded).set_integrator(
-        "dop853", rtol=rtol, atol=atol, nsteps=RESPONSE_MAX_STEPS, first_step=first_step,
-        max_step=max_step)
-    solver.set_initial_value(y0, t0)
-    # IWORK(4) < 0 of DOP853: no stiffness test, which a fast-varying source
-    # trips on this non-stiff system
-    solver._integrator.iwork[3] = -1
-    ys = np.empty((len(times), len(y0)))
-    # overflow surfaces as a failed or non-finite solve, raised below; the
-    # integrator reports a failure as a UserWarning plus its return code
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for i, t in enumerate(times.tolist()):
-                ys[i] = solver.integrate(t)
-                if raised:
-                    raise raised[0]
-                if not solver.successful():
-                    reason = "; ".join(str(w.message) for w in caught) or \
-                        f"return code {solver.get_return_code()}"
-                    raise StepFailureError(f"covariance transport failed at t = {t}: {reason}")
-    finally:
-        # the compiled integrator keeps a reference to the callback and to
-        # the integrator object for good (scipy 1.17.1): cut what they hold
-        # (rhs is the closure cell that guarded reads), or every integration
-        # keeps its RHS buffers and work arrays alive to the end of the process
-        rhs = None
-        raised.clear()
-        vars(solver._integrator).clear()
-    if not np.all(np.isfinite(ys)):
-        raise StepFailureError("covariance transport produced non-finite values")
-    return ys
-
-
-def _response(freq: ModeFrequency, source: Callable[[float], np.ndarray], amplitudes,
-              t_span: tuple[float, float], ic: CovarianceBlock, t_eval,
-              rtol: float, atol: float) -> TransportResponse:
-    """The response integration of evolve_open, 3 + 5n values on scipy's
-    compiled DOP853 (no rtol floor) at rtol and atol over sqrt(1 + n): each
-    of the 1 + n blocks meets the scalar criterion of the RMS error norm.
-    Its state is (g, F/k, a1/k, a2/k^2), the response per unit k S, so each
-    RHS call takes the source as it is: one freq.ratio into the closed
-    flow, one product of that 3x3 matrix with all 1 + n blocks and three
-    in-place ufuncs, all into one buffer."""
-    if np.ndim(amplitudes) != 1 or len(amplitudes) == 0:
-        raise DomainError("an array-valued source returns a 1-D array of at least one "
-                          f"amplitude, got shape {np.shape(amplitudes)}")
-    n, k = len(amplitudes), freq.k
-    m = 3 + 3 * n  # the covariance values: rows g11, g12, g22 of 1 + n blocks
-    # the closed flow: its columns are the images of the basis blocks;
-    # only its entries -k w and -2k w, w = omega^2/k^2, depend on t
-    flow = np.array([transport_rhs_closed(e, freq, t_span[0]) for e in np.eye(3)]).T
-    mk, m2k = -k, -2.0 * k
-    # the derivative buffer (the compiled integrator copies it), its parts
-    out = np.empty(m + 2 * n)
-    d, d_f22, d_a1, d_a2 = out[:m].reshape(3, 1 + n), out[m - n:m], out[m:m + n], out[m + n:]
-
-    def rhs(t, y):
-        s = source(t)
-        w = freq.ratio(t)
-        flow[1, 0], flow[2, 1] = mk * w, m2k * w
-        flow.dot(y[:m].reshape(3, 1 + n), out=d)  # half the cost of np.matmul
-        np.add(d_f22, s, out=d_f22)
-        np.multiply(s, y[0], out=d_a1)  # (a1/k)' = S g11
-        np.multiply(s, y[1:1 + n], out=d_a2)  # (a2/k^2)' = S F11/k
-        return out
-
-    y0 = np.zeros(m + 2 * n)
-    y0[:m:1 + n] = (ic.g11, ic.g12, ic.g22)
-    times = np.atleast_1d(np.asarray(t_span[1] if t_eval is None else t_eval, dtype=float))
-    scale = math.sqrt(1 + n)
-    # a given first step: the integrator's own guess reads the response
-    # blocks, which start at 0, against atol alone, and can land on a step
-    # too small to take or past the end of the span
-    y = _dop853(rhs, y0, t_span[0], times, rtol / scale, atol / scale,
-                1e-6 * abs(t_span[1] - t_span[0])).T
-    return TransportResponse(times=times, g=y[:m:1 + n],
-                             F=k * y[:m].reshape(3, 1 + n, -1)[:, 1:],
-                             a1=k * y[m:m + n], a2=k * k * y[m + n:], det0=ic.lam)
-
-
 def evolve_open(
     freq: ModeFrequency,
     source: Callable[[float], float] | None,
@@ -344,7 +191,7 @@ def evolve_open(
     t_eval: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> CovarianceTrajectory | TransportResponse:
+) -> CovarianceTrajectory:
     """Transport-engine evolution with an optional environment source;
     source=None is the closed (unitary) evolution.
 
@@ -353,36 +200,27 @@ def evolve_open(
     behind the reported purity.  Each RHS evaluation calls the source
     once and feeds that value to both the g22 term and d(det)/dt.  With
     t_eval=None every step is kept; samples outside t_span or not strictly
-    ordered along it raise DomainError, as does an rtol not above 0 or, for
-    a scalar source, below RTOL_FLOOR (solve_ivp would raise it to that
-    floor silently).  The initial det is ic.lam, so an ic below the
+    ordered along it raise DomainError before any integrator runs, as do
+    an rtol below RTOL_FLOOR (solve_ivp would raise it to that floor
+    silently) and a source whose value at t_span[0] is an array rather
+    than a number.  The initial det is ic.lam, so an ic below the
     uncertainty bound raises BelowHeisenbergError.
-
-    A source that returns a 1-D numpy array of n unit amplitudes S_i(t)
-    (it may refill one array in place) runs the response integration
-    (`_response`, no rtol floor) instead and returns a TransportResponse,
-    whose `cells(kap2)` are the trajectories of the sources kap2_ij * S_i
-    for any couplings kap2: one integration of 3 + 5n values, whatever the
-    number of couplings.  It samples t_eval only (the end of t_span when
-    None), with at most RESPONSE_MAX_STEPS steps to each sample; a failed
-    step or a non-finite value raises StepFailureError, and an exception
-    in the source is raised as it is.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
-    if not rtol > 0.0:
-        raise DomainError(f"rtol must be positive, got {rtol}")
+    if not rtol >= RTOL_FLOOR:
+        raise DomainError(f"rtol = {rtol} is below the floor {RTOL_FLOOR:.3g} of solve_ivp")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
+        # comparisons, not the sign of a step times the span, which can overflow
         if not (t_eval.ndim == 1 and np.all((t_eval >= min(t_span)) & (t_eval <= max(t_span)))
-                and np.all(np.diff(t_eval) * (t_span[1] - t_span[0]) > 0.0)):
+                and np.all(t_eval[1:] > t_eval[:-1] if t_span[1] > t_span[0]
+                           else t_eval[1:] < t_eval[:-1])):
             raise DomainError(f"t_eval must lie within t_span = {tuple(t_span)} and be "
                               "strictly ordered along it")
     start = None if source is None else source(t_span[0])
     if np.ndim(start) > 0:
-        return _response(freq, source, start, t_span, ic, t_eval, rtol, atol)
-    if not rtol >= RTOL_FLOOR:
-        raise DomainError(f"rtol = {rtol} is below the floor {RTOL_FLOOR:.3g} of solve_ivp")
+        raise DomainError(f"a source returns a number S(t), got shape {np.shape(start)}")
     k = freq.k
 
     def rhs(t, y):

@@ -1,15 +1,16 @@
-"""Cost per trajectory of the transport response against scalar runs.
+"""Cost per trajectory of the transport route against scalar runs.
 
     pytest tests/bench_transport_batch.py --benchmark-only
 
 The file name keeps it out of the default test collection.  One row of N
-couplings kGamma/k* in 1e-6..1 at p = 5.3, x = 1e-3, ellH = 0.1 is
-integrated either as one `evolve_de_sitter` response to the row's unit
-source, its cells formed from the kap2 polynomials ("batch"), or as N
-scalar calls ("scalar").  Each benchmark's extra_info holds the best time
-per trajectory and the RHS calls per trajectory (the calls of the
-callbacks handed to the integrators); add --benchmark-json=FILE to keep
-them.
+couplings kGamma/k* in 1e-6..1 at p = 5.3, x = 1e-3, ellH = 0.1 runs
+either as one transport `discord_cosmo` row, one collocated response to
+the row's unit source ("batch"), or as N scalar `evolve_de_sitter` calls
+("scalar").  Each benchmark's extra_info holds the best time per
+trajectory, the RHS calls per trajectory (the calls of the callbacks
+handed to solve_ivp; the batch hands it none), and the intervals and the
+time of each collocated phase of the batch; add --benchmark-json=FILE to
+keep them.
 
 `test_transport_plane` runs a 4x4 transport `discord_cosmo` plane, p in
 {0.5, 2.0001, 5.3, 9.5} and the couplings above, either as one call with
@@ -43,9 +44,8 @@ def _couplings(n: int) -> np.ndarray:
 
 
 def batch(n: int):
-    expo = np.array([P - 3.0])
-    response = evolve_de_sitter(1.0 / ELLH, X, lambda eta: 2.0 * (1.0 / -eta) ** expo)
-    return response.cells(_couplings(n) ** 2)
+    return discord_cosmo(X, -0.785, CosmoParams(0.0, P, ELLH), "transport",
+                         kGamma_over_kstar=_couplings(n))
 
 
 def scalar(n: int):
@@ -57,7 +57,8 @@ def scalar(n: int):
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
 def test_transport_row(benchmark, monkeypatch, mode, n):
     run = batch if mode == "batch" else scalar
-    calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (opensys, "solve_ivp"))
+    runs = _record_phases(monkeypatch)
+    calls = count_rhs_calls(monkeypatch, (opensys, "solve_ivp"))
     run(n)
     monkeypatch.undo()
     rounds = 3 if mode == "scalar" and n >= 16 else 7
@@ -65,7 +66,7 @@ def test_transport_row(benchmark, monkeypatch, mode, n):
     if benchmark.stats:  # None under --benchmark-disable
         benchmark.extra_info.update(
             mode=mode, n=n, rhs_calls_per_trajectory=len(calls) / n,
-            per_trajectory_ms=1e3 * benchmark.stats.stats.min / n)
+            per_trajectory_ms=1e3 * benchmark.stats.stats.min / n, **_phase_info(runs))
 
 
 PLANE_P = np.array([0.5, 2.0001, 5.3, 9.5])
@@ -112,6 +113,15 @@ def _record_phases(monkeypatch) -> dict:
     return runs
 
 
+def _phase_info(runs: dict) -> dict:
+    """The intervals and the milliseconds of each phase over its runs."""
+    info = {}
+    for phase, phase_runs in runs.items():
+        info[f"{phase}_intervals"] = sum(r[1] for r in phase_runs)
+        info[f"{phase}_ms"] = 1e3 * sum(r[0] for r in phase_runs)
+    return info
+
+
 @pytest.mark.parametrize("mode", ["plane", "rows"])
 def test_transport_plane(benchmark, monkeypatch, mode):
     """A 4x4 (p, coupling) plane as one response against 4 row calls."""
@@ -123,10 +133,8 @@ def test_transport_plane(benchmark, monkeypatch, mode):
     if benchmark.stats:  # None under --benchmark-disable
         cells = PLANE_P.size * 4
         benchmark.extra_info.update(
-            mode=mode, cells=cells, per_cell_ms=1e3 * benchmark.stats.stats.min / cells)
-        for phase, phase_runs in runs.items():
-            benchmark.extra_info[f"{phase}_intervals"] = sum(r[1] for r in phase_runs)
-            benchmark.extra_info[f"{phase}_ms"] = 1e3 * sum(r[0] for r in phase_runs)
+            mode=mode, cells=cells, per_cell_ms=1e3 * benchmark.stats.stats.min / cells,
+            **_phase_info(runs))
 
 
 @pytest.mark.parametrize("phase", PHASES)

@@ -39,7 +39,7 @@ def default_map():
 def count_rhs_calls(monkeypatch, *targets) -> list:
     """A list that grows by one per call of each RHS callback handed to the
     integrators that targets name, (module, name) pairs such as
-    (opensys, "_dop853") or (opensys, "solve_ivp")."""
+    (opensys, "solve_ivp") or (closed, "solve_ivp")."""
     calls = []
     for module, name in targets:
         def counting(rhs, *args, _real=getattr(module, name), **kwargs):

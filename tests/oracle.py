@@ -9,6 +9,11 @@ against the series they stand for.
 
 `log_sigmas` is the linear-domain reader of a trajectory's cells, the
 reference for the log-domain readers of the discord routes.
+
+`dop853` and `de_sitter_response` are the integrator reference of the
+transport route's two collocated phases: the de Sitter response to n unit
+sources on scipy's compiled DOP853, below the rtol floor of solve_ivp;
+`response_cells` reads its cells at any couplings.
 """
 
 import math
@@ -17,6 +22,8 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 
+from gausslind.closed import transport_rhs_closed
+from gausslind.cosmology import de_sitter_covariance_closed, de_sitter_frequency
 from gausslind.symplectic import _ln_q, _require_blocks
 
 DPS = 50
@@ -172,3 +179,75 @@ def gamma_ulps(gamma, x):
         if math.isinf(float(want)):
             return None
         return float(abs(mp.mpf(gamma()) - want) / math.ulp(float(want)))
+
+
+def dop853(rhs, y0, t0, times, rtol, atol, first_step, max_step=0.0):
+    """The samples (len(times), len(y0)) of y' = rhs(t, y) from y(t0) = y0
+    on scipy's compiled DOP853, with its stiffness test off (a fast-varying
+    source trips it on these non-stiff systems)."""
+    from scipy.integrate import ode
+    # the compiled integrator keeps its callback and its integrator object
+    # for good (scipy 1.17.1): it gets a callback that reads rhs from a list
+    # emptied at the end, and the integrator's state is cleared
+    held = [rhs]
+    solver = ode(lambda t, y: held[0](t, y)).set_integrator(
+        "dop853", rtol=rtol, atol=atol, nsteps=200_000, first_step=first_step,
+        max_step=max_step)
+    solver.set_initial_value(y0, t0)
+    solver._integrator.iwork[3] = -1  # IWORK(4) < 0: no stiffness test
+    try:
+        ys = np.array([solver.integrate(t) for t in np.asarray(times).tolist()])
+        assert solver.successful(), solver.get_return_code()
+    finally:
+        held.clear()
+        vars(solver._integrator).clear()
+    return ys
+
+
+def de_sitter_response(x_start, x_end, source, x_eval, rtol, atol):
+    """(y, a, det0) of the de Sitter response to the n unit sources
+    source(eta), a 1-D array, from the closed form at x_start, sampled at
+    each x of x_eval in conformal time eta = -x: y (3, 1 + n, T) the rows
+    g11, g12, g22 of the closed block and of each F_i, a (2, n, T) the rows
+    a1, a2, and det0 the initial det, the layout of
+    `cosmology._subhubble_response`.  Its 3 + 5n values run at rtol and
+    atol over sqrt(1 + n), so that each of the 1 + n blocks meets the
+    scalar criterion of the RMS error norm, with a first step of 1e-6 of
+    the span: the integrator's own guess reads the response blocks, which
+    start at 0, against atol alone."""
+    freq, ic = de_sitter_frequency(), de_sitter_covariance_closed(x_start)
+    t_span = (-x_start, -x_end)
+    n = len(source(t_span[0]))
+    m = 3 + 3 * n
+    # the closed flow; only its entries -w and -2 w, w = omega^2, depend on t
+    flow = np.array([transport_rhs_closed(e, freq, t_span[0]) for e in np.eye(3)]).T
+    out = np.empty(m + 2 * n)
+    d, d_f22, d_a1, d_a2 = out[:m].reshape(3, 1 + n), out[m - n:m], out[m:m + n], out[m + n:]
+
+    def rhs(t, y):
+        s = source(t)
+        w = freq.ratio(t)
+        flow[1, 0], flow[2, 1] = -w, -2.0 * w
+        flow.dot(y[:m].reshape(3, 1 + n), out=d)
+        np.add(d_f22, s, out=d_f22)
+        np.multiply(s, y[0], out=d_a1)  # a1' = S g11
+        np.multiply(s, y[1:1 + n], out=d_a2)  # a2' = S F11
+        return out
+
+    y0 = np.zeros(m + 2 * n)
+    y0[:m:1 + n] = (ic.g11, ic.g12, ic.g22)
+    scale = math.sqrt(1 + n)
+    y = dop853(rhs, y0, t_span[0], [-float(x) for x in x_eval], rtol / scale, atol / scale,
+               1e-6 * abs(t_span[1] - t_span[0])).T
+    return y[:m].reshape(3, 1 + n, -1), y[m:].reshape(2, n, -1), ic.lam
+
+
+def response_cells(y, a, det0, kap2):
+    """The covariance g + kap2_ij F_i and the det det0 + kap2_ij a1_i +
+    kap2_ij^2 a2_i of the sources kap2_ij S_i from a response (y, a, det0)
+    of `de_sitter_response`, each field (n, m, T) for couplings kap2 of
+    shape (m,) or (n, m)."""
+    kap2 = np.asarray(kap2, dtype=float)[..., None]
+    g11, g12, g22 = (y[i, 0] + kap2 * y[i, 1:, None, :] for i in range(3))
+    det = det0 + kap2 * a[0][:, None, :] + kap2 * kap2 * a[1][:, None, :]
+    return SimpleNamespace(g11=g11, g12=g12, g22=g22, det=det, lam=np.maximum(det, 1.0))

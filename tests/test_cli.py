@@ -181,27 +181,26 @@ class TestDiscordMapScenario:
 
 
     def test_transport_map_is_one_integration(self, tmp_path, monkeypatch):
-        # one block: one sub-Hubble collocation over its 3 p rows, sampled at
-        # x = 1 only, then one e-fold collocation, 1 e-fold an interval down
-        # to x = 3e-3; no integrator runs
+        # one block: one sub-Hubble collocation over its 3 p rows down to
+        # x = 1, then one e-fold collocation, 1 e-fold an interval down to
+        # x = 3e-3; no integrator runs
         from gausslind import cosmology, opensys
         blocks, subhubble = [], cosmology._subhubble_response
 
         def counted_subhubble(x_on, x_s, ps):
-            response = subhubble(x_on, x_s, ps)
-            blocks.append((x_on, x_s, len(ps), len(response.times)))
-            return response
+            blocks.append((x_on, x_s, len(ps)))
+            return subhubble(x_on, x_s, ps)
 
         monkeypatch.setattr(cosmology, "_subhubble_response", counted_subhubble)
         efold = record_intervals(monkeypatch, "_efold_interval")
-        calls = count_rhs_calls(monkeypatch, (opensys, "_dop853"), (opensys, "solve_ivp"))
+        calls = count_rhs_calls(monkeypatch, (opensys, "solve_ivp"))
         cfg = write_config(tmp_path, "t.json", {
             "mode": "discord_map", "method": "transport", "map_points": [3, 4],
             "x": 3e-3, "cosmo": {"ellH": 0.15}, "log10_kGamma_range": [-3.0, 0.0],
             "output_path": "t.csv"})
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "t.csv")[1]) == 12
-        assert blocks == [(1.0 / 0.15, 1.0, 3, 1)]
+        assert blocks == [(1.0 / 0.15, 1.0, 3)]
         assert [t for t, _ in efold] == list(range(6)) and not calls
 
     def test_transport_tail_failure_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -247,6 +246,7 @@ class TestDiscordMapValidation:
         {"theta": math.nan},
         {"x": -1.0},
         {"method": "bogus"},
+        {"method": ["approx"]},
         {"x": 0.5, "method": "approx"},
         {"cosmo": {"ellH": 1e-3, "x_star": 5, "k_over_kstar": 3}},
         {"cosmo": {"p": 2.1}},
@@ -255,7 +255,8 @@ class TestDiscordMapValidation:
         {"p_range": [-300.0, -100.0]},
         {"p_range": [-300.0, -100.0], "method": "exact", "x": 0.05, "cosmo": {"ellH": 0.1}},
     ], ids=["negative_points", "zero_points", "nan_x", "nan_theta", "negative_x",
-            "unknown_method", "approx_outside_super_hubble", "ignored_cosmo_keys",
+            "unknown_method", "unhashable_method", "approx_outside_super_hubble",
+            "ignored_cosmo_keys",
             "cosmo_p", "coupling_square_overflows", "transport_coupling_square_overflows",
             "gamma_order_overflows", "exact_gamma_order_overflows"])
     def test_bad_input_exits_2(self, tmp_path, capsys, change):
@@ -554,6 +555,17 @@ class TestErrorChannel:
         cfg = write_config(tmp_path, "e.json", {
             "mode": "discord_map", "method": "exact", "map_points": [2, 3], "x": 0.05,
             "cosmo": {"ellH": 0.1}, "p_range": [150.0, 180.0], "output_path": "e.csv"})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "StepFailureError"
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_non_finite_ellipse_exits_3(self, tmp_path, capsys):
+        # semi_major and axis_ratio overflow to inf at n_sigma = 1.7e308, and
+        # the run wrote them with exit 0
+        cfg = write_config(tmp_path, "e.json", {
+            "mode": "ellipse_series", "n_sigma": 1.7e308, "output_path": "e.csv",
+            "grid": {"x_start": 10.0, "x_end": 0.1, "points": 3}})
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "StepFailureError"

@@ -2,6 +2,7 @@ import functools
 import math
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -685,69 +686,70 @@ class TestEvolveDeSitter:
         evolve_de_sitter(10.0, 0.01)
 
 
-def _unit_amplitudes(ps):
-    """The unit sources 2 (1/x)^(p_i - 3) of a p row (x_star = 1), on at
-    every x."""
-    expo = np.asarray(ps, dtype=float) - 3.0
-    return lambda eta: 2.0 * (1.0 / -eta) ** expo
+def _trajectory_cell(traj, theta):
+    """(discord, ln sigma(0)) of the last sample of a trajectory."""
+    ln_s0sq, ln_q = oracle.log_sigmas(traj, theta)
+    return _discord_from_logs(ln_s0sq[-1], ln_q[-1])[0], 0.5 * ln_s0sq[-1]
 
 
 class TestBatchedTransport:
-    """evolve_open with unit amplitudes: one response integration per p row,
-    whatever the number of couplings."""
+    """The transport route of discord_cosmo on a p row: one collocated
+    response, whatever the number of couplings."""
 
-    X_EVAL = (5.0, 0.1, 1e-3)
+    X, THETA = 1e-3, -math.pi / 4
 
     @pytest.mark.parametrize("p", [0.5, 2.0001, 5.3, 9.5])
     def test_row_matches_scalar_runs(self, p):
-        # the cells of the kap2 polynomials against one scalar run each
+        # each cell of the row against one scalar run of its own source
         couplings = np.logspace(-6.0, 0.0, 5)
-        response = evolve_de_sitter(10.0, 1e-3, _unit_amplitudes([p]), x_eval=self.X_EVAL)
-        row = response.cells(couplings ** 2)
-        assert row.g11.shape == (1, len(couplings), len(self.X_EVAL))
+        row = discord_cosmo(self.X, self.THETA, CosmoParams(0.0, p, 0.1), "transport",
+                            kGamma_over_kstar=couplings)
         for j, kg in enumerate(couplings.tolist()):
             cell = CosmoParams(kg, p, 0.1)
-            one = evolve_de_sitter(cell.x_coupling_on, 1e-3, cosmo_kernel(cell),
-                                   x_eval=self.X_EVAL)
-            for field in ("g11", "g12", "g22", "det"):
-                np.testing.assert_allclose(getattr(row, field)[0, j], getattr(one, field),
-                                           rtol=1e-8, atol=0.0)
+            d, ln_s0 = _trajectory_cell(evolve_de_sitter(cell.x_coupling_on, self.X,
+                                                         cosmo_kernel(cell), x_eval=(self.X,)),
+                                        self.THETA)
+            assert abs(row.discord[j] - d) <= 1e-8 * max(1.0, abs(d))
+            assert abs(row.log_sigma_zero[j] - ln_s0) <= 1e-8
 
     def test_zero_coupling_cell_is_the_closed_run(self):
-        response = evolve_de_sitter(10.0, 1e-3, _unit_amplitudes([0.5, 5.3]),
-                                    x_eval=self.X_EVAL)
-        cells = response.cells([0.0])
-        closed = evolve_de_sitter(10.0, 1e-3, x_eval=self.X_EVAL)
-        for i in range(2):
-            assert np.array_equal(cells.det[i, 0], np.full(3, response.det0))
-            for field in ("g11", "g12", "g22"):
-                assert np.array_equal(getattr(cells, field)[i, 0], getattr(cells, field)[0, 0])
-                np.testing.assert_allclose(getattr(cells, field)[i, 0], getattr(closed, field),
-                                           rtol=1e-9, atol=0.0)
+        # kGamma = 0 leaves every row at the closed state of the free
+        # de Sitter mode, whatever p
+        row = discord_cosmo(self.X, self.THETA, CosmoParams(0.0, 0.5, 0.1), "transport",
+                            kGamma_over_kstar=np.array([0.0]), p=np.array([0.5, 5.3]))
+        assert np.array_equal(row.discord[0], row.discord[1])
+        assert np.array_equal(row.log_sigma_zero[0], row.log_sigma_zero[1])
+        d, ln_s0 = _trajectory_cell(evolve_de_sitter(10.0, self.X, x_eval=(self.X,)),
+                                    self.THETA)
+        assert abs(row.discord[0, 0] / d - 1.0) < 1e-9
+        assert abs(row.log_sigma_zero[0, 0] - ln_s0) < 1e-9
 
     def test_row_matches_closed_form(self):
         # an independent oracle: the incomplete-gamma closed form is good to
         # ~1e-12 at p = 2.1 down to x = 1e-5
-        x, couplings = 1e-3, np.array([0.1, 1.0, 10.0])
-        row = evolve_de_sitter(10.0, x, _unit_amplitudes([2.1])).cells(couplings ** 2)
+        couplings = np.array([0.1, 1.0, 10.0])
+        row = discord_cosmo(self.X, self.THETA, CosmoParams(0.0, 2.1, 0.1), "transport",
+                            kGamma_over_kstar=couplings)
         for j, kg in enumerate(couplings.tolist()):
             cell = CosmoParams(kg, 2.1, 0.1)
-            block = exact_open_covariance(x, cell)
-            for got, want in ((row.g11[0, j, -1], block.g11), (row.g12[0, j, -1], block.g12),
-                              (row.g22[0, j, -1], block.g22),
-                              (row.det[0, j, -1], exact_open_det(x, cell))):
-                assert abs(got / want - 1.0) < 1e-9
+            block = exact_open_covariance(self.X, cell)
+            d, ln_s0 = _trajectory_cell(SimpleNamespace(
+                g11=np.array([block.g11]), g12=np.array([block.g12]),
+                g22=np.array([block.g22]), lam=np.array([exact_open_det(self.X, cell)])),
+                self.THETA)
+            assert abs(row.discord[j] / d - 1.0) < 1e-9
+            assert abs(row.log_sigma_zero[j] / ln_s0 - 1.0) < 1e-9
 
     def test_known_defect_rows_run(self):
         # x = 1e-3, ellH = 0.1, kGamma/k* 1e-2..1e2: the rows at p <~ 2 with
-        # large couplings failed as per-cell integrations; as responses they
-        # run and match the exact route
+        # large couplings failed as per-cell integrations; as one response
+        # per row they run and match the exact route
         couplings = 10.0 ** np.linspace(-2.0, 2.0, 8)
         for p in (0.1, 2.9):
             params = CosmoParams(0.0, p, 0.1)
-            row = discord_cosmo(1e-3, -math.pi / 4, params, "transport",
+            row = discord_cosmo(self.X, self.THETA, params, "transport",
                                 kGamma_over_kstar=couplings)
-            exact = discord_cosmo(1e-3, -math.pi / 4, params, "exact",
+            exact = discord_cosmo(self.X, self.THETA, params, "exact",
                                   kGamma_over_kstar=couplings)
             assert np.all(np.abs(row.discord - exact.discord)
                           <= 1e-9 * np.maximum(1.0, np.abs(exact.discord)))
@@ -940,18 +942,20 @@ class TestDiscordPlane:
         # amplitude 2 x_star^(p-3) in the couplings of each row
         kap2 = np.outer(2.0 * params.x_star ** (ps - 3.0), _kap2_row(params, couplings))
 
-        def cells(response):
-            ln_s0sq, ln_q = oracle.log_sigmas(response.cells(kap2), self.THETA)
+        def cells(y, a, det0):
+            ln_s0sq, ln_q = oracle.log_sigmas(oracle.response_cells(y, a, det0, kap2),
+                                              self.THETA)
             return _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0], 0.5 * ln_s0sq[..., 0]
 
-        want_d, want_s0 = cells(cosmology._subhubble_response(params.x_coupling_on, x, ps))
+        y, a, det0 = cosmology._subhubble_response(params.x_coupling_on, x, ps)
+        want_d, want_s0 = cells(y[..., None], a[..., None], det0)
         assert np.all(np.abs(got.discord - want_d) <= 1e-14 * np.maximum(1.0, want_d))
         assert np.all(np.abs(got.log_sigma_zero - want_s0) <= 1e-14)
         # and the rtol-1e-14 DOP853 response, within the bounds of
         # test_transport_route_accuracy (5.8e-13 in D, 1.4e-13 in ln sigma(0))
-        ref_d, ref_s0 = cells(evolve_de_sitter(
-            params.x_coupling_on, x, lambda eta: np.power(-1.0 / eta, ps - 3.0), x_eval=(x,),
-            rtol=1e-14, atol=1e-16))
+        ref_d, ref_s0 = cells(*oracle.de_sitter_response(
+            params.x_coupling_on, x, lambda eta: np.power(-1.0 / eta, ps - 3.0), (x,),
+            1e-14, 1e-16))
         assert np.max(np.abs(got.discord - ref_d)) <= 5.8e-13
         assert np.max(np.abs(got.log_sigma_zero - ref_s0)) <= 1.4e-13
 
@@ -1066,28 +1070,28 @@ class TestSubHubblePhase:
         # the compiled DOP853 response at rtol 1e-14 is the independent
         # reference; the largest error measured over these cases is 5.0e-14
         from gausslind import cosmology
-        got = cosmology._subhubble_response(1.0 / ellH, x_s, self.PS)
-        assert got.times.tolist() == [-x_s]
+        y, a, det0 = cosmology._subhubble_response(1.0 / ellH, x_s, self.PS)
         if not x_s < 1.0 / ellH:
             # an empty span: the closed form at 1/ellH, no response
             vac = de_sitter_covariance_closed(x_s)
-            assert got.g[:, 0].tolist() == [vac.g11, vac.g12, vac.g22]
-            assert not (got.F.any() or got.a1.any() or got.a2.any())
+            assert y[:, 0].tolist() == [vac.g11, vac.g12, vac.g22]
+            assert not (y[:, 1:].any() or a.any())
             return
-        want = self._reference(ellH)
-        sample = want.times.tolist().index(-x_s)
-        assert got.det0 == want.det0
-        for field in ("g", "F", "a1", "a2"):
-            g, w = getattr(got, field), getattr(want, field)[..., sample:sample + 1]
-            assert g.shape == w.shape
-            assert np.all(np.abs(g - w) <= 2e-13 * np.abs(w)), field
+        want_y, want_a, want_det0 = self._reference(ellH)
+        sample = (2.0, 1.0).index(x_s)
+        assert det0 == want_det0
+        # g and each F_i, then a1 and a2
+        for got, want in ((y, want_y[..., sample]), (a, want_a[..., sample])):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 2e-13 * np.abs(want))
 
     @classmethod
     @functools.cache
     def _reference(cls, ellH):
         """The DOP853 response from 1/ellH, sampled at x = 2 and 1."""
-        return evolve_de_sitter(1.0 / ellH, 1.0, lambda eta: np.power(-1.0 / eta, cls.PS - 3.0),
-                                x_eval=(2.0, 1.0), rtol=1e-14, atol=1e-16)
+        return oracle.de_sitter_response(1.0 / ellH, 1.0,
+                                         lambda eta: np.power(-1.0 / eta, cls.PS - 3.0),
+                                         (2.0, 1.0), 1e-14, 1e-16)
 
     def test_intervals_flat_in_couplings(self, monkeypatch):
         # one collocation per block of p rows: a 3x64 plane takes the
@@ -1132,9 +1136,8 @@ class TestSubHubblePhase:
         assert intervals[:3] == [(-10.0, 2.0), (-10.0, 1.0), (-9.0, 2.0)]
         monkeypatch.undo()
         want = cosmology._subhubble_response(10.0, 1.0, self.PS)
-        for field in ("g", "F", "a1", "a2"):
-            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
-                                       rtol=1e-13, atol=0.0)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0)
 
     def test_non_finite_source_raises(self):
         # x^(3 - p) overflows at x = 1/ellH for p = -400: every halving
@@ -1155,20 +1158,22 @@ class TestEfoldPhase:
 
     @staticmethod
     def _start(ps, x_s=1.0):
-        """The response to the unit sources x^(3-p) from x = 10 down to x_s."""
-        return evolve_de_sitter(10.0, x_s, lambda eta: np.power(-1.0 / eta, ps - 3.0),
-                                x_eval=(x_s,))
+        """The state (y, a) of the response to the unit sources x^(3-p) from
+        x = 10 down to x_s, on DOP853 at evolve_de_sitter's tolerances."""
+        y, a, _ = oracle.de_sitter_response(10.0, x_s, lambda eta: np.power(-1.0 / eta, ps - 3.0),
+                                            (x_s,), 1e-11, 1e-12)
+        return y[..., 0], a[..., 0]
 
     @classmethod
     @functools.cache
     def _reference(cls, ellH):
         """(start, z at each x of XS): the flow of `_efold_response` in z on
-        the compiled DOP853 of opensys at rtol 1e-14 (relative only), from
-        the sub-Hubble collocation's state at x = 1."""
-        from gausslind import cosmology, opensys
+        the compiled DOP853 at rtol 1e-14 (relative only), from the state
+        (y, a) of the sub-Hubble collocation at x = 1."""
+        from gausslind import cosmology
         ps, n, m = cls.PS, len(cls.PS), 3 + 3 * len(cls.PS)
-        start = cosmology._subhubble_response(1.0 / ellH, 1.0, ps)
-        z0, powers = cosmology._efold_response(start, 1.0, ps)
+        start = cosmology._subhubble_response(1.0 / ellH, 1.0, ps)[:2]
+        z0, powers = cosmology._efold_response(*start, 1.0, 1.0, ps)
         c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
         forcing = np.stack((8.0 - ps + c_f, 2.0 - ps + c_1))
 
@@ -1185,8 +1190,8 @@ class TestEfoldPhase:
             return dz - powers * z
 
         # steps below 2 / (fastest decay rate), inside DOP853's stability interval
-        return start, opensys._dop853(rhs, z0, 0.0, -np.log(cls.XS), 1e-14, 0.0, 0.0,
-                                      max_step=0.2)
+        return start, oracle.dop853(rhs, z0, 0.0, -np.log(cls.XS), 1e-14, 0.0, 0.0,
+                                    max_step=0.2)
 
     @pytest.mark.parametrize("x", XS, ids=["x0.3", "x1e-3", "xe-20", "xe-300", "xe-690"])
     @pytest.mark.parametrize("ellH", [0.5, 0.1, 1e-3])
@@ -1195,7 +1200,7 @@ class TestEfoldPhase:
         # DOP853 phase at half TRANSPORT_RTOL was 6.7e-13 off at x = 0.3)
         from gausslind import cosmology
         start, want = self._reference(ellH)
-        z, _ = cosmology._efold_response(start, x, self.PS)
+        z, _ = cosmology._efold_response(*start, 1.0, x, self.PS)
         w = want[self.XS.index(x)]
         assert np.all(np.abs(z - w) <= 2e-13 * np.abs(w))
 
@@ -1213,7 +1218,7 @@ class TestEfoldPhase:
         counts, states = [], []
         for efolds in (100.0, 300.0):
             intervals.clear()
-            z, powers = cosmology._efold_response(start, math.exp(-efolds), ps)
+            z, powers = cosmology._efold_response(*start, 1.0, math.exp(-efolds), ps)
             counts.append(len(intervals))
             states.append(z)
         assert counts == [100, 300]
@@ -1231,14 +1236,13 @@ class TestEfoldPhase:
         ps = np.array([0.5, 5.3, 9.9])
         start = self._start(ps, 2.0)
         intervals = record_intervals(monkeypatch, "_efold_interval")
-        z, powers = cosmology._efold_response(start, 2.0, ps)
+        z, powers = cosmology._efold_response(*start, 2.0, 2.0, ps)
         assert not intervals
         c_f, c_1 = [0.0, 0.0, 1.9], [0.0, 3.3, 7.9]
         want = np.concatenate([np.add([r] * 4, [0.0, *c_f]) for r in (2.0, 3.0, 4.0)]
                               + [c_1, np.add(c_1, c_f)])
         np.testing.assert_allclose(powers, want, rtol=1e-15, atol=0.0)
-        y = np.concatenate((np.hstack((start.g, start.F[..., 0])).ravel(), start.a1[:, 0],
-                            start.a2[:, 0]))
+        y = np.concatenate([v.ravel() for v in start])
         np.testing.assert_allclose(z, y * 2.0 ** powers, rtol=1e-15, atol=0.0)
 
     def test_tail_failure_raises(self, monkeypatch):
@@ -1249,7 +1253,7 @@ class TestEfoldPhase:
         monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", 1e-30)
         intervals = record_intervals(monkeypatch, "_efold_interval")
         with pytest.raises(StepFailureError, match="e-fold collocation.*halvings"):
-            cosmology._efold_response(start, 1e-3, self.PS[:2])
+            cosmology._efold_response(*start, 1.0, 1e-3, self.PS[:2])
         assert intervals == [(0.0, 0.5 ** i) for i in range(cosmology._CHEB_HALVINGS + 1)]
 
     @pytest.mark.parametrize("field", ["F", "a2"])
@@ -1258,16 +1262,19 @@ class TestEfoldPhase:
         # interval, in a2 the check of the end state
         from gausslind import cosmology
         ps = self.PS[:3]
-        start = self._start(ps)
-        start = replace(start, **{field: getattr(start, field) * math.inf})
+        y, a = self._start(ps)
+        if field == "F":
+            y[:, 1:] *= math.inf  # the blocks after g
+        else:
+            a[1] *= math.inf
         with pytest.raises(StepFailureError):
-            cosmology._efold_response(start, 1e-3, ps)
+            cosmology._efold_response(y, a, 1.0, 1e-3, ps)
 
     def test_integrations_release_their_buffers(self):
         # the compiled integrator keeps a reference to every callback it is
         # given; each integration cuts what its callback holds when it ends.
-        # The transport route hands it none; evolve_open's response
-        # integration and this class's reference do
+        # The transport route hands it none; the tests' DOP853 reference
+        # (the response of _start and this class's reference) does
         import gc
         for x in (3e-3, 2.0):
             discord_cosmo(x, -0.7, CosmoParams(0.0, 5.3, 0.1), "transport",
@@ -1275,7 +1282,7 @@ class TestEfoldPhase:
             self._start(np.array([5.3, 9.0]), x)
         self._reference(0.5)
         gc.collect()
-        names = ("_response.<locals>.rhs", "TestEfoldPhase._reference.<locals>.rhs")
+        names = ("de_sitter_response.<locals>.rhs", "TestEfoldPhase._reference.<locals>.rhs")
         assert not [f for f in gc.get_objects()
                     if getattr(f, "__qualname__", None) in names]
 

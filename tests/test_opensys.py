@@ -26,7 +26,6 @@ from gausslind.errors import (
     StepFailureError,
 )
 from gausslind.opensys import (
-    RTOL_FLOOR,
     GreenIntegrals,
     det_rhs,
     evolve_open,
@@ -290,80 +289,29 @@ class TestEvolveOpen:
 
 class TestRtolFloor:
     """solve_ivp raises an rtol below 100 eps to that floor without saying
-    so; evolve_open refuses such a tolerance instead.  The response
-    integration runs on scipy's compiled DOP853, which has no such floor."""
+    so; evolve_open refuses such a tolerance instead."""
 
     def test_rtol_below_the_floor_rejected_before_integrating(self, monkeypatch):
         from gausslind import opensys
-        from gausslind.errors import DomainError
 
         def no_solve(*args, **kwargs):
             raise AssertionError("an integrator ran")
 
         monkeypatch.setattr(opensys, "solve_ivp", no_solve)
-        monkeypatch.setattr(opensys, "ode", no_solve)
         for source in (None, lambda t: 0.1):
-            for rtol in (1e-15, math.nan):
-                with pytest.raises(DomainError):
+            for rtol in (1e-15, 0.0, -1e-10, math.nan):
+                with pytest.raises(DomainError, match="floor"):
                     evolve_open(ModeFrequency.free(1.0), source, (0.0, 1.0), rtol=rtol)
-        # the response has no floor, but an rtol that is not positive is
-        # refused on every path
-        for rtol in (0.0, -1e-10, math.nan):
-            with pytest.raises(DomainError, match="positive"):
-                evolve_open(ModeFrequency.free(1.0), lambda t: np.full(3, 0.1), (0.0, 1.0),
-                            rtol=rtol)
-
-    def test_response_below_the_floor_runs(self):
-        # the response of evolve_de_sitter to two unit sources at rtol 1e-14
-        # runs and tracks the one at rtol 1e-12; a scalar source at the
-        # same rtol is refused
-        from gausslind.errors import DomainError
-        expo = np.array([-0.9, 2.5])
-        tight, loose = (evolve_de_sitter(10.0, 2.0, lambda eta: (-1.0 / eta) ** expo,
-                                         x_eval=(2.0,), rtol=rtol, atol=1e-16)
-                        for rtol in (1e-14, 1e-12))
-        for got, want in ((tight.g, loose.g), (tight.F, loose.F), (tight.a1, loose.a1),
-                          (tight.a2, loose.a2)):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
         with pytest.raises(DomainError, match="floor"):
             evolve_de_sitter(10.0, 2.0, lambda eta: 0.1, rtol=1e-14)
 
-    def test_batch_at_the_floor_runs(self):
-        # 16 amplitudes at rtol 4 RTOL_FLOOR: each block is held to
-        # rtol / sqrt(17), below the floor, and no warning is raised
-        from gausslind.opensys import RTOL_FLOOR
-        rtol = 4.0 * RTOL_FLOOR
-        amplitudes = np.linspace(0.1, 1.6, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            response = evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes, (0.0, 1.0),
-                                   rtol=rtol)
-        cells = response.cells([1.0])
-        assert cells.det.shape == (16, 1, 1)
-        for i in (0, 15):
-            one = evolve_open(ModeFrequency.free(1.0), lambda t: amplitudes[i], (0.0, 1.0),
-                              t_eval=[1.0], rtol=rtol)
-            for field in ("g11", "g12", "g22", "det"):
-                np.testing.assert_allclose(getattr(cells, field)[i, 0], getattr(one, field),
-                                           rtol=1e-10, atol=1e-12)
-
-    def test_empty_batch_rejected(self):
-        from gausslind.errors import DomainError
-        with pytest.raises(DomainError):
-            evolve_open(ModeFrequency.free(1.0), lambda t: np.zeros(0), (0.0, 1.0))
-
-    def test_plane_of_amplitudes_rejected(self):
-        from gausslind.errors import DomainError
-        with pytest.raises(DomainError, match="1-D"):
-            evolve_open(ModeFrequency.free(1.0), lambda t: np.zeros((2, 2)), (0.0, 1.0))
-
 
 class TestSampleContract:
-    """Both integrations take the same samples: t_eval lies within t_span
-    and is strictly ordered along it, or evolve_open raises DomainError
-    before integrating."""
+    """A closed run and an open one take the same samples: t_eval lies
+    within t_span and is strictly ordered along it, or evolve_open raises
+    DomainError before integrating."""
 
-    SOURCES = {"scalar": lambda t: 0.5, "response": lambda t: np.array([0.5])}
+    SOURCES = {"scalar": lambda t: 0.5, "closed": None}
 
     @pytest.mark.parametrize("path", SOURCES)
     @pytest.mark.parametrize("t_span, t_eval", [
@@ -382,7 +330,6 @@ class TestSampleContract:
             raise AssertionError("an integrator ran")
 
         monkeypatch.setattr(opensys, "solve_ivp", no_solve)
-        monkeypatch.setattr(opensys, "ode", no_solve)
         with pytest.raises(DomainError, match="t_eval"):
             evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], t_span, t_eval=t_eval)
 
@@ -393,152 +340,63 @@ class TestSampleContract:
         got = evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], t_span, t_eval=t_eval)
         assert np.array_equal(got.times, t_eval)
 
-
-class TestCells:
-    """TransportResponse.cells takes a scalar coupling, a row shared by
-    every source, or one row per source: a source's amplitude c_i goes
-    into its couplings, c_i kap2_j."""
-
-    def _response(self, amplitudes=(1.0, 1.0, 1.0)):
-        # three unit sources (1 + t)^e_i on the free frequency k = 2.5
-        expo, amps = np.array([-1.0, 0.0, 2.0]), np.asarray(amplitudes)
-        return evolve_open(ModeFrequency.free(2.5), lambda t: amps * (1.0 + t) ** expo,
-                           (0.0, 1.0), t_eval=[0.5, 1.0], rtol=4.0 * RTOL_FLOOR)
-
-    def test_amplitude_per_source_in_the_couplings(self):
-        # the tolerances of TestRtolFloor::test_batch_at_the_floor_runs
-        c, kap2 = np.array([0.5, 2.0, 7.0]), np.array([0.1, 1.0])
-        cells = self._response().cells(np.outer(c, kap2))
-        assert cells.det.shape == (3, 2, 2)
-        for i, e in enumerate((-1.0, 0.0, 2.0)):
-            for j, kk in enumerate(kap2.tolist()):
-                one = evolve_open(ModeFrequency.free(2.5),
-                                  lambda t: c[i] * kk * (1.0 + t) ** e, (0.0, 1.0),
-                                  t_eval=[0.5, 1.0], rtol=4.0 * RTOL_FLOOR)
-                for field in ("g11", "g12", "g22", "det"):
-                    np.testing.assert_allclose(getattr(cells, field)[i, j],
-                                               getattr(one, field), rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.parametrize("kap2, m", [(0.5, 1), ([0.5], 1), ([0.1, 0.5, 2.0, 3.0], 4),
-                                         (np.full((3, 4), 0.5), 4)],
-                             ids=["scalar", "one", "row", "per_source"])
-    def test_shapes(self, kap2, m):
-        cells = self._response().cells(kap2)
-        for field in ("g11", "g12", "g22", "det"):
-            assert getattr(cells, field).shape == (3, m, 2)
-
-    @pytest.mark.parametrize("shape", [(2, 4), (2, 3, 4), (1, 3, 4), (0, 4)])
-    def test_other_shapes_rejected(self, shape):
-        # three sources: a 2-D array needs a first axis of 1 or 3, and no
-        # array has more than two axes
-        with pytest.raises(DomainError, match="couplings"):
-            self._response().cells(np.full(shape, 0.5))
-
-    def test_shared_row_is_a_row_per_source(self):
-        response, kap2 = self._response(), np.array([0.1, 0.5])
-        shared, per_source = response.cells(kap2), response.cells(np.tile(kap2, (3, 1)))
-        for field in ("g11", "g12", "g22", "det"):
-            assert np.array_equal(getattr(shared, field), getattr(per_source, field))
-
-
-class TestResponseFailure:
-    """The compiled integrator reports a failure as a UserWarning plus a
-    return code; evolve_open raises StepFailureError instead, and lets no
-    warning out."""
-
-    def test_step_cap(self, monkeypatch):
+    @pytest.mark.parametrize("path", SOURCES)
+    def test_huge_span_checked_without_overflow(self, monkeypatch, path):
+        # the grid of a free-preset evolve_closed from x = 1e300: a step
+        # times the span overflows, and the check may not warn
         from gausslind import opensys
-        monkeypatch.setattr(opensys, "RESPONSE_MAX_STEPS", 5)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an integrator ran")
+
+        monkeypatch.setattr(opensys, "solve_ivp", no_solve)
+        t_eval = -np.geomspace(1e300, 1.0, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(StepFailureError, match="larger nsteps is needed"):
-                evolve_de_sitter(10.0, 1e-3, lambda eta: np.array([1.0, 2.0]))
-
-    def test_overflow(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(StepFailureError):
-                evolve_open(ModeFrequency.free(1.0), lambda t: np.array([1e300]), (0.0, 5.0))
-
-    def test_source_error_is_raised_at_once(self):
-        calls = []
-
-        def source(t):
-            calls.append(t)
-            if len(calls) > 50:
-                raise DomainError("source failed")
-            return np.array([0.1])
-
-        with pytest.raises(DomainError, match="source failed"):
-            evolve_open(ModeFrequency.free(1.0), source, (0.0, 100.0))
-        assert len(calls) == 51
+            with pytest.raises(AssertionError, match="an integrator ran"):
+                evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], (-1e300, -1.0),
+                            t_eval=t_eval)
+            with pytest.raises(DomainError, match="t_eval"):
+                evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], (-1e300, -1.0),
+                            t_eval=t_eval[::-1])
 
 
-class TestResponseFlow:
-    """The response RHS keeps the closed flow as a matrix across calls and
-    refreshes only its t-dependent entries; it must stay the closed flow
-    of transport_rhs_open at every t."""
+@pytest.mark.parametrize("shape", [(1,), (3,), (0,), (2, 2)],
+                         ids=["one", "row", "empty", "plane"])
+@pytest.mark.parametrize("entry", ["evolve_open", "evolve_de_sitter"])
+def test_array_source_rejected_before_integrating(monkeypatch, entry, shape):
+    # a source returns a number: an array of any shape is refused at the
+    # one probe call, before any integrator runs
+    from gausslind import opensys
 
-    @pytest.mark.parametrize("freq, t_span, times", [
-        # omega^2 > 0 at eta = -5 and -3 (sub-Hubble), < 0 at -0.05 (super-Hubble)
-        (de_sitter_frequency(), (-10.0, -0.01), (-5.0, -0.05, -3.0)),
-        (ModeFrequency.free(2.5), (0.0, 1.0), (0.3, 0.9)),
-    ], ids=["de_sitter", "free_2.5"])
-    def test_refreshed_flow_is_the_closed_flow(self, monkeypatch, freq, t_span, times):
-        from gausslind import opensys
-        captured = []
-        dop853 = opensys._dop853
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an integrator ran")
 
-        def capturing(rhs, *args, **kwargs):
-            captured.append(rhs)
-            return dop853(rhs, *args, **kwargs)
+    monkeypatch.setattr(opensys, "solve_ivp", no_solve)
+    calls = []
 
-        monkeypatch.setattr(opensys, "_dop853", capturing)
-        # two zero amplitudes: the closed block and F_1, F_2 are three columns
-        evolve_open(freq, lambda t: np.zeros(2), t_span)
-        (rhs,) = captured
-        y = np.zeros(9 + 4)
-        y[:9] = np.eye(3).ravel()
-        for t in times:
-            # flow @ identity: equal values are equal bits for every nonzero
-            # entry; only the sign of a zero can differ, which no product sees
-            got = rhs(t, y)[:9].reshape(3, 3)
-            want = np.array([transport_rhs_open(e, freq, None, t)
-                             for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]).T
-            assert np.array_equal(got, want)
+    def source(t):
+        calls.append(t)
+        return np.full(shape, 0.1)
 
-    def test_k_not_one_matches_scalar_runs(self):
-        # de Sitter at k = 2.5: omega^2 changes sign at eta = -0.566
-        freq = ModeFrequency(2.5, lambda k, eta: k * k - 2.0 / (eta * eta))
-        expo = np.array([-1.5, 0.5, 2.5])
-        t_span, t_eval = (-4.0, -0.2), (-1.0, -0.2)
-        response = evolve_open(freq, lambda eta: 2.0 * (1.0 / -eta) ** expo, t_span,
-                               t_eval=t_eval)
-        kap2 = [1e-3, 0.7]
-        cells = response.cells(kap2)
-        for i, e in enumerate(expo.tolist()):
-            for j, c in enumerate(kap2):
-                one = evolve_open(freq, lambda eta: c * 2.0 * (1.0 / -eta) ** e, t_span,
-                                  t_eval=t_eval)
-                for field in ("g11", "g12", "g22", "det"):
-                    np.testing.assert_allclose(getattr(cells, field)[i, j], getattr(one, field),
-                                               rtol=1e-9)
+    with pytest.raises(DomainError, match="number"):
+        if entry == "evolve_open":
+            evolve_open(ModeFrequency.free(1.0), source, (0.0, 1.0))
+        else:
+            evolve_de_sitter(10.0, 1.0, source)
+    assert len(calls) == 1
 
 
 def test_one_source_call_per_rhs_call(monkeypatch):
     # one source call per RHS evaluation, plus the shape probe, counted
-    # through the callbacks handed to the integrators: solve_ivp for a
-    # scalar source, the compiled DOP853 for a response
+    # through the callbacks handed to solve_ivp
     from gausslind import opensys
-    rhs_calls = count_rhs_calls(monkeypatch, (opensys, "solve_ivp"), (opensys, "_dop853"))
-    calls = {"source": 0}
-    for value in (0.1, np.array([0.1, 0.2, 0.3, 0.4])):
-        calls.update(source=0)
-        rhs_calls.clear()
+    rhs_calls = count_rhs_calls(monkeypatch, (opensys, "solve_ivp"))
+    calls = []
 
-        def source(t):
-            calls["source"] += 1
-            return value
+    def source(t):
+        calls.append(t)
+        return 0.1
 
-        evolve_open(ModeFrequency.free(1.0), source, (0.0, 2.0))
-        assert len(rhs_calls) > 0 and len(rhs_calls) == calls["source"] - 1
+    evolve_open(ModeFrequency.free(1.0), source, (0.0, 2.0))
+    assert len(rhs_calls) > 0 and len(rhs_calls) == len(calls) - 1

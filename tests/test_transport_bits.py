@@ -26,7 +26,6 @@ from gausslind.cosmology import (
     _kap2_row,
     _power_law,
     discord_cosmo,
-    evolve_de_sitter,
     offset_singular_p,
 )
 from gausslind.discord import _discord_from_logs
@@ -91,13 +90,13 @@ def test_transport_route_bits(planes, pin):
 
 def _reference(x, params, p_row, couplings):
     """(discord, ln sigma(0)) of a plane from the response to its unit
-    sources in conformal time from 1/ellH down to x, at rtol 1e-14 and atol
-    1e-16 (below the rtol floor of solve_ivp, which the response
-    integration does not have)."""
-    ref = evolve_de_sitter(params.x_coupling_on, x,
-                           lambda eta: _power_law(params, p_row - 3.0, -eta),
-                           x_eval=(x,), rtol=1e-14, atol=1e-16)
-    ln_s0sq, ln_q = oracle.log_sigmas(ref.cells(_kap2_row(params, couplings)), -math.pi / 4.0)
+    sources in conformal time from 1/ellH down to x on the compiled DOP853,
+    at rtol 1e-14 and atol 1e-16 (below the rtol floor of solve_ivp)."""
+    ref = oracle.de_sitter_response(params.x_coupling_on, x,
+                                    lambda eta: _power_law(params, p_row - 3.0, -eta),
+                                    (x,), 1e-14, 1e-16)
+    ln_s0sq, ln_q = oracle.log_sigmas(oracle.response_cells(*ref, _kap2_row(params, couplings)),
+                                      -math.pi / 4.0)
     return _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0], 0.5 * ln_s0sq[..., 0]
 
 
