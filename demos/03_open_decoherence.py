@@ -4,8 +4,9 @@ environment.
 The environment switches on when the mode outgrows the correlation
 length (x = 1/(ell_E H)) and pumps the momentum-momentum covariance,
 making the determinant -- the squared inverse purity -- grow.  The
-transported determinant, the Green's-function quadrature and the
-super-Hubble asymptotics all agree.
+transported covariance agrees with the closed-form Green's-function
+integrals (`exact_open_covariance`), and its determinant with the
+super-Hubble asymptotics.
 
 Run:  python demos/03_open_decoherence.py
 """
@@ -14,12 +15,10 @@ import numpy as np
 
 from gausslind import (
     CosmoParams,
-    de_sitter_frequency,
-    de_sitter_mode,
     cosmo_kernel,
+    de_sitter_covariance_closed,
     evolve_de_sitter,
-    green_covariance,
-    integrate_mode_function,
+    exact_open_covariance,
     sigma0_sq_approx,
     particle_statistics,
 )
@@ -33,14 +32,8 @@ print(f"coupling window opens at x = {params.x_coupling_on}\n")
 x_grid = np.geomspace(params.x_coupling_on, 1e-3, 9)
 traj = evolve_de_sitter(params.x_coupling_on, 1e-3, source, x_eval=x_grid)
 
-# an independent route: Green's-function quadrature over the stored
-# closed mode function
-freq = de_sitter_frequency()
-mode_traj = integrate_mode_function(freq, -10.0, -1e-3, de_sitter_mode(10.0),
-                                    rtol=1e-12, atol=1e-14)
-
 print(f"{'x':>10} {'ln det':>10} {'approx':>10} {'purity':>10} "
-      f"{'n pairs':>12} {'green g22 dev':>14}")
+      f"{'n pairs':>12} {'exact g22 dev':>14}")
 for i, x in enumerate(x_grid):
     det = traj.det[i]
     try:
@@ -48,9 +41,14 @@ for i, x in enumerate(x_grid):
     except Exception:
         approx = float("nan")  # outside the super-Hubble window
     stats = particle_statistics(traj.block(i))
-    g = green_covariance(mode_traj, source, -float(x))
-    g22_green = abs(mode_traj.state(-float(x)).dv) ** 2 + g.K
-    dev = abs(g22_green / traj.g22[i] - 1.0)
+    # an independent route: the Green's-function integrals in closed
+    # form, inside the open window 0 < x < 1/ellH; at x = 1/ellH the
+    # source is still off and the free closed form holds
+    if x < params.x_coupling_on:
+        exact = exact_open_covariance(float(x), params)
+    else:
+        exact = de_sitter_covariance_closed(float(x))
+    dev = abs(exact.g22 / traj.g22[i] - 1.0)
     print(f"{x:10.4g} {np.log(det):10.4f} {approx:10.4f} "
           f"{traj.purity[i]:10.3e} {stats.n:12.4g} {dev:14.2e}")
 

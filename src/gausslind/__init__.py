@@ -46,10 +46,8 @@ from .closed import (
     wigner_ellipse,
 )
 from .opensys import (
-    GreenIntegrals,
     transport_rhs_open,
     det_rhs,
-    green_covariance,
     evolve_open,
 )
 from .cosmology import (

@@ -287,6 +287,10 @@ def run_ellipse_series(cfg: dict, path: Path, cfg_hash: str) -> None:
     xs = x_grid.tolist()
     ells = [wigner_ellipse(SqueezingState(*de_sitter_squeezing(x), 1.0), n_sigma)
             for x in xs]
+    # a subnormal n_sigma underflows semi_minor to 0: refused before the ratio divides
+    if not all(0.0 < a < math.inf for e in ells for a in (e.semi_major, e.semi_minor)):
+        raise StepFailureError(f"ellipse_series: a semi-axis is not finite and positive at "
+                               f"n_sigma = {n_sigma}")
     cols = [[-math.log(x) for x in xs], [e.semi_major for e in ells],
             [e.semi_minor for e in ells], [e.tilt for e in ells],
             [e.semi_major / e.semi_minor for e in ells]]
@@ -376,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return run_config(cfg, Path(args.out))
     except ConfigError as exc:
         _emit_error(exc)
+        return 2
+    except MemoryError as exc:  # a grid or map too large to allocate: a configuration error
+        _emit_error(ConfigError(f"the scenario does not fit in memory: {exc}"))
         return 2
     except (GausslindError, ValueError, ArithmeticError) as exc:
         _emit_error(exc)

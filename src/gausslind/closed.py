@@ -120,11 +120,9 @@ class BogoliubovPair:
 class ModeTrajectory:
     """Dense-output solution of the mode equation on [t0, t1]."""
 
-    def __init__(self, freq: ModeFrequency, sol, t0: float, t1: float):
+    def __init__(self, freq: ModeFrequency, sol):
         self.freq = freq
         self._sol = sol
-        self.t0 = t0
-        self.t1 = t1
 
     def state(self, t: float) -> ModeState:
         y = self._sol(t)
@@ -165,7 +163,7 @@ def integrate_mode_function(
         raise StepFailureError(f"mode integration failed: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise StepFailureError("mode function became non-finite")
-    return ModeTrajectory(freq, sol.sol, t0, t1)
+    return ModeTrajectory(freq, sol.sol)
 
 
 def bogoliubov_from_mode(m: ModeState, k: float) -> BogoliubovPair:

@@ -8,12 +8,12 @@ super-Hubble limit.  The environment couples when the mode wavelength
 exceeds the environment correlation length, i.e. for x < 1/(ell_E H), and
 its strength follows a power law a^(p-3) of the scale factor.
 
-Three routes to the dressed covariance are provided and cross-checked by
+Two routes to the dressed covariance are provided and cross-checked by
 the test suite: the transport equations, collocated for a whole plane of
 couplings (`_transport_block`) or integrated for one source
-(`evolve_de_sitter`), Green's-function quadrature (via
-`opensys.green_covariance`), and the closed form in terms of incomplete
-gamma functions, together with its super-Hubble asymptotics.
+(`evolve_de_sitter`), and the Green's-function integrals of the source in
+closed form, through incomplete gamma functions (`exact_open_covariance`),
+together with their super-Hubble asymptotics.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ _P_OFFSET = 1e-4
 APPROX_X_MAX = 0.1
 #: relative error allowed to a source-free evolve_de_sitter run backwards
 BACKWARD_ERROR_MAX = 1e-6
-#: rtol of the transport route of discord_cosmo (evolve_de_sitter's default)
+#: tail tolerance of the transport route's collocation, evolve_de_sitter's rtol
 TRANSPORT_RTOL = 1e-11
 #: cells of the discord_cosmo plane evaluated at once (see _plane_blocks)
 PLANE_BLOCK_CELLS = 2 ** 16
@@ -229,11 +229,15 @@ def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
 def _exact_row(params: CosmoParams) -> tuple:
     """(p, ellH, x_star^(p-3), lam^(2-p)/(2-p), lam^(4-p)/(4-p)), what each
     node of the exact route reads of its p row; lam = 1/ellH is the lower
-    end of the power bracket.  SingularExponentError at p in {2, 4}."""
+    end of the power bracket.  SingularExponentError at p in {2, 4}; a
+    power beyond the range of doubles raises DomainError."""
     p, lam = params.p, params.x_coupling_on
     _require_regular_p(p, (2.0, 4.0))
-    return (p, params.ellH, params.x_star ** (p - 3.0),
-            lam ** (2.0 - p) / (2.0 - p), lam ** (4.0 - p) / (4.0 - p))
+    try:  # a float ** raises OverflowError
+        return (p, params.ellH, params.x_star ** (p - 3.0),
+                lam ** (2.0 - p) / (2.0 - p), lam ** (4.0 - p) / (4.0 - p))
+    except OverflowError as exc:
+        raise DomainError(f"a power of the exact route at p = {p} is not a finite double") from exc
 
 
 def _g11_node(x: float, row: tuple) -> tuple:
@@ -367,8 +371,7 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
     map_exact benchmark workload (seeds 0-5, two rounds each) 48 of 708
     quadratures emit scipy's IntegrationWarning (x 0.022-0.065, p
     7.1-9.8).  In 37 of them, all at x <= 0.05 and p >= 9.2, the estimate
-    exceeds 1e-8 relative to det, up to 1.9e-5; those 37 would fail the
-    error check of `opensys.green_covariance`.
+    exceeds 1e-8 relative to det, up to 1.9e-5.
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive and finite, got {x}")
@@ -452,24 +455,27 @@ def asymptotic_coefficients(params: CosmoParams, p=None) -> AsymptoticCoefficien
     Rejects p within 1e-6 of {2, 4, 5, 8} (vanishing denominators turn
     those powers logarithmic).  Other integer p >= 2 can still hit poles
     of individual gamma orders; `offset_singular_p` moves p off all of
-    them.
+    them.  A power beyond the range of doubles raises DomainError.
     """
     ellH, xs, fields = params.ellH, params.x_star, []
     for p_i in _row(params.p if p is None else p, "p").tolist():
         _require_regular_p(p_i)
-        xsp = xs ** (p_i - 3.0)
         r1, i1 = oscillatory_moment_limits(1.0 - p_i, ellH)
         r2, i2 = oscillatory_moment_limits(2.0 - p_i, ellH)
         r3, i3 = oscillatory_moment_limits(3.0 - p_i, ellH)
         den = (p_i - 8.0) * (p_i - 5.0) * (p_i - 2.0)
-        ell = ellH ** (p_i - 4.0) / (p_i - 4.0) + ellH ** (p_i - 2.0) / (p_i - 2.0)
-        b11 = 0.5 * xsp * (ell - r1 - 2.0 * i2 + r3)
-        d11 = xsp / 3.0 * (-i1 + 2.0 * r2 + i3)
-        f11 = xsp / 9.0 * (r1 + 2.0 * i2 - r3)
+        try:  # a float ** raises OverflowError
+            xsp = xs ** (p_i - 3.0)
+            ell = ellH ** (p_i - 4.0) / (p_i - 4.0) + ellH ** (p_i - 2.0) / (p_i - 2.0)
+            b11 = 0.5 * xsp * (ell - r1 - 2.0 * i2 + r3)
+            d11 = xsp / 3.0 * (-i1 + 2.0 * r2 + i3)
+            f11 = xsp / 9.0 * (r1 + 2.0 * i2 - r3)
+            quartic = 4.0 * b11 ** 2 - 9.0 * d11 ** 2 + 36.0 * b11 * f11
+        except OverflowError as exc:
+            raise DomainError(f"a coefficient at p = {p_i} is not a finite double") from exc
         fields.append((p_i, ellH, xs, -2.0 * xsp / den, -xsp * (p_i - 6.0) / den,
                        -(26.0 + p_i * (p_i - 11.0)) * xsp / den, b11, d11, f11, xsp, ell,
-                       4.0 * b11 ** 2 - 9.0 * d11 ** 2 + 36.0 * b11 * f11,
-                       (p_i - 5.0) ** 2 * (p_i - 8.0) * (p_i - 2.0)))
+                       quartic, (p_i - 5.0) ** 2 * (p_i - 8.0) * (p_i - 2.0)))
     if np.ndim(p) == 0:
         return AsymptoticCoefficients(*fields[0])
     return AsymptoticCoefficients(*np.array(fields).T[..., None])
@@ -530,17 +536,20 @@ def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     return s0_2, s0_4, sx_2, sx_4, sxx_4
 
 
+def _sigma0_sq_terms(t: AsymptoticCoefficients, kap2) -> tuple:
+    """(coeffs, exps) of the four terms of the super-Hubble sigma^2(0) =
+    1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p}, both coupling
+    orders of each from `sigma0_sq_coefficients` (t and kap2 as there)."""
+    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(t, kap2)
+    return (1.0, s0_2 + s0_4, sx_2 + sx_4, sxx_4), (0.0, 0.0, 2.0 - t.p, 10.0 - 2.0 * t.p)
+
+
 def sigma0_sq_approx(x: float, params: CosmoParams) -> float:
-    """Super-Hubble sigma^2(0) = det of the dressed covariance:
-    1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p} with both
-    coupling orders (quadratic and quartic) from `sigma0_sq_coefficients`;
-    this is the form that tracks the transported determinant."""
+    """Super-Hubble sigma^2(0) = det of the dressed covariance at x
+    (`_sigma0_sq_terms`), the form that tracks the transported determinant."""
     _require_super_hubble(x)
-    p = params.p
-    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(
-        asymptotic_coefficients(params), _kap2_row(params)[0])
-    return 1.0 + s0_2 + s0_4 + (sx_2 + sx_4) * x ** (2.0 - p) \
-        + sxx_4 * x ** (10.0 - 2.0 * p)
+    coeffs, exps = _sigma0_sq_terms(asymptotic_coefficients(params), _kap2_row(params)[0])
+    return sum(c * x ** e for c, e in zip(coeffs, exps))
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +670,7 @@ def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2: 
     plane of the p row of table t and the couplings kap2
     (`_log_sigmas_series`).  A sigma(0)^2 that the truncated series puts
     below 1 reads as 1 (purity 1; see the README numerical notes)."""
-    # sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^{2-p} + Sigma_{10-2p} x^{10-2p}
-    s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(t, kap2)
-    det_terms = ((1.0, s0_2 + s0_4, sx_2 + sx_4, sxx_4), (0.0, 0.0, 2.0 - t.p, 10.0 - 2.0 * t.p))
-    return _log_sigmas_series(x, theta, det_terms, _approx_terms(t, kap2))[:2]
+    return _log_sigmas_series(x, theta, _sigma0_sq_terms(t, kap2), _approx_terms(t, kap2))[:2]
 
 
 def _plane_blocks(n_p: int, n_k: int, cells: int):

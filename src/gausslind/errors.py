@@ -23,7 +23,7 @@ class DomainError(GausslindError):
 
 
 class StepFailureError(GausslindError):
-    """An integrator or quadrature could not meet its tolerance, or a
+    """An integrator or a collocation could not meet its tolerance, or a
     computed value is not finite."""
 
 

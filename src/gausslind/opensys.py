@@ -10,11 +10,11 @@ environment autocorrelation in one function, because only their product
 ever appears; a source is any plain callable t -> S(t) returning a
 number, and None means no environment.  Consequences implemented here:
 the transport engine `evolve_open` (the covariance integrator of the
-package, closed evolution being its S = None case), determinant growth
-d(det)/dt = k S g11 (monotone purity loss), and the Green's-function
-representation of the dressed covariance as quadratures over a stored
-mode trajectory.  The transport route of `cosmology.discord_cosmo`
-integrates no ODE: it collocates its de Sitter response in `cosmology`.
+package, closed evolution being its S = None case) and determinant growth
+d(det)/dt = k S g11 (monotone purity loss).  `piecewise_oscillatory_quad`
+is the half-period quadrature of `cosmology.exact_open_det`.  The
+transport route of `cosmology.discord_cosmo` integrates no ODE: it
+collocates its de Sitter response in `cosmology`.
 
 scipy.integrate is imported at the first integrator call, not with the
 module.  `quad` and `solve_ivp` stay module-level names, through which
@@ -26,7 +26,6 @@ this module calls the integrators: `perfbench/tracer.py` wraps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ from .closed import (
     DEFAULT_RTOL,
     CovarianceTrajectory,
     ModeFrequency,
-    ModeTrajectory,
     solve_ivp,
     transport_rhs_closed,
 )
@@ -44,10 +42,8 @@ from .errors import DomainError, StepFailureError
 from .symplectic import CovarianceBlock
 
 __all__ = [
-    "GreenIntegrals",
     "transport_rhs_open",
     "det_rhs",
-    "green_covariance",
     "evolve_open",
     "piecewise_oscillatory_quad",
     "RTOL_FLOOR",
@@ -61,29 +57,6 @@ def quad(*args, **kwargs):
     """scipy.integrate.quad, imported at the first call (as closed.solve_ivp)."""
     import scipy.integrate
     return scipy.integrate.quad(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class GreenIntegrals:
-    """Additive covariance corrections (I, J, K) from the environment.
-
-    I and K are integrals of squared imaginary parts against a
-    non-negative weight, hence non-negative, and I*K >= J^2 by
-    Cauchy-Schwarz; both facts are asserted on construction.
-    """
-
-    I: float
-    J: float
-    K: float
-
-    def __post_init__(self):
-        scale = max(self.I, self.K, 1e-300)
-        if self.I < -1e-12 * scale or self.K < -1e-12 * scale:
-            raise DomainError(f"negative diagonal correction: I={self.I}, K={self.K}")
-        if self.I * self.K < self.J ** 2 * (1.0 - 1e-9) - 1e-12 * scale ** 2:
-            raise DomainError(
-                f"Cauchy-Schwarz violated: I*K={self.I * self.K}, J^2={self.J ** 2}"
-            )
 
 
 def transport_rhs_open(
@@ -134,53 +107,6 @@ def piecewise_oscillatory_quad(
         total += v
         err += abs(e)
     return total, err
-
-
-def green_covariance(
-    modes: ModeTrajectory,
-    source: Callable[[float], float],
-    t: float,
-    quad_tol: float = 1e-10,
-) -> GreenIntegrals:
-    """Covariance corrections by quadrature over modes, from modes.t0 to t.
-
-    With v the mode function and primes denoting the final-time values,
-
-      I = k   * int S(t') Im^2[v(t') v*(t)] dt'
-      J =       int S(t') Im[v(t') v*(t)] Im[v(t') v'*(t)] dt'
-      K = (1/k) int S(t') Im^2[v(t') v'*(t)] dt'
-
-    so that the dressed covariance is g11 = |v|^2 + I,
-    g12 = Re(v v'*)/k + J, g22 = |v'|^2/k^2 + K.
-    """
-    k, t0 = modes.freq.k, modes.t0
-    final = modes.state(t)
-    v_f, dv_f = final.v, final.dv
-
-    def im_v(tp: float) -> float:
-        return (modes.state(tp).v * v_f.conjugate()).imag
-
-    def im_dv(tp: float) -> float:
-        return (modes.state(tp).v * dv_f.conjugate()).imag
-
-    half_period = math.pi / (2.0 * k)  # e^{2ik t'} phase of the products
-    lo, hi = min(t0, t), max(t0, t)
-    sign = 1.0 if t >= t0 else -1.0
-    results = []
-    for f, pref in (
-        (lambda tp: source(tp) * im_v(tp) ** 2, k),
-        (lambda tp: source(tp) * im_v(tp) * im_dv(tp), 1.0),
-        (lambda tp: source(tp) * im_dv(tp) ** 2, 1.0 / k),
-    ):
-        val, err = piecewise_oscillatory_quad(f, lo, hi, half_period,
-                                              epsrel=quad_tol)
-        scale = max(abs(val), 1e-30)
-        if err > 100.0 * quad_tol * scale + 1e-10:
-            raise StepFailureError(
-                f"requested {quad_tol}, got error estimate {err} on scale {scale}"
-            )
-        results.append(sign * pref * val)
-    return GreenIntegrals(I=results[0], J=results[1], K=results[2])
 
 
 def evolve_open(

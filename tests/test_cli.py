@@ -254,11 +254,15 @@ class TestDiscordMapValidation:
         {"log10_kGamma_range": [150.0, 160.0], "method": "transport"},
         {"p_range": [-300.0, -100.0]},
         {"p_range": [-300.0, -100.0], "method": "exact", "x": 0.05, "cosmo": {"ellH": 0.1}},
+        # each exited 3 with a bare OverflowError from a float **
+        {"p_range": [-50.0, 9.9]},
+        {"cosmo": {"ellH": 1e-300}, "method": "exact", "x": 0.5},
     ], ids=["negative_points", "zero_points", "nan_x", "nan_theta", "negative_x",
             "unknown_method", "unhashable_method", "approx_outside_super_hubble",
             "ignored_cosmo_keys",
             "cosmo_p", "coupling_square_overflows", "transport_coupling_square_overflows",
-            "gamma_order_overflows", "exact_gamma_order_overflows"])
+            "gamma_order_overflows", "exact_gamma_order_overflows",
+            "super_hubble_coefficient_overflows", "exact_power_overflows"])
     def test_bad_input_exits_2(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, "m.json", dict(self.BASE, **change))
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 2
@@ -562,14 +566,32 @@ class TestErrorChannel:
 
     def test_non_finite_ellipse_exits_3(self, tmp_path, capsys):
         # semi_major and axis_ratio overflow to inf at n_sigma = 1.7e308, and
-        # the run wrote them with exit 0
-        cfg = write_config(tmp_path, "e.json", {
-            "mode": "ellipse_series", "n_sigma": 1.7e308, "output_path": "e.csv",
-            "grid": {"x_start": 10.0, "x_end": 0.1, "points": 3}})
-        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
+        # the run wrote them with exit 0; semi_minor underflows to 0 at
+        # n_sigma = 5e-324, and axis_ratio raised a bare ZeroDivisionError
+        for n_sigma in (1.7e308, 5e-324):
+            cfg = write_config(tmp_path, "e.json", {
+                "mode": "ellipse_series", "n_sigma": n_sigma, "output_path": "e.csv",
+                "grid": {"x_start": 10.0, "x_end": 0.1, "points": 3}})
+            assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "StepFailureError"
+            assert not (tmp_path / "e.csv").exists()
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a 1e5 x 1e5 discord_map asked numpy for 224 GiB and exited 1 with a
+        # traceback; the runner is patched to raise, not run, because a host
+        # that overcommits memory can grant such an allocation
+        def too_large(cfg, path, cfg_hash):
+            raise MemoryError("Unable to allocate 224. GiB for an array")
+
+        monkeypatch.setitem(cli.RUNNERS, "discord_map", too_large)
+        cfg = write_config(tmp_path, "m.json", {"mode": "discord_map",
+                                                "map_points": [100000, 100000]})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "StepFailureError"
-        assert not (tmp_path / "e.csv").exists()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and "memory" in err["message"]
 
     def test_overflow_reports_one_json_line(self, tmp_path):
         # the solver overflows; numpy and scipy warnings must not reach stderr

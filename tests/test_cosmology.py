@@ -858,6 +858,15 @@ class TestDiscordChecks:
         with pytest.raises(DomainError, match="p must be finite"):
             discord_cosmo(0.05, -0.4, self.PARAMS, method, p=np.array([2.1, p]))
 
+    @pytest.mark.parametrize("method, x, params", [
+        ("approx", 1e-9, CosmoParams(1.0, -50.0, 1e-3)),  # 4 b11^2
+        ("exact", 0.5, CosmoParams(1.0, 0.1, 1e-300)),  # (1/ellH)^(2-p)
+    ], ids=["approx_quartic", "exact_power_bracket"])
+    def test_power_overflow_raises_domain_error(self, method, x, params):
+        # a Python float ** raised a bare OverflowError
+        with pytest.raises(DomainError, match="not a finite double"):
+            discord_cosmo(x, -0.4, params, method)
+
     def test_exact_det_overflow_raises(self):
         # exact_open_det is inf at p ~ 150: the cells read D = nan and
         # purity 0 when no output check held them

@@ -4,32 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from gausslind.closed import (
-    ModeFrequency,
-    ModeState,
-    integrate_mode_function,
-    transport_rhs_closed,
-)
+from gausslind.closed import ModeFrequency, transport_rhs_closed
 from gausslind.cosmology import (
     CosmoParams,
     cosmo_kernel,
     de_sitter_covariance_closed,
     de_sitter_frequency,
-    de_sitter_mode,
     evolve_de_sitter,
-    exact_open_covariance,
 )
 from gausslind.errors import (
     BelowHeisenbergError,
     DegenerateSqueezingError,
     DomainError,
-    StepFailureError,
 )
 from gausslind.opensys import (
-    GreenIntegrals,
     det_rhs,
     evolve_open,
-    green_covariance,
     transport_rhs_open,
 )
 from gausslind.symplectic import (
@@ -145,81 +135,6 @@ class TestGeneralizedSqueezing:
         assert abs(lam - traj.det[-1]) < 1e-5 * traj.det[-1]
 
 
-class TestGreenCovariance:
-    def test_zero_kernel(self):
-        freq = ModeFrequency.free(1.0)
-        traj = integrate_mode_function(freq, 0.0, 10.0, ModeState.vacuum(1.0, 0.0))
-        g = green_covariance(traj, zero_kernel, 10.0)
-        assert g.I == 0.0 and g.J == 0.0 and g.K == 0.0
-
-    def test_constant_kernel_against_fixed_order_gauss(self):
-        # free oscillator: Im[v(t')v*(T)] = sin(k(T - t')), so
-        # I = k s0 int sin^2(k(T-t')) dt' -- checked against an
-        # independent composite Gauss-Legendre rule
-        k, s0, T = 1.3, 0.25, 7.0
-        freq = ModeFrequency.free(k)
-        traj = integrate_mode_function(freq, 0.0, T, ModeState.vacuum(k, 0.0))
-        got = green_covariance(traj, constant_kernel(s0), T)
-        want_i = k * s0 * gauss_legendre_quad(
-            lambda tp: math.sin(k * (T - tp)) ** 2, 0.0, T)
-        want_j = s0 * gauss_legendre_quad(
-            lambda tp: math.sin(k * (T - tp)) * k * math.cos(k * (T - tp)), 0.0, T)
-        want_k = (1.0 / k) * s0 * gauss_legendre_quad(
-            lambda tp: (k * math.cos(k * (T - tp))) ** 2, 0.0, T)
-        assert abs(got.I - want_i) < 1e-9 * max(1.0, want_i)
-        assert abs(got.J - want_j) < 1e-9
-        assert abs(got.K - want_k) < 1e-9 * max(1.0, want_k)
-
-    def test_cauchy_schwarz(self):
-        k, T = 0.7, 12.0
-        freq = ModeFrequency.free(k)
-        traj = integrate_mode_function(freq, 0.0, T, ModeState.vacuum(k, 0.0))
-        kern = lambda t: 0.1 * (1.0 + math.sin(t) ** 2)
-        g = green_covariance(traj, kern, T)
-        assert g.I >= 0.0 and g.K >= 0.0
-        assert g.I * g.K >= g.J ** 2 * (1.0 - 1e-9)
-
-    def test_de_sitter_kernel_matches_exact_forms(self):
-        # Green quadrature over the numerically integrated mode function
-        # vs the incomplete-gamma closed forms
-        params = CosmoParams(kGamma_over_kstar=10.0, p=2.1, ellH=0.1)
-        freq = de_sitter_frequency()
-        kern = cosmo_kernel(params)
-        x0 = params.x_coupling_on
-        traj = integrate_mode_function(freq, -x0, -0.05, de_sitter_mode(x0),
-                                       rtol=1e-12, atol=1e-14)
-        for x in (0.5, 0.1, 0.05):
-            g = green_covariance(traj, kern, -x, quad_tol=1e-12)
-            st = traj.state(-x)
-            assembled = CovarianceBlock(
-                g11=abs(st.v) ** 2 + g.I,
-                g12=(st.v * st.dv.conjugate()).real + g.J,
-                g22=abs(st.dv) ** 2 + g.K,
-            )
-            want = exact_open_covariance(x, params)
-            for a, b in ((assembled.g11, want.g11), (assembled.g12, want.g12),
-                         (assembled.g22, want.g22)):
-                assert abs(a - b) < 1e-6 * abs(b)
-
-    def test_green_integrals_validate(self):
-        with pytest.raises(DomainError):
-            GreenIntegrals(I=1.0, J=5.0, K=1.0)  # violates Cauchy-Schwarz
-
-    def test_green_integrals_negative_diagonal(self):
-        with pytest.raises(DomainError, match="negative diagonal"):
-            GreenIntegrals(I=-1.0, J=0.0, K=1.0)
-
-    def test_quadrature_short_of_tolerance(self):
-        # a barely integrable spike: quad cannot meet 1e-10 on it
-        k, T = 0.7, 12.0
-        traj = integrate_mode_function(ModeFrequency.free(k), 0.0, T,
-                                       ModeState.vacuum(k, 0.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy's IntegrationWarning
-            with pytest.raises(StepFailureError, match="error estimate"):
-                green_covariance(traj, lambda t: abs(t - 3.3) ** -0.999, T)
-
-
 class TestEvolveOpen:
     def test_zero_kernel_equals_closed(self):
         freq = de_sitter_frequency()
@@ -233,6 +148,39 @@ class TestEvolveOpen:
         for i, x in enumerate(xg):
             want = de_sitter_covariance_closed(float(x))
             assert abs(a.g11[i] - want.g11) < 1e-9 * abs(want.g11) + 1e-9
+
+    def test_constant_source_against_fixed_order_gauss(self):
+        # free oscillator from the vacuum: the source adds the Green's-
+        # function integrals (I, J, K) to the stationary (1, 0, 1), with
+        # Im[v(t')v*(T)] = sin(k(T - t')), so I = k s0 int sin^2(k(T-t'))
+        # dt' -- checked against an independent composite Gauss-Legendre rule
+        k, s0, T = 1.3, 0.25, 7.0
+        traj = evolve_open(ModeFrequency.free(k), constant_kernel(s0), (0.0, T),
+                           t_eval=[T], rtol=1e-12, atol=1e-14)
+        got_i, got_j, got_k = traj.g11[-1] - 1.0, traj.g12[-1], traj.g22[-1] - 1.0
+        want_i = k * s0 * gauss_legendre_quad(
+            lambda tp: math.sin(k * (T - tp)) ** 2, 0.0, T)
+        want_j = s0 * gauss_legendre_quad(
+            lambda tp: math.sin(k * (T - tp)) * k * math.cos(k * (T - tp)), 0.0, T)
+        want_k = (1.0 / k) * s0 * gauss_legendre_quad(
+            lambda tp: (k * math.cos(k * (T - tp))) ** 2, 0.0, T)
+        assert abs(got_i - want_i) < 1e-9 * max(1.0, want_i)
+        assert abs(got_j - want_j) < 1e-9
+        assert abs(got_k - want_k) < 1e-9 * max(1.0, want_k)
+
+    def test_source_corrections_cauchy_schwarz(self):
+        # the transport is linear with an additive source, so the open run
+        # minus the closed one is (I, J, K): I and K integrate squares
+        # against S >= 0, and I K >= J^2 by Cauchy-Schwarz
+        freq, T = ModeFrequency.free(0.7), 12.0
+        kern = lambda t: 0.1 * (1.0 + math.sin(t) ** 2)
+        opened, closed = (evolve_open(freq, s, (0.0, T), t_eval=[T], rtol=1e-12, atol=1e-14)
+                          for s in (kern, None))
+        i, j, k = (float(a[-1] - b[-1]) for a, b in ((opened.g11, closed.g11),
+                                                      (opened.g12, closed.g12),
+                                                      (opened.g22, closed.g22)))
+        assert i > 0.0 and k > 0.0
+        assert i * k >= j ** 2 * (1.0 + 1e-3)
 
     def test_sub_heisenberg_ic_rejected(self):
         with pytest.raises(BelowHeisenbergError):
