@@ -11,6 +11,7 @@ from gausslind.cosmology import (
     de_sitter_covariance_closed,
     de_sitter_frequency,
     evolve_de_sitter,
+    exact_open_covariance,
 )
 from gausslind.errors import (
     BelowHeisenbergError,
@@ -133,6 +134,33 @@ class TestGeneralizedSqueezing:
         for a, b in ((got.g11, want.g11), (got.g12, want.g12), (got.g22, want.g22)):
             assert abs(a - b) < 1e-5 * max(abs(b), 1.0)
         assert abs(lam - traj.det[-1]) < 1e-5 * traj.det[-1]
+
+
+class TestGreenCovariance:
+    """The source adds the Green's-function integrals (I, J, K) to the
+    closed covariance; the open run minus the closed one is (I, J, K)."""
+
+    def test_zero_kernel(self):
+        freq, T = ModeFrequency.free(1.0), 10.0
+        opened, closed = (evolve_open(freq, s, (0.0, T), t_eval=[T])
+                          for s in (zero_kernel, None))
+        assert opened.g11[-1] - closed.g11[-1] == 0.0
+        assert opened.g12[-1] - closed.g12[-1] == 0.0
+        assert opened.g22[-1] - closed.g22[-1] == 0.0
+
+    def test_de_sitter_kernel_matches_exact_forms(self):
+        # the transported open covariance from the Bunch-Davies state at
+        # coupling-on vs the incomplete-gamma closed forms
+        params = CosmoParams(kGamma_over_kstar=10.0, p=2.1, ellH=0.1)
+        x0 = params.x_coupling_on
+        xs = (0.5, 0.1, 0.05)
+        traj = evolve_open(de_sitter_frequency(), cosmo_kernel(params), (-x0, -0.05),
+                           ic=de_sitter_covariance_closed(x0), t_eval=[-x for x in xs],
+                           rtol=1e-12, atol=1e-14)
+        for i, x in enumerate(xs):
+            got, want = traj.block(i), exact_open_covariance(x, params)
+            for a, b in ((got.g11, want.g11), (got.g12, want.g12), (got.g22, want.g22)):
+                assert abs(a - b) < 1e-6 * abs(b)
 
 
 class TestEvolveOpen:
