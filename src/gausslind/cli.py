@@ -302,6 +302,9 @@ def run_ellipse_series(cfg: dict, path: Path, cfg_hash: str) -> None:
 
 def run_spectrum(cfg: dict, path: Path, cfg_hash: str) -> None:
     base = _cosmo_params(cfg)
+    if set(cfg["cosmo"]) - {"kGamma_over_kstar", "p", "ellH"}:  # k/k* comes from k_range
+        raise ConfigError(f"spectrum reads only cosmo.kGamma_over_kstar, p and ellH, "
+                          f"got keys {sorted(cfg['cosmo'])}")
     k_lo, k_hi = (_positive(k, "k_range") for k in _range(cfg, "k_range", (1e-2, 1e2)))
     points = _count(cfg.get("points", 41), "points", 1)
     ks = np.geomspace(k_lo, k_hi, points).tolist()

@@ -70,13 +70,6 @@ BACKWARD_ERROR_MAX = 1e-6
 TRANSPORT_RTOL = 1e-11
 #: cells of the discord_cosmo plane evaluated at once (see _plane_blocks)
 PLANE_BLOCK_CELLS = 2 ** 16
-#: x (Hubble crossing) below which the transport route runs in e-folds
-#: (`_efold_response`).  Forty 3x4 planes of the map_transport ranges
-#: (x 1e-3..1e-2, ellH 0.05..0.3) took 161 + 275, 230 + 247, 294 + 220 and
-#: 388 + 182 conformal-time + e-fold intervals, in 93, 92, 97 and 106 ms,
-#: at 2, 1, 0.5 and 0.2; at 1 the conformal-time phase before it
-#: (`_subhubble_response`) is never empty (ellH < 1)
-EFOLD_X_SWITCH = 1.0
 #: Chebyshev points per interval of both collocated phases (`_collocate`)
 _CHEB_POINTS = 25
 #: halvings an interval of either phase may take before its Chebyshev
@@ -505,10 +498,14 @@ def _approx_terms(t: AsymptoticCoefficients, kap2):
 
 
 def approx_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
-    """Leading super-Hubble form of the dressed covariance (x < 0.1)."""
+    """Leading super-Hubble form of the dressed covariance (x < 0.1); an
+    entry that is not a finite double raises DomainError."""
     _require_super_hubble(x)
     coeffs, exps = _approx_terms(asymptotic_coefficients(params), _kap2_row(params)[0])
-    g11, g12, g22 = (coeffs * x ** exps).sum(axis=0).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        g11, g12, g22 = (coeffs * x ** exps).sum(axis=0).tolist()
+    if not all(map(math.isfinite, (g11, g12, g22))):
+        raise DomainError(f"the super-Hubble covariance at x = {x} is not a finite double")
     return CovarianceBlock(g11=g11, g12=g12, g22=g22)
 
 
@@ -546,10 +543,17 @@ def _sigma0_sq_terms(t: AsymptoticCoefficients, kap2) -> tuple:
 
 def sigma0_sq_approx(x: float, params: CosmoParams) -> float:
     """Super-Hubble sigma^2(0) = det of the dressed covariance at x
-    (`_sigma0_sq_terms`), the form that tracks the transported determinant."""
+    (`_sigma0_sq_terms`), the form that tracks the transported determinant;
+    a value that is not a finite double raises DomainError."""
     _require_super_hubble(x)
     coeffs, exps = _sigma0_sq_terms(asymptotic_coefficients(params), _kap2_row(params)[0])
-    return sum(c * x ** e for c, e in zip(coeffs, exps))
+    try:  # a float ** raises OverflowError, a product overflows to inf
+        s0sq = sum(c * x ** e for c, e in zip(coeffs, exps))
+    except OverflowError:
+        s0sq = math.inf
+    if not math.isfinite(s0sq):
+        raise DomainError(f"the super-Hubble sigma^2(0) at x = {x} is not a finite double")
+    return s0sq
 
 
 # ---------------------------------------------------------------------------
@@ -665,14 +669,6 @@ def _log_sigmas_series(x: float, theta: float, det_terms, entry_terms):
     return ln_s0sq, ln_m2 + 2.0 * _ln(_half_sin(theta)), (ln_g, sgn_g, ln_m2)
 
 
-def _log_sigmas_approx(x: float, theta: float, t: AsymptoticCoefficients, kap2: np.ndarray):
-    """(ln sigma(0)^2, ln q) from the super-Hubble asymptotics over the
-    plane of the p row of table t and the couplings kap2
-    (`_log_sigmas_series`).  A sigma(0)^2 that the truncated series puts
-    below 1 reads as 1 (purity 1; see the README numerical notes)."""
-    return _log_sigmas_series(x, theta, _sigma0_sq_terms(t, kap2), _approx_terms(t, kap2))[:2]
-
-
 def _plane_blocks(n_p: int, n_k: int, cells: int):
     """(rows, cols) slices that cover an (n_p, n_k) plane, row-major: whole
     p rows while they fit in `cells` cells, else one row in pieces of `cells`."""
@@ -683,9 +679,12 @@ def _plane_blocks(n_p: int, n_k: int, cells: int):
 
 
 def _approx_block(x: float, theta: float, params: CosmoParams, ps, couplings):
-    """(ln sigma(0)^2, ln q) of a block: one coefficient table for its p row."""
-    return _log_sigmas_approx(x, theta, asymptotic_coefficients(params, ps),
-                              np.array(_kap2_row(params, couplings)))
+    """(ln sigma(0)^2, ln q) of a block from the super-Hubble asymptotics
+    (`_log_sigmas_series`): one coefficient table for its p row.  A
+    sigma(0)^2 that the truncated series puts below 1 reads as 1 (purity
+    1; see the README numerical notes)."""
+    t, kap2 = asymptotic_coefficients(params, ps), np.array(_kap2_row(params, couplings))
+    return _log_sigmas_series(x, theta, _sigma0_sq_terms(t, kap2), _approx_terms(t, kap2))[:2]
 
 
 def _exact_block(x: float, theta: float, params: CosmoParams, ps, couplings):
@@ -800,18 +799,18 @@ def _subhubble_interval(t: float, h: float, y: np.ndarray, a: np.ndarray, expo: 
     return None if step is None else (step[0], a + step[1])
 
 
-def _subhubble_response(x_on: float, x_s: float, ps) -> tuple[np.ndarray, np.ndarray, float]:
+def _subhubble_response(x_on: float, x_end: float, ps) -> tuple[np.ndarray, np.ndarray]:
     """The response to the unit sources x^(3-p) of the p row ps from x_on
-    down to x_s >= 1, at x_s, by Chebyshev integral collocation
-    (`_subhubble_interval`), from the closed form at x_on: (y, a, det0),
+    down to x_end >= 1, at x_end, by Chebyshev integral collocation
+    (`_subhubble_interval`), from the closed form at x_on: (y, a),
     y (3, 1 + n) the rows g11, g12, g22 of the closed block g and of the
-    response F_i to each source, a (2, n) the rows a1, a2 and det0 the
-    initial det.  The source kap2_i x^(3-p_i) gives the covariance
-    g + kap2_i F_i and the det det0 + kap2_i a1_i + kap2_i^2 a2_i, since
-    the transport equations are linear in (g, det) and their closed flow
-    does not depend on the source; F_i follows the closed flow plus
-    x^(3-p_i) on its g22 entry, a1_i' = x^(3-p_i) g11 and
-    a2_i' = x^(3-p_i) F_i11, all three from 0.
+    response F_i to each source, a (2, n) the rows a1, a2.  The source
+    kap2_i x^(3-p_i) gives the covariance g + kap2_i F_i and the det
+    1 + kap2_i a1_i + kap2_i^2 a2_i (g has det 1), since the transport
+    equations are linear in (g, det) and their closed flow does not
+    depend on the source; F_i follows the closed flow plus x^(3-p_i) on
+    its g22 entry, a1_i' = x^(3-p_i) g11 and a2_i' = x^(3-p_i) F_i11, all
+    three from 0.
 
     Conformal time is cut into intervals of length min(2, x/3) from their
     upper end x, so at most half the lower end (the covariance oscillates
@@ -820,26 +819,25 @@ def _subhubble_response(x_on: float, x_s: float, ps) -> tuple[np.ndarray, np.nda
     tail, in any block or in the integrand of a1 or a2, exceeds
     TRANSPORT_RTOL of that block's largest value halves (`_march`), as
     does one with a value that is not finite.  Against an rtol-1e-14
-    DOP853 reference the state at x_s = 1 or 2 is within ~5e-14 relative
-    for ellH from 0.5 to 1e-3."""
+    DOP853 reference the state at x_end = 1 or 2 is within ~5e-14
+    relative for ellH from 0.5 to 1e-3."""
     ic = de_sitter_covariance_closed(x_on)
     y = np.zeros((3, 1 + len(ps)))
     y[:, 0] = ic.g11, ic.g12, ic.g22
-    y, a = _march(-x_on, -x_s, lambda t: min(2.0, -t / 3.0),
+    return _march(-x_on, -x_end, lambda t: min(2.0, -t / 3.0),
                   functools.partial(_subhubble_interval, expo=3.0 - ps),
                   (y, np.zeros((2, len(ps)))), "sub-Hubble collocation (t = -x)")
-    return y, a, ic.lam
 
 
-def _efold_interval(n_0: float, h: float, y: np.ndarray, a: np.ndarray, ps: np.ndarray):
-    """One e-fold interval [n_0, n_0 + h] of `_efold_response`, in
-    w = e^(cF (N - n_0)) z on each F_i, so that A of `_collocate` is the
-    same on every block: a10 = 2 - x^2, diagonal -(2, 3, 4); b of F_i is
-    x^(8-p+cF) e^(cF (N - n_0)), and the integral of a1 (a2) weighs g11
-    (w of F11) by x^(2-p+c1) e^(-c1 (n_0 + h - N)) (times e^(-cF h)).  At
-    the end w of F_i is scaled back by e^(-cF h), and a1 (a2) decays by
-    e^(-c1 h) (e^(-(c1 + cF) h)) before its integral adds."""
-    c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
+def _efold_interval(n_0: float, h: float, y: np.ndarray, a: np.ndarray, ps, c_f, c_1):
+    """One e-fold interval [n_0, n_0 + h] of `_efold_response` (cF and c1
+    from there), in w = e^(cF (N - n_0)) z on each F_i, so that A of
+    `_collocate` is the same on every block: a10 = 2 - x^2, diagonal
+    -(2, 3, 4); b of F_i is x^(8-p+cF) e^(cF (N - n_0)), and the integral
+    of a1 (a2) weighs g11 (w of F11) by x^(2-p+c1) e^(-c1 (n_0 + h - N))
+    (times e^(-cF h)).  At the end w of F_i is scaled back by e^(-cF h),
+    and a1 (a2) decays by e^(-c1 h) (e^(-(c1 + cF) h)) before its integral
+    adds."""
     tau = (_chebyshev_operators()[0] + 1.0) * (0.5 * h)  # N - n_0
     efolds = n_0 + tau
     # each power of x as its exponent in N, (p - c) N + c (N - N_ref) with
@@ -857,59 +855,50 @@ def _efold_interval(n_0: float, h: float, y: np.ndarray, a: np.ndarray, ps: np.n
     return u, np.exp(-h * np.stack((c_1, c_1 + c_f))) * a + da
 
 
-def _efold_response(y: np.ndarray, a: np.ndarray, x_s: float, x: float,
-                    ps) -> tuple[np.ndarray, np.ndarray]:
-    """The plane's response to its unit sources x^(3-p) at x <= x_s, from
-    its state (y, a) at x_s (of `_subhubble_response`), as that state
-    (rows g11, g12, g22 of the blocks g, F_1..F_n, then a1, a2) scaled to
-    z = x^P (y, a), O(1) outside the Hubble radius, and P: 2, 3, 4 on
-    those rows plus cF = max(p - 8, 0) on each F_i, c1 = max(p - 2, 0) on
-    a1 and c1 + cF on a2.  Below x_s z solves
-    dz/dN = x^P dy/dN - P z in e-folds N = -ln x: on each block
+def _efold_response(y: np.ndarray, a: np.ndarray, x: float, ps) -> tuple[tuple, tuple]:
+    """The plane's response to its unit sources x^(3-p) at x <= 1, from
+    its state (y, a) at x = 1 (of `_subhubble_response`), scaled to
+    z = x^P (y, a), O(1) outside the Hubble radius and (y, a) at x = 1:
+    ((z_y, z_a), (P_y, P_a)), P in the shapes of y and a, 2, 3, 4 on the
+    rows g11, g12, g22 of g, F_1..F_n plus cF = max(p - 8, 0) on each
+    F_i, c1 = max(p - 2, 0) on a1 and c1 + cF on a2.  Below x = 1 z
+    solves dz/dN = x^P dy/dN - P z in e-folds N = -ln x: on each block
     M z - P z, M = [[0, 2, 0], [2 - x^2, 0, 1], [0, 4 - 2 x^2, 0]], plus
     the source x^(8-p+cF) on each F_i22, and x^(2-p+c1) times z of g11 and
     of each F_i11 into a1 and a2.
 
-    By Chebyshev collocation (`_efold_interval`) on intervals of 1 e-fold,
-    with the tail test, the halvings and the tolerance TRANSPORT_RTOL of
-    `_subhubble_response`; over 2 e-folds the integrand of a2, which grows
-    like e^((p-2) N), fails its tail on every interval at p > 8.  Against
-    an rtol-1e-14 DOP853 reference z is within ~6e-14 relative for x from
-    0.3 down to e^-690 and ellH from 0.5 to 1e-3."""
-    n, m = len(ps), 3 + 3 * len(ps)
+    By Chebyshev collocation (`_efold_interval`) on intervals of 1 e-fold
+    from N = 0, with the tail test, the halvings and the tolerance
+    TRANSPORT_RTOL of `_subhubble_response`; over 2 e-folds the integrand
+    of a2, which grows like e^((p-2) N), fails its tail on every interval
+    at p > 8.  Against an rtol-1e-14 DOP853 reference z is within ~6e-14
+    relative for x from 0.3 down to e^-690 and ellH from 0.5 to 1e-3."""
     c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
-    powers = np.concatenate(((np.arange(2.0, 5.0)[:, None] + np.append(0.0, c_f)).ravel(),
-                             c_1, c_1 + c_f))
-    z = np.concatenate((y.ravel(), a.ravel())) * x_s ** powers
-    if not x < x_s:
-        return z, powers
-    y, a = _march(-math.log(x_s), -math.log(x), lambda t: 1.0,
-                  functools.partial(_efold_interval, ps=ps),
-                  (z[:m].reshape(3, 1 + n), z[m:].reshape(2, n)),
-                  "e-fold collocation (t = -ln x)")
-    return np.concatenate((y.ravel(), a.ravel())), powers
+    powers = np.arange(2.0, 5.0)[:, None] + np.append(0.0, c_f), np.stack((c_1, c_1 + c_f))
+    return _march(0.0, -math.log(x), lambda t: 1.0,
+                  functools.partial(_efold_interval, ps=ps, c_f=c_f, c_1=c_1),
+                  (y, a), "e-fold collocation (t = -ln x)"), powers
 
 
 def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings):
     """(ln sigma(0)^2, ln q) of a block: the response to the unit sources
     x^(3-p) of its p rows by `_subhubble_response` from 1/ellH down to
-    max(x, EFOLD_X_SWITCH), then `_efold_response` (both one dense solve
-    per interval, whatever the number of couplings); its cells, at
-    the couplings 2 x_star^(p-3) kap2 of each row, read from the scaled
-    state by `_log_sigmas_series` at any x.  A cell with a diagonal entry
-    <= 0 or det < -1e-6 ((g11 + g22)/2)^2 (CovarianceBlock) raises
+    max(x, 1), then `_efold_response` from x = 1, where its scaling x^P is
+    1, down to x (both one dense solve per interval, whatever the number
+    of couplings); its cells, at the couplings 2 x_star^(p-3) kap2 of each
+    row, read from the scaled state by `_log_sigmas_series` at min(x, 1),
+    unscaled at x >= 1.  A cell with a diagonal entry <= 0 or
+    det < -1e-6 ((g11 + g22)/2)^2 (CovarianceBlock) raises
     BelowHeisenbergError."""
-    x_s = max(x, EFOLD_X_SWITCH)
-    y, a, det0 = _subhubble_response(params.x_coupling_on, x_s, ps)
-    z, scale = _efold_response(y, a, x_s, x, ps)
+    x_z = min(x, 1.0)
+    y, a = _subhubble_response(params.x_coupling_on, max(x, 1.0), ps)
+    (y, a), (p_y, p_a) = _efold_response(y, a, x_z, ps)
     kap2 = np.outer(_power_law(params, ps - 3.0, 1.0), _kap2_row(params, couplings))
-    # g + kap2 F and det0 + kap2 a1 + kap2^2 a2, each value z x^-P
-    m, n = 3 + 3 * len(ps), len(ps)
-    (g, a1, a2), (e_g, e_1, e_2) = ((v[:m].reshape(3, 1 + n, 1), v[m:m + n, None], v[m + n:, None])
-                                    for v in (z, -scale))
+    # g + kap2 F and 1 + kap2 a1 + kap2^2 a2, each value z x^-P
+    g, e_g, (a1, a2), (e_1, e_2) = y[..., None], -p_y[..., None], a[..., None], -p_a[..., None]
     entry_terms = ((g[:, :1], kap2 * g[:, 1:]), (e_g[:, :1], e_g[:, 1:]))
-    det_terms = ((det0, kap2 * a1, kap2 * kap2 * a2), (0.0, e_1, e_2))
-    ln_s0sq, ln_q, (ln_g, sgn_g, ln_m2) = _log_sigmas_series(x, theta, det_terms, entry_terms)
+    det_terms = ((1.0, kap2 * a1, kap2 * kap2 * a2), (0.0, e_1, e_2))
+    ln_s0sq, ln_q, (ln_g, sgn_g, ln_m2) = _log_sigmas_series(x_z, theta, det_terms, entry_terms)
     # g11, g22 > 0 and (g11 - g22)^2 + 4 g12^2 <= (1 + 1e-6) (g11 + g22)^2, as logs
     definite = ln_m2 <= 2.0 * np.logaddexp(ln_g[0], ln_g[2]) + math.log1p(1e-6)
     if not np.all((sgn_g[0] > 0.0) & (sgn_g[2] > 0.0) & definite):

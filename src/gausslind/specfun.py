@@ -118,7 +118,8 @@ def upper_incomplete_gamma(a: float, z: complex) -> complex:
     and any complex argument off the negative real axis; z = 0 requires
     a > 0 (where the ordinary gamma function is returned).  Where the
     series needs Gamma(a) and it overflows a double (a > 171.6, z = 0
-    among them), DomainError.
+    among them), or the prefactor z^a e^-z of either branch overflows
+    (tiny |z| at a negative order), DomainError.
     """
     z = complex(z)
     _check_args(a, z)
@@ -126,9 +127,12 @@ def upper_incomplete_gamma(a: float, z: complex) -> complex:
         if a > 0.0:
             return _complete_gamma(a)
         raise DomainError(f"Gamma(a, 0) diverges for a = {a} <= 0")
-    if (a > 0.0 and abs(z) < a + 1.0) or abs(z) < _SPLIT_RADIUS:
-        return _series(a, z)
-    return _lentz_cf(a, z)
+    try:  # cmath.exp raises OverflowError
+        if (a > 0.0 and abs(z) < a + 1.0) or abs(z) < _SPLIT_RADIUS:
+            return _series(a, z)
+        return _lentz_cf(a, z)
+    except OverflowError:
+        raise DomainError(f"z^a e^-z overflows a double for a={a}, z={z}") from None
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,4 +1,4 @@
-"""Cost of the approx plane: the coefficient tables and `_log_sigmas_approx`.
+"""Cost of the approx plane: the coefficient tables and `_log_sigmas_series`.
 
     pytest tests/bench_approx_plane.py --benchmark-only
 
@@ -7,9 +7,10 @@ the default `discord_map` ranges (x = e^-20, theta = -pi/4, ellH = 1e-3,
 p in 0.1..9.9 with poles offset, log10 kGamma/k* in -10..6): the default
 40x40 and the 1000x1000 map.  Each is evaluated as `discord_cosmo` does
 for method "approx": `_approx_block` (one `asymptotic_coefficients` table
-over the block's p row, handed to `_log_sigmas_approx` with the kap2 of
-the couplings) on each block of `_plane_blocks`, at most PLANE_BLOCK_CELLS
-cells (one block for 40x40, 16 for 1000x1000).  The discord assembly is
+over the block's p row, its sigma(0)^2 and entry terms at the kap2 of the
+couplings handed to `_log_sigmas_series`) on each block of
+`_plane_blocks`, at most PLANE_BLOCK_CELLS cells (one block for 40x40, 16
+for 1000x1000).  The discord assembly is
 not timed (see bench_discord_assembly.py).  Each benchmark's extra_info
 holds the best time per plane in ms; add --benchmark-json=FILE to keep
 them.

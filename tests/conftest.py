@@ -9,8 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from gausslind.closed import SQUEEZING_R_FLOOR, ModeFrequency, squeezing_rhs_closed
-from gausslind.cosmology import (CosmoParams, _kap2_row, _log_sigmas_approx,
-                                 asymptotic_coefficients, offset_singular_p)
+from gausslind.cosmology import CosmoParams, _approx_block, offset_singular_p
 from gausslind.discord import entropy_kernel
 from gausslind.errors import DegenerateSqueezingError
 from gausslind.symplectic import (
@@ -67,9 +66,7 @@ def record_intervals(monkeypatch, name: str) -> list:
 def default_map_logs():
     """(ln sigma(0)^2, ln q), each (40, 40), of the default map as its
     approx route hands them to the discord assembly."""
-    x, theta, params, ps, couplings = default_map()
-    return _log_sigmas_approx(x, theta, asymptotic_coefficients(params, ps),
-                              np.array(_kap2_row(params, couplings)))
+    return _approx_block(*default_map())
 
 
 def random_block(rng, r_max=3.0, lam_max=50.0) -> CovarianceBlock:

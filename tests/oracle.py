@@ -209,12 +209,13 @@ def de_sitter_response(x_start, x_end, source, x_eval, rtol, atol):
     source(eta), a 1-D array, from the closed form at x_start, sampled at
     each x of x_eval in conformal time eta = -x: y (3, 1 + n, T) the rows
     g11, g12, g22 of the closed block and of each F_i, a (2, n, T) the rows
-    a1, a2, and det0 the initial det, the layout of
-    `cosmology._subhubble_response`.  Its 3 + 5n values run at rtol and
-    atol over sqrt(1 + n), so that each of the 1 + n blocks meets the
-    scalar criterion of the RMS error norm, with a first step of 1e-6 of
-    the span: the integrator's own guess reads the response blocks, which
-    start at 0, against atol alone."""
+    a1, a2, in the layout of the (y, a) of `cosmology._subhubble_response`,
+    and det0 the initial det, the closed form's own (the route takes it as
+    1).  Its 3 + 5n values run at rtol and atol over sqrt(1 + n), so that
+    each of the 1 + n blocks meets the scalar criterion of the RMS error
+    norm, with a first step of 1e-6 of the span: the integrator's own
+    guess reads the response blocks, which start at 0, against atol
+    alone."""
     freq, ic = de_sitter_frequency(), de_sitter_covariance_closed(x_start)
     t_span = (-x_start, -x_end)
     n = len(source(t_span[0]))

@@ -257,12 +257,16 @@ class TestDiscordMapValidation:
         # each exited 3 with a bare OverflowError from a float **
         {"p_range": [-50.0, 9.9]},
         {"cosmo": {"ellH": 1e-300}, "method": "exact", "x": 0.5},
+        # and from the prefactor z^a e^-z of the incomplete gamma
+        {"method": "exact", "x": 1e-300, "cosmo": {"ellH": 0.1}, "p_range": [9.9, 9.9],
+         "map_points": [1, 1]},
     ], ids=["negative_points", "zero_points", "nan_x", "nan_theta", "negative_x",
             "unknown_method", "unhashable_method", "approx_outside_super_hubble",
             "ignored_cosmo_keys",
             "cosmo_p", "coupling_square_overflows", "transport_coupling_square_overflows",
             "gamma_order_overflows", "exact_gamma_order_overflows",
-            "super_hubble_coefficient_overflows", "exact_power_overflows"])
+            "super_hubble_coefficient_overflows", "exact_power_overflows",
+            "exact_gamma_prefactor_overflows"])
     def test_bad_input_exits_2(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, "m.json", dict(self.BASE, **change))
         assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 2
@@ -321,6 +325,12 @@ class TestRunInputValidation:
         # and from ellH^(p - 4)
         "ellH_power_overflows_spectrum": ({"mode": "spectrum", "cosmo": dict(COSMO, p=-400.0),
                                            "k_range": [1.0, 2.0]}, False),
+        # k/k* comes from k_range and x_star is never read: both wrote the
+        # CSV of a config without them and exited 0
+        "ignored_cosmo_keys_spectrum": ({"mode": "spectrum", "cosmo": dict(
+            COSMO, x_star=7.0, k_over_kstar=30.0)}, False),
+        "ignored_x_star_spectrum": ({"mode": "spectrum", "cosmo": dict(COSMO, x_star=7.0)},
+                                    False),
         "nan_n_sigma": ({"mode": "ellipse_series", "n_sigma": math.nan,
                          "grid": GRID}, False),
         # backwards from far outside the horizon: g11 would be off by ~10 %

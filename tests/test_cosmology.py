@@ -867,6 +867,17 @@ class TestDiscordChecks:
         with pytest.raises(DomainError, match="not a finite double"):
             discord_cosmo(x, -0.4, params, method)
 
+    @pytest.mark.parametrize("route", [sigma0_sq_approx, approx_open_covariance],
+                             ids=["sigma0_sq_approx", "approx_open_covariance"])
+    def test_super_hubble_power_overflow_on_scalar_routes(self, route):
+        # x^(10-2p) and x^(6-p) pass the range of doubles: sigma0_sq_approx
+        # raised a bare OverflowError, approx_open_covariance warned of the
+        # overflow in numpy's power and raised BelowHeisenbergError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not a finite double"):
+                route(1e-9, CosmoParams(1.0, 60.5, 0.1))
+
     def test_exact_det_overflow_raises(self):
         # exact_open_det is inf at p ~ 150: the cells read D = nan and
         # purity 0 when no output check held them
@@ -937,8 +948,8 @@ class TestDiscordPlane:
     @pytest.mark.parametrize("x", [9.0, 5.0, 2.0, 1.0])
     def test_transport_plane_from_hubble_crossing_up_is_one_phase(self, monkeypatch, x):
         # 1 <= x < 1/ellH: the sub-Hubble collocation alone, with no e-fold
-        # interval; its cells, read from the scaled state in the log domain,
-        # are those of the collocated response to the last bits
+        # interval; its cells, read from the unscaled state in the log
+        # domain, are those of the collocated response to the last bits
         from gausslind import cosmology
         ps, couplings = np.array([0.5, 5.3, 9.5]), np.logspace(-3.0, 1.0, 4)
         params = CosmoParams(0.0, 0.5, 0.1)
@@ -956,8 +967,9 @@ class TestDiscordPlane:
                                               self.THETA)
             return _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0], 0.5 * ln_s0sq[..., 0]
 
-        y, a, det0 = cosmology._subhubble_response(params.x_coupling_on, x, ps)
-        want_d, want_s0 = cells(y[..., None], a[..., None], det0)
+        # the route's det starts from 1, the det of the closed form
+        y, a = cosmology._subhubble_response(params.x_coupling_on, x, ps)
+        want_d, want_s0 = cells(y[..., None], a[..., None], 1.0)
         assert np.all(np.abs(got.discord - want_d) <= 1e-14 * np.maximum(1.0, want_d))
         assert np.all(np.abs(got.log_sigma_zero - want_s0) <= 1e-14)
         # and the rtol-1e-14 DOP853 response, within the bounds of
@@ -1068,27 +1080,28 @@ class TestDiscordPlane:
 
 
 class TestSubHubblePhase:
-    """The transport route's response from 1/ellH down to x_s >= 1, by
+    """The transport route's response from 1/ellH down to x_end >= 1, by
     Chebyshev collocation in conformal time (`_subhubble_response`)."""
 
     PS = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 12).tolist()])
 
-    @pytest.mark.parametrize("x_s", [1.0, 2.0])
+    @pytest.mark.parametrize("x_end", [1.0, 2.0])
     @pytest.mark.parametrize("ellH", [0.5, 0.1, 0.01, 1e-3])
-    def test_against_dop853(self, ellH, x_s):
+    def test_against_dop853(self, ellH, x_end):
         # the compiled DOP853 response at rtol 1e-14 is the independent
         # reference; the largest error measured over these cases is 5.0e-14
         from gausslind import cosmology
-        y, a, det0 = cosmology._subhubble_response(1.0 / ellH, x_s, self.PS)
-        if not x_s < 1.0 / ellH:
+        y, a = cosmology._subhubble_response(1.0 / ellH, x_end, self.PS)
+        if not x_end < 1.0 / ellH:
             # an empty span: the closed form at 1/ellH, no response
-            vac = de_sitter_covariance_closed(x_s)
+            vac = de_sitter_covariance_closed(x_end)
             assert y[:, 0].tolist() == [vac.g11, vac.g12, vac.g22]
             assert not (y[:, 1:].any() or a.any())
             return
         want_y, want_a, want_det0 = self._reference(ellH)
-        sample = (2.0, 1.0).index(x_s)
-        assert det0 == want_det0
+        sample = (2.0, 1.0).index(x_end)
+        # the det of the closed form at 1/ellH, where the route's det starts
+        assert want_det0 == 1.0
         # g and each F_i, then a1 and a2
         for got, want in ((y, want_y[..., sample]), (a, want_a[..., sample])):
             assert got.shape == want.shape
@@ -1173,6 +1186,11 @@ class TestEfoldPhase:
                                             (x_s,), 1e-11, 1e-12)
         return y[..., 0], a[..., 0]
 
+    @staticmethod
+    def _flat(state):
+        """The rows of (y, a), or of their exponents P, as one vector."""
+        return np.concatenate([v.ravel() for v in state])
+
     @classmethod
     @functools.cache
     def _reference(cls, ellH):
@@ -1181,8 +1199,8 @@ class TestEfoldPhase:
         (y, a) of the sub-Hubble collocation at x = 1."""
         from gausslind import cosmology
         ps, n, m = cls.PS, len(cls.PS), 3 + 3 * len(cls.PS)
-        start = cosmology._subhubble_response(1.0 / ellH, 1.0, ps)[:2]
-        z0, powers = cosmology._efold_response(*start, 1.0, 1.0, ps)
+        start = cosmology._subhubble_response(1.0 / ellH, 1.0, ps)
+        z0, powers = map(cls._flat, cosmology._efold_response(*start, 1.0, ps))
         c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
         forcing = np.stack((8.0 - ps + c_f, 2.0 - ps + c_1))
 
@@ -1209,7 +1227,7 @@ class TestEfoldPhase:
         # DOP853 phase at half TRANSPORT_RTOL was 6.7e-13 off at x = 0.3)
         from gausslind import cosmology
         start, want = self._reference(ellH)
-        z, _ = cosmology._efold_response(*start, 1.0, x, self.PS)
+        z = self._flat(cosmology._efold_response(*start, x, self.PS)[0])
         w = want[self.XS.index(x)]
         assert np.all(np.abs(z - w) <= 2e-13 * np.abs(w))
 
@@ -1227,9 +1245,9 @@ class TestEfoldPhase:
         counts, states = [], []
         for efolds in (100.0, 300.0):
             intervals.clear()
-            z, powers = cosmology._efold_response(*start, 1.0, math.exp(-efolds), ps)
+            z, powers = cosmology._efold_response(*start, math.exp(-efolds), ps)
             counts.append(len(intervals))
-            states.append(z)
+            states.append(self._flat(z))
         assert counts == [100, 300]
         assert all(h == 1.0 for _, h in intervals)
         # the scaled state z = x^P y stays far inside the range of doubles,
@@ -1237,22 +1255,22 @@ class TestEfoldPhase:
         assert all(np.max(np.abs(z)) < 1e10 for z in states)
 
     def test_scaled_state_and_powers(self, monkeypatch):
-        # at x = x_s the scaled state is the response scaled, with no
-        # interval; P is 2, 3, 4 on the rows of (g, F_i), plus
-        # cF = max(p - 8, 0) on each F_i, c1 = max(p - 2, 0) on a1 and
-        # c1 + cF on a2
+        # at x = 1 the scaled state is the state itself, with no interval;
+        # P, in the shapes of (y, a), is 2, 3, 4 on the rows of (g, F_i),
+        # plus cF = max(p - 8, 0) on each F_i, c1 = max(p - 2, 0) on a1
+        # and c1 + cF on a2
         from gausslind import cosmology
         ps = np.array([0.5, 5.3, 9.9])
-        start = self._start(ps, 2.0)
+        start = self._start(ps)
         intervals = record_intervals(monkeypatch, "_efold_interval")
-        z, powers = cosmology._efold_response(*start, 2.0, 2.0, ps)
+        z, powers = cosmology._efold_response(*start, 1.0, ps)
         assert not intervals
         c_f, c_1 = [0.0, 0.0, 1.9], [0.0, 3.3, 7.9]
-        want = np.concatenate([np.add([r] * 4, [0.0, *c_f]) for r in (2.0, 3.0, 4.0)]
-                              + [c_1, np.add(c_1, c_f)])
-        np.testing.assert_allclose(powers, want, rtol=1e-15, atol=0.0)
-        y = np.concatenate([v.ravel() for v in start])
-        np.testing.assert_allclose(z, y * 2.0 ** powers, rtol=1e-15, atol=0.0)
+        want = (np.add.outer([2.0, 3.0, 4.0], [0.0, *c_f]), np.array([c_1, np.add(c_1, c_f)]))
+        for got, w in zip(powers, want):
+            assert got.shape == w.shape
+            np.testing.assert_allclose(got, w, rtol=1e-15, atol=0.0)
+        assert all(np.array_equal(got, w) for got, w in zip(z, start))
 
     def test_tail_failure_raises(self, monkeypatch):
         # a tolerance no Chebyshev tail meets: the first e-fold halves
@@ -1262,7 +1280,7 @@ class TestEfoldPhase:
         monkeypatch.setattr(cosmology, "TRANSPORT_RTOL", 1e-30)
         intervals = record_intervals(monkeypatch, "_efold_interval")
         with pytest.raises(StepFailureError, match="e-fold collocation.*halvings"):
-            cosmology._efold_response(*start, 1.0, 1e-3, self.PS[:2])
+            cosmology._efold_response(*start, 1e-3, self.PS[:2])
         assert intervals == [(0.0, 0.5 ** i) for i in range(cosmology._CHEB_HALVINGS + 1)]
 
     @pytest.mark.parametrize("field", ["F", "a2"])
@@ -1277,7 +1295,7 @@ class TestEfoldPhase:
         else:
             a[1] *= math.inf
         with pytest.raises(StepFailureError):
-            cosmology._efold_response(y, a, 1.0, 1e-3, ps)
+            cosmology._efold_response(y, a, 1e-3, ps)
 
     def test_integrations_release_their_buffers(self):
         # the compiled integrator keeps a reference to every callback it is
@@ -1309,7 +1327,7 @@ def test_discord_stays_large_under_strong_decoherence():
 
 class TestApproxPlane:
     """The approx route evaluates its whole (p, coupling) plane as one
-    `_log_sigmas_approx` call per block of p rows."""
+    `_approx_block` call per block of p rows."""
 
     FIELDS = ("discord", "log_sigma_theta", "log_sigma_zero")
 

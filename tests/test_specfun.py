@@ -85,6 +85,13 @@ class TestUpperIncompleteGamma:
         with pytest.raises(DomainError):
             upper_incomplete_gamma(-0.5, 0.0)
 
+    @pytest.mark.parametrize("a, z", [(-7.9, -2e-300j), (200.0, 1000j)],
+                             ids=["series", "continued_fraction"])
+    def test_prefactor_overflow_raises_domain_error(self, a, z):
+        # z^a e^-z beyond the range of doubles raised a bare OverflowError
+        with pytest.raises(DomainError, match="overflows a double"):
+            upper_incomplete_gamma(a, z)
+
 
 class TestOscillatoryMoment:
     def test_order_zero_elementary(self):
