@@ -12,7 +12,8 @@ the tool version and a hash of the configuration, so that identical
 configs produce identical bytes.  Exit codes: 0 success, 2 configuration
 error, 3 numerical failure; failures emit one JSON object on stderr.
 
-Numeric config keys must be JSON numbers: a boolean or a string exits 2.
+Numeric config keys must be JSON numbers: a boolean or a string exits 2,
+and so does a key that the mode does not read (`CONFIG_KEYS`).
 `selfcheck`, as the subcommand or as a config mode, runs through the same
 dispatch and exits the same way.
 
@@ -32,7 +33,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -56,8 +56,21 @@ from .opensys import evolve_open
 from .symplectic import particle_statistics, SqueezingState
 from . import selfcheck as _selfcheck
 
-MODES = ("evolve_closed", "evolve_open", "discord_map", "ellipse_series",
-         "spectrum", "selfcheck")
+_GRID, _COSMO = ("x_start", "x_end", "points"), ("kGamma_over_kstar", "p", "ellH")
+_OUTPUT = {"mode": None, "output_path": None}
+_EVOLVE = dict(_OUTPUT, grid=_GRID, preset=None, tolerances=("rtol", "atol"))
+#: the keys each mode reads: a value (None), or an object with the keys
+#: listed; run_config refuses any other key, at the top level or in an object
+CONFIG_KEYS = {
+    "evolve_closed": _EVOLVE,
+    "evolve_open": dict(_EVOLVE, source_const=None, cosmo=_COSMO),
+    "discord_map": dict(_OUTPUT, method=None, map_points=None, x=None, theta=None,
+                        p_range=None, log10_kGamma_range=None, cosmo=("ellH",)),
+    "ellipse_series": dict(_OUTPUT, grid=_GRID, n_sigma=None),
+    "spectrum": dict(_OUTPUT, cosmo=_COSMO, k_range=None, points=None),
+    "selfcheck": {"mode": None},
+}
+MODES = tuple(CONFIG_KEYS)
 
 
 def _lines(*columns):
@@ -83,13 +96,10 @@ def _write_csv(path: Path, header: list[str], rows, config_hash: str) -> None:
             fh.write(line + "\n")
 
 
-def _require(cfg: dict, key: str, typ=None):
+def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"missing required config key {key!r}")
-    v = cfg[key]
-    if typ is not None and not isinstance(v, typ):
-        raise ConfigError(f"config key {key!r} has wrong type {type(v).__name__}")
-    return v
+    return cfg[key]
 
 
 def _finite(value, what: str) -> float:
@@ -133,23 +143,30 @@ def _count(value, what: str, least: int) -> int:
     return int(v)
 
 
+def _check_keys(cfg: dict, mode: str) -> None:
+    """Refuse a key whose value must be an object and is not, then the first
+    key the mode does not read (CONFIG_KEYS), with the kGamma_eff rule in cosmo."""
+    table = CONFIG_KEYS[mode]
+    unknown = [key for key in cfg if key not in table]
+    for key, subs in table.items():
+        if subs and key in cfg:
+            if not isinstance(cfg[key], dict):
+                raise ConfigError(f"config key {key!r} must be an object")
+            unknown += [f"{key}.{sub}" for sub in cfg[key] if sub not in subs]
+    if unknown:
+        rule = ("; a mode k off the pivot, at x* = -k eta*, is the pivot mode at "
+                "kGamma_eff/k* = (kGamma/k*) (k/k*)^-1 x*^((p-3)/2)"
+                if unknown[0].startswith("cosmo.") else "")
+        raise ConfigError(f"{mode} does not read config key {unknown[0]!r}{rule}")
+
+
 def _cosmo_params(cfg: dict) -> CosmoParams:
-    c = _require(cfg, "cosmo", dict)
-    try:
-        return CosmoParams(
-            kGamma_over_kstar=_finite(_require(c, "kGamma_over_kstar"),
-                                      "cosmo.kGamma_over_kstar"),
-            p=_finite(_require(c, "p"), "cosmo.p"),
-            ellH=_finite(_require(c, "ellH"), "cosmo.ellH"),
-            k_over_kstar=_finite(c.get("k_over_kstar", 1.0), "cosmo.k_over_kstar"),
-            x_star=_finite(c.get("x_star", 1.0), "cosmo.x_star"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
+    c = _require(cfg, "cosmo")  # _COSMO lists the fields of CosmoParams in order
+    return CosmoParams(*(_finite(_require(c, key), f"cosmo.{key}") for key in _COSMO))
 
 
 def _grid(cfg: dict) -> np.ndarray:
-    g = _require(cfg, "grid", dict)
+    g = _require(cfg, "grid")
     x_start = _positive(_require(g, "x_start"), "grid.x_start")
     x_end = _positive(_require(g, "x_end"), "grid.x_end")
     points = _count(_require(g, "points"), "grid.points", 2)
@@ -184,20 +201,17 @@ def _preset(cfg: dict) -> str:
 
 def _evolve(cfg: dict, x_grid, source):
     """Transport over x_grid under the configured preset and tolerances."""
+    # ~50 us of de Sitter integration per unit of x: a grid to 1e308 never ends
+    if x_grid.max() > 1e6:
+        raise ConfigError("an integrated grid must stay at or below x = 1e6")
     tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("config key 'tolerances' must be an object")
     rtol = _positive(tol.get("rtol", 1e-11), "tolerances.rtol")
     atol = _positive(tol.get("atol", 1e-12), "tolerances.atol")
     x_start, x_end = float(x_grid[0]), float(x_grid[-1])
-    try:
-        if _preset(cfg) == "de_sitter":
-            return evolve_de_sitter(x_start, x_end, source, x_eval=x_grid,
-                                    rtol=rtol, atol=atol)
-        return evolve_open(ModeFrequency.free(1.0), source, (-x_start, -x_end),
-                           t_eval=[-float(x) for x in x_grid], rtol=rtol, atol=atol)
-    except DomainError as exc:  # a window or an rtol below the floor
-        raise ConfigError(str(exc)) from exc
+    if _preset(cfg) == "de_sitter":
+        return evolve_de_sitter(x_start, x_end, source, x_eval=x_grid, rtol=rtol, atol=atol)
+    return evolve_open(ModeFrequency.free(1.0), source, (-x_start, -x_end),
+                       t_eval=[-float(x) for x in x_grid], rtol=rtol, atol=atol)
 
 
 def run_evolve_closed(cfg: dict, path: Path, cfg_hash: str) -> None:
@@ -214,6 +228,8 @@ def run_evolve_open(cfg: dict, path: Path, cfg_hash: str) -> None:
                           "runs forward in time")
     if "source_const" in cfg:
         # generic constant dimensionless source, any frequency preset
+        if "cosmo" in cfg:
+            raise ConfigError("evolve_open takes source_const or cosmo, not both")
         s0 = _finite(cfg["source_const"], "source_const")
         if s0 < 0.0:
             raise ConfigError("source_const must be >= 0")
@@ -224,10 +240,7 @@ def run_evolve_open(cfg: dict, path: Path, cfg_hash: str) -> None:
             raise ConfigError(
                 f"grid must start at or below the coupling-on point "
                 f"{params.x_coupling_on}")
-        try:  # the coupling's square, or a power of ellH or k/k* that overflows
-            source = cosmo_kernel(params)
-        except DomainError as exc:
-            raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
+        source = cosmo_kernel(params)
     traj = _evolve(cfg, x_grid, source)
     cols = _trajectory_columns(traj, x_grid)
     stats = particle_statistics(traj)
@@ -243,12 +256,7 @@ def run_discord_map(cfg: dict, path: Path, cfg_hash: str) -> None:
     n_p, n_k = (_count(n, "map_points", 1) for n in _pair(cfg, "map_points", (40, 40)))
     x = _finite(cfg.get("x", math.exp(-20.0)), "x")
     theta = _finite(cfg.get("theta", -math.pi / 4.0), "theta")
-    cosmo = cfg.get("cosmo", {})
-    if not isinstance(cosmo, dict):
-        raise ConfigError("config key 'cosmo' must be an object")
-    if set(cosmo) - {"ellH"}:  # p and kGamma come from their ranges
-        raise ConfigError(f"discord_map reads only cosmo.ellH, got keys {sorted(cosmo)}")
-    ellH = _finite(cosmo.get("ellH", 1e-3), "cosmo.ellH")
+    ellH = _finite(cfg.get("cosmo", {}).get("ellH", 1e-3), "cosmo.ellH")
     method = cfg.get("method", "approx")
     p_vals = np.linspace(p_lo, p_hi, n_p)
     k_vals = np.linspace(k_lo, k_hi, n_k)
@@ -257,12 +265,8 @@ def run_discord_map(cfg: dict, path: Path, cfg_hash: str) -> None:
     if not np.all(np.isfinite(couplings)):
         raise ConfigError("log10_kGamma_range overflows a double")
     p_row = [offset_singular_p(p) for p in p_vals.tolist()]
-    try:  # discord_cosmo checks the method, x and the couplings before it runs
-        params = CosmoParams(kGamma_over_kstar=0.0, p=p_row[0], ellH=ellH)
-        res = discord_cosmo(x, theta, params, method=method, kGamma_over_kstar=couplings,
-                            p=np.array(p_row))
-    except DomainError as exc:
-        raise ConfigError(f"invalid discord_map: {exc}") from exc
+    res = discord_cosmo(x, theta, CosmoParams(0.0, p_row[0], ellH), method=method,
+                        kGamma_over_kstar=couplings, p=np.array(p_row))
     _write_csv(path, ["p", "log10_kGamma_kstar", "discord", "purity"],
                _map_lines(p_vals, k_vals, res), cfg_hash)
 
@@ -301,17 +305,11 @@ def run_ellipse_series(cfg: dict, path: Path, cfg_hash: str) -> None:
 
 
 def run_spectrum(cfg: dict, path: Path, cfg_hash: str) -> None:
-    base = _cosmo_params(cfg)
-    if set(cfg["cosmo"]) - {"kGamma_over_kstar", "p", "ellH"}:  # k/k* comes from k_range
-        raise ConfigError(f"spectrum reads only cosmo.kGamma_over_kstar, p and ellH, "
-                          f"got keys {sorted(cfg['cosmo'])}")
+    params = _cosmo_params(cfg)
     k_lo, k_hi = (_positive(k, "k_range") for k in _range(cfg, "k_range", (1e-2, 1e2)))
     points = _count(cfg.get("points", 41), "points", 1)
     ks = np.geomspace(k_lo, k_hi, points).tolist()
-    try:  # the coupling's square, or a power of ellH or k/k* that overflows
-        corrs = [power_spectrum_correction(replace(base, k_over_kstar=k)) for k in ks]
-    except DomainError as exc:
-        raise ConfigError(f"invalid cosmo parameters: {exc}") from exc
+    corrs = [power_spectrum_correction(params, k) for k in ks]
     _write_csv(path, ["k_over_kstar", "dP_over_P", "regime", "time_dependent"],
                _lines(map(repr, ks), [repr(c.value) for c in corrs],
                       [c.regime.value for c in corrs],
@@ -329,9 +327,10 @@ RUNNERS = {
 
 
 def run_config(cfg: dict, out_dir: Path) -> int:
-    mode = _require(cfg, "mode", str)
-    if mode not in MODES:
+    mode = _require(cfg, "mode")
+    if mode not in MODES:  # a value of any type
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _check_keys(cfg, mode)
     if mode == "selfcheck":
         return 0 if _selfcheck.run_all() else 3
     name = cfg.get("output_path", f"{mode}.csv")
@@ -339,7 +338,10 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"config key 'output_path' must be a non-empty string, got {name!r}")
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     cfg_hash = hashlib.sha256(canon.encode()).hexdigest()
-    RUNNERS[mode](cfg, out_dir / name, cfg_hash)
+    try:  # an input the library refuses: a window, a power that overflows, ...
+        RUNNERS[mode](cfg, out_dir / name, cfg_hash)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     return 0
 
 

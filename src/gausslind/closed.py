@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSqueezingError, StepFailureError
+from .errors import DegenerateSqueezingError, DomainError, StepFailureError
 from .symplectic import (
     DEGENERATE_R,
     CovarianceBlock,
@@ -326,12 +326,14 @@ class WignerEllipse:
 
 
 def wigner_ellipse(s: SqueezingState, n_sigma: float = math.sqrt(2.0)) -> WignerEllipse:
-    """Geometry of the n_sigma contour of the Wigner function.
+    """Geometry of the n_sigma contour (0 < n_sigma < inf) of the Wigner function.
 
     At the sqrt(2)-sigma contour the semi-axes are lam^(1/4) e^(+-r) and
     the tilt is the squeezing angle; other contours scale linearly.  The
     product of the axes (area / pi) is independent of r.
     """
+    if not 0.0 < n_sigma < math.inf:  # False for NaN too
+        raise DomainError(f"n_sigma must be finite and positive, got {n_sigma}")
     scale = n_sigma / math.sqrt(2.0)
     q = s.lam ** 0.25
     return WignerEllipse(

@@ -81,25 +81,23 @@ _KAP_MAX = math.sqrt(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class CosmoParams:
-    """Dimensionless parameters of the environment-coupled de Sitter run.
+    """Dimensionless parameters of the environment-coupled de Sitter run
+    of the pivot mode k = k*, whose source is 2 (kGamma/k*)^2 x^(3-p); a
+    mode k at x* = -k eta* at the reference time, with the source
+    2 (kGamma/k)^2 (x*/x)^(p-3), is the pivot mode at
+    kGamma_eff/k* = (kGamma/k*) (k/k*)^-1 x*^((p-3)/2).
 
-    k_over_kstar     observed scale in units of the pivot scale
     kGamma_over_kstar coupling strength (wavenumber units of the pivot)
     p                power-law growth index of the coupling
     ellH             environment correlation length in Hubble units, in (0, 1)
-    x_star           -k eta at the reference time (1 when k crosses the
-                     Hubble radius at the reference time)
     """
 
     kGamma_over_kstar: float
     p: float
     ellH: float
-    k_over_kstar: float = 1.0
-    x_star: float = 1.0
 
     def __post_init__(self):
-        fields = (self.kGamma_over_kstar, self.p, self.ellH, self.k_over_kstar, self.x_star)
-        if not all(map(math.isfinite, fields)):
+        if not all(map(math.isfinite, (self.kGamma_over_kstar, self.p, self.ellH))):
             raise DomainError(f"cosmo parameters must be finite, got {self}")
         if not 0.0 < self.ellH < 1.0:
             raise DomainError(
@@ -107,12 +105,6 @@ class CosmoParams:
             )
         if self.kGamma_over_kstar < 0.0:
             raise DomainError("coupling kGamma_over_kstar must be >= 0")
-        if self.k_over_kstar <= 0.0 or self.x_star <= 0.0:
-            raise DomainError("k_over_kstar and x_star must be positive")
-
-    @property
-    def kGamma_over_k(self) -> float:
-        return self.kGamma_over_kstar / self.k_over_kstar
 
     @property
     def x_coupling_on(self) -> float:
@@ -145,8 +137,8 @@ def de_sitter_mode(x: float) -> ModeState:
     v(x) = (1 + i/x) e^{ix}, reported with its conformal-time derivative
     at time eta = -x (k = 1); the Wronskian is 2i identically.
     """
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:  # False for NaN too
+        raise DomainError(f"x must be positive and finite, got {x}")
     phase = complex(math.cos(x), math.sin(x))
     v = (1.0 + 1j / x) * phase
     dv = phase * (1j / (x * x) + 1.0 / x - 1j)
@@ -156,8 +148,8 @@ def de_sitter_mode(x: float) -> ModeState:
 def de_sitter_bogoliubov(x: float) -> BogoliubovPair:
     """Closed-form Bogoliubov pair: u = (1 + i/x - 1/(2x^2)) e^{ix},
     w = e^{-ix}/(2x^2); |u|^2 - |w|^2 = 1 identically."""
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:  # False for NaN too
+        raise DomainError(f"x must be positive and finite, got {x}")
     phase = complex(math.cos(x), math.sin(x))
     u = (1.0 + 1j / x - 0.5 / (x * x)) * phase
     w = phase.conjugate() * 0.5 / (x * x)
@@ -167,8 +159,8 @@ def de_sitter_bogoliubov(x: float) -> BogoliubovPair:
 def de_sitter_covariance_closed(x: float) -> CovarianceBlock:
     """Covariance of the free de Sitter mode pair:
     g11 = 1 + 1/x^2, g12 = 1/x^3, g22 = 1 - 1/x^2 + 1/x^4 (det = 1)."""
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:  # False for NaN too
+        raise DomainError(f"x must be positive and finite, got {x}")
     inv2 = 1.0 / (x * x)
     return CovarianceBlock(
         g11=1.0 + inv2,
@@ -185,24 +177,24 @@ def de_sitter_squeezing(x: float) -> tuple[float, float]:
     decreases from -pi/2 (far past) towards 0, and sin(2 phi) < 0
     throughout (the amplitude grows).
     """
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:  # False for NaN too
+        raise DomainError(f"x must be positive and finite, got {x}")
     delta = 0.5 / x ** 4
     r = 0.5 * math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
     phi = 0.5 * math.atan2(-2.0 * x, 1.0 - 2.0 * x * x)
     return r, phi
 
 
-def _power_law(params: CosmoParams, expo, x: float):
-    """The unit amplitude 2 (x_star/x)^expo of the power-law environment;
-    expo is a float, or an array of p - 3 for a row of p."""
-    return 2.0 * (params.x_star / x) ** expo
+def _power_law(expo, x: float):
+    """The unit source 2 x^-expo of the power-law environment; expo is a
+    float, or an array of p - 3 for a row of p."""
+    return 2.0 * (1.0 / x) ** expo
 
 
 def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
-    """Dimensionless source S(x) = 2 (kGamma/k)^2 (x_star/x)^(p-3), active
-    only once the mode is longer than the environment correlation length
-    (x < 1/(ell_E H)); returned as a function of conformal time eta = -x.
+    """Dimensionless source S(x) = 2 (kGamma/k*)^2 x^(3-p) of the pivot mode,
+    active only once the mode is longer than the environment correlation
+    length (x < 1/(ell_E H)); returned as a function of conformal time eta = -x.
     """
     kap2, expo, x_on = _kap2_row(params)[0], params.p - 3.0, params.x_coupling_on
 
@@ -210,7 +202,7 @@ def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
         x = -eta
         if x <= 0.0 or x >= x_on:
             return 0.0
-        return kap2 * _power_law(params, expo, x)
+        return kap2 * _power_law(expo, x)
 
     return source
 
@@ -220,26 +212,25 @@ def cosmo_kernel(params: CosmoParams) -> Callable[[float], float]:
 # ---------------------------------------------------------------------------
 
 def _exact_row(params: CosmoParams) -> tuple:
-    """(p, ellH, x_star^(p-3), lam^(2-p)/(2-p), lam^(4-p)/(4-p)), what each
+    """(p, ellH, lam^(2-p)/(2-p), lam^(4-p)/(4-p)), what each
     node of the exact route reads of its p row; lam = 1/ellH is the lower
     end of the power bracket.  SingularExponentError at p in {2, 4}; a
     power beyond the range of doubles raises DomainError."""
     p, lam = params.p, params.x_coupling_on
     _require_regular_p(p, (2.0, 4.0))
     try:  # a float ** raises OverflowError
-        return (p, params.ellH, params.x_star ** (p - 3.0),
-                lam ** (2.0 - p) / (2.0 - p), lam ** (4.0 - p) / (4.0 - p))
+        return p, params.ellH, lam ** (2.0 - p) / (2.0 - p), lam ** (4.0 - p) / (4.0 - p)
     except OverflowError as exc:
         raise DomainError(f"a power of the exact route at p = {p} is not a finite double") from exc
 
 
 def _g11_node(x: float, row: tuple) -> tuple:
     """(v2, corr11, parts): the coupling-free pieces of g11 = v2 - 2 kap2
-    corr11 at x in the coupled window, kap2 = (kGamma/k)^2, for the p row
+    corr11 at x in the coupled window, kap2 = (kGamma/k*)^2, for the p row
     of `_exact_row`, with only the work g11 needs (the three moments, the
-    power bracket and the mode); parts = (mode, xsp, br, e, m1, m2, m3)
-    lets `_exact_open_terms` build the other entries."""
-    p, ellH, xsp, lam_2, lam_4 = row
+    power bracket and the mode); parts = (mode, br, e, m1, m2, m3) lets
+    `_exact_open_terms` build the other entries."""
+    p, ellH, lam_2, lam_4 = row
     m1 = oscillatory_moment(1.0 - p, x, ellH)
     m2 = oscillatory_moment(2.0 - p, x, ellH)
     m3 = oscillatory_moment(3.0 - p, x, ellH)
@@ -248,34 +239,34 @@ def _g11_node(x: float, row: tuple) -> tuple:
     e = complex(math.cos(2.0 * x), -math.sin(2.0 * x))  # e^{-2ix}
     mode = de_sitter_mode(x)
 
-    i11_1 = xsp * (1.0 + x * x) / (2.0 * x * x) * br
-    i11_2 = xsp / (4.0 * x * x) * e * (
+    i11_1 = (1.0 + x * x) / (2.0 * x * x) * br
+    i11_2 = 1.0 / (4.0 * x * x) * e * (
         (x * x - 1.0 - 2j * x) * (m1 - m3) - (4.0 * x + 2j * x * x - 2j) * m2
     )
     corr11 = i11_1 + 2.0 * i11_2.real
-    return abs(mode.v) ** 2, corr11, (mode, xsp, br, e, m1, m2, m3)
+    return abs(mode.v) ** 2, corr11, (mode, br, e, m1, m2, m3)
 
 
 def _exact_open_terms(x: float, params: CosmoParams) -> tuple:
     """Coupling-free pieces (v2, dv2, vdv, corr11, corr12, corr22) of the
     dressed covariance: g11 = v2 - 2 kap2 corr11, g12 = vdv - 2 kap2 corr12,
-    g22 = dv2 - 2 kap2 corr22 with kap2 = (kGamma/k)^2 (g11's from
+    g22 = dv2 - 2 kap2 corr22 with kap2 = (kGamma/k*)^2 (g11's from
     `_g11_node`)."""
     row = _exact_row(params)
     if not 0.0 < x < params.x_coupling_on:
         raise DomainError(f"x = {x} outside the coupled window (0, {params.x_coupling_on})")
-    v2, corr11, (mode, xsp, br, e, m1, m2, m3) = _g11_node(x, row)
+    v2, corr11, (mode, br, e, m1, m2, m3) = _g11_node(x, row)
     dv2 = abs(mode.dv) ** 2
     vdv = (mode.v * mode.dv.conjugate()).real
 
-    i12_1 = 0.5 * xsp / x ** 3 * br
-    i12_2 = -1j * xsp / (4.0 * x ** 3) * e * (x - 1j) * (x * (x - 1j) - 1.0) \
+    i12_1 = 0.5 / x ** 3 * br
+    i12_2 = -1j / (4.0 * x ** 3) * e * (x - 1j) * (x * (x - 1j) - 1.0) \
         * (-m1 + 2j * m2 + m3)
     corr12 = i12_1 + 2.0 * i12_2.real
 
     w = 1.0 - 2.0 / (x * x)
-    i22_1 = 1.5 * xsp / x ** 4 * br
-    i22_2 = xsp / (4.0 * x ** 4) * e * (
+    i22_1 = 1.5 / x ** 4 * br
+    i22_2 = 1.0 / (4.0 * x ** 4) * e * (
         3.0 + 2.0 * x * (3j + x * (-3.0 - 2j * x + x * x))
     ) * (-m1 + 2j * m2 + m3)
     corr22 = i22_1 + 2.0 * i22_2.real + w * corr11
@@ -322,19 +313,16 @@ def _coupling_row(params: CosmoParams, kGamma_over_kstar) -> np.ndarray:
     if kGamma_over_kstar is None:
         kGamma_over_kstar = params.kGamma_over_kstar
     couplings = _row(kGamma_over_kstar, "couplings")
-    if not (np.all(couplings >= 0.0)
-            and float(couplings.max()) / params.k_over_kstar <= _KAP_MAX):
-        raise DomainError("coupling kGamma_over_kstar must be >= 0, and its (kGamma/k)^2 "
+    if not (np.all(couplings >= 0.0) and float(couplings.max()) <= _KAP_MAX):
+        raise DomainError("coupling kGamma_over_kstar must be >= 0, and its (kGamma/k*)^2 "
                           "a finite double")
     return couplings
 
 
 def _kap2_row(params: CosmoParams, kGamma_over_kstar=None) -> list:
-    """(kGamma/k)^2 of each coupling of a row (see _coupling_row), one
-    float pow each, as CosmoParams.kGamma_over_k ** 2: the one coupling^2
-    rule of every route."""
-    return [(kg / params.k_over_kstar) ** 2
-            for kg in _coupling_row(params, kGamma_over_kstar).tolist()]
+    """kap2 = (kGamma/k*)^2 of each coupling of a row (see _coupling_row),
+    one float pow each: the one coupling^2 rule of every route."""
+    return [kg ** 2 for kg in _coupling_row(params, kGamma_over_kstar).tolist()]
 
 
 def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
@@ -370,7 +358,7 @@ def exact_open_det(x: float, params: CosmoParams, kGamma_over_kstar=None):
         raise DomainError(f"x must be positive and finite, got {x}")
     hi, expo, row = params.x_coupling_on, params.p - 3.0, _exact_row(params)
     # the coupling-free pieces of the integrand, once per node for the row
-    node = functools.cache(lambda xp: (*_g11_node(xp, row)[:2], _power_law(params, expo, xp)))
+    node = functools.cache(lambda xp: (*_g11_node(xp, row)[:2], _power_law(expo, xp)))
 
     def det(kap2: float) -> float:
         if x >= hi:
@@ -402,21 +390,19 @@ class AsymptoticCoefficients:
     dressed covariance.  aNM is the coefficient of the non-analytic power
     x^(const - p) in component NM; b11, d11 and f11 fix every analytic
     power (the rest of the series is a rational multiple of one of them,
-    b12 = b22 = b11 among them).  xsp = x_star^(p-3), ell, quartic and pole
-    are the p factors of `sigma0_sq_coefficients`.  Each field is a float,
+    b12 = b22 = b11 among them).  ell, quartic and pole are the p factors
+    of `sigma0_sq_coefficients`.  Each field is a float,
     or an (n_p, 1) column for a p row (`asymptotic_coefficients`).
     """
 
     p: float
     ellH: float
-    x_star: float
     a11: float
     a12: float
     a22: float
     b11: float
     d11: float
     f11: float
-    xsp: float
     ell: float
     quartic: float
     pole: float
@@ -428,8 +414,10 @@ def offset_singular_p(p: float) -> float:
     Every integer n >= 2 is a pole of the table's gamma orders 2-p, 3-p
     and 4-p (and n in {2, 4, 5, 8} also zeroes its denominators), so p
     within 1e-4 of such an n is replaced by n + 1e-4; the table is smooth
-    across the pole at that distance.
+    across the pole at that distance.  p must be finite (DomainError).
     """
+    if not math.isfinite(p):
+        raise DomainError(f"p must be finite, got {p}")
     n = round(p)
     if n >= 2 and abs(p - n) < _P_OFFSET:
         return n + _P_OFFSET
@@ -450,7 +438,7 @@ def asymptotic_coefficients(params: CosmoParams, p=None) -> AsymptoticCoefficien
     of individual gamma orders; `offset_singular_p` moves p off all of
     them.  A power beyond the range of doubles raises DomainError.
     """
-    ellH, xs, fields = params.ellH, params.x_star, []
+    ellH, fields = params.ellH, []
     for p_i in _row(params.p if p is None else p, "p").tolist():
         _require_regular_p(p_i)
         r1, i1 = oscillatory_moment_limits(1.0 - p_i, ellH)
@@ -458,16 +446,15 @@ def asymptotic_coefficients(params: CosmoParams, p=None) -> AsymptoticCoefficien
         r3, i3 = oscillatory_moment_limits(3.0 - p_i, ellH)
         den = (p_i - 8.0) * (p_i - 5.0) * (p_i - 2.0)
         try:  # a float ** raises OverflowError
-            xsp = xs ** (p_i - 3.0)
             ell = ellH ** (p_i - 4.0) / (p_i - 4.0) + ellH ** (p_i - 2.0) / (p_i - 2.0)
-            b11 = 0.5 * xsp * (ell - r1 - 2.0 * i2 + r3)
-            d11 = xsp / 3.0 * (-i1 + 2.0 * r2 + i3)
-            f11 = xsp / 9.0 * (r1 + 2.0 * i2 - r3)
+            b11 = 0.5 * (ell - r1 - 2.0 * i2 + r3)
+            d11 = (1.0 / 3.0) * (-i1 + 2.0 * r2 + i3)
+            f11 = (1.0 / 9.0) * (r1 + 2.0 * i2 - r3)
             quartic = 4.0 * b11 ** 2 - 9.0 * d11 ** 2 + 36.0 * b11 * f11
         except OverflowError as exc:
             raise DomainError(f"a coefficient at p = {p_i} is not a finite double") from exc
-        fields.append((p_i, ellH, xs, -2.0 * xsp / den, -xsp * (p_i - 6.0) / den,
-                       -(26.0 + p_i * (p_i - 11.0)) * xsp / den, b11, d11, f11, xsp, ell,
+        fields.append((p_i, ellH, -2.0 / den, -(p_i - 6.0) / den,
+                       -(26.0 + p_i * (p_i - 11.0)) / den, b11, d11, f11, ell,
                        quartic, (p_i - 5.0) ** 2 * (p_i - 8.0) * (p_i - 2.0)))
     if np.ndim(p) == 0:
         return AsymptoticCoefficients(*fields[0])
@@ -483,7 +470,7 @@ def _require_super_hubble(x: float) -> None:
 def _approx_terms(t: AsymptoticCoefficients, kap2):
     """Leading super-Hubble terms of g11, g12, g22 as (coeffs, exps):
     component c is g_c(x) = sum_i coeffs[i, c] x^exps[i, c] over the two
-    terms i.  kap2 = (kGamma/k)^2 is a scalar or an array of couplings
+    terms i.  kap2 = (kGamma/k*)^2 is a scalar or an array of couplings
     sharing the table t, or a row against the table of a p row; the
     shapes of kap2 and t.p trail those of coeffs and exps."""
     p = t.p
@@ -511,7 +498,7 @@ def approx_open_covariance(x: float, params: CosmoParams) -> CovarianceBlock:
 
 def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     """Super-Hubble coefficients of sigma^2(0) from the coefficient table
-    t at coupling kap2 = (kGamma/k)^2, a scalar or an array (or, as in
+    t at coupling kap2 = (kGamma/k*)^2, a scalar or an array (or, as in
     `_approx_terms`, a row against the table of a p row).
 
     Returns (s0_2, s0_4, sx_2, sx_4, sxx_4): the quadratic/quartic
@@ -525,11 +512,11 @@ def sigma0_sq_coefficients(t: AsymptoticCoefficients, kap2) -> tuple:
     s0_2, the factor p - 8 out of sxx_4) happen in the algebra, not in
     floating point.
     """
-    s0_2 = -2.0 * kap2 * t.xsp * t.ell
+    s0_2 = -2.0 * kap2 * t.ell
     s0_4 = kap2 * kap2 * t.quartic
-    sx_2 = 2.0 * kap2 * t.xsp / (t.p - 2.0)
+    sx_2 = 2.0 * kap2 / (t.p - 2.0)
     sx_4 = -2.0 * kap2 * t.b11 * sx_2
-    sxx_4 = 4.0 * kap2 * kap2 * t.xsp * t.xsp / t.pole
+    sxx_4 = 4.0 * kap2 * kap2 / t.pole
     return s0_2, s0_4, sx_2, sx_4, sxx_4
 
 
@@ -572,7 +559,7 @@ class PowerSpectrumCorrection:
 
     For p < 8 the correction freezes on super-Hubble scales and ``value``
     is the frozen number; for p > 8 it keeps growing and ``value`` is the
-    prefactor of (x/x_star)^(8-p).
+    prefactor of (x/x*)^(8-p), x* = -k eta* at the reference time.
     """
 
     value: float
@@ -588,16 +575,16 @@ def _reflected_gamma_cos(p: float) -> float:
     return -math.pi / (2.0 * math.sin(math.pi * p / 2.0) * math.gamma(p - 1.0))
 
 
-def power_spectrum_correction(params: CosmoParams) -> PowerSpectrumCorrection:
-    """Piecewise closed form of the relative power-spectrum correction; a
-    value that is not a finite double (a power of ellH or k/k* overflows,
-    say) raises DomainError."""
+def power_spectrum_correction(params: CosmoParams,
+                              k_over_kstar: float = 1.0) -> PowerSpectrumCorrection:
+    """Piecewise closed form of the relative power-spectrum correction at
+    the scale k_over_kstar = k/k*, finite and positive; a value that is not
+    a finite double (a power of ellH or k/k* overflows, say) raises
+    DomainError."""
     _require_regular_p(params.p, (4.0, 8.0))
-    if params.kGamma_over_kstar > _KAP_MAX:
-        raise DomainError("coupling kGamma_over_kstar must have its (kGamma/k*)^2 a finite double")
-    p = params.p
-    kap_star2 = params.kGamma_over_kstar ** 2
-    kk = params.k_over_kstar
+    if not 0.0 < k_over_kstar < math.inf:  # False for NaN too
+        raise DomainError(f"k_over_kstar must be finite and positive, got {k_over_kstar}")
+    p, kk, kap_star2 = params.p, k_over_kstar, _kap2_row(params)[0]
     try:  # a float ** raises OverflowError, a product overflows to inf
         if p < 4.0:
             value = params.ellH ** (p - 4.0) / (4.0 - p) * kap_star2 * kk ** (p - 5.0)
@@ -625,11 +612,15 @@ def power_spectrum_correction(params: CosmoParams) -> PowerSpectrumCorrection:
 def decoherence_threshold(params: CosmoParams, a_over_astar: float) -> float:
     """Coupling threshold kGamma/k* above which the pivot-scale state
     decoheres: (ellH)^(2 - p/2) for p < 2, (a/a*)^(1 - p/2) for p > 2,
-    the larger of the two at the crossover."""
-    if a_over_astar <= 0.0:
-        raise DomainError("a_over_astar must be positive")
-    lo = params.ellH ** (2.0 - 0.5 * params.p)
-    hi = a_over_astar ** (1.0 - 0.5 * params.p)
+    the larger of the two at the crossover; DomainError unless a_over_astar
+    is finite and positive and the threshold a finite double."""
+    if not 0.0 < a_over_astar < math.inf:  # False for NaN too
+        raise DomainError(f"a_over_astar must be finite and positive, got {a_over_astar}")
+    try:  # a float ** raises OverflowError
+        lo = params.ellH ** (2.0 - 0.5 * params.p)
+        hi = a_over_astar ** (1.0 - 0.5 * params.p)
+    except OverflowError as exc:
+        raise DomainError(f"the decoherence threshold at p = {params.p} overflows") from exc
     if abs(params.p - 2.0) < _P_TOL:
         return max(lo, hi)
     return lo if params.p < 2.0 else hi
@@ -767,8 +758,9 @@ def _march(t: float, t_end: float, length: Callable, interval: Callable, state, 
     """The state of a collocated phase carried from t up to t_end by
     interval(t, h, *state), which returns the next state or None, in steps
     of length(t), the last one cut at t_end.  A step that fails halves, at
-    most _CHEB_HALVINGS times, and then raises StepFailureError, as does a
-    state that is not finite at t_end."""
+    most _CHEB_HALVINGS times, and then raises StepFailureError, as do a
+    step too short to move t (t + h == t) and a state that is not finite
+    at t_end."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while t < t_end:
             h = min(length(t), t_end - t)
@@ -781,8 +773,10 @@ def _march(t: float, t_end: float, length: Callable, interval: Callable, state, 
                 raise StepFailureError(
                     f"{where} failed from t = {t}: a Chebyshev tail stays above "
                     f"rtol {TRANSPORT_RTOL} after {_CHEB_HALVINGS} halvings")
-            state = step
-            t = t_end if h == t_end - t else t + h
+            t_next = t_end if h == t_end - t else t + h
+            if t_next == t:
+                raise StepFailureError(f"{where} stalls at t = {t}: a step of {h} rounds away")
+            state, t = step, t_next
     if not all(np.isfinite(v).all() for v in state):
         raise StepFailureError(f"{where} produced non-finite values")
     return state
@@ -885,15 +879,15 @@ def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings)
     x^(3-p) of its p rows by `_subhubble_response` from 1/ellH down to
     max(x, 1), then `_efold_response` from x = 1, where its scaling x^P is
     1, down to x (both one dense solve per interval, whatever the number
-    of couplings); its cells, at the couplings 2 x_star^(p-3) kap2 of each
-    row, read from the scaled state by `_log_sigmas_series` at min(x, 1),
-    unscaled at x >= 1.  A cell with a diagonal entry <= 0 or
+    of couplings); its cells, at the couplings 2 kap2 (the source
+    2 kap2 x^(3-p)), read from the scaled state by `_log_sigmas_series` at
+    min(x, 1), unscaled at x >= 1.  A cell with a diagonal entry <= 0 or
     det < -1e-6 ((g11 + g22)/2)^2 (CovarianceBlock) raises
     BelowHeisenbergError."""
     x_z = min(x, 1.0)
     y, a = _subhubble_response(params.x_coupling_on, max(x, 1.0), ps)
     (y, a), (p_y, p_a) = _efold_response(y, a, x_z, ps)
-    kap2 = np.outer(_power_law(params, ps - 3.0, 1.0), _kap2_row(params, couplings))
+    kap2 = 2.0 * np.array(_kap2_row(params, couplings))
     # g + kap2 F and 1 + kap2 a1 + kap2^2 a2, each value z x^-P
     g, e_g, (a1, a2), (e_1, e_2) = y[..., None], -p_y[..., None], a[..., None], -p_a[..., None]
     entry_terms = ((g[:, :1], kap2 * g[:, 1:]), (e_g[:, :1], e_g[:, 1:]))

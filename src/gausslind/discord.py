@@ -123,11 +123,11 @@ def entropy_kernel(x):
         f(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2),
 
     continued by f(1) = 0: ln x + `_psi_gap` from 1 to x, divided by ln 2.
-    Arguments within HEISENBERG_SLACK below 1 are clamped.
-    Elementwise over arrays; a scalar argument gives a float.
+    Arguments within HEISENBERG_SLACK below 1 are clamped; NaN raises
+    DomainError.  Elementwise over arrays; a scalar argument gives a float.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0 - HEISENBERG_SLACK):
+    if not np.all(x >= 1.0 - HEISENBERG_SLACK):  # False for NaN too
         raise DomainError(f"entropy kernel needs x >= 1, got {np.min(x)}")
     x = np.maximum(x, 1.0)
     with np.errstate(divide="ignore"):

@@ -390,8 +390,10 @@ def sigma_theta(block: CovarianceBlock, theta: float) -> float:
     sqrt(block.lam + q) = hypot(sqrt(block.lam), sqrt(q)).
 
     Reduces to sqrt(block.lam) at theta = 0 and grows monotonically
-    with |sin(2 theta)|.
+    with |sin(2 theta)|; theta must be finite (DomainError).
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"partition angle must be finite, got {theta}")
     return math.hypot(math.sqrt(block.lam),
                       float(_sqrt_q(block.g11, block.g12, block.g22, theta)))
 

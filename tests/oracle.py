@@ -40,12 +40,11 @@ def moment_limits(alpha, ellH):
     return lim.real, lim.imag
 
 
-def coefficient_table(p, ellH, x_star=1.0) -> SimpleNamespace:
-    """a11, a12, a22, b11, d11, f11 of the table at (p, ellH, x_star),
+def coefficient_table(p, ellH) -> SimpleNamespace:
+    """a11, a12, a22, b11, d11, f11 of the table at (p, ellH),
     with p and the moment limits (r, i) of orders 1-p, 2-p, 3-p."""
     with mp.workdps(DPS):
         p, ellH = mp.mpf(p), mp.mpf(ellH)
-        xsp = mp.power(mp.mpf(x_star), p - 3)
         r1, i1 = moment_limits(1 - p, ellH)
         r2, i2 = moment_limits(2 - p, ellH)
         r3, i3 = moment_limits(3 - p, ellH)
@@ -53,12 +52,12 @@ def coefficient_table(p, ellH, x_star=1.0) -> SimpleNamespace:
         e = mp.power(ellH, p - 4) / (p - 4) + mp.power(ellH, p - 2) / (p - 2)
         return SimpleNamespace(
             p=p, r=(r1, r2, r3), i=(i1, i2, i3),
-            a11=-2 * xsp / den,
-            a12=-xsp * (p - 6) / den,
-            a22=-(26 + p * (p - 11)) * xsp / den,
-            b11=xsp / 2 * (e - r1 - 2 * i2 + r3),
-            d11=xsp / 3 * (-i1 + 2 * r2 + i3),
-            f11=xsp / 9 * (r1 + 2 * i2 - r3),
+            a11=-2 / den,
+            a12=-(p - 6) / den,
+            a22=-(26 + p * (p - 11)) / den,
+            b11=(e - r1 - 2 * i2 + r3) / 2,
+            d11=(-i1 + 2 * r2 + i3) / 3,
+            f11=(r1 + 2 * i2 - r3) / 9,
         )
 
 
@@ -79,11 +78,11 @@ def sigma_coefficients(t: SimpleNamespace, kap2) -> tuple:
         return s0_2, s0_4, sx_2, sx_4, sxx_4
 
 
-def sigma0_sq(x, p, ellH, kGamma_over_k, x_star=1.0):
+def sigma0_sq(x, p, ellH, kGamma_over_kstar):
     """sigma^2(0) = 1 + Sigma_0 + Sigma_{2-p} x^(2-p) + Sigma_{10-2p} x^(10-2p)."""
     with mp.workdps(DPS):
-        t = coefficient_table(p, ellH, x_star)
-        s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma_coefficients(t, mp.mpf(kGamma_over_k) ** 2)
+        t = coefficient_table(p, ellH)
+        s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma_coefficients(t, mp.mpf(kGamma_over_kstar) ** 2)
         x = mp.mpf(x)
         return (1 + s0_2 + s0_4 + (sx_2 + sx_4) * mp.power(x, 2 - t.p)
                 + sxx_4 * mp.power(x, 10 - 2 * t.p))

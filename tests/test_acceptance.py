@@ -77,14 +77,14 @@ def test_criterion_04_exact_covariance_against_quadrature_and_transport():
     worst_quad = 0.0
     worst_transport = 0.0
     for params in FIG_SETS:
-        kap2 = params.kGamma_over_k ** 2
+        kap2 = params.kGamma_over_kstar ** 2
         hi = params.x_coupling_on
         traj = evolve_de_sitter(hi, 0.01, cosmo_kernel(params), x_eval=(0.5, 0.1, 0.01))
         for i, x in enumerate((0.5, 0.1, 0.01)):
             mode = de_sitter_mode(x)
 
             def weight(xp):
-                return 2.0 * kap2 * (params.x_star / xp) ** (params.p - 3.0)
+                return 2.0 * kap2 * (1.0 / xp) ** (params.p - 3.0)
 
             def imv(xp, m=mode):
                 return (de_sitter_mode(xp).v * m.v.conjugate()).imag
@@ -127,8 +127,8 @@ def test_criterion_06_sigma_zero_consistency():
     for params in FIG_SETS:
         p = params.p
         s0_2, _, sx_2, _, _ = sigma0_sq_coefficients(
-            asymptotic_coefficients(params), params.kGamma_over_k ** 2)
-        kap2 = params.kGamma_over_k ** 2
+            asymptotic_coefficients(params), params.kGamma_over_kstar ** 2)
+        kap2 = params.kGamma_over_kstar ** 2
         want_sx = kap2 * 2.0 / (p - 2.0)
         want_s0 = -2.0 * kap2 * (params.ellH ** (p - 4.0) / (p - 4.0)
                                  + params.ellH ** (p - 2.0) / (p - 2.0))
@@ -150,7 +150,7 @@ def test_criterion_06_sigma_zero_consistency():
 
     params = FIG_SETS[0]
     t = super_hubble_series(asymptotic_coefficients(params))
-    kap2 = params.kGamma_over_k ** 2
+    kap2 = params.kGamma_over_kstar ** 2
     x, y = sp.symbols("x y", positive=True)
     corr11 = (y * t.a11 * x ** 6 + t.b11 / x ** 2 + t.c11 + t.d11 * x
               + t.e11 * x ** 3 + t.f11 * x ** 4 + t.g11 * x ** 5 + t.h11 * x ** 6)
@@ -199,7 +199,7 @@ def test_criterion_07_discord_p_threshold():
 def test_criterion_08_power_spectrum():
     # p = 5: scale invariant
     vals = [power_spectrum_correction(
-        CosmoParams(0.1, 5.0, 0.01, k_over_kstar=k)).value
+        CosmoParams(0.1, 5.0, 0.01), k).value
         for k in np.geomspace(1e-2, 1e2, 9)]
     spread = (max(vals) - min(vals)) / abs(vals[0])
     assert spread < 1e-10, f"p=5 spread {spread}"
@@ -210,7 +210,7 @@ def test_criterion_08_power_spectrum():
     worst = 0.0
     for p in (2.5, 3.0001, 4.5, 6.5, 7.3):
         params = CosmoParams(0.1, p, 1e-3)
-        want = -2.0 * params.kGamma_over_k ** 2 \
+        want = -2.0 * params.kGamma_over_kstar ** 2 \
             * asymptotic_coefficients(params).b11
         got = power_spectrum_correction(params).value
         worst = max(worst, abs(got / want - 1.0))

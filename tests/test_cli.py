@@ -219,6 +219,26 @@ class TestDiscordMapScenario:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("change", [
+        # x_on = 1e17, where t + 2 == t
+        {"cosmo": {"ellH": 1e-17}, "x": 0.5, "map_points": [1, 1]},
+        # the last sub-Hubble interval halves at t = -1.0000000000000002
+        # until t + h == t
+        {"cosmo": {"ellH": 0.2}, "x": 0.01, "p_range": [0.5, 1e308], "map_points": [2, 2]},
+    ], ids=["ellH_1e-17", "p_1e308"])
+    def test_transport_step_that_rounds_away_exits_3(self, tmp_path, change):
+        # both ran without end: an accepted step that leaves t unchanged
+        path = write_config(tmp_path, "t.json", {
+            "mode": "discord_map", "method": "transport", "output_path": "t.csv", **change})
+        # a subprocess, so that a hang fails the test instead of the suite
+        proc = subprocess.run([sys.executable, "-m", "gausslind.cli", "run", path,
+                               "--out", str(tmp_path)], capture_output=True, text=True,
+                              timeout=20)
+        assert proc.returncode == 3, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "StepFailureError" and "stalls" in err["message"]
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("change", [
         {"map_points": [12, 12], "x": math.exp(-20.0), "cosmo": {"ellH": 0.1}},
         {"map_points": [8, 8], "x": 1e-3, "cosmo": {"ellH": 0.1},
          "log10_kGamma_range": [-2.0, 2.0]},
@@ -333,6 +353,27 @@ class TestRunInputValidation:
                                     False),
         "nan_n_sigma": ({"mode": "ellipse_series", "n_sigma": math.nan,
                          "grid": GRID}, False),
+        # keys the mode does not read: each wrote a CSV and exited 0
+        "source_const_closed": ({"mode": "evolve_closed", "source_const": 3, "grid": GRID},
+                                False),
+        "source_const_and_cosmo_open": ({"mode": "evolve_open", "source_const": 0.1,
+                                         "cosmo": COSMO, "grid": GRID}, False),
+        "misspelt_tolerance": ({"mode": "evolve_closed", "tolerances": {"rtoll": 1e-3},
+                                "grid": GRID}, False),
+        "extra_grid_key": ({"mode": "evolve_closed", "grid": dict(GRID, pts=5)}, False),
+        "extra_map_key": ({"mode": "discord_map", "map_points": [1, 1], "extra": 1}, False),
+        "cosmo_ellipse": ({"mode": "ellipse_series", "cosmo": COSMO, "grid": GRID}, False),
+        "misspelt_cosmo_evolve_open": ({"mode": "evolve_open", "cosmo": dict(
+            COSMO, kGamma=99.0), "grid": GRID}, False),
+        "x_star_evolve_open": ({"mode": "evolve_open", "cosmo": dict(COSMO, x_star=2.0),
+                                "grid": GRID}, False),
+        "k_over_kstar_evolve_open": ({"mode": "evolve_open", "cosmo": dict(
+            COSMO, k_over_kstar=2.0), "grid": GRID}, False),
+        "extra_selfcheck_key": ({"mode": "selfcheck", "x": 1.0}, False),
+        # a backward de Sitter grid to 1e308 ran without end
+        "grid_beyond_x_max": ({"mode": "evolve_closed",
+                               "grid": {"x_start": 10.0, "x_end": 1e308, "points": 3}},
+                              True),
         # backwards from far outside the horizon: g11 would be off by ~10 %
         "reversed_closed_far": ({"mode": "evolve_closed",
                                  "grid": {"x_start": 0.01, "x_end": 10.0, "points": 5}},
@@ -358,6 +399,18 @@ class TestRunInputValidation:
         assert code == 2, err
         assert json.loads(err)["error"] == "ConfigError"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("key", ["x_star", "k_over_kstar"])
+    @pytest.mark.parametrize("mode", ["evolve_open", "spectrum"])
+    def test_off_pivot_keys_name_the_rule(self, tmp_path, capsys, mode, key):
+        # a mode off the pivot is the pivot mode at kGamma_eff
+        cfg = {"mode": mode, "cosmo": dict(self.COSMO, **{key: 2.0}), "grid": self.GRID}
+        if mode == "spectrum":
+            del cfg["grid"]
+        assert run_cli(["run", write_config(tmp_path, "k.json", cfg),
+                        "--out", str(tmp_path)]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert f"'cosmo.{key}'" in message and "kGamma_eff/k*" in message
 
 
 # 10**400 is a JSON integer beyond the range of doubles

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from gausslind import specfun
+from gausslind.closed import wigner_ellipse
 from gausslind.cosmology import (
     APPROX_X_MAX,
     CosmoParams,
@@ -33,13 +34,14 @@ from gausslind.cosmology import (
     sigma0_sq_approx,
     sigma0_sq_coefficients,
 )
-from gausslind.discord import _discord_from_logs
+from gausslind.discord import _discord_from_logs, entropy_kernel
 from gausslind.errors import (
     BelowHeisenbergError,
     DomainError,
     SingularExponentError,
     StepFailureError,
 )
+from gausslind.symplectic import CovarianceBlock, SqueezingState, sigma_theta
 
 from conftest import count_rhs_calls, default_map, record_intervals, super_hubble_series
 import oracle
@@ -141,11 +143,11 @@ class TestKernel:
         from gausslind.cosmology import _power_law
         params = CosmoParams(kg, p, ellH)
         scalar = cosmo_kernel(params)
-        kap2 = params.kGamma_over_k ** 2
+        kap2 = params.kGamma_over_kstar ** 2
         etas = np.linspace(-1.0 / ellH, 0.0, 401)[1:-1].tolist()
         for eta in etas:
-            assert scalar(eta) == kap2 * _power_law(params, p - 3.0, -eta)
-        assert scalar(-1.0 / ellH) == 0.0 < _power_law(params, p - 3.0, 1.0 / ellH)
+            assert scalar(eta) == kap2 * _power_law(p - 3.0, -eta)
+        assert scalar(-1.0 / ellH) == 0.0 < _power_law(p - 3.0, 1.0 / ellH)
 
 
 class TestExactOpenCovariance:
@@ -163,11 +165,11 @@ class TestExactOpenCovariance:
         # brute-force the Green's-function integrals in x' (half-period
         # subdivided adaptive quadrature) and assemble the covariance
         params = FIG_PARAMS[p]
-        kap2 = params.kGamma_over_k ** 2
+        kap2 = params.kGamma_over_kstar ** 2
         mode = de_sitter_mode(x)
 
         def weight(xp):
-            return 2.0 * kap2 * (params.x_star / xp) ** (params.p - 3.0)
+            return 2.0 * kap2 * (1.0 / xp) ** (params.p - 3.0)
 
         def imv(xp):
             return (de_sitter_mode(xp).v * mode.v.conjugate()).imag
@@ -318,19 +320,21 @@ class TestExactRow:
         assert exact_open_det(12.0, params) == 1.0
         assert exact_open_det(12.0, params, kGamma_over_kstar=[1.0, 2.0]).tolist() == [1.0, 1.0]
 
-    @pytest.mark.parametrize("k_over_kstar", [1.0, 0.3])
-    def test_covariance_row_equals_scalar_calls(self, monkeypatch, k_over_kstar):
+    # the couplings over a scale, as a mode off the pivot reads them (the
+    # kGamma_eff rule of CosmoParams)
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_covariance_row_equals_scalar_calls(self, monkeypatch, scale):
         from gausslind import cosmology
-        params = CosmoParams(0.0, 6.1, self.ELLH, k_over_kstar=k_over_kstar)
+        params, couplings = CosmoParams(0.0, 6.1, self.ELLH), self.COUPLINGS / scale
         terms = cosmology._exact_open_terms
         calls = []
         monkeypatch.setattr(cosmology, "_exact_open_terms",
                             lambda x, p: calls.append(x) or terms(x, p))
-        row = exact_open_covariance(self.X, params, kGamma_over_kstar=self.COUPLINGS)
+        row = exact_open_covariance(self.X, params, kGamma_over_kstar=couplings)
         assert calls == [self.X]
-        assert isinstance(row, list) and len(row) == len(self.COUPLINGS)
-        for block, kg in zip(row, self.COUPLINGS.tolist()):
-            cell = CosmoParams(kg, 6.1, self.ELLH, k_over_kstar=k_over_kstar)
+        assert isinstance(row, list) and len(row) == len(couplings)
+        for block, kg in zip(row, couplings.tolist()):
+            cell = CosmoParams(kg, 6.1, self.ELLH)
             assert block == exact_open_covariance(self.X, cell)
             assert block == exact_open_covariance(self.X, params, kGamma_over_kstar=kg)
         with pytest.raises(DomainError):
@@ -397,11 +401,10 @@ class TestSigmaZero:
         # power-law combinations at the quadratic coupling order
         params = CosmoParams(kGamma_over_kstar=1.0, p=p, ellH=0.1)
         s0_2, _, sx_2, _, _ = sigma0_sq_coefficients(
-            asymptotic_coefficients(params), params.kGamma_over_k ** 2)
-        kap2 = params.kGamma_over_k ** 2
-        kk = params.k_over_kstar
-        want_sx = kap2 * 2.0 / (p - 2.0) * kk ** (p - 3.0)
-        want_s0 = -2.0 * kap2 * kk ** (p - 3.0) * (
+            asymptotic_coefficients(params), params.kGamma_over_kstar ** 2)
+        kap2 = params.kGamma_over_kstar ** 2
+        want_sx = kap2 * 2.0 / (p - 2.0)
+        want_s0 = -2.0 * kap2 * (
             params.ellH ** (p - 4.0) / (p - 4.0) + params.ellH ** (p - 2.0) / (p - 2.0))
         assert abs(sx_2 - want_sx) < 1e-10 * abs(want_sx)
         assert abs(s0_2 - want_s0) < 1e-10 * abs(want_s0)
@@ -426,7 +429,7 @@ class TestSigmaZero:
 
         params = CosmoParams(kGamma_over_kstar=0.7, p=2.1, ellH=0.1)
         t = super_hubble_series(asymptotic_coefficients(params))
-        kap2 = params.kGamma_over_k ** 2
+        kap2 = params.kGamma_over_kstar ** 2
         x, y = sp.symbols("x y", positive=True)  # y stands for x^{-p}
 
         corr11 = (y * t.a11 * x ** 6 + t.b11 / x ** 2 + t.c11 + t.d11 * x
@@ -452,7 +455,7 @@ class TestSigmaZero:
         # constant, x^{2-p} and x^{10-2p} pieces against the closed-form
         # Sigma terms (the latter is the squared non-analytic correction)
         s0_2, s0_4, sx_2, sx_4, sxx_4 = sigma0_sq_coefficients(
-            asymptotic_coefficients(params), params.kGamma_over_k ** 2)
+            asymptotic_coefficients(params), params.kGamma_over_kstar ** 2)
         assert abs(coeff(0, 0) - (1.0 + s0_2 + s0_4)) < 1e-9 * scale
         assert abs(coeff(2, 1) - (sx_2 + sx_4)) < 1e-9 * scale
         assert abs(coeff(10, 2) - sxx_4) < 1e-9 * scale
@@ -472,7 +475,7 @@ class TestPowerSpectrum:
     def test_coupling_square_overflow(self, k_over_kstar):
         # raised a bare OverflowError from the coupling square
         with pytest.raises(DomainError, match="a finite double"):
-            power_spectrum_correction(CosmoParams(1e160, 2.1, 0.1, k_over_kstar=k_over_kstar))
+            power_spectrum_correction(CosmoParams(1e160, 2.1, 0.1), k_over_kstar)
 
     @pytest.mark.parametrize("kappa, p, k_over_kstar", [
         (10.0, -200.0, 1e-2), (10.0, -400.0, 1.0), (10.0, 9.0, 1e110), (1e150, 9.0, 1e10),
@@ -481,11 +484,11 @@ class TestPowerSpectrum:
         # k^(p - 5), ellH^(p - 4) and k^3 raised a bare OverflowError, and a
         # product past the range of doubles returned inf
         with pytest.raises(DomainError, match="a finite double"):
-            power_spectrum_correction(CosmoParams(kappa, p, 0.1, k_over_kstar=k_over_kstar))
+            power_spectrum_correction(CosmoParams(kappa, p, 0.1), k_over_kstar)
 
     def test_scale_invariant_at_p5(self):
         vals = [power_spectrum_correction(
-            CosmoParams(0.1, 5.0, 0.01, k_over_kstar=k)).value
+            CosmoParams(0.1, 5.0, 0.01), k).value
             for k in (0.01, 1.0, 100.0)]
         assert max(vals) - min(vals) < 1e-10 * abs(vals[0])
         assert power_spectrum_correction(CosmoParams(0.1, 5.0, 0.01)).regime \
@@ -501,8 +504,8 @@ class TestPowerSpectrum:
         assert corr.regime is PsRegime.P_GT_8
         assert corr.time_dependent is True
 
-    # float.hex of power_spectrum_correction(CosmoParams(0.7, p, 0.05,
-    # k_over_kstar=1.3)).value, recorded with scipy.special's gamma.  No
+    # float.hex of power_spectrum_correction(CosmoParams(0.7, p, 0.05),
+    # 1.3).value, recorded with scipy.special's gamma.  No
     # benchmark workload reaches this gamma: 5.5 and 7.3 go through
     # _reflected_gamma_cos, 6.0 is the removable point, 3.3 and 9.1 the
     # outer regimes.
@@ -514,12 +517,12 @@ class TestPowerSpectrum:
         (9.1, "0x1.1369337779fa4p-3"),
     ])
     def test_value_bits(self, p, bits):
-        corr = power_spectrum_correction(CosmoParams(0.7, p, 0.05, k_over_kstar=1.3))
+        corr = power_spectrum_correction(CosmoParams(0.7, p, 0.05), 1.3)
         assert float(corr.value).hex() == bits
 
     def test_slope_p3(self):
-        a = power_spectrum_correction(CosmoParams(0.1, 3.0, 0.01, k_over_kstar=1.0))
-        b = power_spectrum_correction(CosmoParams(0.1, 3.0, 0.01, k_over_kstar=10.0))
+        a = power_spectrum_correction(CosmoParams(0.1, 3.0, 0.01), 1.0)
+        b = power_spectrum_correction(CosmoParams(0.1, 3.0, 0.01), 10.0)
         assert abs(b.value / a.value - 10.0 ** (3.0 - 5.0)) < 1e-10
 
     @pytest.mark.parametrize("p", [3.0001, 2.5, 6.5, 7.3])
@@ -528,9 +531,14 @@ class TestPowerSpectrum:
         # special-function table, at small ellH
         params = CosmoParams(0.1, p, 0.01)
         t = asymptotic_coefficients(params)
-        want = -2.0 * params.kGamma_over_k ** 2 * t.b11
+        want = -2.0 * params.kGamma_over_kstar ** 2 * t.b11
         got = power_spectrum_correction(params).value
         assert abs(got - want) < 0.1 * abs(want)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+    def test_k_must_be_finite_and_positive(self, k):
+        with pytest.raises(DomainError, match="k_over_kstar must be finite and positive"):
+            power_spectrum_correction(CosmoParams(0.1, 3.0, 0.01), k)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularExponentError):
@@ -639,13 +647,75 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             CosmoParams(-1.0, 2.1, 0.1)
 
-    @pytest.mark.parametrize("field", ["kGamma_over_kstar", "p", "ellH",
-                                       "k_over_kstar", "x_star"])
+    @pytest.mark.parametrize("field", ["kGamma_over_kstar", "p", "ellH"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(DomainError):
             CosmoParams(**dict({"kGamma_over_kstar": 1.0, "p": 2.1, "ellH": 0.1},
                                **{field: value}))
+
+    @pytest.mark.parametrize("entry", [
+        lambda: decoherence_threshold(CosmoParams(1.0, 2.1, 0.1), math.nan),
+        lambda: decoherence_threshold(CosmoParams(1.0, 300.0, 0.1), 1e-10),
+        lambda: de_sitter_squeezing(math.nan),
+        lambda: de_sitter_squeezing(math.inf),
+        lambda: de_sitter_mode(math.inf),
+        lambda: de_sitter_bogoliubov(math.nan),
+        lambda: de_sitter_covariance_closed(math.inf),
+        lambda: offset_singular_p(math.nan),
+        lambda: offset_singular_p(-math.inf),
+        lambda: wigner_ellipse(SqueezingState(0.3, -0.2, 1.0), math.nan),
+        lambda: wigner_ellipse(SqueezingState(0.3, -0.2, 1.0), -1.0),
+        lambda: sigma_theta(CovarianceBlock(2.0, 1.0, 1.0), math.nan),
+        lambda: entropy_kernel(math.nan),
+        lambda: entropy_kernel(np.array([2.0, math.nan])),
+    ], ids=["threshold_nan", "threshold_overflows", "squeezing_nan", "squeezing_inf",
+            "mode_inf", "bogoliubov_nan", "covariance_inf", "offset_nan", "offset_inf",
+            "ellipse_nan", "ellipse_negative", "sigma_theta_nan", "entropy_nan",
+            "entropy_row_nan"])
+    def test_scalar_entry_refuses(self, entry):
+        # each returned NaN or a wrong value, or raised a bare
+        # OverflowError or ValueError
+        with pytest.raises(DomainError):
+            entry()
+
+
+class TestOffPivotModes:
+    """A mode k off the pivot, at x* = -k eta* at the reference time, has
+    the source 2 (kGamma/k)^2 (x*/x)^(p-3): it is the pivot mode at
+    kGamma_eff/k* = (kGamma/k*) (k/k*)^-1 x*^((p-3)/2)."""
+
+    # (kGamma/k*, p, ellH, k/k*, x*): float.hex of (D, ln sigma(0)) of the
+    # approx (x = 1e-3), exact (x = 0.5) and transport (x = 1e-3) routes,
+    # recorded when CosmoParams took k/k* and x* as fields
+    CASES = {
+        (0.7, 3.3, 0.1, 1.3, 1.3): (
+            ("0x1.a83cce04cbd57p+4", "0x1.2c065039d4955p+2"),
+            ("0x1.90467548d67e9p+0", "0x1.401cd043d8048p+0"),
+            ("0x1.a83ccf5031515p+4", "0x1.2c064c55b034fp+2")),
+        (2.0, 6.1, 0.05, 0.5, 0.5): (
+            ("0x1.5b9d19b39dbb6p-2", "0x1.cdd456ab70e53p+3"),
+            ("0x1.09670399218bdp-1", "0x1.d08a0037f9c45p+0"),
+            ("0x1.5b9cdf95d8b3ap-2", "0x1.cdd458b77ae8dp+3")),
+        (0.05, 8.5, 0.2, 3.0, 0.7): (
+            ("0x1.f16b909460ef9p-10", "0x1.0c92ed60326dep+4"),
+            ("0x1.ccf7712ec2a32p+1", "0x1.83d86b25abf85p-11"),
+            ("0x1.f16b40fd3b071p-10", "0x1.0c92ee221045bp+4")),
+        (10.0, 1.5, 0.1, 0.3, 2.0): (
+            ("0x1.6eb285b5d8650p+4", "0x1.5b5fc3938dffap+3"),
+            ("0x1.2a298e301f312p-12", "0x1.5afbfe478ab3fp+3"),
+            ("0x1.6eb28432ac2c6p+4", "0x1.5b5fc3937f47dp+3")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pivot_mode_at_kgamma_eff(self, case):
+        kg, p, ellH, k, x_star = case
+        params = CosmoParams(kg / k * x_star ** ((p - 3.0) / 2.0), p, ellH)
+        for (method, x), bits in zip((("approx", 1e-3), ("exact", 0.5), ("transport", 1e-3)),
+                                     self.CASES[case]):
+            got = discord_cosmo(x, -math.pi / 4.0, params, method)
+            for value, want in zip((got.discord, got.log_sigma_zero), map(float.fromhex, bits)):
+                assert abs(value - want) <= 1e-14 * abs(want), (method, value, want)
 
 
 class TestEvolveDeSitter:
@@ -813,9 +883,7 @@ class TestDiscordChecks:
     @pytest.mark.parametrize("params, couplings", [
         (CosmoParams(1e160, 2.1, 0.1), None),
         (CosmoParams(0.0, 2.1, 0.1), np.array([0.5, 1e160])),
-        (CosmoParams(1e100, 2.1, 0.1, k_over_kstar=1e-100), None),
-        (CosmoParams(1.0, 2.1, 0.1, k_over_kstar=1e-320), None),
-    ], ids=["scalar", "row", "k_over_kstar", "quotient_overflows"])
+    ], ids=["scalar", "row"])
     def test_coupling_square_overflow_at_entry(self, no_route, method, params, couplings):
         with pytest.raises(DomainError, match="a finite double"):
             discord_cosmo(0.05, -0.4, params, method, kGamma_over_kstar=couplings)
@@ -959,8 +1027,8 @@ class TestDiscordPlane:
         assert not intervals
         monkeypatch.undo()
         # the route's own formulation: the unit sources x^(3-p), and the
-        # amplitude 2 x_star^(p-3) in the couplings of each row
-        kap2 = np.outer(2.0 * params.x_star ** (ps - 3.0), _kap2_row(params, couplings))
+        # amplitude 2 in the couplings of each row
+        kap2 = np.outer(np.full(len(ps), 2.0), _kap2_row(params, couplings))
 
         def cells(y, a, det0):
             ln_s0sq, ln_q = oracle.log_sigmas(oracle.response_cells(y, a, det0, kap2),
@@ -1437,7 +1505,7 @@ class TestClosedFormRows:
         monkeypatch.setattr(cosmology, "_g11_node",
                             lambda x, row: nodes.append(x) or node(x, row))
         monkeypatch.setattr(cosmology, "_power_law",
-                            lambda params, expo, x: powers.append(x) or power(params, expo, x))
+                            lambda expo, x: powers.append(x) or power(expo, x))
         couplings = np.array([0.1, 1.0, 3.0])
         dets = exact_open_det(0.5, CosmoParams(0.0, 2.1, 0.1), kGamma_over_kstar=couplings)
         assert len(set(powers)) == len(powers) == len(nodes) > 0

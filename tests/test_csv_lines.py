@@ -10,7 +10,6 @@ its cells, or a value formatted another way, shows as a byte difference.
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,10 +138,10 @@ def test_ellipse_series(tmp_path):
 def test_spectrum(tmp_path, p):
     cfg = {"mode": "spectrum", "output_path": "spec.csv", "points": 9,
            "cosmo": {"kGamma_over_kstar": 1.0, "p": p, "ellH": 0.1}}
-    base = cli._cosmo_params(cfg)
+    params = cli._cosmo_params(cfg)
     rows = []
     for k in np.geomspace(1e-2, 1e2, 9).tolist():
-        corr = power_spectrum_correction(replace(base, k_over_kstar=k))
+        corr = power_spectrum_correction(params, k)
         rows.append([k, corr.value, corr.regime.value, corr.time_dependent])
     got = run(tmp_path, cfg)
     assert got == oracle_bytes(

@@ -87,13 +87,11 @@ def reference_cell(x, theta, t, kap2):
     ln22, s22 = _signed_log_terms(
         ((1.0 - 2.0 * kap2 * t.b22, -4.0), (-2.0 * kap2 * t.a22, 4.0 - p)), ln_x)
 
-    xsp = t.x_star ** (p - 3.0)
-    s0_2 = -2.0 * kap2 * xsp * (t.ellH ** (p - 4.0) / (p - 4.0)
-                                + t.ellH ** (p - 2.0) / (p - 2.0))
+    s0_2 = -2.0 * kap2 * (t.ellH ** (p - 4.0) / (p - 4.0) + t.ellH ** (p - 2.0) / (p - 2.0))
     s0_4 = kap2 * kap2 * (4.0 * t.b11 ** 2 - 9.0 * t.d11 ** 2 + 36.0 * t.b11 * t.f11)
-    sx_2 = 2.0 * kap2 * xsp / (p - 2.0)
+    sx_2 = 2.0 * kap2 / (p - 2.0)
     sx_4 = -2.0 * kap2 * t.b11 * sx_2
-    sxx_4 = 4.0 * kap2 * kap2 * xsp * xsp / ((p - 5.0) ** 2 * (p - 8.0) * (p - 2.0))
+    sxx_4 = 4.0 * kap2 * kap2 / ((p - 5.0) ** 2 * (p - 8.0) * (p - 2.0))
     ln_s0sq, sgn0 = _signed_log_terms(
         ((1.0, 0.0), (s0_2 + s0_4, 0.0), (sx_2 + sx_4, 2.0 - p),
          (sxx_4, 10.0 - 2.0 * p)), ln_x)

@@ -47,8 +47,8 @@ def test_table_and_sigma_coefficients(p, ellH):
 
     # the closed forms are exact to rounding; s0_4 and sx_4 carry the
     # error of b11, d11 and f11
-    got = sigma0_sq_coefficients(t, params.kGamma_over_k ** 2)
-    want = oracle.sigma_coefficients(o, params.kGamma_over_k ** 2)
+    got = sigma0_sq_coefficients(t, params.kGamma_over_kstar ** 2)
+    want = oracle.sigma_coefficients(o, params.kGamma_over_kstar ** 2)
     s0_2, s0_4, sx_2, sx_4, sxx_4 = (rel(g, w) for g, w in zip(got, want))
     assert s0_2 < 1e-14
     assert sx_2 < 1e-14

@@ -23,8 +23,6 @@ import pytest
 
 from gausslind.cosmology import (
     CosmoParams,
-    _kap2_row,
-    _power_law,
     discord_cosmo,
     offset_singular_p,
 )
@@ -88,15 +86,17 @@ def test_transport_route_bits(planes, pin):
     assert tuple(v.hex() for v in got) == pin[3:]
 
 
-def _reference(x, params, p_row, couplings):
-    """(discord, ln sigma(0)) of a plane from the response to its unit
-    sources in conformal time from 1/ellH down to x on the compiled DOP853,
-    at rtol 1e-14 and atol 1e-16 (below the rtol floor of solve_ivp)."""
+def _reference(x, params, p_row, couplings, x_star=1.0, k_over_kstar=1.0):
+    """(discord, ln sigma(0)) of a plane from the response to its sources
+    2 (x_star/x)^(p-3) in conformal time from 1/ellH down to x on the
+    compiled DOP853, at rtol 1e-14 and atol 1e-16 (below the rtol floor of
+    solve_ivp), at the couplings (kGamma/k)^2 = (kGamma/k* / k_over_kstar)^2
+    of a mode k at x_star = -k eta* (the pivot mode by default)."""
     ref = oracle.de_sitter_response(params.x_coupling_on, x,
-                                    lambda eta: _power_law(params, p_row - 3.0, -eta),
+                                    lambda eta: 2.0 * (x_star / -eta) ** (p_row - 3.0),
                                     (x,), 1e-14, 1e-16)
-    ln_s0sq, ln_q = oracle.log_sigmas(oracle.response_cells(*ref, _kap2_row(params, couplings)),
-                                      -math.pi / 4.0)
+    kap2 = [(kg / k_over_kstar) ** 2 for kg in couplings.tolist()]
+    ln_s0sq, ln_q = oracle.log_sigmas(oracle.response_cells(*ref, kap2), -math.pi / 4.0)
     return _discord_from_logs(ln_s0sq[..., 0], ln_q[..., 0])[0], 0.5 * ln_s0sq[..., 0]
 
 
@@ -112,16 +112,19 @@ def test_transport_route_accuracy(planes, name):
 @pytest.mark.parametrize("x", [1e-3, math.exp(-30.0)], ids=["x1e-3", "xe-30"])
 @pytest.mark.parametrize("x_star, k_over_kstar", [(0.3, 1.0), (3.0, 2.0), (0.5, 0.7)])
 def test_transport_route_off_pivot(x, x_star, k_over_kstar):
-    # x_star moves the amplitude 2 x_star^(p-3) of each p row, which the
-    # route puts into the couplings of the row's cells, and k/k* every
-    # kap2.  A 6x4 plane through both phases against the reference above;
-    # the largest errors measured at these six points are 4.0e-13 in
-    # discord and 1.5e-13 in ln sigma(0)
+    # a mode k off the pivot, at x_star = -k eta*, has the source
+    # 2 (kGamma/k)^2 (x_star/x)^(p-3): it is the pivot mode at
+    # kGamma_eff/k* = (kGamma/k*) (k/k*)^-1 x_star^((p-3)/2).  A 6x4 plane,
+    # each p row at its kGamma_eff, through both phases against the
+    # reference integration of the off-pivot source above; the largest
+    # errors measured at these six points are 7.1e-14 in discord and
+    # 2.8e-14 in ln sigma(0)
     p_row = np.array([offset_singular_p(p) for p in np.linspace(0.1, 9.9, 6).tolist()])
     couplings = 10.0 ** np.linspace(-3.0, 1.0, 4)
-    params = CosmoParams(0.0, p_row[0], 0.1, k_over_kstar=k_over_kstar, x_star=x_star)
-    res = discord_cosmo(x, -math.pi / 4.0, params, "transport", kGamma_over_kstar=couplings,
-                        p=p_row)
-    want_d, want_s0 = _reference(x, params, p_row, couplings)
-    assert np.max(np.abs(res.discord - want_d)) <= 1e-12
-    assert np.max(np.abs(res.log_sigma_zero - want_s0)) <= 6e-13
+    params = CosmoParams(0.0, p_row[0], 0.1)
+    rows = [discord_cosmo(x, -math.pi / 4.0, params, "transport", p=p,
+                          kGamma_over_kstar=couplings / k_over_kstar * x_star ** ((p - 3.0) / 2.0))
+            for p in p_row.tolist()]
+    want_d, want_s0 = _reference(x, params, p_row, couplings, x_star, k_over_kstar)
+    assert np.max(np.abs([r.discord for r in rows] - want_d)) <= 1e-12
+    assert np.max(np.abs([r.log_sigma_zero for r in rows] - want_s0)) <= 6e-13
