@@ -41,6 +41,7 @@ import numpy as np
 from . import __version__
 from .closed import ModeFrequency, wigner_ellipse
 from .cosmology import (
+    EVOLVE_X_MAX,
     PLANE_BLOCK_CELLS,
     CosmoParams,
     _plane_blocks,
@@ -201,9 +202,8 @@ def _preset(cfg: dict) -> str:
 
 def _evolve(cfg: dict, x_grid, source):
     """Transport over x_grid under the configured preset and tolerances."""
-    # ~50 us of de Sitter integration per unit of x: a grid to 1e308 never ends
-    if x_grid.max() > 1e6:
-        raise ConfigError("an integrated grid must stay at or below x = 1e6")
+    if x_grid.max() > EVOLVE_X_MAX:
+        raise ConfigError(f"an integrated grid must stay at or below x = {EVOLVE_X_MAX}")
     tol = cfg.get("tolerances", {})
     rtol = _positive(tol.get("rtol", 1e-11), "tolerances.rtol")
     atol = _positive(tol.get("atol", 1e-12), "tolerances.atol")

@@ -66,6 +66,9 @@ _P_OFFSET = 1e-4
 APPROX_X_MAX = 0.1
 #: relative error allowed to a source-free evolve_de_sitter run backwards
 BACKWARD_ERROR_MAX = 1e-6
+#: the largest x an integrated run (evolve_de_sitter, the CLI's grids) may
+#: reach: ~50 us of integration per unit of x, so a run to 1e308 never ends
+EVOLVE_X_MAX = 1e6
 #: tail tolerance of the transport route's collocation, evolve_de_sitter's rtol
 TRANSPORT_RTOL = 1e-11
 #: cells of the discord_cosmo plane evaluated at once (see _plane_blocks)
@@ -715,32 +718,32 @@ def _chebyshev_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, (cheb - cheb[0]) @ antider @ to_coeffs, to_coeffs[-2:]
 
 
-def _collocate(h: float, y: np.ndarray, a10: np.ndarray, diag, src: np.ndarray, weights):
+def _collocate(h: float, y: np.ndarray, couplings, src: np.ndarray, weights):
     """One interval of length h of a collocated phase: its end state and
     the increments (2, n) of (a1, a2), or None when a Chebyshev tail is
     above TRANSPORT_RTOL of its scale or a value is not finite.
 
     y (3, 1 + n) holds the rows g11, g12, g22 of the closed block and of
     each F_i at the start.  In the phase's time the blocks solve
-    u' = A u + b, A = [[d0, 2, 0], [a10, d1, 1], [0, 2 a10, d2]] with a10
-    given at the Chebyshev points, (d0, d1, d2) = diag and b = src_i on the
-    row 22 of F_i (0 on g), so at the points u = y + Q (A u + b): one dense
-    system for the three rows at every point, whose right-hand sides are
-    the 1 + n blocks.  The increments are the Clenshaw-Curtis integrals of
-    weights[0] g11 and weights[1] F_i11, each (points, n)."""
+    u0' = c01 u1, u1' = c10 u0 + c12 u2, u2' = c21 u1 + b, with
+    (c01, c10, c12, c21) = couplings, each a number or its values at the
+    Chebyshev points, and b = src_i on the row 22 of F_i (0 on g); at the
+    points each row is its start plus Q times its right-hand side.  With
+    no diagonal, u0 = y0 + Q c01 u1 and u2 = y2 + Q b + Q c21 u1 are
+    explicit in u1, which solves one system of the size of the points
+    (25x25), (I - Q c10 Q c01 - Q c12 Q c21) u1 = y1 + Q c10 y0 + Q c12 (y2 + Q b),
+    whose right-hand sides are the 1 + n blocks (a phase with a diagonal
+    takes an integrating factor into the couplings, `_efold_interval`).
+    The increments are the Clenshaw-Curtis integrals of weights[0] g11 and
+    weights[1] F_i11, each (points, n)."""
     s, q, tail = _chebyshev_operators()
-    k = len(s)
     q = 0.5 * h * q
-    system = np.eye(3 * k)
-    for i, d in enumerate(diag):
-        system[i * k:(i + 1) * k, i * k:(i + 1) * k] -= d * q
-    system[:k, k:2 * k] = -2.0 * q
-    system[k:2 * k, :k] = -q * a10
-    system[k:2 * k, 2 * k:] = -q
-    system[2 * k:, k:2 * k] = -2.0 * q * a10
-    rhs = np.repeat(y, k, axis=0)
-    rhs[2 * k:, 1:] += q @ src
-    u = np.linalg.solve(system, rhs).reshape(3, k, -1)
+    q01, q10, q12, q21 = (q * c for c in couplings)  # Q c: c on the columns
+    y2b = np.repeat(y[2:], len(s), axis=0)  # y2 + Q b
+    y2b[:, 1:] += q @ src
+    u1 = np.linalg.solve(np.eye(len(s)) - q10 @ q01 - q12 @ q21,
+                         y[1] + np.multiply.outer(q10.sum(axis=1), y[0]) + q12 @ y2b)
+    u = np.stack((y[0] + q01 @ u1, u1, y2b + q21 @ u1))
     integrands = np.hstack((weights[0] * u[0, :, :1], weights[1] * u[0, :, 1:]))
     # each block against its largest value, each integrand against its
     # largest value or 1e-100, below which it moves no a1 or a2 and the
@@ -784,12 +787,13 @@ def _march(t: float, t_end: float, length: Callable, interval: Callable, state, 
 
 def _subhubble_interval(t: float, h: float, y: np.ndarray, a: np.ndarray, expo: np.ndarray):
     """One interval [t, t + h] of conformal time t = -x of
-    `_subhubble_response`: A of `_collocate` has a10 = 2/x^2 - 1 and no
-    diagonal, and the unit source x^expo_i is b of F_i and the weight of
-    both integrals (a1' = S g11, a2' = S F11)."""
+    `_subhubble_response`: the couplings of `_collocate` are
+    (2, a10, 1, 2 a10), a10 = 2/x^2 - 1, and the unit source x^expo_i is b
+    of F_i and the weight of both integrals (a1' = S g11, a2' = S F11)."""
     x = -t - (_chebyshev_operators()[0] + 1.0) * (0.5 * h)
     src = np.power(x[:, None], expo)  # (points, n)
-    step = _collocate(h, y, 2.0 / (x * x) - 1.0, (0.0, 0.0, 0.0), src, (src, src))
+    a10 = 2.0 / (x * x) - 1.0
+    step = _collocate(h, y, (2.0, a10, 1.0, 2.0 * a10), src, (src, src))
     return None if step is None else (step[0], a + step[1])
 
 
@@ -825,26 +829,30 @@ def _subhubble_response(x_on: float, x_end: float, ps) -> tuple[np.ndarray, np.n
 
 def _efold_interval(n_0: float, h: float, y: np.ndarray, a: np.ndarray, ps, c_f, c_1):
     """One e-fold interval [n_0, n_0 + h] of `_efold_response` (cF and c1
-    from there), in w = e^(cF (N - n_0)) z on each F_i, so that A of
-    `_collocate` is the same on every block: a10 = 2 - x^2, diagonal
-    -(2, 3, 4); b of F_i is x^(8-p+cF) e^(cF (N - n_0)), and the integral
-    of a1 (a2) weighs g11 (w of F11) by x^(2-p+c1) e^(-c1 (n_0 + h - N))
-    (times e^(-cF h)).  At the end w of F_i is scaled back by e^(-cF h),
-    and a1 (a2) decays by e^(-c1 h) (e^(-(c1 + cF) h)) before its integral
-    adds."""
+    from there).  In tau = N - n_0 its scaled blocks z solve
+    z' = (M - P) z + b, P = (2, 3, 4) on the rows g11, g12, g22 plus cF on
+    each F_i; `_collocate` takes them in v = e^(P tau) z, which removes the
+    diagonal and leaves the same couplings on every block,
+    (2 e^-tau, a10 e^tau, e^-tau, 2 a10 e^tau) with a10 = 2 - x^2.  b of
+    F_i is x^(8-p+cF) e^((4 + cF) tau), and the integral of a1 (a2) weighs
+    v of g11 (F_i11) by x^(2-p+c1) e^(-c1 (h - tau)) e^(-2 tau) (times
+    e^(-cF h)).  At the end v is scaled back by e^(-P h), and a1 (a2)
+    decays by e^(-c1 h) (e^(-(c1 + cF) h)) before its integral adds."""
     tau = (_chebyshev_operators()[0] + 1.0) * (0.5 * h)  # N - n_0
     efolds = n_0 + tau
     # each power of x as its exponent in N, (p - c) N + c (N - N_ref) with
     # c = 0 or p - 8 (p - 2): where c > 0, its e^(c N) comes in O(1) pieces
-    src = np.exp(np.multiply.outer(efolds, ps - 8.0 - c_f) + np.multiply.outer(tau, c_f))
+    src = np.exp(np.multiply.outer(efolds, ps - 8.0 - c_f) + np.multiply.outer(tau, c_f + 4.0))
     weight = np.exp(np.multiply.outer(efolds, ps - 2.0 - c_1)
-                    + np.multiply.outer(tau - h, c_1))
+                    + np.multiply.outer(tau - h, c_1) - 2.0 * tau[:, None])
     shrink = np.exp(-h * c_f)
-    step = _collocate(h, y, 2.0 - np.exp(-2.0 * efolds), (-2.0, -3.0, -4.0), src,
+    up, a10 = np.exp(tau), 2.0 - np.exp(-2.0 * efolds)
+    step = _collocate(h, y, (2.0 / up, a10 * up, 1.0 / up, 2.0 * a10 * up), src,
                       (weight, weight * shrink))
     if step is None:
         return None
     u, da = step
+    u *= np.exp(-h * np.arange(2.0, 5.0))[:, None]
     u[:, 1:] *= shrink
     return u, np.exp(-h * np.stack((c_1, c_1 + c_f))) * a + da
 
@@ -878,7 +886,7 @@ def _transport_block(x: float, theta: float, params: CosmoParams, ps, couplings)
     """(ln sigma(0)^2, ln q) of a block: the response to the unit sources
     x^(3-p) of its p rows by `_subhubble_response` from 1/ellH down to
     max(x, 1), then `_efold_response` from x = 1, where its scaling x^P is
-    1, down to x (both one dense solve per interval, whatever the number
+    1, down to x (both one 25x25 solve per interval, whatever the number
     of couplings); its cells, at the couplings 2 kap2 (the source
     2 kap2 x^(3-p)), read from the scaled state by `_log_sigmas_series` at
     min(x, 1), unscaled at x >= 1.  A cell with a diagonal entry <= 0 or
@@ -993,10 +1001,12 @@ def evolve_de_sitter(
     0.02 rtol / x_start^6 (measured against the closed form for x_start
     0.01 to 0.5, rtol 1e-12 to 1e-8, x_end 1 to 100).  A backward run
     whose error would exceed 1e-6 by that rule raises DomainError: at
-    the default rtol, x_start must be at least 0.077.
+    the default rtol, x_start must be at least 0.077.  So does an x
+    outside (0, EVOLVE_X_MAX], which bounds the run's time.
     """
-    if not (x_start > 0.0 and x_end > 0.0):
-        raise DomainError(f"x must be positive, got x_start={x_start}, x_end={x_end}")
+    if not (0.0 < x_start <= EVOLVE_X_MAX and 0.0 < x_end <= EVOLVE_X_MAX):
+        raise DomainError(f"x must be in (0, {EVOLVE_X_MAX}], got x_start={x_start}, "
+                          f"x_end={x_end}")
     if source is not None and not x_end < x_start:
         raise DomainError(f"a source needs x_end < x_start, got {x_end} >= {x_start}")
     if x_end > x_start and 0.02 * rtol > BACKWARD_ERROR_MAX * x_start ** 6:

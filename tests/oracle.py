@@ -13,7 +13,9 @@ reference for the log-domain readers of the discord routes.
 `dop853` and `de_sitter_response` are the integrator reference of the
 transport route's two collocated phases: the de Sitter response to n unit
 sources on scipy's compiled DOP853, below the rtol floor of solve_ivp;
-`response_cells` reads its cells at any couplings.
+`response_cells` reads its cells at any couplings.  `collocate_dense` is
+the reference of one collocated interval: the three rows of every block
+at every Chebyshev point as one dense system, diagonal included.
 """
 
 import math
@@ -251,3 +253,39 @@ def response_cells(y, a, det0, kap2):
     g11, g12, g22 = (y[i, 0] + kap2 * y[i, 1:, None, :] for i in range(3))
     det = det0 + kap2 * a[0][:, None, :] + kap2 * kap2 * a[1][:, None, :]
     return SimpleNamespace(g11=g11, g12=g12, g22=g22, det=det, lam=np.maximum(det, 1.0))
+
+
+def collocate_dense(h, y, a10, diag, src, weights):
+    """One interval of `cosmology._collocate` as one dense system: the end
+    state and the increments (2, n) of (a1, a2), or None when a Chebyshev
+    tail is above TRANSPORT_RTOL of its scale or a value is not finite.
+
+    The blocks y (3, 1 + n) solve u' = A u + b,
+    A = [[d0, 2, 0], [a10, d1, 1], [0, 2 a10, d2]] with a10 given at the
+    Chebyshev points, (d0, d1, d2) = diag and b = src_i on the row 22 of
+    F_i (0 on g); at the points u = y + Q (A u + b) is one system of three
+    times their number, whose right-hand sides are the 1 + n blocks.  The
+    increments integrate weights[0] g11 and weights[1] F_i11, and the tail
+    test is the kernel's."""
+    from gausslind import cosmology
+    s, q, tail = cosmology._chebyshev_operators()
+    k = len(s)
+    q = 0.5 * h * q
+    system = np.eye(3 * k)
+    for i, d in enumerate(diag):
+        system[i * k:(i + 1) * k, i * k:(i + 1) * k] -= d * q
+    system[:k, k:2 * k] = -2.0 * q
+    system[k:2 * k, :k] = -q * a10
+    system[k:2 * k, 2 * k:] = -q
+    system[2 * k:, k:2 * k] = -2.0 * q * a10
+    rhs = np.repeat(y, k, axis=0)
+    rhs[2 * k:, 1:] += q @ src
+    u = np.linalg.solve(system, rhs).reshape(3, k, -1)
+    integrands = np.hstack((weights[0] * u[0, :, :1], weights[1] * u[0, :, 1:]))
+    for v, floor in ((u, 0.0), (integrands[None], 1e-100)):
+        scale = np.abs(v).max(axis=(0, 1))
+        if not (np.isfinite(scale).all() and (np.abs(tail @ v).max(axis=(0, 1))
+                                              <= cosmology.TRANSPORT_RTOL
+                                              * np.maximum(scale, floor)).all()):
+            return None
+    return u[:, -1], (q[-1] @ integrands).reshape(2, -1)

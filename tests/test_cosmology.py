@@ -1,5 +1,6 @@
 import functools
 import math
+import signal
 import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -755,6 +756,25 @@ class TestEvolveDeSitter:
         # forward runs are not limited
         evolve_de_sitter(10.0, 0.01)
 
+    @pytest.mark.parametrize("x_start, x_end, source", [
+        (10.0, 1e308, None), (2e6, 1.0, None), (10.0, math.inf, None),
+        (1e6, 1.5e6, None), (1e7, 1.0, lambda eta: 0.1)],
+        ids=["to_1e308", "from_2e6", "to_inf", "to_1.5e6", "source_from_1e7"])
+    def test_x_beyond_the_bound_rejected_in_bounded_time(self, x_start, x_end, source):
+        # ~50 us of integration per unit of x: beyond EVOLVE_X_MAX a run
+        # would not end, so the entry refuses it before any step
+        def alarm(signum, frame):
+            raise TimeoutError("evolve_de_sitter ran past its 5-s alarm")
+
+        previous = signal.signal(signal.SIGALRM, alarm)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(DomainError):
+                evolve_de_sitter(x_start, x_end, source)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 def _trajectory_cell(traj, theta):
     """(discord, ln sigma(0)) of the last sample of a trajectory."""
@@ -1380,6 +1400,106 @@ class TestEfoldPhase:
         names = ("de_sitter_response.<locals>.rhs", "TestEfoldPhase._reference.<locals>.rhs")
         assert not [f for f in gc.get_objects()
                     if getattr(f, "__qualname__", None) in names]
+
+
+class TestCollocateKernel:
+    """One interval of `_collocate`, which solves for g12 alone, against the
+    dense system of the three rows (`oracle.collocate_dense`), on the
+    inputs of either phase."""
+
+    P3 = np.array([0.5, 5.3, 9.2])  # cF = max(p - 8, 0) > 0 at 9.2
+    P0 = np.array([])
+    # (phase, start t, length h, p row): t = -x in conformal time, N in
+    # e-folds; a last interval is cut short, and one too long fails its tail
+    CASES = {
+        "subhubble_x20": ("subhubble", -20.0, 2.0, P3),
+        "subhubble_x1.5": ("subhubble", -1.5, 0.5, P3),
+        "subhubble_cut_short": ("subhubble", -1.2, 0.2, P3),
+        "subhubble_n0": ("subhubble", -20.0, 2.0, P0),
+        "subhubble_too_long": ("subhubble", -20.0, 16.0, P3),
+        "efold_N0": ("efold", 0.0, 1.0, P3),
+        "efold_N40": ("efold", 40.0, 1.0, P3),  # a10 = 2 - x^2 rounds to 2
+        "efold_cut_short": ("efold", 40.0, 0.37, P3),
+        "efold_n0": ("efold", 0.0, 1.0, P0),
+        "efold_too_long": ("efold", 0.0, 8.0, P3),
+    }
+
+    @staticmethod
+    def _start(phase, t, ps):
+        """The state (y, a) of the transport route at t."""
+        from gausslind import cosmology
+        if phase == "subhubble":
+            return cosmology._subhubble_response(40.0, -t, ps)
+        start = cosmology._subhubble_response(10.0, 1.0, ps)
+        return cosmology._efold_response(*start, math.exp(-t), ps)[0] if t else start
+
+    @staticmethod
+    def _dense_inputs(phase, t, h, ps):
+        """(a10, diag, src, weights) of the interval [t, t + h] in the dense
+        form of `oracle.collocate_dense`, with the diagonal of the phase."""
+        from gausslind import cosmology
+        tau = (cosmology._chebyshev_operators()[0] + 1.0) * (0.5 * h)
+        if phase == "subhubble":
+            x = -t - tau
+            src = np.power(x[:, None], 3.0 - ps)
+            return 2.0 / (x * x) - 1.0, (0.0, 0.0, 0.0), src, (src, src)
+        efolds = t + tau
+        c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
+        src = np.exp(np.multiply.outer(efolds, ps - 8.0 - c_f) + np.multiply.outer(tau, c_f))
+        weight = np.exp(np.multiply.outer(efolds, ps - 2.0 - c_1)
+                        + np.multiply.outer(tau - h, c_1))
+        return (2.0 - np.exp(-2.0 * efolds), (-2.0, -3.0, -4.0), src,
+                (weight, weight * np.exp(-h * c_f)))
+
+    @staticmethod
+    def _kernel(h, y, a10, diag, src, weights):
+        """`_collocate` on a dense form's interval, in v_i = e^(-d_i tau) u_i,
+        which has no diagonal, with u = e^(d h) v at the end."""
+        from gausslind import cosmology
+        tau = (cosmology._chebyshev_operators()[0] + 1.0) * (0.5 * h)
+        d0, d1, d2 = diag
+
+        def e(c):
+            return np.exp(c * tau)
+
+        step = cosmology._collocate(
+            h, y, (2.0 * e(d1 - d0), a10 * e(d0 - d1), e(d2 - d1), 2.0 * a10 * e(d1 - d2)),
+            src * e(-d2)[:, None], tuple(w * e(d0)[:, None] for w in weights))
+        return None if step is None else (step[0] * np.exp(np.multiply(diag, h))[:, None],
+                                          step[1])
+
+    @staticmethod
+    def _assert_close(got, want):
+        # each block (a column of u) against its largest value, each
+        # increment against itself
+        (u, da), (u_w, da_w) = got, want
+        assert u.shape == u_w.shape and da.shape == da_w.shape
+        assert np.all(np.abs(u - u_w).max(axis=0) <= 1e-13 * np.abs(u_w).max(axis=0))
+        assert np.all(np.abs(da - da_w) <= 1e-13 * np.abs(da_w))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_against_dense_solve(self, case):
+        from gausslind import cosmology
+        phase, t, h, ps = self.CASES[case]
+        y, a = self._start(phase, t, ps)
+        inputs = self._dense_inputs(phase, t, h, ps)
+        want = oracle.collocate_dense(h, y, *inputs)
+        got = self._kernel(h, y, *inputs)
+        if case.endswith("too_long"):
+            assert want is None and got is None
+            return
+        self._assert_close(got, want)
+        # the phase's own interval, with its couplings written out
+        if phase == "subhubble":
+            step = cosmology._subhubble_interval(t, h, y, a, 3.0 - ps)
+            want_step = want[0], a + want[1]
+        else:
+            c_f, c_1 = np.maximum(ps - 8.0, 0.0), np.maximum(ps - 2.0, 0.0)
+            step = cosmology._efold_interval(t, h, y, a, ps, c_f, c_1)
+            u = want[0].copy()
+            u[:, 1:] *= np.exp(-h * c_f)
+            want_step = u, np.exp(-h * np.stack((c_1, c_1 + c_f))) * a + want[1]
+        self._assert_close(step, want_step)
 
 
 def test_discord_stays_large_under_strong_decoherence():

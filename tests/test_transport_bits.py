@@ -39,9 +39,9 @@ PLANES = {
 # (plane, i, j, discord, ln sigma(0))
 PINS = [
     # p 0.1, kGamma/k* 100: D 14.4
-    ("known_defect_8x8", 0, 7, "0x1.cd8e1d301d0edp+3", "0x1.0d4962c2e26c6p+4"),
+    ("known_defect_8x8", 0, 7, "0x1.cd8e1d301d0f3p+3", "0x1.0d4962c2e26c5p+4"),
     # p 4.3, kGamma/k* 0.139: D 21.4
-    ("known_defect_8x8", 3, 2, "0x1.5653ef56370cap+4", "0x1.7ac125b78d33cp+2"),
+    ("known_defect_8x8", 3, 2, "0x1.5653ef56370cap+4", "0x1.7ac125b78d33bp+2"),
     # p 9.9, kGamma/k* 7.20: D 1.0e-12
     ("known_defect_8x8", 7, 5, "0x1.218e68c09fe23p-40", "0x1.1c5bd419d2779p+5"),
     # p 0.1, kGamma/k* 1e6: D 63.4
