@@ -36,13 +36,7 @@ from .specfun import (
 from .closed import (
     ModeFrequency,
     ModeState,
-    BogoliubovPair,
-    integrate_mode_function,
-    bogoliubov_from_mode,
-    covariance_from_bogoliubov,
     transport_rhs_closed,
-    squeezing_rhs_closed,
-    evolve_squeezing,
     wigner_ellipse,
 )
 from .opensys import (
@@ -58,7 +52,6 @@ from .cosmology import (
     omega_sq_de_sitter,
     de_sitter_frequency,
     de_sitter_mode,
-    de_sitter_bogoliubov,
     de_sitter_covariance_closed,
     de_sitter_squeezing,
     cosmo_kernel,

@@ -28,10 +28,9 @@ import numpy as np
 
 from ._special import logsumexp
 from .closed import CovarianceTrajectory, ModeFrequency, ModeState
-from .closed import BogoliubovPair
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
 from .errors import BelowHeisenbergError, DomainError, SingularExponentError, StepFailureError
-from .opensys import evolve_open, piecewise_oscillatory_quad
+from .opensys import EVOLVE_X_MAX, evolve_open, piecewise_oscillatory_quad
 from .specfun import oscillatory_moment, oscillatory_moment_limits
 from .symplectic import CovarianceBlock, _half_sin, _ln, _ln_q
 
@@ -43,7 +42,6 @@ __all__ = [
     "omega_sq_de_sitter",
     "de_sitter_frequency",
     "de_sitter_mode",
-    "de_sitter_bogoliubov",
     "de_sitter_covariance_closed",
     "de_sitter_squeezing",
     "cosmo_kernel",
@@ -66,9 +64,6 @@ _P_OFFSET = 1e-4
 APPROX_X_MAX = 0.1
 #: relative error allowed to a source-free evolve_de_sitter run backwards
 BACKWARD_ERROR_MAX = 1e-6
-#: the largest x an integrated run (evolve_de_sitter, the CLI's grids) may
-#: reach: ~50 us of integration per unit of x, so a run to 1e308 never ends
-EVOLVE_X_MAX = 1e6
 #: tail tolerance of the transport route's collocation, evolve_de_sitter's rtol
 TRANSPORT_RTOL = 1e-11
 #: cells of the discord_cosmo plane evaluated at once (see _plane_blocks)
@@ -148,17 +143,6 @@ def de_sitter_mode(x: float) -> ModeState:
     return ModeState(v=v, dv=dv, time=-x)
 
 
-def de_sitter_bogoliubov(x: float) -> BogoliubovPair:
-    """Closed-form Bogoliubov pair: u = (1 + i/x - 1/(2x^2)) e^{ix},
-    w = e^{-ix}/(2x^2); |u|^2 - |w|^2 = 1 identically."""
-    if not 0.0 < x < math.inf:  # False for NaN too
-        raise DomainError(f"x must be positive and finite, got {x}")
-    phase = complex(math.cos(x), math.sin(x))
-    u = (1.0 + 1j / x - 0.5 / (x * x)) * phase
-    w = phase.conjugate() * 0.5 / (x * x)
-    return BogoliubovPair(u=u, w=w)
-
-
 def de_sitter_covariance_closed(x: float) -> CovarianceBlock:
     """Covariance of the free de Sitter mode pair:
     g11 = 1 + 1/x^2, g12 = 1/x^3, g22 = 1 - 1/x^2 + 1/x^4 (det = 1)."""
@@ -175,15 +159,21 @@ def de_sitter_covariance_closed(x: float) -> CovarianceBlock:
 def de_sitter_squeezing(x: float) -> tuple[float, float]:
     """Squeezing parameters (r, phi) of the free de Sitter state.
 
-    r = arccosh(1 + 1/(2x^4)) / 2, evaluated in log1p form; the angle
+    r = arccosh(1 + 1/(2x^4)) / 2, evaluated in log1p form, and below
+    x ~ 2.5e-39, where that form overflows, as
+    [ln(1 + 2x^4 + sqrt(1 + 4x^4)) - ln 2 - 4 ln x] / 2; the angle
     branch is fixed so that phi is continuous across x = 1/sqrt(2),
     decreases from -pi/2 (far past) towards 0, and sin(2 phi) < 0
     throughout (the amplitude grows).
     """
     if not 0.0 < x < math.inf:  # False for NaN too
         raise DomainError(f"x must be positive and finite, got {x}")
-    delta = 0.5 / x ** 4
+    x4 = x ** 4
+    delta = 0.5 / x4 if x4 else math.inf
     r = 0.5 * math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
+    if r == math.inf:
+        r = 0.5 * (math.log(1.0 + 2.0 * x4 + math.sqrt(1.0 + 4.0 * x4))
+                   - math.log(2.0) - 4.0 * math.log(x))
     phi = 0.5 * math.atan2(-2.0 * x, 1.0 - 2.0 * x * x)
     return r, phi
 

@@ -35,7 +35,6 @@ from .closed import (
     DEFAULT_RTOL,
     CovarianceTrajectory,
     ModeFrequency,
-    solve_ivp,
     transport_rhs_closed,
 )
 from .errors import DomainError, StepFailureError
@@ -47,14 +46,28 @@ __all__ = [
     "evolve_open",
     "piecewise_oscillatory_quad",
     "RTOL_FLOOR",
+    "EVOLVE_X_MAX",
 ]
 
 #: smallest rtol that solve_ivp accepts without raising it to this value
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
+#: the largest span k |t1 - t0| that evolve_open integrates, and the largest
+#: x of `cosmology.evolve_de_sitter` and of the CLI's grids: ~50 us of
+#: integration per unit, so a run over 1e308 never ends
+EVOLVE_X_MAX = 1e6
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, with scipy.integrate imported at the
+    first call: that import costs more than the rest of the package's
+    together, and the routes that integrate nothing (the approx discord
+    map, the ellipse series, the spectrum) never pay it."""
+    import scipy.integrate
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported at the first call (as closed.solve_ivp)."""
+    """scipy.integrate.quad, imported at the first call (as solve_ivp)."""
     import scipy.integrate
     return scipy.integrate.quad(*args, **kwargs)
 
@@ -128,9 +141,10 @@ def evolve_open(
     t_eval=None every step is kept; samples outside t_span or not strictly
     ordered along it raise DomainError before any integrator runs, as do
     an rtol below RTOL_FLOOR (solve_ivp would raise it to that floor
-    silently) and a source whose value at t_span[0] is an array rather
-    than a number.  The initial det is ic.lam, so an ic below the
-    uncertainty bound raises BelowHeisenbergError.
+    silently), a span k |t1 - t0| above EVOLVE_X_MAX or not finite, and a
+    source whose value at t_span[0] is an array rather than a number.  The
+    initial det is ic.lam, so an ic below the uncertainty bound raises
+    BelowHeisenbergError.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
@@ -144,6 +158,10 @@ def evolve_open(
                            else t_eval[1:] < t_eval[:-1])):
             raise DomainError(f"t_eval must lie within t_span = {tuple(t_span)} and be "
                               "strictly ordered along it")
+    # float differences: an overflow is inf without a warning, and refused
+    if not freq.k * abs(float(t_span[1]) - float(t_span[0])) <= EVOLVE_X_MAX:
+        raise DomainError(f"the span k |t1 - t0| of t_span = {tuple(t_span)} at "
+                          f"k = {freq.k} exceeds {EVOLVE_X_MAX}")
     start = None if source is None else source(t_span[0])
     if np.ndim(start) > 0:
         raise DomainError(f"a source returns a number S(t), got shape {np.shape(start)}")

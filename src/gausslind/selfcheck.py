@@ -1,12 +1,12 @@
 """Built-in validation suite.
 
 Runs the fast subset of the acceptance checks that make sense on an end
-user's machine: cross-engine agreement of the closed evolution, discord
-baselines, the super-Hubble coefficient table against the exact
-determinant, the incomplete-gamma accuracy battery, and the transport
-discord map against the super-Hubble one.  Each check
-returns (name, ok, detail) and prints one line; the CLI maps failure to
-a non-zero exit.
+user's machine: the closed evolution of the transport engine against the
+closed de Sitter forms, discord baselines, the super-Hubble coefficient
+table against the exact determinant, the incomplete-gamma accuracy
+battery, and the transport discord map against the super-Hubble one.
+Each check returns (name, ok, detail) and prints one line; the CLI maps
+failure to a non-zero exit.
 """
 
 from __future__ import annotations
@@ -16,19 +16,10 @@ import time
 
 import numpy as np
 
-from .closed import (
-    bogoliubov_from_mode,
-    covariance_from_bogoliubov,
-    evolve_squeezing,
-    integrate_mode_function,
-)
 from .cosmology import (
     CosmoParams,
     asymptotic_coefficients,
     de_sitter_covariance_closed,
-    de_sitter_frequency,
-    de_sitter_mode,
-    de_sitter_squeezing,
     discord_cosmo,
     evolve_de_sitter,
     exact_open_det,
@@ -70,45 +61,20 @@ def reference_upper_gamma(a: float, z: complex, epsrel: float = 5e-14) -> comple
 
 
 def check_closed_engines() -> tuple[str, bool, str]:
-    """Mode-function, squeezing and transport engines against the closed
-    de Sitter forms, x from 100 to 0.01; purity drift below 1e-9."""
+    """The transport engine against the closed de Sitter forms, x from 100
+    to 0.01: entries to 1e-6 relative, purity drift below 1e-9."""
     x_grid = np.geomspace(100.0, 0.01, 41)
     closed = np.array([
         [b.g11, b.g12, b.g22]
         for b in (de_sitter_covariance_closed(x) for x in x_grid)
     ])
-
-    worst = 0.0
-    drift = 0.0
-
-    # transport engine (determinant transported alongside)
+    # the determinant is transported alongside the entries
     traj = evolve_de_sitter(100.0, 0.01, x_eval=x_grid)
     got = np.column_stack([traj.g11, traj.g12, traj.g22])
-    worst = max(worst, float(np.abs(got / closed - 1.0).max()))
-    drift = max(drift, float(np.abs(traj.purity - 1.0).max()))
-
-    # mode-function engine; its purity is the squared Wronskian over 2ik
-    freq = de_sitter_frequency()
-    mtraj = integrate_mode_function(freq, -100.0, -0.01, de_sitter_mode(100.0))
-    for i, x in enumerate(x_grid):
-        st = mtraj.state(-x)
-        pair = bogoliubov_from_mode(st, 1.0)
-        b = covariance_from_bogoliubov(pair)
-        rel = np.abs(np.array([b.g11, b.g12, b.g22]) / closed[i] - 1.0).max()
-        worst = max(worst, float(rel))
-        norm = (st.wronskian() / 2j).real
-        drift = max(drift, abs(1.0 / (norm * norm) - 1.0))
-
-    # squeezing engine (purity 1 by construction)
-    r0, phi0 = de_sitter_squeezing(100.0)
-    _, rr, pp = evolve_squeezing(freq, (-100.0, -0.01), (r0, phi0), t_eval=-x_grid)
-    for i in range(len(x_grid)):
-        b = covariance_from_squeezing(SqueezingState(rr[i], pp[i], 1.0))
-        rel = np.abs(np.array([b.g11, b.g12, b.g22]) / closed[i] - 1.0).max()
-        worst = max(worst, float(rel))
-
+    worst = float(np.abs(got / closed - 1.0).max())
+    drift = float(np.abs(traj.purity - 1.0).max())
     ok = worst < 1e-6 and drift < 1e-9
-    return ("closed-evolution cross-engine agreement",
+    return ("closed evolution against the closed de Sitter forms",
             ok, f"max rel dev {worst:.2e}, purity drift {drift:.2e}")
 
 

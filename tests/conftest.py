@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gausslind.closed import SQUEEZING_R_FLOOR, ModeFrequency, squeezing_rhs_closed
+from gausslind.closed import ModeFrequency
 from gausslind.cosmology import CosmoParams, _approx_block, offset_singular_p
 from gausslind.discord import entropy_kernel
 from gausslind.errors import DegenerateSqueezingError
@@ -38,7 +38,7 @@ def default_map():
 def count_rhs_calls(monkeypatch, *targets) -> list:
     """A list that grows by one per call of each RHS callback handed to the
     integrators that targets name, (module, name) pairs such as
-    (opensys, "solve_ivp") or (closed, "solve_ivp")."""
+    (opensys, "solve_ivp")."""
     calls = []
     for module, name in targets:
         def counting(rhs, *args, _real=getattr(module, name), **kwargs):
@@ -137,6 +137,11 @@ def third_order_residual(g11_of_t, freq: ModeFrequency, t: float,
     return d3 / k ** 3 + 4.0 * w * d1 / k + 2.0 * dw * f(t) / k - 2.0 * s
 
 
+#: the squeezing-angle equation has a 1/tanh(2r) factor; below this
+#: amplitude generalized_squeezing_rhs refuses
+SQUEEZING_R_FLOOR = 1e-6
+
+
 def generalized_squeezing_rhs(
     state: SqueezingState,
     freq: ModeFrequency,
@@ -147,24 +152,28 @@ def generalized_squeezing_rhs(
     given the source value s = S(t) (None: no environment).
 
     dlam/dt = k S sqrt(lam) [cosh 2r - cos 2phi sinh 2r]
-    dr/dt   = closed part - (k S / (4 sqrt(lam))) [sinh 2r - cos 2phi cosh 2r]
-    dphi/dt = closed part - k S sin 2phi / (4 sqrt(lam) sinh 2r)
+    dr/dt   = (k/2) (w - 1) sin 2phi
+              - (k S / (4 sqrt(lam))) [sinh 2r - cos 2phi cosh 2r]
+    dphi/dt = -(k/2) (w + 1) + (k/2) (w - 1) cos 2phi / tanh 2r
+              - k S sin 2phi / (4 sqrt(lam) sinh 2r)
 
-    Reduces exactly to the closed equations when S = 0.  A cross-check of
-    the transport engine, not an engine: it is singular at r -> 0, stiff
-    near lam ~ 1, and its dlam cancels at large r.
+    with w = omega^2/k^2; at S = 0 these are the closed equations.  A
+    cross-check of the transport engine, not an engine: it is singular at
+    r -> 0, stiff near lam ~ 1, and its dlam cancels at large r.
     """
     if state.r <= SQUEEZING_R_FLOOR:
         raise DegenerateSqueezingError(
             f"generalized squeezing engine needs r > {SQUEEZING_R_FLOOR}"
         )
-    dr, dphi = squeezing_rhs_closed(state.r, state.phi, freq, t)
+    k = freq.k
+    w = freq.ratio(t)
+    c2, s2 = math.cos(2.0 * state.phi), math.sin(2.0 * state.phi)
+    dr = 0.5 * k * (w - 1.0) * s2
+    dphi = -0.5 * k * (w + 1.0) + 0.5 * k * (w - 1.0) * c2 / math.tanh(2.0 * state.r)
     if not s:  # None or 0
         return (0.0, dr, dphi)
-    k = freq.k
-    sqrt_lam = math.sqrt(state.lam)
     ch, sh = math.cosh(2.0 * state.r), math.sinh(2.0 * state.r)
-    c2, s2 = math.cos(2.0 * state.phi), math.sin(2.0 * state.phi)
+    sqrt_lam = math.sqrt(state.lam)
     dlam = k * s * sqrt_lam * (ch - c2 * sh)
     dr -= k * s / (4.0 * sqrt_lam) * (sh - c2 * ch)
     dphi -= k * s * s2 / (4.0 * sqrt_lam * sh)

@@ -10,6 +10,10 @@ against the series they stand for.
 `log_sigmas` is the linear-domain reader of a trajectory's cells, the
 reference for the log-domain readers of the discord routes.
 
+`mode_covariance` is the closed covariance of any frequency read off the
+mode function, the reference of `opensys.evolve_open` where no closed
+form is known.
+
 `dop853` and `de_sitter_response` are the integrator reference of the
 transport route's two collocated phases: the de Sitter response to n unit
 sources on scipy's compiled DOP853, below the rtol floor of solve_ivp;
@@ -203,6 +207,25 @@ def dop853(rhs, y0, t0, times, rtol, atol, first_step, max_step=0.0):
         held.clear()
         vars(solver._integrator).clear()
     return ys
+
+
+def mode_covariance(freq, ic, times, rtol=1e-13, atol=1e-15):
+    """The rows (len(times), 3) of g11, g12, g22 of the closed covariance at
+    times, from the mode function: v'' + omega^2(k, t) v = 0 from the mode
+    state ic (ModeState(1, -ik, t0) is the vacuum at t0) on `dop853`.  The
+    Bogoliubov pair u = (v + i v'/k)/2, w = ((v - i v'/k)/2)^* of vacuum
+    initial data has the covariance |u + w^*|^2 = |v|^2, 2 Im(u w) =
+    Re(v^* v')/k and |u - w^*|^2 = |v'/k|^2."""
+    k = freq.k
+
+    def rhs(t, y):  # y = (Re v, Im v, Re v', Im v')
+        w2 = freq.omega_sq(k, t)
+        return [y[2], y[3], -w2 * y[0], -w2 * y[1]]
+
+    y = dop853(rhs, [ic.v.real, ic.v.imag, ic.dv.real, ic.dv.imag], ic.time, times,
+               rtol, atol, 0.0)
+    v, dv = y[:, 0] + 1j * y[:, 1], y[:, 2] + 1j * y[:, 3]
+    return np.column_stack([np.abs(v) ** 2, (v.conj() * dv).real / k, np.abs(dv / k) ** 2])
 
 
 def de_sitter_response(x_start, x_end, source, x_eval, rtol, atol):

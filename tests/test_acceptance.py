@@ -47,7 +47,7 @@ def test_criterion_01_cross_engine_closed_evolution():
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s"
-    report(1, f"three engines against the closed forms: {detail}, "
+    report(1, f"transport against the closed forms: {detail}, "
               f"runtime {elapsed:.2f}s")
 
 

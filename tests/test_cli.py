@@ -530,6 +530,30 @@ class TestEllipseScenario:
         assert abs(by_n[5]["tilt"]) < abs(by_n[0]["tilt"])
         assert abs(by_n[5]["tilt"]) < 0.01
 
+    def test_deep_grid_runs(self, tmp_path):
+        # r was inf below x ~ 2.5e-39 and the run exited 2 with "r, phi and
+        # lam must be finite"; at x = 1e-60 the axis ratio e^(2r) is ~1e240
+        cfg = write_config(tmp_path, "e.json", {
+            "mode": "ellipse_series", "output_path": "ell.csv",
+            "grid": {"x_start": 1.0, "x_end": 1e-60, "points": 3}})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "ell.csv")
+        row = {h: float(v) for h, v in zip(header, rows[-1])}
+        r = -2.0 * math.log(1e-60)  # to ~1e-240, relative
+        assert abs(row["efolds"] + math.log(1e-60)) < 1e-12 * row["efolds"]
+        assert abs(math.log(row["axis_ratio"]) - 2.0 * r) < 1e-12 * r
+
+    def test_axis_ratio_past_a_double_exits_3(self, tmp_path, capsys):
+        # at x = 1e-90, r = 414.5 and the axis ratio e^(2r) is not a double:
+        # the run exits 3 with no CSV, as for any value that is not finite
+        cfg = write_config(tmp_path, "e.json", {
+            "mode": "ellipse_series", "output_path": "ell.csv",
+            "grid": {"x_start": 1.0, "x_end": 1e-90, "points": 3}})
+        assert run_cli(["run", cfg, "--out", str(tmp_path)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "StepFailureError"
+        assert not (tmp_path / "ell.csv").exists()
+
 
 class TestSpectrumScenario:
     def test_scale_invariant_p5(self, tmp_path):

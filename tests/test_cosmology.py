@@ -5,6 +5,7 @@ import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
@@ -20,7 +21,6 @@ from gausslind.cosmology import (
     approx_open_covariance,
     asymptotic_coefficients,
     cosmo_kernel,
-    de_sitter_bogoliubov,
     de_sitter_covariance_closed,
     de_sitter_mode,
     de_sitter_squeezing,
@@ -70,14 +70,6 @@ class TestFreeDeSitter:
         # products reach ~1/x^3 before cancelling to 2, hence the floor
         assert abs(de_sitter_mode(0.01).wronskian() - 2j) < 1e-10
 
-    def test_bogoliubov(self):
-        assert abs(de_sitter_bogoliubov(1e5).w) < 1e-9
-        assert abs(abs(de_sitter_bogoliubov(1.0).w) - 0.5) < 1e-15
-        for x in (10.0, 1.0, 1.0e-2):
-            pair = de_sitter_bogoliubov(x)
-            tol = 5e-8 if x < 0.1 else 1e-13  # eps |u|^2 representation floor
-            assert abs(pair.normalization() - 1.0) < tol
-
     def test_covariance(self):
         b = de_sitter_covariance_closed(1.0)
         assert (b.g11, b.g12, b.g22) == (2.0, 1.0, 1.0)
@@ -88,6 +80,14 @@ class TestFreeDeSitter:
     def test_squeezing_values(self):
         r, phi = de_sitter_squeezing(1.0)
         assert abs(r - 0.5 * math.acosh(1.5)) < 1e-14
+
+    @pytest.mark.parametrize("x", [1e-30, 1e-40, 1e-100, 1e-300])
+    def test_squeezing_deep_super_hubble(self, x):
+        # r was inf below x ~ 2.5e-39 and x ** 4 divided by zero below 1e-81
+        with mp.workdps(40):
+            want = mp.acosh(1 + 1 / (2 * mp.mpf(x) ** 4)) / 2
+        r, _ = de_sitter_squeezing(x)
+        assert abs(r / float(want) - 1.0) < 4e-16
         r_far, phi_far = de_sitter_squeezing(1e4)
         assert r_far < 1e-8
         assert abs(phi_far + math.pi / 2) < 1e-3
@@ -661,7 +661,6 @@ class TestParamValidation:
         lambda: de_sitter_squeezing(math.nan),
         lambda: de_sitter_squeezing(math.inf),
         lambda: de_sitter_mode(math.inf),
-        lambda: de_sitter_bogoliubov(math.nan),
         lambda: de_sitter_covariance_closed(math.inf),
         lambda: offset_singular_p(math.nan),
         lambda: offset_singular_p(-math.inf),
@@ -671,7 +670,7 @@ class TestParamValidation:
         lambda: entropy_kernel(math.nan),
         lambda: entropy_kernel(np.array([2.0, math.nan])),
     ], ids=["threshold_nan", "threshold_overflows", "squeezing_nan", "squeezing_inf",
-            "mode_inf", "bogoliubov_nan", "covariance_inf", "offset_nan", "offset_inf",
+            "mode_inf", "covariance_inf", "offset_nan", "offset_inf",
             "ellipse_nan", "ellipse_negative", "sigma_theta_nan", "entropy_nan",
             "entropy_row_nan"])
     def test_scalar_entry_refuses(self, entry):

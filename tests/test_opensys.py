@@ -1,4 +1,5 @@
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -82,13 +83,23 @@ class TestOpenRhs:
 
 class TestGeneralizedSqueezing:
     def test_zero_source_reduction(self):
+        # at S = 0, (r, phi) move the covariance along the closed transport
+        # flow: dG/dt = dG/dr dr/dt + dG/dphi dphi/dt, the partials by
+        # central differences of covariance_from_squeezing
         freq = de_sitter_frequency()
         s = SqueezingState(0.5, -0.3, 1.0)
         dlam, dr, dphi = generalized_squeezing_rhs(s, freq, None, -2.0)
         assert dlam == 0.0
-        from gausslind.closed import squeezing_rhs_closed
-        dr0, dphi0 = squeezing_rhs_closed(0.5, -0.3, freq, -2.0)
-        assert dr == dr0 and dphi == dphi0
+        h = 1e-6
+
+        def entries(r, phi):
+            b = covariance_from_squeezing(SqueezingState(r, phi, 1.0))
+            return np.array([b.g11, b.g12, b.g22])
+
+        chain = ((entries(s.r + h, s.phi) - entries(s.r - h, s.phi)) * dr
+                 + (entries(s.r, s.phi + h) - entries(s.r, s.phi - h)) * dphi) / (2.0 * h)
+        want = transport_rhs_closed(covariance_from_squeezing(s), freq, -2.0)
+        assert np.abs(chain - want).max() < 1e-8
 
     def test_area_growth_nonnegative(self, rng):
         freq = ModeFrequency.free(1.0)
@@ -319,7 +330,8 @@ class TestSampleContract:
     @pytest.mark.parametrize("path", SOURCES)
     def test_huge_span_checked_without_overflow(self, monkeypatch, path):
         # the grid of a free-preset evolve_closed from x = 1e300: a step
-        # times the span overflows, and the check may not warn
+        # times the span overflows, and the check may not warn; the span is
+        # beyond EVOLVE_X_MAX, refused before any integrator runs
         from gausslind import opensys
 
         def no_solve(*args, **kwargs):
@@ -329,12 +341,37 @@ class TestSampleContract:
         t_eval = -np.geomspace(1e300, 1.0, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AssertionError, match="an integrator ran"):
+            with pytest.raises(DomainError, match="span"):
                 evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], (-1e300, -1.0),
                             t_eval=t_eval)
             with pytest.raises(DomainError, match="t_eval"):
                 evolve_open(ModeFrequency.free(1.0), self.SOURCES[path], (-1e300, -1.0),
                             t_eval=t_eval[::-1])
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("evolve_open ran for more than 10 s")
+
+
+@pytest.mark.parametrize("freq, t_span", [
+    (de_sitter_frequency(), (-2e6, -1.0)),
+    (ModeFrequency.free(2.0), (0.0, 6e5)),  # k |t1 - t0| = 1.2e6
+    (ModeFrequency.free(1.0), (-1.7e308, 1.7e308)),  # the difference overflows
+    (ModeFrequency.free(1.0), (0.0, math.inf)),
+    (ModeFrequency.free(1.0), (math.nan, 1.0)),
+], ids=["de_sitter_2e6", "k_times_span", "overflowing", "infinite", "nan"])
+def test_span_beyond_budget_refused(freq, t_span):
+    # a de Sitter run from x = 2e6 was still integrating after 4 s: a span
+    # k |t1 - t0| beyond EVOLVE_X_MAX raises DomainError before integrating
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(DomainError, match="span"):
+            evolve_open(freq, lambda eta: 0.1, t_span,
+                        ic=de_sitter_covariance_closed(2e6))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (0,), (2, 2)],
