@@ -1,19 +1,12 @@
 """Gaussian states of parametric oscillators: closed and environment-coupled
-covariance evolution, Gaussian quantum discord across arbitrary
-bipartitions, and the de Sitter inflationary application."""
+covariance evolution, Gaussian quantum discord across the one-angle family
+of bipartitions, and the de Sitter inflationary application."""
 
 from . import errors
 from .symplectic import (
     CovarianceBlock,
-    Covariance4,
-    PartitionAngles,
     SqueezingState,
     ParticleStatistics,
-    general_partition_matrix,
-    one_param_partition_matrix,
-    is_symplectic,
-    transform_covariance,
-    covariance_blocks_in_partition,
     purity,
     sigma_theta,
     particle_statistics,

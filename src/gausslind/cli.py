@@ -39,10 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closed import ModeFrequency, wigner_ellipse
+from .closed import DEFAULT_ATOL, ModeFrequency, wigner_ellipse
 from .cosmology import (
     EVOLVE_X_MAX,
     PLANE_BLOCK_CELLS,
+    TRANSPORT_RTOL,
     CosmoParams,
     _plane_blocks,
     cosmo_kernel,
@@ -205,8 +206,8 @@ def _evolve(cfg: dict, x_grid, source):
     if x_grid.max() > EVOLVE_X_MAX:
         raise ConfigError(f"an integrated grid must stay at or below x = {EVOLVE_X_MAX}")
     tol = cfg.get("tolerances", {})
-    rtol = _positive(tol.get("rtol", 1e-11), "tolerances.rtol")
-    atol = _positive(tol.get("atol", 1e-12), "tolerances.atol")
+    rtol = _positive(tol.get("rtol", TRANSPORT_RTOL), "tolerances.rtol")
+    atol = _positive(tol.get("atol", DEFAULT_ATOL), "tolerances.atol")
     x_start, x_end = float(x_grid[0]), float(x_grid[-1])
     if _preset(cfg) == "de_sitter":
         return evolve_de_sitter(x_start, x_end, source, x_eval=x_grid, rtol=rtol, atol=atol)

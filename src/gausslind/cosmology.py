@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._special import logsumexp
-from .closed import CovarianceTrajectory, ModeFrequency, ModeState
+from .closed import DEFAULT_ATOL, CovarianceTrajectory, ModeFrequency, ModeState
 from .discord import DiscordResult, _discord_from_logs, _log_sigma_theta, _scalar_or_array
 from .errors import BelowHeisenbergError, DomainError, SingularExponentError, StepFailureError
 from .opensys import EVOLVE_X_MAX, evolve_open, piecewise_oscillatory_quad
@@ -975,7 +975,7 @@ def evolve_de_sitter(
     source: Callable[[float], float] | None = None,
     x_eval: Sequence[float] | None = None,
     rtol: float = TRANSPORT_RTOL,
-    atol: float = 1e-12,
+    atol: float = DEFAULT_ATOL,
 ) -> CovarianceTrajectory:
     """Transport the de Sitter covariance from x_start to x_end, seeded
     with the free closed form at x_start (exact while the source is off),

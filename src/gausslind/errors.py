@@ -5,10 +5,6 @@ class GausslindError(Exception):
     """Base class for all package errors."""
 
 
-class NonSymplecticError(GausslindError):
-    """A transformation matrix does not preserve the symplectic form."""
-
-
 class BelowHeisenbergError(GausslindError):
     """A covariance block violates the uncertainty bound det >= 1."""
 

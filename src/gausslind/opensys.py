@@ -141,15 +141,20 @@ def evolve_open(
     t_eval=None every step is kept; samples outside t_span or not strictly
     ordered along it raise DomainError before any integrator runs, as do
     an rtol below RTOL_FLOOR (solve_ivp would raise it to that floor
-    silently), a span k |t1 - t0| above EVOLVE_X_MAX or not finite, and a
-    source whose value at t_span[0] is an array rather than a number.  The
-    initial det is ic.lam, so an ic below the uncertainty bound raises
+    silently) or not finite, an atol not finite and positive, a span
+    k |t1 - t0| above EVOLVE_X_MAX or not finite, and a source whose value
+    at t_span[0] is an array rather than a number.  The initial det is
+    ic.lam, so an ic below the uncertainty bound raises
     BelowHeisenbergError.
     """
     if ic is None:
         ic = CovarianceBlock.vacuum()
-    if not rtol >= RTOL_FLOOR:
-        raise DomainError(f"rtol = {rtol} is below the floor {RTOL_FLOOR:.3g} of solve_ivp")
+    if not RTOL_FLOOR <= rtol < math.inf:
+        raise DomainError(f"rtol = {rtol} must be finite and at least the floor "
+                          f"{RTOL_FLOOR:.3g} of solve_ivp")
+    # a NaN or zero atol never finishes a step, an infinite one accepts every step
+    if not 0.0 < atol < math.inf:
+        raise DomainError(f"atol = {atol} must be finite and positive")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         # comparisons, not the sign of a step times the span, which can overflow

@@ -2,10 +2,15 @@
 
 A single Fourier mode pair is described, in the reference partition, by a
 2x2 covariance block (g11, g12, g22) repeated on both diagonal blocks of
-the 4x4 covariance matrix.  This module provides the partition matrices
-that rotate that description into an arbitrary bipartition, the symplectic
-machinery to transform covariances, and the conversions between covariance
-entries, squeezing parameters and particle statistics.
+the 4x4 covariance matrix.  The package reads it across the one-angle
+family of partitions theta: the paper's four-angle family of symplectic
+partition matrices at (alpha, beta, delta) = (0, 2 theta - pi/2, pi/2).
+theta = 0 is the reference partition; theta = -pi/4 is the partition into
+the two opposite-wavevector modes, which maximizes discord.  In partition
+theta both reduced blocks have one symplectic eigenvalue sigma(theta), in
+closed form (`sigma_theta`, `_sqrt_q`, `_ln_q`).  This module also
+converts between covariance entries, squeezing parameters and particle
+statistics.
 
 All functions are pure; all value types are frozen dataclasses.
 """
@@ -14,46 +19,23 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BelowHeisenbergError,
-    DegenerateSqueezingError,
-    DomainError,
-    NonSymplecticError,
-)
+from .errors import BelowHeisenbergError, DegenerateSqueezingError, DomainError
 
 __all__ = [
-    "SYMPLECTIC_FORM",
     "CovarianceBlock",
-    "Covariance4",
-    "PartitionAngles",
     "SqueezingState",
     "ParticleStatistics",
     "stable_det2",
-    "general_partition_matrix",
-    "one_param_partition_matrix",
-    "is_symplectic",
-    "transform_covariance",
-    "covariance_blocks_in_partition",
     "purity",
     "sigma_theta",
     "particle_statistics",
     "squeezing_from_covariance",
     "covariance_from_squeezing",
 ]
-
-#: Block-diagonal symplectic form for two degrees of freedom.
-SYMPLECTIC_FORM = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
 
 #: a determinant or lam in [1 - HEISENBERG_SLACK, 1) is exactly 1 (pure)
 HEISENBERG_SLACK = 1e-9
@@ -131,14 +113,6 @@ def _require_blocks(g11, g12, g22) -> np.ndarray:
     return det
 
 
-def _canonical_angle(a: float) -> float:
-    """Map an angle to (-pi, pi]."""
-    r = math.remainder(a, 2.0 * math.pi)
-    if r <= -math.pi:
-        r += 2.0 * math.pi
-    return r
-
-
 @dataclass(frozen=True)
 class CovarianceBlock:
     """Reference-partition covariance of one mode pair: (g11, g12, g22).
@@ -181,58 +155,9 @@ class CovarianceBlock:
             raise BelowHeisenbergError(f"det = {det} violates the uncertainty bound")
         return 1.0 if det < 1.0 + band else det
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.g11, self.g12], [self.g12, self.g22]])
-
-    def pair_matrix(self) -> np.ndarray:
-        """4x4 covariance in the reference partition: diag(B, B)."""
-        z = np.zeros((2, 2))
-        b = self.as_matrix()
-        return np.block([[b, z], [z, b]])
-
     @staticmethod
     def vacuum() -> "CovarianceBlock":
         return CovarianceBlock(1.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Covariance4:
-    """A full 4x4 real symmetric covariance matrix."""
-
-    m: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (4, 4):
-            raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(m).max())):
-            raise DomainError("covariance matrix must be symmetric")
-        object.__setattr__(self, "m", 0.5 * (m + m.T))
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.m))
-
-    @staticmethod
-    def from_block(block: CovarianceBlock) -> "Covariance4":
-        return Covariance4(block.pair_matrix())
-
-
-@dataclass(frozen=True)
-class PartitionAngles:
-    """Four angles defining a bipartition, stored canonicalized to (-pi, pi]."""
-
-    alpha: float
-    beta: float
-    delta: float
-    theta: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "delta", "theta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"angle {name} must be finite, got {v}")
-            object.__setattr__(self, name, _canonical_angle(v))
 
 
 @dataclass(frozen=True)
@@ -267,92 +192,6 @@ class ParticleStatistics:
     @staticmethod
     def vacuum() -> "ParticleStatistics":
         return ParticleStatistics(0.0, 0.0 + 0.0j)
-
-
-def general_partition_matrix(angles: PartitionAngles) -> np.ndarray:
-    """Partition matrix for the four-angle family of bipartitions.
-
-    The returned 4x4 matrix maps the reference phase-space vector to the
-    one describing the two new subsystems; it is symplectic and reduces to
-    the identity for vanishing angles.
-    """
-    a, b, d, t = angles.alpha, angles.beta, angles.delta, angles.theta
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    cd, sd = math.cos(d), math.sin(d)
-    ct, st = math.cos(t), math.sin(t)
-    cm, sm = math.cos(a - b - d), math.sin(a - b - d)
-    return np.array(
-        [
-            [ca * ct, -sa * ct, -cd * st, sd * st],
-            [sa * ct, ca * ct, -sd * st, -cd * st],
-            [cb * st, -sb * st, cm * ct, sm * ct],
-            [sb * st, cb * st, -sm * ct, cm * ct],
-        ]
-    )
-
-
-def one_param_partition_matrix(theta: float) -> np.ndarray:
-    """One-angle subfamily of partitions: the four-angle family at
-    (alpha, beta, delta) = (0, 2 theta - pi/2, pi/2).
-
-    theta = 0 is the reference partition; theta = -pi/4 is the partition
-    into the two opposite-wavevector modes, which maximizes discord.
-    """
-    return general_partition_matrix(
-        PartitionAngles(0.0, 2.0 * theta - 0.5 * math.pi, 0.5 * math.pi, theta))
-
-
-def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff ||T J T^T - J||_max <= tol."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    T = np.asarray(T, dtype=float)
-    resid = T @ SYMPLECTIC_FORM @ T.T - SYMPLECTIC_FORM
-    return bool(np.abs(resid).max() <= tol)
-
-
-def transform_covariance(g: Covariance4 | np.ndarray, T: np.ndarray,
-                         tol: float = 1e-8) -> Covariance4:
-    """Covariance in the partition reached by T: returns T g T^T.
-
-    Raises NonSymplecticError when T fails the symplectic check, since a
-    non-symplectic map would not describe a change of partition.
-    """
-    if not is_symplectic(T, tol):
-        raise NonSymplecticError("transformation does not satisfy T J T^T = J")
-    m = g.m if isinstance(g, Covariance4) else np.asarray(g, dtype=float)
-    return Covariance4(T @ m @ T.T)
-
-
-def covariance_blocks_in_partition(block: CovarianceBlock, theta: float) -> dict:
-    """Closed-form 2x2 blocks {A, B, C} of the covariance in partition theta.
-
-    A and B are the reduced covariances of the two subsystems, C their
-    cross-correlation.  Assembling [[A, C], [C, B]] reproduces
-    transform_covariance(diag(block, block), one_param_partition_matrix(theta)).
-    """
-    g11, g12, g22 = block.g11, block.g12, block.g22
-    ct2, st2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    c4, s4 = math.cos(4.0 * theta), math.sin(4.0 * theta)
-    half_diff = 0.5 * (g11 - g22)
-    half_sum = 0.5 * (g11 + g22)
-
-    a_mat = np.array(
-        [
-            [g11 * ct2 + g22 * st2, g12 * c2],
-            [g12 * c2, g22 * ct2 + g11 * st2],
-        ]
-    )
-    b11 = half_sum + half_diff * c2 * c4 - g12 * c2 * s4
-    b12 = g12 * c2 * c4 + half_diff * c2 * s4
-    b22 = half_sum - half_diff * c2 * c4 + g12 * c2 * s4
-    b_mat = np.array([[b11, b12], [b12, b22]])
-    c11 = half_diff * s2 ** 2 + 0.5 * g12 * s4
-    c12 = -0.5 * half_diff * s4 + g12 * s2 ** 2
-    c_mat = np.array([[c11, c12], [c12, -c11]])
-    return {"A": a_mat, "B": b_mat, "C": c_mat}
 
 
 def purity(block: CovarianceBlock) -> float:

@@ -7,6 +7,10 @@ of the dressed covariance (the rational multiples of b11, d11 and f11),
 so they check the closed forms of `cosmology.sigma0_sq_coefficients`
 against the series they stand for.
 
+`partition_matrix` is the paper's four-angle partition of the mode pair
+as a float 4x4, the reference of the closed-form sigma(theta) of
+`symplectic` (the one-angle family) and of any general-partition route.
+
 `log_sigmas` is the linear-domain reader of a trajectory's cells, the
 reference for the log-domain readers of the discord routes.
 
@@ -92,6 +96,27 @@ def sigma0_sq(x, p, ellH, kGamma_over_kstar):
         x = mp.mpf(x)
         return (1 + s0_2 + s0_4 + (sx_2 + sx_4) * mp.power(x, 2 - t.p)
                 + sxx_4 * mp.power(x, 10 - 2 * t.p))
+
+
+#: block-diagonal symplectic form J of two degrees of freedom
+J = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+
+
+def partition_matrix(alpha, beta, delta, theta):
+    """4x4 symplectic T (T J T^T = J, det T = 1) taking the reference
+    phase-space vector of the mode pair to the two subsystems of the
+    partition (alpha, beta, delta, theta); the identity at zero angles.
+    The covariance there is T diag(B, B) T^T for the reference block B."""
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cd, sd = math.cos(delta), math.sin(delta)
+    ct, st = math.cos(theta), math.sin(theta)
+    cm, sm = math.cos(alpha - beta - delta), math.sin(alpha - beta - delta)
+    return np.array([[ca * ct, -sa * ct, -cd * st, sd * st],
+                     [sa * ct, ca * ct, -sd * st, -cd * st],
+                     [cb * st, -sb * st, cm * ct, sm * ct],
+                     [sb * st, cb * st, -sm * ct, cm * ct]])
 
 
 def log_sigmas(traj, theta):

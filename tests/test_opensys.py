@@ -374,6 +374,31 @@ def test_span_beyond_budget_refused(freq, t_span):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("entry, tol", [
+    ("evolve_open", {"rtol": math.inf}),
+    ("evolve_open", {"atol": math.nan}),
+    ("evolve_open", {"atol": math.inf}),
+    ("evolve_open", {"atol": -1.0}),
+    ("evolve_open", {"atol": 0.0}),
+    ("evolve_de_sitter", {"atol": math.nan}),
+], ids=["rtol-inf", "atol-nan", "atol-inf", "atol-negative", "atol-zero", "de_sitter-atol-nan"])
+def test_bad_tolerance_refused(entry, tol):
+    # an infinite rtol and a NaN or zero atol never ended a step (killed
+    # after 10 s), an infinite atol accepted every step, and a negative one
+    # escaped as scipy's ValueError: each raises DomainError at once
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(DomainError, match="tol"):
+            if entry == "evolve_open":
+                evolve_open(ModeFrequency.free(1.0), lambda t: 0.1, (0.0, 1.0), **tol)
+            else:
+                evolve_de_sitter(2.0, 1.0, **tol)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("shape", [(1,), (3,), (0,), (2, 2)],
                          ids=["one", "row", "empty", "plane"])
 @pytest.mark.parametrize("entry", ["evolve_open", "evolve_de_sitter"])

@@ -9,57 +9,60 @@ from gausslind.errors import (
     BelowHeisenbergError,
     DegenerateSqueezingError,
     DomainError,
-    NonSymplecticError,
 )
 from gausslind.symplectic import (
-    SYMPLECTIC_FORM,
     CovarianceBlock,
-    Covariance4,
-    PartitionAngles,
     ParticleStatistics,
     SqueezingState,
-    covariance_blocks_in_partition,
+    _ln_q,
     covariance_from_squeezing,
-    general_partition_matrix,
-    is_symplectic,
-    one_param_partition_matrix,
     particle_statistics,
     purity,
     sigma_theta,
     squeezing_from_covariance,
     stable_det2,
-    transform_covariance,
 )
 from gausslind.cosmology import de_sitter_covariance_closed
 from gausslind.discord import discord
 
 from conftest import random_block
+from oracle import J, partition_matrix
 
 angles_st = st.floats(-10.0, 10.0, allow_nan=False)
 
 
+def one_angle(theta):
+    """The one-angle family: the four-angle partition at
+    (alpha, beta, delta) = (0, 2 theta - pi/2, pi/2)."""
+    return partition_matrix(0.0, 2.0 * theta - 0.5 * math.pi, 0.5 * math.pi, theta)
+
+
+def in_partition(b: CovarianceBlock, T):
+    """T diag(B, B) T^T of the reference block b, split into (A, B, C):
+    the reduced covariances of the two subsystems and their correlation."""
+    g = np.array([[b.g11, b.g12], [b.g12, b.g22]])
+    z = np.zeros((2, 2))
+    m = T @ np.block([[g, z], [z, g]]) @ T.T
+    return m[:2, :2], m[2:, 2:], m[:2, 2:]
+
+
 class TestPartitionMatrices:
     def test_reference_partition_is_identity(self):
-        T = general_partition_matrix(PartitionAngles(0.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(T, np.eye(4), atol=1e-15)
-        np.testing.assert_allclose(one_param_partition_matrix(0.0), np.eye(4),
+        np.testing.assert_allclose(partition_matrix(0.0, 0.0, 0.0, 0.0), np.eye(4),
                                    atol=1e-15)
+        np.testing.assert_allclose(one_angle(0.0), np.eye(4), atol=1e-15)
 
     def test_opposite_mode_partition_matches_one_param(self):
-        T4 = general_partition_matrix(
-            PartitionAngles(0.0, -math.pi, math.pi / 2, -math.pi / 4))
-        T1 = one_param_partition_matrix(-math.pi / 4)
-        np.testing.assert_allclose(T4, T1, atol=1e-14)
+        T4 = partition_matrix(0.0, math.pi, math.pi / 2, -math.pi / 4)
+        np.testing.assert_allclose(T4, one_angle(-math.pi / 4), atol=1e-14)
 
     def test_one_param_family_embedding(self):
         theta = 0.3
-        T4 = general_partition_matrix(
-            PartitionAngles(0.0, 1.5 * math.pi + 2 * theta, math.pi / 2, theta))
-        np.testing.assert_allclose(T4, one_param_partition_matrix(theta),
-                                   atol=1e-14)
+        T4 = partition_matrix(0.0, 1.5 * math.pi + 2 * theta, math.pi / 2, theta)
+        np.testing.assert_allclose(T4, one_angle(theta), atol=1e-14)
 
     def test_one_param_is_the_four_angle_family(self):
-        # the former 4x4 literal of the one-angle family, entry by entry
+        # the 4x4 literal of the one-angle family, entry by entry
         eps = np.finfo(float).eps
         for theta in np.linspace(-math.pi, math.pi, 2001).tolist():
             ct, st = math.cos(theta), math.sin(theta)
@@ -70,117 +73,95 @@ class TestPartitionMatrices:
                 [st * s2, st * c2, ct * c2, -ct * s2],
                 [-st * c2, st * s2, ct * s2, ct * c2],
             ])
-            assert np.abs(one_param_partition_matrix(theta) - literal).max() <= 4.0 * eps
+            assert np.abs(one_angle(theta) - literal).max() <= 4.0 * eps
 
     def test_one_param_symplectic(self):
-        T = one_param_partition_matrix(0.7)
-        resid = T @ SYMPLECTIC_FORM @ T.T - SYMPLECTIC_FORM
-        assert np.abs(resid).max() < 1e-13
+        T = one_angle(0.7)
+        assert np.abs(T @ J @ T.T - J).max() < 1e-13
 
     @settings(max_examples=100, deadline=None)
     @given(angles_st, angles_st, angles_st, angles_st)
     def test_general_partition_always_symplectic_unit_det(self, a, b, d, t):
-        T = general_partition_matrix(PartitionAngles(a, b, d, t))
-        resid = T @ SYMPLECTIC_FORM @ T.T - SYMPLECTIC_FORM
-        assert np.abs(resid).max() < 1e-12
+        T = partition_matrix(a, b, d, t)
+        assert np.abs(T @ J @ T.T - J).max() < 1e-12
         assert abs(np.linalg.det(T) - 1.0) < 1e-12
-
-    def test_is_symplectic(self):
-        assert is_symplectic(np.eye(4), 1e-12)
-        assert not is_symplectic(np.diag([2.0, 2.0, 2.0, 2.0]), 1e-6)
-        T = general_partition_matrix(PartitionAngles(1.0, -2.0, 0.5, 2.8))
-        assert is_symplectic(T, 1e-12)
-
-    def test_angle_canonicalization(self):
-        a = PartitionAngles(3 * math.pi, -3 * math.pi, 0.0, 2 * math.pi)
-        assert -math.pi < a.alpha <= math.pi
-        assert -math.pi < a.beta <= math.pi
-        assert abs(a.theta) < 1e-12
-
-
-class TestTypedErrors:
-    """Bad input to the partition and covariance types is a DomainError."""
-
-    def test_partition_angle_not_finite(self):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError, match="alpha"):
-                PartitionAngles(bad, 0.0, 0.0, 0.0)
-            with pytest.raises(DomainError, match="theta"):
-                PartitionAngles(0.0, 0.0, 0.0, bad)
-
-    def test_covariance4_shape_and_symmetry(self):
-        with pytest.raises(DomainError, match="4x4"):
-            Covariance4(np.eye(3))
-        asym = np.eye(4)
-        asym[0, 1] = 0.5
-        with pytest.raises(DomainError, match="symmetric"):
-            Covariance4(asym)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
-    def test_is_symplectic_tolerance(self, tol):
-        with pytest.raises(DomainError):
-            is_symplectic(np.eye(4), tol)
 
 
 class TestTransformCovariance:
     def test_vacuum_partition_invariant(self):
-        g = Covariance4.from_block(CovarianceBlock.vacuum())
-        T = one_param_partition_matrix(-math.pi / 4)
-        out = transform_covariance(g, T)
-        np.testing.assert_allclose(out.m, np.eye(4), atol=1e-14)
+        a, b, c = in_partition(CovarianceBlock.vacuum(), one_angle(-math.pi / 4))
+        np.testing.assert_allclose(np.block([[a, c], [c.T, b]]), np.eye(4), atol=1e-14)
 
     def test_matches_direct_matmul(self):
-        b = CovarianceBlock(2.0, 1.0, 1.0)
-        T = one_param_partition_matrix(-math.pi / 4)
-        out = transform_covariance(Covariance4.from_block(b), T)
-        oracle = T @ b.pair_matrix() @ T.T
-        np.testing.assert_allclose(out.m, oracle, atol=1e-14)
-        # cross block carries half the diagonal difference
-        assert abs(out.m[0, 2] - 0.5 * (b.g11 - b.g22)) < 1e-14
+        # the closed form against the matrix product, at the opposite-mode split
+        blk = CovarianceBlock(2.0, 1.0, 1.0)
+        a, b, c = in_partition(blk, one_angle(-math.pi / 4))
+        assert sigma_theta(blk, -math.pi / 4) ** 2 == pytest.approx(np.linalg.det(a),
+                                                                    rel=1e-14)
+        # the cross block carries half the diagonal difference
+        assert abs(c[0, 0] - 0.5 * (blk.g11 - blk.g22)) < 1e-14
 
     def test_det_preserved_many_random(self, rng):
         for _ in range(100):
             b = random_block(rng)
-            T = general_partition_matrix(PartitionAngles(*rng.uniform(-3, 3, 4)))
-            g = Covariance4.from_block(b)
-            out = transform_covariance(g, T)
-            assert abs(out.det / g.det - 1.0) < 1e-10
-
-    def test_rejects_non_symplectic(self):
-        with pytest.raises(NonSymplecticError):
-            transform_covariance(np.eye(4), 2.0 * np.eye(4))
+            a, bb, c = in_partition(b, partition_matrix(*rng.uniform(-3, 3, 4)))
+            det = np.linalg.det(np.block([[a, c], [c.T, bb]]))
+            assert abs(det / b.det ** 2 - 1.0) < 1e-10
 
 
 class TestPartitionBlocks:
     def test_reference_partition_uncorrelated(self):
-        b = CovarianceBlock(2.0, 1.0, 1.0)
-        blocks = covariance_blocks_in_partition(b, 0.0)
-        np.testing.assert_allclose(blocks["A"], b.as_matrix(), atol=1e-15)
-        np.testing.assert_allclose(blocks["C"], np.zeros((2, 2)), atol=1e-15)
+        blk = CovarianceBlock(2.0, 1.0, 1.0)
+        a, _, c = in_partition(blk, one_angle(0.0))
+        np.testing.assert_allclose(a, [[2.0, 1.0], [1.0, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(c, np.zeros((2, 2)), atol=1e-15)
 
     def test_opposite_mode_balanced(self):
-        blocks = covariance_blocks_in_partition(CovarianceBlock(2.0, 1.0, 1.0),
-                                                -math.pi / 4)
-        np.testing.assert_allclose(blocks["A"], 1.5 * np.eye(2), atol=1e-14)
+        a, _, _ = in_partition(CovarianceBlock(2.0, 1.0, 1.0), one_angle(-math.pi / 4))
+        np.testing.assert_allclose(a, 1.5 * np.eye(2), atol=1e-14)
 
     def test_assembly_matches_transform(self, rng):
+        # the blocks in closed form: A and B symmetric, C symmetric and traceless
         for _ in range(25):
-            b = random_block(rng)
+            blk = random_block(rng)
             theta = rng.uniform(-math.pi, math.pi)
-            blocks = covariance_blocks_in_partition(b, theta)
-            assembled = np.block([[blocks["A"], blocks["C"]],
-                                  [blocks["C"], blocks["B"]]])
-            T = one_param_partition_matrix(theta)
-            oracle = T @ b.pair_matrix() @ T.T
-            np.testing.assert_allclose(assembled, oracle, atol=1e-12 * max(1, b.g22))
+            g11, g12, g22 = blk.g11, blk.g12, blk.g22
+            ct2, st2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+            c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
+            c4, s4 = math.cos(4.0 * theta), math.sin(4.0 * theta)
+            hd, hs = 0.5 * (g11 - g22), 0.5 * (g11 + g22)
+            c11, c12 = hd * s2 ** 2 + 0.5 * g12 * s4, -0.5 * hd * s4 + g12 * s2 ** 2
+            b11, b12 = hs + hd * c2 * c4 - g12 * c2 * s4, g12 * c2 * c4 + hd * c2 * s4
+            want = np.block([
+                [np.array([[g11 * ct2 + g22 * st2, g12 * c2],
+                           [g12 * c2, g22 * ct2 + g11 * st2]]),
+                 np.array([[c11, c12], [c12, -c11]])],
+                [np.array([[c11, c12], [c12, -c11]]),
+                 np.array([[b11, b12], [b12, 2.0 * hs - b11]])],
+            ])
+            a, b, c = in_partition(blk, one_angle(theta))
+            np.testing.assert_allclose(np.block([[a, c], [c.T, b]]), want,
+                                       atol=1e-12 * max(1, g22))
 
     def test_trace_preserved(self, rng):
         for _ in range(25):
             b = random_block(rng)
-            theta = rng.uniform(-math.pi, math.pi)
-            blocks = covariance_blocks_in_partition(b, theta)
-            total = np.trace(blocks["A"]) + np.trace(blocks["B"])
+            a, bb, _ = in_partition(b, one_angle(rng.uniform(-math.pi, math.pi)))
+            total = np.trace(a) + np.trace(bb)
             assert abs(total - 2.0 * (b.g11 + b.g22)) < 1e-10 * (b.g11 + b.g22)
+
+    def test_sigma_theta_is_the_partition(self, rng):
+        # the closed form that every discord reads: sigma(theta)^2 = det A
+        # = det B and q = det A - sigma(0)^2 of the 4x4 partition
+        for _ in range(2000):
+            blk = random_block(rng, r_max=5.0)
+            theta = -rng.uniform(-math.pi, math.pi)  # (-pi, pi]
+            a, b, _ = in_partition(blk, one_angle(theta))
+            det_a, det_b = np.linalg.det(a), np.linalg.det(b)
+            assert sigma_theta(blk, theta) ** 2 == pytest.approx(det_a, rel=1e-8)
+            assert sigma_theta(blk, theta) ** 2 == pytest.approx(det_b, rel=1e-8)
+            q = math.exp(_ln_q(blk.g11, blk.g12, blk.g22, theta))
+            assert abs(q - (det_a - blk.lam)) <= 1e-8 * det_a
 
 
 class TestPurity:
